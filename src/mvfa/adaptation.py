@@ -189,17 +189,18 @@ def residual_mix(f: Tensor, adapted: Tensor, gamma) -> Tensor:
     return ag.add(ag.scale(adapted, gamma), ag.scale(f, 1.0 - gamma))
 
 
-def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image):
+def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1=None):
     """Run the encoder with adapters installed.
 
     Returns (AdaptedFeatures, StageFeatures). In adapter mode levels 1..3
     produce residually mixed cls/seg features and the next stage receives
     the branch-feed mix; level 4 is the projector applied to the final
     features. In projector mode the encoder runs untouched and every level
-    gets its own isolated projection pair.
+    gets its own isolated projection pair. ``stage1`` is passed through to
+    :func:`forward_with_hooks` for the training loop.
     """
     if params.arch == ARCH_PROJECTOR:
-        stage = forward_with_hooks(backbone, image, None)
+        stage = forward_with_hooks(backbone, image, None, stage1=stage1)
         cls, seg = [], []
         for f, proj in zip(stage.levels(), params.level_projectors):
             cls.append(ag.matmul(f, proj.w_cls))
@@ -226,7 +227,7 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image):
             feed = ag.scale(ag.add(cls_adapted, seg_adapted), 0.5)
         return residual_mix(f, feed, gamma)
 
-    stage = forward_with_hooks(backbone, image, hook)
+    stage = forward_with_hooks(backbone, image, hook, stage1=stage1)
     cls = [mixed[1][0], mixed[2][0], mixed[3][0],
            ag.matmul(stage.f_vis, params.projector.w_cls)]
     seg = [mixed[1][1], mixed[2][1], mixed[3][1],

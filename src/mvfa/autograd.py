@@ -15,6 +15,7 @@ rely on.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 
 import numpy as np
@@ -123,7 +124,14 @@ def _wrap(value, dtype):
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _result(data, op, parents, backward_fn):
+def record(data, op, parents, backward_fn):
+    """Wrap ``data`` as the output of op ``op`` applied to ``parents``.
+
+    A graph node is kept only when recording is on and some parent
+    requires gradients. ``backward_fn(g)`` maps the output gradient to one
+    gradient per parent, or None for a parent that needs none; custom fused
+    ops use this to join the graph as a single node.
+    """
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -132,6 +140,8 @@ def _result(data, op, parents, backward_fn):
 
 
 def _check_broadcast(op, a, b):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -140,6 +150,8 @@ def _check_broadcast(op, a, b):
 
 def _unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to the original operand shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -154,9 +166,10 @@ def add(a, b):
     data = a.data + b.data
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _result(data, "add", (a, b), backward_fn)
+    return record(data, "add", (a, b), backward_fn)
 
 
 def mul(a, b):
@@ -165,10 +178,10 @@ def mul(a, b):
     data = a.data * b.data
 
     def backward_fn(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _result(data, "mul", (a, b), backward_fn)
+    return record(data, "mul", (a, b), backward_fn)
 
 
 def div(a, b):
@@ -177,10 +190,11 @@ def div(a, b):
     data = a.data / b.data
 
     def backward_fn(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                if b.requires_grad else None)
 
-    return _result(data, "div", (a, b), backward_fn)
+    return record(data, "div", (a, b), backward_fn)
 
 
 def scale(a, c):
@@ -190,7 +204,7 @@ def scale(a, c):
     def backward_fn(g):
         return (g * c,)
 
-    return _result(data, "scale", (a,), backward_fn)
+    return record(data, "scale", (a,), backward_fn)
 
 
 def matmul(a, b):
@@ -199,9 +213,10 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
-    return _result(data, "matmul", (a, b), backward_fn)
+    return record(data, "matmul", (a, b), backward_fn)
 
 
 def relu(a):
@@ -211,7 +226,7 @@ def relu(a):
         # subgradient at exactly zero is defined as zero
         return (g * (a.data > 0),)
 
-    return _result(data, "relu", (a,), backward_fn)
+    return record(data, "relu", (a,), backward_fn)
 
 
 def exp(a):
@@ -220,7 +235,7 @@ def exp(a):
     def backward_fn(g):
         return (g * data,)
 
-    return _result(data, "exp", (a,), backward_fn)
+    return record(data, "exp", (a,), backward_fn)
 
 
 def log(a):
@@ -229,7 +244,7 @@ def log(a):
     def backward_fn(g):
         return (g / a.data,)
 
-    return _result(data, "log", (a,), backward_fn)
+    return record(data, "log", (a,), backward_fn)
 
 
 def _expand_reduced(g, in_shape, axis, keepdims):
@@ -246,7 +261,7 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors the numpy name
     def backward_fn(g):
         return (_expand_reduced(g, a.shape, axis, keepdims),)
 
-    return _result(data, "sum", (a,), backward_fn)
+    return record(data, "sum", (a,), backward_fn)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -256,7 +271,7 @@ def mean(a, axis=None, keepdims=False):
     def backward_fn(g):
         return (_expand_reduced(g, a.shape, axis, keepdims) / count,)
 
-    return _result(data, "mean", (a,), backward_fn)
+    return record(data, "mean", (a,), backward_fn)
 
 
 def max(a, axis=None):  # noqa: A001 - mirrors the numpy name
@@ -274,7 +289,7 @@ def max(a, axis=None):  # noqa: A001 - mirrors the numpy name
             np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
         return (gx,)
 
-    return _result(data, "max", (a,), backward_fn)
+    return record(data, "max", (a,), backward_fn)
 
 
 def transpose(a):
@@ -285,7 +300,7 @@ def transpose(a):
     def backward_fn(g):
         return (g.T,)
 
-    return _result(data, "transpose", (a,), backward_fn)
+    return record(data, "transpose", (a,), backward_fn)
 
 
 def reshape(a, shape):
@@ -296,7 +311,7 @@ def reshape(a, shape):
     def backward_fn(g):
         return (g.reshape(a.shape),)
 
-    return _result(data, "reshape", (a,), backward_fn)
+    return record(data, "reshape", (a,), backward_fn)
 
 
 def clip(a, lo, hi):
@@ -305,7 +320,7 @@ def clip(a, lo, hi):
     def backward_fn(g):
         return (g * ((a.data >= lo) & (a.data <= hi)),)
 
-    return _result(data, "clip", (a,), backward_fn)
+    return record(data, "clip", (a,), backward_fn)
 
 
 def softmax_rows(a):
@@ -320,7 +335,7 @@ def softmax_rows(a):
         dot = np.sum(g * data, axis=1, keepdims=True)
         return (data * (g - dot),)
 
-    return _result(data, "softmax_rows", (a,), backward_fn)
+    return record(data, "softmax_rows", (a,), backward_fn)
 
 
 def l2norm_rows(a):
@@ -337,7 +352,7 @@ def l2norm_rows(a):
         dot = np.sum(g * data, axis=1, keepdims=True)
         return ((g - data * dot) / norms,)
 
-    return _result(data, "l2norm_rows", (a,), backward_fn)
+    return record(data, "l2norm_rows", (a,), backward_fn)
 
 
 def _axis_coords(in_extent, out_extent, dtype):
@@ -350,6 +365,34 @@ def _axis_coords(in_extent, out_extent, dtype):
     i1 = np.minimum(i0 + 1, in_extent - 1)
     w = (src - i0).astype(dtype)
     return i0, i1, w
+
+
+@functools.lru_cache(maxsize=32)
+def _upsample_plan(gh, gw, h, w):
+    """Gather plan that scatters the upsample VJP in np.add.at's order.
+
+    The VJP spreads each output pixel's gradient onto four source cells,
+    one corner at a time, and each cell must sum its contributions
+    sequentially in that order to keep the bits of a scatter with
+    ``np.add.at``. Row ``p`` of the returned (gh * gw, width) index matrix
+    lists, for source cell ``p``, a leading zero and then the positions of
+    its contributions in the four flattened corner arrays, in scatter
+    order, padded at the end with zeros; index ``4 * h * w`` points at the
+    appended zero. Adding a zero never changes a sum that started from +0,
+    so a running sum along each row equals the scatter.
+    """
+    y0, y1, _ = _axis_coords(gh, h, np.float64)
+    x0, x1, _ = _axis_coords(gw, w, np.float64)
+    cells = np.concatenate([(ys[:, None] * gw + xs[None, :]).reshape(-1)
+                            for ys, xs in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
+    order = np.argsort(cells, kind="stable")
+    counts = np.bincount(cells, minlength=gh * gw)
+    sorted_cells = cells[order]
+    slot = np.arange(cells.size) - (np.cumsum(counts) - counts)[sorted_cells] + 1
+    plan = np.full((gh * gw, counts.max() + 1), cells.size)
+    plan[sorted_cells, slot] = order
+    plan.flags.writeable = False
+    return plan
 
 
 def bilinear_upsample(a, size):
@@ -372,14 +415,14 @@ def bilinear_upsample(a, size):
     data = (1 - wy) * top + wy * bot
 
     def backward_fn(g):
-        gx = np.zeros_like(src)
-        np.add.at(gx, np.ix_(y0, x0), g * (1 - wy) * (1 - wx))
-        np.add.at(gx, np.ix_(y0, x1), g * (1 - wy) * wx)
-        np.add.at(gx, np.ix_(y1, x0), g * wy * (1 - wx))
-        np.add.at(gx, np.ix_(y1, x1), g * wy * wx)
-        return (gx,)
+        corners = (g * (1 - wy) * (1 - wx), g * (1 - wy) * wx,
+                   g * wy * (1 - wx), g * wy * wx)
+        flat = np.concatenate([c.reshape(-1) for c in corners]
+                              + [np.zeros(1, dtype=corners[0].dtype)])
+        plan = _upsample_plan(gh, gw, h, w)
+        return (np.add.accumulate(flat[plan], axis=1)[:, -1].reshape(gh, gw),)
 
-    return _result(data, "bilinear_upsample", (a,), backward_fn)
+    return record(data, "bilinear_upsample", (a,), backward_fn)
 
 
 def backward(loss):

@@ -7,6 +7,17 @@ table. Nothing in here ever requires gradients. The tokens are patches
 only (no class token) and the blocks run in four stages; a caller-supplied
 hook can transform the running features between stages, which is how
 adapters are inserted without touching the frozen weights.
+
+Each block is recorded as one autograd node whose hand-written VJP returns
+the gradient of the block input only, since the weights never train. Its
+forward runs the same numpy operations in the same order as the block
+written out op by op (``tests/block_oracle.py``), and the VJP adds each
+tensor's gradient contributions in the order the engine would, so outputs
+and gradients keep their bits. That is why LayerNorm still computes
+1/sqrt(var + eps) as exp(-0.5 * log(var + eps)), why the heads run one at
+a time with their outputs summed head by head, and why the attention scale
+is a Python float: a direct rsqrt, stacked heads or a numpy float64 scale
+would each change float32 rounding.
 """
 
 from __future__ import annotations
@@ -136,38 +147,72 @@ def patch_tokens(image, config: BackboneConfig):
     return arr.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
 
 
-def layer_norm(x, gamma=None, beta=None, eps=1e-5):
-    """Per-row layer normalization; affine is applied when gamma is given."""
-    mu = ag.mean(x, axis=1, keepdims=True)
-    centered = ag.add(x, ag.scale(mu, -1.0))
-    var = ag.mean(ag.mul(centered, centered), axis=1, keepdims=True)
-    # 1/sqrt(var + eps) composed from exp and log keeps the op set small
-    rstd = ag.exp(ag.scale(ag.log(ag.add(var, eps)), -0.5))
-    normed = ag.mul(centered, rstd)
-    if gamma is None:
-        return normed
-    return ag.add(ag.mul(normed, gamma), beta)
+def _layer_norm(x, gamma, beta, eps=1e-5):
+    """Per-row affine layer normalization of an array.
+
+    Returns the output and the (centered, var + eps, 1/std) arrays its VJP
+    needs.
+    """
+    centered = x + np.mean(x, axis=1, keepdims=True) * -1.0
+    shifted_var = np.mean(centered * centered, axis=1, keepdims=True) + eps
+    rstd = np.exp(np.log(shifted_var) * -0.5)
+    return centered * rstd * gamma + beta, (centered, shifted_var, rstd)
+
+
+def _layer_norm_vjp(g, gamma, saved, g_residual):
+    """Input gradient of :func:`_layer_norm` added onto ``g_residual``."""
+    centered, shifted_var, rstd = saved
+    count = centered.shape[1]
+    g_normed = g * gamma
+    g_rstd = np.sum(g_normed * centered, axis=1, keepdims=True)
+    g_square = g_rstd * rstd * -0.5 / shifted_var / count
+    square_side = g_square * centered
+    # sums run left to right in the order the op-by-op graph accumulates them
+    g_centered = g_normed * rstd + square_side + square_side
+    g_mean = np.sum(g_centered, axis=1, keepdims=True) * -1.0 / count
+    return g_residual + g_centered + g_mean
 
 
 def _block_forward(x, blk, config):
-    head_dim = config.dim // config.heads
-    att_scale = 1.0 / np.sqrt(head_dim)
+    """One pre-norm encoder block, recorded as a single autograd node.
 
-    h = layer_norm(x, blk.ln1_g, blk.ln1_b)
+    The weights are frozen, so the node's VJP returns the input gradient
+    only.
+    """
+    att_scale = float(1.0 / np.sqrt(config.dim // config.heads))
+    h, ln1 = _layer_norm(x.data, blk.ln1_g.data, blk.ln1_b.data)
+    heads = []
     attended = None
     for wq, wk, wv, wo in zip(blk.wq, blk.wk, blk.wv, blk.wo):
-        q = ag.matmul(h, wq)
-        k = ag.matmul(h, wk)
-        v = ag.matmul(h, wv)
-        att = ag.softmax_rows(ag.scale(ag.matmul(q, ag.transpose(k)), att_scale))
-        head = ag.matmul(ag.matmul(att, v), wo)
-        attended = head if attended is None else ag.add(attended, head)
-    x = ag.add(x, attended)
+        q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
+        scores = (q @ k.T) * att_scale
+        e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+        att = e / np.sum(e, axis=1, keepdims=True)
+        head = (att @ v) @ wo.data
+        attended = head if attended is None else attended + head
+        heads.append((q, k, v, att))
+    x1 = x.data + attended
 
-    h2 = layer_norm(x, blk.ln2_g, blk.ln2_b)
-    hidden = ag.relu(ag.add(ag.matmul(h2, blk.mlp_w1), blk.mlp_b1))
-    mlp = ag.add(ag.matmul(hidden, blk.mlp_w2), blk.mlp_b2)
-    return ag.add(x, mlp)
+    h2, ln2 = _layer_norm(x1, blk.ln2_g.data, blk.ln2_b.data)
+    pre = h2 @ blk.mlp_w1.data + blk.mlp_b1.data
+    out = x1 + (np.maximum(pre, 0) @ blk.mlp_w2.data + blk.mlp_b2.data)
+
+    def backward_fn(g):
+        g_h2 = (g @ blk.mlp_w2.data.T * (pre > 0)) @ blk.mlp_w1.data.T
+        g_x1 = _layer_norm_vjp(g_h2, blk.ln2_g.data, ln2, g)
+        g_h = None
+        for (q, k, v, att), wq, wk, wv, wo in zip(heads, blk.wq, blk.wk, blk.wv, blk.wo):
+            g_av = g_x1 @ wo.data.T
+            g_att = g_av @ v.T
+            g_scores = att * (g_att - np.sum(g_att * att, axis=1, keepdims=True)) * att_scale
+            # q, k, v of each head in turn: the op-by-op accumulation order
+            for part in ((g_scores @ k) @ wq.data.T,
+                         (q.T @ g_scores).T @ wk.data.T,
+                         (att.T @ g_av) @ wv.data.T):
+                g_h = part if g_h is None else g_h + part
+        return (_layer_norm_vjp(g_h, blk.ln1_g.data, ln1, g_x1),)
+
+    return ag.record(out, "encoder_block", (x,), backward_fn)
 
 
 def init_backbone(config: BackboneConfig, dtype=np.float32) -> FrozenBackbone:
@@ -209,26 +254,30 @@ def init_backbone(config: BackboneConfig, dtype=np.float32) -> FrozenBackbone:
     return FrozenBackbone(config, dtype, patch_w, pos, stages)
 
 
-def forward_with_hooks(backbone: FrozenBackbone, image, hook=None) -> StageFeatures:
+def forward_with_hooks(backbone: FrozenBackbone, image, hook=None, *,
+                       stage1=None) -> StageFeatures:
     """Run the encoder, optionally transforming features between stages.
 
     ``hook(level, features)`` is called after stages 1..3 with the raw
     stage output and must return the (grid, dim) tensor fed to the next
     stage. The returned StageFeatures always hold the raw, pre-hook
     outputs plus the final stage-4 features.
+
+    ``stage1`` is internal: the training loop passes the stage-1 output it
+    computed once for ``image``, which depends on no trainable tensor, and
+    the embedding and stage 1 are then skipped.
     """
-    x = backbone.embed(image)
+    x = backbone.run_stage(0, backbone.embed(image)) if stage1 is None else stage1
     raw = []
-    for stage_index in range(4):
-        x = backbone.run_stage(stage_index, x)
-        if stage_index < 3:
-            raw.append(x)
-            if hook is not None:
-                fed = hook(stage_index + 1, x)
-                if not isinstance(fed, Tensor) or fed.shape != x.shape:
-                    got = fed.shape if isinstance(fed, Tensor) else type(fed).__name__
-                    raise ContractError(
-                        f"hook at level {stage_index + 1} must return a tensor of "
-                        f"shape {x.shape}, got {got}")
-                x = fed
+    for level in range(1, 4):
+        raw.append(x)
+        if hook is not None:
+            fed = hook(level, x)
+            if not isinstance(fed, Tensor) or fed.shape != x.shape:
+                got = fed.shape if isinstance(fed, Tensor) else type(fed).__name__
+                raise ContractError(
+                    f"hook at level {level} must return a tensor of "
+                    f"shape {x.shape}, got {got}")
+            x = fed
+        x = backbone.run_stage(level, x)
     return StageFeatures(raw[0], raw[1], raw[2], x)

@@ -27,15 +27,26 @@ CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
 def midranks(values):
     """1-based ranks with ties sharing their average rank."""
     v = np.asarray(values, dtype=np.float64)
+    n = v.size
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks = np.take(v, order)
+    # a run of ties starts wherever a sorted value differs from the one before;
+    # NaN differs from everything, so each NaN is its own run
+    new_run = np.ones(n, dtype=bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=new_run[1:])
+    # the rest works in place on two position buffers: pooled pixel AUCs
+    # rank every pixel of a test set at once
+    first = np.arange(n, dtype=np.float64)
+    ranks[:] = first
+    first *= new_run
+    np.maximum.accumulate(first, out=first)
+    np.copyto(ranks[:-1], n, where=~new_run[1:])
+    np.minimum.accumulate(ranks[::-1], out=ranks[::-1])
+    # (first + last) / 2 + 1 of each run, exact for integer positions
+    first += ranks
+    first /= 2.0
+    first += 1.0
+    ranks[order] = first
     return ranks
 
 

@@ -192,6 +192,8 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     rng = np.random.default_rng(config.seed)
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     history = []
+    # embedding and stage 1 see no trainable tensor, so each runs once per sample
+    stage1 = [backbone.run_stage(0, backbone.embed(sample.image)) for sample in samples]
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(samples))
@@ -201,7 +203,8 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
             batch = None
             for index in chunk:
                 sample = samples[index]
-                features, _ = adapt_forward(backbone, params, sample.image)
+                features, _ = adapt_forward(backbone, params, sample.image,
+                                            stage1=stage1[index])
                 loss = total_loss(features, text_features[sample.modality],
                                   sample.label, sample.mask, config.weights,
                                   tau=config.tau, out_hw=out_hw, levels=config.levels)

@@ -111,6 +111,26 @@ def test_zero_up_projection_forwards_scaled_features():
     assert np.abs(stage.f2.data - manual.data).max() <= 1e-6
 
 
+@pytest.mark.parametrize("arch", ["adapter", "projector"])
+def test_cached_stage1_reproduces_features_and_gradients(arch):
+    backbone = init_backbone(TOY)
+    image = toy_image(seed=9)
+    stage1 = backbone.run_stage(0, backbone.embed(image))
+    runs = []
+    for cached in (None, stage1):
+        params = toy_params(seed=4, randomize_up=True, arch=arch)
+        features, _ = adapt_forward(backbone, params, image, stage1=cached)
+        outputs = features.cls + features.seg
+        total = outputs[0]
+        for f in outputs[1:]:
+            total = ag.add(total, f)
+        grads = backward(ag.sum(ag.mul(total, total)))
+        runs.append(([f.data for f in outputs], [grads[t].data for t in params.tensors()]))
+    (full_out, full_grads), (cached_out, cached_grads) = runs
+    for a, b in zip(full_out + full_grads, cached_out + cached_grads):
+        assert np.array_equal(a, b)
+
+
 def test_branch_independence_under_cls_feed():
     backbone = init_backbone(TOY)
     image = toy_image(seed=7)

@@ -117,6 +117,28 @@ def test_bilinear_range_bounded():
     assert out.min() >= src.min() - 1e-12 and out.max() <= src.max() + 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("src_hw, out_hw", [
+    ((8, 8), (64, 64)), ((10, 10), (80, 80)), ((7, 7), (50, 50)), ((3, 5), (8, 11)),
+    ((1, 4), (1, 9)), ((5, 1), (12, 1)), ((1, 1), (3, 2))])
+def test_bilinear_vjp_matches_add_at_scatter_bitwise(src_hw, out_hw, dtype):
+    rng = np.random.default_rng(21)
+    a = Tensor(rng.standard_normal(src_hw).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(out_hw).astype(dtype)
+    (got,) = ag.bilinear_upsample(a, out_hw).node.backward(g)
+
+    y0, y1, wy = ag._axis_coords(src_hw[0], out_hw[0], a.dtype.type)
+    x0, x1, wx = ag._axis_coords(src_hw[1], out_hw[1], a.dtype.type)
+    wy, wx = wy[:, None], wx[None, :]
+    expected = np.zeros_like(a.data)
+    np.add.at(expected, np.ix_(y0, x0), g * (1 - wy) * (1 - wx))
+    np.add.at(expected, np.ix_(y0, x1), g * (1 - wy) * wx)
+    np.add.at(expected, np.ix_(y1, x0), g * wy * (1 - wx))
+    np.add.at(expected, np.ix_(y1, x1), g * wy * wx)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
 def test_bilinear_empty_and_shrink_errors():
     with pytest.raises(ShapeError, match="empty"):
         ag.bilinear_upsample(Tensor(np.zeros((0, 0))), (2, 2))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from block_oracle import block_forward
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
 from mvfa.autograd import Tensor, backward
-from mvfa.backbone import (BackboneConfig, forward_with_hooks, init_backbone,
-                           layer_norm, patch_tokens)
+from mvfa.backbone import (BackboneConfig, _block_forward, _layer_norm, forward_with_hooks,
+                           init_backbone, patch_tokens)
 from mvfa.errors import ConfigError, ContractError, ShapeError
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -86,8 +87,8 @@ def test_scaling_hook_matches_manual_recomputation():
 
 def test_layer_norm_pre_affine_statistics():
     rng = np.random.default_rng(9)
-    x = Tensor(rng.standard_normal((32, 64)) * 3 + 1, dtype=np.float64)
-    normed = layer_norm(x).data
+    x = rng.standard_normal((32, 64)) * 3 + 1
+    normed, _ = _layer_norm(x, 1.0, 0.0)
     assert np.abs(normed.mean(axis=1)).max() <= 1e-4
     assert np.abs(normed.var(axis=1) - 1.0).max() <= 1e-4
 
@@ -136,3 +137,35 @@ def test_hook_parameter_gradients_match_finite_differences():
         return ag.mean(ag.mul(stage.f_vis, stage.f_vis))
 
     check_gradients(loss_fn, [w], rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("config", [BackboneConfig(), TOY], ids=["default", "toy"])
+def test_fused_block_matches_node_by_node_oracle_bitwise(config):
+    # every block, fed the running encoder features, in float32
+    backbone = init_backbone(config)
+    rng = np.random.default_rng(11)
+    for seed in range(2):
+        x = backbone.embed(toy_image(seed=seed, size=config.image_size)).data
+        for blk in [blk for blocks in backbone.stages for blk in blocks]:
+            upstream = Tensor(rng.standard_normal(x.shape).astype(np.float32))
+            fused_in = Tensor(x, requires_grad=True)
+            oracle_in = Tensor(x.copy(), requires_grad=True)
+            fused = _block_forward(fused_in, blk, config)
+            oracle = block_forward(oracle_in, blk, config)
+            assert fused.dtype == oracle.dtype == np.float32
+            assert np.array_equal(fused.data, oracle.data)
+            g_fused = backward(ag.sum(ag.mul(fused, upstream)))[fused_in]
+            g_oracle = backward(ag.sum(ag.mul(oracle, upstream)))[oracle_in]
+            assert np.array_equal(g_fused.data, g_oracle.data)
+            x = fused.data
+
+
+def test_fused_block_vjp_matches_finite_differences():
+    backbone = init_backbone(TOY, dtype=np.float64)
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((TOY.grid_count, TOY.dim)), requires_grad=True,
+               dtype=np.float64)
+    upstream = Tensor(rng.standard_normal(x.shape), dtype=np.float64)
+    for blocks in backbone.stages:
+        check_gradients(lambda: ag.sum(ag.mul(_block_forward(x, blocks[0], TOY), upstream)),
+                        [x], rel_tol=1e-6, step=1e-5)

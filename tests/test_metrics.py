@@ -87,6 +87,36 @@ def test_midranks_average_tied_groups():
     assert np.array_equal(midranks([0.1, 0.3, 0.1]), [1.5, 3.0, 1.5])
 
 
+def midranks_loop_oracle(values):
+    """The original run-by-run loop: each run extends while values equal its first."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(4).integers(0, 7, 500).astype(float),
+    np.random.default_rng(5).standard_normal(300),
+    np.full(40, 0.25),
+    [3.5],
+    [],
+    [0.0, -0.0, 1.0, -0.0, 0.0],
+    [np.nan, 1.0, np.nan, -1.0, 1.0, np.inf, -np.inf, np.nan],
+], ids=["ties", "distinct", "all-equal", "single", "empty", "signed-zeros", "nan-inf"])
+def test_midranks_equal_loop_oracle_bitwise(values):
+    got = midranks(values)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, midranks_loop_oracle(values))
+
+
 # -- evaluation ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

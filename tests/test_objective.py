@@ -196,6 +196,32 @@ def test_full_objective_gradients_on_toy_model():
     check_gradients(loss_fn, params.tensors(), rel_tol=1e-4)
 
 
+def _graph_nodes(loss):
+    seen, stack, nodes = set(), [loss], 0
+    while stack:
+        tensor = stack.pop()
+        if id(tensor) not in seen:
+            seen.add(id(tensor))
+            if tensor.node is not None:
+                nodes += 1
+                stack.extend(tensor.node.parents)
+    return nodes
+
+
+def test_default_masked_sample_graph_stays_small():
+    # each frozen encoder block is one node; spelled out op by op they add 420
+    config = BackboneConfig()
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=0)
+    rng = np.random.default_rng(13)
+    image = rng.uniform(0, 1, (64, 64)).astype(np.float32)
+    mask = (rng.uniform(0, 1, (64, 64)) > 0.9).astype(np.float32)
+    features, _ = adapt_forward(backbone, params, image)
+    loss = total_loss(features, toy_text(config.dim, dtype=np.float32), 1, mask,
+                      LossWeights(), out_hw=(64, 64))
+    assert _graph_nodes(loss) <= 240
+
+
 # -- Adam --------------------------------------------------------------------------
 
 def make_param(value):
