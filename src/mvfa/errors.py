@@ -42,7 +42,7 @@ class DataError(MVFAError):
 
 
 class BankError(MVFAError):
-    """The memory bank is missing or empty where one is required."""
+    """The memory bank is missing, empty, or does not fit the features."""
 
 
 class MetricError(MVFAError):

@@ -114,18 +114,51 @@ def zero_shot(features, f_text: Tensor, tau, out_hw) -> ZeroShotScores:
 def _min_cosine_distances(queries, store):
     """Distance 1 - max cosine of each query row against every store row.
 
-    The similarity is computed as an elementwise product reduced over the
-    feature axis, which reproduces a per-pair (u * v).sum() bit for bit.
+    One GEMM ``q @ store.T`` shortlists, for each query, the rows whose
+    approximate similarity lies within a rigorous error bound of that query's
+    best; only those pairs are recomputed as an elementwise product reduced
+    over the contiguous feature axis, which reproduces a per-pair
+    (u * v).sum() bit for bit.
+
+    The result is exact. Any summation order of a length-d dot product, the
+    BLAS kernel's and numpy's pairwise reduction alike, lies within
+    gamma_d * sum|q_i s_i| <= gamma_d * |q| * |s| of the exact value, with
+    gamma_d = d*u / (1 - d*u) for unit roundoff u = eps/2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), plus at most d times the smallest
+    subnormal when products underflow. So the row that wins the elementwise
+    search is at most 2 * 2 * gamma_d * |q| * max|s| (plus the underflow
+    terms) below the GEMM maximum and is always shortlisted. The slack uses
+    the store's actual norms, is computed in float64 and rounded up. A query
+    whose bound is not finite (non-finite input, or products that could
+    overflow) shortlists every row, so NaN and inf propagate as in an
+    exhaustive search. The temporaries are queries x rows plus d values per
+    shortlisted pair, not queries x rows x d.
     """
     q = _normalize_rows(queries)
-    sims = (q[:, None, :] * store[None, :, :]).sum(axis=2)
-    return 1.0 - sims.max(axis=1)
+    approx = q @ store.T
+    finfo = np.finfo(approx.dtype)
+    d, u = q.shape[1], finfo.eps / 2
+    gamma = d * u / (1 - d * u)
+    bound = (np.sqrt(np.square(q, dtype=np.float64).sum(axis=1))
+             * np.sqrt(np.square(store, dtype=np.float64).sum(axis=1)).max())
+    slack = (4 * gamma * bound + 4 * d * finfo.smallest_subnormal) * (1 + 1e-6)
+    with np.errstate(invalid="ignore"):  # inf - inf where the bound is not finite
+        floor = np.nextafter((approx.max(axis=1) - slack).astype(approx.dtype), -np.inf)
+    shortlist = approx >= floor[:, None]
+    shortlist[~(bound * (1 + 2 * gamma) < finfo.max)] = True
+    qi, ri = np.divmod(np.flatnonzero(shortlist), store.shape[0])
+    sims = (q[qi] * store[ri]).sum(axis=1)
+    return 1.0 - np.maximum.reduceat(sims, np.searchsorted(qi, np.arange(q.shape[0])))
 
 
 def few_shot(features, bank: MemoryBank, out_hw, normalize_maps=False) -> FewShotScores:
     """Nearest-bank-row cosine distances, position agnostic, per level."""
     if bank is None or any(store.size == 0 for store in bank.cls + bank.seg):
         raise BankError("few-shot scoring requires a non-empty memory bank")
+    for rows, store in zip(features.cls + features.seg, bank.cls + bank.seg):
+        if store.shape[1] != rows.data.shape[1]:
+            raise BankError(f"memory bank rows have width {store.shape[1]}, but the "
+                            f"checkpoint's features have width {rows.data.shape[1]}")
     c_levels = np.zeros(4)
     s_levels = np.zeros((4,) + tuple(out_hw))
     with no_grad():
@@ -198,14 +231,16 @@ def load_bank(path) -> MemoryBank:
     if levels != 4:
         reader.fail(f"expected 4 levels, got {levels}")
     cls, seg = [], []
-    for _ in range(levels):
-        for expected_role, stores in ((0, cls), (1, seg)):
+    for level in range(levels):
+        for expected_role, name, stores in ((0, "cls", cls), (1, "seg", seg)):
             role = reader.u8()
             if role != expected_role:
                 reader.fail(f"expected role {expected_role}, got {role}")
             rows = reader.u32()
             d = reader.u32()
             data = np.frombuffer(reader.take(4 * rows * d), dtype="<f4")
+            if not np.isfinite(data).all():
+                reader.fail(f"non-finite value in the level {level + 1} {name} rows")
             stores.append(data.reshape(rows, d).astype(np.float32))
     reader.done()
     return MemoryBank(cls, seg)

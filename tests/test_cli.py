@@ -7,7 +7,7 @@ import pytest
 from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import main
 from mvfa.data import read_pgm
-from mvfa.inference import load_bank, load_map
+from mvfa.inference import MemoryBank, load_bank, load_map, save_bank
 
 CONFIG = {
     "backbone": {"image_size": 16, "patch_size": 4, "dim": 16,
@@ -156,6 +156,26 @@ def test_train_k_exceeding_pool_is_data_error(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "x.ckpt"), "--k", "99"])
     assert code == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_unusable_bank_is_data_error(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    bank = str(tmp_path / "bank.bin")
+    for width, value, message in ((8, 0.25, "width 8, but the checkpoint's features "
+                                   "have width 16"),
+                                  (16, np.nan, "non-finite value")):
+        rows = np.full((4, width), value, dtype=np.float32)
+        save_bank(bank, MemoryBank([rows] * 4, [rows] * 4))
+        for command in (["eval"], ["predict", "--out-dir", str(tmp_path / "pred")]):
+            code = main(command + ["--config", config, "--data", data, "--ckpt", ckpt,
+                                   "--bank", bank])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert message in err and "Traceback" not in err
 
 
 def test_ablate_emits_per_level_and_ensemble_columns(workdir, tmp_path, capsys):

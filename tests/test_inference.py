@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from nn_oracle import min_cosine_distance_oracle, normalize_rows_oracle
@@ -5,7 +7,7 @@ from nn_oracle import min_cosine_distance_oracle, normalize_rows_oracle
 from mvfa.adaptation import AdaptedFeatures, init_params
 from mvfa.autograd import Tensor
 from mvfa.backbone import BackboneConfig, init_backbone
-from mvfa.errors import BankError, ConfigError
+from mvfa.errors import BankError, ConfigError, FormatError
 from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, fuse, load_bank,
                             load_map, map_to_u8, save_bank, save_map, score_image,
                             zero_shot, ZeroShotScores, FewShotScores, _min_cosine_distances)
@@ -136,6 +138,117 @@ def test_min_distance_matches_double_loop_oracle_exactly():
         mine = _min_cosine_distances(queries, store)
         oracle = min_cosine_distance_oracle(queries, store)
         assert np.array_equal(mine, oracle)
+
+
+def assert_bitwise_oracle(queries, store):
+    mine = _min_cosine_distances(queries, store)
+    oracle = min_cosine_distance_oracle(queries, store)
+    assert mine.dtype == oracle.dtype
+    assert mine.tobytes() == oracle.tobytes()
+
+
+def unit_rows(rng, rows, d=64, dtype=np.float32):
+    return normalize_rows_oracle(rng.standard_normal((rows, d)).astype(dtype))
+
+
+def test_shortlist_exact_duplicate_store_rows():
+    rng = np.random.default_rng(30)
+    store = unit_rows(rng, 10)
+    store[7] = store[2]
+    store = np.concatenate([store, store])
+    queries = np.concatenate([3.0 * store[:6], rng.standard_normal((6, 64))]).astype(np.float32)
+    assert_bitwise_oracle(queries, store)
+
+
+def test_shortlist_rows_one_ulp_apart():
+    # the rows next to base are within the float32 error bound of each other,
+    # so all of them are re-ranked and the elementwise winner decides
+    rng = np.random.default_rng(31)
+    base = unit_rows(rng, 1)[0]
+    rows = [base]
+    for _ in range(7):
+        rows.append(np.nextafter(rows[-1], np.float32(np.inf)))
+    rows += [np.nextafter(base, np.float32(-np.inf)), -base]
+    store = np.stack(rows)
+    queries = np.concatenate([np.stack([base, rows[3], 2.0 * rows[8]]),
+                              base + 1e-4 * rng.standard_normal((9, 64))]).astype(np.float32)
+    assert_bitwise_oracle(queries, store)
+
+
+def test_shortlist_near_tied_rows():
+    # rows 1e-8 apart: the GEMM's best row is often several ulps below the
+    # elementwise best, so a shortlist without the error bound picks wrong
+    for seed in (40, 41):
+        rng = np.random.default_rng(seed)
+        base = unit_rows(rng, 1)[0]
+        store = base + np.float32(1e-8) * rng.standard_normal((32, 64)).astype(np.float32)
+        assert_bitwise_oracle(rng.standard_normal((256, 64)).astype(np.float32), store)
+
+
+def test_shortlist_all_equal_and_single_row_stores():
+    rng = np.random.default_rng(32)
+    queries = rng.standard_normal((12, 64)).astype(np.float32)
+    assert_bitwise_oracle(queries, np.repeat(unit_rows(rng, 1), 9, axis=0))
+    assert_bitwise_oracle(queries, unit_rows(rng, 1))
+
+
+def test_shortlist_signed_zero_similarities():
+    # query e0 against rows with a zero first coordinate: every product is
+    # +0.0 or -0.0, so the similarities are signed zeros and the distance is 1
+    rng = np.random.default_rng(33)
+    queries = np.zeros((2, 64), dtype=np.float32)
+    queries[0, 0] = 1.0
+    queries[1, 0] = -2.0
+    magnitudes = np.abs(rng.standard_normal((2, 64))).astype(np.float32)
+    magnitudes[:, 0] = 0.0
+    store = normalize_rows_oracle(np.stack([-magnitudes[0], magnitudes[1]]))
+    assert_bitwise_oracle(queries, store)
+    assert np.array_equal(_min_cosine_distances(queries, store), [1.0, 1.0])
+
+
+def test_shortlist_float64_inputs():
+    rng = np.random.default_rng(34)
+    queries = rng.standard_normal((16, 64))
+    store = unit_rows(rng, 20, dtype=np.float64)
+    store[5] = np.nextafter(store[4], np.inf)
+    assert_bitwise_oracle(queries, store)
+    assert_bitwise_oracle(queries, unit_rows(rng, 20))  # float32 store
+
+
+def test_shortlist_random_stores_of_unequal_norm():
+    # a loaded bank need not be unit-norm; the bound uses the actual norms
+    rng = np.random.default_rng(35)
+    for scale in (1e-3, 1.0, 40.0):
+        store = (scale * rng.standard_normal((24, 64))).astype(np.float32)
+        assert_bitwise_oracle(rng.standard_normal((20, 64)).astype(np.float32), store)
+
+
+def test_shortlist_nan_rows_give_nan_like_an_exhaustive_max():
+    rng = np.random.default_rng(36)
+    store = unit_rows(rng, 8)
+    queries = rng.standard_normal((5, 64)).astype(np.float32)
+    queries[2, 10] = np.nan
+    dist = _min_cosine_distances(queries, store)
+    assert np.isnan(dist[2])
+    keep = [0, 1, 3, 4]
+    assert dist[keep].tobytes() == min_cosine_distance_oracle(queries[keep], store).tobytes()
+    # a NaN store row poisons every query, as np.max over all rows does
+    store[3, 0] = np.nan
+    assert np.isnan(_min_cosine_distances(queries[keep], store)).all()
+
+
+def test_shortlist_peak_memory_is_queries_by_rows():
+    # the former broadcast held queries x rows x d float32: 256 MiB here
+    rng = np.random.default_rng(37)
+    queries = rng.standard_normal((256, 64)).astype(np.float32)
+    store = unit_rows(rng, 4096)
+    tracemalloc.start()
+    try:
+        _min_cosine_distances(queries, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_few_shot_matches_oracle_at_grid_resolution():
@@ -279,6 +392,17 @@ def test_bank_round_trip_is_byte_exact(tmp_path):
     second = tmp_path / "bank2.bin"
     save_bank(second, loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_load_bank_rejects_non_finite_rows(tmp_path):
+    rng = np.random.default_rng(39)
+    for value in (np.nan, np.inf):
+        bank = random_bank(rng, rows=3)
+        bank.seg[2][1, 4] = value
+        path = tmp_path / "bank.bin"
+        save_bank(path, bank)
+        with pytest.raises(FormatError, match="non-finite value in the level 3 seg rows"):
+            load_bank(path)
 
 
 def test_map_round_trip_and_pgm_rendering(tmp_path):
