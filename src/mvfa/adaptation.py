@@ -240,11 +240,35 @@ def similarity_logits(f: Tensor, f_text: Tensor, tau) -> Tensor:
 
     Both operands are row-normalized; the product is scaled by 1/tau.
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    _check_tau(tau)
     fn = ag.l2norm_rows(f)
     tn = ag.l2norm_rows(f_text)
     return ag.scale(ag.matmul(fn, ag.transpose(tn)), 1.0 / tau)
+
+
+def text_probabilities(f, f_text, tau):
+    """Row softmax of :func:`similarity_logits`, on plain arrays.
+
+    Column 1 is each row's anomaly probability. Returns the (rows, 2)
+    probabilities and a function mapping their gradient to the gradient of
+    ``f``; the operations and their order are those of the Tensor ops, so
+    both give the same bits.
+    """
+    _check_tau(tau)
+    scale = float(1.0 / tau)
+    fn, norms = ag.unit_rows(f)
+    tn, _ = ag.unit_rows(f_text)
+    probs = ag.row_softmax((fn @ tn.T) * scale)
+
+    def vjp(g):
+        return ag.unit_rows_vjp((ag.row_softmax_vjp(g, probs) * scale) @ tn, fn, norms)
+
+    return probs, vjp
+
+
+def _check_tau(tau):
+    if tau <= 0:
+        raise ConfigError(f"temperature must be positive, got {tau}")
 
 
 # -- checkpoint format -------------------------------------------------------

@@ -10,6 +10,12 @@ graph so every forward pass starts from a clean slate.
 Arrays are float32 by default; passing ``dtype=np.float64`` at creation
 switches a computation to double precision, which the gradient-check tests
 rely on.
+
+The row softmax, the row normalization and the bilinear upsample are also
+plain-array kernels, each with its VJP (:func:`row_softmax`,
+:func:`unit_rows`, :func:`upsample` and their ``_vjp`` partners). The
+Tensor ops wrap them, and fused nodes and grad-free scoring call them
+directly, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -323,36 +329,47 @@ def clip(a, lo, hi):
     return record(data, "clip", (a,), backward_fn)
 
 
+def row_softmax(x):
+    """Row-wise softmax of a matrix array, numerically stabilized."""
+    e = np.exp(x - np.max(x, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def row_softmax_vjp(g, probs):
+    """Input gradient of :func:`row_softmax` given its output ``probs``."""
+    dot = np.sum(g * probs, axis=1, keepdims=True)
+    return probs * (g - dot)
+
+
+def unit_rows(x):
+    """Scale each row of a matrix array to unit norm; returns (rows, norms)."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    if not norms.all():
+        row = int(np.flatnonzero(norms.reshape(-1) == 0)[0])
+        raise NormalizationError(f"l2norm_rows: row {row} has zero norm")
+    return x / norms, norms
+
+
+def unit_rows_vjp(g, rows, norms):
+    """Input gradient of :func:`unit_rows` given its outputs."""
+    dot = np.sum(g * rows, axis=1, keepdims=True)
+    return (g - rows * dot) / norms
+
+
 def softmax_rows(a):
     """Row-wise softmax of a matrix, numerically stabilized."""
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
-    z = a.data - np.max(a.data, axis=1, keepdims=True)
-    e = np.exp(z)
-    data = e / np.sum(e, axis=1, keepdims=True)
-
-    def backward_fn(g):
-        dot = np.sum(g * data, axis=1, keepdims=True)
-        return (data * (g - dot),)
-
-    return record(data, "softmax_rows", (a,), backward_fn)
+    data = row_softmax(a.data)
+    return record(data, "softmax_rows", (a,), lambda g: (row_softmax_vjp(g, data),))
 
 
 def l2norm_rows(a):
     """Scale each row of a matrix to unit Euclidean norm."""
     if a.ndim != 2:
         raise ShapeError(f"l2norm_rows: expected a matrix, got shape {a.shape}")
-    norms = np.sqrt(np.sum(a.data * a.data, axis=1, keepdims=True))
-    zero = np.flatnonzero(norms.reshape(-1) == 0)
-    if zero.size:
-        raise NormalizationError(f"l2norm_rows: row {int(zero[0])} has zero norm")
-    data = a.data / norms
-
-    def backward_fn(g):
-        dot = np.sum(g * data, axis=1, keepdims=True)
-        return ((g - data * dot) / norms,)
-
-    return record(data, "l2norm_rows", (a,), backward_fn)
+    data, norms = unit_rows(a.data)
+    return record(data, "l2norm_rows", (a,), lambda g: (unit_rows_vjp(g, data, norms),))
 
 
 def _axis_coords(in_extent, out_extent, dtype):
@@ -395,34 +412,64 @@ def _upsample_plan(gh, gw, h, w):
     return plan
 
 
-def bilinear_upsample(a, size):
-    """Resize a 2-D map to ``size`` with align-corners bilinear interpolation."""
-    if a.ndim != 2:
-        raise ShapeError(f"bilinear_upsample: expected a matrix, got shape {a.shape}")
-    gh, gw = a.shape
+@functools.lru_cache(maxsize=32)
+def _upsample_blend(gh, gw, h, w, dtype):
+    """Gather indices and blend weights of an align-corners resize.
+
+    Returns the source rows y0, y1 and columns x0, x1 of each output pixel,
+    then 1 - wy, wy as columns and 1 - wx, wx as rows, in ``dtype``.
+    """
+    y0, y1, wy = _axis_coords(gh, h, dtype.type)
+    x0, x1, wx = _axis_coords(gw, w, dtype.type)
+    blend = (y0, y1, x0, x1, 1 - wy[:, None], wy[:, None], 1 - wx[None, :], wx[None, :])
+    for arr in blend:
+        arr.flags.writeable = False
+    return blend
+
+
+def upsample(src, size):
+    """Resize a 2-D array to ``size`` with align-corners bilinear interpolation.
+
+    Each output pixel is (1 - wy) * top + wy * bottom, where top and bottom
+    blend the two source columns of a source row: (1 - wx) * left + wx *
+    right. The row blends are computed once per source row and then
+    gathered, which does the same arithmetic per pixel.
+    """
+    if src.ndim != 2:
+        raise ShapeError(f"bilinear_upsample: expected a matrix, got shape {src.shape}")
+    gh, gw = src.shape
     if gh == 0 or gw == 0:
         raise ShapeError("bilinear_upsample: empty input map")
     h, w = int(size[0]), int(size[1])
     if h < gh or w < gw:
-        raise ShapeError(f"bilinear_upsample: target {(h, w)} smaller than input {a.shape}")
-    y0, y1, wy = _axis_coords(gh, h, a.dtype.type)
-    x0, x1, wx = _axis_coords(gw, w, a.dtype.type)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    src = a.data
-    top = (1 - wx) * src[np.ix_(y0, x0)] + wx * src[np.ix_(y0, x1)]
-    bot = (1 - wx) * src[np.ix_(y1, x0)] + wx * src[np.ix_(y1, x1)]
-    data = (1 - wy) * top + wy * bot
+        raise ShapeError(f"bilinear_upsample: target {(h, w)} smaller than input {src.shape}")
+    y0, y1, x0, x1, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, src.dtype)
+    rows = vx * src[:, x0] + wx * src[:, x1]
+    return vy * rows[y0] + wy * rows[y1]
 
-    def backward_fn(g):
-        corners = (g * (1 - wy) * (1 - wx), g * (1 - wy) * wx,
-                   g * wy * (1 - wx), g * wy * wx)
-        flat = np.concatenate([c.reshape(-1) for c in corners]
-                              + [np.zeros(1, dtype=corners[0].dtype)])
-        plan = _upsample_plan(gh, gw, h, w)
-        return (np.add.accumulate(flat[plan], axis=1)[:, -1].reshape(gh, gw),)
 
-    return record(data, "bilinear_upsample", (a,), backward_fn)
+def upsample_vjp(g, src_shape, dtype):
+    """Source gradient of :func:`upsample` for a ``dtype`` source of ``src_shape``.
+
+    Each source cell sums its contributions sequentially in ``np.add.at``'s
+    scatter order (see :func:`_upsample_plan`).
+    """
+    gh, gw = src_shape
+    h, w = g.shape
+    _, _, _, _, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, np.dtype(dtype))
+    top, bot = g * vy, g * wy
+    flat = np.concatenate([(top * vx).reshape(-1), (top * wx).reshape(-1),
+                           (bot * vx).reshape(-1), (bot * wx).reshape(-1),
+                           np.zeros(1, dtype=top.dtype)])
+    plan = _upsample_plan(gh, gw, h, w)
+    return np.add.accumulate(flat[plan], axis=1)[:, -1].reshape(gh, gw)
+
+
+def bilinear_upsample(a, size):
+    """Resize a 2-D map to ``size`` with align-corners bilinear interpolation."""
+    data = upsample(a.data, size)
+    return record(data, "bilinear_upsample", (a,),
+                  lambda g: (upsample_vjp(g, a.shape, a.dtype),))
 
 
 def backward(loss):

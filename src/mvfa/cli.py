@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -61,12 +62,36 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    _check_keys(path, "the file", user, cfg)
     for section, value in user.items():
-        if isinstance(value, dict) and isinstance(cfg.get(section), dict):
-            cfg[section].update(value)
-        else:
+        if not isinstance(cfg[section], dict):
             cfg[section] = value
+            continue
+        if section == "data":
+            _check_keys(path, "section 'data'", value, _field_names(datamod.SynthConfig))
+            profiles = value.get("modalities", [])
+            if not isinstance(profiles, list):
+                raise ConfigError(f"config {path}: data.modalities must be a JSON list")
+            for profile in profiles:
+                _check_keys(path, "a modality profile", profile,
+                            _field_names(datamod.ModalityProfile))
+        else:
+            _check_keys(path, f"section {section!r}", value, cfg[section])
+        cfg[section].update(value)
     return cfg
+
+
+def _field_names(config_class):
+    return {f.name for f in dataclasses.fields(config_class)}
+
+
+def _check_keys(path, where, given, known):
+    """Reject a config object that is not a JSON object or has an unknown key."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config {path}: {where} must be a JSON object")
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigError(f"config {path}: unknown key {unknown[0]!r} in {where}")
 
 
 def _threads():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .adaptation import adapt_forward, similarity_logits
+from .adaptation import adapt_forward, text_probabilities
 from .autograd import Tensor, no_grad
 from .errors import BankError, ConfigError, NormalizationError
 from .fileio import Reader, write_bytes_atomic
@@ -34,19 +34,13 @@ class MemoryBank:
 
 
 @dataclass
-class ZeroShotScores:
+class BranchScores:
+    """One branch's image score and map, with their per-level parts."""
+
     c: float
     smap: np.ndarray
     c_levels: np.ndarray       # (4,)
     s_levels: np.ndarray       # (4, h, w)
-
-
-@dataclass
-class FewShotScores:
-    c: float
-    smap: np.ndarray
-    c_levels: np.ndarray
-    s_levels: np.ndarray
 
 
 @dataclass
@@ -73,8 +67,7 @@ def _normalize_rows(arr):
 
 def _upsample(grid_map, out_hw):
     side = int(np.sqrt(grid_map.size))
-    grid = grid_map.reshape(side, side)
-    return ag.bilinear_upsample(Tensor(grid), out_hw).data
+    return ag.upsample(grid_map.reshape(side, side), out_hw)
 
 
 def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
@@ -95,20 +88,16 @@ def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
                       [np.concatenate(rows) for rows in seg_rows])
 
 
-def zero_shot(features, f_text: Tensor, tau, out_hw) -> ZeroShotScores:
+def zero_shot(features, f_text: Tensor, tau, out_hw) -> BranchScores:
     """Average per-level text-similarity anomaly scores and maps."""
     c_levels = np.zeros(4)
     s_levels = np.zeros((4,) + tuple(out_hw))
-    with no_grad():
-        for level in range(4):
-            cls_prob = ag.softmax_rows(
-                similarity_logits(features.cls[level], f_text, tau)).data[:, 1]
-            seg_prob = ag.softmax_rows(
-                similarity_logits(features.seg[level], f_text, tau)).data[:, 1]
-            c_levels[level] = cls_prob.max()
-            s_levels[level] = _upsample(seg_prob, out_hw)
-    return ZeroShotScores(float(c_levels.mean()), s_levels.mean(axis=0),
-                          c_levels, s_levels)
+    for level in range(4):
+        cls_prob = text_probabilities(features.cls[level].data, f_text.data, tau)[0][:, 1]
+        seg_prob = text_probabilities(features.seg[level].data, f_text.data, tau)[0][:, 1]
+        c_levels[level] = cls_prob.max()
+        s_levels[level] = _upsample(seg_prob, out_hw)
+    return BranchScores(float(c_levels.mean()), s_levels.mean(axis=0), c_levels, s_levels)
 
 
 def _min_cosine_distances(queries, store):
@@ -151,7 +140,7 @@ def _min_cosine_distances(queries, store):
     return 1.0 - np.maximum.reduceat(sims, np.searchsorted(qi, np.arange(q.shape[0])))
 
 
-def few_shot(features, bank: MemoryBank, out_hw, normalize_maps=False) -> FewShotScores:
+def few_shot(features, bank: MemoryBank, out_hw, normalize_maps=False) -> BranchScores:
     """Nearest-bank-row cosine distances, position agnostic, per level."""
     if bank is None or any(store.size == 0 for store in bank.cls + bank.seg):
         raise BankError("few-shot scoring requires a non-empty memory bank")
@@ -161,22 +150,21 @@ def few_shot(features, bank: MemoryBank, out_hw, normalize_maps=False) -> FewSho
                             f"checkpoint's features have width {rows.data.shape[1]}")
     c_levels = np.zeros(4)
     s_levels = np.zeros((4,) + tuple(out_hw))
-    with no_grad():
-        for level in range(4):
-            cls_dist = _min_cosine_distances(
-                features.cls[level].data.astype(np.float32), bank.cls[level])
-            seg_dist = _min_cosine_distances(
-                features.seg[level].data.astype(np.float32), bank.seg[level])
-            c_levels[level] = cls_dist.max()
-            s_levels[level] = _upsample(seg_dist, out_hw)
+    for level in range(4):
+        cls_dist = _min_cosine_distances(
+            features.cls[level].data.astype(np.float32), bank.cls[level])
+        seg_dist = _min_cosine_distances(
+            features.seg[level].data.astype(np.float32), bank.seg[level])
+        c_levels[level] = cls_dist.max()
+        s_levels[level] = _upsample(seg_dist, out_hw)
     smap = s_levels.mean(axis=0)
     if normalize_maps:
         lo, hi = smap.min(), smap.max()
         smap = (smap - lo) / (hi - lo) if hi > lo else np.zeros_like(smap)
-    return FewShotScores(float(c_levels.mean()), smap, c_levels, s_levels)
+    return BranchScores(float(c_levels.mean()), smap, c_levels, s_levels)
 
 
-def fuse(zero: ZeroShotScores, few: FewShotScores | None, beta1, beta2) -> AnomalyResult:
+def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyResult:
     """Linear combination of the branches: beta1 * zero + beta2 * few."""
     if beta1 < 0 or beta2 < 0:
         raise ConfigError("fusion weights must be nonnegative")

@@ -5,17 +5,31 @@ anomaly-probability map upsampled to image resolution, plus a BCE term on
 the max anomaly probability over the grid. The total loss sums the
 included levels. Samples without a pixel mask contribute only the BCE
 term.
+
+Each level's loss is one autograd node with a hand-written VJP for its
+seg and cls features. Its forward runs the numpy operations of the loss
+written out op by op (``tests/loss_oracle.py``) in the same order and
+dtypes, and its VJP adds each array's gradient contributions in the order
+the engine would. Floating-point addition is not associative: three or
+more contributions summed in another order round differently, and the
+trained checkpoints would change. For the upsampled map that order is
+dice p*s, dice sum(p), focal p*s, focal -p. The node's parents are
+(seg, cls) because the engine's depth-first walk explores the last parent
+first, which keeps the order in which the shared adapter tensors receive
+their gradients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
-from .adaptation import AdaptedFeatures, MVFAParams, adapt_forward, similarity_logits
+from .adaptation import AdaptedFeatures, MVFAParams, adapt_forward, text_probabilities
 from .autograd import Tensor
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 
@@ -53,6 +67,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if not self.tau > 0:
+            raise ConfigError(f"temperature must be positive, got {self.tau}")
         if not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels):
             raise ConfigError(f"levels must be a nonempty subset of 1..4, got {self.levels}")
 
@@ -65,7 +81,7 @@ class TrainConfig:
         return cls(weights=weights, levels=levels, **raw)
 
 
-def _as_mask(s, like: Tensor):
+def _as_mask(s, like):
     if isinstance(s, Tensor):
         s = s.data
     arr = np.asarray(s)
@@ -74,67 +90,132 @@ def _as_mask(s, like: Tensor):
     return arr.astype(like.dtype)
 
 
+# Each term below maps arrays to its value and a VJP that returns the map's
+# gradient as a list of contributions, in the order the engine would add them.
+
+def _dice(p, mask):
+    inter = np.sum(p * mask)
+    numer = inter * 2.0 + DICE_SMOOTH
+    denom = np.sum(p) + p.dtype.type(float(mask.sum()) + DICE_SMOOTH)
+
+    def vjp(g):
+        g_ratio = g * -1.0
+        return [g_ratio / denom * 2.0 * mask, -g_ratio * numer / (denom * denom)]
+
+    return numer / denom * -1.0 + 1.0, vjp
+
+
+def _focal(p, mask):
+    rest = 1.0 - mask
+    raw = p * mask + (p * -1.0 + 1.0) * rest
+    inside = (raw >= PROB_EPS) & (raw <= 1.0 - PROB_EPS)
+    p_t = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
+    one_minus = p_t * -1.0 + 1.0
+    weight = one_minus * one_minus  # focusing exponent 2
+    log_p = np.log(p_t)
+
+    def vjp(g):
+        g_prod = g * -1.0 / log_p.size
+        g_weight = g_prod * log_p
+        g_p_t = (g_weight * one_minus + g_weight * one_minus) * -1.0 + g_prod * weight / p_t
+        g_raw = g_p_t * inside
+        return [g_raw * mask, g_raw * rest * -1.0]
+
+    return np.mean(weight * log_p) * -1.0, vjp
+
+
+def _bce(prob, c):
+    clipped = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
+    inside = (prob >= PROB_EPS) & (prob <= 1.0 - PROB_EPS)
+    if int(c) == 1:
+        return np.log(clipped) * -1.0, lambda g: g * -1.0 / clipped * inside
+    rest = clipped * -1.0 + 1.0
+    return np.log(rest) * -1.0, lambda g: g * -1.0 / rest * -1.0 * inside
+
+
+def _sum(contributions):
+    return functools.reduce(operator.add, contributions)
+
+
 def dice_loss(p: Tensor, s) -> Tensor:
     """1 - (2 sum(p*s) + 1) / (sum(p) + sum(s) + 1)."""
-    mask = _as_mask(s, p)
-    inter = ag.sum(ag.mul(p, Tensor(mask)))
-    numer = ag.add(ag.scale(inter, 2.0), DICE_SMOOTH)
-    denom = ag.add(ag.sum(p), float(mask.sum()) + DICE_SMOOTH)
-    return ag.add(ag.scale(ag.div(numer, denom), -1.0), 1.0)
+    value, vjp = _dice(p.data, _as_mask(s, p))
+    return ag.record(value, "dice_loss", (p,), lambda g: (_sum(vjp(g)),))
 
 
 def focal_loss(p: Tensor, s) -> Tensor:
     """Mean of -(1 - p_t)^2 log(p_t) with p_t = p on positives else 1 - p."""
-    mask = _as_mask(s, p)
-    m = Tensor(mask)
-    p_t = ag.add(ag.mul(p, m), ag.mul(ag.add(ag.scale(p, -1.0), 1.0), Tensor(1.0 - mask)))
-    p_t = ag.clip(p_t, PROB_EPS, 1.0 - PROB_EPS)
-    one_minus = ag.add(ag.scale(p_t, -1.0), 1.0)
-    weight = ag.mul(one_minus, one_minus)  # focusing exponent 2
-    return ag.scale(ag.mean(ag.mul(weight, ag.log(p_t))), -1.0)
+    value, vjp = _focal(p.data, _as_mask(s, p))
+    return ag.record(value, "focal_loss", (p,), lambda g: (_sum(vjp(g)),))
 
 
 def bce_image(prob: Tensor, c) -> Tensor:
     """Binary cross-entropy of a scalar probability against label c."""
-    c = int(c)
-    prob = ag.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
-    if c == 1:
-        return ag.scale(ag.log(prob), -1.0)
-    return ag.scale(ag.log(ag.add(ag.scale(prob, -1.0), 1.0)), -1.0)
+    value, vjp = _bce(prob.data, c)
+    return ag.record(value, "bce_image", (prob,), lambda g: (vjp(g),))
 
 
-def _anomaly_column(features: Tensor, f_text: Tensor, tau) -> Tensor:
-    """Grid anomaly probabilities: softmax over the two text rows, column 1."""
-    probs = ag.softmax_rows(similarity_logits(features, f_text, tau))
-    selector = Tensor(np.array([[0.0], [1.0]], dtype=probs.dtype))
-    return ag.matmul(probs, selector)
+def _anomaly_column(features, text, tau):
+    """Grid anomaly probabilities as a column, and their VJP to ``features``."""
+    probs, vjp = text_probabilities(features, text, tau)
+    selector = np.array([[0.0], [1.0]], dtype=probs.dtype)
+    return probs @ selector, lambda g: vjp(g @ selector.T)
 
 
 def level_loss(cls_l: Tensor, seg_l: Tensor, f_text: Tensor, c, s, weights: LossWeights,
                tau=0.07, out_hw=None) -> Tensor:
-    """One level's weighted Dice + Focal + BCE; seg terms skip when s is None."""
-    parts = []
+    """One level's weighted Dice + Focal + BCE; seg terms skip when s is None.
+
+    The level is one autograd node over ``(seg_l, cls_l)``, holding only the
+    parents its enabled terms use.
+    """
+    parents, parts, vjps = [], [], []
     if s is not None and (weights.lambda1 > 0 or weights.lambda2 > 0):
         grid = int(math.isqrt(seg_l.shape[0]))
         if grid * grid != seg_l.shape[0]:
             raise ShapeError(f"grid count {seg_l.shape[0]} is not a perfect square")
         if out_hw is None:
             out_hw = np.asarray(s).shape
-        anomaly = _anomaly_column(seg_l, f_text, tau)
-        upsampled = ag.bilinear_upsample(ag.reshape(anomaly, (grid, grid)), out_hw)
-        if weights.lambda1 > 0:
-            parts.append(ag.scale(dice_loss(upsampled, s), weights.lambda1))
-        if weights.lambda2 > 0:
-            parts.append(ag.scale(focal_loss(upsampled, s), weights.lambda2))
+        anomaly, seg_vjp = _anomaly_column(seg_l.data, f_text.data, tau)
+        upsampled = ag.upsample(anomaly.reshape(grid, grid), out_hw)
+        mask = _as_mask(s, upsampled)
+        dtype = upsampled.dtype
+        map_terms = [(weight, term(upsampled, mask))
+                     for weight, term in ((weights.lambda1, _dice), (weights.lambda2, _focal))
+                     if weight > 0]
+        parts += [value * float(weight) for weight, (value, _) in map_terms]
+
+        def seg_grad(g):
+            g_map = _sum([part for weight, (_, vjp) in map_terms
+                          for part in vjp(g * float(weight))])
+            g_grid = ag.upsample_vjp(g_map, (grid, grid), dtype)
+            return seg_vjp(g_grid.reshape(anomaly.shape))
+
+        parents.append(seg_l)
+        vjps.append(seg_grad)
     if weights.lambda3 > 0:
-        peak = ag.max(_anomaly_column(cls_l, f_text, tau))
-        parts.append(ag.scale(bce_image(peak, c), weights.lambda3))
+        peaks, cls_vjp = _anomaly_column(cls_l.data, f_text.data, tau)
+        if peaks.size == 0:
+            raise ShapeError("max: empty input")
+        value, bce_vjp = _bce(np.max(peaks), c)
+        parts.append(value * float(weights.lambda3))
+
+        def cls_grad(g):
+            # the max's gradient goes to the first maximal row
+            g_peaks = np.zeros_like(peaks)
+            g_peaks.flat[np.argmax(peaks)] = bce_vjp(g * float(weights.lambda3))
+            return cls_vjp(g_peaks)
+
+        parents.append(cls_l)
+        vjps.append(cls_grad)
     if not parts:
         return Tensor(np.zeros((), dtype=cls_l.dtype))
-    total = parts[0]
-    for part in parts[1:]:
-        total = ag.add(total, part)
-    return total
+
+    def backward_fn(g):
+        return tuple(vjp(g) if parent.requires_grad else None
+                     for parent, vjp in zip(parents, vjps))
+
+    return ag.record(_sum(parts), "level_loss", parents, backward_fn)
 
 
 def total_loss(features: AdaptedFeatures, f_text: Tensor, c, s, weights: LossWeights,

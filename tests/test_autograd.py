@@ -139,6 +139,22 @@ def test_bilinear_vjp_matches_add_at_scatter_bitwise(src_hw, out_hw, dtype):
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("src_hw, out_hw", [
+    ((8, 8), (64, 64)), ((3, 5), (8, 11)), ((1, 4), (1, 9)), ((5, 1), (12, 1)),
+    ((1, 1), (3, 2)), ((4, 4), (13, 9))])
+def test_bilinear_forward_matches_corner_gather_bitwise(src_hw, out_hw, dtype):
+    src = np.random.default_rng(22).standard_normal(src_hw).astype(dtype)
+    y0, y1, wy = ag._axis_coords(src_hw[0], out_hw[0], src.dtype.type)
+    x0, x1, wx = ag._axis_coords(src_hw[1], out_hw[1], src.dtype.type)
+    wy, wx = wy[:, None], wx[None, :]
+    top = (1 - wx) * src[np.ix_(y0, x0)] + wx * src[np.ix_(y0, x1)]
+    bot = (1 - wx) * src[np.ix_(y1, x0)] + wx * src[np.ix_(y1, x1)]
+    expected = (1 - wy) * top + wy * bot
+    for got in (ag.upsample(src, out_hw), ag.bilinear_upsample(Tensor(src), out_hw).data):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_bilinear_empty_and_shrink_errors():
     with pytest.raises(ShapeError, match="empty"):
         ag.bilinear_upsample(Tensor(np.zeros((0, 0))), (2, 2))

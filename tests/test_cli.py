@@ -150,6 +150,51 @@ def test_usage_and_data_error_exit_codes(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section, key, command", [
+    ("train", "bogus", "train"), ("backbone", "dims", "train"), ("data", "sed", "gen-data"),
+    ("model", "arhc", "train"), ("inference", "beta3", "eval"), (None, "trian", "train"),
+    ("modality profile", "contrats", "gen-data")])
+def test_unknown_config_key_is_config_error(workdir, tmp_path, capsys, section, key, command):
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    if section is None:
+        user[key] = {}
+    elif section == "modality profile":
+        user["data"]["modalities"][1][key] = 0.5
+    else:
+        user[section][key] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    argv = {"train": ["--data", data, "--out", str(tmp_path / "x.ckpt")],
+            "gen-data": ["--out", str(tmp_path / "gen")],
+            "eval": ["--data", data, "--ckpt", str(tmp_path / "missing.ckpt")]}[command]
+    assert main([command, "--config", str(bad)] + argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err and "Traceback" not in err
+    if section in CONFIG:
+        assert repr(section) in err
+    assert not os.path.exists(tmp_path / "x.ckpt") and not os.path.exists(tmp_path / "gen")
+
+
+@pytest.mark.parametrize("user, message", [
+    ([1], "the file must be a JSON object"), ({"train": 3}, "'train' must be a JSON object"),
+    ({"data": {"modalities": 5}}, "data.modalities must be a JSON list")])
+def test_malformed_config_is_config_error(tmp_path, capsys, user, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_nonpositive_train_tau_is_config_error(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    code = main(["train", "--config", config, "--data", data,
+                 "--out", str(tmp_path / "x.ckpt"), "--tau", "0"])
+    assert code == 1
+    assert "temperature must be positive" in capsys.readouterr().err
+
+
 def test_train_k_exceeding_pool_is_data_error(workdir, tmp_path, capsys):
     root, config, data = workdir
     code = main(["train", "--config", config, "--data", data,

@@ -10,7 +10,7 @@ from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import BankError, ConfigError, FormatError
 from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, fuse, load_bank,
                             load_map, map_to_u8, save_bank, save_map, score_image,
-                            zero_shot, ZeroShotScores, FewShotScores, _min_cosine_distances)
+                            zero_shot, BranchScores, _min_cosine_distances)
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
                      heads=2, seed=3)
@@ -93,6 +93,21 @@ def test_zero_shot_scores_lie_in_unit_interval():
     scores = zero_shot(features, f_text, tau=0.07, out_hw=(8, 8))
     assert 0.0 <= scores.c <= 1.0
     assert scores.smap.min() >= 0.0 and scores.smap.max() <= 1.0
+
+
+def test_zero_shot_matches_tensor_ops_bitwise():
+    from mvfa import autograd as ag
+    from mvfa.adaptation import similarity_logits
+    rng = np.random.default_rng(6)
+    features = random_features(rng, g=16)
+    f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
+    scores = zero_shot(features, f_text, tau=0.2, out_hw=(16, 16))
+    for level in range(4):
+        cls = ag.softmax_rows(similarity_logits(features.cls[level], f_text, 0.2)).data
+        seg = ag.softmax_rows(similarity_logits(features.seg[level], f_text, 0.2)).data
+        upsampled = ag.bilinear_upsample(Tensor(seg[:, 1].reshape(4, 4)), (16, 16)).data
+        assert scores.c_levels[level] == cls[:, 1].max()
+        assert scores.s_levels[level].tobytes() == upsampled.astype(np.float64).tobytes()
 
 
 def test_per_pixel_probabilities_sum_to_one():
@@ -300,10 +315,10 @@ def branch_scores(seed=11):
     rng = np.random.default_rng(seed)
     z_levels = rng.uniform(0, 1, (4, 8, 8))
     zc_levels = rng.uniform(0, 1, 4)
-    zero = ZeroShotScores(0.8, z_levels.mean(axis=0), zc_levels, z_levels)
+    zero = BranchScores(0.8, z_levels.mean(axis=0), zc_levels, z_levels)
     f_levels = rng.uniform(0, 2, (4, 8, 8))
     fc_levels = rng.uniform(0, 2, 4)
-    few = FewShotScores(0.4, f_levels.mean(axis=0), fc_levels, f_levels)
+    few = BranchScores(0.4, f_levels.mean(axis=0), fc_levels, f_levels)
     return zero, few
 
 

@@ -1,14 +1,15 @@
+import loss_oracle
 import numpy as np
 import pytest
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
-from mvfa.adaptation import adapt_forward, init_params
+from mvfa.adaptation import adapt_forward, init_params, similarity_logits
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
-from mvfa.objective import (AdamState, LossWeights, TrainConfig, adam_step, bce_image,
+from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, adam_step, bce_image,
                             dice_loss, focal_loss, level_loss, total_loss, train)
 from mvfa.textbank import PromptSet, build_text_features
 
@@ -87,6 +88,14 @@ def test_loss_shape_mismatch():
 def test_weights_validation():
     with pytest.raises(ConfigError):
         LossWeights(lambda1=-0.1)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.07, float("nan")])
+def test_train_config_rejects_nonpositive_tau(tau):
+    with pytest.raises(ConfigError, match="temperature"):
+        TrainConfig(tau=tau)
+    with pytest.raises(ConfigError, match="temperature"):
+        TrainConfig.from_dict({"tau": tau})
 
 
 # -- level and total losses -------------------------------------------------------
@@ -196,6 +205,88 @@ def test_full_objective_gradients_on_toy_model():
     check_gradients(loss_fn, params.tensors(), rel_tol=1e-4)
 
 
+# -- the fused level node against the op-by-op oracle ------------------------------
+
+def _value_and_grads(loss_fn, *args, **kwargs):
+    loss = loss_fn(*args, **kwargs)
+    leaves = [a for a in args if isinstance(a, Tensor) and a.requires_grad]
+    grads = backward(ag.scale(loss, 0.37))
+    return loss.data, [grads[t].data if t in grads else None for t in leaves]
+
+
+def _assert_same_bits(got, expected):
+    got_value, got_grads = got
+    value, grads = expected
+    assert got_value.dtype == value.dtype and got_value.tobytes() == value.tobytes()
+    for g, e in zip(got_grads, grads):
+        assert (g is None) == (e is None)
+        if e is not None:
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+# name: (grid, out_hw, mask kind, weights, tau, tied cls rows)
+LEVEL_CASES = {
+    "default": (8, (64, 64), "binary", (1.0, 1.0, 1.0), 0.07, False),
+    "no_dice": (4, (16, 16), "binary", (0.0, 1.0, 1.0), 0.07, False),
+    "no_focal": (4, (16, 16), "binary", (1.0, 0.0, 1.0), 0.07, False),
+    "no_bce": (4, (16, 16), "binary", (1.0, 1.0, 0.0), 0.07, False),
+    "bce_only": (4, (16, 16), "binary", (0.0, 0.0, 1.0), 0.07, False),
+    "no_mask": (4, (16, 16), None, (1.0, 1.0, 1.0), 0.07, False),
+    "non_square_soft_mask": (4, (13, 9), "soft", (0.3, 2.5, 1.7), 0.2, False),
+    "empty_mask_2x2": (2, (17, 33), "empty", (1.0, 1.0, 1.0), 1.0, False),
+    "saturated": (4, (16, 16), "binary", (1.0, 1.0, 1.0), 1e-3, False),
+    "tied_max": (4, (16, 16), "binary", (1.0, 1.0, 1.0), 0.07, True),
+}
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_fused_level_loss_matches_op_by_op_oracle_bitwise(case, dtype, c):
+    grid, out_hw, mask_kind, lambdas, tau, tied = LEVEL_CASES[case]
+    rng = np.random.default_rng(sorted(LEVEL_CASES).index(case))
+    cls = rng.standard_normal((grid * grid, 12)).astype(dtype)
+    if tied:
+        cls[:] = cls[0]
+    seg = rng.standard_normal((grid * grid, 12)).astype(dtype)
+    f_text = Tensor(rng.standard_normal((2, 12)).astype(dtype))
+    s = {"binary": (rng.uniform(0, 1, out_hw) > 0.8).astype(np.float32),
+         "soft": rng.uniform(0, 1, out_hw), "empty": np.zeros(out_hw), None: None}[mask_kind]
+    weights = LossWeights(*lambdas)
+
+    def run(loss_fn):
+        cls_l = Tensor(cls.copy(), requires_grad=True)
+        seg_l = Tensor(seg.copy(), requires_grad=True)
+        return _value_and_grads(loss_fn, cls_l, seg_l, f_text, c, s, weights,
+                                tau=tau, out_hw=out_hw)
+
+    got = run(level_loss)
+    expected = run(loss_oracle.level_loss)
+    _assert_same_bits(got, expected)
+    if case == "saturated":  # the clip bounds were reached on both sides
+        probs = ag.softmax_rows(similarity_logits(Tensor(seg), f_text, tau)).data
+        assert probs.min() < PROB_EPS and probs.max() > 1 - PROB_EPS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_primitives_match_op_by_op_oracle_bitwise(dtype):
+    rng = np.random.default_rng(14)
+    p = rng.uniform(0, 1, (9, 7)).astype(dtype)
+    p[0, :3] = 0.0  # beyond both clip bounds
+    p[1, :3] = 1.0
+    s = (rng.uniform(0, 1, (9, 7)) > 0.5).astype(np.float32)
+    for ours, oracle in ((dice_loss, loss_oracle.dice_loss),
+                         (focal_loss, loss_oracle.focal_loss)):
+        _assert_same_bits(_value_and_grads(ours, Tensor(p, requires_grad=True), s),
+                          _value_and_grads(oracle, Tensor(p, requires_grad=True), s))
+    for prob in (0.0, 1e-9, PROB_EPS, 0.3, 1.0 - PROB_EPS, 1.0 - 1e-9, 1.0):
+        for c in (0, 1):
+            arr = np.asarray(prob, dtype=dtype)
+            _assert_same_bits(
+                _value_and_grads(bce_image, Tensor(arr, requires_grad=True), c),
+                _value_and_grads(loss_oracle.bce_image, Tensor(arr, requires_grad=True), c))
+
+
 def _graph_nodes(loss):
     seen, stack, nodes = set(), [loss], 0
     while stack:
@@ -209,7 +300,8 @@ def _graph_nodes(loss):
 
 
 def test_default_masked_sample_graph_stays_small():
-    # each frozen encoder block is one node; spelled out op by op they add 420
+    # each frozen encoder block and each level loss is one node; spelled out op
+    # by op the blocks add 420 and the losses 176
     config = BackboneConfig()
     backbone = init_backbone(config)
     params = init_params(config.dim, seed=0)
@@ -219,7 +311,7 @@ def test_default_masked_sample_graph_stays_small():
     features, _ = adapt_forward(backbone, params, image)
     loss = total_loss(features, toy_text(config.dim, dtype=np.float32), 1, mask,
                       LossWeights(), out_hw=(64, 64))
-    assert _graph_nodes(loss) <= 240
+    assert _graph_nodes(loss) <= 70
 
 
 # -- Adam --------------------------------------------------------------------------
@@ -368,6 +460,25 @@ def test_train_aborts_on_nonfinite_loss():
     with pytest.raises(NumericError, match="epoch"):
         train(backbone, params, toy_samples(4, seed=5), text,
               TrainConfig(lr=1e18, batch_size=2, epochs=50, seed=7))
+
+
+@pytest.mark.parametrize("with_masks", [True, False])
+def test_training_with_fused_loss_matches_op_by_op_oracle_bitwise(monkeypatch, with_masks):
+    # also pins the order in which the shared adapter tensors gather gradients
+    samples = toy_samples(4, with_masks=with_masks, seed=9)
+
+    def run():
+        backbone, params, text = toy_setup()
+        history = train(backbone, params, samples, text,
+                        TrainConfig(lr=1e-2, batch_size=2, epochs=2, seed=10))
+        return history, snapshot(params)
+
+    history, fused = run()
+    monkeypatch.setattr("mvfa.objective.level_loss", loss_oracle.level_loss)
+    oracle_history, oracle = run()
+    assert history == oracle_history
+    for a, b in zip(fused, oracle):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_backbone_untouched_by_training():
