@@ -192,7 +192,9 @@ def residual_mix(f: Tensor, adapted: Tensor, gamma) -> Tensor:
 def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1=None):
     """Run the encoder with adapters installed.
 
-    Returns (AdaptedFeatures, StageFeatures). In adapter mode levels 1..3
+    ``image`` is one image, giving (N, d) features, or a list of B images,
+    giving (B, N, d). Returns (AdaptedFeatures, StageFeatures). In adapter
+    mode levels 1..3
     produce residually mixed cls/seg features and the next stage receives
     the branch-feed mix; level 4 is the projector applied to the final
     features. In projector mode the encoder runs untouched and every level
@@ -249,16 +251,17 @@ def similarity_logits(f: Tensor, f_text: Tensor, tau) -> Tensor:
 def text_probabilities(f, f_text, tau):
     """Row softmax of :func:`similarity_logits`, on plain arrays.
 
-    Column 1 is each row's anomaly probability. Returns the (rows, 2)
-    probabilities and a function mapping their gradient to the gradient of
-    ``f``; the operations and their order are those of the Tensor ops, so
-    both give the same bits.
+    Column 1 is each row's anomaly probability. ``f`` is (N, d) or a
+    (B, N, d) batch, and ``f_text`` is (2, d) or one (B, 2, d) pair of rows
+    per sample. Returns the (..., N, 2) probabilities and a function mapping
+    their gradient to the gradient of ``f``; the operations and their order
+    are those of the Tensor ops, so both give the same bits.
     """
     _check_tau(tau)
     scale = float(1.0 / tau)
     fn, norms = ag.unit_rows(f)
     tn, _ = ag.unit_rows(f_text)
-    probs = ag.row_softmax((fn @ tn.T) * scale)
+    probs = ag.row_softmax((fn @ tn.swapaxes(-1, -2)) * scale)
 
     def vjp(g):
         return ag.unit_rows_vjp((ag.row_softmax_vjp(g, probs) * scale) @ tn, fn, norms)

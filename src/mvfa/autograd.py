@@ -16,6 +16,17 @@ plain-array kernels, each with its VJP (:func:`row_softmax`,
 :func:`unit_rows`, :func:`upsample` and their ``_vjp`` partners). The
 Tensor ops wrap them, and fused nodes and grad-free scoring call them
 directly, so each formula is written once.
+
+Training runs a batch of B samples as one graph whose arrays carry a
+leading batch axis, and it must give the bits of B single-sample graphs
+summed by the engine. Row-wise work is per sample already; two places need
+care. A weight shared by the batch gets one gradient product per sample,
+added in sample order (:func:`matmul`), because that is the order in which
+the engine accumulates one product per sample graph; a single (B * N)-row
+product would pair the terms differently. And a reduction over a sample's
+map pairs its elements by memory layout, so batched maps are built in C
+order (:func:`upsample`), where each sample is one contiguous block laid
+out as its own map.
 """
 
 from __future__ import annotations
@@ -214,15 +225,32 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product; ``a`` may be a (B, n, k) batch against a (k, m) matrix."""
+    if a.ndim not in (2, 3) or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     data = a.data @ b.data
 
     def backward_fn(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        g_b = None
+        if b.requires_grad:
+            # one product per sample, added in sample order
+            g_b = (a.data.T @ g if a.ndim == 2
+                   else sum_in_order(np.matmul(a.data.swapaxes(-1, -2), g)))
+        return (g @ b.data.T if a.requires_grad else None, g_b)
 
     return record(data, "matmul", (a, b), backward_fn)
+
+
+def sum_in_order(parts):
+    """Sum of ``parts`` along its first axis, added left to right.
+
+    This is the order of a chain of additions, one part at a time; np.sum
+    pairs eight or more terms differently.
+    """
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 def relu(a):
@@ -330,20 +358,20 @@ def clip(a, lo, hi):
 
 
 def row_softmax(x):
-    """Row-wise softmax of a matrix array, numerically stabilized."""
-    e = np.exp(x - np.max(x, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    """Softmax over the last axis of an array, numerically stabilized."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def row_softmax_vjp(g, probs):
     """Input gradient of :func:`row_softmax` given its output ``probs``."""
-    dot = np.sum(g * probs, axis=1, keepdims=True)
+    dot = np.sum(g * probs, axis=-1, keepdims=True)
     return probs * (g - dot)
 
 
 def unit_rows(x):
-    """Scale each row of a matrix array to unit norm; returns (rows, norms)."""
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    """Scale each row (last axis) of an array to unit norm; returns (rows, norms)."""
+    norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
     if not norms.all():
         row = int(np.flatnonzero(norms.reshape(-1) == 0)[0])
         raise NormalizationError(f"l2norm_rows: row {row} has zero norm")
@@ -352,7 +380,7 @@ def unit_rows(x):
 
 def unit_rows_vjp(g, rows, norms):
     """Input gradient of :func:`unit_rows` given its outputs."""
-    dot = np.sum(g * rows, axis=1, keepdims=True)
+    dot = np.sum(g * rows, axis=-1, keepdims=True)
     return (g - rows * dot) / norms
 
 
@@ -390,13 +418,13 @@ def _upsample_plan(gh, gw, h, w):
 
     The VJP spreads each output pixel's gradient onto four source cells,
     one corner at a time, and each cell must sum its contributions
-    sequentially in that order to keep the bits of a scatter with
-    ``np.add.at``. Row ``p`` of the returned (gh * gw, width) index matrix
-    lists, for source cell ``p``, a leading zero and then the positions of
-    its contributions in the four flattened corner arrays, in scatter
-    order, padded at the end with zeros; index ``4 * h * w`` points at the
-    appended zero. Adding a zero never changes a sum that started from +0,
-    so a running sum along each row equals the scatter.
+    sequentially in that order, starting from zero, to keep the bits of a
+    scatter with ``np.add.at``. Row ``j`` of the returned (width, gh * gw)
+    index matrix lists, for every source cell, the position of its j-th
+    contribution in the four flattened corner arrays, in scatter order; a
+    cell with fewer contributions points at index ``4 * h * w``, an appended
+    zero. Adding a zero never changes a sum that started from +0, so adding
+    the rows one after another equals the scatter.
     """
     y0, y1, _ = _axis_coords(gh, h, np.float64)
     x0, x1, _ = _axis_coords(gw, w, np.float64)
@@ -405,9 +433,9 @@ def _upsample_plan(gh, gw, h, w):
     order = np.argsort(cells, kind="stable")
     counts = np.bincount(cells, minlength=gh * gw)
     sorted_cells = cells[order]
-    slot = np.arange(cells.size) - (np.cumsum(counts) - counts)[sorted_cells] + 1
-    plan = np.full((gh * gw, counts.max() + 1), cells.size)
-    plan[sorted_cells, slot] = order
+    slot = np.arange(cells.size) - (np.cumsum(counts) - counts)[sorted_cells]
+    plan = np.full((counts.max(), gh * gw), cells.size)
+    plan[slot, sorted_cells] = order
     plan.flags.writeable = False
     return plan
 
@@ -428,45 +456,57 @@ def _upsample_blend(gh, gw, h, w, dtype):
 
 
 def upsample(src, size):
-    """Resize a 2-D array to ``size`` with align-corners bilinear interpolation.
+    """Resize a 2-D map, or a (B, gh, gw) stack of maps, to ``size``.
 
-    Each output pixel is (1 - wy) * top + wy * bottom, where top and bottom
-    blend the two source columns of a source row: (1 - wx) * left + wx *
-    right. The row blends are computed once per source row and then
-    gathered, which does the same arithmetic per pixel.
+    The interpolation is align-corners bilinear: each output pixel is
+    (1 - wy) * top + wy * bottom, where top and bottom blend the two source
+    columns of a source row: (1 - wx) * left + wx * right. The row blends
+    are computed once per source row and then gathered, which does the same
+    arithmetic per pixel. The result is C-ordered, so a reduction over one
+    map of a stack pairs its elements as it would for that map alone.
     """
-    if src.ndim != 2:
-        raise ShapeError(f"bilinear_upsample: expected a matrix, got shape {src.shape}")
-    gh, gw = src.shape
+    if src.ndim not in (2, 3):
+        raise ShapeError(f"bilinear_upsample: expected a map or a stack of maps, "
+                         f"got shape {src.shape}")
+    gh, gw = src.shape[-2:]
     if gh == 0 or gw == 0:
         raise ShapeError("bilinear_upsample: empty input map")
     h, w = int(size[0]), int(size[1])
     if h < gh or w < gw:
         raise ShapeError(f"bilinear_upsample: target {(h, w)} smaller than input {src.shape}")
     y0, y1, x0, x1, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, src.dtype)
-    rows = vx * src[:, x0] + wx * src[:, x1]
-    return vy * rows[y0] + wy * rows[y1]
+    rows = vx * src[..., x0] + wx * src[..., x1]
+    return np.add(vy * rows[..., y0, :], wy * rows[..., y1, :], order="C")
 
 
 def upsample_vjp(g, src_shape, dtype):
     """Source gradient of :func:`upsample` for a ``dtype`` source of ``src_shape``.
 
     Each source cell sums its contributions sequentially in ``np.add.at``'s
-    scatter order (see :func:`_upsample_plan`).
+    scatter order (see :func:`_upsample_plan`). The contributions are
+    gathered with the samples of a stack side by side, so each step of that
+    sum is one addition over every cell of every sample.
     """
-    gh, gw = src_shape
-    h, w = g.shape
+    gh, gw = src_shape[-2:]
+    h, w = g.shape[-2:]
     _, _, _, _, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, np.dtype(dtype))
-    top, bot = g * vy, g * wy
-    flat = np.concatenate([(top * vx).reshape(-1), (top * wx).reshape(-1),
-                           (bot * vx).reshape(-1), (bot * wx).reshape(-1),
-                           np.zeros(1, dtype=top.dtype)])
-    plan = _upsample_plan(gh, gw, h, w)
-    return np.add.accumulate(flat[plan], axis=1)[:, -1].reshape(gh, gw)
+    # (h, w, samples), so a pixel's contributions from all samples are adjacent
+    g_hws = np.ascontiguousarray(np.moveaxis(g.reshape(-1, h, w), 0, -1))
+    vy, wy, vx, wx = vy[..., None], wy[..., None], vx[..., None], wx[..., None]
+    top, bot = g_hws * vy, g_hws * wy
+    flat = np.empty((4 * h * w + 1,) + g_hws.shape[2:], dtype=top.dtype)
+    corners = flat[:-1].reshape((4,) + g_hws.shape)
+    for corner, (rows, cols) in enumerate(((top, vx), (top, wx), (bot, vx), (bot, wx))):
+        np.multiply(rows, cols, out=corners[corner])
+    flat[-1] = 0
+    total = np.zeros((gh * gw,) + g_hws.shape[2:], dtype=top.dtype)
+    for contributions in np.take(flat, _upsample_plan(gh, gw, h, w), axis=0):
+        total += contributions
+    return np.moveaxis(total, -1, 0).reshape(g.shape[:-2] + (gh, gw))
 
 
 def bilinear_upsample(a, size):
-    """Resize a 2-D map to ``size`` with align-corners bilinear interpolation."""
+    """Resize a 2-D map, or a stack of maps, with align-corners bilinear interpolation."""
     data = upsample(a.data, size)
     return record(data, "bilinear_upsample", (a,),
                   lambda g: (upsample_vjp(g, a.shape, a.dtype),))

@@ -18,6 +18,12 @@ and gradients keep their bits. That is why LayerNorm still computes
 a time with their outputs summed head by head, and why the attention scale
 is a Python float: a direct rsqrt, stacked heads or a numpy float64 scale
 would each change float32 rounding.
+
+Features are (N, d) for one image or (B, N, d) for a batch. Every operation
+works on the last two axes, normalizing over ``axis=-1`` and transposing
+with ``swapaxes(-1, -2)``, and numpy multiplies a stack of matrices one
+matrix at a time, so each sample of a batch gets the bits it would get
+alone.
 """
 
 from __future__ import annotations
@@ -102,8 +108,16 @@ class FrozenBackbone:
         return out
 
     def embed(self, image):
-        tokens = patch_tokens(image.data if isinstance(image, Tensor) else np.asarray(image),
-                              self.config)
+        """Patch tokens times the patch weights, plus positions.
+
+        ``image`` is one image, giving (N, d), or a list of B images, giving
+        (B, N, d).
+        """
+        if isinstance(image, list):
+            tokens = np.stack([patch_tokens(one, self.config) for one in image])
+        else:
+            tokens = patch_tokens(image.data if isinstance(image, Tensor)
+                                  else np.asarray(image), self.config)
         x = ag.matmul(Tensor(tokens.astype(self.dtype)), self.patch_w)
         return ag.add(x, self.pos)
 
@@ -148,13 +162,13 @@ def patch_tokens(image, config: BackboneConfig):
 
 
 def _layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-row affine layer normalization of an array.
+    """Affine layer normalization over the last axis of an array.
 
     Returns the output and the (centered, var + eps, 1/std) arrays its VJP
     needs.
     """
-    centered = x + np.mean(x, axis=1, keepdims=True) * -1.0
-    shifted_var = np.mean(centered * centered, axis=1, keepdims=True) + eps
+    centered = x + np.mean(x, axis=-1, keepdims=True) * -1.0
+    shifted_var = np.mean(centered * centered, axis=-1, keepdims=True) + eps
     rstd = np.exp(np.log(shifted_var) * -0.5)
     return centered * rstd * gamma + beta, (centered, shifted_var, rstd)
 
@@ -162,14 +176,14 @@ def _layer_norm(x, gamma, beta, eps=1e-5):
 def _layer_norm_vjp(g, gamma, saved, g_residual):
     """Input gradient of :func:`_layer_norm` added onto ``g_residual``."""
     centered, shifted_var, rstd = saved
-    count = centered.shape[1]
+    count = centered.shape[-1]
     g_normed = g * gamma
-    g_rstd = np.sum(g_normed * centered, axis=1, keepdims=True)
+    g_rstd = np.sum(g_normed * centered, axis=-1, keepdims=True)
     g_square = g_rstd * rstd * -0.5 / shifted_var / count
     square_side = g_square * centered
     # sums run left to right in the order the op-by-op graph accumulates them
     g_centered = g_normed * rstd + square_side + square_side
-    g_mean = np.sum(g_centered, axis=1, keepdims=True) * -1.0 / count
+    g_mean = np.sum(g_centered, axis=-1, keepdims=True) * -1.0 / count
     return g_residual + g_centered + g_mean
 
 
@@ -185,9 +199,9 @@ def _block_forward(x, blk, config):
     attended = None
     for wq, wk, wv, wo in zip(blk.wq, blk.wk, blk.wv, blk.wo):
         q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
-        scores = (q @ k.T) * att_scale
-        e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
-        att = e / np.sum(e, axis=1, keepdims=True)
+        scores = (q @ k.swapaxes(-1, -2)) * att_scale
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        att = e / np.sum(e, axis=-1, keepdims=True)
         head = (att @ v) @ wo.data
         attended = head if attended is None else attended + head
         heads.append((q, k, v, att))
@@ -203,12 +217,12 @@ def _block_forward(x, blk, config):
         g_h = None
         for (q, k, v, att), wq, wk, wv, wo in zip(heads, blk.wq, blk.wk, blk.wv, blk.wo):
             g_av = g_x1 @ wo.data.T
-            g_att = g_av @ v.T
-            g_scores = att * (g_att - np.sum(g_att * att, axis=1, keepdims=True)) * att_scale
+            g_att = g_av @ v.swapaxes(-1, -2)
+            g_scores = att * (g_att - np.sum(g_att * att, axis=-1, keepdims=True)) * att_scale
             # q, k, v of each head in turn: the op-by-op accumulation order
             for part in ((g_scores @ k) @ wq.data.T,
-                         (q.T @ g_scores).T @ wk.data.T,
-                         (att.T @ g_av) @ wv.data.T):
+                         (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2) @ wk.data.T,
+                         (att.swapaxes(-1, -2) @ g_av) @ wv.data.T):
                 g_h = part if g_h is None else g_h + part
         return (_layer_norm_vjp(g_h, blk.ln1_g.data, ln1, g_x1),)
 
@@ -258,10 +272,11 @@ def forward_with_hooks(backbone: FrozenBackbone, image, hook=None, *,
                        stage1=None) -> StageFeatures:
     """Run the encoder, optionally transforming features between stages.
 
-    ``hook(level, features)`` is called after stages 1..3 with the raw
-    stage output and must return the (grid, dim) tensor fed to the next
-    stage. The returned StageFeatures always hold the raw, pre-hook
-    outputs plus the final stage-4 features.
+    ``image`` is one image or a list of B images (see
+    :meth:`FrozenBackbone.embed`). ``hook(level, features)`` is called after
+    stages 1..3 with the raw stage output and must return a tensor of the
+    same shape, which is fed to the next stage. The returned StageFeatures
+    always hold the raw, pre-hook outputs plus the final stage-4 features.
 
     ``stage1`` is internal: the training loop passes the stage-1 output it
     computed once for ``image``, which depends on no trainable tensor, and

@@ -65,24 +65,18 @@ def _load_config(path):
     _check_keys(path, "the file", user, cfg)
     for section, value in user.items():
         if not isinstance(cfg[section], dict):
+            _check_type(path, section, value, cfg[section])
             cfg[section] = value
             continue
         if section == "data":
-            _check_keys(path, "section 'data'", value, _field_names(datamod.SynthConfig))
-            profiles = value.get("modalities", [])
-            if not isinstance(profiles, list):
-                raise ConfigError(f"config {path}: data.modalities must be a JSON list")
-            for profile in profiles:
-                _check_keys(path, "a modality profile", profile,
-                            _field_names(datamod.ModalityProfile))
+            _check_section(path, section, value, dataclasses.asdict(datamod.SynthConfig()))
+            for index, profile in enumerate(value.get("modalities", [])):
+                _check_section(path, f"data.modalities[{index}]", profile,
+                               dataclasses.asdict(datamod.DEFAULT_MODALITIES[0]))
         else:
-            _check_keys(path, f"section {section!r}", value, cfg[section])
+            _check_section(path, section, value, cfg[section])
         cfg[section].update(value)
     return cfg
-
-
-def _field_names(config_class):
-    return {f.name for f in dataclasses.fields(config_class)}
 
 
 def _check_keys(path, where, given, known):
@@ -92,6 +86,37 @@ def _check_keys(path, where, given, known):
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise ConfigError(f"config {path}: unknown key {unknown[0]!r} in {where}")
+
+
+def _check_section(path, section, given, defaults):
+    _check_keys(path, f"section {section!r}", given, defaults)
+    for key, value in given.items():
+        _check_type(path, f"{section}.{key}", value, defaults[key])
+
+
+def _check_type(path, name, value, default):
+    """Reject a value whose JSON type differs from that of its default.
+
+    Booleans are not numbers, an integer is a valid float, a list's items
+    must match the first default item, and a null default (the derived
+    model.bottleneck) takes null or an integer.
+    """
+    kinds = [(bool, (bool,), "true or false"),
+             (int, (int,), "an integer"),
+             (float, (int, float), "a number"),
+             (str, (str,), "a string"),
+             ((list, tuple), (list,), "a JSON list"),
+             (type(None), (int, type(None)), "an integer or null")]
+    for default_types, allowed, kind in kinds:
+        if isinstance(default, default_types):
+            break
+    else:
+        return
+    if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+        raise ConfigError(f"config {path}: {name} must be {kind}, got {value!r}")
+    if isinstance(value, list) and default and isinstance(default[0], (int, float)):
+        for index, item in enumerate(value):
+            _check_type(path, f"{name}[{index}]", item, default[0])
 
 
 def _threads():

@@ -12,6 +12,7 @@ bank.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -145,14 +146,30 @@ def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+@functools.lru_cache(maxsize=16)
+def _spectral_envelope(size, base_freq):
+    """Gaussian low-pass weights over the rfft2 frequencies of a size x size field."""
+    fy = np.fft.fftfreq(size)[:, None] * size
+    fx = np.fft.rfftfreq(size)[None, :] * size
+    radius = np.sqrt(fy * fy + fx * fx)
+    envelope = np.exp(-0.5 * (radius / base_freq) ** 2)
+    envelope.flags.writeable = False
+    return envelope
+
+
+@functools.lru_cache(maxsize=4)
+def _pixel_grid(size):
+    """Row and column index of every pixel of a size x size image."""
+    grid = np.mgrid[0:size, 0:size]
+    grid.flags.writeable = False
+    return grid
+
+
 def synth_normal_field(rng, size, profile: ModalityProfile):
     """Band-limited noise texture in [0, 1] with the profile's spectrum."""
     white = rng.standard_normal((size, size))
     spectrum = np.fft.rfft2(white)
-    fy = np.fft.fftfreq(size)[:, None] * size
-    fx = np.fft.rfftfreq(size)[None, :] * size
-    radius = np.sqrt(fy * fy + fx * fx)
-    spectrum *= np.exp(-0.5 * (radius / profile.base_freq) ** 2)
+    spectrum *= _spectral_envelope(size, profile.base_freq)
     field = np.fft.irfft2(spectrum, s=(size, size))
     field = (field - field.mean()) / (field.std() + 1e-12)
     image = 0.5 + 0.5 * profile.contrast * field
@@ -168,7 +185,7 @@ def _ellipse_support(size, rng, radius_range):
     margin = radius_range[1] + 1.0
     cy = rng.uniform(margin, size - margin)
     cx = rng.uniform(margin, size - margin)
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = _pixel_grid(size)
     dy, dx = yy - cy, xx - cx
     u = np.cos(theta) * dx + np.sin(theta) * dy
     v = -np.sin(theta) * dx + np.cos(theta) * dy

@@ -17,6 +17,15 @@ dice p*s, dice sum(p), focal p*s, focal -p. The node's parents are
 (seg, cls) because the engine's depth-first walk explores the last parent
 first, which keeps the order in which the shared adapter tensors receive
 their gradients.
+
+Training runs the B samples of a step as one graph with a leading batch
+axis, and the loss holds one value per sample. Every value and gradient
+keeps the bits of a graph of one sample, which the batch must reproduce:
+the maps are built in C order, so a sample's sums over its map pair the
+elements as they would for that map alone, and the per-sample totals are
+added left to right, as a chain of per-sample additions would; ``np.sum``
+pairs eight or more terms differently. A sample without a mask has no seg
+term, and its rows of the seg gradient are zero, which adds nothing.
 """
 
 from __future__ import annotations
@@ -90,47 +99,63 @@ def _as_mask(s, like):
     return arr.astype(like.dtype)
 
 
-# Each term below maps arrays to its value and a VJP that returns the map's
-# gradient as a list of contributions, in the order the engine would add them.
+# Each term below maps a batch of arrays, with the samples on the first axis,
+# to one value per sample and a VJP that takes one gradient per sample and
+# returns the maps' gradient as a list of contributions, in the order the
+# engine would add them.
+
+def _per_sample(g, ndim):
+    """Per-sample values shaped to broadcast against (B, ...) arrays of ``ndim``."""
+    return g.reshape(g.shape + (1,) * (ndim - 1))
+
 
 def _dice(p, mask):
-    inter = np.sum(p * mask)
+    ndim, axes = p.ndim, tuple(range(1, p.ndim))
+    inter = np.sum(p * mask, axis=axes)
     numer = inter * 2.0 + DICE_SMOOTH
-    denom = np.sum(p) + p.dtype.type(float(mask.sum()) + DICE_SMOOTH)
+    mask_sums = np.sum(mask, axis=axes).astype(np.float64) + DICE_SMOOTH
+    denom = np.sum(p, axis=axes) + mask_sums.astype(p.dtype)
 
     def vjp(g):
         g_ratio = g * -1.0
-        return [g_ratio / denom * 2.0 * mask, -g_ratio * numer / (denom * denom)]
+        return [_per_sample(g_ratio / denom * 2.0, ndim) * mask,
+                _per_sample(-g_ratio * numer / (denom * denom), ndim)]
 
     return numer / denom * -1.0 + 1.0, vjp
 
 
 def _focal(p, mask):
-    rest = 1.0 - mask
-    raw = p * mask + (p * -1.0 + 1.0) * rest
+    ndim, axes = p.ndim, tuple(range(1, p.ndim))
+    raw = p * mask + (p * -1.0 + 1.0) * (1.0 - mask)
     inside = (raw >= PROB_EPS) & (raw <= 1.0 - PROB_EPS)
     p_t = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
     one_minus = p_t * -1.0 + 1.0
-    weight = one_minus * one_minus  # focusing exponent 2
     log_p = np.log(p_t)
+    value = np.mean(one_minus * one_minus * log_p, axis=axes) * -1.0  # focusing exponent 2
 
     def vjp(g):
-        g_prod = g * -1.0 / log_p.size
+        # 1 - p_t and its square are recomputed by the same ops, not kept
+        one_minus = p_t * -1.0 + 1.0
+        g_prod = _per_sample(g * -1.0 / log_p[0].size, ndim)
         g_weight = g_prod * log_p
-        g_p_t = (g_weight * one_minus + g_weight * one_minus) * -1.0 + g_prod * weight / p_t
+        g_p_t = ((g_weight * one_minus + g_weight * one_minus) * -1.0
+                 + g_prod * (one_minus * one_minus) / p_t)
         g_raw = g_p_t * inside
-        return [g_raw * mask, g_raw * rest * -1.0]
+        return [g_raw * mask, g_raw * (1.0 - mask) * -1.0]
 
-    return np.mean(weight * log_p) * -1.0, vjp
+    return value, vjp
 
 
 def _bce(prob, c):
+    positive = np.asarray(c).astype(int) == 1
     clipped = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
     inside = (prob >= PROB_EPS) & (prob <= 1.0 - PROB_EPS)
-    if int(c) == 1:
-        return np.log(clipped) * -1.0, lambda g: g * -1.0 / clipped * inside
     rest = clipped * -1.0 + 1.0
-    return np.log(rest) * -1.0, lambda g: g * -1.0 / rest * -1.0 * inside
+
+    def vjp(g):
+        return np.where(positive, g * -1.0 / clipped, g * -1.0 / rest * -1.0) * inside
+
+    return np.log(np.where(positive, clipped, rest)) * -1.0, vjp
 
 
 def _sum(contributions):
@@ -139,14 +164,14 @@ def _sum(contributions):
 
 def dice_loss(p: Tensor, s) -> Tensor:
     """1 - (2 sum(p*s) + 1) / (sum(p) + sum(s) + 1)."""
-    value, vjp = _dice(p.data, _as_mask(s, p))
-    return ag.record(value, "dice_loss", (p,), lambda g: (_sum(vjp(g)),))
+    value, vjp = _dice(p.data[None], _as_mask(s, p)[None])
+    return ag.record(value[0], "dice_loss", (p,), lambda g: (_sum(vjp(g[None]))[0],))
 
 
 def focal_loss(p: Tensor, s) -> Tensor:
     """Mean of -(1 - p_t)^2 log(p_t) with p_t = p on positives else 1 - p."""
-    value, vjp = _focal(p.data, _as_mask(s, p))
-    return ag.record(value, "focal_loss", (p,), lambda g: (_sum(vjp(g)),))
+    value, vjp = _focal(p.data[None], _as_mask(s, p)[None])
+    return ag.record(value[0], "focal_loss", (p,), lambda g: (_sum(vjp(g[None]))[0],))
 
 
 def bce_image(prob: Tensor, c) -> Tensor:
@@ -166,61 +191,89 @@ def level_loss(cls_l: Tensor, seg_l: Tensor, f_text: Tensor, c, s, weights: Loss
                tau=0.07, out_hw=None) -> Tensor:
     """One level's weighted Dice + Focal + BCE; seg terms skip when s is None.
 
+    For (N, d) features of one sample, ``c`` is its label, ``s`` its mask
+    or None, ``f_text`` its (2, d) text rows, and the loss is a scalar. For
+    a (B, N, d) batch, ``c`` and ``s`` hold one label and one mask (or
+    None) per sample, ``f_text`` is (2, d) or (B, 2, d), and the loss holds
+    one value per sample, each with the bits of that sample's scalar loss.
+
     The level is one autograd node over ``(seg_l, cls_l)``, holding only the
-    parents its enabled terms use.
+    parents its enabled terms use. The seg gradient of a sample without a
+    mask is zero.
     """
-    parents, parts, vjps = [], [], []
-    if s is not None and (weights.lambda1 > 0 or weights.lambda2 > 0):
-        grid = int(math.isqrt(seg_l.shape[0]))
-        if grid * grid != seg_l.shape[0]:
-            raise ShapeError(f"grid count {seg_l.shape[0]} is not a perfect square")
-        if out_hw is None:
-            out_hw = np.asarray(s).shape
-        anomaly, seg_vjp = _anomaly_column(seg_l.data, f_text.data, tau)
-        upsampled = ag.upsample(anomaly.reshape(grid, grid), out_hw)
-        mask = _as_mask(s, upsampled)
-        dtype = upsampled.dtype
-        map_terms = [(weight, term(upsampled, mask))
-                     for weight, term in ((weights.lambda1, _dice), (weights.lambda2, _focal))
-                     if weight > 0]
-        parts += [value * float(weight) for weight, (value, _) in map_terms]
-
-        def seg_grad(g):
-            g_map = _sum([part for weight, (_, vjp) in map_terms
-                          for part in vjp(g * float(weight))])
-            g_grid = ag.upsample_vjp(g_map, (grid, grid), dtype)
-            return seg_vjp(g_grid.reshape(anomaly.shape))
-
-        parents.append(seg_l)
-        vjps.append(seg_grad)
+    if cls_l.ndim == 2:  # one sample is a batch of one
+        c, s = [c], [s]
+    cls = cls_l.data.reshape((-1,) + cls_l.shape[-2:])
+    seg = seg_l.data.reshape((-1,) + seg_l.shape[-2:])
+    text = f_text.data
+    count = cls.shape[0]
+    masked = [i for i, mask in enumerate(s) if mask is not None]
+    parents, vjps = [], []
+    value = np.zeros(count, dtype=cls.dtype)
     if weights.lambda3 > 0:
-        peaks, cls_vjp = _anomaly_column(cls_l.data, f_text.data, tau)
-        if peaks.size == 0:
+        peaks, cls_vjp = _anomaly_column(cls, text, tau)
+        if peaks.shape[1] == 0:
             raise ShapeError("max: empty input")
-        value, bce_vjp = _bce(np.max(peaks), c)
-        parts.append(value * float(weights.lambda3))
+        peaks = peaks.reshape(count, -1)
+        top = np.argmax(peaks, axis=1)
+        bce, bce_vjp = _bce(np.max(peaks, axis=1), c)
+        value = bce * float(weights.lambda3)
 
         def cls_grad(g):
-            # the max's gradient goes to the first maximal row
+            # each sample's max passes its gradient to its first maximal row
             g_peaks = np.zeros_like(peaks)
-            g_peaks.flat[np.argmax(peaks)] = bce_vjp(g * float(weights.lambda3))
-            return cls_vjp(g_peaks)
+            g_peaks[np.arange(count), top] = bce_vjp(g * float(weights.lambda3))
+            return cls_vjp(g_peaks.reshape(peaks.shape + (1,)))
 
         parents.append(cls_l)
         vjps.append(cls_grad)
-    if not parts:
-        return Tensor(np.zeros((), dtype=cls_l.dtype))
+    if masked and (weights.lambda1 > 0 or weights.lambda2 > 0):
+        rows = np.array(masked)
+        grid = int(math.isqrt(seg.shape[1]))
+        if grid * grid != seg.shape[1]:
+            raise ShapeError(f"grid count {seg.shape[1]} is not a perfect square")
+        if out_hw is None:
+            out_hw = np.asarray(s[masked[0]]).shape
+        anomaly, seg_vjp = _anomaly_column(seg[rows], text if text.ndim == 2 else text[rows],
+                                           tau)
+        upsampled = ag.upsample(anomaly.reshape(-1, grid, grid), out_hw)
+        dtype, column_shape = upsampled.dtype, anomaly.shape
+        mask = np.stack([_as_mask(s[i], upsampled[0]) for i in masked])
+        map_terms = [(weight, term(upsampled, mask))
+                     for weight, term in ((weights.lambda1, _dice), (weights.lambda2, _focal))
+                     if weight > 0]
+        seg_value = _sum([part * float(weight) for weight, (part, _) in map_terms])
+        value[rows] = seg_value + value[rows] if weights.lambda3 > 0 else seg_value
+
+        def seg_grad(g):
+            g = g[rows]
+            g_map = _sum([part for weight, (_, vjp) in map_terms
+                          for part in vjp(g * float(weight))])
+            g_grid = ag.upsample_vjp(g_map, (grid, grid), dtype)
+            g_seg = np.zeros_like(seg)
+            g_seg[rows] = seg_vjp(g_grid.reshape(column_shape))
+            return g_seg
+
+        parents.insert(0, seg_l)
+        vjps.insert(0, seg_grad)
+    value = value.reshape(cls_l.shape[:-2])
+    if not parents:
+        return Tensor(value)
 
     def backward_fn(g):
-        return tuple(vjp(g) if parent.requires_grad else None
+        g = g.reshape(-1)
+        return tuple(vjp(g).reshape(parent.shape) if parent.requires_grad else None
                      for parent, vjp in zip(parents, vjps))
 
-    return ag.record(_sum(parts), "level_loss", parents, backward_fn)
+    return ag.record(value, "level_loss", parents, backward_fn)
 
 
 def total_loss(features: AdaptedFeatures, f_text: Tensor, c, s, weights: LossWeights,
                tau=0.07, out_hw=None, levels=(1, 2, 3, 4)) -> Tensor:
-    """Sum of level losses over the included levels."""
+    """Sum of level losses over the included levels, one value per sample.
+
+    Takes one sample or a batch, as :func:`level_loss` does.
+    """
     total = None
     for level in levels:
         ll = level_loss(features.cls[level - 1], features.seg[level - 1], f_text,
@@ -254,6 +307,27 @@ def adam_step(named_params, grads, state: AdamState, lr,
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def _stage1_cache(backbone, images, batch_size):
+    """Embedding and stage 1 of every image as one (S, N, d) array.
+
+    They see no trainable tensor, so training runs them once, in
+    batch-sized chunks.
+    """
+    cache = None
+    for start in range(0, len(images), batch_size):
+        chunk = backbone.run_stage(0, backbone.embed(images[start:start + batch_size])).data
+        if cache is None:
+            cache = np.empty((len(images),) + chunk.shape[1:], dtype=chunk.dtype)
+        cache[start:start + len(chunk)] = chunk
+    return cache
+
+
+def _sum_samples(totals):
+    """Scalar sum of the per-sample totals, added left to right."""
+    return ag.record(ag.sum_in_order(totals.data), "sum_samples", (totals,),
+                     lambda g: (np.broadcast_to(g, totals.shape),))
+
+
 def train(backbone, params: MVFAParams, samples, text_features: dict,
           config: TrainConfig, loss_log_path=None, on_epoch=None):
     """Optimize the adapter parameters on loaded samples.
@@ -261,6 +335,11 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     ``samples`` are objects with image/label/mask/modality attributes;
     ``text_features`` maps each modality to its 2 x d text tensor. Returns
     the per-epoch mean losses and optionally appends them to a CSV file.
+
+    Each step runs its samples as one (B, N, d) graph and sums their losses
+    left to right before one backward pass; every sample keeps the bits it
+    would get in a graph of its own, so the checkpoints are those of
+    training one sample graph at a time (``tests/train_oracle.py``).
     """
     if not samples:
         raise DataError("training set is empty")
@@ -273,24 +352,22 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     rng = np.random.default_rng(config.seed)
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     history = []
-    # embedding and stage 1 see no trainable tensor, so each runs once per sample
-    stage1 = [backbone.run_stage(0, backbone.embed(sample.image)) for sample in samples]
+    images = [sample.image for sample in samples]
+    labels = np.array([sample.label for sample in samples])
+    texts = np.stack([text_features[sample.modality].data for sample in samples])
+    stage1 = _stage1_cache(backbone, images, config.batch_size)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(samples))
         weighted = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            batch = None
-            for index in chunk:
-                sample = samples[index]
-                features, _ = adapt_forward(backbone, params, sample.image,
-                                            stage1=stage1[index])
-                loss = total_loss(features, text_features[sample.modality],
-                                  sample.label, sample.mask, config.weights,
-                                  tau=config.tau, out_hw=out_hw, levels=config.levels)
-                batch = loss if batch is None else ag.add(batch, loss)
-            batch = ag.scale(batch, 1.0 / len(chunk))
+            features, _ = adapt_forward(backbone, params, [images[i] for i in chunk],
+                                        stage1=Tensor(stage1[chunk]))
+            totals = total_loss(features, Tensor(texts[chunk]), labels[chunk],
+                                [samples[i].mask for i in chunk], config.weights,
+                                tau=config.tau, out_hw=out_hw, levels=config.levels)
+            batch = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
             value = float(batch.data)
             if not np.isfinite(value):
                 raise NumericError(

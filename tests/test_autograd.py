@@ -155,6 +155,27 @@ def test_bilinear_forward_matches_corner_gather_bitwise(src_hw, out_hw, dtype):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("src_hw, out_hw", [
+    ((8, 8), (64, 64)), ((10, 10), (80, 80)), ((13, 9), (13, 9)), ((4, 4), (13, 9)),
+    ((1, 1), (3, 2))])
+@pytest.mark.parametrize("count", [1, 9])
+def test_batched_bilinear_matches_each_map_bitwise(count, src_hw, out_hw, dtype):
+    rng = np.random.default_rng(23)
+    src = rng.standard_normal((count,) + src_hw).astype(dtype)
+    g = rng.standard_normal((count,) + out_hw).astype(dtype)
+    batched = ag.bilinear_upsample(Tensor(src, requires_grad=True), out_hw)
+    assert batched.data.flags.c_contiguous
+    sums = batched.data.sum(axis=(1, 2))
+    (got,) = batched.node.backward(g)
+    for i in range(count):
+        single = ag.bilinear_upsample(Tensor(src[i], requires_grad=True), out_hw)
+        assert batched.data[i].tobytes() == single.data.tobytes()
+        # a map of the stack reduces as it would alone
+        assert sums[i].tobytes() == single.data.sum().tobytes()
+        assert got[i].tobytes() == single.node.backward(g[i])[0].tobytes()
+
+
 def test_bilinear_empty_and_shrink_errors():
     with pytest.raises(ShapeError, match="empty"):
         ag.bilinear_upsample(Tensor(np.zeros((0, 0))), (2, 2))
@@ -193,6 +214,24 @@ def test_backward_only_returns_leaves():
     grads = backward(ag.sum(ag.matmul(ag.add(x, frozen), w)))
     assert set(grads) == {x, w}
     assert grads[x].shape == x.shape and grads[w].shape == w.shape
+
+
+def test_batched_matmul_adds_weight_gradients_in_sample_order():
+    # as the engine accumulates one product per sample graph
+    rng = np.random.default_rng(24)
+    count = 9
+    a = rng.standard_normal((count, 64, 16)).astype(np.float32)
+    g = rng.standard_normal((count, 64, 8)).astype(np.float32)
+    w = Tensor(rng.standard_normal((16, 8)).astype(np.float32), requires_grad=True)
+    batched = ag.matmul(Tensor(a, requires_grad=True), w)
+    g_a, g_w = batched.node.backward(g)
+    total = None
+    for i in range(count):
+        assert batched.data[i].tobytes() == (a[i] @ w.data).tobytes()
+        assert g_a[i].tobytes() == (g[i] @ w.data.T).tobytes()
+        part = ag.sum(ag.mul(ag.matmul(Tensor(a[i]), w), Tensor(g[i])))
+        total = part if total is None else ag.add(total, part)
+    assert g_w.tobytes() == backward(total)[w].data.tobytes()
 
 
 def test_graph_freed_after_backward():

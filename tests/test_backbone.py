@@ -160,6 +160,29 @@ def test_fused_block_matches_node_by_node_oracle_bitwise(config):
             x = fused.data
 
 
+def test_batched_encoder_matches_each_image_bitwise():
+    # embedding and every block, output and input gradient, on a (B, N, d) batch
+    config = BackboneConfig()
+    backbone = init_backbone(config)
+    rng = np.random.default_rng(13)
+    images = [toy_image(seed=seed, size=config.image_size) for seed in range(3)]
+    x = backbone.embed(images).data
+    for i, image in enumerate(images):
+        assert x[i].tobytes() == backbone.embed(image).data.tobytes()
+    for blk in [blk for blocks in backbone.stages for blk in blocks]:
+        upstream = rng.standard_normal(x.shape).astype(np.float32)
+        batch_in = Tensor(x, requires_grad=True)
+        batched = _block_forward(batch_in, blk, config)
+        g_batch = backward(ag.sum(ag.mul(batched, Tensor(upstream))))[batch_in].data
+        for i in range(len(images)):
+            one_in = Tensor(x[i].copy(), requires_grad=True)
+            one = _block_forward(one_in, blk, config)
+            g_one = backward(ag.sum(ag.mul(one, Tensor(upstream[i]))))[one_in].data
+            assert batched.data[i].tobytes() == one.data.tobytes()
+            assert g_batch[i].tobytes() == g_one.tobytes()
+        x = batched.data
+
+
 def test_fused_block_vjp_matches_finite_differences():
     backbone = init_backbone(TOY, dtype=np.float64)
     rng = np.random.default_rng(12)

@@ -176,6 +176,25 @@ def test_unknown_config_key_is_config_error(workdir, tmp_path, capsys, section, 
     assert not os.path.exists(tmp_path / "x.ckpt") and not os.path.exists(tmp_path / "gen")
 
 
+@pytest.mark.parametrize("section, key, value, command", [
+    ("train", "lr", "fast", "train"), ("backbone", "dim", "64", "train"),
+    ("data", "seed", "42", "gen-data"), ("train", "epochs", True, "train"),
+    ("train", "levels", [1, "2"], "train")])
+def test_mistyped_config_value_is_config_error(workdir, tmp_path, capsys, section, key, value,
+                                               command):
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user.setdefault(section, {})[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    argv = {"train": ["--data", data, "--out", str(tmp_path / "x.ckpt")],
+            "gen-data": ["--out", str(tmp_path / "gen")]}[command]
+    assert main([command, "--config", str(bad)] + argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: config {bad}: {section}.{key}" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "x.ckpt") and not os.path.exists(tmp_path / "gen")
+
+
 @pytest.mark.parametrize("user, message", [
     ([1], "the file must be a JSON object"), ({"train": 3}, "'train' must be a JSON object"),
     ({"data": {"modalities": 5}}, "data.modalities must be a JSON list")])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import loss_oracle
 import numpy as np
 import pytest
+import train_oracle
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
@@ -9,8 +12,9 @@ from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
-from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, adam_step, bce_image,
-                            dice_loss, focal_loss, level_loss, total_loss, train)
+from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, _sum_samples,
+                            adam_step, bce_image, dice_loss, focal_loss, level_loss, total_loss,
+                            train)
 from mvfa.textbank import PromptSet, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -287,6 +291,36 @@ def test_loss_primitives_match_op_by_op_oracle_bitwise(dtype):
                 _value_and_grads(loss_oracle.bce_image, Tensor(arr, requires_grad=True), c))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_level_loss_matches_per_sample_bitwise(dtype):
+    # non-square maps, per-sample labels and text rows, samples with and without masks
+    rng = np.random.default_rng(15)
+    count, grid, out_hw, tau = 9, 4, (13, 9), 0.2
+    cls = rng.standard_normal((count, grid * grid, 12)).astype(dtype)
+    seg = rng.standard_normal((count, grid * grid, 12)).astype(dtype)
+    text = rng.standard_normal((count, 2, 12)).astype(dtype)
+    labels = rng.integers(0, 2, count)
+    masks = [None if i % 3 == 0 else (rng.uniform(0, 1, out_hw) > 0.7).astype(np.float32)
+             for i in range(count)]
+    weights = LossWeights(0.3, 2.5, 1.7)
+    cls_b, seg_b = Tensor(cls, requires_grad=True), Tensor(seg, requires_grad=True)
+    batched = level_loss(cls_b, seg_b, Tensor(text), labels, masks, weights, tau=tau,
+                         out_hw=out_hw)
+    assert batched.shape == (count,)
+    grads = backward(ag.scale(_sum_samples(batched), 0.37))
+    for i in range(count):
+        cls_i = Tensor(cls[i].copy(), requires_grad=True)
+        seg_i = Tensor(seg[i].copy(), requires_grad=True)
+        got = (batched.data[i], [grads[cls_b].data[i], grads[seg_b].data[i]])
+        value, (g_cls, g_seg) = _value_and_grads(level_loss, cls_i, seg_i, Tensor(text[i]),
+                                                 labels[i], masks[i], weights, tau=tau,
+                                                 out_hw=out_hw)
+        if masks[i] is None:  # no seg term: the batch writes a zero gradient
+            assert g_seg is None and not got[1][1].any()
+            g_seg = got[1][1]
+        _assert_same_bits(got, (value, [g_cls, g_seg]))
+
+
 def _graph_nodes(loss):
     seen, stack, nodes = set(), [loss], 0
     while stack:
@@ -462,23 +496,106 @@ def test_train_aborts_on_nonfinite_loss():
               TrainConfig(lr=1e18, batch_size=2, epochs=50, seed=7))
 
 
+def mixed_samples(n, size, seed):
+    """Two modalities; every third sample has no mask."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(n):
+        label = i % 2
+        mask = np.zeros((size, size), dtype=np.float32)
+        if label:
+            mask[size // 4:size // 2, size // 4:size // 2] = 1.0
+        samples.append(LoadedSample(rng.uniform(-1, 1, (size, size)).astype(np.float32),
+                                    label, None if i % 3 == 0 else mask,
+                                    ("widget", "gadget")[(i // 2) % 2], f"mem://{i}"))
+    return samples
+
+
+def _trained_bits(train_fn, config, samples, model, train_config):
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=11, **model)
+    text = {"widget": toy_text(config.dim, dtype=np.float32),
+            "gadget": toy_text(config.dim, seed=1, dtype=np.float32)}
+    history = train_fn(backbone, params, samples, text, train_config)
+    return history, [t.data.tobytes() for t in params.tensors()]
+
+
 @pytest.mark.parametrize("with_masks", [True, False])
-def test_training_with_fused_loss_matches_op_by_op_oracle_bitwise(monkeypatch, with_masks):
+def test_training_with_fused_loss_matches_op_by_op_oracle_bitwise(with_masks):
     # also pins the order in which the shared adapter tensors gather gradients
     samples = toy_samples(4, with_masks=with_masks, seed=9)
+    train_config = TrainConfig(lr=1e-2, batch_size=2, epochs=2, seed=10)
+    assert (_trained_bits(train, TOY, samples, {}, train_config)
+            == _trained_bits(train_oracle.train, TOY, samples, {}, train_config))
 
-    def run():
-        backbone, params, text = toy_setup()
-        history = train(backbone, params, samples, text,
-                        TrainConfig(lr=1e-2, batch_size=2, epochs=2, seed=10))
-        return history, snapshot(params)
 
-    history, fused = run()
-    monkeypatch.setattr("mvfa.objective.level_loss", loss_oracle.level_loss)
-    oracle_history, oracle = run()
-    assert history == oracle_history
-    for a, b in zip(fused, oracle):
-        assert a.tobytes() == b.tobytes()
+# name: (init_params keywords, TrainConfig keywords); 5 samples in steps of 3 and 2
+TRAIN_CASES = {
+    "mixed_masks": ({}, {}),
+    "projector": ({"arch": "projector"}, {}),
+    "single_style": ({"adapter_style": "single"}, {}),
+    "cls_feed": ({"branch_feed": "cls"}, {}),
+    "seg_feed": ({"branch_feed": "seg"}, {}),
+    "levels_1_3": ({}, {"levels": (1, 3)}),
+    "no_dice": ({}, {"weights": LossWeights(0.0, 1.0, 1.0)}),
+    "no_focal": ({}, {"weights": LossWeights(1.0, 0.0, 1.0)}),
+    "no_bce": ({}, {"weights": LossWeights(1.0, 1.0, 0.0)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_batched_training_matches_per_sample_oracle_bitwise(case):
+    model, overrides = TRAIN_CASES[case]
+    train_config = TrainConfig(**{"lr": 1e-2, "batch_size": 3, "epochs": 2, "seed": 10,
+                                  **overrides})
+    samples = mixed_samples(5, TOY.image_size, seed=16)
+    assert (_trained_bits(train, TOY, samples, model, train_config)
+            == _trained_bits(train_oracle.train, TOY, samples, model, train_config))
+
+
+def test_batched_training_matches_per_sample_oracle_at_default_size():
+    # 64x64 maps reduce pairwise in blocks; a full step of 16 and a final step of 4
+    config = BackboneConfig()
+    samples = mixed_samples(20, config.image_size, seed=17)
+    train_config = TrainConfig(lr=1e-2, batch_size=16, epochs=1, seed=10)
+    assert (_trained_bits(train, config, samples, {}, train_config)
+            == _trained_bits(train_oracle.train, config, samples, {}, train_config))
+
+
+def _default_size_step(monkeypatch, batch_size):
+    """Train one default-size step of masked samples; returns the node count of its graph."""
+    config = BackboneConfig()
+    samples = [s for s in mixed_samples(3 * batch_size, config.image_size, seed=18)
+               if s.mask is not None][:batch_size]
+    counted = []
+    engine_backward = ag.backward
+
+    def counting_backward(loss):
+        counted.append(_graph_nodes(loss))
+        return engine_backward(loss)
+
+    monkeypatch.setattr(ag, "backward", counting_backward)
+    _trained_bits(train, config, samples, {},
+                  TrainConfig(batch_size=batch_size, epochs=1, seed=10))
+    (nodes,) = counted
+    return nodes
+
+
+@pytest.mark.parametrize("batch_size", [1, 16])
+def test_training_step_graph_stays_small(monkeypatch, batch_size):
+    # one graph per step, whatever its batch size (65 nodes; 1024 for 16 sample graphs)
+    assert _default_size_step(monkeypatch, batch_size) <= 70
+
+
+def test_training_step_memory_is_bounded(monkeypatch):
+    # the stage-1 pass and one 16-sample step; 39.9 MiB when written
+    tracemalloc.start()
+    try:
+        _default_size_step(monkeypatch, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
 
 
 def test_backbone_untouched_by_training():
