@@ -4,7 +4,7 @@ Every subcommand is deterministic given its config and seeds. Exit codes:
 0 success, 1 usage or configuration error, 2 data or file-format error,
 3 numeric failure. Settings come from an optional JSON config file whose
 sections mirror the dataclasses (see README), with individual flags
-overriding. MVFA_THREADS caps scoring parallelism.
+overriding.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ DEFAULT_CONFIG = {
     # scoring runs at a softer temperature than training: the raw-sum fusion
     # needs calmer similarity maps than the loss, which wants sharp gradients
     "inference": {"beta1": 0.5, "beta2": 0.5, "tau": 0.2, "k": 4,
-                  "target": "texture-c", "mode": "few-shot", "normalize_few": False},
+                  "target": "texture-c", "mode": "few-shot"},
     "data": {},
     "text_seed": 0,
 }
@@ -119,23 +119,11 @@ def _check_type(path, name, value, default):
             _check_type(path, f"{name}[{index}]", item, default[0])
 
 
-def _threads():
-    raw = os.environ.get("MVFA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"MVFA_THREADS must be an integer, got {raw!r}") from None
-
-
 def _override(section, args, *names):
     for name in names:
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None:
             section[name.replace("-", "_")] = value
-
-
-def _train_config(cfg) -> objective.TrainConfig:
-    return objective.TrainConfig.from_dict(cfg["train"])
 
 
 def _prompt_set(args):
@@ -155,29 +143,74 @@ def _manifests(data_dir):
     return (datamod.load_manifest(train_path), datamod.load_manifest(test_path))
 
 
-def _init_model(cfg, gamma, text_features=None, arch=None, adapter_style=None,
-                branch_feed=None):
+def _load_model(cfg, ckpt):
+    backbone_cfg, params = load_checkpoint(ckpt, branch_feed=cfg["model"]["branch_feed"])
+    return init_backbone(backbone_cfg), params
+
+
+# The train -> bank -> score steps, shared by train/build-bank/eval/predict
+# and by every ablate row so that a row reports what the separate commands would.
+
+def _train(cfg, data_dir, prompts, loss_log=None):
+    """Tune fresh adapters on the mode's split: (backbone, params, history, n_samples)."""
+    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
+    inf, model = cfg["inference"], cfg["model"]
+    train_samples, test_samples = _manifests(data_dir)
+    if inf["mode"] == "zero-shot":
+        train_set, _ = datamod.zero_shot_split(train_samples, test_samples, inf["target"])
+    elif inf["mode"] == "few-shot":
+        train_set, _, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
+                                                 inf["k"], train_cfg.seed)
+    else:
+        raise ConfigError(f"unknown mode {inf['mode']!r}")
+    loaded = datamod.load_samples(train_set)
+
+    text = _text_features(prompts, {s.modality for s in loaded} | {inf["target"]},
+                          cfg["text_seed"], cfg["backbone"]["dim"])
     backbone_cfg = BackboneConfig(**cfg["backbone"])
     backbone = init_backbone(backbone_cfg)
-    model = cfg["model"]
-    stacked = None
-    if text_features:
-        stacked = np.concatenate([t.data for _, t in sorted(text_features.items())])
-    params = init_params(backbone_cfg.dim, seed=model["init_seed"], gamma=gamma,
-                         arch=arch or model["arch"],
-                         adapter_style=adapter_style or model["adapter_style"],
-                         branch_feed=branch_feed or model["branch_feed"],
-                         bottleneck=model["bottleneck"], text_features=stacked)
-    return backbone_cfg, backbone, params
+    params = init_params(backbone_cfg.dim, seed=model["init_seed"], gamma=train_cfg.gamma,
+                         arch=model["arch"], adapter_style=model["adapter_style"],
+                         branch_feed=model["branch_feed"], bottleneck=model["bottleneck"],
+                         text_features=np.concatenate([t.data for _, t in
+                                                       sorted(text.items())]))
+    history = objective.train(backbone, params, loaded, text, train_cfg,
+                              loss_log_path=loss_log)
+    return backbone, params, history, len(loaded)
 
 
-def _split_for_mode(cfg, train_samples, test_samples, mode, target, k, split_seed):
-    if mode == "zero-shot":
-        train, test = datamod.zero_shot_split(train_samples, test_samples, target)
-        return train, None, test
-    if mode == "few-shot":
-        return datamod.few_shot_split(train_samples, test_samples, target, k, split_seed)
-    raise ConfigError(f"unknown mode {mode!r}")
+def _bank(cfg, data_dir, backbone, params):
+    """Memory bank of the target's K normal references of the few-shot split."""
+    inf = cfg["inference"]
+    train_samples, test_samples = _manifests(data_dir)
+    _, normals, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
+                                           inf["k"], cfg["train"]["seed"])
+    images = [datamod.load_sample(s).image for s in normals]
+    return inference.build_memory_bank(images, backbone, params)
+
+
+def _betas(cfg, have_bank, beta1=None, beta2=None):
+    """Fusion weights: flags over config; zero-shot without a bank is text only."""
+    inf = cfg["inference"]
+    if not have_bank and beta2 is None and inf["mode"] == "zero-shot":
+        return (1.0 if beta1 is None else beta1), 0.0
+    beta1 = inf["beta1"] if beta1 is None else beta1
+    beta2 = inf["beta2"] if beta2 is None else beta2
+    if not have_bank and beta2 != 0:
+        raise ConfigError("beta2 > 0 requires a memory bank; pass --bank or set --beta2 0")
+    return beta1, beta2
+
+
+def _evaluate(cfg, data_dir, prompts, backbone, params, bank, beta1, beta2,
+              pixel_per_image=False):
+    """Score the target's test samples and report their AUCs."""
+    inf = cfg["inference"]
+    _, test_samples = _manifests(data_dir)
+    samples = [s for s in test_samples if s.modality == inf["target"]]
+    text = _text_features(prompts, {s.modality for s in samples}, cfg["text_seed"],
+                          backbone.config.dim)
+    return metrics.evaluate(backbone, params, samples, text, bank=bank, beta1=beta1,
+                            beta2=beta2, tau=inf["tau"], pixel_per_image=pixel_per_image)
 
 
 def cmd_gen_data(args):
@@ -199,27 +232,12 @@ def cmd_train(args):
         cfg["train"]["levels"] = [int(x) for x in args.levels.split(",")]
     _override(cfg["inference"], args, "k", "target", "mode")
     _override(cfg["model"], args, "arch", "adapter_style", "branch_feed")
-    train_cfg = _train_config(cfg)
-    inf = cfg["inference"]
-
-    train_samples, test_samples = _manifests(args.data)
-    train_set, _, _ = _split_for_mode(cfg, train_samples, test_samples, inf["mode"],
-                                      inf["target"], inf["k"], train_cfg.seed)
-    loaded = datamod.load_samples(train_set)
-
-    prompts = _prompt_set(args)
-    dim = cfg["backbone"]["dim"]
-    text = _text_features(prompts, {s.modality for s in loaded} | {inf["target"]},
-                          cfg["text_seed"], dim)
-    backbone_cfg, backbone, params = _init_model(cfg, train_cfg.gamma,
-                                                 text_features=text)
-
     loss_log = args.loss_log or (args.out + ".loss.csv")
-    history = objective.train(backbone, params, loaded, text, train_cfg,
-                              loss_log_path=loss_log)
-    save_checkpoint(args.out, backbone_cfg, params)
+    backbone, params, history, n_samples = _train(cfg, args.data, _prompt_set(args),
+                                                  loss_log)
+    save_checkpoint(args.out, backbone.config, params)
     if history:
-        print(f"trained {train_cfg.epochs} epochs on {len(loaded)} samples; "
+        print(f"trained {len(history)} epochs on {n_samples} samples; "
               f"loss {history[0]:.4f} -> {history[-1]:.4f}")
     else:
         print("trained 0 epochs; checkpoint equals initialization")
@@ -232,49 +250,21 @@ def cmd_build_bank(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "k", "target")
     _override(cfg["train"], args, "seed")
-    inf = cfg["inference"]
-    backbone_cfg, params = load_checkpoint(args.ckpt,
-                                           branch_feed=cfg["model"]["branch_feed"])
-    backbone = init_backbone(backbone_cfg)
-    train_samples, test_samples = _manifests(args.data)
-    _, bank_normals, _ = datamod.few_shot_split(train_samples, test_samples,
-                                                inf["target"], inf["k"],
-                                                cfg["train"]["seed"])
-    images = [datamod.load_sample(s).image for s in bank_normals]
-    bank = inference.build_memory_bank(images, backbone, params)
+    backbone, params = _load_model(cfg, args.ckpt)
+    bank = _bank(cfg, args.data, backbone, params)
     inference.save_bank(args.out, bank)
-    print(f"wrote {args.out} ({inf['k']} references, "
+    print(f"wrote {args.out} ({cfg['inference']['k']} references, "
           f"{bank.cls[0].shape[0]} rows per level)")
     return 0
-
-
-def _resolve_betas(cfg, args, have_bank):
-    inf = cfg["inference"]
-    beta1 = args.beta1 if args.beta1 is not None else inf["beta1"]
-    beta2 = args.beta2 if args.beta2 is not None else inf["beta2"]
-    if not have_bank:
-        if args.beta2 is None and inf["mode"] == "zero-shot":
-            beta1, beta2 = (args.beta1 if args.beta1 is not None else 1.0), 0.0
-        elif beta2 != 0:
-            raise ConfigError("beta2 > 0 requires a memory bank; pass --bank or "
-                              "set --beta2 0")
-    return beta1, beta2
-
-
-def _load_eval_inputs(cfg, args):
-    backbone_cfg, params = load_checkpoint(args.ckpt,
-                                           branch_feed=cfg["model"]["branch_feed"])
-    backbone = init_backbone(backbone_cfg)
-    bank = inference.load_bank(args.bank) if args.bank else None
-    return backbone_cfg, backbone, params, bank
 
 
 def cmd_predict(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "target", "mode")
     inf = cfg["inference"]
-    backbone_cfg, backbone, params, bank = _load_eval_inputs(cfg, args)
-    beta1, beta2 = _resolve_betas(cfg, args, bank is not None)
+    backbone, params = _load_model(cfg, args.ckpt)
+    bank = inference.load_bank(args.bank) if args.bank else None
+    beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
 
     if args.manifest:
         samples = datamod.load_manifest(args.manifest)
@@ -286,12 +276,10 @@ def cmd_predict(args):
     if not samples:
         raise ConfigError("no samples selected for prediction")
 
-    prompts = _prompt_set(args)
-    text = _text_features(prompts, {s.modality for s in samples}, cfg["text_seed"],
-                          backbone_cfg.dim)
-    loaded, results = metrics.score_samples(
-        backbone, params, samples, text, bank=bank, beta1=beta1, beta2=beta2,
-        tau=inf["tau"], normalize_few=inf["normalize_few"], threads=_threads())
+    text = _text_features(_prompt_set(args), {s.modality for s in samples},
+                          cfg["text_seed"], backbone.config.dim)
+    loaded, results = metrics.score_samples(backbone, params, samples, text, bank=bank,
+                                            beta1=beta1, beta2=beta2, tau=inf["tau"])
 
     os.makedirs(args.out_dir, exist_ok=True)
     lines = ["image,modality,label,c_pred,c_zero,c_few"]
@@ -312,20 +300,11 @@ def cmd_predict(args):
 def cmd_eval(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "target", "mode", "k")
-    inf = cfg["inference"]
-    backbone_cfg, backbone, params, bank = _load_eval_inputs(cfg, args)
-    beta1, beta2 = _resolve_betas(cfg, args, bank is not None)
-
-    _, test_samples = _manifests(args.data)
-    samples = [s for s in test_samples if s.modality == inf["target"]]
-    prompts = _prompt_set(args)
-    text = _text_features(prompts, {s.modality for s in samples}, cfg["text_seed"],
-                          backbone_cfg.dim)
-    report = metrics.evaluate(backbone, params, samples, text, bank=bank,
-                              beta1=beta1, beta2=beta2, tau=inf["tau"],
-                              normalize_few=inf["normalize_few"],
-                              pixel_per_image=args.pixel_per_image,
-                              threads=_threads())
+    backbone, params = _load_model(cfg, args.ckpt)
+    bank = inference.load_bank(args.bank) if args.bank else None
+    beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
+    report = _evaluate(cfg, args.data, _prompt_set(args), backbone, params, bank,
+                       beta1, beta2, args.pixel_per_image)
     metrics.write_report(report, json_path=args.out, csv_path=args.csv)
     sys.stdout.write(report.to_json())
     if args.out:
@@ -333,35 +312,13 @@ def cmd_eval(args):
     return 0
 
 
-def _run_ablation_row(cfg, arch, adapter_style, data_dir, prompts):
-    """Train and evaluate one architecture setting; everything else shared."""
-    train_cfg = _train_config(cfg)
-    inf = cfg["inference"]
-    train_samples, test_samples = _manifests(data_dir)
-    train_set, bank_normals, test_set = _split_for_mode(
-        cfg, train_samples, test_samples, inf["mode"], inf["target"], inf["k"],
-        train_cfg.seed)
-
-    loaded = datamod.load_samples(train_set)
-    text = _text_features(prompts, {s.modality for s in loaded} |
-                          {s.modality for s in test_set},
-                          cfg["text_seed"], cfg["backbone"]["dim"])
-    backbone_cfg, backbone, params = _init_model(cfg, train_cfg.gamma,
-                                                 text_features=text, arch=arch,
-                                                 adapter_style=adapter_style)
-    objective.train(backbone, params, loaded, text, train_cfg)
-
-    bank = None
-    beta1, beta2 = inf["beta1"], inf["beta2"]
-    if bank_normals is not None:
-        images = [datamod.load_sample(s).image for s in bank_normals]
-        bank = inference.build_memory_bank(images, backbone, params)
-    else:
-        beta1, beta2 = 1.0, 0.0
-    report = metrics.evaluate(backbone, params, test_set, text, bank=bank,
-                              beta1=beta1, beta2=beta2, tau=inf["tau"],
-                              threads=_threads())
-    return report
+def _run_ablation_row(cfg, data_dir, prompts):
+    """Train, build the bank (few-shot) and evaluate one row's config."""
+    backbone, params, _, _ = _train(cfg, data_dir, prompts)
+    bank = (_bank(cfg, data_dir, backbone, params)
+            if cfg["inference"]["mode"] == "few-shot" else None)
+    return _evaluate(cfg, data_dir, prompts, backbone, params, bank,
+                     *_betas(cfg, bank is not None))
 
 
 ABLATE_COLUMNS = ("arch", "adapter_style", "ensemble_image_auc", "ensemble_pixel_auc",
@@ -385,10 +342,10 @@ def cmd_ablate(args):
         styles = ["dual", "single"] if (arch == "adapter" and args.include_single) \
             else [cfg["model"]["adapter_style"] if arch == "adapter" else "dual"]
         for style in styles:
-            report = _run_ablation_row(cfg, arch, style, args.data, prompts)
             echo = copy.deepcopy(cfg)
             echo["model"]["arch"] = arch
             echo["model"]["adapter_style"] = style
+            report = _run_ablation_row(echo, args.data, prompts)
             row = {"arch": arch, "adapter_style": style, "config": echo,
                    "ensemble_image_auc": report.image_auc,
                    "ensemble_pixel_auc": report.pixel_auc}
@@ -403,18 +360,12 @@ def cmd_ablate(args):
     json_path = os.path.join(args.out, "ablation.json")
     write_text_atomic(json_path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
-    def fmt(value):
-        return "" if value is None else (f"{value:.6f}"
-                                         if isinstance(value, float) else str(value))
-
     csv_lines = [",".join(ABLATE_COLUMNS)]
-    csv_lines += [",".join(fmt(row[c]) for c in ABLATE_COLUMNS) for row in rows]
+    csv_lines += [",".join(metrics.csv_value(row[c]) for c in ABLATE_COLUMNS) for row in rows]
     csv_path = os.path.join(args.out, "ablation.csv")
     write_text_atomic(csv_path, "\n".join(csv_lines) + "\n")
 
-    print(",".join(ABLATE_COLUMNS))
-    for row in rows:
-        print(",".join(fmt(row[c]) for c in ABLATE_COLUMNS))
+    print("\n".join(csv_lines))
     print(f"wrote {json_path}")
     print(f"wrote {csv_path}")
     return 0

@@ -140,7 +140,7 @@ def _min_cosine_distances(queries, store):
     return 1.0 - np.maximum.reduceat(sims, np.searchsorted(qi, np.arange(q.shape[0])))
 
 
-def few_shot(features, bank: MemoryBank, out_hw, normalize_maps=False) -> BranchScores:
+def few_shot(features, bank: MemoryBank, out_hw) -> BranchScores:
     """Nearest-bank-row cosine distances, position agnostic, per level."""
     if bank is None or any(store.size == 0 for store in bank.cls + bank.seg):
         raise BankError("few-shot scoring requires a non-empty memory bank")
@@ -157,11 +157,7 @@ def few_shot(features, bank: MemoryBank, out_hw, normalize_maps=False) -> Branch
             features.seg[level].data.astype(np.float32), bank.seg[level])
         c_levels[level] = cls_dist.max()
         s_levels[level] = _upsample(seg_dist, out_hw)
-    smap = s_levels.mean(axis=0)
-    if normalize_maps:
-        lo, hi = smap.min(), smap.max()
-        smap = (smap - lo) / (hi - lo) if hi > lo else np.zeros_like(smap)
-    return BranchScores(float(c_levels.mean()), smap, c_levels, s_levels)
+    return BranchScores(float(c_levels.mean()), s_levels.mean(axis=0), c_levels, s_levels)
 
 
 def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyResult:
@@ -180,7 +176,7 @@ def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyR
 
 
 def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5,
-                tau=0.07, normalize_few=False) -> AnomalyResult:
+                tau=0.07) -> AnomalyResult:
     """Full two-branch scoring of one image."""
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     with no_grad():
@@ -188,7 +184,7 @@ def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5
         zero = zero_shot(features, f_text, tau, out_hw)
         few = None
         if bank is not None:
-            few = few_shot(features, bank, out_hw, normalize_maps=normalize_few)
+            few = few_shot(features, bank, out_hw)
     return fuse(zero, few, beta1, beta2)
 
 

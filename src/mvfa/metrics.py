@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,45 +99,37 @@ class Report:
         for i in range(4):
             key = f"level{i + 1}_image_auc"
             values[key] = self.per_level_image_auc[i]
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return f"{v:.6f}"
-            return str(v)
-        return ",".join(fmt(values[name]) for name in CSV_FIELDS) + "\n"
+        return ",".join(csv_value(values[name]) for name in CSV_FIELDS) + "\n"
+
+
+def csv_value(value):
+    """CSV text of a table value: empty for None, six decimals for a float."""
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def score_samples(backbone, params, samples, text_features, bank=None,
-                  beta1=0.5, beta2=0.5, tau=0.07, normalize_few=False, threads=1):
+                  beta1=0.5, beta2=0.5, tau=0.07):
     """Score loaded (or loadable) samples in a stable order."""
     loaded = [s if isinstance(s, LoadedSample) else load_sample(s) for s in samples]
-
-    def one(sample):
+    results = []
+    for sample in loaded:
         if sample.modality not in text_features:
             raise DataError(f"no text features for modality {sample.modality!r}")
-        return score_image(backbone, params, sample.image,
-                           text_features[sample.modality], bank=bank,
-                           beta1=beta1, beta2=beta2, tau=tau,
-                           normalize_few=normalize_few)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, loaded))
-    else:
-        results = [one(s) for s in loaded]
+        results.append(score_image(backbone, params, sample.image,
+                                   text_features[sample.modality], bank=bank,
+                                   beta1=beta1, beta2=beta2, tau=tau))
     return loaded, results
 
 
 def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
-             beta2=0.5, tau=0.07, normalize_few=False, pixel_per_image=False,
-             threads=1) -> Report:
+             beta2=0.5, tau=0.07, pixel_per_image=False) -> Report:
     """Score a test set and assemble image/pixel/per-level AUCs."""
     if not samples:
         raise DataError("test set is empty")
     loaded, results = score_samples(backbone, params, samples, text_features,
-                                    bank=bank, beta1=beta1, beta2=beta2, tau=tau,
-                                    normalize_few=normalize_few, threads=threads)
+                                    bank=bank, beta1=beta1, beta2=beta2, tau=tau)
 
     labels = np.array([s.label for s in loaded])
     c_pred = np.array([r.c_pred for r in results])

@@ -10,6 +10,7 @@ row 0 = normal, row 1 = abnormal.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -134,6 +135,15 @@ def expand_prompts(prompts: PromptSet, object_name):
     return fill(prompts.normal_states), fill(prompts.abnormal_states)
 
 
+@functools.lru_cache(maxsize=4096)
+def _token_draw(key, d):
+    """One token's read-only draw, made once: prompt sets repeat a few dozen tokens."""
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    draw = np.random.default_rng(int.from_bytes(digest[:8], "little")).standard_normal(d)
+    draw.flags.writeable = False
+    return draw
+
+
 def encode_text_stub(text, seed, d, dtype=np.float32) -> Tensor:
     """Deterministic 1 x d embedding: sum of hash-seeded draws per token.
 
@@ -145,9 +155,7 @@ def encode_text_stub(text, seed, d, dtype=np.float32) -> Tensor:
         raise PromptError("cannot encode an empty string")
     acc = np.zeros(d, dtype=np.float64)
     for token in tokens:
-        digest = hashlib.sha256(f"{seed}\x1f{token}".encode("utf-8")).digest()
-        stream = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        acc += stream.standard_normal(d)
+        acc += _token_draw(f"{seed}\x1f{token}", d)
     norm = np.linalg.norm(acc)
     if norm == 0:
         raise NormalizationError(f"embedding of {text!r} has zero norm")

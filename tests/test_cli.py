@@ -1,11 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvfa.adaptation import init_params, load_checkpoint
-from mvfa.cli import main
+from mvfa.cli import DEFAULT_CONFIG, main
 from mvfa.data import read_pgm
 from mvfa.inference import MemoryBank, load_bank, load_map, save_bank
 
@@ -153,7 +155,7 @@ def test_usage_and_data_error_exit_codes(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("section, key, command", [
     ("train", "bogus", "train"), ("backbone", "dims", "train"), ("data", "sed", "gen-data"),
     ("model", "arhc", "train"), ("inference", "beta3", "eval"), (None, "trian", "train"),
-    ("modality profile", "contrats", "gen-data")])
+    ("modality profile", "contrats", "gen-data"), ("inference", "normalize_few", "eval")])
 def test_unknown_config_key_is_config_error(workdir, tmp_path, capsys, section, key, command):
     root, config, data = workdir
     user = json.loads(open(config).read())
@@ -267,16 +269,40 @@ def test_ablate_emits_per_level_and_ensemble_columns(workdir, tmp_path, capsys):
     assert len(csv_lines) == 3
 
 
-def test_threads_env_is_validated(workdir, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["few-shot", "zero-shot"])
+def test_ablate_row_matches_separate_commands(workdir, tmp_path, capsys, mode):
     root, config, data = workdir
+    flags = ["--config", config, "--data", data, "--mode", mode]
+    assert main(["ablate", *flags, "--out", str(tmp_path / "ablation"),
+                 "--archs", "adapter"]) == 0
+    row, = json.load(open(tmp_path / "ablation" / "ablation.json"))
+    assert (row["arch"], row["adapter_style"]) == ("adapter", "dual")
+
     ckpt = str(tmp_path / "model.ckpt")
-    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
-                 "--epochs", "0"]) == 0
-    monkeypatch.setenv("MVFA_THREADS", "not-a-number")
-    code = main(["eval", "--config", config, "--data", data, "--ckpt", ckpt,
-                 "--mode", "zero-shot"])
-    assert code == 1
-    monkeypatch.setenv("MVFA_THREADS", "2")
-    assert main(["eval", "--config", config, "--data", data, "--ckpt", ckpt,
-                 "--mode", "zero-shot"]) == 0
+    assert main(["train", *flags, "--out", ckpt]) == 0
+    eval_argv = ["eval", *flags, "--ckpt", ckpt, "--out", str(tmp_path / "report.json")]
+    if mode == "few-shot":
+        bank = str(tmp_path / "bank.bin")
+        assert main(["build-bank", "--config", config, "--data", data, "--ckpt", ckpt,
+                     "--out", bank]) == 0
+        eval_argv += ["--bank", bank]
+    assert main(eval_argv) == 0
     capsys.readouterr()
+    report = json.load(open(tmp_path / "report.json"))
+    assert row["ensemble_image_auc"] == report["image_auc"]
+    assert row["ensemble_pixel_auc"] == report["pixel_auc"]
+    assert [row[f"level{i}_image_auc"] for i in range(1, 5)] == report["per_level_image_auc"]
+    assert [row[f"level{i}_pixel_auc"] for i in range(1, 5)] == report["per_level_pixel_auc"]
+
+
+def test_readme_configuration_block_matches_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```")[0]
+    documented = {}
+    for section, key in re.findall(r'^  "(\w+)":|"(\w+)"\s*:', block, flags=re.M):
+        if section:
+            keys = documented[section] = set()
+        else:
+            keys.add(key)
+    assert documented == {name: set(value) if isinstance(value, dict) else set()
+                          for name, value in DEFAULT_CONFIG.items()}

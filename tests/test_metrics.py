@@ -7,7 +7,7 @@ from mvfa.data import ModalityProfile, SynthConfig, few_shot_split, gen_dataset,
     load_manifest, load_samples
 from mvfa.errors import DataError, MetricError
 from mvfa.inference import build_memory_bank
-from mvfa.metrics import Report, auc, evaluate, midranks, score_samples
+from mvfa.metrics import Report, auc, evaluate, midranks
 from mvfa.textbank import default_prompt_set, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -200,15 +200,3 @@ def test_report_serialization(tiny_eval_setup):
     line = report.to_csv_line()
     assert line.count("\n") == 1
     assert len(line.strip().split(",")) == 8
-
-
-def test_threaded_scoring_matches_serial(tiny_eval_setup):
-    backbone, params, _, test_samples, text = tiny_eval_setup
-    target = [s for s in test_samples if s.modality == "texture-a"]
-    _, serial = score_samples(backbone, params, target, text, bank=None,
-                              beta1=1.0, beta2=0.0, threads=1)
-    _, threaded = score_samples(backbone, params, target, text, bank=None,
-                                beta1=1.0, beta2=0.0, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.c_pred == b.c_pred
-        assert np.array_equal(a.s_pred, b.s_pred)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvfa import textbank
 from mvfa.errors import FormatError, PromptError
 from mvfa.textbank import (DEFAULT_TEMPLATES, PromptSet, build_text_features,
                            default_prompt_set, encode_text_stub, expand_prompts,
@@ -119,6 +120,21 @@ def test_determinism_of_text_features():
     a = build_text_features(default_prompt_set(), "texture-a", seed=7, d=32).f_text.data
     b = build_text_features(default_prompt_set(), "texture-a", seed=7, d=32).f_text.data
     assert np.array_equal(a, b)
+
+
+def test_text_features_are_bitwise_equal_with_token_cache_cold_and_warm(monkeypatch):
+    def build():
+        return build_text_features(default_prompt_set(), "texture-b", seed=5, d=48).f_text.data
+
+    textbank._token_draw.cache_clear()
+    cold = build()
+    warm = build()
+    assert textbank._token_draw.cache_info().hits > 0
+    with pytest.raises(ValueError):
+        textbank._token_draw("5\x1fphoto", 48)[0] = 0.0
+    monkeypatch.setattr(textbank, "_token_draw", textbank._token_draw.__wrapped__)
+    uncached = build()
+    assert cold.tobytes() == warm.tobytes() == uncached.tobytes()
 
 
 def test_prompt_file_round_trip(tmp_path):
