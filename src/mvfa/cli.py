@@ -22,7 +22,7 @@ from . import data as datamod
 from . import inference, metrics, objective, textbank
 from .adaptation import init_params, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, init_backbone
-from .errors import ConfigError, MVFAError, NumericError
+from .errors import BankError, ConfigError, MVFAError, NumericError
 from .fileio import write_text_atomic
 
 DEFAULT_CONFIG = {
@@ -278,12 +278,11 @@ def cmd_predict(args):
 
     text = _text_features(_prompt_set(args), {s.modality for s in samples},
                           cfg["text_seed"], backbone.config.dim)
-    loaded, results = metrics.score_samples(backbone, params, samples, text, bank=bank,
-                                            beta1=beta1, beta2=beta2, tau=inf["tau"])
-
     os.makedirs(args.out_dir, exist_ok=True)
     lines = ["image,modality,label,c_pred,c_zero,c_few"]
-    for sample, result in zip(loaded, results):
+    for sample, result in metrics.score_samples(backbone, params, samples, text,
+                                                bank=bank, beta1=beta1, beta2=beta2,
+                                                tau=inf["tau"]):
         stem = os.path.splitext(os.path.basename(sample.path))[0]
         inference.save_map(os.path.join(args.out_dir, stem + ".map"), result.s_pred)
         datamod.write_pgm(os.path.join(args.out_dir, stem + "_heat.pgm"),
@@ -293,8 +292,17 @@ def cmd_predict(args):
                      f"{result.c_pred:.6f},{result.c_zero:.6f},{c_few}")
     scores_path = os.path.join(args.out_dir, "scores.csv")
     write_text_atomic(scores_path, "\n".join(lines) + "\n")
-    print(f"wrote {len(results)} maps and {scores_path}")
+    print(f"wrote {len(lines) - 1} maps and {scores_path}")
     return 0
+
+
+def _check_bank_k(bank, k, rows_per_image):
+    """Reject a bank whose rows per level are not K references' worth."""
+    for store in bank.cls + bank.seg:
+        if store.shape[0] != k * rows_per_image:
+            raise BankError(f"the bank has {store.shape[0]} rows per level, but --k {k} "
+                            f"references of {rows_per_image} rows per image make "
+                            f"{k * rows_per_image}")
 
 
 def cmd_eval(args):
@@ -302,6 +310,8 @@ def cmd_eval(args):
     _override(cfg["inference"], args, "target", "mode", "k")
     backbone, params = _load_model(cfg, args.ckpt)
     bank = inference.load_bank(args.bank) if args.bank else None
+    if bank is not None and args.k is not None:
+        _check_bank_k(bank, args.k, backbone.config.grid_count)
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
     report = _evaluate(cfg, args.data, _prompt_set(args), backbone, params, bank,
                        beta1, beta2, args.pixel_per_image)

@@ -3,8 +3,9 @@
 The zero-shot branch scores each level's features against the text rows
 and averages the four levels; the few-shot branch measures cosine distance
 to the nearest row of a per-level memory bank built from normal reference
-images. Both produce an image score and a full-resolution map, combined
-linearly with weights (beta1, beta2).
+images. Both produce an image score and per-level scores on the patch
+grid, combined linearly with weights (beta1, beta2); a result keeps the
+fused full-resolution map and upsamples the per-level maps when read.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .adaptation import adapt_forward, text_probabilities
+from .adaptation import AdaptedFeatures, adapt_forward, text_probabilities
 from .autograd import Tensor, no_grad
-from .errors import BankError, ConfigError, NormalizationError
+from .errors import BankError, ConfigError, ContractError, NormalizationError
 from .fileio import Reader, write_bytes_atomic
 
 BANK_MAGIC = b"MVFA-BANK\0"
@@ -33,28 +34,55 @@ class MemoryBank:
     seg: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchScores:
-    """One branch's image score and map, with their per-level parts."""
+    """One branch's image score and per-level parts.
+
+    ``grids`` holds each level's seg scores on the patch grid: zero-shot
+    anomaly probabilities or few-shot distances. The full-resolution maps
+    are upsampled from them when read.
+    """
 
     c: float
-    smap: np.ndarray
     c_levels: np.ndarray       # (4,)
-    s_levels: np.ndarray       # (4, h, w)
+    grids: np.ndarray          # (4, N)
+    out_hw: tuple
+
+    @property
+    def s_levels(self):
+        """(4, h, w) per-level maps."""
+        return grid_maps(self.grids, self.out_hw)
+
+    @property
+    def smap(self):
+        return self.s_levels.mean(axis=0)
 
 
-@dataclass
+def _branch_field(branch, field):
+    """Read-only view of one field of a result's branch; None without the branch."""
+    def get(self):
+        scores = getattr(self, branch)
+        return None if scores is None else getattr(scores, field)
+    return property(get)
+
+
+@dataclass(frozen=True)
 class AnomalyResult:
+    """Fused score and map of one image, plus the branches they came from."""
+
     c_pred: float
     s_pred: np.ndarray
-    c_zero: float
-    s_zero: np.ndarray
-    c_few: float | None
-    s_few: np.ndarray | None
-    c_levels_zero: np.ndarray
-    s_levels_zero: np.ndarray
-    c_levels_few: np.ndarray | None
-    s_levels_few: np.ndarray | None
+    zero: BranchScores
+    few: BranchScores | None
+
+    c_zero = _branch_field("zero", "c")
+    s_zero = _branch_field("zero", "smap")
+    c_levels_zero = _branch_field("zero", "c_levels")
+    s_levels_zero = _branch_field("zero", "s_levels")
+    c_few = _branch_field("few", "c")
+    s_few = _branch_field("few", "smap")
+    c_levels_few = _branch_field("few", "c_levels")
+    s_levels_few = _branch_field("few", "s_levels")
 
 
 def _normalize_rows(arr):
@@ -65,39 +93,40 @@ def _normalize_rows(arr):
     return arr / norms
 
 
-def _upsample(grid_map, out_hw):
-    side = int(np.sqrt(grid_map.size))
-    return ag.upsample(grid_map.reshape(side, side), out_hw)
+def grid_maps(grids, out_hw):
+    """Float64 (h, w) maps of (N,) or (M, N) square-grid scores.
+
+    The upsample runs in the grids' dtype and its result is cast.
+    """
+    side = int(np.sqrt(grids.shape[-1]))
+    maps = ag.upsample(grids.reshape(grids.shape[:-1] + (side, side)), out_hw)
+    return maps.astype(np.float64)
 
 
 def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
     """Collect normalized per-level features from normal reference images."""
     if not normal_images:
         raise BankError("memory bank needs at least one normal reference image")
-    cls_rows = [[] for _ in range(4)]
-    seg_rows = [[] for _ in range(4)]
     with no_grad():
-        for image in normal_images:
-            features, _ = adapt_forward(backbone, params, image)
-            for level in range(4):
-                cls_rows[level].append(_normalize_rows(
-                    features.cls[level].data.astype(np.float32)))
-                seg_rows[level].append(_normalize_rows(
-                    features.seg[level].data.astype(np.float32)))
-    return MemoryBank([np.concatenate(rows) for rows in cls_rows],
-                      [np.concatenate(rows) for rows in seg_rows])
+        features, _ = adapt_forward(backbone, params, list(normal_images))
+
+    def stores(levels):
+        return [np.concatenate([_normalize_rows(rows.astype(np.float32))
+                                for rows in level.data]) for level in levels]
+
+    return MemoryBank(stores(features.cls), stores(features.seg))
 
 
 def zero_shot(features, f_text: Tensor, tau, out_hw) -> BranchScores:
     """Average per-level text-similarity anomaly scores and maps."""
     c_levels = np.zeros(4)
-    s_levels = np.zeros((4,) + tuple(out_hw))
+    grids = []
     for level in range(4):
         cls_prob = text_probabilities(features.cls[level].data, f_text.data, tau)[0][:, 1]
         seg_prob = text_probabilities(features.seg[level].data, f_text.data, tau)[0][:, 1]
         c_levels[level] = cls_prob.max()
-        s_levels[level] = _upsample(seg_prob, out_hw)
-    return BranchScores(float(c_levels.mean()), s_levels.mean(axis=0), c_levels, s_levels)
+        grids.append(seg_prob)
+    return BranchScores(float(c_levels.mean()), c_levels, np.stack(grids), tuple(out_hw))
 
 
 def _min_cosine_distances(queries, store):
@@ -149,15 +178,15 @@ def few_shot(features, bank: MemoryBank, out_hw) -> BranchScores:
             raise BankError(f"memory bank rows have width {store.shape[1]}, but the "
                             f"checkpoint's features have width {rows.data.shape[1]}")
     c_levels = np.zeros(4)
-    s_levels = np.zeros((4,) + tuple(out_hw))
+    grids = []
     for level in range(4):
         cls_dist = _min_cosine_distances(
             features.cls[level].data.astype(np.float32), bank.cls[level])
         seg_dist = _min_cosine_distances(
             features.seg[level].data.astype(np.float32), bank.seg[level])
         c_levels[level] = cls_dist.max()
-        s_levels[level] = _upsample(seg_dist, out_hw)
-    return BranchScores(float(c_levels.mean()), s_levels.mean(axis=0), c_levels, s_levels)
+        grids.append(seg_dist)
+    return BranchScores(float(c_levels.mean()), c_levels, np.stack(grids), tuple(out_hw))
 
 
 def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyResult:
@@ -167,25 +196,40 @@ def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyR
     if few is None:
         if beta2 != 0:
             raise BankError("beta2 > 0 requires a memory bank")
-        return AnomalyResult(beta1 * zero.c, beta1 * zero.smap, zero.c, zero.smap,
-                             None, None, zero.c_levels, zero.s_levels, None, None)
+        return AnomalyResult(beta1 * zero.c, beta1 * zero.smap, zero, None)
     return AnomalyResult(beta1 * zero.c + beta2 * few.c,
-                         beta1 * zero.smap + beta2 * few.smap,
-                         zero.c, zero.smap, few.c, few.smap,
-                         zero.c_levels, zero.s_levels, few.c_levels, few.s_levels)
+                         beta1 * zero.smap + beta2 * few.smap, zero, few)
+
+
+def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0.5,
+                tau=0.07) -> list:
+    """Two-branch scoring of a list of images, with one text pair per image.
+
+    One adapted forward pass runs the whole list; each image's (N, d) rows
+    of every level then go through the branches on their own.
+    """
+    if len(images) != len(f_texts):
+        raise ContractError(f"score_batch: {len(images)} images but "
+                            f"{len(f_texts)} text features")
+    if not images:
+        return []
+    out_hw = (backbone.config.image_size, backbone.config.image_size)
+    results = []
+    with no_grad():
+        features, _ = adapt_forward(backbone, params, list(images))
+        for index, f_text in enumerate(f_texts):
+            own = AdaptedFeatures([Tensor(level.data[index]) for level in features.cls],
+                                  [Tensor(level.data[index]) for level in features.seg])
+            zero = zero_shot(own, f_text, tau, out_hw)
+            few = None if bank is None else few_shot(own, bank, out_hw)
+            results.append(fuse(zero, few, beta1, beta2))
+    return results
 
 
 def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5,
                 tau=0.07) -> AnomalyResult:
-    """Full two-branch scoring of one image."""
-    out_hw = (backbone.config.image_size, backbone.config.image_size)
-    with no_grad():
-        features, _ = adapt_forward(backbone, params, image)
-        zero = zero_shot(features, f_text, tau, out_hw)
-        few = None
-        if bank is not None:
-            few = few_shot(features, bank, out_hw)
-    return fuse(zero, few, beta1, beta2)
+    """Full two-branch scoring of one image: a batch of one."""
+    return score_batch(backbone, params, [image], [f_text], bank, beta1, beta2, tau)[0]
 
 
 # -- memory bank file --------------------------------------------------------

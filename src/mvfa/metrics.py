@@ -8,6 +8,7 @@ average is available behind a flag.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -16,7 +17,11 @@ import numpy as np
 
 from .data import LoadedSample, load_sample
 from .errors import DataError, MetricError
-from .inference import score_image
+from .inference import grid_maps, score_batch
+
+# images loaded and scored per batch: it bounds what scoring holds at once,
+# and a batch gives each image the bits it gets alone
+CHUNK = 16
 
 CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
               "level1_image_auc", "level2_image_auc", "level3_image_auc",
@@ -111,78 +116,108 @@ def csv_value(value):
 
 def score_samples(backbone, params, samples, text_features, bank=None,
                   beta1=0.5, beta2=0.5, tau=0.07):
-    """Score loaded (or loadable) samples in a stable order."""
-    loaded = [s if isinstance(s, LoadedSample) else load_sample(s) for s in samples]
-    results = []
-    for sample in loaded:
-        if sample.modality not in text_features:
-            raise DataError(f"no text features for modality {sample.modality!r}")
-        results.append(score_image(backbone, params, sample.image,
-                                   text_features[sample.modality], bank=bank,
-                                   beta1=beta1, beta2=beta2, tau=tau))
-    return loaded, results
+    """Yield (LoadedSample, AnomalyResult) pairs of loaded (or loadable) samples.
+
+    The order is that of ``samples``. CHUNK of them are loaded and scored in
+    one batch, and the next chunk only once the caller has taken every pair
+    of this one, so a caller that writes each pair out holds one chunk.
+    """
+    remaining = iter(samples)
+    while chunk := list(itertools.islice(remaining, CHUNK)):
+        loaded = [s if isinstance(s, LoadedSample) else load_sample(s) for s in chunk]
+        for sample in loaded:
+            if sample.modality not in text_features:
+                raise DataError(f"no text features for modality {sample.modality!r}")
+        yield from zip(loaded, score_batch(
+            backbone, params, [s.image for s in loaded],
+            [text_features[s.modality] for s in loaded], bank=bank, beta1=beta1,
+            beta2=beta2, tau=tau))
+
+
+def _fused_level_maps(results, level, beta1, beta2):
+    """One level's fused float64 maps of ``results``, as one (images, h, w) array.
+
+    Each map is beta1 times the zero-shot map, plus beta2 times the few-shot
+    map when there is a bank: the expression and the bits of
+    ``beta1 * r.s_levels_zero[level] + beta2 * r.s_levels_few[level]``,
+    upsampled CHUNK images at a time.
+    """
+    out_hw = results[0].zero.out_hw
+    pool = np.empty((len(results),) + out_hw)
+    for start in range(0, len(results), CHUNK):
+        part, out = results[start:start + CHUNK], pool[start:start + CHUNK]
+        np.multiply(beta1, grid_maps(np.stack([r.zero.grids[level] for r in part]),
+                                     out_hw), out=out)
+        if part[0].few is not None:
+            out += beta2 * grid_maps(np.stack([r.few.grids[level] for r in part]), out_hw)
+    return pool
+
+
+def _pixel_aucs(masks, results, beta1, beta2, pixel_per_image):
+    """Pixel AUC of the fused maps, pooled or averaged per image, and pooled per level."""
+    mask_pixels = np.concatenate([mask.reshape(-1) for mask in masks])
+    if pixel_per_image:
+        per_image = [_maybe_auc(r.s_pred.reshape(-1), mask.reshape(-1))
+                     for mask, r in zip(masks, results)]
+        valid = [v for v in per_image if v is not None]
+        pixel_auc = float(np.mean(valid)) if valid else None
+    else:
+        pixel_auc = _maybe_auc(np.concatenate([r.s_pred.reshape(-1) for r in results]),
+                               mask_pixels)
+    per_level = [_maybe_auc(_fused_level_maps(results, level, beta1, beta2).reshape(-1),
+                            mask_pixels) for level in range(4)]
+    return pixel_auc, per_level
 
 
 def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
              beta2=0.5, tau=0.07, pixel_per_image=False) -> Report:
-    """Score a test set and assemble image/pixel/per-level AUCs."""
+    """Score a test set and assemble image/pixel/per-level AUCs.
+
+    Only each image's label, modality, mask and lean result are kept; the
+    per-level pixel pools are built one level at a time from the grids.
+    """
     if not samples:
         raise DataError("test set is empty")
-    loaded, results = score_samples(backbone, params, samples, text_features,
-                                    bank=bank, beta1=beta1, beta2=beta2, tau=tau)
+    labels, modalities, masks, results = [], [], [], []
+    for sample, result in score_samples(backbone, params, samples, text_features,
+                                        bank=bank, beta1=beta1, beta2=beta2, tau=tau):
+        labels.append(sample.label)
+        modalities.append(sample.modality)
+        masks.append(sample.mask)
+        results.append(result)
 
-    labels = np.array([s.label for s in loaded])
+    labels = np.array(labels)
     c_pred = np.array([r.c_pred for r in results])
     image_auc = auc(c_pred, labels)
 
-    def fused_level(result, level):
-        c = beta1 * result.c_levels_zero[level]
-        s = beta1 * result.s_levels_zero[level]
-        if result.c_levels_few is not None:
-            c += beta2 * result.c_levels_few[level]
-            s += beta2 * result.s_levels_few[level]
-        return c, s
+    level_scores = beta1 * np.array([r.c_levels_zero for r in results])
+    if results[0].few is not None:
+        level_scores += beta2 * np.array([r.c_levels_few for r in results])
+    per_level_image = [_maybe_auc(level_scores[:, level], labels) for level in range(4)]
 
-    per_level_image = []
-    for level in range(4):
-        level_scores = np.array([fused_level(r, level)[0] for r in results])
-        per_level_image.append(_maybe_auc(level_scores, labels))
-
-    masked = [(s, r) for s, r in zip(loaded, results) if s.mask is not None]
+    masked = [i for i, mask in enumerate(masks) if mask is not None]
     pixel_auc = None
     per_level_pixel = None
     if masked:
-        mask_pixels = np.concatenate([s.mask.reshape(-1) for s, _ in masked])
-        if pixel_per_image:
-            per_image = [_maybe_auc(r.s_pred.reshape(-1), s.mask.reshape(-1))
-                         for s, r in masked]
-            valid = [v for v in per_image if v is not None]
-            pixel_auc = float(np.mean(valid)) if valid else None
-        else:
-            pooled = np.concatenate([r.s_pred.reshape(-1) for _, r in masked])
-            pixel_auc = _maybe_auc(pooled, mask_pixels)
-        per_level_pixel = []
-        for level in range(4):
-            pooled = np.concatenate([fused_level(r, level)[1].reshape(-1)
-                                     for _, r in masked])
-            per_level_pixel.append(_maybe_auc(pooled, mask_pixels))
+        pixel_auc, per_level_pixel = _pixel_aucs(
+            [masks[i] for i in masked], [results[i] for i in masked], beta1, beta2,
+            pixel_per_image)
 
     per_modality = {}
-    for modality in sorted({s.modality for s in loaded}):
-        idx = [i for i, s in enumerate(loaded) if s.modality == modality]
-        sub_labels = labels[idx]
+    for modality in sorted(set(modalities)):
+        idx = [i for i, m in enumerate(modalities) if m == modality]
         entry = {"images": len(idx),
-                 "image_auc": _maybe_auc(c_pred[idx], sub_labels)}
-        sub_masked = [(loaded[i], results[i]) for i in idx if loaded[i].mask is not None]
+                 "image_auc": _maybe_auc(c_pred[idx], labels[idx])}
+        sub_masked = [i for i in idx if masks[i] is not None]
         if sub_masked:
-            pooled = np.concatenate([r.s_pred.reshape(-1) for _, r in sub_masked])
-            pixels = np.concatenate([s.mask.reshape(-1) for s, _ in sub_masked])
+            pooled = np.concatenate([results[i].s_pred.reshape(-1) for i in sub_masked])
+            pixels = np.concatenate([masks[i].reshape(-1) for i in sub_masked])
             entry["pixel_auc"] = _maybe_auc(pooled, pixels)
         else:
             entry["pixel_auc"] = None
         per_modality[modality] = entry
 
-    counts = {"images": len(loaded), "anomalous": int(labels.sum()),
+    counts = {"images": len(results), "anomalous": int(labels.sum()),
               "with_masks": len(masked)}
     return Report(image_auc, pixel_auc, per_level_image, per_level_pixel,
                   per_modality, counts)

@@ -244,6 +244,59 @@ def test_unusable_bank_is_data_error(workdir, tmp_path, capsys):
             assert message in err and "Traceback" not in err
 
 
+def test_eval_k_must_match_the_bank(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")
+    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
+                 "--epochs", "0"]) == 0
+    assert main(["build-bank", "--config", config, "--data", data, "--ckpt", ckpt,
+                 "--out", bank]) == 0  # k=2 references of 16 rows
+    argv = ["eval", "--config", config, "--data", data, "--ckpt", ckpt, "--bank", bank]
+    assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--k", "3", "--out", str(tmp_path / "k3.json")]) == 2
+    err = capsys.readouterr().err
+    assert "32 rows per level" in err and "make 48" in err
+    assert not (tmp_path / "k3.json").exists()
+    assert main(argv + ["--k", "2", "--out", str(tmp_path / "k2.json")]) == 0
+    assert (tmp_path / "k2.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_predict_memory_does_not_grow_with_the_image_count(tmp_path, capsys):
+    import tracemalloc
+
+    from mvfa.data import DEFAULT_MODALITIES, SynthConfig, gen_dataset
+
+    profile = [m for m in DEFAULT_MODALITIES if m.name == "texture-c"]
+    train_manifest, test_manifest = gen_dataset(
+        SynthConfig(modalities=tuple(profile), train_normals=4, train_anomalies=2,
+                    test_normals=24, test_anomalies=24, seed=3), tmp_path / "data")
+    lines = open(test_manifest).read().splitlines()
+    assert len(lines) == 48
+    first16 = tmp_path / "data" / "first16.jsonl"
+    first16.write_text("\n".join(lines[:16]) + "\n", encoding="utf-8")
+    ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")
+    data = str(tmp_path / "data")
+    assert main(["train", "--data", data, "--out", ckpt, "--epochs", "0",
+                 "--k", "2"]) == 0
+    assert main(["build-bank", "--data", data, "--ckpt", ckpt, "--out", bank,
+                 "--k", "2"]) == 0
+    peaks = {}
+    for name, manifest in (("16", first16), ("48", test_manifest)):
+        argv = ["predict", "--ckpt", ckpt, "--bank", bank, "--manifest", str(manifest),
+                "--out-dir", str(tmp_path / f"pred{name}")]
+        main(argv)  # warm caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert len(os.listdir(tmp_path / "pred48")) == 2 * 48 + 1
+    assert peaks["48"] - peaks["16"] <= 2 ** 20
+
+
 def test_ablate_emits_per_level_and_ensemble_columns(workdir, tmp_path, capsys):
     root, config, data = workdir
     out_dir = str(tmp_path / "ablation")

@@ -313,12 +313,12 @@ def test_few_shot_requires_bank():
 def branch_scores(seed=11):
     # consistent with the real branches: the map/score are the level means
     rng = np.random.default_rng(seed)
-    z_levels = rng.uniform(0, 1, (4, 8, 8))
+    z_grids = rng.uniform(0, 1, (4, 16))
     zc_levels = rng.uniform(0, 1, 4)
-    zero = BranchScores(0.8, z_levels.mean(axis=0), zc_levels, z_levels)
-    f_levels = rng.uniform(0, 2, (4, 8, 8))
+    zero = BranchScores(0.8, zc_levels, z_grids, (8, 8))
+    f_grids = rng.uniform(0, 2, (4, 16))
     fc_levels = rng.uniform(0, 2, 4)
-    few = BranchScores(0.4, f_levels.mean(axis=0), fc_levels, f_levels)
+    few = BranchScores(0.4, fc_levels, f_grids, (8, 8))
     return zero, few
 
 
@@ -430,3 +430,68 @@ def test_map_round_trip_and_pgm_rendering(tmp_path):
     assert rendered.dtype == np.uint8
     assert rendered.min() == 0 and rendered.max() == 255
     assert np.array_equal(map_to_u8(np.zeros((3, 3))), np.zeros((3, 3), dtype=np.uint8))
+
+
+# -- batched scoring ------------------------------------------------------------------
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_score_batch_equals_per_image_scoring_bitwise():
+    import eval_oracle
+    from mvfa.adaptation import adapt_forward
+    from mvfa.autograd import no_grad
+    from mvfa.inference import _normalize_rows, score_batch
+    from mvfa.textbank import build_text_features, default_prompt_set
+
+    config = BackboneConfig()
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=7)
+    rng = np.random.default_rng(16)
+    images = [rng.uniform(-1, 1, (64, 64)).astype(np.float32) for _ in range(19)]
+    refs, images = images[:2], images[2:]
+    bank = build_memory_bank(refs, backbone, params)
+    # the batched bank equals one forward pass per reference
+    with no_grad():
+        own = [adapt_forward(backbone, params, image)[0] for image in refs]
+    for level in range(4):
+        for got, side in ((bank.cls[level], "cls"), (bank.seg[level], "seg")):
+            rows = [_normalize_rows(getattr(f, side)[level].data.astype(np.float32))
+                    for f in own]
+            assert _same(got, np.concatenate(rows))
+
+    texts = [build_text_features(default_prompt_set(), m, 0, config.dim).f_text
+             for m in ("texture-a", "texture-b")]
+    f_texts = [texts[i % 2] for i in range(len(images))]
+    for scoring_bank in (bank, None):
+        betas = (0.5, 0.5) if scoring_bank is not None else (1.0, 0.0)
+        batch = score_batch(backbone, params, images, f_texts, scoring_bank, *betas, 0.2)
+        assert len(batch) == len(images) == 17
+        for image, f_text, got in zip(images, f_texts, batch):
+            alone = score_image(backbone, params, image, f_text, scoring_bank, *betas, 0.2)
+            oracle = eval_oracle.score_image(backbone, params, image, f_text,
+                                             scoring_bank, *betas, 0.2)
+            assert _same(got.c_pred, alone.c_pred) and _same(got.s_pred, alone.s_pred)
+            for mine, single in ((got.zero, alone.zero), (got.few, alone.few)):
+                assert (mine is None) == (single is None)
+                if mine is not None:
+                    assert mine.out_hw == single.out_hw == (64, 64)
+                    for field in ("c", "c_levels", "grids", "s_levels", "smap"):
+                        assert _same(getattr(mine, field), getattr(single, field)), field
+            for field in ("c_pred", "s_pred", "c_zero", "s_zero", "c_few", "s_few",
+                          "c_levels_zero", "s_levels_zero", "c_levels_few",
+                          "s_levels_few"):
+                assert _same(getattr(got, field), getattr(oracle, field)), field
+
+
+def test_score_batch_rejects_unpaired_text_and_takes_no_images():
+    from mvfa.errors import ContractError
+    from mvfa.inference import score_batch
+    backbone, params = toy_model()
+    with pytest.raises(ContractError, match="2 images but 1 text"):
+        score_batch(backbone, params, [toy_image(1), toy_image(2)], [_toy_text()])
+    assert score_batch(backbone, params, [], []) == []

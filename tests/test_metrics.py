@@ -1,10 +1,13 @@
+import tracemalloc
+
+import eval_oracle
 import numpy as np
 import pytest
 
 from mvfa.adaptation import init_params
 from mvfa.backbone import BackboneConfig, init_backbone
-from mvfa.data import ModalityProfile, SynthConfig, few_shot_split, gen_dataset, \
-    load_manifest, load_samples
+from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, few_shot_split, \
+    gen_dataset, load_manifest, load_samples
 from mvfa.errors import DataError, MetricError
 from mvfa.inference import build_memory_bank
 from mvfa.metrics import Report, auc, evaluate, midranks
@@ -200,3 +203,114 @@ def test_report_serialization(tiny_eval_setup):
     line = report.to_csv_line()
     assert line.count("\n") == 1
     assert len(line.strip().split(",")) == 8
+
+
+# -- batched, streaming evaluation against the per-image oracle ------------------
+
+SMALL = BackboneConfig(image_size=16, patch_size=4, dim=16, blocks_per_stage=1,
+                       heads=2, seed=5)
+
+
+def synthetic_samples(n, seed, size=16, modalities=("texture-a",), unmasked=()):
+    """Loaded samples with a square defect on every odd one; ``unmasked`` get no mask."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(n):
+        image = rng.uniform(-1, 1, (size, size)).astype(np.float32)
+        mask = np.zeros((size, size), dtype=np.float32)
+        if i % 2:
+            top, left = rng.integers(0, size - size // 4, 2)
+            mask[top:top + size // 4, left:left + size // 4] = 1.0
+            image[mask > 0] = np.float32(0.9)
+        samples.append(LoadedSample(image, i % 2, None if i in unmasked else mask,
+                                    modalities[(i // 2) % len(modalities)], f"s{i}.pgm"))
+    return samples
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    backbone = init_backbone(SMALL)
+    params = init_params(SMALL.dim, seed=4)
+    text = {m: build_text_features(default_prompt_set(), m, 0, SMALL.dim).f_text
+            for m in ("texture-a", "texture-b")}
+    refs = [s.image for s in synthetic_samples(4, seed=99) if s.label == 0]
+    return backbone, params, text, build_memory_bank(refs, backbone, params)
+
+
+def assert_same_report(small_model, samples, few=True, **kwargs):
+    backbone, params, text, bank = small_model
+    bank, betas = (bank, (0.5, 0.5)) if few else (None, (1.0, 0.0))
+    args = (backbone, params, samples, text, bank, *betas)
+    try:
+        expected = eval_oracle.evaluate(*args, **kwargs).to_json()
+    except MetricError as exc:
+        with pytest.raises(MetricError, match=str(exc)):
+            evaluate(*args, **kwargs)
+        return
+    assert evaluate(*args, **kwargs).to_json() == expected
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_evaluate_equals_per_image_oracle_across_chunk_edges(small_model, n):
+    assert_same_report(small_model, synthetic_samples(n, seed=n))
+
+
+def test_evaluate_equals_oracle_zero_shot_without_bank(small_model):
+    assert_same_report(small_model, synthetic_samples(17, seed=1), few=False)
+
+
+def test_evaluate_equals_oracle_pixel_per_image(small_model):
+    samples = synthetic_samples(17, seed=2)
+    assert_same_report(small_model, samples, pixel_per_image=True)
+    assert_same_report(small_model, samples, few=False, pixel_per_image=True)
+
+
+def test_evaluate_equals_oracle_with_unmasked_samples(small_model):
+    samples = synthetic_samples(20, seed=3, unmasked={0, 1, 5, 16, 17, 19})
+    assert_same_report(small_model, samples)
+    assert_same_report(small_model, samples, pixel_per_image=True)
+    assert_same_report(small_model, synthetic_samples(6, seed=3, unmasked=range(6)))
+
+
+def test_evaluate_equals_oracle_two_modalities(small_model):
+    samples = synthetic_samples(33, seed=4, modalities=("texture-a", "texture-b"),
+                                unmasked={2, 3})
+    assert_same_report(small_model, samples)
+    assert_same_report(small_model, samples, few=False)
+
+
+def test_evaluate_loads_manifest_samples_like_the_oracle(tiny_eval_setup):
+    backbone, params, _, test_samples, text = tiny_eval_setup
+    for modality_samples in (test_samples, test_samples[::-1] * 3):
+        expected = eval_oracle.evaluate(backbone, params, modality_samples, text,
+                                        beta1=1.0, beta2=0.0)
+        assert evaluate(backbone, params, modality_samples, text, beta1=1.0,
+                        beta2=0.0).to_json() == expected.to_json()
+
+
+# -- memory: evaluate keeps lean results, predict writes each chunk out -----------
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_grows_at_most_200_kib_per_image():
+    # the parent evaluator kept every per-level map of both branches in
+    # float64 and grew by about 521 KiB per 64x64 image
+    config = BackboneConfig()
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=7)
+    text = {"texture-a": build_text_features(default_prompt_set(), "texture-a", 0,
+                                             config.dim).f_text}
+    samples = synthetic_samples(80, seed=5, size=64)
+    bank = build_memory_bank([s.image for s in samples[:4:2]], backbone, params)
+    evaluate(backbone, params, samples[:16], text, bank=bank)  # warm caches
+    peaks = {n: _peak_bytes(lambda n=n: evaluate(backbone, params, samples[:n], text,
+                                                 bank=bank))
+             for n in (40, 80)}
+    assert (peaks[80] - peaks[40]) / 40 <= 200 * 1024
