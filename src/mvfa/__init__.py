@@ -9,7 +9,7 @@ end.
 
 from .adaptation import (Adapter, AdaptedFeatures, DualAdapter, MVFAParams, Projector,
                          adapt_forward, apply_adapter, init_params, load_checkpoint,
-                         residual_mix, save_checkpoint, similarity_logits)
+                         residual_mix, save_checkpoint)
 from .autograd import Tensor, backward, no_grad
 from .backbone import (BackboneConfig, FrozenBackbone, StageFeatures,
                        forward_with_hooks, init_backbone)

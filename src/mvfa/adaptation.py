@@ -10,6 +10,7 @@ tensors are the only trainable state.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -237,25 +238,16 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
     return AdaptedFeatures(cls, seg), stage
 
 
-def similarity_logits(f: Tensor, f_text: Tensor, tau) -> Tensor:
-    """Cosine logits of grid features against the two text rows.
-
-    Both operands are row-normalized; the product is scaled by 1/tau.
-    """
-    _check_tau(tau)
-    fn = ag.l2norm_rows(f)
-    tn = ag.l2norm_rows(f_text)
-    return ag.scale(ag.matmul(fn, ag.transpose(tn)), 1.0 / tau)
-
-
 def text_probabilities(f, f_text, tau):
-    """Row softmax of :func:`similarity_logits`, on plain arrays.
+    """Row softmax of the cosine logits of ``f`` against the two text rows.
 
-    Column 1 is each row's anomaly probability. ``f`` is (N, d) or a
+    Both operands are row-normalized and their product is scaled by 1/tau;
+    column 1 is each row's anomaly probability. ``f`` is (N, d) or a
     (B, N, d) batch, and ``f_text`` is (2, d) or one (B, 2, d) pair of rows
     per sample. Returns the (..., N, 2) probabilities and a function mapping
     their gradient to the gradient of ``f``; the operations and their order
-    are those of the Tensor ops, so both give the same bits.
+    are those of an op-by-op graph of the same formula, so both give the
+    same bits.
     """
     _check_tau(tau)
     scale = float(1.0 / tau)
@@ -309,7 +301,8 @@ def _read_entries(reader: Reader):
         name = reader.take(reader.u16()).decode("utf-8")
         rank = reader.u8()
         shape = tuple(reader.u32() for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
+        # Python ints: a numpy product wraps in int64 and can read 0 values
+        n = math.prod(shape)
         values = np.frombuffer(reader.take(4 * n), dtype="<f4").reshape(shape)
         entries[name] = values.astype(np.float32)
     return entries

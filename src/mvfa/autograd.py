@@ -11,11 +11,14 @@ Arrays are float32 by default; passing ``dtype=np.float64`` at creation
 switches a computation to double precision, which the gradient-check tests
 rely on.
 
-The row softmax, the row normalization and the bilinear upsample are also
-plain-array kernels, each with its VJP (:func:`row_softmax`,
-:func:`unit_rows`, :func:`upsample` and their ``_vjp`` partners). The
-Tensor ops wrap them, and fused nodes and grad-free scoring call them
-directly, so each formula is written once.
+The engine holds what training runs: :func:`add`, :func:`scale`,
+:func:`matmul` and :func:`relu` as graph ops, and :func:`record`, through
+which a fused node (an encoder block, a level loss) joins the graph as one
+node with a hand-written VJP. The row softmax, the row normalization and
+the bilinear upsample are plain-array kernels, each with its VJP
+(:func:`row_softmax`, :func:`unit_rows`, :func:`upsample` and their
+``_vjp`` partners); fused nodes and grad-free scoring call them directly,
+so each formula is written once.
 
 Training runs a batch of B samples as one graph whose arrays carry a
 leading batch axis, and it must give the bits of B single-sample graphs
@@ -41,7 +44,7 @@ from .errors import ContractError, NormalizationError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# per-thread so parallel inference cannot toggle recording under a trainer
+# per-thread, so no_grad in one thread leaves recording in the others on
 _state = threading.local()
 
 
@@ -97,42 +100,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # arithmetic sugar; python scalars become constants of matching dtype
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other, self.dtype), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(value, dtype):
@@ -189,31 +159,6 @@ def add(a, b):
     return record(data, "add", (a, b), backward_fn)
 
 
-def mul(a, b):
-    b = _wrap(b, a.dtype)
-    _check_broadcast("mul", a, b)
-    data = a.data * b.data
-
-    def backward_fn(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return record(data, "mul", (a, b), backward_fn)
-
-
-def div(a, b):
-    b = _wrap(b, a.dtype)
-    _check_broadcast("div", a, b)
-    data = a.data / b.data
-
-    def backward_fn(g):
-        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-                if b.requires_grad else None)
-
-    return record(data, "div", (a, b), backward_fn)
-
-
 def scale(a, c):
     c = float(c)
     data = a.data * c
@@ -263,100 +208,6 @@ def relu(a):
     return record(data, "relu", (a,), backward_fn)
 
 
-def exp(a):
-    data = np.exp(a.data)
-
-    def backward_fn(g):
-        return (g * data,)
-
-    return record(data, "exp", (a,), backward_fn)
-
-
-def log(a):
-    data = np.log(a.data)
-
-    def backward_fn(g):
-        return (g / a.data,)
-
-    return record(data, "log", (a,), backward_fn)
-
-
-def _expand_reduced(g, in_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, in_shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, in_shape)
-
-
-def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors the numpy name
-    data = np.sum(a.data, axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        return (_expand_reduced(g, a.shape, axis, keepdims),)
-
-    return record(data, "sum", (a,), backward_fn)
-
-
-def mean(a, axis=None, keepdims=False):
-    data = np.mean(a.data, axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
-
-    def backward_fn(g):
-        return (_expand_reduced(g, a.shape, axis, keepdims) / count,)
-
-    return record(data, "mean", (a,), backward_fn)
-
-
-def max(a, axis=None):  # noqa: A001 - mirrors the numpy name
-    """Max-reduce; on ties the gradient goes to the lowest index."""
-    if a.data.size == 0:
-        raise ShapeError("max: empty input")
-    data = np.max(a.data, axis=axis)
-
-    def backward_fn(g):
-        gx = np.zeros_like(a.data)
-        if axis is None:
-            gx.flat[np.argmax(a.data)] = g
-        else:
-            idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-            np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
-        return (gx,)
-
-    return record(data, "max", (a,), backward_fn)
-
-
-def transpose(a):
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    data = a.data.T
-
-    def backward_fn(g):
-        return (g.T,)
-
-    return record(data, "transpose", (a,), backward_fn)
-
-
-def reshape(a, shape):
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view shape {a.shape} as {tuple(shape)}")
-    data = a.data.reshape(shape)
-
-    def backward_fn(g):
-        return (g.reshape(a.shape),)
-
-    return record(data, "reshape", (a,), backward_fn)
-
-
-def clip(a, lo, hi):
-    data = np.clip(a.data, lo, hi)
-
-    def backward_fn(g):
-        return (g * ((a.data >= lo) & (a.data <= hi)),)
-
-    return record(data, "clip", (a,), backward_fn)
-
-
 def row_softmax(x):
     """Softmax over the last axis of an array, numerically stabilized."""
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
@@ -374,7 +225,7 @@ def unit_rows(x):
     norms = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
     if not norms.all():
         row = int(np.flatnonzero(norms.reshape(-1) == 0)[0])
-        raise NormalizationError(f"l2norm_rows: row {row} has zero norm")
+        raise NormalizationError(f"feature row {row} has zero norm")
     return x / norms, norms
 
 
@@ -382,22 +233,6 @@ def unit_rows_vjp(g, rows, norms):
     """Input gradient of :func:`unit_rows` given its outputs."""
     dot = np.sum(g * rows, axis=-1, keepdims=True)
     return (g - rows * dot) / norms
-
-
-def softmax_rows(a):
-    """Row-wise softmax of a matrix, numerically stabilized."""
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected a matrix, got shape {a.shape}")
-    data = row_softmax(a.data)
-    return record(data, "softmax_rows", (a,), lambda g: (row_softmax_vjp(g, data),))
-
-
-def l2norm_rows(a):
-    """Scale each row of a matrix to unit Euclidean norm."""
-    if a.ndim != 2:
-        raise ShapeError(f"l2norm_rows: expected a matrix, got shape {a.shape}")
-    data, norms = unit_rows(a.data)
-    return record(data, "l2norm_rows", (a,), lambda g: (unit_rows_vjp(g, data, norms),))
 
 
 def _axis_coords(in_extent, out_extent, dtype):
@@ -466,14 +301,14 @@ def upsample(src, size):
     map of a stack pairs its elements as it would for that map alone.
     """
     if src.ndim not in (2, 3):
-        raise ShapeError(f"bilinear_upsample: expected a map or a stack of maps, "
+        raise ShapeError(f"upsample: expected a map or a stack of maps, "
                          f"got shape {src.shape}")
     gh, gw = src.shape[-2:]
     if gh == 0 or gw == 0:
-        raise ShapeError("bilinear_upsample: empty input map")
+        raise ShapeError("upsample: empty input map")
     h, w = int(size[0]), int(size[1])
     if h < gh or w < gw:
-        raise ShapeError(f"bilinear_upsample: target {(h, w)} smaller than input {src.shape}")
+        raise ShapeError(f"upsample: target {(h, w)} smaller than input {src.shape}")
     y0, y1, x0, x1, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, src.dtype)
     rows = vx * src[..., x0] + wx * src[..., x1]
     return np.add(vy * rows[..., y0, :], wy * rows[..., y1, :], order="C")
@@ -503,13 +338,6 @@ def upsample_vjp(g, src_shape, dtype):
     for contributions in np.take(flat, _upsample_plan(gh, gw, h, w), axis=0):
         total += contributions
     return np.moveaxis(total, -1, 0).reshape(g.shape[:-2] + (gh, gw))
-
-
-def bilinear_upsample(a, size):
-    """Resize a 2-D map, or a stack of maps, with align-corners bilinear interpolation."""
-    data = upsample(a.data, size)
-    return record(data, "bilinear_upsample", (a,),
-                  lambda g: (upsample_vjp(g, a.shape, a.dtype),))
 
 
 def backward(loss):

@@ -90,7 +90,7 @@ class _Block:
 
 
 class FrozenBackbone:
-    """Immutable encoder weights; shareable across threads for inference."""
+    """Encoder weights that never require gradients, so no step changes them."""
 
     def __init__(self, config: BackboneConfig, dtype, patch_w, pos, stages):
         self.config = config

@@ -137,7 +137,17 @@ def _text_features(prompts, modalities, text_seed, dim):
             for m in sorted(modalities)}
 
 
+def _levels(text):
+    """``--levels`` value: comma-separated level numbers; empty keeps the config's."""
+    try:
+        return [int(x) for x in text.split(",")] if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid levels {text!r}, expected e.g. 1,2") \
+            from None
+
+
 def _manifests(data_dir):
+    """(train, test) samples of a dataset directory, every image and mask checked."""
     train_path = os.path.join(data_dir, "train.jsonl")
     test_path = os.path.join(data_dir, "test.jsonl")
     return (datamod.load_manifest(train_path), datamod.load_manifest(test_path))
@@ -150,12 +160,12 @@ def _load_model(cfg, ckpt):
 
 # The train -> bank -> score steps, shared by train/build-bank/eval/predict
 # and by every ablate row so that a row reports what the separate commands would.
+# Each command loads the manifests once and hands the samples to its steps.
 
-def _train(cfg, data_dir, prompts, loss_log=None):
+def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
     """Tune fresh adapters on the mode's split: (backbone, params, history, n_samples)."""
-    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
     inf, model = cfg["inference"], cfg["model"]
-    train_samples, test_samples = _manifests(data_dir)
+    train_samples, test_samples = manifests
     if inf["mode"] == "zero-shot":
         train_set, _ = datamod.zero_shot_split(train_samples, test_samples, inf["target"])
     elif inf["mode"] == "few-shot":
@@ -179,10 +189,10 @@ def _train(cfg, data_dir, prompts, loss_log=None):
     return backbone, params, history, len(loaded)
 
 
-def _bank(cfg, data_dir, backbone, params):
+def _bank(cfg, manifests, backbone, params):
     """Memory bank of the target's K normal references of the few-shot split."""
     inf = cfg["inference"]
-    train_samples, test_samples = _manifests(data_dir)
+    train_samples, test_samples = manifests
     _, normals, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
                                            inf["k"], cfg["train"]["seed"])
     images = [datamod.load_sample(s).image for s in normals]
@@ -201,11 +211,10 @@ def _betas(cfg, have_bank, beta1=None, beta2=None):
     return beta1, beta2
 
 
-def _evaluate(cfg, data_dir, prompts, backbone, params, bank, beta1, beta2,
+def _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2,
               pixel_per_image=False):
     """Score the target's test samples and report their AUCs."""
     inf = cfg["inference"]
-    _, test_samples = _manifests(data_dir)
     samples = [s for s in test_samples if s.modality == inf["target"]]
     text = _text_features(prompts, {s.modality for s in samples}, cfg["text_seed"],
                           backbone.config.dim)
@@ -227,14 +236,15 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = _load_config(args.config)
-    _override(cfg["train"], args, "epochs", "lr", "batch_size", "seed", "gamma", "tau")
-    if args.levels:
-        cfg["train"]["levels"] = [int(x) for x in args.levels.split(",")]
+    _override(cfg["train"], args, "epochs", "lr", "batch_size", "seed", "gamma", "tau",
+              "levels")
     _override(cfg["inference"], args, "k", "target", "mode")
     _override(cfg["model"], args, "arch", "adapter_style", "branch_feed")
     loss_log = args.loss_log or (args.out + ".loss.csv")
-    backbone, params, history, n_samples = _train(cfg, args.data, _prompt_set(args),
-                                                  loss_log)
+    prompts = _prompt_set(args)
+    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
+    backbone, params, history, n_samples = _train(cfg, train_cfg, _manifests(args.data),
+                                                  prompts, loss_log)
     save_checkpoint(args.out, backbone.config, params)
     if history:
         print(f"trained {len(history)} epochs on {n_samples} samples; "
@@ -251,7 +261,7 @@ def cmd_build_bank(args):
     _override(cfg["inference"], args, "k", "target")
     _override(cfg["train"], args, "seed")
     backbone, params = _load_model(cfg, args.ckpt)
-    bank = _bank(cfg, args.data, backbone, params)
+    bank = _bank(cfg, _manifests(args.data), backbone, params)
     inference.save_bank(args.out, bank)
     print(f"wrote {args.out} ({cfg['inference']['k']} references, "
           f"{bank.cls[0].shape[0]} rows per level)")
@@ -313,7 +323,9 @@ def cmd_eval(args):
     if bank is not None and args.k is not None:
         _check_bank_k(bank, args.k, backbone.config.grid_count)
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
-    report = _evaluate(cfg, args.data, _prompt_set(args), backbone, params, bank,
+    prompts = _prompt_set(args)
+    _, test_samples = _manifests(args.data)
+    report = _evaluate(cfg, test_samples, prompts, backbone, params, bank,
                        beta1, beta2, args.pixel_per_image)
     metrics.write_report(report, json_path=args.out, csv_path=args.csv)
     sys.stdout.write(report.to_json())
@@ -322,12 +334,12 @@ def cmd_eval(args):
     return 0
 
 
-def _run_ablation_row(cfg, data_dir, prompts):
+def _run_ablation_row(cfg, train_cfg, manifests, prompts):
     """Train, build the bank (few-shot) and evaluate one row's config."""
-    backbone, params, _, _ = _train(cfg, data_dir, prompts)
-    bank = (_bank(cfg, data_dir, backbone, params)
+    backbone, params, _, _ = _train(cfg, train_cfg, manifests, prompts)
+    bank = (_bank(cfg, manifests, backbone, params)
             if cfg["inference"]["mode"] == "few-shot" else None)
-    return _evaluate(cfg, data_dir, prompts, backbone, params, bank,
+    return _evaluate(cfg, manifests[1], prompts, backbone, params, bank,
                      *_betas(cfg, bank is not None))
 
 
@@ -340,10 +352,10 @@ ABLATE_COLUMNS = ("arch", "adapter_style", "ensemble_image_auc", "ensemble_pixel
 def cmd_ablate(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "target", "mode", "k")
-    _override(cfg["train"], args, "epochs", "seed")
-    if args.levels:
-        cfg["train"]["levels"] = [int(x) for x in args.levels.split(",")]
+    _override(cfg["train"], args, "epochs", "seed", "levels")
     prompts = _prompt_set(args)
+    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
+    manifests = _manifests(args.data)
 
     archs = [a.strip() for a in args.archs.split(",")] if args.archs else \
         ["adapter", "projector"]
@@ -355,7 +367,7 @@ def cmd_ablate(args):
             echo = copy.deepcopy(cfg)
             echo["model"]["arch"] = arch
             echo["model"]["adapter_style"] = style
-            report = _run_ablation_row(echo, args.data, prompts)
+            report = _run_ablation_row(echo, train_cfg, manifests, prompts)
             row = {"arch": arch, "adapter_style": style, "config": echo,
                    "ensemble_image_auc": report.image_auc,
                    "ensemble_pixel_auc": report.pixel_auc}
@@ -408,7 +420,8 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--tau", type=float)
-    p.add_argument("--levels", help="comma-separated training levels, e.g. 1,2")
+    p.add_argument("--levels", type=_levels,
+                   help="comma-separated training levels, e.g. 1,2")
     p.add_argument("--arch", choices=["adapter", "projector"])
     p.add_argument("--adapter-style", choices=["dual", "single"])
     p.add_argument("--branch-feed", choices=["mean", "cls", "seg"])
@@ -464,7 +477,7 @@ def build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--levels")
+    p.add_argument("--levels", type=_levels)
     p.add_argument("--archs", help="comma-separated subset of adapter,projector")
     p.add_argument("--include-single", action="store_true",
                    help="add a single-adapter row")

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .adaptation import AdaptedFeatures, adapt_forward, text_probabilities
 from .autograd import Tensor, no_grad
-from .errors import BankError, ConfigError, ContractError, NormalizationError
+from .errors import BankError, ConfigError, ContractError
 from .fileio import Reader, write_bytes_atomic
 
 BANK_MAGIC = b"MVFA-BANK\0"
@@ -85,14 +85,6 @@ class AnomalyResult:
     s_levels_few = _branch_field("few", "s_levels")
 
 
-def _normalize_rows(arr):
-    norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
-    zero = np.flatnonzero(norms.reshape(-1) == 0)
-    if zero.size:
-        raise NormalizationError(f"feature row {int(zero[0])} has zero norm")
-    return arr / norms
-
-
 def grid_maps(grids, out_hw):
     """Float64 (h, w) maps of (N,) or (M, N) square-grid scores.
 
@@ -111,7 +103,7 @@ def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
         features, _ = adapt_forward(backbone, params, list(normal_images))
 
     def stores(levels):
-        return [np.concatenate([_normalize_rows(rows.astype(np.float32))
+        return [np.concatenate([ag.unit_rows(rows.astype(np.float32))[0]
                                 for rows in level.data]) for level in levels]
 
     return MemoryBank(stores(features.cls), stores(features.seg))
@@ -152,7 +144,7 @@ def _min_cosine_distances(queries, store):
     exhaustive search. The temporaries are queries x rows plus d values per
     shortlisted pair, not queries x rows x d.
     """
-    q = _normalize_rows(queries)
+    q, _ = ag.unit_rows(queries)
     approx = q @ store.T
     finfo = np.finfo(approx.dtype)
     d, u = q.shape[1], finfo.eps / 2

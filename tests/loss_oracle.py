@@ -8,41 +8,41 @@ its value and its gradients bit for bit.
 import math
 
 import numpy as np
+import ops_oracle as ops
 
 from mvfa import autograd as ag
-from mvfa.adaptation import similarity_logits
 from mvfa.autograd import Tensor
 from mvfa.objective import DICE_SMOOTH, PROB_EPS, _as_mask
 
 
 def dice_loss(p, s):
     mask = _as_mask(s, p)
-    inter = ag.sum(ag.mul(p, Tensor(mask)))
+    inter = ops.sum(ops.mul(p, Tensor(mask)))
     numer = ag.add(ag.scale(inter, 2.0), DICE_SMOOTH)
-    denom = ag.add(ag.sum(p), float(mask.sum()) + DICE_SMOOTH)
-    return ag.add(ag.scale(ag.div(numer, denom), -1.0), 1.0)
+    denom = ag.add(ops.sum(p), float(mask.sum()) + DICE_SMOOTH)
+    return ag.add(ag.scale(ops.div(numer, denom), -1.0), 1.0)
 
 
 def focal_loss(p, s):
     mask = _as_mask(s, p)
     m = Tensor(mask)
-    p_t = ag.add(ag.mul(p, m), ag.mul(ag.add(ag.scale(p, -1.0), 1.0), Tensor(1.0 - mask)))
-    p_t = ag.clip(p_t, PROB_EPS, 1.0 - PROB_EPS)
+    p_t = ag.add(ops.mul(p, m), ops.mul(ag.add(ag.scale(p, -1.0), 1.0), Tensor(1.0 - mask)))
+    p_t = ops.clip(p_t, PROB_EPS, 1.0 - PROB_EPS)
     one_minus = ag.add(ag.scale(p_t, -1.0), 1.0)
-    weight = ag.mul(one_minus, one_minus)
-    return ag.scale(ag.mean(ag.mul(weight, ag.log(p_t))), -1.0)
+    weight = ops.mul(one_minus, one_minus)
+    return ag.scale(ops.mean(ops.mul(weight, ops.log(p_t))), -1.0)
 
 
 def bce_image(prob, c):
     c = int(c)
-    prob = ag.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
+    prob = ops.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
     if c == 1:
-        return ag.scale(ag.log(prob), -1.0)
-    return ag.scale(ag.log(ag.add(ag.scale(prob, -1.0), 1.0)), -1.0)
+        return ag.scale(ops.log(prob), -1.0)
+    return ag.scale(ops.log(ag.add(ag.scale(prob, -1.0), 1.0)), -1.0)
 
 
 def anomaly_column(features, f_text, tau):
-    probs = ag.softmax_rows(similarity_logits(features, f_text, tau))
+    probs = ops.softmax_rows(ops.similarity_logits(features, f_text, tau))
     selector = Tensor(np.array([[0.0], [1.0]], dtype=probs.dtype))
     return ag.matmul(probs, selector)
 
@@ -54,13 +54,13 @@ def level_loss(cls_l, seg_l, f_text, c, s, weights, tau=0.07, out_hw=None):
         if out_hw is None:
             out_hw = np.asarray(s).shape
         anomaly = anomaly_column(seg_l, f_text, tau)
-        upsampled = ag.bilinear_upsample(ag.reshape(anomaly, (grid, grid)), out_hw)
+        upsampled = ops.bilinear_upsample(ops.reshape(anomaly, (grid, grid)), out_hw)
         if weights.lambda1 > 0:
             parts.append(ag.scale(dice_loss(upsampled, s), weights.lambda1))
         if weights.lambda2 > 0:
             parts.append(ag.scale(focal_loss(upsampled, s), weights.lambda2))
     if weights.lambda3 > 0:
-        peak = ag.max(anomaly_column(cls_l, f_text, tau))
+        peak = ops.max(anomaly_column(cls_l, f_text, tau))
         parts.append(ag.scale(bce_image(peak, c), weights.lambda3))
     if not parts:
         return Tensor(np.zeros((), dtype=cls_l.dtype))

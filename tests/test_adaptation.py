@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
+import ops_oracle as ops
 import pytest
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
 from mvfa.adaptation import (Adapter, MVFAParams, adapt_forward, apply_adapter,
                              init_params, load_checkpoint, residual_mix,
-                             save_checkpoint, similarity_logits)
+                             save_checkpoint, text_probabilities)
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, forward_with_hooks, init_backbone
 from mvfa.errors import ConfigError, FormatError, NormalizationError
@@ -124,7 +127,7 @@ def test_cached_stage1_reproduces_features_and_gradients(arch):
         total = outputs[0]
         for f in outputs[1:]:
             total = ag.add(total, f)
-        grads = backward(ag.sum(ag.mul(total, total)))
+        grads = backward(ops.sum(ops.mul(total, total)))
         runs.append(([f.data for f in outputs], [grads[t].data for t in params.tensors()]))
     (full_out, full_grads), (cached_out, cached_grads) = runs
     for a, b in zip(full_out + full_grads, cached_out + cached_grads):
@@ -149,11 +152,11 @@ def test_trainable_set_closure():
     backbone = init_backbone(TOY)
     params = toy_params(randomize_up=True)
     features, _ = adapt_forward(backbone, params, toy_image())
-    loss = ag.mean(ag.mul(features.cls[3], features.cls[3]))
+    loss = ops.mean(ops.mul(features.cls[3], features.cls[3]))
     for level in range(3):
-        loss = ag.add(loss, ag.mean(ag.mul(features.seg[level], features.seg[level])))
-        loss = ag.add(loss, ag.mean(ag.mul(features.cls[level], features.cls[level])))
-    loss = ag.add(loss, ag.mean(ag.mul(features.seg[3], features.seg[3])))
+        loss = ag.add(loss, ops.mean(ops.mul(features.seg[level], features.seg[level])))
+        loss = ag.add(loss, ops.mean(ops.mul(features.cls[level], features.cls[level])))
+    loss = ag.add(loss, ops.mean(ops.mul(features.seg[3], features.seg[3])))
     grads = backward(loss)
     assert set(grads) == set(params.tensors())
 
@@ -163,7 +166,7 @@ def test_seg_adapter_gradient_propagates_through_later_stages():
     params = toy_params(randomize_up=True, dtype=np.float64)
     features, stage = adapt_forward(backbone, params, toy_image(seed=8))
     # a loss reading only the final stage still reaches the level-1 seg adapter
-    grads = backward(ag.mean(ag.mul(stage.f_vis, stage.f_vis)))
+    grads = backward(ops.mean(ops.mul(stage.f_vis, stage.f_vis)))
     g = grads[params.adapters[0].seg.w1].data
     assert np.abs(g).max() > 0
 
@@ -177,8 +180,8 @@ def test_adapted_forward_gradients_match_finite_differences():
         features, _ = adapt_forward(backbone, params, image)
         loss = None
         for level in range(4):
-            term = ag.add(ag.mean(ag.mul(features.cls[level], features.cls[level])),
-                          ag.mean(ag.mul(features.seg[level], features.seg[level])))
+            term = ag.add(ops.mean(ops.mul(features.cls[level], features.cls[level])),
+                          ops.mean(ops.mul(features.seg[level], features.seg[level])))
             loss = term if loss is None else ag.add(loss, term)
         return loss
 
@@ -205,30 +208,30 @@ def test_single_adapter_style_shares_tensors():
     assert len(params.named_tensors()) == 8  # 2 per level + 2 projections
 
 
-# -- similarity logits ----------------------------------------------------------
+# -- text probabilities ---------------------------------------------------------
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
 
 
-def test_similarity_logits_self_row():
+def test_text_probabilities_self_row():
+    # a row along the normal text row has logits 1/tau and cos(normal, abnormal)/tau
     tau = 0.07
     t_normal = unit([1.0, 0.2, 0.0, 0.5])
     t_abnormal = unit([0.1, 1.0, 0.3, 0.0])
-    f_text = Tensor(np.stack([t_normal, t_abnormal]), dtype=np.float64)
-    f = Tensor((2.5 * t_normal).reshape(1, 4), dtype=np.float64)
-    logits = similarity_logits(f, f_text, tau).data
-    assert logits[0, 0] == pytest.approx(1.0 / tau, rel=1e-6)
-    assert logits[0, 1] == pytest.approx(float(t_normal @ t_abnormal) / tau, rel=1e-6)
+    f_text = np.stack([t_normal, t_abnormal])
+    f = (2.5 * t_normal).reshape(1, 4)
+    probs, _ = text_probabilities(f, f_text, tau)
+    gap = (float(t_normal @ t_abnormal) - 1.0) / tau
+    assert probs[0, 1] == pytest.approx(1.0 / (1.0 + np.exp(-gap)), rel=1e-6)
+    assert probs[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(gap)), rel=1e-6)
 
 
-def test_similarity_logits_orthogonal_row():
-    f_text = Tensor(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]), dtype=np.float64)
-    f = Tensor(np.array([[0.0, 0, 2.0, 0]]), dtype=np.float64)
-    logits = similarity_logits(f, f_text, 0.07)
-    assert np.allclose(logits.data, 0.0, atol=1e-12)
-    probs = ag.softmax_rows(logits).data
+def test_text_probabilities_orthogonal_row():
+    f_text = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    f = np.array([[0.0, 0, 2.0, 0]])
+    probs, _ = text_probabilities(f, f_text, 0.07)
     assert np.allclose(probs, 0.5, atol=1e-12)
 
 
@@ -240,21 +243,18 @@ def test_similarity_cosine_gap_sets_anomaly_probability():
     a = (-gap + np.sqrt(2 - gap ** 2)) / 2.0
     f = np.array([[a, a + gap]])  # unit row with cos(abnormal) - cos(normal) = gap
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
-    logits = similarity_logits(Tensor(f, dtype=np.float64),
-                               Tensor(np.stack([t_normal, t_abnormal]),
-                                      dtype=np.float64), tau)
-    prob = ag.softmax_rows(logits).data[0, 1]
+    prob = text_probabilities(f, np.stack([t_normal, t_abnormal]), tau)[0][0, 1]
     expected = 1.0 / (1.0 + np.exp(-gap / tau))
     assert prob == pytest.approx(expected, abs=1e-9)
     assert prob == pytest.approx(0.80668, abs=5e-4)
 
 
 def test_similarity_rejects_zero_rows_and_bad_tau():
-    f_text = Tensor(np.eye(2, 4), dtype=np.float64)
+    f_text = np.eye(2, 4)
     with pytest.raises(NormalizationError, match="row 0"):
-        similarity_logits(Tensor(np.zeros((1, 4)), dtype=np.float64), f_text, 0.07)
+        text_probabilities(np.zeros((1, 4)), f_text, 0.07)
     with pytest.raises(ConfigError):
-        similarity_logits(Tensor(np.ones((1, 4)), dtype=np.float64), f_text, 0.0)
+        text_probabilities(np.ones((1, 4)), f_text, 0.0)
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -285,6 +285,22 @@ def test_checkpoint_round_trip(tmp_path, kwargs):
     second = tmp_path / "model2.ckpt"
     save_checkpoint(second, config, loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+def overflowing_checkpoint(path, shape):
+    """A checkpoint whose one tensor has ``shape``; the value count overflows int64."""
+    payload = [b"MVFA-CKPT\0", struct.pack("<I", 1),
+               struct.pack("<6IQ", 8, 4, 8, 4, 1, 2, 3), struct.pack("<I", 1),
+               struct.pack("<H", 5), b"gamma", struct.pack("<B", len(shape)),
+               struct.pack(f"<{len(shape)}I", *shape), b"\0" * 64]
+    path.write_bytes(b"".join(payload))
+    return path
+
+
+@pytest.mark.parametrize("shape", [(65536,) * 4, (2 ** 31, 2 ** 31, 4)])
+def test_checkpoint_rejects_overflowing_shape(tmp_path, shape):
+    with pytest.raises(FormatError, match="unexpected end of file"):
+        load_checkpoint(overflowing_checkpoint(tmp_path / "bad.ckpt", shape))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

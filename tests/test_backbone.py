@@ -1,4 +1,5 @@
 import numpy as np
+import ops_oracle as ops
 import pytest
 from block_oracle import block_forward
 from fdcheck import check_gradients
@@ -97,7 +98,7 @@ def test_hook_shape_contract():
     backbone = init_backbone(TOY)
     with pytest.raises(ContractError, match="level 1"):
         forward_with_hooks(backbone, toy_image(),
-                           hook=lambda level, f: ag.transpose(f))
+                           hook=lambda level, f: ops.transpose(f))
 
 
 def test_patch_tokens_channels_and_size():
@@ -119,7 +120,7 @@ def test_backbone_never_receives_gradients():
         return ag.matmul(f, w) if level == 1 else f
 
     stage = forward_with_hooks(backbone, toy_image(), hook=hook)
-    grads = backward(ag.mean(stage.f_vis))
+    grads = backward(ops.mean(stage.f_vis))
     assert set(grads) == {w}
 
 
@@ -134,7 +135,7 @@ def test_hook_parameter_gradients_match_finite_differences():
         def hook(level, f):
             return ag.add(f, ag.matmul(f, w)) if level == 2 else f
         stage = forward_with_hooks(backbone, image, hook=hook)
-        return ag.mean(ag.mul(stage.f_vis, stage.f_vis))
+        return ops.mean(ops.mul(stage.f_vis, stage.f_vis))
 
     check_gradients(loss_fn, [w], rel_tol=1e-4)
 
@@ -154,8 +155,8 @@ def test_fused_block_matches_node_by_node_oracle_bitwise(config):
             oracle = block_forward(oracle_in, blk, config)
             assert fused.dtype == oracle.dtype == np.float32
             assert np.array_equal(fused.data, oracle.data)
-            g_fused = backward(ag.sum(ag.mul(fused, upstream)))[fused_in]
-            g_oracle = backward(ag.sum(ag.mul(oracle, upstream)))[oracle_in]
+            g_fused = backward(ops.sum(ops.mul(fused, upstream)))[fused_in]
+            g_oracle = backward(ops.sum(ops.mul(oracle, upstream)))[oracle_in]
             assert np.array_equal(g_fused.data, g_oracle.data)
             x = fused.data
 
@@ -173,11 +174,11 @@ def test_batched_encoder_matches_each_image_bitwise():
         upstream = rng.standard_normal(x.shape).astype(np.float32)
         batch_in = Tensor(x, requires_grad=True)
         batched = _block_forward(batch_in, blk, config)
-        g_batch = backward(ag.sum(ag.mul(batched, Tensor(upstream))))[batch_in].data
+        g_batch = backward(ops.sum(ops.mul(batched, Tensor(upstream))))[batch_in].data
         for i in range(len(images)):
             one_in = Tensor(x[i].copy(), requires_grad=True)
             one = _block_forward(one_in, blk, config)
-            g_one = backward(ag.sum(ag.mul(one, Tensor(upstream[i]))))[one_in].data
+            g_one = backward(ops.sum(ops.mul(one, Tensor(upstream[i]))))[one_in].data
             assert batched.data[i].tobytes() == one.data.tobytes()
             assert g_batch[i].tobytes() == g_one.tobytes()
         x = batched.data
@@ -190,5 +191,5 @@ def test_fused_block_vjp_matches_finite_differences():
                dtype=np.float64)
     upstream = Tensor(rng.standard_normal(x.shape), dtype=np.float64)
     for blocks in backbone.stages:
-        check_gradients(lambda: ag.sum(ag.mul(_block_forward(x, blocks[0], TOY), upstream)),
+        check_gradients(lambda: ops.sum(ops.mul(_block_forward(x, blocks[0], TOY), upstream)),
                         [x], rel_tol=1e-6, step=1e-5)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_adaptation import overflowing_checkpoint
 
+from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import DEFAULT_CONFIG, main
 from mvfa.data import read_pgm
@@ -149,6 +151,48 @@ def test_usage_and_data_error_exit_codes(workdir, tmp_path, capsys):
     code = main(["train", "--config", config, "--data", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "x.ckpt")])
     assert code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape", [(65536,) * 4, (2 ** 31, 2 ** 31, 4)])
+def test_overflowing_checkpoint_shape_is_data_error(workdir, tmp_path, capsys, shape):
+    root, config, data = workdir
+    bad = overflowing_checkpoint(tmp_path / "bad.ckpt", shape)
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(bad)]) == 2
+    assert "unexpected end of file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("levels", ["1,a", "1,,2"])
+def test_bad_levels_is_usage_error(workdir, tmp_path, capsys, command, levels):
+    root, config, data = workdir
+    assert main([command, "--config", config, "--data", data, "--out",
+                 str(tmp_path / "out"), "--levels", levels]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):
+    root, config, data = workdir
+    paths = []
+    original = datamod.load_manifest
+
+    def counted(path, *args, **kwargs):
+        paths.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(datamod, "load_manifest", counted)
+    ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")
+    flags = ["--config", config, "--data", data]
+    for argv in (["train", *flags, "--out", ckpt],
+                 ["build-bank", *flags, "--ckpt", ckpt, "--out", bank],
+                 ["eval", *flags, "--ckpt", ckpt, "--bank", bank],
+                 ["predict", *flags, "--ckpt", ckpt, "--bank", bank,
+                  "--out-dir", str(tmp_path / "pred")],
+                 ["ablate", *flags, "--out", str(tmp_path / "ablation"), "--epochs", "1",
+                  "--include-single"]):
+        paths.clear()
+        assert main(argv) == 0
+        assert [os.path.basename(p) for p in paths] == ["train.jsonl", "test.jsonl"], argv[0]
     capsys.readouterr()
 
 

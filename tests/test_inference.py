@@ -1,10 +1,12 @@
 import tracemalloc
 
 import numpy as np
+import ops_oracle as ops
 import pytest
 from nn_oracle import min_cosine_distance_oracle, normalize_rows_oracle
 
-from mvfa.adaptation import AdaptedFeatures, init_params
+from mvfa import autograd as ag
+from mvfa.adaptation import AdaptedFeatures, init_params, text_probabilities
 from mvfa.autograd import Tensor
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import BankError, ConfigError, FormatError
@@ -96,27 +98,23 @@ def test_zero_shot_scores_lie_in_unit_interval():
 
 
 def test_zero_shot_matches_tensor_ops_bitwise():
-    from mvfa import autograd as ag
-    from mvfa.adaptation import similarity_logits
     rng = np.random.default_rng(6)
     features = random_features(rng, g=16)
     f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
     scores = zero_shot(features, f_text, tau=0.2, out_hw=(16, 16))
     for level in range(4):
-        cls = ag.softmax_rows(similarity_logits(features.cls[level], f_text, 0.2)).data
-        seg = ag.softmax_rows(similarity_logits(features.seg[level], f_text, 0.2)).data
-        upsampled = ag.bilinear_upsample(Tensor(seg[:, 1].reshape(4, 4)), (16, 16)).data
+        cls = ops.softmax_rows(ops.similarity_logits(features.cls[level], f_text, 0.2)).data
+        seg = ops.softmax_rows(ops.similarity_logits(features.seg[level], f_text, 0.2)).data
+        upsampled = ops.bilinear_upsample(Tensor(seg[:, 1].reshape(4, 4)), (16, 16)).data
         assert scores.c_levels[level] == cls[:, 1].max()
         assert scores.s_levels[level].tobytes() == upsampled.astype(np.float64).tobytes()
 
 
 def test_per_pixel_probabilities_sum_to_one():
-    from mvfa import autograd as ag
-    from mvfa.adaptation import similarity_logits
     rng = np.random.default_rng(5)
-    f = Tensor(rng.standard_normal((16, 8)).astype(np.float32))
-    f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-    probs = ag.softmax_rows(similarity_logits(f, f_text, 0.07)).data
+    f = rng.standard_normal((16, 8)).astype(np.float32)
+    f_text = rng.standard_normal((2, 8)).astype(np.float32)
+    probs, _ = text_probabilities(f, f_text, 0.07)
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-6
 
 
@@ -445,7 +443,7 @@ def test_score_batch_equals_per_image_scoring_bitwise():
     import eval_oracle
     from mvfa.adaptation import adapt_forward
     from mvfa.autograd import no_grad
-    from mvfa.inference import _normalize_rows, score_batch
+    from mvfa.inference import score_batch
     from mvfa.textbank import build_text_features, default_prompt_set
 
     config = BackboneConfig()
@@ -460,7 +458,7 @@ def test_score_batch_equals_per_image_scoring_bitwise():
         own = [adapt_forward(backbone, params, image)[0] for image in refs]
     for level in range(4):
         for got, side in ((bank.cls[level], "cls"), (bank.seg[level], "seg")):
-            rows = [_normalize_rows(getattr(f, side)[level].data.astype(np.float32))
+            rows = [ag.unit_rows(getattr(f, side)[level].data.astype(np.float32))[0]
                     for f in own]
             assert _same(got, np.concatenate(rows))
 

@@ -2,12 +2,13 @@ import tracemalloc
 
 import loss_oracle
 import numpy as np
+import ops_oracle as ops
 import pytest
 import train_oracle
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
-from mvfa.adaptation import adapt_forward, init_params, similarity_logits
+from mvfa.adaptation import adapt_forward, init_params
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample
@@ -123,8 +124,8 @@ def test_level_loss_bce_only_reduction():
     s = (np.random.default_rng(2).uniform(0, 1, (8, 8)) > 0.5).astype(float)
     only_bce = level_loss(cls_l, seg_l, f_text, 1, s, LossWeights(0.0, 0.0, 1.0),
                           tau=0.07, out_hw=(8, 8))
-    peak = ag.max(ag.softmax_rows(ag.matmul(ag.l2norm_rows(cls_l),
-                                            ag.transpose(ag.l2norm_rows(f_text)))))
+    peak = ops.max(ops.softmax_rows(ag.matmul(ops.l2norm_rows(cls_l),
+                                            ops.transpose(ops.l2norm_rows(f_text)))))
     # orthogonal rows give uniform probability 0.5, so the BCE peak is ln 2
     assert float(only_bce.data) == pytest.approx(LN2, rel=1e-9)
 
@@ -268,7 +269,7 @@ def test_fused_level_loss_matches_op_by_op_oracle_bitwise(case, dtype, c):
     expected = run(loss_oracle.level_loss)
     _assert_same_bits(got, expected)
     if case == "saturated":  # the clip bounds were reached on both sides
-        probs = ag.softmax_rows(similarity_logits(Tensor(seg), f_text, tau)).data
+        probs = ops.softmax_rows(ops.similarity_logits(Tensor(seg), f_text, tau)).data
         assert probs.min() < PROB_EPS and probs.max() > 1 - PROB_EPS
 
 
