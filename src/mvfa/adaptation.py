@@ -29,7 +29,6 @@ ARCH_ADAPTER = "adapter"
 ARCH_PROJECTOR = "projector"
 STYLE_DUAL = "dual"
 STYLE_SINGLE = "single"
-BRANCH_FEEDS = ("mean", "cls", "seg")
 
 
 class Adapter:
@@ -66,63 +65,73 @@ class MVFAParams:
     ``arch`` switches between the default adapter architecture and the
     ablation variant with isolated per-level projectors (no feed-forward of
     adapted features). ``adapter_style`` single aliases the cls/seg branch
-    to one shared adapter per level. ``branch_feed`` selects what enters
-    the residual mix that feeds the next stage.
+    to one shared adapter per level. Adapters are ``dim // 4`` wide.
+
+    The constructor is the one place that names, orders and aliases the
+    tensors of each layout. It asks ``tensor(name, kind, shape)`` for each
+    tensor in canonical order, where ``kind`` is "down", "up" or
+    "projection"; seeded initialization and checkpoint loading are two
+    such callbacks, so a checkpoint's names and shapes fix the model.
     """
 
-    def __init__(self, gamma, arch, adapter_style, branch_feed,
-                 adapters=None, projector=None, level_projectors=None):
+    def __init__(self, dim, gamma, arch, adapter_style, tensor):
         if not 0.0 <= gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
         if arch not in (ARCH_ADAPTER, ARCH_PROJECTOR):
             raise ConfigError(f"unknown architecture {arch!r}")
         if adapter_style not in (STYLE_DUAL, STYLE_SINGLE):
             raise ConfigError(f"unknown adapter style {adapter_style!r}")
-        if branch_feed not in BRANCH_FEEDS:
-            raise ConfigError(f"unknown branch feed {branch_feed!r}")
         self.gamma = float(gamma)
         self.arch = arch
         self.adapter_style = adapter_style
-        self.branch_feed = branch_feed
-        self.adapters = adapters
-        self.projector = projector
-        self.level_projectors = level_projectors
+        self.adapters = self.projector = self.level_projectors = None
+        self._named = []
+        width = dim // 4
+
+        def take(name, kind, shape):
+            t = tensor(name, kind, shape)
+            self._named.append((name, t))
+            return t
+
+        def adapter(prefix):
+            return Adapter(take(f"{prefix}.down", "down", (dim, width)),
+                           take(f"{prefix}.up", "up", (width, dim)))
+
+        def projector(prefix):
+            return Projector(take(f"{prefix}.cls", "projection", (dim, dim)),
+                             take(f"{prefix}.seg", "projection", (dim, dim)))
+
+        if arch == ARCH_PROJECTOR:
+            self.level_projectors = [projector(f"level{i}") for i in range(1, 5)]
+            return
+        self.adapters = []
+        for i in range(1, 4):
+            if adapter_style == STYLE_DUAL:
+                self.adapters.append(DualAdapter(adapter(f"adapter{i}.cls"),
+                                                 adapter(f"adapter{i}.seg")))
+            else:
+                shared = adapter(f"adapter{i}")
+                self.adapters.append(DualAdapter(shared, shared))
+        self.projector = projector("projector")
 
     def named_tensors(self):
         """Canonical (name, tensor) list; aliased tensors appear once."""
-        out = []
-        if self.arch == ARCH_ADAPTER:
-            for i, dual in enumerate(self.adapters, start=1):
-                if self.adapter_style == STYLE_DUAL:
-                    out += [(f"adapter{i}.cls.down", dual.cls.w1),
-                            (f"adapter{i}.cls.up", dual.cls.w2),
-                            (f"adapter{i}.seg.down", dual.seg.w1),
-                            (f"adapter{i}.seg.up", dual.seg.w2)]
-                else:
-                    out += [(f"adapter{i}.down", dual.cls.w1),
-                            (f"adapter{i}.up", dual.cls.w2)]
-            out += [("projector.cls", self.projector.w_cls),
-                    ("projector.seg", self.projector.w_seg)]
-        else:
-            for i, proj in enumerate(self.level_projectors, start=1):
-                out += [(f"level{i}.cls", proj.w_cls),
-                        (f"level{i}.seg", proj.w_seg)]
-        return out
+        return list(self._named)
 
     def tensors(self):
-        return [t for _, t in self.named_tensors()]
+        return [t for _, t in self._named]
 
 
 def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_DUAL,
-                branch_feed="mean", bottleneck=None, dtype=np.float32,
-                text_features=None) -> MVFAParams:
-    """Seeded initialization of the trainable tensors.
+                dtype=np.float32, text_features=None) -> MVFAParams:
+    """Seeded initialization of the trainable tensors, drawn in canonical order.
 
     Adapter down-projections start random at 1/sqrt(dim) scale and
     up-projections start at zero, so an untrained adapter contributes
     nothing and the mixed features equal (1 - gamma) times the frozen
     ones. Projections are random at 1/sqrt(dim) scale (a zero projector
-    would produce unnormalizable all-zero rows).
+    would produce unnormalizable all-zero rows). ``dim`` must be at least
+    4, so that the ``dim // 4`` adapter width is not zero.
 
     When ``text_features`` (the 2 x dim text matrix) is given, projection
     columns are orthogonalized against the text rows, so every projected
@@ -130,10 +139,8 @@ def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_D
     calibrated instead of confidently wrong, which matters at small step
     budgets.
     """
-    if bottleneck is None:
-        bottleneck = dim // 4
-    if not 0 < bottleneck < dim:
-        raise ConfigError(f"bottleneck width must be in (0, dim), got {bottleneck}")
+    if dim < 4:
+        raise ConfigError(f"dim must be at least 4 for a dim // 4 adapter width, got {dim}")
     rng = np.random.default_rng(seed)
 
     text_complement = None
@@ -143,37 +150,15 @@ def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_D
         basis, _ = np.linalg.qr(rows.T)
         text_complement = np.eye(dim) - basis @ basis.T
 
-    def rand(rows, cols):
-        return Tensor((rng.standard_normal((rows, cols)) / np.sqrt(dim)).astype(dtype),
-                      requires_grad=True)
+    def draw(name, kind, shape):
+        if kind == "up":
+            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        w = (rng.standard_normal(shape) / np.sqrt(dim)).astype(dtype)
+        if kind == "projection" and text_complement is not None:
+            w = (w.astype(np.float64) @ text_complement).astype(dtype)
+        return Tensor(w, requires_grad=True)
 
-    def zero(rows, cols):
-        return Tensor(np.zeros((rows, cols), dtype=dtype), requires_grad=True)
-
-    def projection():
-        w = rand(dim, dim)
-        if text_complement is not None:
-            w.data = (w.data.astype(np.float64) @ text_complement).astype(dtype)
-        return w
-
-    def adapter():
-        return Adapter(rand(dim, bottleneck), zero(bottleneck, dim))
-
-    if arch == ARCH_PROJECTOR:
-        level_projectors = [Projector(projection(), projection()) for _ in range(4)]
-        return MVFAParams(gamma, arch, adapter_style, branch_feed,
-                          level_projectors=level_projectors)
-
-    adapters = []
-    for _ in range(3):
-        if adapter_style == STYLE_DUAL:
-            adapters.append(DualAdapter(adapter(), adapter()))
-        else:
-            shared = adapter()
-            adapters.append(DualAdapter(shared, shared))
-    projector = Projector(projection(), projection())
-    return MVFAParams(gamma, arch, adapter_style, branch_feed,
-                      adapters=adapters, projector=projector)
+    return MVFAParams(dim, gamma, arch, adapter_style, draw)
 
 
 def apply_adapter(f: Tensor, a: Adapter) -> Tensor:
@@ -197,7 +182,7 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
     giving (B, N, d). Returns (AdaptedFeatures, StageFeatures). In adapter
     mode levels 1..3
     produce residually mixed cls/seg features and the next stage receives
-    the branch-feed mix; level 4 is the projector applied to the final
+    the residual mix of their mean; level 4 is the projector applied to the final
     features. In projector mode the encoder runs untouched and every level
     gets its own isolated projection pair. ``stage1`` is passed through to
     :func:`forward_with_hooks` for the training loop.
@@ -222,13 +207,7 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
             seg_adapted = apply_adapter(f, dual.seg)
         mixed[level] = (residual_mix(f, cls_adapted, gamma),
                         residual_mix(f, seg_adapted, gamma))
-        if params.branch_feed == "cls":
-            feed = cls_adapted
-        elif params.branch_feed == "seg":
-            feed = seg_adapted
-        else:
-            feed = ag.scale(ag.add(cls_adapted, seg_adapted), 0.5)
-        return residual_mix(f, feed, gamma)
+        return residual_mix(f, ag.scale(ag.add(cls_adapted, seg_adapted), 0.5), gamma)
 
     stage = forward_with_hooks(backbone, image, hook, stage1=stage1)
     cls = [mixed[1][0], mixed[2][0], mixed[3][0],
@@ -272,8 +251,8 @@ def _check_tau(tau):
 # (image_size, patch_size, dim, stages, blocks_per_stage, heads), u64 seed,
 # u32 tensor count, then per tensor: u16 name length, UTF-8 name, u8 rank,
 # u32 dims, 32-bit little-endian values. The trainable tensors plus a
-# rank-0 "gamma" entry are stored; the architecture is recovered from the
-# tensor names.
+# rank-0 "gamma" entry are stored; the layout is recovered from the tensor
+# names, and every shape must be the one the layout gives for dim.
 
 def save_checkpoint(path, config: BackboneConfig, params: MVFAParams):
     entries = params.named_tensors() + [("gamma", Tensor(np.float32(params.gamma)))]
@@ -308,8 +287,12 @@ def _read_entries(reader: Reader):
     return entries
 
 
-def load_checkpoint(path, branch_feed="mean"):
-    """Read a checkpoint back into (BackboneConfig, MVFAParams)."""
+def load_checkpoint(path):
+    """Read a checkpoint back into (BackboneConfig, MVFAParams).
+
+    The tensor names give the layout; every tensor must have the shape its
+    layout gives for the checkpoint's ``dim``.
+    """
     with open(path, "rb") as fh:
         reader = Reader(fh.read(), str(path))
     reader.expect(CHECKPOINT_MAGIC)
@@ -329,30 +312,21 @@ def load_checkpoint(path, branch_feed="mean"):
         raise FormatError(f"{path}: missing gamma entry")
     gamma = float(entries.pop("gamma"))
 
-    def trainable(name):
+    def stored(name, kind, shape):
         if name not in entries:
             raise FormatError(f"{path}: missing tensor {name!r}")
-        return Tensor(entries.pop(name), requires_grad=True)
+        value = entries.pop(name)
+        if value.shape != shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape {value.shape}, "
+                              f"but dim {dim} needs {shape}")
+        return Tensor(value, requires_grad=True)
 
     if any(name.startswith("level") for name in entries):
-        projs = [Projector(trainable(f"level{i}.cls"), trainable(f"level{i}.seg"))
-                 for i in range(1, 5)]
-        params = MVFAParams(gamma, ARCH_PROJECTOR, STYLE_DUAL, branch_feed,
-                            level_projectors=projs)
+        arch, style = ARCH_PROJECTOR, STYLE_DUAL
     else:
-        dual = "adapter1.cls.down" in entries
-        adapters = []
-        for i in range(1, 4):
-            if dual:
-                adapters.append(DualAdapter(
-                    Adapter(trainable(f"adapter{i}.cls.down"), trainable(f"adapter{i}.cls.up")),
-                    Adapter(trainable(f"adapter{i}.seg.down"), trainable(f"adapter{i}.seg.up"))))
-            else:
-                shared = Adapter(trainable(f"adapter{i}.down"), trainable(f"adapter{i}.up"))
-                adapters.append(DualAdapter(shared, shared))
-        projector = Projector(trainable("projector.cls"), trainable("projector.seg"))
-        params = MVFAParams(gamma, ARCH_ADAPTER, STYLE_DUAL if dual else STYLE_SINGLE,
-                            branch_feed, adapters=adapters, projector=projector)
+        arch = ARCH_ADAPTER
+        style = STYLE_DUAL if "adapter1.cls.down" in entries else STYLE_SINGLE
+    params = MVFAParams(dim, gamma, arch, style, stored)
     if entries:
         raise FormatError(f"{path}: unexpected tensors {sorted(entries)}")
     return config, params

@@ -57,6 +57,9 @@ class BackboneConfig:
             raise ConfigError("the encoder is defined with exactly 4 stages")
         if self.blocks_per_stage < 1:
             raise ConfigError("blocks_per_stage must be at least 1")
+        if self.dim < 1 or self.heads < 1:
+            raise ConfigError(f"dim and heads must be at least 1, got {self.dim} and "
+                              f"{self.heads}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if not 0 <= self.seed < 2 ** 64:

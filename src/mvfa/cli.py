@@ -26,10 +26,8 @@ from .errors import BankError, ConfigError, MVFAError, NumericError
 from .fileio import write_text_atomic
 
 DEFAULT_CONFIG = {
-    "backbone": {"image_size": 64, "patch_size": 8, "dim": 64, "stages": 4,
-                 "blocks_per_stage": 2, "heads": 4, "seed": 0},
-    "model": {"init_seed": 7, "arch": "adapter", "adapter_style": "dual",
-              "branch_feed": "mean", "bottleneck": None},
+    "backbone": dataclasses.asdict(BackboneConfig()),
+    "model": {"init_seed": 7, "arch": "adapter", "adapter_style": "dual"},
     "train": {"lr": 1e-3, "batch_size": 16, "epochs": 50, "seed": 42, "gamma": 0.1,
               "lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "tau": 0.07,
               "levels": [1, 2, 3, 4]},
@@ -97,16 +95,14 @@ def _check_section(path, section, given, defaults):
 def _check_type(path, name, value, default):
     """Reject a value whose JSON type differs from that of its default.
 
-    Booleans are not numbers, an integer is a valid float, a list's items
-    must match the first default item, and a null default (the derived
-    model.bottleneck) takes null or an integer.
+    Booleans are not numbers, an integer is a valid float, and a list's
+    items must match the first default item.
     """
     kinds = [(bool, (bool,), "true or false"),
              (int, (int,), "an integer"),
              (float, (int, float), "a number"),
              (str, (str,), "a string"),
-             ((list, tuple), (list,), "a JSON list"),
-             (type(None), (int, type(None)), "an integer or null")]
+             ((list, tuple), (list,), "a JSON list")]
     for default_types, allowed, kind in kinds:
         if isinstance(default, default_types):
             break
@@ -153,8 +149,8 @@ def _manifests(data_dir):
     return (datamod.load_manifest(train_path), datamod.load_manifest(test_path))
 
 
-def _load_model(cfg, ckpt):
-    backbone_cfg, params = load_checkpoint(ckpt, branch_feed=cfg["model"]["branch_feed"])
+def _load_model(ckpt):
+    backbone_cfg, params = load_checkpoint(ckpt)
     return init_backbone(backbone_cfg), params
 
 
@@ -175,13 +171,12 @@ def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
         raise ConfigError(f"unknown mode {inf['mode']!r}")
     loaded = datamod.load_samples(train_set)
 
-    text = _text_features(prompts, {s.modality for s in loaded} | {inf["target"]},
-                          cfg["text_seed"], cfg["backbone"]["dim"])
     backbone_cfg = BackboneConfig(**cfg["backbone"])
+    text = _text_features(prompts, {s.modality for s in loaded} | {inf["target"]},
+                          cfg["text_seed"], backbone_cfg.dim)
     backbone = init_backbone(backbone_cfg)
     params = init_params(backbone_cfg.dim, seed=model["init_seed"], gamma=train_cfg.gamma,
                          arch=model["arch"], adapter_style=model["adapter_style"],
-                         branch_feed=model["branch_feed"], bottleneck=model["bottleneck"],
                          text_features=np.concatenate([t.data for _, t in
                                                        sorted(text.items())]))
     history = objective.train(backbone, params, loaded, text, train_cfg,
@@ -211,15 +206,14 @@ def _betas(cfg, have_bank, beta1=None, beta2=None):
     return beta1, beta2
 
 
-def _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2,
-              pixel_per_image=False):
+def _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2):
     """Score the target's test samples and report their AUCs."""
     inf = cfg["inference"]
     samples = [s for s in test_samples if s.modality == inf["target"]]
     text = _text_features(prompts, {s.modality for s in samples}, cfg["text_seed"],
                           backbone.config.dim)
     return metrics.evaluate(backbone, params, samples, text, bank=bank, beta1=beta1,
-                            beta2=beta2, tau=inf["tau"], pixel_per_image=pixel_per_image)
+                            beta2=beta2, tau=inf["tau"])
 
 
 def cmd_gen_data(args):
@@ -239,7 +233,7 @@ def cmd_train(args):
     _override(cfg["train"], args, "epochs", "lr", "batch_size", "seed", "gamma", "tau",
               "levels")
     _override(cfg["inference"], args, "k", "target", "mode")
-    _override(cfg["model"], args, "arch", "adapter_style", "branch_feed")
+    _override(cfg["model"], args, "arch", "adapter_style")
     loss_log = args.loss_log or (args.out + ".loss.csv")
     prompts = _prompt_set(args)
     train_cfg = objective.TrainConfig.from_dict(cfg["train"])
@@ -260,7 +254,7 @@ def cmd_build_bank(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "k", "target")
     _override(cfg["train"], args, "seed")
-    backbone, params = _load_model(cfg, args.ckpt)
+    backbone, params = _load_model(args.ckpt)
     bank = _bank(cfg, _manifests(args.data), backbone, params)
     inference.save_bank(args.out, bank)
     print(f"wrote {args.out} ({cfg['inference']['k']} references, "
@@ -272,7 +266,7 @@ def cmd_predict(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "target", "mode")
     inf = cfg["inference"]
-    backbone, params = _load_model(cfg, args.ckpt)
+    backbone, params = _load_model(args.ckpt)
     bank = inference.load_bank(args.bank) if args.bank else None
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
 
@@ -318,15 +312,14 @@ def _check_bank_k(bank, k, rows_per_image):
 def cmd_eval(args):
     cfg = _load_config(args.config)
     _override(cfg["inference"], args, "target", "mode", "k")
-    backbone, params = _load_model(cfg, args.ckpt)
+    backbone, params = _load_model(args.ckpt)
     bank = inference.load_bank(args.bank) if args.bank else None
     if bank is not None and args.k is not None:
         _check_bank_k(bank, args.k, backbone.config.grid_count)
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
     prompts = _prompt_set(args)
     _, test_samples = _manifests(args.data)
-    report = _evaluate(cfg, test_samples, prompts, backbone, params, bank,
-                       beta1, beta2, args.pixel_per_image)
+    report = _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2)
     metrics.write_report(report, json_path=args.out, csv_path=args.csv)
     sys.stdout.write(report.to_json())
     if args.out:
@@ -424,7 +417,6 @@ def build_parser():
                    help="comma-separated training levels, e.g. 1,2")
     p.add_argument("--arch", choices=["adapter", "projector"])
     p.add_argument("--adapter-style", choices=["dual", "single"])
-    p.add_argument("--branch-feed", choices=["mean", "cls", "seg"])
     p.add_argument("--prompts", help="prompt pattern file")
     p.set_defaults(func=cmd_train)
 
@@ -464,7 +456,6 @@ def build_parser():
     p.add_argument("--beta2", type=float)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="one-line report CSV path")
-    p.add_argument("--pixel-per-image", action="store_true")
     p.add_argument("--prompts")
     p.set_defaults(func=cmd_eval)
 

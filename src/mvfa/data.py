@@ -123,13 +123,20 @@ class SynthConfig:
             raise ConfigError("image_size must be at least 8")
         if not self.modalities:
             raise ConfigError("need at least one modality profile")
-        if self.defect_radius[0] <= 0 or self.defect_radius[0] > self.defect_radius[1]:
-            raise ConfigError(f"bad defect radius range {self.defect_radius}")
-        if 2 * (self.defect_radius[1] + 1) >= self.image_size:
-            raise ConfigError(f"defect radius {self.defect_radius[1]} leaves no room "
-                              f"in a {self.image_size}px image")
-        if self.defect_count[0] < 1 or self.defect_count[0] > self.defect_count[1]:
-            raise ConfigError(f"bad defect count range {self.defect_count}")
+        self._check_range("defect_count", lambda low: low >= 1)
+        self._check_range("benign_count", lambda low: low >= 0)
+        for name in ("defect_radius", "benign_radius"):
+            self._check_range(name, lambda low: low > 0)
+            high = getattr(self, name)[1]
+            if 2 * (high + 1) >= self.image_size:
+                raise ConfigError(f"{name.replace('_', ' ')} {high} leaves no room "
+                                  f"in a {self.image_size}px image")
+
+    def _check_range(self, name, low_is_valid):
+        """Reject a range that is not two ordered values with a valid low end."""
+        value = getattr(self, name)
+        if len(value) != 2 or value[0] > value[1] or not low_is_valid(value[0]):
+            raise ConfigError(f"bad {name.replace('_', ' ')} range {list(value)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":

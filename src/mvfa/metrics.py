@@ -2,8 +2,7 @@
 
 AUC uses the rank-sum formulation with midranks for ties, which makes it
 equal to the pairwise win/tie count without enumerating pairs. Pixel AUC
-pools every scored pixel across the test set by default; a per-image
-average is available behind a flag.
+pools every scored pixel across the test set.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from .data import LoadedSample, load_sample
 from .errors import DataError, MetricError
+from .fileio import write_text_atomic
 from .inference import grid_maps, score_batch
 
 # images loaded and scored per batch: it bounds what scoring holds at once,
@@ -153,24 +153,18 @@ def _fused_level_maps(results, level, beta1, beta2):
     return pool
 
 
-def _pixel_aucs(masks, results, beta1, beta2, pixel_per_image):
-    """Pixel AUC of the fused maps, pooled or averaged per image, and pooled per level."""
+def _pixel_aucs(masks, results, beta1, beta2):
+    """Pooled pixel AUC of the fused maps, overall and per level."""
     mask_pixels = np.concatenate([mask.reshape(-1) for mask in masks])
-    if pixel_per_image:
-        per_image = [_maybe_auc(r.s_pred.reshape(-1), mask.reshape(-1))
-                     for mask, r in zip(masks, results)]
-        valid = [v for v in per_image if v is not None]
-        pixel_auc = float(np.mean(valid)) if valid else None
-    else:
-        pixel_auc = _maybe_auc(np.concatenate([r.s_pred.reshape(-1) for r in results]),
-                               mask_pixels)
+    pixel_auc = _maybe_auc(np.concatenate([r.s_pred.reshape(-1) for r in results]),
+                           mask_pixels)
     per_level = [_maybe_auc(_fused_level_maps(results, level, beta1, beta2).reshape(-1),
                             mask_pixels) for level in range(4)]
     return pixel_auc, per_level
 
 
 def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
-             beta2=0.5, tau=0.07, pixel_per_image=False) -> Report:
+             beta2=0.5, tau=0.07) -> Report:
     """Score a test set and assemble image/pixel/per-level AUCs.
 
     Only each image's label, modality, mask and lean result are kept; the
@@ -200,8 +194,7 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     per_level_pixel = None
     if masked:
         pixel_auc, per_level_pixel = _pixel_aucs(
-            [masks[i] for i in masked], [results[i] for i in masked], beta1, beta2,
-            pixel_per_image)
+            [masks[i] for i in masked], [results[i] for i in masked], beta1, beta2)
 
     per_modality = {}
     for modality in sorted(set(modalities)):
@@ -224,7 +217,6 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
 
 
 def write_report(report: Report, json_path=None, csv_path=None):
-    from .fileio import write_text_atomic
     if json_path is not None:
         os.makedirs(os.path.dirname(os.path.abspath(json_path)), exist_ok=True)
         write_text_atomic(json_path, report.to_json())

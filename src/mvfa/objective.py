@@ -41,9 +41,9 @@ from . import autograd as ag
 from .adaptation import AdaptedFeatures, MVFAParams, adapt_forward, text_probabilities
 from .autograd import Tensor
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from .fileio import write_text_atomic
 
 PROB_EPS = 1e-7
-FOCAL_GAMMA = 2.0
 DICE_SMOOTH = 1.0
 
 
@@ -329,7 +329,7 @@ def _sum_samples(totals):
 
 
 def train(backbone, params: MVFAParams, samples, text_features: dict,
-          config: TrainConfig, loss_log_path=None, on_epoch=None):
+          config: TrainConfig, loss_log_path=None):
     """Optimize the adapter parameters on loaded samples.
 
     ``samples`` are objects with image/label/mask/modality attributes;
@@ -378,12 +378,9 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
             adam_step(active, grads, state, config.lr)
             weighted += value * len(chunk)
         history.append(weighted / len(samples))
-        if on_epoch is not None:
-            on_epoch(epoch + 1, history[-1])
 
     if loss_log_path is not None:
         lines = ["epoch,mean_loss"]
         lines += [f"{i + 1},{value:.8f}" for i, value in enumerate(history)]
-        from .fileio import write_text_atomic
         write_text_atomic(loss_log_path, "\n".join(lines) + "\n")
     return history

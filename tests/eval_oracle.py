@@ -90,7 +90,7 @@ def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5
 
 
 def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
-             beta2=0.5, tau=0.07, pixel_per_image=False):
+             beta2=0.5, tau=0.07):
     """Every image's full result held at once, then the AUCs."""
     loaded = [s if isinstance(s, LoadedSample) else load_sample(s) for s in samples]
     results = [score_image(backbone, params, s.image, text_features[s.modality], bank,
@@ -118,14 +118,8 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     per_level_pixel = None
     if masked:
         mask_pixels = np.concatenate([s.mask.reshape(-1) for s, _ in masked])
-        if pixel_per_image:
-            per_image = [_maybe_auc(r.s_pred.reshape(-1), s.mask.reshape(-1))
-                         for s, r in masked]
-            valid = [v for v in per_image if v is not None]
-            pixel_auc = float(np.mean(valid)) if valid else None
-        else:
-            pooled = np.concatenate([r.s_pred.reshape(-1) for _, r in masked])
-            pixel_auc = _maybe_auc(pooled, mask_pixels)
+        pooled = np.concatenate([r.s_pred.reshape(-1) for _, r in masked])
+        pixel_auc = _maybe_auc(pooled, mask_pixels)
         per_level_pixel = []
         for level in range(4):
             pooled = np.concatenate([fused_level(r, level)[1].reshape(-1)

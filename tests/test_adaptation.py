@@ -134,20 +134,6 @@ def test_cached_stage1_reproduces_features_and_gradients(arch):
         assert np.array_equal(a, b)
 
 
-def test_branch_independence_under_cls_feed():
-    backbone = init_backbone(TOY)
-    image = toy_image(seed=7)
-    params = toy_params(seed=3, randomize_up=True, branch_feed="cls")
-    before, _ = adapt_forward(backbone, params, image)
-    for dual in params.adapters:
-        dual.seg.w1.data = np.zeros_like(dual.seg.w1.data)
-        dual.seg.w2.data = np.zeros_like(dual.seg.w2.data)
-    after, _ = adapt_forward(backbone, params, image)
-    for level in range(3):
-        assert np.array_equal(before.cls[level].data, after.cls[level].data)
-    assert not np.array_equal(before.seg[0].data, after.seg[0].data)
-
-
 def test_trainable_set_closure():
     backbone = init_backbone(TOY)
     params = toy_params(randomize_up=True)
@@ -285,6 +271,23 @@ def test_checkpoint_round_trip(tmp_path, kwargs):
     second = tmp_path / "model2.ckpt"
     save_checkpoint(second, config, loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_init_params_rejects_a_zero_adapter_width():
+    with pytest.raises(ConfigError, match="dim must be at least 4"):
+        init_params(3)
+
+
+def test_checkpoint_rejects_a_custom_adapter_width(tmp_path):
+    params = init_params(TOY.dim, seed=6)
+    for dual in params.adapters:
+        for adapter in (dual.cls, dual.seg):
+            adapter.w1.data = np.zeros((TOY.dim, 3), dtype=np.float32)
+            adapter.w2.data = np.zeros((3, TOY.dim), dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TOY, params)
+    with pytest.raises(FormatError, match=r"'adapter1.cls.down' has shape \(8, 3\)"):
+        load_checkpoint(path)
 
 
 def overflowing_checkpoint(path, shape):

@@ -199,7 +199,8 @@ def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkey
 @pytest.mark.parametrize("section, key, command", [
     ("train", "bogus", "train"), ("backbone", "dims", "train"), ("data", "sed", "gen-data"),
     ("model", "arhc", "train"), ("inference", "beta3", "eval"), (None, "trian", "train"),
-    ("modality profile", "contrats", "gen-data"), ("inference", "normalize_few", "eval")])
+    ("modality profile", "contrats", "gen-data"), ("inference", "normalize_few", "eval"),
+    ("model", "branch_feed", "train"), ("model", "bottleneck", "train")])
 def test_unknown_config_key_is_config_error(workdir, tmp_path, capsys, section, key, command):
     root, config, data = workdir
     user = json.loads(open(config).read())
@@ -239,6 +240,37 @@ def test_mistyped_config_value_is_config_error(workdir, tmp_path, capsys, sectio
     err = capsys.readouterr().err
     assert f"config error: config {bad}: {section}.{key}" in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "x.ckpt") and not os.path.exists(tmp_path / "gen")
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    ("backbone", "heads", 0, "train"), ("backbone", "heads", -2, "train"),
+    ("backbone", "dim", 0, "train"), ("data", "defect_radius", [6], "gen-data"),
+    ("data", "defect_count", [1], "gen-data"), ("data", "benign_count", [2, 1], "gen-data"),
+    ("data", "benign_radius", [-3, 1], "gen-data"),
+    ("data", "defect_count", [1, 2, 3], "gen-data"),
+    ("data", "benign_radius", [1.5, 7.0], "gen-data")])
+def test_invalid_config_value_is_config_error(workdir, tmp_path, capsys, section, key, value,
+                                              command):
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    argv = {"train": ["--data", data, "--out", str(tmp_path / "x.ckpt")],
+            "gen-data": ["--out", str(tmp_path / "gen")]}[command]
+    assert main([command, "--config", str(bad)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "x.ckpt") and not os.path.exists(tmp_path / "gen")
+
+
+@pytest.mark.parametrize("argv", [["train", "--branch-feed", "cls"],
+                                  ["eval", "--ckpt", "x.ckpt", "--pixel-per-image"]])
+def test_deleted_flags_are_usage_errors(workdir, tmp_path, capsys, argv):
+    root, config, data = workdir
+    out = ["--out", str(tmp_path / "x.ckpt")] if argv[0] == "train" else []
+    assert main(argv + ["--config", config, "--data", data] + out) == 1
+    assert "usage error: unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("user, message", [
@@ -286,6 +318,38 @@ def test_unusable_bank_is_data_error(workdir, tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 2
             assert message in err and "Traceback" not in err
+
+
+def test_checkpoint_alone_fixes_the_eval_report(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")
+    assert main(["train", "--config", config, "--data", data, "--out", ckpt]) == 0
+    assert main(["build-bank", "--config", config, "--data", data, "--ckpt", ckpt,
+                 "--out", bank]) == 0
+    reports = []
+    for model in ({}, {"arch": "projector", "adapter_style": "single", "init_seed": 3}):
+        other = tmp_path / f"config{len(reports)}.json"
+        other.write_text(json.dumps({**CONFIG, "model": model}), encoding="utf-8")
+        report = tmp_path / f"report{len(reports)}.json"
+        assert main(["eval", "--config", str(other), "--data", data, "--ckpt", ckpt,
+                     "--bank", bank, "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_checkpoint_shape_off_its_dim_is_data_error(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    payload = bytearray(ckpt.read_bytes())
+    payload[22:26] = (32).to_bytes(4, "little")  # the header's dim field: 16 -> 32
+    ckpt.write_bytes(bytes(payload))
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "has shape (16, 4), but dim 32 needs (32, 8)" in err and "Traceback" not in err
 
 
 def test_eval_k_must_match_the_bank(workdir, tmp_path, capsys):

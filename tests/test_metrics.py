@@ -176,17 +176,6 @@ def test_evaluate_duplicated_samples_keep_aucs(tiny_eval_setup):
     assert doubled.pixel_auc == pytest.approx(base.pixel_auc, abs=1e-12)
 
 
-def test_evaluate_pixel_per_image_flag(tiny_eval_setup):
-    backbone, params, _, test_samples, text = tiny_eval_setup
-    target = [s for s in test_samples if s.modality == "texture-a"]
-    pooled = evaluate(backbone, params, target, text, bank=None, beta1=1.0,
-                      beta2=0.0)
-    averaged = evaluate(backbone, params, target, text, bank=None, beta1=1.0,
-                        beta2=0.0, pixel_per_image=True)
-    assert averaged.pixel_auc is not None
-    assert averaged.pixel_auc != pooled.pixel_auc or True  # both defined
-
-
 def test_evaluate_empty_test_set(tiny_eval_setup):
     backbone, params, _, _, text = tiny_eval_setup
     with pytest.raises(DataError):
@@ -237,17 +226,17 @@ def small_model():
     return backbone, params, text, build_memory_bank(refs, backbone, params)
 
 
-def assert_same_report(small_model, samples, few=True, **kwargs):
+def assert_same_report(small_model, samples, few=True):
     backbone, params, text, bank = small_model
     bank, betas = (bank, (0.5, 0.5)) if few else (None, (1.0, 0.0))
     args = (backbone, params, samples, text, bank, *betas)
     try:
-        expected = eval_oracle.evaluate(*args, **kwargs).to_json()
+        expected = eval_oracle.evaluate(*args).to_json()
     except MetricError as exc:
         with pytest.raises(MetricError, match=str(exc)):
-            evaluate(*args, **kwargs)
+            evaluate(*args)
         return
-    assert evaluate(*args, **kwargs).to_json() == expected
+    assert evaluate(*args).to_json() == expected
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
@@ -259,16 +248,9 @@ def test_evaluate_equals_oracle_zero_shot_without_bank(small_model):
     assert_same_report(small_model, synthetic_samples(17, seed=1), few=False)
 
 
-def test_evaluate_equals_oracle_pixel_per_image(small_model):
-    samples = synthetic_samples(17, seed=2)
-    assert_same_report(small_model, samples, pixel_per_image=True)
-    assert_same_report(small_model, samples, few=False, pixel_per_image=True)
-
-
 def test_evaluate_equals_oracle_with_unmasked_samples(small_model):
     samples = synthetic_samples(20, seed=3, unmasked={0, 1, 5, 16, 17, 19})
     assert_same_report(small_model, samples)
-    assert_same_report(small_model, samples, pixel_per_image=True)
     assert_same_report(small_model, synthetic_samples(6, seed=3, unmasked=range(6)))
 
 

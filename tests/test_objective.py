@@ -535,8 +535,6 @@ TRAIN_CASES = {
     "mixed_masks": ({}, {}),
     "projector": ({"arch": "projector"}, {}),
     "single_style": ({"adapter_style": "single"}, {}),
-    "cls_feed": ({"branch_feed": "cls"}, {}),
-    "seg_feed": ({"branch_feed": "seg"}, {}),
     "levels_1_3": ({}, {"levels": (1, 3)}),
     "no_dice": ({}, {"weights": LossWeights(0.0, 1.0, 1.0)}),
     "no_focal": ({}, {"weights": LossWeights(1.0, 0.0, 1.0)}),

@@ -57,13 +57,7 @@ def features(backbone, params, image):
                        else _adapter(f, dual.seg))
         cls.append(_mix(f, cls_adapted, params.gamma))
         seg.append(_mix(f, seg_adapted, params.gamma))
-        if params.branch_feed == "cls":
-            feed = cls_adapted
-        elif params.branch_feed == "seg":
-            feed = seg_adapted
-        else:
-            feed = ag.scale(ag.add(cls_adapted, seg_adapted), 0.5)
-        return _mix(f, feed, params.gamma)
+        return _mix(f, ag.scale(ag.add(cls_adapted, seg_adapted), 0.5), params.gamma)
 
     final = _encoder_levels(backbone, image, hook)[-1]
     return (cls + [ag.matmul(final, params.projector.w_cls)],
