@@ -141,6 +141,8 @@ def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_D
     """
     if dim < 4:
         raise ConfigError(f"dim must be at least 4 for a dim // 4 adapter width, got {dim}")
+    if seed < 0:
+        raise ConfigError(f"init seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
 
     text_complement = None
@@ -302,9 +304,12 @@ def load_checkpoint(path):
     image_size, patch_size, dim, stages, blocks, heads = (
         reader.u32() for _ in range(6))
     seed = reader.u64()
-    config = BackboneConfig(image_size=image_size, patch_size=patch_size, dim=dim,
-                            stages=stages, blocks_per_stage=blocks, heads=heads,
-                            seed=seed)
+    try:
+        config = BackboneConfig(image_size=image_size, patch_size=patch_size, dim=dim,
+                                stages=stages, blocks_per_stage=blocks, heads=heads,
+                                seed=seed)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: invalid header: {exc}") from None
     entries = _read_entries(reader)
     reader.done()
 

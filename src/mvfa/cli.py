@@ -3,8 +3,10 @@
 Every subcommand is deterministic given its config and seeds. Exit codes:
 0 success, 1 usage or configuration error, 2 data or file-format error,
 3 numeric failure. Settings come from an optional JSON config file whose
-sections mirror the dataclasses (see README), with individual flags
-overriding.
+sections mirror the dataclasses (see README). A setting flag ``--name``
+overrides the config key ``section.name`` and takes the same values: its
+type is that of the key's default, and the keys in ``CHOICES`` accept only
+the values listed there, in a config file as on the command line.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ DEFAULT_CONFIG = {
     "text_seed": 0,
 }
 
+# the only values these keys accept, from a flag or a config file
+CHOICES = {"inference.mode": ("zero-shot", "few-shot"),
+           "model.arch": ("adapter", "projector"),
+           "model.adapter_style": ("dual", "single")}
+
 
 class _UsageError(Exception):
     pass
@@ -47,6 +54,26 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _defaults(section):
+    """Default values of a config section's keys (``data`` mirrors SynthConfig)."""
+    if section == "data":
+        return dataclasses.asdict(datamod.SynthConfig())
+    return DEFAULT_CONFIG[section]
+
+
+def _config(args):
+    """The config file's settings, overridden by every setting flag given.
+
+    Setting flags store their value under the dotted config key.
+    """
+    cfg = _load_config(args.config)
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
+            section, name = key.split(".")
+            cfg[section][name] = value
+    return cfg
 
 
 def _load_config(path):
@@ -66,13 +93,11 @@ def _load_config(path):
             _check_type(path, section, value, cfg[section])
             cfg[section] = value
             continue
+        _check_section(path, section, value, _defaults(section))
         if section == "data":
-            _check_section(path, section, value, dataclasses.asdict(datamod.SynthConfig()))
             for index, profile in enumerate(value.get("modalities", [])):
                 _check_section(path, f"data.modalities[{index}]", profile,
                                dataclasses.asdict(datamod.DEFAULT_MODALITIES[0]))
-        else:
-            _check_section(path, section, value, cfg[section])
         cfg[section].update(value)
     return cfg
 
@@ -96,7 +121,8 @@ def _check_type(path, name, value, default):
     """Reject a value whose JSON type differs from that of its default.
 
     Booleans are not numbers, an integer is a valid float, and a list's
-    items must match the first default item.
+    items must match the first default item. A key in CHOICES takes only
+    the values listed there.
     """
     kinds = [(bool, (bool,), "true or false"),
              (int, (int,), "an integer"),
@@ -113,13 +139,9 @@ def _check_type(path, name, value, default):
     if isinstance(value, list) and default and isinstance(default[0], (int, float)):
         for index, item in enumerate(value):
             _check_type(path, f"{name}[{index}]", item, default[0])
-
-
-def _override(section, args, *names):
-    for name in names:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            section[name.replace("-", "_")] = value
+    if name in CHOICES and value not in CHOICES[name]:
+        raise ConfigError(f"config {path}: {name} must be one of "
+                          f"{', '.join(CHOICES[name])}, got {value!r}")
 
 
 def _prompt_set(args):
@@ -164,11 +186,9 @@ def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
     train_samples, test_samples = manifests
     if inf["mode"] == "zero-shot":
         train_set, _ = datamod.zero_shot_split(train_samples, test_samples, inf["target"])
-    elif inf["mode"] == "few-shot":
+    else:
         train_set, _, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
                                                  inf["k"], train_cfg.seed)
-    else:
-        raise ConfigError(f"unknown mode {inf['mode']!r}")
     loaded = datamod.load_samples(train_set)
 
     backbone_cfg = BackboneConfig(**cfg["backbone"])
@@ -217,11 +237,7 @@ def _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2):
 
 
 def cmd_gen_data(args):
-    cfg = _load_config(args.config)
-    raw = dict(cfg["data"])
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    synth = datamod.SynthConfig.from_dict(raw)
+    synth = datamod.SynthConfig.from_dict(_config(args)["data"])
     train_manifest, test_manifest = datamod.gen_dataset(synth, args.out)
     print(f"wrote {train_manifest}")
     print(f"wrote {test_manifest}")
@@ -229,11 +245,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config)
-    _override(cfg["train"], args, "epochs", "lr", "batch_size", "seed", "gamma", "tau",
-              "levels")
-    _override(cfg["inference"], args, "k", "target", "mode")
-    _override(cfg["model"], args, "arch", "adapter_style")
+    cfg = _config(args)
     loss_log = args.loss_log or (args.out + ".loss.csv")
     prompts = _prompt_set(args)
     train_cfg = objective.TrainConfig.from_dict(cfg["train"])
@@ -251,9 +263,7 @@ def cmd_train(args):
 
 
 def cmd_build_bank(args):
-    cfg = _load_config(args.config)
-    _override(cfg["inference"], args, "k", "target")
-    _override(cfg["train"], args, "seed")
+    cfg = _config(args)
     backbone, params = _load_model(args.ckpt)
     bank = _bank(cfg, _manifests(args.data), backbone, params)
     inference.save_bank(args.out, bank)
@@ -263,8 +273,7 @@ def cmd_build_bank(args):
 
 
 def cmd_predict(args):
-    cfg = _load_config(args.config)
-    _override(cfg["inference"], args, "target", "mode")
+    cfg = _config(args)
     inf = cfg["inference"]
     backbone, params = _load_model(args.ckpt)
     bank = inference.load_bank(args.bank) if args.bank else None
@@ -291,9 +300,9 @@ def cmd_predict(args):
         inference.save_map(os.path.join(args.out_dir, stem + ".map"), result.s_pred)
         datamod.write_pgm(os.path.join(args.out_dir, stem + "_heat.pgm"),
                           inference.map_to_u8(result.s_pred))
-        c_few = "" if result.c_few is None else f"{result.c_few:.6f}"
-        lines.append(f"{sample.path},{sample.modality},{sample.label},"
-                     f"{result.c_pred:.6f},{result.c_zero:.6f},{c_few}")
+        lines.append(",".join(metrics.csv_value(v) for v in (
+            sample.path, sample.modality, sample.label, result.c_pred, result.c_zero,
+            result.c_few)))
     scores_path = os.path.join(args.out_dir, "scores.csv")
     write_text_atomic(scores_path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} maps and {scores_path}")
@@ -310,12 +319,12 @@ def _check_bank_k(bank, k, rows_per_image):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
-    _override(cfg["inference"], args, "target", "mode", "k")
+    cfg = _config(args)
     backbone, params = _load_model(args.ckpt)
     bank = inference.load_bank(args.bank) if args.bank else None
-    if bank is not None and args.k is not None:
-        _check_bank_k(bank, args.k, backbone.config.grid_count)
+    k_flag = vars(args)["inference.k"]
+    if bank is not None and k_flag is not None:
+        _check_bank_k(bank, k_flag, backbone.config.grid_count)
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
     prompts = _prompt_set(args)
     _, test_samples = _manifests(args.data)
@@ -343,9 +352,7 @@ ABLATE_COLUMNS = ("arch", "adapter_style", "ensemble_image_auc", "ensemble_pixel
 
 
 def cmd_ablate(args):
-    cfg = _load_config(args.config)
-    _override(cfg["inference"], args, "target", "mode", "k")
-    _override(cfg["train"], args, "epochs", "seed", "levels")
+    cfg = _config(args)
     prompts = _prompt_set(args)
     train_cfg = objective.TrainConfig.from_dict(cfg["train"])
     manifests = _manifests(args.data)
@@ -390,90 +397,67 @@ def build_parser():
     parser = _Parser(prog="mvfa", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary, settings):
+        """Subparser with --config and one flag per setting key: --field sets section.field."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
+        for key in settings:
+            section, field = key.split(".")
+            default = _defaults(section)[field]
+            p.add_argument("--" + field.replace("_", "-"), dest=key, choices=CHOICES.get(key),
+                           type=_levels if isinstance(default, list) else type(default))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate the synthetic dataset")
-    common(p)
+    p = command("gen-data", cmd_gen_data, "generate the synthetic dataset", ["data.seed"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train adapters and write a checkpoint")
-    common(p)
+    p = command("train", cmd_train, "train adapters and write a checkpoint",
+                ["inference.mode", "inference.target", "inference.k", "train.epochs",
+                 "train.lr", "train.batch_size", "train.seed", "train.gamma", "train.tau",
+                 "train.levels", "model.arch", "model.adapter_style"])
     p.add_argument("--data", required=True, help="directory with train/test manifests")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-log", help="loss CSV path (default: <out>.loss.csv)")
-    p.add_argument("--mode", choices=["zero-shot", "few-shot"])
-    p.add_argument("--target")
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--levels", type=_levels,
-                   help="comma-separated training levels, e.g. 1,2")
-    p.add_argument("--arch", choices=["adapter", "projector"])
-    p.add_argument("--adapter-style", choices=["dual", "single"])
     p.add_argument("--prompts", help="prompt pattern file")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("build-bank", help="build a memory bank from normal references")
-    common(p)
+    p = command("build-bank", cmd_build_bank, "build a memory bank from normal references",
+                ["inference.target", "inference.k", "train.seed"])
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target")
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_build_bank)
 
-    p = sub.add_parser("predict", help="score images, writing maps and a score CSV")
-    common(p)
+    p = command("predict", cmd_predict, "score images, writing maps and a score CSV",
+                ["inference.target", "inference.mode"])
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bank")
     p.add_argument("--data", help="dataset directory (uses its test manifest)")
     p.add_argument("--manifest", help="explicit manifest of images to score")
-    p.add_argument("--target")
-    p.add_argument("--mode", choices=["zero-shot", "few-shot"])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
     p.add_argument("--prompts")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint, writing a report")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a checkpoint, writing a report",
+                ["inference.target", "inference.mode", "inference.k"])
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bank")
     p.add_argument("--data", required=True)
-    p.add_argument("--target")
-    p.add_argument("--mode", choices=["zero-shot", "few-shot"])
-    p.add_argument("--k", type=int)
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="one-line report CSV path")
     p.add_argument("--prompts")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="sweep architectures, reporting per-level AUCs")
-    common(p)
+    p = command("ablate", cmd_ablate, "sweep architectures, reporting per-level AUCs",
+                ["inference.target", "inference.mode", "inference.k", "train.epochs",
+                 "train.seed", "train.levels"])
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory for the tables")
-    p.add_argument("--target")
-    p.add_argument("--mode", choices=["zero-shot", "few-shot"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--levels", type=_levels)
     p.add_argument("--archs", help="comma-separated subset of adapter,projector")
     p.add_argument("--include-single", action="store_true",
                    help="add a single-adapter row")
     p.add_argument("--prompts")
-    p.set_defaults(func=cmd_ablate)
     return parser
 
 

@@ -123,6 +123,8 @@ class SynthConfig:
             raise ConfigError("image_size must be at least 8")
         if not self.modalities:
             raise ConfigError("need at least one modality profile")
+        if self.seed < 0:
+            raise ConfigError(f"data seed must be nonnegative, got {self.seed}")
         self._check_range("defect_count", lambda low: low >= 1)
         self._check_range("benign_count", lambda low: low >= 0)
         for name in ("defect_radius", "benign_radius"):
@@ -199,38 +201,15 @@ def _ellipse_support(size, rng, radius_range):
     return (u / rx) ** 2 + (v / ry) ** 2 <= 1.0
 
 
-def add_benign_structures(rng, image, config: SynthConfig, polarity=1):
-    """Overlay benign blobs; they are normal anatomy, present in every image.
-
-    A handful of reference images cannot cover their variety, so memory
-    distance alone misreads them, while their consistent polarity keeps
-    them recognizable as harmless.
-    """
+def _add_blobs(rng, image, counts, radii, delta, polarity):
+    """Overlay a random number of random ellipses; returns (image, union of supports)."""
     out = image.copy()
-    count = int(rng.integers(config.benign_count[0], config.benign_count[1] + 1))
-    for _ in range(count):
-        support = _ellipse_support(image.shape[0], rng, config.benign_radius)
-        out[support] += float(polarity) * config.benign_delta * rng.uniform(0.75, 1.0)
-    return np.clip(out, 0.0, 1.0)
-
-
-def add_defects(rng, image, config: SynthConfig, polarity=-1, benign=False):
-    """Insert defect-slot blobs; returns (image, mask).
-
-    Normal samples draw the same number of slot structures with the
-    opposite (benign) polarity and an empty mask, so the two classes share
-    one structure-count and saliency distribution and differ only in
-    polarity, which a nearest-reference comparison cannot see.
-    """
-    out = image.copy()
-    mask = np.zeros(image.shape, dtype=bool)
-    count = int(rng.integers(config.defect_count[0], config.defect_count[1] + 1))
-    for _ in range(count):
-        support = _ellipse_support(image.shape[0], rng, config.defect_radius)
-        out[support] += float(polarity) * config.defect_delta * rng.uniform(0.75, 1.0)
-        if not benign:
-            mask |= support
-    return np.clip(out, 0.0, 1.0), mask
+    union = np.zeros(image.shape, dtype=bool)
+    for _ in range(int(rng.integers(counts[0], counts[1] + 1))):
+        support = _ellipse_support(image.shape[0], rng, radii)
+        out[support] += float(polarity) * delta * rng.uniform(0.75, 1.0)
+        union |= support
+    return np.clip(out, 0.0, 1.0), union
 
 
 def quantize(image):
@@ -238,19 +217,30 @@ def quantize(image):
 
 
 def _synth_sample(config, modality_index, split_code, anomalous, index):
+    """One sample's (image, mask): a texture with benign blobs and defect-slot blobs.
+
+    Benign blobs are normal anatomy, present in every image and drawn with
+    the opposite polarity to the modality's defects. A handful of reference
+    images cannot cover their variety, so memory distance alone misreads
+    them, while their consistent polarity keeps them recognizable as
+    harmless. Normal samples draw the same number of defect-slot blobs with
+    the benign polarity and an empty mask, so the two classes share one
+    structure-count and saliency distribution and differ only in polarity,
+    which a nearest-reference comparison cannot see.
+    """
     profile = config.modalities[modality_index]
     rng = _rng(config.seed, modality_index, split_code, int(anomalous), index)
     base = synth_normal_field(rng, config.image_size, profile)
-    base = add_benign_structures(rng, base, config, polarity=-profile.polarity)
+    base, _ = _add_blobs(rng, base, config.benign_count, config.benign_radius,
+                         config.benign_delta, -profile.polarity)
+    polarity = profile.polarity if anomalous else -profile.polarity
+    slotted, mask = _add_blobs(rng, base, config.defect_count, config.defect_radius,
+                               config.defect_delta, polarity)
+    image = quantize(slotted)
     if not anomalous:
-        slotted, _ = add_defects(rng, base, config, polarity=-profile.polarity,
-                                 benign=True)
-        return quantize(slotted), np.zeros(base.shape, dtype=bool)
-    defected, mask = add_defects(rng, base, config, polarity=profile.polarity)
-    image = quantize(defected)
-    inside = np.abs(image.astype(np.int16) - quantize(base).astype(np.int16))[mask]
-    outside = np.abs(image.astype(np.int16) - quantize(base).astype(np.int16))[~mask]
-    if inside.mean() <= outside.mean():
+        return image, np.zeros(base.shape, dtype=bool)
+    change = np.abs(image.astype(np.int16) - quantize(base).astype(np.int16))
+    if change[mask].mean() <= change[~mask].mean():
         raise DataError(f"defect vanished in {profile.name} sample {index}")
     return image, mask
 
@@ -312,12 +302,12 @@ class LoadedSample:
     path: str
 
 
-def load_manifest(path, check_masks=True):
+def load_manifest(path):
     """Parse a JSON-lines manifest into samples with absolute paths.
 
-    With ``check_masks`` the masks are read and the "label 1 iff the mask
-    has a positive pixel" rule plus the image/mask dimension agreement are
-    enforced, naming the offending line.
+    Each mask is read, and the "label 1 iff the mask has a positive pixel"
+    rule plus the image/mask dimension agreement are enforced, naming the
+    offending line.
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
     samples = []
@@ -341,7 +331,7 @@ def load_manifest(path, check_masks=True):
                                     f"nonempty string")
             image_path = os.path.join(base, image)
             mask_path = os.path.join(base, mask) if mask is not None else None
-            if check_masks and mask_path is not None:
+            if mask_path is not None:
                 mask_pixels = read_pgm(mask_path)
                 image_pixels = read_pgm(image_path)
                 if mask_pixels.shape != image_pixels.shape:
@@ -394,6 +384,8 @@ def few_shot_split(train_samples, test_samples, target, k, seed):
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
+    if seed < 0:
+        raise ConfigError(f"few-shot split seed must be nonnegative, got {seed}")
     _require_modality(train_samples, target, "train manifest")
     pool_pos = sorted((s for s in train_samples if s.modality == target and s.label == 1),
                       key=lambda s: s.image)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,14 +87,8 @@ class Report:
     per_modality: dict
     counts: dict
 
-    def to_dict(self):
-        return {"image_auc": self.image_auc, "pixel_auc": self.pixel_auc,
-                "per_level_image_auc": self.per_level_image_auc,
-                "per_level_pixel_auc": self.per_level_pixel_auc,
-                "per_modality": self.per_modality, "counts": self.counts}
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_csv_line(self):
         """Single CSV line in CSV_FIELDS order; absent values print empty."""

@@ -76,6 +76,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be nonnegative, got {self.seed}")
         if not self.tau > 0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
         if not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from test_adaptation import overflowing_checkpoint
 
+from mvfa import cli
 from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
-from mvfa.cli import DEFAULT_CONFIG, main
+from mvfa.cli import DEFAULT_CONFIG, build_parser, main
 from mvfa.data import read_pgm
 from mvfa.inference import MemoryBank, load_bank, load_map, save_bank
 
@@ -264,6 +266,131 @@ def test_invalid_config_value_is_config_error(workdir, tmp_path, capsys, section
     assert not os.path.exists(tmp_path / "x.ckpt") and not os.path.exists(tmp_path / "gen")
 
 
+# every flag of each subcommand: a setting flag maps to the config key it sets
+FLAGS = {
+    "gen-data": {"--config": None, "--out": None, "--seed": "data.seed"},
+    "train": {"--config": None, "--data": None, "--out": None, "--loss-log": None,
+              "--prompts": None, "--mode": "inference.mode", "--target": "inference.target",
+              "--k": "inference.k", "--epochs": "train.epochs", "--lr": "train.lr",
+              "--batch-size": "train.batch_size", "--seed": "train.seed",
+              "--gamma": "train.gamma", "--tau": "train.tau", "--levels": "train.levels",
+              "--arch": "model.arch", "--adapter-style": "model.adapter_style"},
+    "build-bank": {"--config": None, "--data": None, "--ckpt": None, "--out": None,
+                   "--target": "inference.target", "--k": "inference.k",
+                   "--seed": "train.seed"},
+    "predict": {"--config": None, "--ckpt": None, "--bank": None, "--data": None,
+                "--manifest": None, "--out-dir": None, "--beta1": None, "--beta2": None,
+                "--prompts": None, "--target": "inference.target", "--mode": "inference.mode"},
+    "eval": {"--config": None, "--ckpt": None, "--bank": None, "--data": None,
+             "--beta1": None, "--beta2": None, "--out": None, "--csv": None, "--prompts": None,
+             "--target": "inference.target", "--mode": "inference.mode", "--k": "inference.k"},
+    "ablate": {"--config": None, "--data": None, "--out": None, "--archs": None,
+               "--include-single": None, "--prompts": None, "--target": "inference.target",
+               "--mode": "inference.mode", "--k": "inference.k", "--epochs": "train.epochs",
+               "--seed": "train.seed", "--levels": "train.levels"},
+}
+FLAG_CHOICES = {"--mode": ["zero-shot", "few-shot"], "--arch": ["adapter", "projector"],
+                "--adapter-style": ["dual", "single"]}
+# a flag's text and the typed value it puts in the config
+FLAG_VALUES = {"--mode": ("zero-shot", "zero-shot"), "--target": ("texture-a", "texture-a"),
+               "--k": ("3", 3), "--epochs": ("5", 5), "--lr": ("0.5", 0.5),
+               "--batch-size": ("2", 2), "--seed": ("9", 9), "--gamma": ("0.25", 0.25),
+               "--tau": ("0.5", 0.5), "--levels": ("1,2", [1, 2]),
+               "--arch": ("projector", "projector"), "--adapter-style": ("single", "single")}
+
+
+def required_args(command, tmp_path, data):
+    """Each subcommand's required flags, with every output under tmp_path."""
+    ckpt = str(tmp_path / "x.ckpt")
+    return {"gen-data": ["--out", str(tmp_path / "gen")],
+            "train": ["--data", data, "--out", ckpt],
+            "build-bank": ["--data", data, "--ckpt", ckpt, "--out", str(tmp_path / "bank.bin")],
+            "predict": ["--ckpt", ckpt, "--out-dir", str(tmp_path / "pred")],
+            "eval": ["--data", data, "--ckpt", ckpt],
+            "ablate": ["--data", data, "--out", str(tmp_path / "ablation")]}[command]
+
+
+def test_each_command_takes_its_flags_with_their_choices():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(FLAGS)
+    for command, flags in FLAGS.items():
+        actions = [a for a in subparsers.choices[command]._actions if "-h" not in a.option_strings]
+        assert sorted(a.option_strings[0] for a in actions) == sorted(flags), command
+        for action in actions:
+            choices = list(action.choices) if action.choices else None
+            assert choices == FLAG_CHOICES.get(action.option_strings[0]), command
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    (command, flag, key) for command, flags in FLAGS.items()
+    for flag, key in flags.items() if key])
+def test_setting_flag_overrides_its_config_key(workdir, tmp_path, command, flag, key):
+    root, config, data = workdir
+    text, value = FLAG_VALUES[flag]
+    argv = [command, "--config", config, *required_args(command, tmp_path, data)]
+    section, name = key.split(".")
+    assert cli._config(build_parser().parse_args(argv))[section].get(name) != value
+    given = cli._config(build_parser().parse_args(argv + [flag, text]))[section][name]
+    assert given == value and type(given) is type(value)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@pytest.mark.parametrize("section, key", [("inference", "mode"), ("model", "arch"),
+                                          ("model", "adapter_style")])
+def test_config_value_outside_its_choices_is_config_error(workdir, tmp_path, capsys, command,
+                                                          section, key):
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user[section][key] = "zero-shoot"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    assert main([command, "--config", str(bad), *required_args(command, tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: config {bad}: {section}.{key} must be one of" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("train", "--lr", "fast"), ("eval", "--k", "2.5"), ("gen-data", "--seed", "x"),
+    ("predict", "--mode", "zero-shoot")])
+def test_setting_flag_of_the_wrong_type_is_usage_error(workdir, tmp_path, capsys, command,
+                                                       flag, text):
+    root, config, data = workdir
+    argv = [command, "--config", config, flag, text, *required_args(command, tmp_path, data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, section, key, flags, message", [
+    ("train", "train", "seed", [], "train seed"),
+    ("train", "model", "init_seed", [], "init seed"),
+    ("gen-data", "data", "seed", [], "data seed"),
+    ("gen-data", None, None, ["--seed", "-1"], "data seed"),
+    ("build-bank", None, None, ["--seed", "-1"], "few-shot split seed")])
+def test_negative_seed_is_config_error(workdir, tmp_path, capsys, command, section, key, flags,
+                                       message):
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    if section:
+        user[section][key] = -1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(user), encoding="utf-8")
+    if command == "build-bank":
+        assert main(["train", "--config", str(config), "--data", data,
+                     "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 0
+        capsys.readouterr()
+    argv = [command, "--config", str(config), *flags, *required_args(command, tmp_path, data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{message} must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gen").exists() and not (tmp_path / "bank.bin").exists()
+
+
 @pytest.mark.parametrize("argv", [["train", "--branch-feed", "cls"],
                                   ["eval", "--ckpt", "x.ckpt", "--pixel-per-image"]])
 def test_deleted_flags_are_usage_errors(workdir, tmp_path, capsys, argv):
@@ -350,6 +477,25 @@ def test_checkpoint_shape_off_its_dim_is_data_error(workdir, tmp_path, capsys):
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "has shape (16, 4), but dim 32 needs (32, 8)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (26, 3, "exactly 4 stages"), (30, 0, "blocks_per_stage must be at least 1"),
+    (34, 0, "heads must be at least 1")])
+def test_checkpoint_header_field_out_of_range_is_data_error(workdir, tmp_path, capsys, offset,
+                                                            value, message):
+    root, config, data = workdir
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    payload = bytearray(ckpt.read_bytes())
+    payload[offset:offset + 4] = value.to_bytes(4, "little")  # stages, blocks or heads
+    ckpt.write_bytes(bytes(payload))
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: invalid header") and message in err
+    assert "Traceback" not in err
 
 
 def test_eval_k_must_match_the_bank(workdir, tmp_path, capsys):

@@ -143,15 +143,15 @@ def test_manifest_errors_name_the_line(tmp_path):
     path.write_text('{"image": "a.pgm", "label": 0, "mask": null, "modality": "x"}\n'
                     'not json\n', encoding="utf-8")
     with pytest.raises(ManifestError, match="line 2"):
-        load_manifest(path, check_masks=False)
+        load_manifest(path)
     path.write_text('{"image": "a.pgm", "label": 3, "mask": null, "modality": "x"}\n',
                     encoding="utf-8")
     with pytest.raises(ManifestError, match="line 1"):
-        load_manifest(path, check_masks=False)
+        load_manifest(path)
     path.write_text('{"image": "a.pgm", "label": 0, "modality": "x"}\n',
                     encoding="utf-8")
     with pytest.raises(ManifestError, match="mask"):
-        load_manifest(path, check_masks=False)
+        load_manifest(path)
 
 
 def test_manifest_label_mask_consistency(tmp_path):
