@@ -359,6 +359,10 @@ def cmd_ablate(args):
 
     archs = [a.strip() for a in args.archs.split(",")] if args.archs else \
         ["adapter", "projector"]
+    for arch in archs:
+        if arch not in CHOICES["model.arch"]:
+            raise ConfigError(f"--archs: each must be one of "
+                              f"{', '.join(CHOICES['model.arch'])}, got {arch!r}")
     rows = []
     for arch in archs:
         styles = ["dual", "single"] if (arch == "adapter" and args.include_single) \

@@ -6,6 +6,10 @@ to the nearest row of a per-level memory bank built from normal reference
 images. Both produce an image score and per-level scores on the patch
 grid, combined linearly with weights (beta1, beta2); a result keeps the
 fused full-resolution map and upsamples the per-level maps when read.
+Both branches score a chunk of images at once, one call per level and
+role on the chunk's stacked rows, and cut each image's result from its own
+rows; every step is per row or per image, so an image's bits do not depend
+on the chunk it is scored in.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .adaptation import AdaptedFeatures, adapt_forward, text_probabilities
-from .autograd import Tensor, no_grad
+from .autograd import no_grad
 from .errors import BankError, ConfigError, ContractError
 from .fileio import Reader, write_bytes_atomic
 
@@ -109,16 +113,27 @@ def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
     return MemoryBank(stores(features.cls), stores(features.seg))
 
 
-def zero_shot(features, f_text: Tensor, tau, out_hw) -> BranchScores:
-    """Average per-level text-similarity anomaly scores and maps."""
-    c_levels = np.zeros(4)
-    grids = []
-    for level in range(4):
-        cls_prob = text_probabilities(features.cls[level].data, f_text.data, tau)[0][:, 1]
-        seg_prob = text_probabilities(features.seg[level].data, f_text.data, tau)[0][:, 1]
-        c_levels[level] = cls_prob.max()
-        grids.append(seg_prob)
-    return BranchScores(float(c_levels.mean()), c_levels, np.stack(grids), tuple(out_hw))
+def _branch_scores(cls, seg, out_hw) -> list:
+    """Cut one BranchScores per image from each level's (B, N) cls and seg scores."""
+    c_levels = np.stack([level.max(axis=1) for level in cls], axis=1).astype(np.float64)
+    grids = np.stack(seg, axis=1)
+    return [BranchScores(float(c.mean()), c, g, tuple(out_hw))
+            for c, g in zip(c_levels, grids)]
+
+
+def zero_shot(features, f_texts, tau, out_hw) -> list:
+    """Per-level text-similarity anomaly scores of a chunk of B images.
+
+    ``features`` holds each level's (B * N, d) rows and ``f_texts`` is the
+    (B, 2, d) text pairs. The rows are viewed as (B, N, d), so the product
+    is one (N, d) @ (d, 2) per image.
+    """
+    def probabilities(rows):
+        stacked = rows.reshape(len(f_texts), -1, rows.shape[-1])
+        return text_probabilities(stacked, f_texts, tau)[0][..., 1]
+
+    return _branch_scores([probabilities(rows) for rows in features.cls],
+                          [probabilities(rows) for rows in features.seg], out_hw)
 
 
 def _min_cosine_distances(queries, store):
@@ -161,24 +176,25 @@ def _min_cosine_distances(queries, store):
     return 1.0 - np.maximum.reduceat(sims, np.searchsorted(qi, np.arange(q.shape[0])))
 
 
-def few_shot(features, bank: MemoryBank, out_hw) -> BranchScores:
-    """Nearest-bank-row cosine distances, position agnostic, per level."""
+def few_shot(features, bank: MemoryBank, out_hw, images) -> list:
+    """Nearest-bank-row cosine distances, position agnostic, per level.
+
+    ``features`` holds each level's (images * N, d) rows. The search is
+    exact per query, so searching a chunk's rows at once changes no bit.
+    """
     if bank is None or any(store.size == 0 for store in bank.cls + bank.seg):
         raise BankError("few-shot scoring requires a non-empty memory bank")
     for rows, store in zip(features.cls + features.seg, bank.cls + bank.seg):
-        if store.shape[1] != rows.data.shape[1]:
+        if store.shape[1] != rows.shape[1]:
             raise BankError(f"memory bank rows have width {store.shape[1]}, but the "
-                            f"checkpoint's features have width {rows.data.shape[1]}")
-    c_levels = np.zeros(4)
-    grids = []
-    for level in range(4):
-        cls_dist = _min_cosine_distances(
-            features.cls[level].data.astype(np.float32), bank.cls[level])
-        seg_dist = _min_cosine_distances(
-            features.seg[level].data.astype(np.float32), bank.seg[level])
-        c_levels[level] = cls_dist.max()
-        grids.append(seg_dist)
-    return BranchScores(float(c_levels.mean()), c_levels, np.stack(grids), tuple(out_hw))
+                            f"checkpoint's features have width {rows.shape[1]}")
+
+    def distances(rows, store):
+        return _min_cosine_distances(rows.astype(np.float32), store).reshape(images, -1)
+
+    return _branch_scores([distances(*pair) for pair in zip(features.cls, bank.cls)],
+                          [distances(*pair) for pair in zip(features.seg, bank.seg)],
+                          out_hw)
 
 
 def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyResult:
@@ -197,8 +213,9 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
                 tau=0.07) -> list:
     """Two-branch scoring of a list of images, with one text pair per image.
 
-    One adapted forward pass runs the whole list; each image's (N, d) rows
-    of every level then go through the branches on their own.
+    One adapted forward pass runs the whole list, and each branch then scores
+    every level's stacked (images * N, d) rows at once; each image's result
+    is cut from its own rows.
     """
     if len(images) != len(f_texts):
         raise ContractError(f"score_batch: {len(images)} images but "
@@ -206,16 +223,17 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
     if not images:
         return []
     out_hw = (backbone.config.image_size, backbone.config.image_size)
-    results = []
     with no_grad():
         features, _ = adapt_forward(backbone, params, list(images))
-        for index, f_text in enumerate(f_texts):
-            own = AdaptedFeatures([Tensor(level.data[index]) for level in features.cls],
-                                  [Tensor(level.data[index]) for level in features.seg])
-            zero = zero_shot(own, f_text, tau, out_hw)
-            few = None if bank is None else few_shot(own, bank, out_hw)
-            results.append(fuse(zero, few, beta1, beta2))
-    return results
+
+    def stacked(levels):
+        return [level.data.reshape(-1, level.data.shape[-1]) for level in levels]
+
+    rows = AdaptedFeatures(stacked(features.cls), stacked(features.seg))
+    zero = zero_shot(rows, np.stack([f_text.data for f_text in f_texts]), tau, out_hw)
+    few = [None] * len(images) if bank is None else few_shot(rows, bank, out_hw,
+                                                             len(images))
+    return [fuse(z, f, beta1, beta2) for z, f in zip(zero, few)]
 
 
 def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5,

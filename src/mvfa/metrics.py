@@ -1,8 +1,12 @@
 """Image- and pixel-level AUC and experiment reports.
 
-AUC uses the rank-sum formulation with midranks for ties, which makes it
-equal to the pairwise win/tie count without enumerating pairs. Pixel AUC
-pools every scored pixel across the test set.
+AUC uses the rank-sum formulation with midranks for ties (Hanley & McNeil,
+1982), which makes it equal to the pairwise win/tie count without
+enumerating pairs. Pixel AUC pools every scored pixel across the test set,
+so ranking is one ``np.sort`` of the pool and a ``searchsorted`` per
+positive, with no permutation of the pool. Midranks are exact
+half-integers, so the rank sum does not depend on how the ranks were found.
+Each NaN ranks after every number, as a run of its own in input order.
 """
 
 from __future__ import annotations
@@ -28,34 +32,46 @@ CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
               "level4_image_auc")
 
 
-def midranks(values):
-    """1-based ranks with ties sharing their average rank."""
+def _midranks_of(values, select=None):
+    """Midranks among ``values`` of ``values[select]``, or of every value.
+
+    One ``np.sort`` of the pool and two ``searchsorted`` per ranked value: a
+    value's run of ties fills the sorted positions [left, right), so its
+    1-based midrank is (left + right - 1) / 2 + 1. These are integers halved
+    once, so every rank is an exact half-integer. ``-0.0`` and ``+0.0``
+    compare equal and tie. Each NaN is a run of its own, ranked after every
+    number in input order; ``searchsorted`` alone would give all NaNs one
+    tied rank.
+    """
     v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    order = np.argsort(v, kind="stable")
-    ranks = np.take(v, order)
-    # a run of ties starts wherever a sorted value differs from the one before;
-    # NaN differs from everything, so each NaN is its own run
-    new_run = np.ones(n, dtype=bool)
-    np.not_equal(ranks[1:], ranks[:-1], out=new_run[1:])
-    # the rest works in place on two position buffers: pooled pixel AUCs
-    # rank every pixel of a test set at once
-    first = np.arange(n, dtype=np.float64)
-    ranks[:] = first
-    first *= new_run
-    np.maximum.accumulate(first, out=first)
-    np.copyto(ranks[:-1], n, where=~new_run[1:])
-    np.minimum.accumulate(ranks[::-1], out=ranks[::-1])
-    # (first + last) / 2 + 1 of each run, exact for integer positions
-    first += ranks
-    first /= 2.0
-    first += 1.0
-    ranks[order] = first
+    ordered = np.sort(v)
+    ranked = v if select is None else v[select]
+    left = np.searchsorted(ordered, ranked, side="left")
+    right = np.searchsorted(ordered, ranked, side="right")
+    ranks = (left + right - 1) / 2.0 + 1.0
+    if v.size and np.isnan(ordered[-1]):
+        # a NaN's left is the count of numbers; add its place among the NaNs
+        places = np.cumsum(np.isnan(v))
+        if select is not None:
+            places = places[select]
+        nan = np.isnan(ranked)
+        ranks[nan] = left[nan] + places[nan]
     return ranks
 
 
+def midranks(values):
+    """1-based ranks with ties sharing their average rank; NaNs last, in input order."""
+    return _midranks_of(values)
+
+
 def auc(scores, labels):
-    """Rank-based AUC of scores against binary labels (midrank ties)."""
+    """Rank-based AUC of scores against binary labels (midrank ties).
+
+    Only the positives are ranked, against one sorted copy of the scores.
+    Their midranks are exact half-integers, and so is every partial sum of
+    them below 2**52: the rank sum has the bits of ranking every score and
+    summing the positives' ranks.
+    """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
@@ -67,8 +83,8 @@ def auc(scores, labels):
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc: undefined when only one class is present")
-    ranks = midranks(s)
-    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    ranks = _midranks_of(s, y == 1)
+    return float((ranks.sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def _maybe_auc(scores, labels):
@@ -193,6 +209,11 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     per_modality = {}
     for modality in sorted(set(modalities)):
         idx = [i for i, m in enumerate(modalities) if m == modality]
+        if len(idx) == len(results):
+            # the modality's images are the whole set, pooled in the same order
+            per_modality[modality] = {"images": len(idx), "image_auc": image_auc,
+                                      "pixel_auc": pixel_auc}
+            continue
         entry = {"images": len(idx),
                  "image_auc": _maybe_auc(c_pred[idx], labels[idx])}
         sub_masked = [i for i in idx if masks[i] is not None]

@@ -146,21 +146,17 @@ def test_criterion_4_nearest_neighbor_oracle():
         g, d = 2, int(rng.integers(4, 12))
         rows = int(rng.integers(1, 20))
         features = AdaptedFeatures(
-            [Tensor(rng.standard_normal((g * g, d)).astype(np.float32))
-             for _ in range(4)],
-            [Tensor(rng.standard_normal((g * g, d)).astype(np.float32))
-             for _ in range(4)])
+            [rng.standard_normal((g * g, d)).astype(np.float32) for _ in range(4)],
+            [rng.standard_normal((g * g, d)).astype(np.float32) for _ in range(4)])
         bank = MemoryBank(
             [normalize_rows_oracle(rng.standard_normal((rows, d)).astype(np.float32))
              for _ in range(4)],
             [normalize_rows_oracle(rng.standard_normal((rows, d)).astype(np.float32))
              for _ in range(4)])
-        scores = few_shot(features, bank, out_hw=(g, g))
+        scores = few_shot(features, bank, out_hw=(g, g), images=1)[0]
         for level in range(4):
-            cls_oracle = min_cosine_distance_oracle(features.cls[level].data,
-                                                    bank.cls[level])
-            seg_oracle = min_cosine_distance_oracle(features.seg[level].data,
-                                                    bank.seg[level])
+            cls_oracle = min_cosine_distance_oracle(features.cls[level], bank.cls[level])
+            seg_oracle = min_cosine_distance_oracle(features.seg[level], bank.seg[level])
             exact &= scores.c_levels[level] == max(cls_oracle)
             exact &= np.array_equal(scores.s_levels[level], seg_oracle.reshape(g, g))
     report(4, exact, "few-shot distances equal the exhaustive double-loop cosine "
@@ -228,8 +224,9 @@ def test_criterion_7_branch_gating_and_self_query():
     bank = build_memory_bank([image], backbone, params)
     with no_grad():
         features, _ = adapt_forward(backbone, params, image)
-    zero = zero_shot(features, f_text, 0.07, (8, 8))
-    few = few_shot(features, bank, (8, 8))
+    rows = AdaptedFeatures([f.data for f in features.cls], [f.data for f in features.seg])
+    zero = zero_shot(rows, f_text.data[None], 0.07, (8, 8))[0]
+    few = few_shot(rows, bank, (8, 8), 1)[0]
 
     only_zero = fuse(zero, few, 1.0, 0.0)
     only_few = fuse(zero, few, 0.0, 1.0)

@@ -576,6 +576,22 @@ def test_ablate_emits_per_level_and_ensemble_columns(workdir, tmp_path, capsys):
     assert len(csv_lines) == 3
 
 
+def test_ablate_rejects_a_bad_arch_before_training_any_row(workdir, tmp_path, capsys,
+                                                          monkeypatch):
+    root, config, data = workdir
+
+    def never(*args, **kwargs):
+        raise AssertionError("a row was trained")
+
+    monkeypatch.setattr(cli.objective, "train", never)
+    out_dir = tmp_path / "ablation"
+    assert main(["ablate", "--config", config, "--data", data, "--out", str(out_dir),
+                 "--archs", "adapter,bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'bogus'" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("mode", ["few-shot", "zero-shot"])
 def test_ablate_row_matches_separate_commands(workdir, tmp_path, capsys, mode):
     root, config, data = workdir

@@ -29,9 +29,10 @@ def toy_model(seed=1):
 
 
 def random_features(rng, g=4, d=8):
+    """One image's (g, d) rows per level: a chunk of one for the branches."""
     return AdaptedFeatures(
-        [Tensor(rng.standard_normal((g, d)).astype(np.float32)) for _ in range(4)],
-        [Tensor(rng.standard_normal((g, d)).astype(np.float32)) for _ in range(4)])
+        [rng.standard_normal((g, d)).astype(np.float32) for _ in range(4)],
+        [rng.standard_normal((g, d)).astype(np.float32) for _ in range(4)])
 
 
 def random_bank(rng, rows=12, d=8):
@@ -63,10 +64,10 @@ def test_empty_bank_errors():
 
 def test_zero_shot_identical_levels_average_to_single_map():
     rng = np.random.default_rng(2)
-    shared = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+    shared = rng.standard_normal((4, 8)).astype(np.float32)
     features = AdaptedFeatures([shared] * 4, [shared] * 4)
-    f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-    scores = zero_shot(features, f_text, tau=0.07, out_hw=(8, 8))
+    f_text = rng.standard_normal((2, 8)).astype(np.float32)
+    scores = zero_shot(features, f_text[None], tau=0.07, out_hw=(8, 8))[0]
     assert np.allclose(scores.smap, scores.s_levels[0], atol=1e-7)
     assert scores.c == pytest.approx(scores.c_levels[0], rel=1e-6)
 
@@ -78,10 +79,10 @@ def test_zero_shot_aligned_to_abnormal_row_closed_form():
     t_normal /= np.linalg.norm(t_normal)
     t_abnormal = rng.standard_normal(8)
     t_abnormal /= np.linalg.norm(t_abnormal)
-    f_text = Tensor(np.stack([t_normal, t_abnormal]), dtype=np.float64)
-    aligned = Tensor(np.tile(1.7 * t_abnormal, (4, 1)), dtype=np.float64)
+    f_text = np.stack([t_normal, t_abnormal])
+    aligned = np.tile(1.7 * t_abnormal, (4, 1))
     features = AdaptedFeatures([aligned] * 4, [aligned] * 4)
-    scores = zero_shot(features, f_text, tau=tau, out_hw=(8, 8))
+    scores = zero_shot(features, f_text[None], tau=tau, out_hw=(8, 8))[0]
     gap = 1.0 - float(t_normal @ t_abnormal)
     expected = 1.0 / (1.0 + np.exp(-gap / tau))
     assert scores.c == pytest.approx(expected, rel=1e-5)
@@ -91,8 +92,8 @@ def test_zero_shot_aligned_to_abnormal_row_closed_form():
 def test_zero_shot_scores_lie_in_unit_interval():
     rng = np.random.default_rng(4)
     features = random_features(rng)
-    f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-    scores = zero_shot(features, f_text, tau=0.07, out_hw=(8, 8))
+    f_text = rng.standard_normal((2, 8)).astype(np.float32)
+    scores = zero_shot(features, f_text[None], tau=0.07, out_hw=(8, 8))[0]
     assert 0.0 <= scores.c <= 1.0
     assert scores.smap.min() >= 0.0 and scores.smap.max() <= 1.0
 
@@ -100,11 +101,14 @@ def test_zero_shot_scores_lie_in_unit_interval():
 def test_zero_shot_matches_tensor_ops_bitwise():
     rng = np.random.default_rng(6)
     features = random_features(rng, g=16)
-    f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-    scores = zero_shot(features, f_text, tau=0.2, out_hw=(16, 16))
+    f_text = rng.standard_normal((2, 8)).astype(np.float32)
+    scores = zero_shot(features, f_text[None], tau=0.2, out_hw=(16, 16))[0]
+    text = Tensor(f_text)
     for level in range(4):
-        cls = ops.softmax_rows(ops.similarity_logits(features.cls[level], f_text, 0.2)).data
-        seg = ops.softmax_rows(ops.similarity_logits(features.seg[level], f_text, 0.2)).data
+        cls = ops.softmax_rows(ops.similarity_logits(Tensor(features.cls[level]), text,
+                                                     0.2)).data
+        seg = ops.softmax_rows(ops.similarity_logits(Tensor(features.seg[level]), text,
+                                                     0.2)).data
         upsampled = ops.bilinear_upsample(Tensor(seg[:, 1].reshape(4, 4)), (16, 16)).data
         assert scores.c_levels[level] == cls[:, 1].max()
         assert scores.s_levels[level].tobytes() == upsampled.astype(np.float64).tobytes()
@@ -128,7 +132,8 @@ def test_self_query_distances_vanish():
     from mvfa.autograd import no_grad
     with no_grad():
         features, _ = adapt_forward(backbone, params, image)
-    scores = few_shot(features, bank, out_hw=(8, 8))
+    rows = AdaptedFeatures([f.data for f in features.cls], [f.data for f in features.seg])
+    scores = few_shot(rows, bank, out_hw=(8, 8), images=1)[0]
     assert scores.c <= 1e-6
     assert scores.smap.max() <= 1e-6
 
@@ -269,12 +274,10 @@ def test_few_shot_matches_oracle_at_grid_resolution():
     rng = np.random.default_rng(7)
     features = random_features(rng)
     bank = random_bank(rng)
-    scores = few_shot(features, bank, out_hw=(2, 2))
+    scores = few_shot(features, bank, out_hw=(2, 2), images=1)[0]
     for level in range(4):
-        cls_oracle = min_cosine_distance_oracle(
-            features.cls[level].data, bank.cls[level])
-        seg_oracle = min_cosine_distance_oracle(
-            features.seg[level].data, bank.seg[level])
+        cls_oracle = min_cosine_distance_oracle(features.cls[level], bank.cls[level])
+        seg_oracle = min_cosine_distance_oracle(features.seg[level], bank.seg[level])
         assert scores.c_levels[level] == max(cls_oracle)
         assert np.array_equal(scores.s_levels[level], seg_oracle.reshape(2, 2))
 
@@ -291,7 +294,7 @@ def test_adding_bank_rows_never_increases_distances():
 
 def test_few_shot_distances_lie_in_zero_two():
     rng = np.random.default_rng(9)
-    scores = few_shot(random_features(rng), random_bank(rng), out_hw=(8, 8))
+    scores = few_shot(random_features(rng), random_bank(rng), out_hw=(8, 8), images=1)[0]
     assert 0.0 <= scores.c <= 2.0
     assert scores.smap.min() >= -1e-7 and scores.smap.max() <= 2.0
 
@@ -299,11 +302,11 @@ def test_few_shot_distances_lie_in_zero_two():
 def test_few_shot_requires_bank():
     rng = np.random.default_rng(10)
     with pytest.raises(BankError):
-        few_shot(random_features(rng), None, out_hw=(8, 8))
+        few_shot(random_features(rng), None, out_hw=(8, 8), images=1)
     empty = MemoryBank([np.zeros((0, 8), dtype=np.float32)] * 4,
                        [np.zeros((0, 8), dtype=np.float32)] * 4)
     with pytest.raises(BankError):
-        few_shot(random_features(rng), empty, out_hw=(8, 8))
+        few_shot(random_features(rng), empty, out_hw=(8, 8), images=1)
 
 
 # -- fusion ------------------------------------------------------------------------
@@ -353,9 +356,9 @@ def test_fused_map_is_mean_of_per_level_maps():
     # level-ensemble contract on real branch outputs, not synthetic fixtures
     rng = np.random.default_rng(12)
     features = random_features(rng)
-    f_text = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-    zero = zero_shot(features, f_text, tau=0.07, out_hw=(8, 8))
-    few = few_shot(features, random_bank(rng), out_hw=(8, 8))
+    f_text = rng.standard_normal((2, 8)).astype(np.float32)
+    zero = zero_shot(features, f_text[None], tau=0.07, out_hw=(8, 8))[0]
+    few = few_shot(features, random_bank(rng), out_hw=(8, 8), images=1)[0]
     result = fuse(zero, few, 0.5, 0.5)
     recomputed = (0.5 * result.s_levels_zero.mean(axis=0)
                   + 0.5 * result.s_levels_few.mean(axis=0))
@@ -484,6 +487,59 @@ def test_score_batch_equals_per_image_scoring_bitwise():
                           "c_levels_zero", "s_levels_zero", "c_levels_few",
                           "s_levels_few"):
                 assert _same(getattr(got, field), getattr(oracle, field)), field
+
+
+@pytest.fixture(scope="module")
+def default_model():
+    """Reference-size model and bank, two modalities' texts, 18 test images."""
+    from mvfa.textbank import build_text_features, default_prompt_set
+    config = BackboneConfig()
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=7)
+    rng = np.random.default_rng(17)
+    images = [rng.uniform(-1, 1, (64, 64)).astype(np.float32) for _ in range(20)]
+    bank = build_memory_bank(images[:2], backbone, params)
+    texts = [build_text_features(default_prompt_set(), m, 0, config.dim).f_text
+             for m in ("texture-a", "texture-b")]
+    return backbone, params, bank, texts, images[2:]
+
+
+RESULT_FIELDS = ("c_pred", "s_pred", "c_zero", "s_zero", "c_few", "s_few",
+                 "c_levels_zero", "s_levels_zero", "c_levels_few", "s_levels_few")
+
+
+@pytest.mark.parametrize("with_bank", [True, False], ids=["bank", "no-bank"])
+@pytest.mark.parametrize("count", [1, 16])
+def test_score_batch_chunk_equals_eval_oracle_on_every_field(default_model, count,
+                                                              with_bank):
+    # a chunk of 17 is checked by test_score_batch_equals_per_image_scoring_bitwise
+    import eval_oracle
+    from mvfa.inference import score_batch
+    backbone, params, bank, texts, images = default_model
+    bank, betas = (bank, (0.5, 0.5)) if with_bank else (None, (1.0, 0.0))
+    images = images[:count]
+    f_texts = [texts[i % 3 % 2] for i in range(count)]
+    batch = score_batch(backbone, params, images, f_texts, bank, *betas, 0.2)
+    assert len(batch) == count
+    for image, f_text, got in zip(images, f_texts, batch):
+        oracle = eval_oracle.score_image(backbone, params, image, f_text, bank,
+                                         *betas, 0.2)
+        for field in RESULT_FIELDS:
+            assert _same(getattr(got, field), getattr(oracle, field)), field
+
+
+def test_score_batch_nan_image_reaches_only_its_own_scores(default_model):
+    from mvfa.inference import score_batch
+    backbone, params, bank, texts, images = default_model
+    images = [image.copy() for image in images[:16]]
+    images[5][10, 20] = np.nan
+    batch = score_batch(backbone, params, images, [texts[0]] * 16, bank, 0.5, 0.5, 0.2)
+    assert np.isnan(batch[5].c_pred) and np.isnan(batch[5].s_pred).all()
+    for index, (image, got) in enumerate(zip(images, batch)):
+        if index != 5:
+            alone = score_image(backbone, params, image, texts[0], bank, 0.5, 0.5, 0.2)
+            for field in RESULT_FIELDS:
+                assert _same(getattr(got, field), getattr(alone, field)), (index, field)
 
 
 def test_score_batch_rejects_unpaired_text_and_takes_no_images():

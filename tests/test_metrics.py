@@ -1,5 +1,6 @@
 import tracemalloc
 
+import auc_oracle
 import eval_oracle
 import numpy as np
 import pytest
@@ -118,6 +119,82 @@ def test_midranks_equal_loop_oracle_bitwise(values):
     got = midranks(values)
     assert got.dtype == np.float64
     assert np.array_equal(got, midranks_loop_oracle(values))
+
+
+def _auc_cases():
+    """Seeded (scores, labels) pairs: the value patterns a ranking can get wrong."""
+    rng = np.random.default_rng(2026)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1.0,
+                         np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)])
+    for case in range(360):
+        n = int(rng.integers(2, 120))
+        kind = case % 6
+        if kind == 0:    # heavy ties
+            scores = rng.integers(0, 4, n).astype(np.float64)
+        elif kind == 1:  # signed zeros among a few values
+            scores = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+        elif kind == 2:  # runs of 1-ulp neighbours
+            base = rng.standard_normal()
+            scores = base + rng.integers(-3, 4, n) * np.spacing(base)
+        elif kind == 3:  # subnormals and signed zeros
+            scores = rng.integers(-3, 4, n) * tiny * rng.choice([1.0, -1.0], n)
+        elif kind == 4:  # infinities, NaN and the rest
+            scores = rng.choice(specials, n)
+        else:            # NaN in both classes
+            scores = np.round(rng.standard_normal(n), 1)
+            scores[rng.uniform(size=n) < 0.3] = np.nan
+        labels = rng.integers(0, 2, n)
+        if case % 7 == 3:
+            labels[:] = 0
+            labels[rng.integers(n)] = 1
+        elif case % 7 == 5:
+            labels[:] = 1
+            labels[rng.integers(n)] = 0
+        elif kind == 5:
+            labels[:2] = (0, 1)
+            scores[:2] = np.nan
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        yield scores, labels
+    # one pooled test set: 100 images of 64 x 64 pixels, ties and a few NaNs
+    n = 100 * 64 * 64
+    scores = np.round(rng.standard_normal(n), 3)
+    scores[rng.integers(0, n, 20)] = np.nan
+    yield scores, (rng.uniform(size=n) < 0.1).astype(np.float32)
+
+
+def test_auc_and_midranks_equal_the_argsort_oracle_bitwise():
+    """Ranking by one sort gives the argsort ranking's bits, case by case.
+
+    Each of these changes to ``metrics._midranks_of`` fails this test: one
+    tied rank for all NaNs (the NaN branch removed), ``side="left"`` for both
+    bounds, and the positives' ranks read in sorted order (``ordered[select]``
+    for ``v[select]``). Summing the same ranks in another order is no fault
+    it could catch: midranks are half-integers, so every partial sum below
+    2**52 is exact.
+    """
+    for scores, labels in _auc_cases():
+        assert auc(scores, labels).hex() == auc_oracle.auc(scores, labels).hex()
+        if scores.size < 1000:
+            got = midranks(scores)
+            assert got.tobytes() == auc_oracle.midranks(scores).tobytes()
+
+
+def test_auc_of_a_pooled_test_set_peaks_below_an_argsort():
+    # the argsort ranking peaks at 10.2 MiB here: an int64 permutation plus
+    # float64 work arrays of every pixel
+    rng = np.random.default_rng(21)
+    scores = rng.standard_normal(100 * 64 * 64)
+    labels = (rng.uniform(size=scores.size) < 0.1).astype(np.float32)  # as masks pool
+    tracemalloc.start()
+    try:
+        value = auc(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == auc_oracle.auc(scores, labels)
+    assert peak < 8 * 2 ** 20
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -242,6 +319,27 @@ def assert_same_report(small_model, samples, few=True):
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
 def test_evaluate_equals_per_image_oracle_across_chunk_edges(small_model, n):
     assert_same_report(small_model, synthetic_samples(n, seed=n))
+
+
+def test_evaluate_searches_the_bank_once_per_level_role_and_chunk(small_model,
+                                                                   monkeypatch):
+    import mvfa.inference as inference
+    calls = {"search": 0, "text": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inference, "_min_cosine_distances",
+                        counted("search", inference._min_cosine_distances))
+    monkeypatch.setattr(inference, "text_probabilities",
+                        counted("text", inference.text_probabilities))
+    backbone, params, text, bank = small_model
+    evaluate(backbone, params, synthetic_samples(100, seed=8), text, bank=bank)
+    # 7 chunks (6 of 16 images, 1 of 4), 4 levels x (cls, seg) each
+    assert calls == {"search": 56, "text": 56}
 
 
 def test_evaluate_equals_oracle_zero_shot_without_bank(small_model):
