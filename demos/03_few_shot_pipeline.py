@@ -46,7 +46,7 @@ bank_images = [s.image for s in load_samples(bank_normals)]
 def run(label, epochs):
     params = init_params(64, seed=7, gamma=0.1, text_features=text[TARGET])
     if epochs:
-        history = train(backbone, params, load_samples(train_set), text,
+        history = train(backbone, params, train_set, text,
                         TrainConfig(lr=1e-3, batch_size=16, epochs=epochs,
                                     seed=42, tau=0.07))
         print(f"{label}: loss {history[0]:.3f} -> {history[-1]:.3f}")

@@ -14,8 +14,7 @@ import numpy as np
 
 from mvfa.adaptation import init_params
 from mvfa.backbone import BackboneConfig, init_backbone
-from mvfa.data import SynthConfig, gen_dataset, load_manifest, load_samples, \
-    zero_shot_split
+from mvfa.data import SynthConfig, gen_dataset, load_manifest, zero_shot_split
 from mvfa.metrics import evaluate
 from mvfa.objective import TrainConfig, train
 from mvfa.textbank import build_text_features, default_prompt_set
@@ -40,7 +39,7 @@ text = {m: build_text_features(prompts, m, 0, 64).f_text for m in modalities}
 stacked = np.concatenate([text[m].data for m in modalities])
 
 params = init_params(64, seed=7, gamma=0.1, text_features=stacked)
-history = train(backbone, params, load_samples(train_set), text,
+history = train(backbone, params, train_set, text,
                 TrainConfig(lr=1e-3, batch_size=16, epochs=12, seed=42, tau=0.07))
 print(f"loss {history[0]:.3f} -> {history[-1]:.3f}")
 

@@ -187,7 +187,8 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
     the residual mix of their mean; level 4 is the projector applied to the final
     features. In projector mode the encoder runs untouched and every level
     gets its own isolated projection pair. ``stage1`` is passed through to
-    :func:`forward_with_hooks` for the training loop.
+    :func:`forward_with_hooks` for the training loop, which then passes
+    None for ``image``.
     """
     if params.arch == ARCH_PROJECTOR:
         stage = forward_with_hooks(backbone, image, None, stage1=stage1)

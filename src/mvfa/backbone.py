@@ -17,7 +17,9 @@ and gradients keep their bits. That is why LayerNorm still computes
 1/sqrt(var + eps) as exp(-0.5 * log(var + eps)), why the heads run one at
 a time with their outputs summed head by head, and why the attention scale
 is a Python float: a direct rsqrt, stacked heads or a numpy float64 scale
-would each change float32 rounding.
+would each change float32 rounding. The node keeps only what its VJP
+reads; of the (B, N, 2d) MLP pre-activation that is the sign, kept as one
+bool per value.
 
 Features are (N, d) for one image or (B, N, d) for a batch. Every operation
 works on the last two axes, normalizing over ``axis=-1`` and transposing
@@ -213,9 +215,11 @@ def _block_forward(x, blk, config):
     h2, ln2 = _layer_norm(x1, blk.ln2_g.data, blk.ln2_b.data)
     pre = h2 @ blk.mlp_w1.data + blk.mlp_b1.data
     out = x1 + (np.maximum(pre, 0) @ blk.mlp_w2.data + blk.mlp_b2.data)
+    # the ReLU's VJP reads only this sign, so the float pre-activation is not kept
+    positive = pre > 0
 
     def backward_fn(g):
-        g_h2 = (g @ blk.mlp_w2.data.T * (pre > 0)) @ blk.mlp_w1.data.T
+        g_h2 = (g @ blk.mlp_w2.data.T * positive) @ blk.mlp_w1.data.T
         g_x1 = _layer_norm_vjp(g_h2, blk.ln2_g.data, ln2, g)
         g_h = None
         for (q, k, v, att), wq, wk, wv, wo in zip(heads, blk.wq, blk.wk, blk.wv, blk.wo):
@@ -282,8 +286,9 @@ def forward_with_hooks(backbone: FrozenBackbone, image, hook=None, *,
     always hold the raw, pre-hook outputs plus the final stage-4 features.
 
     ``stage1`` is internal: the training loop passes the stage-1 output it
-    computed once for ``image``, which depends on no trainable tensor, and
-    the embedding and stage 1 are then skipped.
+    computed once for its images, which depends on no trainable tensor.
+    The embedding and stage 1 are then skipped and ``image`` is not read,
+    so the loop passes None.
     """
     x = backbone.run_stage(0, backbone.embed(image)) if stage1 is None else stage1
     raw = []

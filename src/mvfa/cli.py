@@ -189,19 +189,17 @@ def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
     else:
         train_set, _, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
                                                  inf["k"], train_cfg.seed)
-    loaded = datamod.load_samples(train_set)
-
     backbone_cfg = BackboneConfig(**cfg["backbone"])
-    text = _text_features(prompts, {s.modality for s in loaded} | {inf["target"]},
+    text = _text_features(prompts, {s.modality for s in train_set} | {inf["target"]},
                           cfg["text_seed"], backbone_cfg.dim)
     backbone = init_backbone(backbone_cfg)
     params = init_params(backbone_cfg.dim, seed=model["init_seed"], gamma=train_cfg.gamma,
                          arch=model["arch"], adapter_style=model["adapter_style"],
                          text_features=np.concatenate([t.data for _, t in
                                                        sorted(text.items())]))
-    history = objective.train(backbone, params, loaded, text, train_cfg,
+    history = objective.train(backbone, params, train_set, text, train_cfg,
                               loss_log_path=loss_log)
-    return backbone, params, history, len(loaded)
+    return backbone, params, history, len(train_set)
 
 
 def _bank(cfg, manifests, backbone, params):

@@ -13,6 +13,7 @@ bank.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -357,6 +358,33 @@ def load_sample(sample: Sample) -> LoadedSample:
 
 def load_samples(samples):
     return [load_sample(s) for s in samples]
+
+
+def bool_mask(mask):
+    """A pixel mask as one bool per pixel, or None for None.
+
+    A mask holds only 0 and 1 (see :class:`LoadedSample`); any other value
+    is a ``DataError``, not a label rounded one way or the other.
+    """
+    if mask is None:
+        return None
+    flags = np.asarray(mask) != 0
+    if not np.array_equal(flags, mask):
+        raise DataError("a pixel mask must hold only the values 0 and 1")
+    return flags
+
+
+def load_chunks(samples, size):
+    """Yield the samples as lists of at most ``size`` loaded samples, in order.
+
+    A :class:`LoadedSample` passes through as it is, and a manifest
+    :class:`Sample` is read only when its chunk is reached, so a caller
+    that keeps only what it needs of each chunk holds one chunk of images
+    at a time.
+    """
+    remaining = iter(samples)
+    while chunk := list(itertools.islice(remaining, size)):
+        yield [s if isinstance(s, LoadedSample) else load_sample(s) for s in chunk]
 
 
 def _require_modality(samples, target, where):

@@ -11,14 +11,13 @@ Each NaN ranks after every number, as a run of its own in input order.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import LoadedSample, load_sample
+from .data import bool_mask, load_chunks
 from .errors import DataError, MetricError
 from .fileio import write_text_atomic
 from .inference import grid_maps, score_batch
@@ -132,9 +131,7 @@ def score_samples(backbone, params, samples, text_features, bank=None,
     one batch, and the next chunk only once the caller has taken every pair
     of this one, so a caller that writes each pair out holds one chunk.
     """
-    remaining = iter(samples)
-    while chunk := list(itertools.islice(remaining, CHUNK)):
-        loaded = [s if isinstance(s, LoadedSample) else load_sample(s) for s in chunk]
+    for loaded in load_chunks(samples, CHUNK):
         for sample in loaded:
             if sample.modality not in text_features:
                 raise DataError(f"no text features for modality {sample.modality!r}")
@@ -177,8 +174,8 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
              beta2=0.5, tau=0.07) -> Report:
     """Score a test set and assemble image/pixel/per-level AUCs.
 
-    Only each image's label, modality, mask and lean result are kept; the
-    per-level pixel pools are built one level at a time from the grids.
+    Only each image's label, modality, bool mask and lean result are kept;
+    the per-level pixel pools are built one level at a time from the grids.
     """
     if not samples:
         raise DataError("test set is empty")
@@ -187,7 +184,7 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
                                         bank=bank, beta1=beta1, beta2=beta2, tau=tau):
         labels.append(sample.label)
         modalities.append(sample.modality)
-        masks.append(sample.mask)
+        masks.append(bool_mask(sample.mask))
         results.append(result)
 
     labels = np.array(labels)

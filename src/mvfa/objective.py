@@ -26,6 +26,12 @@ elements as they would for that map alone, and the per-sample totals are
 added left to right, as a chain of per-sample additions would; ``np.sum``
 pairs eight or more terms differently. A sample without a mask has no seg
 term, and its rows of the seg gradient are zero, which adds nothing.
+
+Training holds no image: it loads the samples one batch at a time for a
+single pass through the embedding and stage 1, which no trainable tensor
+reaches, and keeps of each sample only that pass's rows, its label, its
+modality and its mask as bool. A bool mask gives the loss the bits of the
+float32 one, since both cast to the same 0/1 map.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import numpy as np
 from . import autograd as ag
 from .adaptation import AdaptedFeatures, MVFAParams, adapt_forward, text_probabilities
 from .autograd import Tensor
+from .data import bool_mask, load_chunks
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .fileio import write_text_atomic
 
@@ -309,19 +316,24 @@ def adam_step(named_params, grads, state: AdamState, lr,
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _stage1_cache(backbone, images, batch_size):
-    """Embedding and stage 1 of every image as one (S, N, d) array.
+def _stage1_pass(backbone, samples, batch_size):
+    """What training keeps of each sample, loading ``batch_size`` at a time.
 
-    They see no trainable tensor, so training runs them once, in
-    batch-sized chunks.
+    Returns the embedding and stage 1 of every image as one (S, N, d)
+    array, which depend on no trainable tensor and so run once, plus each
+    sample's label, modality and bool mask. No step reads an image again.
     """
-    cache = None
-    for start in range(0, len(images), batch_size):
-        chunk = backbone.run_stage(0, backbone.embed(images[start:start + batch_size])).data
-        if cache is None:
-            cache = np.empty((len(images),) + chunk.shape[1:], dtype=chunk.dtype)
-        cache[start:start + len(chunk)] = chunk
-    return cache
+    stage1, labels, modalities, masks = None, [], [], []
+    for chunk in load_chunks(samples, batch_size):
+        rows = backbone.run_stage(0, backbone.embed([s.image for s in chunk])).data
+        if stage1 is None:
+            stage1 = np.empty((len(samples),) + rows.shape[1:], dtype=rows.dtype)
+        stage1[len(labels):len(labels) + len(chunk)] = rows
+        for sample in chunk:
+            labels.append(sample.label)
+            modalities.append(sample.modality)
+            masks.append(bool_mask(sample.mask))
+    return stage1, np.array(labels), modalities, masks
 
 
 def _sum_samples(totals):
@@ -332,13 +344,16 @@ def _sum_samples(totals):
 
 def train(backbone, params: MVFAParams, samples, text_features: dict,
           config: TrainConfig, loss_log_path=None):
-    """Optimize the adapter parameters on loaded samples.
+    """Optimize the adapter parameters on loaded (or loadable) samples.
 
-    ``samples`` are objects with image/label/mask/modality attributes;
-    ``text_features`` maps each modality to its 2 x d text tensor. Returns
-    the per-epoch mean losses and optionally appends them to a CSV file.
+    ``samples`` are manifest :class:`~mvfa.data.Sample` entries or loaded
+    samples with image/label/mask/modality attributes, whose masks hold
+    only 0 and 1; ``text_features`` maps each modality to its 2 x d text
+    tensor. Returns the per-epoch mean losses and optionally appends them
+    to a CSV file.
 
-    Each step runs its samples as one (B, N, d) graph and sums their losses
+    The images are loaded ``batch_size`` at a time for one pass through the
+    embedding and stage 1; no step reads an image again. Each step runs its samples as one (B, N, d) graph and sums their losses
     left to right before one backward pass; every sample keeps the bits it
     would get in a graph of its own, so the checkpoints are those of
     training one sample graph at a time (``tests/train_oracle.py``).
@@ -354,20 +369,17 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     rng = np.random.default_rng(config.seed)
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     history = []
-    images = [sample.image for sample in samples]
-    labels = np.array([sample.label for sample in samples])
-    texts = np.stack([text_features[sample.modality].data for sample in samples])
-    stage1 = _stage1_cache(backbone, images, config.batch_size)
+    stage1, labels, modalities, masks = _stage1_pass(backbone, samples, config.batch_size)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(samples))
         weighted = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            features, _ = adapt_forward(backbone, params, [images[i] for i in chunk],
-                                        stage1=Tensor(stage1[chunk]))
-            totals = total_loss(features, Tensor(texts[chunk]), labels[chunk],
-                                [samples[i].mask for i in chunk], config.weights,
+            features, _ = adapt_forward(backbone, params, None, stage1=Tensor(stage1[chunk]))
+            texts = np.stack([text_features[modalities[i]].data for i in chunk])
+            totals = total_loss(features, Tensor(texts), labels[chunk],
+                                [masks[i] for i in chunk], config.weights,
                                 tau=config.tau, out_hw=out_hw, levels=config.levels)
             batch = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
             value = float(batch.data)

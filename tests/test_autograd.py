@@ -127,17 +127,52 @@ def test_bilinear_vjp_matches_add_at_scatter_bitwise(src_hw, out_hw, dtype):
     a = Tensor(rng.standard_normal(src_hw).astype(dtype), requires_grad=True)
     g = rng.standard_normal(out_hw).astype(dtype)
     got = ag.upsample_vjp(g, a.shape, a.dtype)
+    expected = _add_at_scatter(g, src_hw)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
-    y0, y1, wy = ag._axis_coords(src_hw[0], out_hw[0], a.dtype.type)
-    x0, x1, wx = ag._axis_coords(src_hw[1], out_hw[1], a.dtype.type)
+
+def _add_at_scatter(g, src_hw):
+    """Gradient of a (h, w) map under bilinear upsampling, one ``np.add.at`` per corner."""
+    y0, y1, wy = ag._axis_coords(src_hw[0], g.shape[0], g.dtype.type)
+    x0, x1, wx = ag._axis_coords(src_hw[1], g.shape[1], g.dtype.type)
     wy, wx = wy[:, None], wx[None, :]
-    expected = np.zeros_like(a.data)
+    expected = np.zeros(src_hw, dtype=g.dtype)
     np.add.at(expected, np.ix_(y0, x0), g * (1 - wy) * (1 - wx))
     np.add.at(expected, np.ix_(y0, x1), g * (1 - wy) * wx)
     np.add.at(expected, np.ix_(y1, x0), g * wy * (1 - wx))
     np.add.at(expected, np.ix_(y1, x1), g * wy * wx)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
+    return expected
+
+
+def test_bilinear_vjp_matches_add_at_scatter_on_seeded_draws():
+    """The upsample VJP has the bits of the corner scatter on random sizes.
+
+    300 draws of a source grid of 1..10 by 1..10 cells, square or not, and
+    an output of at least that size, in float32 or float64, as one map or
+    a stack of 1..4 maps; the first draws are the 1x1 grid. Upstream
+    gradients include exact zeros, signed zeros and subnormals. Summing
+    the gathered plan with one ``np.add.reduce`` instead of row by row
+    fails this test: numpy sums a 1x1 source's contributions pairwise.
+    """
+    rng = np.random.default_rng(2029)
+    for draw in range(300):
+        dtype = (np.float32, np.float64)[draw % 2]
+        src_hw = (1, 1) if draw < 4 else tuple(int(n) for n in rng.integers(1, 11, 2))
+        out_hw = tuple(int(n + rng.integers(0, 4 * n + 8)) for n in src_hw)
+        count = int(rng.integers(0, 5))
+        g = rng.standard_normal((max(count, 1),) + out_hw)
+        tiny = np.finfo(dtype).smallest_subnormal
+        edge = rng.uniform(size=g.shape) < 0.1
+        g[edge] = rng.choice([0.0, -0.0, tiny, -tiny], size=int(edge.sum()))
+        g = g.astype(dtype)
+        if count:
+            got = ag.upsample_vjp(g, (count,) + src_hw, dtype)
+            expected = np.stack([_add_at_scatter(one, src_hw) for one in g])
+        else:
+            got = ag.upsample_vjp(g[0], src_hw, dtype)
+            expected = _add_at_scatter(g[0], src_hw)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

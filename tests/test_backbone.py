@@ -6,8 +6,8 @@ from fdcheck import check_gradients
 
 from mvfa import autograd as ag
 from mvfa.autograd import Tensor, backward
-from mvfa.backbone import (BackboneConfig, _block_forward, _layer_norm, forward_with_hooks,
-                           init_backbone, patch_tokens)
+from mvfa.backbone import (BackboneConfig, _Block, _block_forward, _layer_norm,
+                           forward_with_hooks, init_backbone, patch_tokens)
 from mvfa.errors import ConfigError, ContractError, ShapeError
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -193,3 +193,124 @@ def test_fused_block_vjp_matches_finite_differences():
     for blocks in backbone.stages:
         check_gradients(lambda: ops.sum(ops.mul(_block_forward(x, blocks[0], TOY), upstream)),
                         [x], rel_tol=1e-6, step=1e-5)
+
+
+BLOCK_SHAPES = [(4, 1), (4, 2), (4, 4), (6, 3), (8, 2), (8, 4), (12, 3), (16, 4), (64, 4)]
+
+
+def _random_block(rng, dim, heads, dtype):
+    """Random block weights; some columns of ``mlp_w1`` are zero.
+
+    A zero column makes the GEMM's value +0 in every row, so that column's
+    pre-activation is its bias: +0 for a bias of +0 or -0 (+0 plus -0
+    rounds to +0, and the GEMM never returns -0), or a subnormal of either
+    sign.
+    """
+    tiny = np.finfo(dtype).smallest_subnormal
+
+    def frozen(arr):
+        return Tensor(np.asarray(arr).astype(dtype), requires_grad=False)
+
+    def matrix(rows, cols):
+        return rng.standard_normal((rows, cols)) / np.sqrt(rows)
+
+    head_dim, hidden = dim // heads, 2 * dim
+    blk = _Block()
+    blk.ln1_g, blk.ln2_g = (frozen(1.0 + 0.3 * rng.standard_normal((1, dim))) for _ in "12")
+    blk.ln1_b, blk.ln2_b = (frozen(0.3 * rng.standard_normal((1, dim))) for _ in "12")
+    blk.wq, blk.wk, blk.wv = ([frozen(matrix(dim, head_dim)) for _ in range(heads)]
+                              for _ in "qkv")
+    blk.wo = [frozen(matrix(head_dim, dim)) for _ in range(heads)]
+    w1, b1 = matrix(dim, hidden), 0.3 * rng.standard_normal((1, hidden))
+    edges = rng.choice(hidden, size=int(rng.integers(1, hidden // 2 + 1)), replace=False)
+    w1[:, edges] = 0.0
+    b1[0, edges] = rng.choice([0.0, -0.0, tiny, -tiny], size=edges.size)
+    blk.mlp_w1, blk.mlp_b1 = frozen(w1), frozen(b1)
+    blk.mlp_w2 = frozen(matrix(hidden, dim))
+    blk.mlp_b2 = frozen(0.3 * rng.standard_normal((1, dim)))
+    return blk
+
+
+def _cancel_pre_activations(rng, x, blk, config):
+    """Set biases so that some pre-activations of nonzero ``mlp_w1`` columns are +0.
+
+    A probe block with a zero MLP output returns the block-middle ``x1``;
+    its LayerNorm times ``mlp_w1`` is the GEMM the block will compute, so a
+    bias of minus one of its values cancels that value exactly. Where the
+    column is nonzero, the ReLU mask of that pre-activation reaches the
+    input gradient.
+    """
+    probe = _Block()
+    for name in _Block.__slots__:
+        setattr(probe, name, getattr(blk, name))
+    probe.mlp_w2 = Tensor(np.zeros_like(blk.mlp_w2.data))
+    probe.mlp_b2 = Tensor(np.zeros_like(blk.mlp_b2.data))
+    x1 = _block_forward(Tensor(x), probe, config).data
+    gemm = _layer_norm(x1, blk.ln2_g.data, blk.ln2_b.data)[0] @ blk.mlp_w1.data
+    gemm = gemm.reshape(-1, gemm.shape[-1])
+    live = np.flatnonzero(blk.mlp_w1.data.any(axis=0))
+    for column in rng.choice(live, size=min(live.size, 3), replace=False):
+        blk.mlp_b1.data[0, column] = -gemm[rng.integers(gemm.shape[0]), column]
+
+
+def _block_draws(count=200):
+    """Seeded (x, block, config, upstream) draws, with ties, zeros and subnormals."""
+    rng = np.random.default_rng(2027)
+    for draw in range(count):
+        dim, heads = BLOCK_SHAPES[draw % len(BLOCK_SHAPES)]
+        dtype = (np.float32, np.float64)[draw % 4 == 3]
+        batch, grid = int(rng.integers(1, 18)), int(rng.integers(1, 5))
+        x = rng.standard_normal((batch, grid * grid, dim))
+        kind = draw % 5
+        if kind == 1:    # tied tokens: equal attention scores and LayerNorm rows
+            x[:, 1:] = x[:, :1]
+        elif kind == 2:  # constant rows: exactly zero after centering
+            x[:] = rng.integers(-2, 3, (batch, grid * grid, 1))
+        elif kind == 3:  # subnormal rows and exact +-0 entries
+            tiny = np.finfo(dtype).smallest_subnormal
+            x[:, ::2] = rng.integers(-3, 4, x[:, ::2].shape) * tiny
+            x[:, 1::2, ::2] = rng.choice([0.0, -0.0], x[:, 1::2, ::2].shape)
+        elif kind == 4:  # coarse values: many ties within a row
+            x = np.round(x)
+        upstream = rng.standard_normal(x.shape)
+        upstream[rng.uniform(size=x.shape) < 0.2] = 0.0
+        config = BackboneConfig(image_size=8, patch_size=8, dim=dim, heads=heads)
+        x, upstream = x.astype(dtype), upstream.astype(dtype)
+        if batch == 1 and draw % 2:  # one image as (N, d)
+            x, upstream = x[0], upstream[0]
+        blk = _random_block(rng, dim, heads, dtype)
+        _cancel_pre_activations(rng, x, blk, config)
+        yield x, blk, config, upstream
+
+
+def test_fused_block_matches_oracle_on_seeded_draws():
+    """Output and input gradient of each draw keep the op-by-op block's bits.
+
+    Each draw is B in 1..17 images of N = 1, 4, 9 or 16 tokens for a
+    (dim, heads) pair, in float32 or float64. The first, the last and one
+    random sample of the batch are checked against ``block_oracle``. Pre-activations include exact
+    zeros, which carry a gradient, and subnormals of both signs; a -0
+    pre-activation cannot arise (see ``_random_block``). Inputs include
+    tied tokens, constant rows, subnormals and signed zeros. Each of these
+    changes to ``backbone._block_forward`` fails this test: the ReLU mask
+    taken as ``pre >= 0``, which differs only where a pre-activation is
+    exactly 0, and the mask taken after an in-place ReLU,
+    ``np.maximum(pre, 0, out=pre)`` followed by ``pre >= 0``.
+    """
+    rng = np.random.default_rng(2028)
+    for x, blk, config, upstream in _block_draws():
+        fused_in = Tensor(x, requires_grad=True)
+        fused = _block_forward(fused_in, blk, config)
+        g_fused = backward(ops.sum(ops.mul(fused, Tensor(upstream))))[fused_in].data
+        if x.ndim == 2:
+            rows = [(x, upstream, fused.data, g_fused)]
+        else:
+            picked = sorted({0, len(x) - 1, int(rng.integers(len(x)))})
+            rows = [(x[i], upstream[i], fused.data[i], g_fused[i]) for i in picked]
+        for x_i, up_i, out_i, g_i in rows:
+            oracle_in = Tensor(x_i.copy(), requires_grad=True)
+            oracle = block_forward(oracle_in, blk, config)
+            g_oracle = backward(ops.sum(ops.mul(oracle, Tensor(up_i))))[oracle_in].data
+            assert out_i.dtype == oracle.dtype == x.dtype
+            assert out_i.tobytes() == oracle.data.tobytes()
+            assert g_i.tobytes() == g_oracle.tobytes()

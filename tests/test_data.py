@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mvfa.data import (DEFAULT_MODALITIES, ModalityProfile, SynthConfig, _synth_sample,
-                       few_shot_split, gen_dataset, load_manifest, load_sample,
-                       read_pgm, write_pgm, zero_shot_split)
+from mvfa.data import (DEFAULT_MODALITIES, LoadedSample, ModalityProfile, SynthConfig,
+                       _synth_sample, bool_mask, few_shot_split, gen_dataset, load_chunks,
+                       load_manifest, load_sample, read_pgm, write_pgm, zero_shot_split)
 from mvfa.errors import ConfigError, DataError, FormatError, ManifestError
 
 
@@ -179,6 +180,41 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
     train_manifest, test_manifest = gen_dataset(small_config(), root)
     return load_manifest(train_manifest), load_manifest(test_manifest)
+
+
+def test_load_chunks_loads_each_chunk_in_order(dataset):
+    _, samples = dataset
+    given = list(samples[:5])
+    given[2] = load_sample(given[2])  # a loaded sample passes through as it is
+    chunks = list(load_chunks(given, 2))
+    assert [len(chunk) for chunk in chunks] == [2, 2, 1]
+    flat = [s for chunk in chunks for s in chunk]
+    assert flat[2] is given[2]
+    for sample, loaded in zip(samples[:5], flat):
+        assert isinstance(loaded, LoadedSample)
+        assert loaded.path == sample.image
+        assert np.array_equal(loaded.image, load_sample(sample).image)
+    # a chunk is read only when it is reached
+    missing = dataclasses.replace(given[0], image=given[0].image + ".missing")
+    chunks = load_chunks(given[:2] + [missing], 2)
+    assert len(next(chunks)) == 2
+    with pytest.raises(FileNotFoundError):
+        next(chunks)
+
+
+@pytest.mark.parametrize("mask", [np.array([[0.0, 1.0]], dtype=np.float32),
+                                  np.array([[0, 255]], dtype=np.uint8) // 255,
+                                  np.array([[False, True]])])
+def test_bool_mask_keeps_zero_and_one(mask):
+    flags = bool_mask(mask)
+    assert flags.dtype == bool and flags.tolist() == [[False, True]]
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+def test_bool_mask_rejects_other_values(value):
+    assert bool_mask(None) is None
+    with pytest.raises(DataError, match="only the values 0 and 1"):
+        bool_mask(np.array([[0.0, value]], dtype=np.float32))
 
 
 def test_zero_shot_split_filters_target(dataset):

@@ -8,10 +8,11 @@ import train_oracle
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
-from mvfa.adaptation import adapt_forward, init_params
+from mvfa.adaptation import adapt_forward, init_params, save_checkpoint
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
-from mvfa.data import LoadedSample
+from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, gen_dataset, load_manifest, \
+    load_samples
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, _sum_samples,
                             adam_step, bce_image, dice_loss, focal_loss, level_loss, total_loss,
@@ -322,6 +323,71 @@ def test_batched_level_loss_matches_per_sample_bitwise(dtype):
         _assert_same_bits(got, (value, [g_cls, g_seg]))
 
 
+def _loss_draws(count=200):
+    """Seeded level-loss inputs: batches of 1..4 samples with edge-case masks and weights."""
+    rng = np.random.default_rng(2030)
+    for draw in range(count):
+        dtype = (np.float32, np.float64)[draw % 2]
+        batch, grid = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        dim = int(rng.integers(2, 9))
+        out_hw = tuple(int(grid + rng.integers(0, 3 * grid + 6)) for _ in range(2))
+        cls, seg = rng.standard_normal((2, batch, grid * grid, dim)).astype(dtype)
+        if draw % 7 == 0:  # tied grid rows: the max passes its gradient to the first
+            cls[:] = cls[:, :1]
+        text = rng.standard_normal((batch, 2, dim) if draw % 3 else (2, dim)).astype(dtype)
+        masks = []
+        for _ in range(batch):  # None, empty, all ones or random
+            masks.append((None, np.zeros(out_hw, np.float32), np.ones(out_hw, np.float32),
+                          (rng.uniform(size=out_hw) < 0.3).astype(np.float32))[rng.integers(4)])
+        lambdas = [0.0 if rng.uniform() < 0.3 else float(rng.uniform(0.1, 3.0))
+                   for _ in range(3)]
+        tau = float(rng.choice([1e-3, 0.07, 0.2, 1.0]))
+        given_hw = None if draw % 5 == 0 and any(m is not None for m in masks) else out_hw
+        yield (cls, seg, text, rng.integers(0, 2, batch), masks, LossWeights(*lambdas), tau,
+               given_hw)
+
+
+def _loss_bits(loss_fn, cls, seg, *args, **kwargs):
+    """Value and (cls, seg) gradient bytes of 0.37 times a loss; None for no gradient."""
+    cls_t, seg_t = Tensor(cls, requires_grad=True), Tensor(seg, requires_grad=True)
+    loss = loss_fn(cls_t, seg_t, *args, **kwargs)
+    total = _sum_samples(loss) if loss.ndim else loss
+    grads = backward(ag.scale(total, 0.37)) if loss.node is not None else {}
+    return loss.data, [grads[t].data if t in grads else None for t in (cls_t, seg_t)]
+
+
+def test_level_loss_matches_oracle_on_seeded_draws():
+    """A batched level loss keeps the op-by-op loss's bits for each sample.
+
+    200 draws of 1..4 samples on a 1x1 to 4x4 grid, upsampled to a random
+    map size, in float32 or float64. Masks are None, empty, all ones or
+    random, and each lambda is 0 in about a third of the draws. Each draw
+    passes its masks as float32 and again as bool, and both must give the
+    same bits; then each sample's value and gradients must equal
+    ``loss_oracle``'s. A sample without a seg term has a zero seg gradient.
+    Each of these changes to ``objective`` fails this test: ``_as_mask``
+    without its cast to the map's dtype, the BCE gradient sent to the last
+    maximal grid row instead of the first, and the focal term's map
+    gradient added before the dice term's.
+    """
+    for cls, seg, text, labels, masks, weights, tau, out_hw in _loss_draws():
+        value, grads = _loss_bits(level_loss, cls, seg, Tensor(text), labels, masks,
+                                  weights, tau=tau, out_hw=out_hw)
+        flags = [None if m is None else m.astype(bool) for m in masks]
+        value_b, grads_b = _loss_bits(level_loss, cls, seg, Tensor(text), labels, flags,
+                                      weights, tau=tau, out_hw=out_hw)
+        _assert_same_bits((value, grads), (value_b, grads_b))
+        for i, mask in enumerate(masks):
+            expected = _loss_bits(loss_oracle.level_loss, cls[i], seg[i],
+                                  Tensor(text if text.ndim == 2 else text[i]), labels[i],
+                                  mask, weights, tau=tau, out_hw=out_hw)
+            got = [None if g is None else g[i] for g in grads]
+            if expected[1][1] is None and got[1] is not None:  # no seg term for this one
+                assert not got[1].any()
+                got[1] = None
+            _assert_same_bits((value[i], got), expected)
+
+
 def _graph_nodes(loss):
     seen, stack, nodes = set(), [loss], 0
     while stack:
@@ -595,6 +661,67 @@ def test_training_step_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20
+
+
+def _manifest(root, image_size, normals, anomalies, modalities):
+    """Train-manifest samples of a generated dataset."""
+    radius = (1.0, 2.0) if image_size < 16 else (6.0, 10.0)
+    train_manifest, _ = gen_dataset(SynthConfig(
+        modalities=modalities, image_size=image_size, defect_radius=radius,
+        benign_radius=radius, train_normals=normals, train_anomalies=anomalies,
+        test_normals=1, test_anomalies=1, seed=19), root)
+    return load_manifest(train_manifest)
+
+
+def test_training_on_manifest_samples_writes_the_loaded_checkpoint(tmp_path):
+    # two modalities in steps of 4, 4 and 2; the manifest path loads each step's images
+    modalities = (ModalityProfile("widget", 3.0, 0.5, 0.03),
+                  ModalityProfile("gadget", 12.0, 0.4, 0.04))
+    samples = _manifest(tmp_path / "data", TOY.image_size, 3, 2, modalities)
+    train_config = TrainConfig(lr=1e-2, batch_size=4, epochs=2, seed=10)
+    written = []
+    for given in (samples, load_samples(samples)):
+        backbone = init_backbone(TOY)
+        params = init_params(TOY.dim, seed=11)
+        text = {"widget": toy_text(dtype=np.float32),
+                "gadget": toy_text(seed=1, dtype=np.float32)}
+        train(backbone, params, given, text, train_config)
+        path = tmp_path / f"run{len(written)}.ckpt"
+        save_checkpoint(path, TOY, params)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_training_memory_grows_at_most_24_kib_per_sample(tmp_path):
+    # a sample keeps its 16 KiB stage-1 rows and a 4 KiB bool mask (20.3 KiB
+    # measured); a caller-loaded set with float32 masks grew by about 46 KiB.
+    # Both runs take more than one step, so both peaks hold a step's leftovers.
+    config = BackboneConfig()
+    samples = _manifest(tmp_path / "data", config.image_size, 32, 8,
+                        (ModalityProfile("widget", 3.0, 0.5, 0.03),))
+    text = {"widget": toy_text(config.dim, dtype=np.float32)}
+    train_config = TrainConfig(batch_size=8, epochs=1, seed=10)
+
+    def peak(count):
+        backbone = init_backbone(config)
+        params = init_params(config.dim, seed=11)
+        tracemalloc.start()
+        try:
+            train(backbone, params, samples[:count], text, train_config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # warm caches
+    assert (peak(40) - peak(16)) / 24 <= 24 * 1024
+
+
+def test_training_rejects_a_mask_that_is_not_zero_or_one():
+    samples = toy_samples(2)
+    samples[1].mask[0, 0] = 0.5
+    backbone, params, text = toy_setup()
+    with pytest.raises(DataError, match="only the values 0 and 1"):
+        train(backbone, params, samples, text, TrainConfig(batch_size=2, epochs=1))
 
 
 def test_backbone_untouched_by_training():
