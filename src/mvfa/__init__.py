@@ -7,12 +7,10 @@ bank, with synthetic defect data and AUC evaluation to exercise it end to
 end.
 """
 
-from .adaptation import (Adapter, AdaptedFeatures, DualAdapter, MVFAParams, Projector,
-                         adapt_forward, apply_adapter, init_params, load_checkpoint,
-                         residual_mix, save_checkpoint)
+from .adaptation import (AdaptedFeatures, MVFAParams, adapt_forward, apply_adapter,
+                         init_params, load_checkpoint, residual_mix, save_checkpoint)
 from .autograd import Tensor, backward, no_grad
-from .backbone import (BackboneConfig, FrozenBackbone, StageFeatures,
-                       forward_with_hooks, init_backbone)
+from .backbone import BackboneConfig, FrozenBackbone, init_backbone
 from .data import (LoadedSample, ModalityProfile, Sample, SynthConfig, few_shot_split,
                    gen_dataset, load_manifest, load_sample, load_samples, read_pgm,
                    write_pgm, zero_shot_split)

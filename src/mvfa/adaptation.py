@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .backbone import BackboneConfig, FrozenBackbone, StageFeatures, forward_with_hooks
+from .backbone import BackboneConfig, FrozenBackbone
 from .errors import ConfigError, FormatError, ShapeError
 from .fileio import Reader, write_bytes_atomic
 
@@ -29,26 +29,6 @@ ARCH_ADAPTER = "adapter"
 ARCH_PROJECTOR = "projector"
 STYLE_DUAL = "dual"
 STYLE_SINGLE = "single"
-
-
-class Adapter:
-    """Two-layer bottleneck transform: relu(f @ down) @ up."""
-
-    def __init__(self, down: Tensor, up: Tensor):
-        self.w1 = down
-        self.w2 = up
-
-
-class DualAdapter:
-    def __init__(self, cls: Adapter, seg: Adapter):
-        self.cls = cls
-        self.seg = seg
-
-
-class Projector:
-    def __init__(self, w_cls: Tensor, w_seg: Tensor):
-        self.w_cls = w_cls
-        self.w_seg = w_seg
 
 
 @dataclass
@@ -64,14 +44,15 @@ class MVFAParams:
 
     ``arch`` switches between the default adapter architecture and the
     ablation variant with isolated per-level projectors (no feed-forward of
-    adapted features). ``adapter_style`` single aliases the cls/seg branch
-    to one shared adapter per level. Adapters are ``dim // 4`` wide.
+    adapted features). ``adapter_style`` single gives each level one adapter
+    for both branches. Adapters are ``dim // 4`` wide.
 
-    The constructor is the one place that names, orders and aliases the
-    tensors of each layout. It asks ``tensor(name, kind, shape)`` for each
-    tensor in canonical order, where ``kind`` is "down", "up" or
-    "projection"; seeded initialization and checkpoint loading are two
-    such callbacks, so a checkpoint's names and shapes fix the model.
+    The constructor is the one place that names and orders the tensors of
+    each layout. It asks ``tensor(name, kind, shape)`` for each tensor in
+    canonical order, where ``kind`` is "down", "up" or "projection"; seeded
+    initialization and checkpoint loading are two such callbacks, so a
+    checkpoint's names and shapes fix the model. Code reaches each tensor
+    by that name: ``params["adapter1.cls.down"]``, ``params["level3.cls"]``.
     """
 
     def __init__(self, dim, gamma, arch, adapter_style, tensor):
@@ -84,42 +65,33 @@ class MVFAParams:
         self.gamma = float(gamma)
         self.arch = arch
         self.adapter_style = adapter_style
-        self.adapters = self.projector = self.level_projectors = None
-        self._named = []
+        self._named = {}
         width = dim // 4
 
         def take(name, kind, shape):
-            t = tensor(name, kind, shape)
-            self._named.append((name, t))
-            return t
-
-        def adapter(prefix):
-            return Adapter(take(f"{prefix}.down", "down", (dim, width)),
-                           take(f"{prefix}.up", "up", (width, dim)))
-
-        def projector(prefix):
-            return Projector(take(f"{prefix}.cls", "projection", (dim, dim)),
-                             take(f"{prefix}.seg", "projection", (dim, dim)))
+            self._named[name] = tensor(name, kind, shape)
 
         if arch == ARCH_PROJECTOR:
-            self.level_projectors = [projector(f"level{i}") for i in range(1, 5)]
-            return
-        self.adapters = []
-        for i in range(1, 4):
-            if adapter_style == STYLE_DUAL:
-                self.adapters.append(DualAdapter(adapter(f"adapter{i}.cls"),
-                                                 adapter(f"adapter{i}.seg")))
-            else:
-                shared = adapter(f"adapter{i}")
-                self.adapters.append(DualAdapter(shared, shared))
-        self.projector = projector("projector")
+            projections = [f"level{i}" for i in range(1, 5)]
+        else:
+            projections = ["projector"]
+            for i in range(1, 4):
+                for role in (".cls", ".seg") if adapter_style == STYLE_DUAL else ("",):
+                    take(f"adapter{i}{role}.down", "down", (dim, width))
+                    take(f"adapter{i}{role}.up", "up", (width, dim))
+        for prefix in projections:
+            take(f"{prefix}.cls", "projection", (dim, dim))
+            take(f"{prefix}.seg", "projection", (dim, dim))
+
+    def __getitem__(self, name):
+        return self._named[name]
 
     def named_tensors(self):
-        """Canonical (name, tensor) list; aliased tensors appear once."""
-        return list(self._named)
+        """Canonical (name, tensor) list."""
+        return list(self._named.items())
 
     def tensors(self):
-        return [t for _, t in self._named]
+        return list(self._named.values())
 
 
 def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_DUAL,
@@ -163,9 +135,9 @@ def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_D
     return MVFAParams(dim, gamma, arch, adapter_style, draw)
 
 
-def apply_adapter(f: Tensor, a: Adapter) -> Tensor:
+def apply_adapter(f: Tensor, down: Tensor, up: Tensor) -> Tensor:
     """Bottleneck transform relu(f @ down) @ up."""
-    return ag.matmul(ag.relu(ag.matmul(f, a.w1)), a.w2)
+    return ag.matmul(ag.relu(ag.matmul(f, down)), up)
 
 
 def residual_mix(f: Tensor, adapted: Tensor, gamma) -> Tensor:
@@ -178,46 +150,45 @@ def residual_mix(f: Tensor, adapted: Tensor, gamma) -> Tensor:
 
 
 def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1=None):
-    """Run the encoder with adapters installed.
+    """Run the encoder with adapters installed between its stages.
 
     ``image`` is one image, giving (N, d) features, or a list of B images,
-    giving (B, N, d). Returns (AdaptedFeatures, StageFeatures). In adapter
-    mode levels 1..3
-    produce residually mixed cls/seg features and the next stage receives
-    the residual mix of their mean; level 4 is the projector applied to the final
-    features. In projector mode the encoder runs untouched and every level
-    gets its own isolated projection pair. ``stage1`` is passed through to
-    :func:`forward_with_hooks` for the training loop, which then passes
-    None for ``image``.
+    giving (B, N, d). Returns the AdaptedFeatures and the tuple of the four
+    raw stage outputs, each taken before any mixing. In adapter mode
+    levels 1..3 produce residually mixed cls/seg features and the next
+    stage receives the residual mix of their mean; level 4 is the projector
+    applied to the final features. In projector mode the encoder runs
+    untouched and every level gets its own isolated projection pair.
+
+    ``stage1`` is internal: the training loop passes the stage-1 output it
+    computed once for its images, which depends on no trainable tensor.
+    The embedding and stage 1 are then skipped and ``image`` is not read,
+    so the loop passes None.
     """
-    if params.arch == ARCH_PROJECTOR:
-        stage = forward_with_hooks(backbone, image, None, stage1=stage1)
-        cls, seg = [], []
-        for f, proj in zip(stage.levels(), params.level_projectors):
-            cls.append(ag.matmul(f, proj.w_cls))
-            seg.append(ag.matmul(f, proj.w_seg))
-        return AdaptedFeatures(cls, seg), stage
+    gamma, single = params.gamma, params.adapter_style == STYLE_SINGLE
+    x = backbone.run_stage(0, backbone.embed(image)) if stage1 is None else stage1
+    raw, cls, seg = [], [], []
 
-    gamma = params.gamma
-    mixed = {}
+    def adapted(prefix):
+        return apply_adapter(x, params[f"{prefix}.down"], params[f"{prefix}.up"])
 
-    def hook(level, f):
-        dual = params.adapters[level - 1]
-        cls_adapted = apply_adapter(f, dual.cls)
-        if params.adapter_style == STYLE_SINGLE:
-            seg_adapted = cls_adapted
-        else:
-            seg_adapted = apply_adapter(f, dual.seg)
-        mixed[level] = (residual_mix(f, cls_adapted, gamma),
-                        residual_mix(f, seg_adapted, gamma))
-        return residual_mix(f, ag.scale(ag.add(cls_adapted, seg_adapted), 0.5), gamma)
-
-    stage = forward_with_hooks(backbone, image, hook, stage1=stage1)
-    cls = [mixed[1][0], mixed[2][0], mixed[3][0],
-           ag.matmul(stage.f_vis, params.projector.w_cls)]
-    seg = [mixed[1][1], mixed[2][1], mixed[3][1],
-           ag.matmul(stage.f_vis, params.projector.w_seg)]
-    return AdaptedFeatures(cls, seg), stage
+    for level in range(1, 4):
+        raw.append(x)
+        if params.arch == ARCH_ADAPTER:
+            cls_adapted = adapted(f"adapter{level}" + ("" if single else ".cls"))
+            seg_adapted = cls_adapted if single else adapted(f"adapter{level}.seg")
+            cls.append(residual_mix(x, cls_adapted, gamma))
+            seg.append(residual_mix(x, seg_adapted, gamma))
+            x = residual_mix(x, ag.scale(ag.add(cls_adapted, seg_adapted), 0.5), gamma)
+            del cls_adapted, seg_adapted  # without a graph, freed before the stage runs
+        x = backbone.run_stage(level, x)
+    raw.append(x)
+    projected = (zip(raw, [f"level{i}" for i in range(1, 5)])
+                 if params.arch == ARCH_PROJECTOR else [(x, "projector")])
+    for f, prefix in projected:
+        cls.append(ag.matmul(f, params[f"{prefix}.cls"]))
+        seg.append(ag.matmul(f, params[f"{prefix}.seg"]))
+    return AdaptedFeatures(cls, seg), tuple(raw)
 
 
 def text_probabilities(f, f_text, tau):

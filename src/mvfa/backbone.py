@@ -4,9 +4,10 @@ The encoder stands in for a large pre-trained model: its weights are a
 pure function of (config, seed), every matrix drawn from a seeded
 generator and scaled by 1/sqrt(fan_in), with a fixed sinusoidal position
 table. Nothing in here ever requires gradients. The tokens are patches
-only (no class token) and the blocks run in four stages; a caller-supplied
-hook can transform the running features between stages, which is how
-adapters are inserted without touching the frozen weights.
+only (no class token) and the blocks run in four stages, which
+:meth:`FrozenBackbone.run_stage` runs one at a time, so that
+``adaptation.adapt_forward`` can mix adapters into the features between
+stages without touching the frozen weights.
 
 Each block is recorded as one autograd node whose hand-written VJP returns
 the gradient of the block input only, since the weights never train. Its
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,6 @@ class BackboneConfig:
     @property
     def grid_count(self) -> int:
         return self.grid_side ** 2
-
-
-@dataclass
-class StageFeatures:
-    """Raw per-stage grid features; f1..f3 are pre-hook, f_vis is final."""
-
-    f1: Tensor
-    f2: Tensor
-    f3: Tensor
-    f_vis: Tensor
-
-    def levels(self):
-        return (self.f1, self.f2, self.f3, self.f_vis)
 
 
 class _Block:
@@ -273,34 +261,3 @@ def init_backbone(config: BackboneConfig, dtype=np.float32) -> FrozenBackbone:
             blocks.append(blk)
         stages.append(blocks)
     return FrozenBackbone(config, dtype, patch_w, pos, stages)
-
-
-def forward_with_hooks(backbone: FrozenBackbone, image, hook=None, *,
-                       stage1=None) -> StageFeatures:
-    """Run the encoder, optionally transforming features between stages.
-
-    ``image`` is one image or a list of B images (see
-    :meth:`FrozenBackbone.embed`). ``hook(level, features)`` is called after
-    stages 1..3 with the raw stage output and must return a tensor of the
-    same shape, which is fed to the next stage. The returned StageFeatures
-    always hold the raw, pre-hook outputs plus the final stage-4 features.
-
-    ``stage1`` is internal: the training loop passes the stage-1 output it
-    computed once for its images, which depends on no trainable tensor.
-    The embedding and stage 1 are then skipped and ``image`` is not read,
-    so the loop passes None.
-    """
-    x = backbone.run_stage(0, backbone.embed(image)) if stage1 is None else stage1
-    raw = []
-    for level in range(1, 4):
-        raw.append(x)
-        if hook is not None:
-            fed = hook(level, x)
-            if not isinstance(fed, Tensor) or fed.shape != x.shape:
-                got = fed.shape if isinstance(fed, Tensor) else type(fed).__name__
-                raise ContractError(
-                    f"hook at level {level} must return a tensor of "
-                    f"shape {x.shape}, got {got}")
-            x = fed
-        x = backbone.run_stage(level, x)
-    return StageFeatures(raw[0], raw[1], raw[2], x)

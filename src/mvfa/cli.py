@@ -24,7 +24,7 @@ from . import data as datamod
 from . import inference, metrics, objective, textbank
 from .adaptation import init_params, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, init_backbone
-from .errors import BankError, ConfigError, MVFAError, NumericError
+from .errors import BankError, ConfigError, DataError, MVFAError, NumericError
 from .fileio import write_text_atomic
 
 DEFAULT_CONFIG = {
@@ -286,6 +286,13 @@ def cmd_predict(args):
         raise ConfigError("predict needs --manifest or --data")
     if not samples:
         raise ConfigError("no samples selected for prediction")
+    # each output is named after its image, so two images of one name would collide
+    owners = {}
+    for sample in samples:
+        stem = os.path.splitext(os.path.basename(sample.image))[0]
+        if owners.setdefault(stem, sample) is not sample:
+            raise DataError(f"{owners[stem].image} and {sample.image} would both write "
+                            f"{stem}.map; predict needs images with distinct file names")
 
     text = _text_features(_prompt_set(args), {s.modality for s in samples},
                           cfg["text_seed"], backbone.config.dim)

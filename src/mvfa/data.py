@@ -90,6 +90,10 @@ class ModalityProfile:
     def __post_init__(self):
         if self.polarity not in (-1, 1):
             raise ConfigError(f"polarity must be -1 or 1, got {self.polarity}")
+        # 0 or NaN would make a NaN spectrum, which becomes garbage pixels
+        if not (isinstance(self.base_freq, (int, float)) and 0 < self.base_freq < np.inf):
+            raise ConfigError(f"modality {self.name!r}: base_freq must be a finite "
+                              f"number above 0, got {self.base_freq!r}")
 
 
 DEFAULT_MODALITIES = (

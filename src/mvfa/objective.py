@@ -87,7 +87,9 @@ class TrainConfig:
             raise ConfigError(f"train seed must be nonnegative, got {self.seed}")
         if not self.tau > 0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
-        if not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels):
+        # a repeated level would add its loss twice
+        if (not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels)
+                or len(set(self.levels)) != len(self.levels)):
             raise ConfigError(f"levels must be a nonempty subset of 1..4, got {self.levels}")
 
     @classmethod

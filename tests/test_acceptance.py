@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from fdcheck import check_gradients
 from nn_oracle import min_cosine_distance_oracle, normalize_rows_oracle
+from test_backbone import frozen_levels
 
 from mvfa import autograd as ag
 from mvfa.adaptation import (AdaptedFeatures, adapt_forward, init_params,
                              load_checkpoint, save_checkpoint)
 from mvfa.autograd import Tensor, backward, no_grad
-from mvfa.backbone import BackboneConfig, forward_with_hooks, init_backbone
+from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.cli import main
 from mvfa.data import (SynthConfig, few_shot_split, gen_dataset, load_manifest,
                        load_samples, read_pgm, write_pgm, zero_shot_split)
@@ -49,9 +50,10 @@ def toy_trained_setup(dtype=np.float32, randomize_up=True):
     params = init_params(TOY.dim, seed=11, dtype=dtype)
     if randomize_up:
         rng = np.random.default_rng(5)
-        for dual in params.adapters:
-            dual.cls.w2.data = (rng.standard_normal(dual.cls.w2.shape) * 0.3).astype(dtype)
-            dual.seg.w2.data = (rng.standard_normal(dual.seg.w2.shape) * 0.3).astype(dtype)
+        for level in range(1, 4):
+            for role in ("cls", "seg"):
+                up = params[f"adapter{level}.{role}.up"]
+                up.data = (rng.standard_normal(up.shape) * 0.3).astype(dtype)
     return backbone, params
 
 
@@ -200,16 +202,15 @@ def test_criterion_6_residual_identity():
     backbone, params = toy_trained_setup()
     params.gamma = 0.0
     image = np.random.default_rng(66).uniform(-1, 1, (8, 8)).astype(np.float32)
-    _, hooked = adapt_forward(backbone, params, image)
-    plain = forward_with_hooks(backbone, image)
-    bit_exact = all(np.array_equal(h.data, p.data)
-                    for h, p in zip(hooked.levels()[:3], plain.levels()[:3]))
+    _, raw = adapt_forward(backbone, params, image)
+    plain = frozen_levels(backbone, image)
+    bit_exact = all(np.array_equal(r.data, p.data) for r, p in zip(raw[:3], plain[:3]))
 
     fresh = init_params(TOY.dim, seed=11)  # up-projections still zero
     fresh.gamma = 0.1
     _, forwarded = adapt_forward(backbone, fresh, image)
-    manual = backbone.run_stage(1, ag.scale(plain.f1, 0.9))
-    scaled = np.abs(forwarded.f2.data - manual.data).max() <= 1e-6
+    manual = backbone.run_stage(1, ag.scale(plain[0], 0.9))
+    scaled = np.abs(forwarded[1].data - manual.data).max() <= 1e-6
     report(6, bit_exact and scaled,
            "gamma=0 reproduces the frozen pass bit-exactly; zero up-projections "
            "at gamma=0.1 forward 0.9 * features within 1e-6")
@@ -347,8 +348,9 @@ def test_criterion_11_round_trips(tmp_path):
     ok = True
 
     params = init_params(TOY.dim, seed=9, gamma=0.3)
-    for dual in params.adapters:
-        dual.cls.w2.data = rng.standard_normal(dual.cls.w2.shape).astype(np.float32)
+    for level in range(1, 4):
+        up = params[f"adapter{level}.cls.up"]
+        up.data = rng.standard_normal(up.shape).astype(np.float32)
     ckpt_a, ckpt_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(ckpt_a, TOY, params)
     save_checkpoint(ckpt_b, *load_checkpoint(ckpt_a))

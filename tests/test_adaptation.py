@@ -4,13 +4,14 @@ import numpy as np
 import ops_oracle as ops
 import pytest
 from fdcheck import check_gradients
+from test_backbone import frozen_levels
 
 from mvfa import autograd as ag
-from mvfa.adaptation import (Adapter, MVFAParams, adapt_forward, apply_adapter,
-                             init_params, load_checkpoint, residual_mix,
-                             save_checkpoint, text_probabilities)
+from mvfa.adaptation import (MVFAParams, adapt_forward, apply_adapter, init_params,
+                             load_checkpoint, residual_mix, save_checkpoint,
+                             text_probabilities)
 from mvfa.autograd import Tensor, backward
-from mvfa.backbone import BackboneConfig, forward_with_hooks, init_backbone
+from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import ConfigError, FormatError, NormalizationError
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -25,10 +26,9 @@ def toy_params(seed=1, gamma=0.1, randomize_up=False, dtype=np.float32, **kw):
     params = init_params(TOY.dim, seed=seed, gamma=gamma, dtype=dtype, **kw)
     if randomize_up and params.arch == "adapter":
         rng = np.random.default_rng(seed + 100)
-        for dual in params.adapters:
-            for adapter in {id(dual.cls): dual.cls, id(dual.seg): dual.seg}.values():
-                adapter.w2.data = (rng.standard_normal(adapter.w2.shape) * 0.3
-                                   ).astype(dtype)
+        for name, up in params.named_tensors():
+            if name.endswith(".up"):
+                up.data = (rng.standard_normal(up.shape) * 0.3).astype(dtype)
     return params
 
 
@@ -37,13 +37,13 @@ def toy_params(seed=1, gamma=0.1, randomize_up=False, dtype=np.float32, **kw):
 def test_apply_adapter_zero_cases():
     rng = np.random.default_rng(0)
     f = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-    zero_up = Adapter(Tensor(rng.standard_normal((8, 2)).astype(np.float32)),
-                      Tensor(np.zeros((2, 8), dtype=np.float32)))
-    assert np.array_equal(apply_adapter(f, zero_up).data, np.zeros((4, 8)))
-    any_adapter = Adapter(Tensor(rng.standard_normal((8, 2)).astype(np.float32)),
-                          Tensor(rng.standard_normal((2, 8)).astype(np.float32)))
+    down = Tensor(rng.standard_normal((8, 2)).astype(np.float32))
+    zero_up = Tensor(np.zeros((2, 8), dtype=np.float32))
+    assert np.array_equal(apply_adapter(f, down, zero_up).data, np.zeros((4, 8)))
+    any_down = Tensor(rng.standard_normal((8, 2)).astype(np.float32))
+    any_up = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
     zero_f = Tensor(np.zeros((4, 8), dtype=np.float32))
-    assert np.array_equal(apply_adapter(zero_f, any_adapter).data, np.zeros((4, 8)))
+    assert np.array_equal(apply_adapter(zero_f, any_down, any_up).data, np.zeros((4, 8)))
 
 
 def test_apply_adapter_matches_hand_matrix_arithmetic():
@@ -52,8 +52,8 @@ def test_apply_adapter_matches_hand_matrix_arithmetic():
     w1 = np.array([[0.5, -1.0], [1.0, 0.0], [0.0, 2.0], [-0.5, 0.5]])
     w2 = np.array([[1.0, 0.0, -1.0, 2.0], [0.5, 1.0, 0.0, -1.0]])
     expected = np.maximum(f @ w1, 0.0) @ w2
-    adapter = Adapter(Tensor(w1, dtype=np.float64), Tensor(w2, dtype=np.float64))
-    out = apply_adapter(Tensor(f, dtype=np.float64), adapter)
+    out = apply_adapter(Tensor(f, dtype=np.float64), Tensor(w1, dtype=np.float64),
+                        Tensor(w2, dtype=np.float64))
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -71,9 +71,11 @@ def test_residual_mix_limits():
 
 def test_adapter_parameter_count_is_grid_independent():
     params = init_params(64, seed=0)
-    for dual in params.adapters:
-        assert dual.cls.w1.data.size + dual.cls.w2.data.size == 2 * 64 * 16
-        assert dual.seg.w1.data.size + dual.seg.w2.data.size == 2 * 64 * 16
+    for level in range(1, 4):
+        for role in ("cls", "seg"):
+            prefix = f"adapter{level}.{role}"
+            assert (params[f"{prefix}.down"].data.size + params[f"{prefix}.up"].data.size
+                    == 2 * 64 * 16)
 
 
 # -- adapted forward pass -------------------------------------------------------
@@ -81,14 +83,14 @@ def test_adapter_parameter_count_is_grid_independent():
 def test_zero_weights_gamma_zero_reduces_to_frozen_features():
     backbone = init_backbone(TOY)
     params = init_params(TOY.dim, seed=2, gamma=0.0)
-    params.projector.w_cls.data = np.zeros((8, 8), dtype=np.float32)
-    params.projector.w_seg.data = np.zeros((8, 8), dtype=np.float32)
+    params["projector.cls"].data = np.zeros((8, 8), dtype=np.float32)
+    params["projector.seg"].data = np.zeros((8, 8), dtype=np.float32)
     image = toy_image()
-    features, stage = adapt_forward(backbone, params, image)
-    plain = forward_with_hooks(backbone, image)
+    features, _ = adapt_forward(backbone, params, image)
+    plain = frozen_levels(backbone, image)
     for level in range(3):
-        assert np.array_equal(features.cls[level].data, plain.levels()[level].data)
-        assert np.array_equal(features.seg[level].data, plain.levels()[level].data)
+        assert np.array_equal(features.cls[level].data, plain[level].data)
+        assert np.array_equal(features.seg[level].data, plain[level].data)
     assert np.array_equal(features.cls[3].data, np.zeros((TOY.grid_count, 8)))
     assert np.array_equal(features.seg[3].data, np.zeros((TOY.grid_count, 8)))
 
@@ -97,10 +99,9 @@ def test_gamma_zero_forward_equals_frozen_forward_bitwise():
     backbone = init_backbone(TOY)
     params = toy_params(gamma=0.0, randomize_up=True)
     image = toy_image(seed=5)
-    _, stage = adapt_forward(backbone, params, image)
-    plain = forward_with_hooks(backbone, image)
-    for hooked, frozen in zip(stage.levels(), plain.levels()):
-        assert np.array_equal(hooked.data, frozen.data)
+    _, raw = adapt_forward(backbone, params, image)
+    for adapted, frozen in zip(raw, frozen_levels(backbone, image), strict=True):
+        assert np.array_equal(adapted.data, frozen.data)
 
 
 def test_zero_up_projection_forwards_scaled_features():
@@ -108,10 +109,10 @@ def test_zero_up_projection_forwards_scaled_features():
     backbone = init_backbone(TOY)
     params = toy_params(gamma=0.1)  # w2 zero by construction
     image = toy_image(seed=6)
-    _, stage = adapt_forward(backbone, params, image)
-    plain = forward_with_hooks(backbone, image)
-    manual = backbone.run_stage(1, ag.scale(plain.f1, 0.9))
-    assert np.abs(stage.f2.data - manual.data).max() <= 1e-6
+    _, raw = adapt_forward(backbone, params, image)
+    plain = frozen_levels(backbone, image)
+    manual = backbone.run_stage(1, ag.scale(plain[0], 0.9))
+    assert np.abs(raw[1].data - manual.data).max() <= 1e-6
 
 
 @pytest.mark.parametrize("arch", ["adapter", "projector"])
@@ -150,10 +151,10 @@ def test_trainable_set_closure():
 def test_seg_adapter_gradient_propagates_through_later_stages():
     backbone = init_backbone(TOY, dtype=np.float64)
     params = toy_params(randomize_up=True, dtype=np.float64)
-    features, stage = adapt_forward(backbone, params, toy_image(seed=8))
+    _, raw = adapt_forward(backbone, params, toy_image(seed=8))
     # a loss reading only the final stage still reaches the level-1 seg adapter
-    grads = backward(ops.mean(ops.mul(stage.f_vis, stage.f_vis)))
-    g = grads[params.adapters[0].seg.w1].data
+    grads = backward(ops.mean(ops.mul(raw[3], raw[3])))
+    g = grads[params["adapter1.seg.down"]].data
     assert np.abs(g).max() > 0
 
 
@@ -178,20 +179,25 @@ def test_projector_arch_uses_isolated_projections():
     backbone = init_backbone(TOY)
     params = init_params(TOY.dim, seed=4, arch="projector")
     image = toy_image(seed=10)
-    features, stage = adapt_forward(backbone, params, image)
-    plain = forward_with_hooks(backbone, image)
+    features, raw = adapt_forward(backbone, params, image)
+    plain = frozen_levels(backbone, image)
     # the encoder run is untouched and level features are plain projections
-    for hooked, frozen in zip(stage.levels(), plain.levels()):
-        assert np.array_equal(hooked.data, frozen.data)
-    expected = plain.f1.data @ params.level_projectors[0].w_cls.data
+    for adapted, frozen in zip(raw, plain, strict=True):
+        assert np.array_equal(adapted.data, frozen.data)
+    expected = plain[0].data @ params["level1.cls"].data
     assert np.allclose(features.cls[0].data, expected, atol=1e-6)
     assert len(params.named_tensors()) == 8
 
 
 def test_single_adapter_style_shares_tensors():
-    params = init_params(TOY.dim, seed=5, adapter_style="single")
-    assert params.adapters[0].cls is params.adapters[0].seg
-    assert len(params.named_tensors()) == 8  # 2 per level + 2 projections
+    params = toy_params(seed=5, adapter_style="single", randomize_up=True)
+    assert [name for name, _ in params.named_tensors()] == [
+        "adapter1.down", "adapter1.up", "adapter2.down", "adapter2.up",
+        "adapter3.down", "adapter3.up", "projector.cls", "projector.seg"]
+    # one adapter per level serves both branches
+    features, _ = adapt_forward(init_backbone(TOY), params, toy_image(seed=11))
+    for level in range(3):
+        assert np.array_equal(features.cls[level].data, features.seg[level].data)
 
 
 # -- text probabilities ---------------------------------------------------------
@@ -252,10 +258,10 @@ def test_similarity_rejects_zero_rows_and_bad_tau():
 ])
 def test_checkpoint_round_trip(tmp_path, kwargs):
     params = init_params(TOY.dim, seed=6, gamma=0.25, **kwargs)
-    if params.arch == "adapter":
-        rng = np.random.default_rng(0)
-        for dual in params.adapters:
-            dual.cls.w2.data = rng.standard_normal(dual.cls.w2.shape).astype(np.float32)
+    rng = np.random.default_rng(0)
+    for name, up in params.named_tensors():
+        if name.endswith(".up"):
+            up.data = rng.standard_normal(up.shape).astype(np.float32)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, TOY, params)
     config, loaded = load_checkpoint(path)
@@ -280,10 +286,11 @@ def test_init_params_rejects_a_zero_adapter_width():
 
 def test_checkpoint_rejects_a_custom_adapter_width(tmp_path):
     params = init_params(TOY.dim, seed=6)
-    for dual in params.adapters:
-        for adapter in (dual.cls, dual.seg):
-            adapter.w1.data = np.zeros((TOY.dim, 3), dtype=np.float32)
-            adapter.w2.data = np.zeros((3, TOY.dim), dtype=np.float32)
+    for name, tensor in params.named_tensors():
+        if name.endswith(".down"):
+            tensor.data = np.zeros((TOY.dim, 3), dtype=np.float32)
+        elif name.endswith(".up"):
+            tensor.data = np.zeros((3, TOY.dim), dtype=np.float32)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, TOY, params)
     with pytest.raises(FormatError, match=r"'adapter1.cls.down' has shape \(8, 3\)"):

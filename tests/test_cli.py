@@ -134,6 +134,26 @@ def test_predict_without_bank_fails_fast(workdir, tmp_path, capsys):
     assert "memory bank" in capsys.readouterr().err
 
 
+def test_predict_rejects_images_that_share_a_file_name(workdir, tmp_path, capsys):
+    # every modality of the test manifest has a normal_0000.pgm, and predict
+    # names each output after its image, so one map would overwrite another
+    root, config, data = workdir
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "pred"
+    code = main(["predict", "--config", config, "--manifest",
+                 os.path.join(data, "test.jsonl"), "--ckpt", ckpt, "--beta2", "0",
+                 "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    first = os.path.join(data, "texture-a", "test", "normal_0000.pgm")
+    second = os.path.join(data, "texture-b", "test", "normal_0000.pgm")
+    assert f"{first} and {second} would both write normal_0000.map" in err
+    assert not out_dir.exists()
+
+
 def test_eval_zero_shot_without_bank(workdir, tmp_path):
     root, config, data = workdir
     ckpt = str(tmp_path / "zs.ckpt")
@@ -171,6 +191,30 @@ def test_bad_levels_is_usage_error(workdir, tmp_path, capsys, command, levels):
     assert main([command, "--config", config, "--data", data, "--out",
                  str(tmp_path / "out"), "--levels", levels]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_repeated_levels_is_config_error(workdir, tmp_path, capsys, command):
+    root, config, data = workdir
+    assert main([command, "--config", config, "--data", data, "--out",
+                 str(tmp_path / "out"), "--levels", "1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "subset of 1..4, got (1, 1)" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("base_freq", [0, float("nan")])
+def test_modality_base_freq_off_its_range_is_config_error(workdir, tmp_path, capsys,
+                                                           base_freq):
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user["data"]["modalities"][1]["base_freq"] = base_freq
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'texture-b': base_freq must be" in err
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):

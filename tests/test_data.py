@@ -137,6 +137,13 @@ def test_synth_config_validation():
         small_config(defect_radius=(5.0, 2.0))
 
 
+
+@pytest.mark.parametrize("base_freq", [0.0, -3.0, float("nan"), float("inf"), "7"])
+def test_modality_profile_rejects_a_base_freq_that_is_not_positive_and_finite(base_freq):
+    with pytest.raises(ConfigError, match="'texture-a': base_freq must be a finite"):
+        ModalityProfile("texture-a", base_freq, 0.5, 0.03)
+
+
 # -- manifests -----------------------------------------------------------------
 
 def test_manifest_errors_name_the_line(tmp_path):

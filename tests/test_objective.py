@@ -104,6 +104,15 @@ def test_train_config_rejects_nonpositive_tau(tau):
         TrainConfig.from_dict({"tau": tau})
 
 
+@pytest.mark.parametrize("levels", [(1, 1), (2, 4, 2)])
+def test_train_config_rejects_repeated_levels(levels):
+    # a repeated level would add its loss twice
+    with pytest.raises(ConfigError, match="subset of 1..4"):
+        TrainConfig(levels=levels)
+    with pytest.raises(ConfigError, match="subset of 1..4"):
+        TrainConfig.from_dict({"levels": list(levels)})
+
+
 # -- level and total losses -------------------------------------------------------
 
 def orthogonal_features(g=4, d=4):
@@ -196,9 +205,10 @@ def test_full_objective_gradients_on_toy_model():
     backbone = init_backbone(TOY, dtype=np.float64)
     params = init_params(TOY.dim, seed=11, dtype=np.float64)
     rng = np.random.default_rng(12)
-    for dual in params.adapters:
-        dual.cls.w2.data = rng.standard_normal(dual.cls.w2.shape) * 0.3
-        dual.seg.w2.data = rng.standard_normal(dual.seg.w2.shape) * 0.3
+    for level in range(1, 4):
+        for role in ("cls", "seg"):
+            up = params[f"adapter{level}.{role}.up"]
+            up.data = rng.standard_normal(up.shape) * 0.3
     image = rng.uniform(0, 1, (8, 8))
     mask = (rng.uniform(0, 1, (8, 8)) > 0.7).astype(float)
     f_text = toy_text()
@@ -625,6 +635,65 @@ def test_batched_training_matches_per_sample_oracle_at_default_size():
     train_config = TrainConfig(lr=1e-2, batch_size=16, epochs=1, seed=10)
     assert (_trained_bits(train, config, samples, {}, train_config)
             == _trained_bits(train_oracle.train, config, samples, {}, train_config))
+
+
+def _train_draws(count=30):
+    """Seeded (model, TrainConfig, samples) draws over every training layout.
+
+    Each draw picks the architecture and adapter style, a nonempty subset of
+    levels, loss weights each zeroed about a third of the time, a batch size
+    of 1..10 with a sample count that mostly leaves a partial last step,
+    masks present or None per sample, and two modalities.
+    """
+    rng = np.random.default_rng(2029)
+    size = TOY.image_size
+    for draw in range(count):
+        model = {"arch": ("adapter", "projector")[draw % 3 == 2],
+                 "adapter_style": ("dual", "single")[draw % 2]}
+        levels = tuple(int(l) + 1 for l in
+                       sorted(rng.choice(4, int(rng.integers(1, 5)), replace=False)))
+        weights = LossWeights(*(0.0 if rng.uniform() < 1 / 3 else float(rng.uniform(0.5, 2))
+                                for _ in range(3)))
+        batch = int(rng.integers(1, 11))
+        steps = int(rng.integers(1, 3))
+        samples = []
+        for i in range(batch * (steps - 1) + int(rng.integers(1, batch + 1))):
+            label, mask = int(rng.integers(2)), None
+            if rng.uniform() < 0.7:
+                mask = np.zeros((size, size), dtype=np.float32)
+                if label:
+                    row, col = rng.integers(0, size - 1, 2)
+                    mask[row:row + int(rng.integers(1, 4)), col:col + int(rng.integers(1, 4))] = 1
+            samples.append(LoadedSample(rng.uniform(-1, 1, (size, size)).astype(np.float32),
+                                        label, mask, ("widget", "gadget")[int(rng.integers(2))],
+                                        f"mem://{i}"))
+        yield model, TrainConfig(lr=float(rng.choice([1e-3, 1e-2, 5e-2])), batch_size=batch,
+                                 epochs=1 + (draw % 5 == 0), seed=draw, levels=levels,
+                                 weights=weights), samples
+
+
+def test_batched_training_matches_per_sample_oracle_on_seeded_draws():
+    """Loss history and trained tensors of each draw keep the oracle loop's bits.
+
+    The draws cover the adapter (dual and single) and projector layouts,
+    which ``adapt_forward`` builds in one pass, so this guards every layout
+    of that forward against ``tests/train_oracle.py``. Each of these changes
+    fails this test: the per-sample totals added in reversed sample order
+    (``sum_in_order(totals.data[::-1])`` in ``objective._sum_samples``), the
+    weight gradient of a batched matmul summed in reversed sample order, and
+    ``np.sum`` of the per-sample totals, which pairs eight or more terms
+    differently. A step whose loss reaches no trainable tensor (every
+    weight zero, or lambda3 zero and no mask in the step) raises
+    ContractError in both loops; the draw then checks that both raise it.
+    """
+    for model, train_config, samples in _train_draws():
+        outcomes = []
+        for train_fn in (train, train_oracle.train):
+            try:
+                outcomes.append(_trained_bits(train_fn, TOY, samples, model, train_config))
+            except ContractError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (model, train_config)
 
 
 def _default_size_step(monkeypatch, batch_size):

@@ -38,30 +38,29 @@ def _mix(f, adapted, gamma):
     return ag.add(ag.scale(adapted, gamma), ag.scale(f, 1.0 - gamma))
 
 
-def _adapter(f, adapter):
-    return ag.matmul(ag.relu(ag.matmul(f, adapter.w1)), adapter.w2)
+def _adapter(f, params, prefix):
+    return ag.matmul(ag.relu(ag.matmul(f, params[f"{prefix}.down"])), params[f"{prefix}.up"])
 
 
 def features(backbone, params, image):
     """Per-level (cls, seg) feature lists of one image."""
     if params.arch == ARCH_PROJECTOR:
         levels = _encoder_levels(backbone, image, lambda level, f: f)
-        return ([ag.matmul(f, proj.w_cls) for f, proj in zip(levels, params.level_projectors)],
-                [ag.matmul(f, proj.w_seg) for f, proj in zip(levels, params.level_projectors)])
+        return ([ag.matmul(f, params[f"level{i}.cls"]) for i, f in enumerate(levels, 1)],
+                [ag.matmul(f, params[f"level{i}.seg"]) for i, f in enumerate(levels, 1)])
     cls, seg = [], []
 
     def hook(level, f):
-        dual = params.adapters[level - 1]
-        cls_adapted = _adapter(f, dual.cls)
-        seg_adapted = (cls_adapted if params.adapter_style == STYLE_SINGLE
-                       else _adapter(f, dual.seg))
+        single = params.adapter_style == STYLE_SINGLE
+        cls_adapted = _adapter(f, params, f"adapter{level}" + ("" if single else ".cls"))
+        seg_adapted = cls_adapted if single else _adapter(f, params, f"adapter{level}.seg")
         cls.append(_mix(f, cls_adapted, params.gamma))
         seg.append(_mix(f, seg_adapted, params.gamma))
         return _mix(f, ag.scale(ag.add(cls_adapted, seg_adapted), 0.5), params.gamma)
 
     final = _encoder_levels(backbone, image, hook)[-1]
-    return (cls + [ag.matmul(final, params.projector.w_cls)],
-            seg + [ag.matmul(final, params.projector.w_seg)])
+    return (cls + [ag.matmul(final, params["projector.cls"])],
+            seg + [ag.matmul(final, params["projector.seg"])])
 
 
 def train(backbone, params, samples, text_features, config):
