@@ -141,12 +141,31 @@ def apply_adapter(f: Tensor, down: Tensor, up: Tensor) -> Tensor:
 
 
 def residual_mix(f: Tensor, adapted: Tensor, gamma) -> Tensor:
-    """gamma * adapted + (1 - gamma) * f."""
+    """gamma * adapted + (1 - gamma) * f, as two nodes.
+
+    rest = (1 - gamma) * f, then the mix adapted * gamma + rest over
+    ``(adapted, rest)``: the op-by-op chain's operations, passing back its
+    gradients in its order, so the bits are kept. rest stays a node so that
+    f's gradient arrives once per use, as through the chain. Neither VJP
+    reads an array: the graph keeps the mix's output, and rest's array is
+    released once the mix has read it.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
     if f.shape != adapted.shape:
         raise ShapeError(f"residual_mix: shapes {f.shape} and {adapted.shape} differ")
-    return ag.add(ag.scale(adapted, gamma), ag.scale(f, 1.0 - gamma))
+    return _mix((adapted,), f, gamma)
+
+
+def _mix(adapted, f, gamma):
+    """:func:`residual_mix` of one tensor, or of the mean (a + b) * 0.5 of a pair."""
+    gamma, pair = float(gamma), len(adapted) == 2
+    rest = ag.scale(f, 1.0 - gamma)
+    mean = (adapted[0].data + adapted[1].data) * 0.5 if pair else adapted[0].data
+    out = ag.record(mean * gamma + rest.data, "residual_mix", adapted + (rest,),
+                    lambda g: (g * gamma * 0.5 if pair else g * gamma,) * len(adapted) + (g,))
+    ag.release(rest)
+    return out
 
 
 def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1=None):
@@ -159,6 +178,13 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
     stage receives the residual mix of their mean; level 4 is the projector
     applied to the final features. In projector mode the encoder runs
     untouched and every level gets its own isolated projection pair.
+
+    A level's adapters are three nodes each (down, ReLU, up), and its cls
+    mix, seg mix and next-stage input, which mixes the adapters' mean, two
+    each (:func:`residual_mix`). The graph keeps the down product (the
+    ReLU's VJP reads its sign), the ReLU output (the up product's VJP reads
+    it) and the mix outputs; each up product's output is released once the
+    level's mixes have read it.
 
     ``stage1`` is internal: the training loop passes the stage-1 output it
     computed once for its images, which depends on no trainable tensor.
@@ -177,10 +203,10 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
         if params.arch == ARCH_ADAPTER:
             cls_adapted = adapted(f"adapter{level}" + ("" if single else ".cls"))
             seg_adapted = cls_adapted if single else adapted(f"adapter{level}.seg")
-            cls.append(residual_mix(x, cls_adapted, gamma))
-            seg.append(residual_mix(x, seg_adapted, gamma))
-            x = residual_mix(x, ag.scale(ag.add(cls_adapted, seg_adapted), 0.5), gamma)
-            del cls_adapted, seg_adapted  # without a graph, freed before the stage runs
+            cls.append(_mix((cls_adapted,), x, gamma))
+            seg.append(_mix((seg_adapted,), x, gamma))
+            x = _mix((cls_adapted, seg_adapted), x, gamma)
+            ag.release(cls_adapted, seg_adapted)
         x = backbone.run_stage(level, x)
     raw.append(x)
     projected = (zip(raw, [f"level{i}" for i in range(1, 5)])
@@ -200,7 +226,9 @@ def text_probabilities(f, f_text, tau):
     per sample. Returns the (..., N, 2) probabilities and a function mapping
     their gradient to the gradient of ``f``; the operations and their order
     are those of an op-by-op graph of the same formula, so both give the
-    same bits.
+    same bits. The function keeps ``f``, the row norms, the text rows and
+    the probabilities, and recomputes the unit rows f / norms, with their
+    bits, instead of keeping a copy of ``f``'s size.
     """
     _check_tau(tau)
     scale = float(1.0 / tau)
@@ -209,7 +237,7 @@ def text_probabilities(f, f_text, tau):
     probs = ag.row_softmax((fn @ tn.swapaxes(-1, -2)) * scale)
 
     def vjp(g):
-        return ag.unit_rows_vjp((ag.row_softmax_vjp(g, probs) * scale) @ tn, fn, norms)
+        return ag.unit_rows_vjp((ag.row_softmax_vjp(g, probs) * scale) @ tn, f / norms, norms)
 
     return probs, vjp
 

@@ -18,7 +18,8 @@ node with a hand-written VJP. The row softmax, the row normalization and
 the bilinear upsample are plain-array kernels, each with its VJP
 (:func:`row_softmax`, :func:`unit_rows`, :func:`upsample` and their
 ``_vjp`` partners); fused nodes and grad-free scoring call them directly,
-so each formula is written once.
+so each formula is written once. :func:`release` frees the arrays that a
+graph holds but no VJP reads.
 
 Training runs a batch of B samples as one graph whose arrays carry a
 leading batch axis, and it must give the bits of B single-sample graphs
@@ -75,7 +76,7 @@ class _Node:
 class Tensor:
     """Dense numeric array, optionally tracked by the autograd graph."""
 
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("_data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is not None:
@@ -87,6 +88,16 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.node = None
+
+    @property
+    def data(self):
+        if self._data is None:
+            raise ContractError("read of a released tensor array")
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
 
     @property
     def shape(self):
@@ -102,6 +113,8 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
+        if self._data is None:
+            return f"Tensor(released{flag})"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
@@ -124,6 +137,15 @@ def record(data, op, parents, backward_fn):
         out.requires_grad = True
         out.node = _Node(op, tuple(parents), backward_fn)
     return out
+
+
+def release(*tensors):
+    """Free the arrays of graph tensors that no VJP reads; a later read raises.
+
+    The tensors stay in the graph and still receive their gradients.
+    """
+    for tensor in tensors:
+        tensor._data = None
 
 
 def _check_broadcast(op, a, b):

@@ -157,18 +157,20 @@ def patch_tokens(image, config: BackboneConfig):
 def _layer_norm(x, gamma, beta, eps=1e-5):
     """Affine layer normalization over the last axis of an array.
 
-    Returns the output and the (centered, var + eps, 1/std) arrays its VJP
-    needs.
+    Returns the output and the (-mean, var + eps, 1/std) arrays its VJP
+    needs; the VJP recomputes centered = x + -mean from the input.
     """
-    centered = x + np.mean(x, axis=-1, keepdims=True) * -1.0
+    shift = np.mean(x, axis=-1, keepdims=True) * -1.0
+    centered = x + shift
     shifted_var = np.mean(centered * centered, axis=-1, keepdims=True) + eps
     rstd = np.exp(np.log(shifted_var) * -0.5)
-    return centered * rstd * gamma + beta, (centered, shifted_var, rstd)
+    return centered * rstd * gamma + beta, (shift, shifted_var, rstd)
 
 
-def _layer_norm_vjp(g, gamma, saved, g_residual):
-    """Input gradient of :func:`_layer_norm` added onto ``g_residual``."""
-    centered, shifted_var, rstd = saved
+def _layer_norm_vjp(g, x, gamma, saved, g_residual):
+    """Input gradient of :func:`_layer_norm` of ``x`` added onto ``g_residual``."""
+    shift, shifted_var, rstd = saved
+    centered = x + shift
     count = centered.shape[-1]
     g_normed = g * gamma
     g_rstd = np.sum(g_normed * centered, axis=-1, keepdims=True)
@@ -184,7 +186,12 @@ def _block_forward(x, blk, config):
     """One pre-norm encoder block, recorded as a single autograd node.
 
     The weights are frozen, so the node's VJP returns the input gradient
-    only.
+    only. Besides the input x, which the graph holds anyway, it keeps each
+    head's q, k, v and attention, the residual sum x1, the MLP's ReLU sign
+    as bool and each LayerNorm's row statistics; it recomputes each
+    LayerNorm's centered input from x or x1. A softmax row's max is read at
+    its argmax: np.max's value, NaN included, at about half the cost; a max
+    of either zero gives the same exp(scores - max).
     """
     att_scale = float(1.0 / np.sqrt(config.dim // config.heads))
     h, ln1 = _layer_norm(x.data, blk.ln1_g.data, blk.ln1_b.data)
@@ -193,7 +200,8 @@ def _block_forward(x, blk, config):
     for wq, wk, wv, wo in zip(blk.wq, blk.wk, blk.wv, blk.wo):
         q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
         scores = (q @ k.swapaxes(-1, -2)) * att_scale
-        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        peak = np.take_along_axis(scores, np.argmax(scores, axis=-1, keepdims=True), axis=-1)
+        e = np.exp(scores - peak)
         att = e / np.sum(e, axis=-1, keepdims=True)
         head = (att @ v) @ wo.data
         attended = head if attended is None else attended + head
@@ -208,7 +216,7 @@ def _block_forward(x, blk, config):
 
     def backward_fn(g):
         g_h2 = (g @ blk.mlp_w2.data.T * positive) @ blk.mlp_w1.data.T
-        g_x1 = _layer_norm_vjp(g_h2, blk.ln2_g.data, ln2, g)
+        g_x1 = _layer_norm_vjp(g_h2, x1, blk.ln2_g.data, ln2, g)
         g_h = None
         for (q, k, v, att), wq, wk, wv, wo in zip(heads, blk.wq, blk.wk, blk.wv, blk.wo):
             g_av = g_x1 @ wo.data.T
@@ -219,7 +227,7 @@ def _block_forward(x, blk, config):
                          (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2) @ wk.data.T,
                          (att.swapaxes(-1, -2) @ g_av) @ wv.data.T):
                 g_h = part if g_h is None else g_h + part
-        return (_layer_norm_vjp(g_h, blk.ln1_g.data, ln1, g_x1),)
+        return (_layer_norm_vjp(g_h, x.data, blk.ln1_g.data, ln1, g_x1),)
 
     return ag.record(out, "encoder_block", (x,), backward_fn)
 

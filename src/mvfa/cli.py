@@ -180,6 +180,16 @@ def _load_model(ckpt):
 # and by every ablate row so that a row reports what the separate commands would.
 # Each command loads the manifests once and hands the samples to its steps.
 
+def _train_config(cfg):
+    """The train section, checked before any data is read."""
+    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
+    weights = train_cfg.weights
+    if not (weights.lambda1 or weights.lambda2 or weights.lambda3):
+        raise ConfigError("lambda1, lambda2 and lambda3 are all 0, so the loss "
+                          "reaches no trainable tensor")
+    return train_cfg
+
+
 def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
     """Tune fresh adapters on the mode's split: (backbone, params, history, n_samples)."""
     inf, model = cfg["inference"], cfg["model"]
@@ -245,8 +255,8 @@ def cmd_gen_data(args):
 def cmd_train(args):
     cfg = _config(args)
     loss_log = args.loss_log or (args.out + ".loss.csv")
+    train_cfg = _train_config(cfg)
     prompts = _prompt_set(args)
-    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
     backbone, params, history, n_samples = _train(cfg, train_cfg, _manifests(args.data),
                                                   prompts, loss_log)
     save_checkpoint(args.out, backbone.config, params)
@@ -358,8 +368,8 @@ ABLATE_COLUMNS = ("arch", "adapter_style", "ensemble_image_auc", "ensemble_pixel
 
 def cmd_ablate(args):
     cfg = _config(args)
+    train_cfg = _train_config(cfg)
     prompts = _prompt_set(args)
-    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
     manifests = _manifests(args.data)
 
     archs = [a.strip() for a in args.archs.split(",")] if args.archs else \

@@ -94,6 +94,12 @@ class ModalityProfile:
         if not (isinstance(self.base_freq, (int, float)) and 0 < self.base_freq < np.inf):
             raise ConfigError(f"modality {self.name!r}: base_freq must be a finite "
                               f"number above 0, got {self.base_freq!r}")
+        # NaN or inf would write earlier modalities before failing as a data error
+        for name in ("contrast", "noise"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and np.isfinite(value)):
+                raise ConfigError(f"modality {self.name!r}: {name} must be a finite "
+                                  f"number, got {value!r}")
 
 
 DEFAULT_MODALITIES = (

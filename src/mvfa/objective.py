@@ -136,18 +136,21 @@ def _dice(p, mask):
 
 
 def _focal(p, mask):
+    """Focal term; its VJP keeps p_t, the bool clip mask and ``mask``.
+
+    1 - p_t, its square and log(p_t) are recomputed by the same ops, with
+    the same bits, instead of being kept.
+    """
     ndim, axes = p.ndim, tuple(range(1, p.ndim))
     raw = p * mask + (p * -1.0 + 1.0) * (1.0 - mask)
     inside = (raw >= PROB_EPS) & (raw <= 1.0 - PROB_EPS)
     p_t = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
     one_minus = p_t * -1.0 + 1.0
-    log_p = np.log(p_t)
-    value = np.mean(one_minus * one_minus * log_p, axis=axes) * -1.0  # focusing exponent 2
+    value = np.mean(one_minus * one_minus * np.log(p_t), axis=axes) * -1.0  # focusing exponent 2
 
     def vjp(g):
-        # 1 - p_t and its square are recomputed by the same ops, not kept
-        one_minus = p_t * -1.0 + 1.0
-        g_prod = _per_sample(g * -1.0 / log_p[0].size, ndim)
+        one_minus, log_p = p_t * -1.0 + 1.0, np.log(p_t)
+        g_prod = _per_sample(g * -1.0 / p_t[0].size, ndim)
         g_weight = g_prod * log_p
         g_p_t = ((g_weight * one_minus + g_weight * one_minus) * -1.0
                  + g_prod * (one_minus * one_minus) / p_t)
@@ -239,7 +242,8 @@ def level_loss(cls_l: Tensor, seg_l: Tensor, f_text: Tensor, c, s, weights: Loss
         parents.append(cls_l)
         vjps.append(cls_grad)
     if masked and (weights.lambda1 > 0 or weights.lambda2 > 0):
-        rows = np.array(masked)
+        # a slice when every sample has a mask, so seg[rows] is a view, not a copy
+        rows = slice(None) if len(masked) == count else np.array(masked)
         grid = int(math.isqrt(seg.shape[1]))
         if grid * grid != seg.shape[1]:
             raise ShapeError(f"grid count {seg.shape[1]} is not a perfect square")
@@ -355,7 +359,8 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     to a CSV file.
 
     The images are loaded ``batch_size`` at a time for one pass through the
-    embedding and stage 1; no step reads an image again. Each step runs its samples as one (B, N, d) graph and sums their losses
+    embedding and stage 1; no step reads an image again. Each step runs
+    its samples as one (B, N, d) graph and sums their losses
     left to right before one backward pass; every sample keeps the bits it
     would get in a graph of its own, so the checkpoints are those of
     training one sample graph at a time (``tests/train_oracle.py``).
@@ -393,6 +398,8 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
             active = [(n, p) for n, p in named if p in grads]
             adam_step(active, grads, state, config.lr)
             weighted += value * len(chunk)
+            # not alive at the next step's backward peak
+            del features, totals, batch, grads
         history.append(weighted / len(samples))
 
     if loss_log_path is not None:

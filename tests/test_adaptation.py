@@ -12,7 +12,7 @@ from mvfa.adaptation import (MVFAParams, adapt_forward, apply_adapter, init_para
                              text_probabilities)
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
-from mvfa.errors import ConfigError, FormatError, NormalizationError
+from mvfa.errors import ConfigError, ContractError, FormatError, NormalizationError
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
                      heads=2, seed=3)
@@ -113,6 +113,29 @@ def test_zero_up_projection_forwards_scaled_features():
     plain = frozen_levels(backbone, image)
     manual = backbone.run_stage(1, ag.scale(plain[0], 0.9))
     assert np.abs(raw[1].data - manual.data).max() <= 1e-6
+
+
+@pytest.mark.parametrize("style", ["dual", "single"])
+def test_adapted_forward_releases_the_arrays_no_vjp_reads(style):
+    # each mix's rest and each up product: a read raises, never gives stale values
+    backbone = init_backbone(TOY)
+    params = toy_params(randomize_up=True, adapter_style=style)
+    features, raw = adapt_forward(backbone, params, toy_image(seed=8))
+    mixes = [features.cls[level] for level in range(3)] + [features.seg[level]
+                                                          for level in range(3)]
+    mixes += [raw[level].node.parents[0] for level in range(1, 4)]  # next-stage inputs
+    for mix in mixes:
+        assert mix.node.op == "residual_mix"
+        *adapted, rest = mix.node.parents
+        assert {a.node.op for a in adapted} == {"matmul"}
+        for released in adapted + [rest]:
+            with pytest.raises(ContractError, match="released"):
+                released.data
+    total = features.cls[0]
+    for f in features.cls[1:] + features.seg:
+        total = ag.add(total, f)
+    grads = backward(ops.sum(ops.mul(total, total)))
+    assert set(grads) == set(params.tensors())
 
 
 @pytest.mark.parametrize("arch", ["adapter", "projector"])

@@ -278,6 +278,21 @@ def test_graph_freed_after_backward():
     assert y.node is None and loss.node is None
 
 
+def test_released_tensor_raises_on_read_and_still_receives_its_gradient():
+    # scale's VJP reads no array, so y's array can go once z is computed
+    x = t64([1.0, -2.0], requires_grad=True)
+    y = ag.scale(x, 3.0)
+    z = ag.scale(y, 0.5)
+    ag.release(y)
+    with pytest.raises(ContractError, match="released"):
+        y.data
+    with pytest.raises(ContractError, match="released"):
+        y.shape
+    assert repr(y) == "Tensor(released, requires_grad=True)"
+    grads = backward(ops.sum(z))
+    assert np.array_equal(grads[x].data, [1.5, 1.5])
+
+
 def test_no_grad_blocks_recording():
     x = t64([1.0], requires_grad=True)
     with no_grad():

@@ -310,3 +310,58 @@ def test_fused_block_matches_oracle_on_seeded_draws():
             assert out_i.dtype == oracle.dtype == x.dtype
             assert out_i.tobytes() == oracle.data.tobytes()
             assert g_i.tobytes() == g_oracle.tobytes()
+
+
+def _special_score_block(rng, dtype):
+    """A dim-8, 4-head block whose heads give +0, +-inf and NaN attention scores.
+
+    Head 0 has q = +0, so every score is +0. Head 1 scales q and k up until
+    q . k overflows to +-inf. In head 3, q's first column overflows to +-inf
+    on the rows whose normalized first feature exceeds 1 in magnitude, and
+    k's first column is 0, so those rows score inf * 0 = NaN. The GEMM
+    never returns -0, so no block score is -0.
+    """
+    dim, heads = 8, 4
+    blk = _random_block(rng, dim, heads, dtype)
+    big = np.finfo(dtype).max
+    blk.wq[0].data = np.zeros_like(blk.wq[0].data)
+    blk.wq[1].data = blk.wq[1].data * np.sqrt(big)
+    blk.wk[1].data = blk.wk[1].data * np.sqrt(big)
+    wq, wk = blk.wq[3].data.copy(), blk.wk[3].data.copy()
+    wq[:, 0], wk[:, 0] = 0.0, 0.0
+    wq[0, 0] = big
+    blk.wq[3].data, blk.wk[3].data = wq, wk
+    return blk, BackboneConfig(image_size=8, patch_size=8, dim=dim, heads=heads)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fused_block_matches_oracle_on_nan_inf_and_zero_scores():
+    # the block reads each softmax row's max at its argmax; np.max gives the
+    # same value, and a max of -0 or +0 gives the same scores - max and exp
+    rows = np.array([[np.nan, 1.0, np.inf], [-np.inf, np.inf, 2.0], [-np.inf] * 3,
+                     [-0.0, -1.0, 0.0], [0.0, -0.0, -2.0], [-0.0, -0.0, -3.0]])
+    for dtype in (np.float32, np.float64):
+        s = rows.astype(dtype)
+        peak = np.take_along_axis(s, np.argmax(s, axis=-1, keepdims=True), axis=-1)
+        assert np.exp(s - peak).tobytes() == np.exp(s - np.max(s, -1, keepdims=True)).tobytes()
+
+    rng = np.random.default_rng(31)
+    for dtype in (np.float32, np.float64):
+        blk, config = _special_score_block(rng, dtype)
+        x = rng.standard_normal((3, 16, config.dim)).astype(dtype)
+        h = _layer_norm(x, blk.ln1_g.data, blk.ln1_b.data)[0]
+        maxima = [np.max((h @ wq.data) @ (h @ wk.data).swapaxes(-1, -2), axis=-1)
+                  for wq, wk in zip(blk.wq, blk.wk)]
+        assert (maxima[0] == 0).all() and not np.signbit(maxima[0]).any()
+        assert np.isposinf(maxima[1]).any() and np.isfinite(maxima[1]).any()
+        assert np.isnan(maxima[3]).any() and not np.isnan(maxima[3]).all()
+        upstream = rng.standard_normal(x.shape).astype(dtype)
+        fused_in = Tensor(x, requires_grad=True)
+        fused = _block_forward(fused_in, blk, config)
+        g_fused = backward(ops.sum(ops.mul(fused, Tensor(upstream))))[fused_in].data
+        for i in range(len(x)):
+            oracle_in = Tensor(x[i].copy(), requires_grad=True)
+            oracle = block_forward(oracle_in, blk, config)
+            g_oracle = backward(ops.sum(ops.mul(oracle, Tensor(upstream[i]))))[oracle_in].data
+            assert fused.data[i].tobytes() == oracle.data.tobytes()
+            assert g_fused[i].tobytes() == g_oracle.tobytes()

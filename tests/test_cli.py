@@ -217,6 +217,39 @@ def test_modality_base_freq_off_its_range_is_config_error(workdir, tmp_path, cap
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_all_zero_loss_weights_is_config_error_before_reading_data(workdir, tmp_path, capsys,
+                                                                   command):
+    # a loss that reaches no trainable tensor cannot train; the data path does not exist
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user["train"].update(lambda1=0.0, lambda2=0.0, lambda3=0.0)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(user), encoding="utf-8")
+    assert main([command, "--config", str(zero), "--data", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "lambda1, lambda2 and lambda3 are all 0" in err
+    assert os.listdir(tmp_path) == ["zero.json"]
+
+
+@pytest.mark.parametrize("field", ["contrast", "noise"])
+def test_modality_contrast_or_noise_not_finite_is_config_error_before_writing(
+        workdir, tmp_path, capsys, field):
+    # texture-a comes first, so a check at generation time would have written it
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user["data"]["modalities"][1][field] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    out = tmp_path / "gen"
+    out.mkdir()
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'texture-b': {field} must be" in err
+    assert os.listdir(out) == []
+
+
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):
     root, config, data = workdir
     paths = []

@@ -144,6 +144,14 @@ def test_modality_profile_rejects_a_base_freq_that_is_not_positive_and_finite(ba
         ModalityProfile("texture-a", base_freq, 0.5, 0.03)
 
 
+@pytest.mark.parametrize("field", ["contrast", "noise"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5"])
+def test_modality_profile_rejects_a_contrast_or_noise_that_is_not_finite(field, value):
+    given = {"contrast": 0.5, "noise": 0.03, field: value}
+    with pytest.raises(ConfigError, match=f"'texture-a': {field} must be a finite number"):
+        ModalityProfile("texture-a", 3.0, **given)
+
+
 # -- manifests -----------------------------------------------------------------
 
 def test_manifest_errors_name_the_line(tmp_path):

@@ -269,6 +269,67 @@ def test_shortlist_peak_memory_is_queries_by_rows():
     assert peak < 32 * 2 ** 20
 
 
+NN_WIDTHS = (1, 2, 3, 8, 64)
+
+
+def _nn_draws(count=300):
+    """Seeded (queries, store) draws for the bank search, in six kinds.
+
+    Gaussian rows; ties (repeated store rows, queries along store rows);
+    store rows within 1 ulp of one row; subnormal store rows and query
+    entries; NaN and inf query rows, and store rows with one inf entry
+    (the queries have no zero there, so no similarity is NaN); one-row
+    stores. Widths d run over 1, 2, 3, 8 and 64, and every fourth draw is
+    float64.
+    """
+    rng = np.random.default_rng(2029)
+    for draw in range(count):
+        d = NN_WIDTHS[draw % len(NN_WIDTHS)]
+        dtype = (np.float32, np.float64)[draw % 4 == 3]
+        kind = draw % 6
+        n_queries, n_rows = int(rng.integers(1, 13)), int(rng.integers(1, 21))
+        queries = rng.standard_normal((n_queries, d))
+        store = rng.standard_normal((n_rows, d))
+        if kind == 1:    # ties
+            store[1::2] = store[0]
+            queries[::2] = store[rng.integers(n_rows, size=queries[::2].shape[0])] * 3.0
+        elif kind == 2:  # rows that differ from one row by at most 1 ulp per entry
+            base = store[0].astype(dtype)
+            toward = rng.choice([-np.inf, np.inf], (n_rows, d)).astype(dtype)
+            store = np.where(rng.uniform(size=(n_rows, d)) < 0.5, base,
+                             np.nextafter(base, toward))
+            queries[::3] = base
+        elif kind == 3:  # subnormal products and entries
+            tiny = np.finfo(dtype).smallest_subnormal
+            store[::2] = rng.integers(-4, 5, store[::2].shape) * tiny
+            queries[:, 1::2] *= rng.choice([1.0, float(tiny)], queries[:, 1::2].shape)
+        elif kind == 4:  # non-finite rows
+            queries[rng.integers(n_queries), rng.integers(d)] = rng.choice([np.nan, np.inf])
+            store[rng.integers(n_rows), rng.integers(d)] = rng.choice([np.inf, -np.inf])
+        elif kind == 5:  # one row
+            store = store[:1]
+        yield queries.astype(dtype), store.astype(dtype)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_min_distance_matches_double_loop_oracle_on_seeded_draws():
+    """Each draw's distances keep the bits of the exhaustive double loop.
+
+    300 draws of 1-12 queries against 1-20 rows (see ``_nn_draws``). A NaN
+    distance need only be NaN: the sign bit of a NaN is not a result. A
+    shortlist without its error bound, ``slack = 0``, fails this test: near
+    ties and 1-ulp neighbours make the GEMM's best row differ from the
+    elementwise best by a few ulps.
+    """
+    for queries, store in _nn_draws():
+        mine = _min_cosine_distances(queries, store)
+        oracle = min_cosine_distance_oracle(queries, store)
+        nan = np.isnan(oracle)
+        assert mine.dtype == oracle.dtype
+        assert np.array_equal(np.isnan(mine), nan)
+        assert mine[~nan].tobytes() == oracle[~nan].tobytes()
+
+
 def test_few_shot_matches_oracle_at_grid_resolution():
     # with out_hw equal to the grid, upsampling is the identity mapping
     rng = np.random.default_rng(7)
