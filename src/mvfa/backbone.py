@@ -18,9 +18,18 @@ and gradients keep their bits. That is why LayerNorm still computes
 1/sqrt(var + eps) as exp(-0.5 * log(var + eps)), why the heads run one at
 a time with their outputs summed head by head, and why the attention scale
 is a Python float: a direct rsqrt, stacked heads or a numpy float64 scale
-would each change float32 rounding. The node keeps only what its VJP
-reads; of the (B, N, 2d) MLP pre-activation that is the sign, kept as one
-bool per value.
+would each change float32 rounding.
+
+The node keeps only what its VJP reads, and recomputes what it can rebuild
+bit for bit: it keeps the LN1 output h, the residual sum x1, the sign of
+the (B, N, 2d) MLP pre-activation as one bool per value, the LayerNorm row
+statistics and each head's (B, N, 1) softmax peak and denominator. The VJP
+rebuilds each head's q, k, v and (B, N, N) attention from h with the
+forward's own ops (:func:`_attention`) and each LayerNorm's centered input
+from x or x1. The kernels write intermediates in place (``out=``), but
+only into arrays they have just made: never into an array a VJP reads
+later, and never into an incoming gradient, which another node may have
+passed on as its own (an adapter mix's VJP returns ``g`` itself).
 
 Features are (N, d) for one image or (B, N, d) for a batch. Every operation
 works on the last two axes, normalizing over ``axis=-1`` and transposing
@@ -158,75 +167,115 @@ def _layer_norm(x, gamma, beta, eps=1e-5):
     """Affine layer normalization over the last axis of an array.
 
     Returns the output and the (-mean, var + eps, 1/std) arrays its VJP
-    needs; the VJP recomputes centered = x + -mean from the input.
+    needs; the VJP recomputes centered = x + -mean from the input. The
+    affine runs in place in the centered array, which the output becomes.
     """
     shift = np.mean(x, axis=-1, keepdims=True) * -1.0
     centered = x + shift
     shifted_var = np.mean(centered * centered, axis=-1, keepdims=True) + eps
     rstd = np.exp(np.log(shifted_var) * -0.5)
-    return centered * rstd * gamma + beta, (shift, shifted_var, rstd)
+    np.multiply(centered, rstd, out=centered)
+    np.multiply(centered, gamma, out=centered)
+    np.add(centered, beta, out=centered)
+    return centered, (shift, shifted_var, rstd)
 
 
 def _layer_norm_vjp(g, x, gamma, saved, g_residual):
-    """Input gradient of :func:`_layer_norm` of ``x`` added onto ``g_residual``."""
+    """Input gradient of :func:`_layer_norm` of ``x`` added onto ``g_residual``.
+
+    Writes only into arrays it makes, never into ``g`` or ``g_residual``.
+    """
     shift, shifted_var, rstd = saved
     centered = x + shift
     count = centered.shape[-1]
     g_normed = g * gamma
     g_rstd = np.sum(g_normed * centered, axis=-1, keepdims=True)
     g_square = g_rstd * rstd * -0.5 / shifted_var / count
-    square_side = g_square * centered
+    square_side = np.multiply(g_square, centered, out=centered)
     # sums run left to right in the order the op-by-op graph accumulates them
-    g_centered = g_normed * rstd + square_side + square_side
+    g_centered = np.multiply(g_normed, rstd, out=g_normed)
+    g_centered += square_side
+    g_centered += square_side
     g_mean = np.sum(g_centered, axis=-1, keepdims=True) * -1.0 / count
-    return g_residual + g_centered + g_mean
+    np.add(g_residual, g_centered, out=g_centered)
+    g_centered += g_mean
+    return g_centered
+
+
+def _attention(h, wq, wk, wv, scale, peak=None, denom=None):
+    """One head's q, k, v and softmax attention of the LayerNorm output ``h``.
+
+    Returns (q, k, v, att, peak, denom). A softmax row's peak is read at its
+    argmax: np.max's value, NaN included; a peak of either zero gives the
+    same exp(scores - peak). The VJP passes the forward's peak and row sum
+    denom back in, so the same ops rebuild the same att bits.
+    """
+    q, k, v = h @ wq, h @ wk, h @ wv
+    att = q @ k.swapaxes(-1, -2)
+    np.multiply(att, scale, out=att)
+    if peak is None:
+        peak = np.take_along_axis(att, np.argmax(att, axis=-1, keepdims=True), axis=-1)
+    np.subtract(att, peak, out=att)
+    np.exp(att, out=att)
+    if denom is None:
+        denom = np.sum(att, axis=-1, keepdims=True)
+    np.divide(att, denom, out=att)
+    return q, k, v, att, peak, denom
 
 
 def _block_forward(x, blk, config):
     """One pre-norm encoder block, recorded as a single autograd node.
 
     The weights are frozen, so the node's VJP returns the input gradient
-    only. Besides the input x, which the graph holds anyway, it keeps each
-    head's q, k, v and attention, the residual sum x1, the MLP's ReLU sign
-    as bool and each LayerNorm's row statistics; it recomputes each
-    LayerNorm's centered input from x or x1. A softmax row's max is read at
-    its argmax: np.max's value, NaN included, at about half the cost; a max
-    of either zero gives the same exp(scores - max).
+    only. Besides the input x, which the graph holds anyway, the node keeps
+    the LN1 output h, the residual sum x1, the MLP's ReLU sign as bool, each
+    LayerNorm's row statistics and, per head, only the (B, N, 1) softmax
+    peak and denominator. The VJP recomputes each head's q, k, v and
+    attention from h with :func:`_attention`, the forward's own ops, and
+    each LayerNorm's centered input from x or x1. Intermediates are written
+    in place (out=) only into arrays this kernel has just made: never into
+    h, x1 or the statistics, which the VJP reads, nor into the incoming g.
     """
     att_scale = float(1.0 / np.sqrt(config.dim // config.heads))
     h, ln1 = _layer_norm(x.data, blk.ln1_g.data, blk.ln1_b.data)
-    heads = []
+    softmax_stats = []
     attended = None
     for wq, wk, wv, wo in zip(blk.wq, blk.wk, blk.wv, blk.wo):
-        q, k, v = h @ wq.data, h @ wk.data, h @ wv.data
-        scores = (q @ k.swapaxes(-1, -2)) * att_scale
-        peak = np.take_along_axis(scores, np.argmax(scores, axis=-1, keepdims=True), axis=-1)
-        e = np.exp(scores - peak)
-        att = e / np.sum(e, axis=-1, keepdims=True)
+        _, _, v, att, peak, denom = _attention(h, wq.data, wk.data, wv.data, att_scale)
         head = (att @ v) @ wo.data
-        attended = head if attended is None else attended + head
-        heads.append((q, k, v, att))
-    x1 = x.data + attended
+        attended = head if attended is None else np.add(attended, head, out=attended)
+        softmax_stats.append((peak, denom))
+    x1 = np.add(x.data, attended, out=attended)
 
     h2, ln2 = _layer_norm(x1, blk.ln2_g.data, blk.ln2_b.data)
-    pre = h2 @ blk.mlp_w1.data + blk.mlp_b1.data
-    out = x1 + (np.maximum(pre, 0) @ blk.mlp_w2.data + blk.mlp_b2.data)
+    pre = h2 @ blk.mlp_w1.data
+    np.add(pre, blk.mlp_b1.data, out=pre)
     # the ReLU's VJP reads only this sign, so the float pre-activation is not kept
     positive = pre > 0
+    out = np.maximum(pre, 0, out=pre) @ blk.mlp_w2.data
+    np.add(out, blk.mlp_b2.data, out=out)
+    np.add(x1, out, out=out)
 
     def backward_fn(g):
-        g_h2 = (g @ blk.mlp_w2.data.T * positive) @ blk.mlp_w1.data.T
-        g_x1 = _layer_norm_vjp(g_h2, x1, blk.ln2_g.data, ln2, g)
+        g_pre = g @ blk.mlp_w2.data.T
+        np.multiply(g_pre, positive, out=g_pre)
+        g_x1 = _layer_norm_vjp(g_pre @ blk.mlp_w1.data.T, x1, blk.ln2_g.data, ln2, g)
         g_h = None
-        for (q, k, v, att), wq, wk, wv, wo in zip(heads, blk.wq, blk.wk, blk.wv, blk.wo):
+        for (peak, denom), wq, wk, wv, wo in zip(softmax_stats, blk.wq, blk.wk, blk.wv,
+                                                 blk.wo):
+            q, k, v, att, _, _ = _attention(h, wq.data, wk.data, wv.data, att_scale,
+                                            peak, denom)
             g_av = g_x1 @ wo.data.T
-            g_att = g_av @ v.swapaxes(-1, -2)
-            g_scores = att * (g_att - np.sum(g_att * att, axis=-1, keepdims=True)) * att_scale
+            g_scores = g_av @ v.swapaxes(-1, -2)
+            row = np.sum(g_scores * att, axis=-1, keepdims=True)
+            np.subtract(g_scores, row, out=g_scores)
+            np.multiply(att, g_scores, out=g_scores)
+            np.multiply(g_scores, att_scale, out=g_scores)
             # q, k, v of each head in turn: the op-by-op accumulation order
             for part in ((g_scores @ k) @ wq.data.T,
                          (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2) @ wk.data.T,
                          (att.swapaxes(-1, -2) @ g_av) @ wv.data.T):
-                g_h = part if g_h is None else g_h + part
+                g_h = part if g_h is None else np.add(g_h, part, out=g_h)
         return (_layer_norm_vjp(g_h, x.data, blk.ln1_g.data, ln1, g_x1),)
 
     return ag.record(out, "encoder_block", (x,), backward_fn)

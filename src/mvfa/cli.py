@@ -199,6 +199,10 @@ def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
     else:
         train_set, _, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
                                                  inf["k"], train_cfg.seed)
+    mask_free = sorted({s.modality for s in train_set if s.mask is None})
+    if mask_free and not train_cfg.weights.lambda3:
+        raise ConfigError(f"lambda3 is 0, but training modality {', '.join(mask_free)} has "
+                          "no masks, so a step of its samples reaches no trainable tensor")
     backbone_cfg = BackboneConfig(**cfg["backbone"])
     text = _text_features(prompts, {s.modality for s in train_set} | {inf["target"]},
                           cfg["text_seed"], backbone_cfg.dim)

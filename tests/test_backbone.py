@@ -1,3 +1,6 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import ops_oracle as ops
 import pytest
@@ -6,7 +9,7 @@ from fdcheck import check_gradients
 
 from mvfa import autograd as ag
 from mvfa.autograd import Tensor, backward
-from mvfa.backbone import (BackboneConfig, _Block, _block_forward, _layer_norm,
+from mvfa.backbone import (BackboneConfig, _attention, _Block, _block_forward, _layer_norm,
                            init_backbone, patch_tokens)
 from mvfa.errors import ConfigError, ShapeError
 
@@ -178,6 +181,36 @@ def test_batched_encoder_matches_each_image_bitwise():
             assert batched.data[i].tobytes() == one.data.tobytes()
             assert g_batch[i].tobytes() == g_one.tobytes()
         x = batched.data
+
+
+def test_block_node_keeps_no_attention_and_no_qkv():
+    # A default-size, 16-sample node keeps h and x1 (256 KiB each), the ReLU sign
+    # (128 KiB), the LayerNorm statistics and each head's (B, N, 1) softmax peak and
+    # denominator: 43.8 KiB a sample measured, 137.9 while it kept q, k, v and att.
+    # One head's att would add 16 KiB a sample, its q, k or v 4 KiB each.
+    config = BackboneConfig()
+    blk = init_backbone(config).stages[0][0]
+    batch, tokens = 16, config.grid_count
+    x = Tensor(np.random.default_rng(19).standard_normal((batch, tokens, config.dim))
+               .astype(np.float32), requires_grad=True)
+    _block_forward(x, blk, config)  # warm caches
+    source, first = inspect.getsourcelines(_attention)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _block_forward(x, blk, config)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert kept / batch <= 46 * 1024
+    # at this size h and x1 are (B, N, N) too, so each array made in _attention is
+    # checked instead: only the (B, N, 1) peaks and denominators may outlive the call
+    made_there = [trace.size for trace in snapshot.traces
+                  if trace.traceback[0].filename == _attention.__code__.co_filename
+                  and first <= trace.traceback[0].lineno < first + len(source)]
+    assert made_there and max(made_there) <= batch * tokens * 4
+    assert out.node is not None
 
 
 def test_fused_block_vjp_matches_finite_differences():

@@ -233,6 +233,28 @@ def test_all_zero_loss_weights_is_config_error_before_reading_data(workdir, tmp_
     assert os.listdir(tmp_path) == ["zero.json"]
 
 
+def test_lambda3_zero_with_a_mask_free_training_modality_is_config_error(tmp_path, capsys):
+    # a step of texture-b samples only would have no loss term; few-shot trains on
+    # the masked target alone, so the same weights train there
+    user = json.loads(json.dumps(CONFIG))
+    user["data"]["modalities"][1]["masks"] = False
+    user["train"].update(lambda3=0.0, epochs=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(user), encoding="utf-8")
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", str(config), "--out", data]) == 0
+    capsys.readouterr()
+    for command in ("train", "ablate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--data", data, "--mode", "zero-shot",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "modality texture-b has no masks" in err
+        assert not out.exists()
+    assert main(["train", "--config", str(config), "--data", data,
+                 "--out", str(tmp_path / "fewshot.ckpt")]) == 0
+
+
 @pytest.mark.parametrize("field", ["contrast", "noise"])
 def test_modality_contrast_or_noise_not_finite_is_config_error_before_writing(
         workdir, tmp_path, capsys, field):

@@ -610,3 +610,60 @@ def test_score_batch_rejects_unpaired_text_and_takes_no_images():
     with pytest.raises(ContractError, match="2 images but 1 text"):
         score_batch(backbone, params, [toy_image(1), toy_image(2)], [_toy_text()])
     assert score_batch(backbone, params, [], []) == []
+
+
+def _score_batch_draws(count=100):
+    """Seeded (images, f_texts, bank, beta1, beta2, tau) draws on the toy model.
+
+    Draw i scores a chunk of i % 40 + 1 images, so every size from 1 to 40
+    appears, on both sides of 16/17; every other draw has a bank. Each image
+    takes one of three modalities' text pairs. beta1 (and, with a bank,
+    beta2) is 0, 1 or a uniform draw; without a bank beta2 is 0. Some chunks
+    repeat an image, and some hold constant images.
+    """
+    from mvfa.textbank import build_text_features, default_prompt_set
+    rng = np.random.default_rng(2031)
+    backbone, params = toy_model()
+    bank = build_memory_bank([rng.uniform(-1, 1, (8, 8)).astype(np.float32)
+                              for _ in range(3)], backbone, params)
+    texts = [build_text_features(default_prompt_set(), m, 0, TOY.dim).f_text
+             for m in ("widget", "gadget", "gizmo")]
+
+    def beta():
+        return (0.0, 1.0, float(rng.uniform()))[int(rng.integers(3))]
+
+    for draw in range(count):
+        size = draw % 40 + 1
+        images = [rng.uniform(-1, 1, (8, 8)).astype(np.float32) for _ in range(size)]
+        if draw % 3 == 1:
+            images[int(rng.integers(size))] = images[0]
+        elif draw % 3 == 2:
+            images[-1] = np.full((8, 8), rng.uniform(-1, 1), dtype=np.float32)
+        f_texts = [texts[int(rng.integers(3))] for _ in range(size)]
+        with_bank = draw % 2 == 0
+        yield (backbone, params, images, f_texts, bank if with_bank else None, beta(),
+               beta() if with_bank else 0.0, float(rng.choice([0.07, 0.2, 1.0])))
+
+
+def test_score_batch_matches_eval_oracle_on_seeded_draws():
+    """Every result field of each draw keeps the per-image oracle's bits.
+
+    ``eval_oracle.score_image`` scores one image alone at full resolution in
+    float64. The first, the last and one random image of each chunk are
+    checked. Each of these changes to ``mvfa.inference`` fails this test:
+    ``zero_shot`` scoring every image against the first image's text pair;
+    ``fuse`` weighting the few-shot branch by beta1; ``few_shot`` cutting the
+    distances as ``reshape(-1, images).T``; ``zero_shot`` viewing the rows
+    as ``reshape(-1, len(f_texts), d).swapaxes(0, 1)``.
+    """
+    import eval_oracle
+    from mvfa.inference import score_batch
+    rng = np.random.default_rng(2032)
+    for backbone, params, images, f_texts, bank, beta1, beta2, tau in _score_batch_draws():
+        batch = score_batch(backbone, params, images, f_texts, bank, beta1, beta2, tau)
+        assert len(batch) == len(images)
+        for i in sorted({0, len(images) - 1, int(rng.integers(len(images)))}):
+            oracle = eval_oracle.score_image(backbone, params, images[i], f_texts[i], bank,
+                                             beta1, beta2, tau)
+            for field in RESULT_FIELDS:
+                assert _same(getattr(batch[i], field), getattr(oracle, field)), (i, field)
