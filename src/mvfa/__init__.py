@@ -8,7 +8,7 @@ end.
 """
 
 from .adaptation import (AdaptedFeatures, MVFAParams, adapt_forward, apply_adapter,
-                         init_params, load_checkpoint, residual_mix, save_checkpoint)
+                         init_params, load_checkpoint, save_checkpoint)
 from .autograd import Tensor, backward, no_grad
 from .backbone import BackboneConfig, FrozenBackbone, init_backbone
 from .data import (LoadedSample, ModalityProfile, Sample, SynthConfig, few_shot_split,

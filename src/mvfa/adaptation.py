@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .backbone import BackboneConfig, FrozenBackbone
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError
 from .fileio import Reader, write_bytes_atomic
 
 CHECKPOINT_MAGIC = b"MVFA-CKPT\0"
@@ -140,25 +140,16 @@ def apply_adapter(f: Tensor, down: Tensor, up: Tensor) -> Tensor:
     return ag.matmul(ag.relu(ag.matmul(f, down)), up)
 
 
-def residual_mix(f: Tensor, adapted: Tensor, gamma) -> Tensor:
-    """gamma * adapted + (1 - gamma) * f, as two nodes.
+def _mix(adapted, f, gamma):
+    """gamma * a + (1 - gamma) * f for ``adapted`` = (a,), or a = (a0 + a1) * 0.5 for a pair.
 
-    rest = (1 - gamma) * f, then the mix adapted * gamma + rest over
-    ``(adapted, rest)``: the op-by-op chain's operations, passing back its
+    Two nodes: rest = (1 - gamma) * f, then the mix a * gamma + rest over
+    ``adapted + (rest,)``: the op-by-op chain's operations, passing back its
     gradients in its order, so the bits are kept. rest stays a node so that
     f's gradient arrives once per use, as through the chain. Neither VJP
     reads an array: the graph keeps the mix's output, and rest's array is
-    released once the mix has read it.
+    released once the mix has read it. ``MVFAParams`` checks gamma.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
-    if f.shape != adapted.shape:
-        raise ShapeError(f"residual_mix: shapes {f.shape} and {adapted.shape} differ")
-    return _mix((adapted,), f, gamma)
-
-
-def _mix(adapted, f, gamma):
-    """:func:`residual_mix` of one tensor, or of the mean (a + b) * 0.5 of a pair."""
     gamma, pair = float(gamma), len(adapted) == 2
     rest = ag.scale(f, 1.0 - gamma)
     mean = (adapted[0].data + adapted[1].data) * 0.5 if pair else adapted[0].data
@@ -181,7 +172,7 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
 
     A level's adapters are three nodes each (down, ReLU, up), and its cls
     mix, seg mix and next-stage input, which mixes the adapters' mean, two
-    each (:func:`residual_mix`). The graph keeps the down product (the
+    each (:func:`_mix`). The graph keeps the down product (the
     ReLU's VJP reads its sign), the ReLU output (the up product's VJP reads
     it) and the mix outputs; each up product's output is released once the
     level's mixes have read it.
@@ -279,7 +270,7 @@ def _read_entries(reader: Reader):
     count = reader.u32()
     entries = {}
     for _ in range(count):
-        name = reader.take(reader.u16()).decode("utf-8")
+        name = reader.text(reader.u16())
         rank = reader.u8()
         shape = tuple(reader.u32() for _ in range(rank))
         # Python ints: a numpy product wraps in int64 and can read 0 values

@@ -269,6 +269,10 @@ def _axis_coords(in_extent, out_extent, dtype):
     return i0, i1, w
 
 
+# plan rows gathered at once by upsample_vjp: about 130 KiB at B=16 on an 8 x 8 grid
+_PLAN_BLOCK = 32
+
+
 @functools.lru_cache(maxsize=32)
 def _upsample_plan(gh, gw, h, w):
     """Gather plan that scatters the upsample VJP in np.add.at's order.
@@ -357,8 +361,13 @@ def upsample_vjp(g, src_shape, dtype):
         np.multiply(rows, cols, out=corners[corner])
     flat[-1] = 0
     total = np.zeros((gh * gw,) + g_hws.shape[2:], dtype=top.dtype)
-    for contributions in np.take(flat, _upsample_plan(gh, gw, h, w), axis=0):
-        total += contributions
+    del g_hws, top, bot, corners
+    plan = _upsample_plan(gh, gw, h, w)
+    # a block of plan rows at a time: the same additions in the same order,
+    # without gathering every contribution at once
+    for start in range(0, len(plan), _PLAN_BLOCK):
+        for contributions in np.take(flat, plan[start:start + _PLAN_BLOCK], axis=0):
+            total += contributions
     return np.moveaxis(total, -1, 0).reshape(g.shape[:-2] + (gh, gw))
 
 

@@ -21,15 +21,17 @@ is a Python float: a direct rsqrt, stacked heads or a numpy float64 scale
 would each change float32 rounding.
 
 The node keeps only what its VJP reads, and recomputes what it can rebuild
-bit for bit: it keeps the LN1 output h, the residual sum x1, the sign of
-the (B, N, 2d) MLP pre-activation as one bool per value, the LayerNorm row
-statistics and each head's (B, N, 1) softmax peak and denominator. The VJP
-rebuilds each head's q, k, v and (B, N, N) attention from h with the
-forward's own ops (:func:`_attention`) and each LayerNorm's centered input
-from x or x1. The kernels write intermediates in place (``out=``), but
-only into arrays they have just made: never into an array a VJP reads
-later, and never into an incoming gradient, which another node may have
-passed on as its own (an adapter mix's VJP returns ``g`` itself).
+bit for bit: it keeps the residual sum x1, the sign of the (B, N, 2d) MLP
+pre-activation packed eight values to a byte along the last axis
+(``np.packbits``), the LayerNorm row statistics and each head's (B, N, 1)
+softmax peak and denominator. The VJP rebuilds, with the forward's own
+ops, the LN1 output h from the block input x and LN1's shift and 1/std
+(:func:`_normalize`), each head's q, k, v and (B, N, N) attention from h
+(:func:`_attention`), and each LayerNorm's centered input from x or x1.
+The kernels write intermediates in place (``out=``), but only into arrays
+they have just made: never into an array a VJP reads later, and never
+into an incoming gradient, which another node may have passed on as its
+own (an adapter mix's VJP returns ``g`` itself).
 
 Features are (N, d) for one image or (B, N, d) for a batch. Every operation
 works on the last two axes, normalizing over ``axis=-1`` and transposing
@@ -174,10 +176,18 @@ def _layer_norm(x, gamma, beta, eps=1e-5):
     centered = x + shift
     shifted_var = np.mean(centered * centered, axis=-1, keepdims=True) + eps
     rstd = np.exp(np.log(shifted_var) * -0.5)
+    return _normalize(centered, rstd, gamma, beta), (shift, shifted_var, rstd)
+
+
+def _normalize(centered, rstd, gamma, beta):
+    """The affine of :func:`_layer_norm`, in place in the ``centered`` array.
+
+    A VJP passes x + shift to rebuild the forward's output bit for bit.
+    """
     np.multiply(centered, rstd, out=centered)
     np.multiply(centered, gamma, out=centered)
     np.add(centered, beta, out=centered)
-    return centered, (shift, shifted_var, rstd)
+    return centered
 
 
 def _layer_norm_vjp(g, x, gamma, saved, g_residual):
@@ -228,13 +238,14 @@ def _block_forward(x, blk, config):
 
     The weights are frozen, so the node's VJP returns the input gradient
     only. Besides the input x, which the graph holds anyway, the node keeps
-    the LN1 output h, the residual sum x1, the MLP's ReLU sign as bool, each
+    the residual sum x1, the MLP's ReLU sign packed eight to a byte, each
     LayerNorm's row statistics and, per head, only the (B, N, 1) softmax
-    peak and denominator. The VJP recomputes each head's q, k, v and
+    peak and denominator. The VJP rebuilds the LN1 output h from x and
+    LN1's statistics with :func:`_normalize`, each head's q, k, v and
     attention from h with :func:`_attention`, the forward's own ops, and
     each LayerNorm's centered input from x or x1. Intermediates are written
     in place (out=) only into arrays this kernel has just made: never into
-    h, x1 or the statistics, which the VJP reads, nor into the incoming g.
+    x1 or the statistics, which the VJP reads, nor into the incoming g.
     """
     att_scale = float(1.0 / np.sqrt(config.dim // config.heads))
     h, ln1 = _layer_norm(x.data, blk.ln1_g.data, blk.ln1_b.data)
@@ -245,21 +256,31 @@ def _block_forward(x, blk, config):
         head = (att @ v) @ wo.data
         attended = head if attended is None else np.add(attended, head, out=attended)
         softmax_stats.append((peak, denom))
+    del h, v, att
     x1 = np.add(x.data, attended, out=attended)
 
     h2, ln2 = _layer_norm(x1, blk.ln2_g.data, blk.ln2_b.data)
     pre = h2 @ blk.mlp_w1.data
     np.add(pre, blk.mlp_b1.data, out=pre)
     # the ReLU's VJP reads only this sign, so the float pre-activation is not kept
-    positive = pre > 0
+    hidden = pre.shape[-1]
+    positive = np.packbits(pre > 0, axis=-1)
     out = np.maximum(pre, 0, out=pre) @ blk.mlp_w2.data
     np.add(out, blk.mlp_b2.data, out=out)
     np.add(x1, out, out=out)
 
     def backward_fn(g):
         g_pre = g @ blk.mlp_w2.data.T
-        np.multiply(g_pre, positive, out=g_pre)
-        g_x1 = _layer_norm_vjp(g_pre @ blk.mlp_w1.data.T, x1, blk.ln2_g.data, ln2, g)
+        np.multiply(g_pre, np.unpackbits(positive, axis=-1, count=hidden).view(bool),
+                    out=g_pre)
+        # each (B, N, 2d) or (B, N, d) gradient is freed once read, before the
+        # attention is rebuilt
+        g_h2 = g_pre @ blk.mlp_w1.data.T
+        del g_pre
+        g_x1 = _layer_norm_vjp(g_h2, x1, blk.ln2_g.data, ln2, g)
+        del g_h2
+        shift, _, rstd = ln1
+        h = _normalize(x.data + shift, rstd, blk.ln1_g.data, blk.ln1_b.data)
         g_h = None
         for (peak, denom), wq, wk, wv, wo in zip(softmax_stats, blk.wq, blk.wk, blk.wv,
                                                  blk.wo):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import dataclasses
 import json
 import os
@@ -25,7 +26,7 @@ from . import inference, metrics, objective, textbank
 from .adaptation import init_params, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, init_backbone
 from .errors import BankError, ConfigError, DataError, MVFAError, NumericError
-from .fileio import write_text_atomic
+from .fileio import read_text, write_text_atomic
 
 DEFAULT_CONFIG = {
     "backbone": dataclasses.asdict(BackboneConfig()),
@@ -81,8 +82,7 @@ def _load_config(path):
     if path is None:
         return cfg
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+        user = json.loads(read_text(path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -310,7 +310,6 @@ def cmd_predict(args):
 
     text = _text_features(_prompt_set(args), {s.modality for s in samples},
                           cfg["text_seed"], backbone.config.dim)
-    os.makedirs(args.out_dir, exist_ok=True)
     lines = ["image,modality,label,c_pred,c_zero,c_few"]
     for sample, result in metrics.score_samples(backbone, params, samples, text,
                                                 bank=bank, beta1=beta1, beta2=beta2,
@@ -401,7 +400,6 @@ def cmd_ablate(args):
                     else None)
             rows.append(row)
 
-    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "ablation.json")
     write_text_atomic(json_path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
@@ -484,7 +482,37 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameters, and the values main sets: freed arrays up to
+# 32 MiB go back to the heap, and the heap top is trimmed only past 64 MiB
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_OPTIONS = ((M_MMAP_THRESHOLD, 32 * 2 ** 20), (M_TRIM_THRESHOLD, 64 * 2 ** 20))
+
+
+def _keep_freed_heap():
+    """Stop glibc from handing each freed training step back to the kernel.
+
+    With its dynamic thresholds, glibc maps large arrays on their own and
+    trims the freed step graph off the heap top, so the next step faults
+    the same pages back in. Fixed thresholds keep those pages for reuse.
+    Nothing is set without glibc, or where the user set one of glibc's own
+    ``MALLOC_*_`` variables or ``GLIBC_TUNABLES``, which then decide.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    if "GLIBC_TUNABLES" in os.environ or any(
+            name.startswith("MALLOC_") and name.endswith("_") for name in os.environ):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for option, value in MALLOC_OPTIONS:
+        mallopt(option, value)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ManifestError
-from .fileio import write_bytes_atomic, write_text_atomic
+from .fileio import read_text, write_bytes_atomic, write_text_atomic
 
 
 # -- PGM ----------------------------------------------------------------------
@@ -322,37 +322,36 @@ def load_manifest(path):
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
-            try:
-                image, label = row["image"], row["label"]
-                mask, modality = row["mask"], row["modality"]
-            except KeyError as exc:
-                raise ManifestError(f"{path}: line {lineno}: missing key {exc}") from None
-            if label not in (0, 1):
-                raise ManifestError(f"{path}: line {lineno}: label must be 0 or 1")
-            if not isinstance(modality, str) or not modality:
-                raise ManifestError(f"{path}: line {lineno}: modality must be a "
-                                    f"nonempty string")
-            image_path = os.path.join(base, image)
-            mask_path = os.path.join(base, mask) if mask is not None else None
-            if mask_path is not None:
-                mask_pixels = read_pgm(mask_path)
-                image_pixels = read_pgm(image_path)
-                if mask_pixels.shape != image_pixels.shape:
-                    raise ManifestError(f"{path}: line {lineno}: mask shape "
-                                        f"{mask_pixels.shape} does not match image "
-                                        f"shape {image_pixels.shape}")
-                if bool((mask_pixels > 0).any()) != bool(label):
-                    raise ManifestError(f"{path}: line {lineno}: label {label} is "
-                                        f"inconsistent with the mask content")
-            samples.append(Sample(image_path, int(label), mask_path, modality))
+    for lineno, line in enumerate(read_text(path, ManifestError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+        try:
+            image, label = row["image"], row["label"]
+            mask, modality = row["mask"], row["modality"]
+        except KeyError as exc:
+            raise ManifestError(f"{path}: line {lineno}: missing key {exc}") from None
+        if label not in (0, 1):
+            raise ManifestError(f"{path}: line {lineno}: label must be 0 or 1")
+        if not isinstance(modality, str) or not modality:
+            raise ManifestError(f"{path}: line {lineno}: modality must be a "
+                                f"nonempty string")
+        image_path = os.path.join(base, image)
+        mask_path = os.path.join(base, mask) if mask is not None else None
+        if mask_path is not None:
+            mask_pixels = read_pgm(mask_path)
+            image_pixels = read_pgm(image_path)
+            if mask_pixels.shape != image_pixels.shape:
+                raise ManifestError(f"{path}: line {lineno}: mask shape "
+                                    f"{mask_pixels.shape} does not match image "
+                                    f"shape {image_pixels.shape}")
+            if bool((mask_pixels > 0).any()) != bool(label):
+                raise ManifestError(f"{path}: line {lineno}: label {label} is "
+                                    f"inconsistent with the mask content")
+        samples.append(Sample(image_path, int(label), mask_path, modality))
     return samples
 
 

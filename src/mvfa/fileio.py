@@ -10,9 +10,13 @@ from .errors import FormatError
 
 
 def write_bytes_atomic(path, payload: bytes):
-    """Write a file via a temp sibling plus rename, so readers never see partials."""
+    """Write a file via a temp sibling plus rename, so readers never see partials.
+
+    A missing parent directory is created first.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -26,6 +30,25 @@ def write_bytes_atomic(path, payload: bytes):
 
 def write_text_atomic(path, text: str):
     write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def read_text(path, error):
+    """A UTF-8 text file, with its newlines translated as text mode does.
+
+    A byte that is not UTF-8 raises ``error`` naming the file, the line
+    and the byte's offset.
+    """
+    with open(path, "rb") as fh:
+        payload = fh.read()
+    try:
+        return _universal_newlines(payload.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = _universal_newlines(payload[:exc.start].decode("utf-8")).count("\n") + 1
+        raise error(f"{path}: line {line}: invalid UTF-8 at byte {exc.start}") from None
+
+
+def _universal_newlines(text):
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class Reader:
@@ -50,6 +73,16 @@ class Reader:
         if self.payload[self.offset:self.offset + len(magic)] != magic:
             self.fail(f"bad magic, expected {magic!r}")
         self.offset += len(magic)
+
+    def text(self, count):
+        """The next ``count`` bytes as UTF-8; a bad byte fails at its own offset."""
+        start = self.offset
+        chunk = self.take(count)
+        try:
+            return chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self.offset = start + exc.start
+            self.fail("invalid UTF-8")
 
     def u8(self):
         return self.take(1)[0]

@@ -12,7 +12,6 @@ Each NaN ranks after every number, as a run of its own in input order.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -230,8 +229,6 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
 
 def write_report(report: Report, json_path=None, csv_path=None):
     if json_path is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(json_path)), exist_ok=True)
         write_text_atomic(json_path, report.to_json())
     if csv_path is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
         write_text_atomic(csv_path, report.to_csv_line())

@@ -30,8 +30,11 @@ term, and its rows of the seg gradient are zero, which adds nothing.
 Training holds no image: it loads the samples one batch at a time for a
 single pass through the embedding and stage 1, which no trainable tensor
 reaches, and keeps of each sample only that pass's rows, its label, its
-modality and its mask as bool. A bool mask gives the loss the bits of the
-float32 one, since both cast to the same 0/1 map.
+modality and its mask as bits, packed eight pixels to a byte
+(``np.packbits``: 512 B for a 64 x 64 mask). Each step unpacks its own
+samples' masks to bool, and :func:`total_loss` casts them to one float32
+stack that the four level nodes share. A bool mask gives the loss the
+bits of the float32 one, since both cast to the same 0/1 map.
 """
 
 from __future__ import annotations
@@ -215,6 +218,14 @@ def level_loss(cls_l: Tensor, seg_l: Tensor, f_text: Tensor, c, s, weights: Loss
     parents its enabled terms use. The seg gradient of a sample without a
     mask is zero.
     """
+    return _level_loss(cls_l, seg_l, f_text, c, s, weights, tau, out_hw, {})
+
+
+def _level_loss(cls_l, seg_l, f_text, c, s, weights, tau, out_hw, stacks):
+    """:func:`level_loss`, taking its float mask stack from ``stacks`` by dtype.
+
+    The stack is made on first use, so the levels of one step share one array.
+    """
     if cls_l.ndim == 2:  # one sample is a batch of one
         c, s = [c], [s]
     cls = cls_l.data.reshape((-1,) + cls_l.shape[-2:])
@@ -253,7 +264,9 @@ def level_loss(cls_l: Tensor, seg_l: Tensor, f_text: Tensor, c, s, weights: Loss
                                            tau)
         upsampled = ag.upsample(anomaly.reshape(-1, grid, grid), out_hw)
         dtype, column_shape = upsampled.dtype, anomaly.shape
-        mask = np.stack([_as_mask(s[i], upsampled[0]) for i in masked])
+        mask = stacks.get(dtype)
+        if mask is None:
+            mask = stacks[dtype] = np.stack([_as_mask(s[i], upsampled[0]) for i in masked])
         map_terms = [(weight, term(upsampled, mask))
                      for weight, term in ((weights.lambda1, _dice), (weights.lambda2, _focal))
                      if weight > 0]
@@ -287,12 +300,13 @@ def total_loss(features: AdaptedFeatures, f_text: Tensor, c, s, weights: LossWei
                tau=0.07, out_hw=None, levels=(1, 2, 3, 4)) -> Tensor:
     """Sum of level losses over the included levels, one value per sample.
 
-    Takes one sample or a batch, as :func:`level_loss` does.
+    Takes one sample or a batch, as :func:`level_loss` does. The levels'
+    nodes share one float32 stack of the masks.
     """
-    total = None
+    total, stacks = None, {}
     for level in levels:
-        ll = level_loss(features.cls[level - 1], features.seg[level - 1], f_text,
-                        c, s, weights, tau=tau, out_hw=out_hw)
+        ll = _level_loss(features.cls[level - 1], features.seg[level - 1], f_text,
+                         c, s, weights, tau, out_hw, stacks)
         total = ll if total is None else ag.add(total, ll)
     return total
 
@@ -322,12 +336,26 @@ def adam_step(named_params, grads, state: AdamState, lr,
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def _packed(mask):
+    """A bool mask as (np.packbits of its pixels, its shape), or None for None."""
+    return None if mask is None else (np.packbits(mask), mask.shape)
+
+
+def _unpacked(packed):
+    """The bool mask of :func:`_packed`'s output."""
+    if packed is None:
+        return None
+    bits, shape = packed
+    return np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool)
+
+
 def _stage1_pass(backbone, samples, batch_size):
     """What training keeps of each sample, loading ``batch_size`` at a time.
 
     Returns the embedding and stage 1 of every image as one (S, N, d)
     array, which depend on no trainable tensor and so run once, plus each
-    sample's label, modality and bool mask. No step reads an image again.
+    sample's label, modality and packed mask (:func:`_packed`). No step
+    reads an image again.
     """
     stage1, labels, modalities, masks = None, [], [], []
     for chunk in load_chunks(samples, batch_size):
@@ -338,7 +366,7 @@ def _stage1_pass(backbone, samples, batch_size):
         for sample in chunk:
             labels.append(sample.label)
             modalities.append(sample.modality)
-            masks.append(bool_mask(sample.mask))
+            masks.append(_packed(bool_mask(sample.mask)))
     return stage1, np.array(labels), modalities, masks
 
 
@@ -386,7 +414,7 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
             features, _ = adapt_forward(backbone, params, None, stage1=Tensor(stage1[chunk]))
             texts = np.stack([text_features[modalities[i]].data for i in chunk])
             totals = total_loss(features, Tensor(texts), labels[chunk],
-                                [masks[i] for i in chunk], config.weights,
+                                [_unpacked(masks[i]) for i in chunk], config.weights,
                                 tau=config.tau, out_hw=out_hw, levels=config.levels)
             batch = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
             value = float(batch.data)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import FormatError, NormalizationError, PromptError
+from .fileio import read_text
 
 DEFAULT_NORMAL_STATES = [
     "[o]",
@@ -93,19 +94,17 @@ def default_prompt_set() -> PromptSet:
 def load_prompt_set(path) -> PromptSet:
     """Read patterns from a text file: one per line, prefixed '- ', '+ ' or 'T '."""
     normal, abnormal, templates = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("- "):
-                normal.append(line[2:])
-            elif line.startswith("+ "):
-                abnormal.append(line[2:])
-            elif line.startswith("T "):
-                templates.append(line[2:])
-            else:
-                raise FormatError(f"{path}: line {lineno} must start with '- ', '+ ' or 'T '")
+    for lineno, line in enumerate(read_text(path, FormatError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("- "):
+            normal.append(line[2:])
+        elif line.startswith("+ "):
+            abnormal.append(line[2:])
+        elif line.startswith("T "):
+            templates.append(line[2:])
+        else:
+            raise FormatError(f"{path}: line {lineno} must start with '- ', '+ ' or 'T '")
     return PromptSet(normal, abnormal, templates)
 
 

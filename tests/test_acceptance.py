@@ -308,11 +308,16 @@ def test_criterion_9_zero_shot_leave_one_out(default_dataset):
 
     first = run()
     second = run()
+    # untrained level 4 scores every image within rounding of 0.5 here (all ties),
+    # so only training lifts it: 0.998 measured
+    level4 = first.per_level_image_auc[3]
     ok = (first.image_auc is not None and first.pixel_auc is not None
+          and level4 is not None and level4 >= 0.9
           and first.to_json() == second.to_json())
     report(9, ok,
-           f"leave-one-out run produced image AUC {first.image_auc:.3f} and pixel "
-           f"AUC {first.pixel_auc:.3f}; two runs are byte-identical")
+           f"leave-one-out run produced image AUC {first.image_auc:.3f}, pixel "
+           f"AUC {first.pixel_auc:.3f} and level-4 image AUC {level4:.3f} (>= 0.9); "
+           f"two runs are byte-identical")
 
 
 def test_criterion_10_ablation_plumbing(default_dataset, tmp_path):

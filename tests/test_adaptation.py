@@ -7,9 +7,8 @@ from fdcheck import check_gradients
 from test_backbone import frozen_levels
 
 from mvfa import autograd as ag
-from mvfa.adaptation import (MVFAParams, adapt_forward, apply_adapter, init_params,
-                             load_checkpoint, residual_mix, save_checkpoint,
-                             text_probabilities)
+from mvfa.adaptation import (_mix, adapt_forward, apply_adapter, init_params, load_checkpoint,
+                             save_checkpoint, text_probabilities)
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import ConfigError, ContractError, FormatError, NormalizationError
@@ -61,12 +60,13 @@ def test_residual_mix_limits():
     rng = np.random.default_rng(1)
     f = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
     adapted = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-    assert np.array_equal(residual_mix(f, adapted, 0.0).data, f.data)
-    assert np.array_equal(residual_mix(f, adapted, 1.0).data, adapted.data)
+    assert np.array_equal(_mix((adapted,), f, 0.0).data, f.data)
+    assert np.array_equal(_mix((adapted,), f, 1.0).data, adapted.data)
     zero = Tensor(np.zeros((4, 8), dtype=np.float32))
-    assert np.allclose(residual_mix(f, zero, 0.1).data, 0.9 * f.data, atol=1e-7)
-    with pytest.raises(ConfigError):
-        residual_mix(f, adapted, 1.5)
+    assert np.allclose(_mix((zero,), f, 0.1).data, 0.9 * f.data, atol=1e-7)
+    # the mix does not check gamma; the params that carry it do
+    with pytest.raises(ConfigError, match="gamma"):
+        init_params(TOY.dim, gamma=1.5)
 
 
 def test_adapter_parameter_count_is_grid_independent():

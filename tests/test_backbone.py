@@ -184,10 +184,11 @@ def test_batched_encoder_matches_each_image_bitwise():
 
 
 def test_block_node_keeps_no_attention_and_no_qkv():
-    # A default-size, 16-sample node keeps h and x1 (256 KiB each), the ReLU sign
-    # (128 KiB), the LayerNorm statistics and each head's (B, N, 1) softmax peak and
-    # denominator: 43.8 KiB a sample measured, 137.9 while it kept q, k, v and att.
-    # One head's att would add 16 KiB a sample, its q, k or v 4 KiB each.
+    # A default-size, 16-sample node keeps x1 (256 KiB), the packed ReLU sign
+    # (16 KiB), the LayerNorm statistics and each head's (B, N, 1) softmax peak and
+    # denominator: 20.8 KiB a sample measured, 43.8 while it kept h and the sign as
+    # bool, 137.9 while it kept q, k, v and att. Keeping h would add 16 KiB a sample,
+    # one head's att 16 KiB, its q, k or v 4 KiB each.
     config = BackboneConfig()
     blk = init_backbone(config).stages[0][0]
     batch, tokens = 16, config.grid_count
@@ -203,7 +204,7 @@ def test_block_node_keeps_no_attention_and_no_qkv():
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert kept / batch <= 46 * 1024
+    assert kept / batch <= 24 * 1024
     # at this size h and x1 are (B, N, N) too, so each array made in _attention is
     # checked instead: only the (B, N, 1) peaks and denominators may outlive the call
     made_there = [trace.size for trace in snapshot.traces
