@@ -315,9 +315,10 @@ def cmd_predict(args):
                                                 bank=bank, beta1=beta1, beta2=beta2,
                                                 tau=inf["tau"]):
         stem = os.path.splitext(os.path.basename(sample.path))[0]
-        inference.save_map(os.path.join(args.out_dir, stem + ".map"), result.s_pred)
+        s_pred = result.s_pred
+        inference.save_map(os.path.join(args.out_dir, stem + ".map"), s_pred)
         datamod.write_pgm(os.path.join(args.out_dir, stem + "_heat.pgm"),
-                          inference.map_to_u8(result.s_pred))
+                          inference.map_to_u8(s_pred))
         lines.append(",".join(metrics.csv_value(v) for v in (
             sample.path, sample.modality, sample.label, result.c_pred, result.c_zero,
             result.c_few)))

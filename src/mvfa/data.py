@@ -329,6 +329,8 @@ def load_manifest(path):
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+        if not isinstance(row, dict):
+            raise ManifestError(f"{path}: line {lineno}: expected a JSON object")
         try:
             image, label = row["image"], row["label"]
             mask, modality = row["mask"], row["modality"]
@@ -339,6 +341,9 @@ def load_manifest(path):
         if not isinstance(modality, str) or not modality:
             raise ManifestError(f"{path}: line {lineno}: modality must be a "
                                 f"nonempty string")
+        if not isinstance(image, str) or not isinstance(mask, (str, type(None))):
+            raise ManifestError(f"{path}: line {lineno}: image must be a path string "
+                                f"and mask a path string or null")
         image_path = os.path.join(base, image)
         mask_path = os.path.join(base, mask) if mask is not None else None
         if mask_path is not None:

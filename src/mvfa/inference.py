@@ -5,7 +5,7 @@ and averages the four levels; the few-shot branch measures cosine distance
 to the nearest row of a per-level memory bank built from normal reference
 images. Both produce an image score and per-level scores on the patch
 grid, combined linearly with weights (beta1, beta2); a result keeps the
-fused full-resolution map and upsamples the per-level maps when read.
+branches' grids and weights, and upsamples and fuses its maps when read.
 Both branches score a chunk of images at once, one call per level and
 role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
@@ -72,12 +72,20 @@ def _branch_field(branch, field):
 
 @dataclass(frozen=True)
 class AnomalyResult:
-    """Fused score and map of one image, plus the branches they came from."""
+    """Fused score of one image, the branches it came from and their weights."""
 
     c_pred: float
-    s_pred: np.ndarray
     zero: BranchScores
     few: BranchScores | None
+    beta1: float
+    beta2: float
+
+    @property
+    def s_pred(self):
+        """(h, w) fused map: beta1 * zero-shot map, plus beta2 * few-shot map."""
+        if self.few is None:
+            return self.beta1 * self.zero.smap
+        return self.beta1 * self.zero.smap + self.beta2 * self.few.smap
 
     c_zero = _branch_field("zero", "c")
     s_zero = _branch_field("zero", "smap")
@@ -204,9 +212,8 @@ def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyR
     if few is None:
         if beta2 != 0:
             raise BankError("beta2 > 0 requires a memory bank")
-        return AnomalyResult(beta1 * zero.c, beta1 * zero.smap, zero, None)
-    return AnomalyResult(beta1 * zero.c + beta2 * few.c,
-                         beta1 * zero.smap + beta2 * few.smap, zero, few)
+        return AnomalyResult(beta1 * zero.c, zero, None, beta1, beta2)
+    return AnomalyResult(beta1 * zero.c + beta2 * few.c, zero, few, beta1, beta2)
 
 
 def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0.5,

@@ -3,8 +3,9 @@
 AUC uses the rank-sum formulation with midranks for ties (Hanley & McNeil,
 1982), which makes it equal to the pairwise win/tie count without
 enumerating pairs. Pixel AUC pools every scored pixel across the test set,
-so ranking is one ``np.sort`` of the pool and a ``searchsorted`` per
-positive, with no permutation of the pool. Midranks are exact
+so ranking is one sort of the pool and a ``searchsorted`` per positive,
+with no permutation of the pool. ``auc`` and ``midranks`` sort a copy;
+``evaluate`` sorts each pool it built in place. Midranks are exact
 half-integers, so the rank sum does not depend on how the ranks were found.
 Each NaN ranks after every number, as a run of its own in input order.
 """
@@ -30,36 +31,39 @@ CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
               "level4_image_auc")
 
 
-def _midranks_of(values, select=None):
-    """Midranks among ``values`` of ``values[select]``, or of every value.
+def _midranks_sorting(pool, select):
+    """Midranks among ``pool`` of ``pool[select]``, sorting ``pool`` in place.
 
-    One ``np.sort`` of the pool and two ``searchsorted`` per ranked value: a
-    value's run of ties fills the sorted positions [left, right), so its
-    1-based midrank is (left + right - 1) / 2 + 1. These are integers halved
-    once, so every rank is an exact half-integer. ``-0.0`` and ``+0.0``
-    compare equal and tie. Each NaN is a run of its own, ranked after every
-    number in input order; ``searchsorted`` alone would give all NaNs one
-    tied rank.
+    ``pool`` is a float64 vector and ``select`` a bool vector of its length.
+    The selected values, and each selected NaN's place among the NaNs, are
+    taken in input order before the sort. Then each ranked value's run of
+    ties fills the sorted positions [left, right), found by two
+    ``searchsorted``, so its 1-based midrank is (left + right - 1) / 2 + 1.
+    These are integers halved once, so every rank is an exact half-integer.
+    ``-0.0`` and ``+0.0`` compare equal and tie. Each NaN is a run of its
+    own, ranked after every number in input order; ``searchsorted`` alone
+    would give all NaNs one tied rank.
     """
-    v = np.asarray(values, dtype=np.float64)
-    ordered = np.sort(v)
-    ranked = v if select is None else v[select]
-    left = np.searchsorted(ordered, ranked, side="left")
-    right = np.searchsorted(ordered, ranked, side="right")
+    ranked = pool[select]
+    nan = np.isnan(ranked)
+    if nan.any():
+        # a NaN's place among the NaNs counts the NaNs up to its own index
+        places = np.searchsorted(np.flatnonzero(np.isnan(pool)),
+                                 np.flatnonzero(select)[nan], side="right")
+    pool.sort()
+    left = np.searchsorted(pool, ranked, side="left")
+    right = np.searchsorted(pool, ranked, side="right")
     ranks = (left + right - 1) / 2.0 + 1.0
-    if v.size and np.isnan(ordered[-1]):
-        # a NaN's left is the count of numbers; add its place among the NaNs
-        places = np.cumsum(np.isnan(v))
-        if select is not None:
-            places = places[select]
-        nan = np.isnan(ranked)
-        ranks[nan] = left[nan] + places[nan]
+    if nan.any():
+        # a NaN's left is the count of numbers
+        ranks[nan] = left[nan] + places
     return ranks
 
 
 def midranks(values):
     """1-based ranks with ties sharing their average rank; NaNs last, in input order."""
-    return _midranks_of(values)
+    pool = np.array(values, dtype=np.float64)
+    return _midranks_sorting(pool, np.ones(pool.shape, dtype=bool))
 
 
 def auc(scores, labels):
@@ -70,24 +74,37 @@ def auc(scores, labels):
     them below 2**52: the rank sum has the bits of ranking every score and
     summing the positives' ranks.
     """
-    s = np.asarray(scores, dtype=np.float64)
+    return _auc_sorting(np.array(scores, dtype=np.float64), labels)
+
+
+def _auc_sorting(pool, labels):
+    """``auc`` of a float64 vector nothing reads afterwards: it is sorted in place."""
     y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
-        raise MetricError(f"auc: scores {s.shape} and labels {y.shape} must be "
+    if pool.shape != y.shape or pool.ndim != 1:
+        raise MetricError(f"auc: scores {pool.shape} and labels {y.shape} must be "
                           f"equal-length vectors")
-    if not np.isin(y, (0, 1)).all():
+    positive = y == 1
+    if not (positive | (y == 0)).all():
         raise MetricError("auc: labels must be 0 or 1")
-    n_pos = int(y.sum())
+    n_pos = int(np.count_nonzero(positive))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc: undefined when only one class is present")
-    ranks = _midranks_of(s, y == 1)
+    ranks = _midranks_sorting(pool, positive)
     return float((ranks.sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def _maybe_auc(scores, labels):
     try:
         return auc(scores, labels)
+    except MetricError:
+        return None
+
+
+def _maybe_pool_auc(pool, labels):
+    """``_maybe_auc`` of a float64 pool that nothing reads afterwards."""
+    try:
+        return _auc_sorting(pool, labels)
     except MetricError:
         return None
 
@@ -159,13 +176,25 @@ def _fused_level_maps(results, level, beta1, beta2):
     return pool
 
 
+def _fused_maps(results):
+    """The fused maps of ``results`` as one (images, h, w) float64 array."""
+    pool = np.empty((len(results),) + results[0].zero.out_hw)
+    for out, result in zip(pool, results):
+        out[...] = result.s_pred
+    return pool
+
+
 def _pixel_aucs(masks, results, beta1, beta2):
-    """Pooled pixel AUC of the fused maps, overall and per level."""
+    """Pooled pixel AUC of the fused maps, overall and per level.
+
+    Each pool is one float64 array, built, ranked in place and freed before
+    the next is built.
+    """
     mask_pixels = np.concatenate([mask.reshape(-1) for mask in masks])
-    pixel_auc = _maybe_auc(np.concatenate([r.s_pred.reshape(-1) for r in results]),
-                           mask_pixels)
-    per_level = [_maybe_auc(_fused_level_maps(results, level, beta1, beta2).reshape(-1),
-                            mask_pixels) for level in range(4)]
+    pixel_auc = _maybe_pool_auc(_fused_maps(results).reshape(-1), mask_pixels)
+    per_level = [_maybe_pool_auc(
+        _fused_level_maps(results, level, beta1, beta2).reshape(-1), mask_pixels)
+        for level in range(4)]
     return pixel_auc, per_level
 
 
@@ -173,8 +202,9 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
              beta2=0.5, tau=0.07) -> Report:
     """Score a test set and assemble image/pixel/per-level AUCs.
 
-    Only each image's label, modality, bool mask and lean result are kept;
-    the per-level pixel pools are built one level at a time from the grids.
+    Only each image's label, modality, bool mask and lean result are kept.
+    Each pixel pool (overall, each level, each modality) is built from the
+    grids into one float64 array, ranked in place and freed before the next.
     """
     if not samples:
         raise DataError("test set is empty")
@@ -214,9 +244,9 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
                  "image_auc": _maybe_auc(c_pred[idx], labels[idx])}
         sub_masked = [i for i in idx if masks[i] is not None]
         if sub_masked:
-            pooled = np.concatenate([results[i].s_pred.reshape(-1) for i in sub_masked])
             pixels = np.concatenate([masks[i].reshape(-1) for i in sub_masked])
-            entry["pixel_auc"] = _maybe_auc(pooled, pixels)
+            entry["pixel_auc"] = _maybe_pool_auc(
+                _fused_maps([results[i] for i in sub_masked]).reshape(-1), pixels)
         else:
             entry["pixel_auc"] = None
         per_modality[modality] = entry

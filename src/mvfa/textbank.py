@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,11 @@ DEFAULT_TEMPLATES = [
     "there is a/the [c] in the scene.",
     "this is a/the/one [c] in the scene.",
 ]
+
+
+# prompts one prompt set may expand to, both polarities together; the
+# default set makes 385
+MAX_PROMPTS = 100_000
 
 
 def _check_placeholder(pattern, placeholder):
@@ -108,12 +114,26 @@ def load_prompt_set(path) -> PromptSet:
     return PromptSet(normal, abnormal, templates)
 
 
+def _alternatives(word):
+    return word.split("/") if "/" in word and "[" not in word else [word]
+
+
+def _variant_count(pattern):
+    return math.prod(len(_alternatives(word)) for word in pattern.split(" "))
+
+
+def _check_prompt_count(count, what):
+    """Refuse an expansion larger than MAX_PROMPTS before building any of it."""
+    if count > MAX_PROMPTS:
+        raise PromptError(f"{what} expand to {count} prompts, more than {MAX_PROMPTS}")
+
+
 def expand_template(pattern):
     """Expand alternate words: 'a photo of a/the [c].' gives two patterns."""
+    _check_prompt_count(_variant_count(pattern), f"the alternates of {pattern!r}")
     options = [[]]
     for word in pattern.split(" "):
-        choices = word.split("/") if "/" in word and "[" not in word else [word]
-        options = [prefix + [choice] for prefix in options for choice in choices]
+        options = [prefix + [choice] for prefix in options for choice in _alternatives(word)]
     return [" ".join(words) for words in options]
 
 
@@ -121,10 +141,14 @@ def expand_prompts(prompts: PromptSet, object_name):
     """Substitute the object into every state, then states into templates.
 
     Returns (normal, abnormal) prompt string lists with
-    len = states-per-polarity x expanded-template count.
+    len = states-per-polarity x expanded-template count. The count is
+    checked against MAX_PROMPTS before anything is expanded.
     """
     if not object_name or not str(object_name).strip():
         raise PromptError("object name must be a nonempty string")
+    n_states = len(prompts.normal_states) + len(prompts.abnormal_states)
+    _check_prompt_count(n_states * sum(_variant_count(t) for t in prompts.templates),
+                        f"{len(prompts.templates)} templates and {n_states} states")
     expanded = [variant for t in prompts.templates for variant in expand_template(t)]
 
     def fill(states):

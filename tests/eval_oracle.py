@@ -2,20 +2,39 @@
 
 This is the scorer as it was before batching: one adapted forward pass per
 image, and every per-level map of both branches kept at full resolution in
-float64 for the whole test set. The batched, streaming ``mvfa.metrics``
-evaluator must give a byte-equal report.
+float64 for the whole test set, each pool concatenated and ranked by the
+argsort of ``auc_oracle``. The batched, streaming ``mvfa.metrics``
+evaluator, which ranks each pool it builds in place, must give a
+byte-equal report.
 """
 
 from dataclasses import dataclass
 
+import auc_oracle
 import numpy as np
 
 from mvfa import autograd as ag
 from mvfa.adaptation import adapt_forward, text_probabilities
 from mvfa.autograd import no_grad
 from mvfa.data import LoadedSample, load_sample
+from mvfa.errors import MetricError
 from mvfa.inference import _min_cosine_distances
-from mvfa.metrics import Report, _maybe_auc, auc
+from mvfa.metrics import Report
+
+
+def auc(scores, labels):
+    """The argsort AUC, with the library's error where only one class is present."""
+    n_pos = int(np.count_nonzero(np.asarray(labels) == 1))
+    if n_pos in (0, len(labels)):
+        raise MetricError("auc: undefined when only one class is present")
+    return auc_oracle.auc(scores, labels)
+
+
+def _maybe_auc(scores, labels):
+    try:
+        return auc(scores, labels)
+    except MetricError:
+        return None
 
 
 @dataclass

@@ -240,6 +240,54 @@ def test_non_utf8_prompt_file_is_data_error(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("image", 5), ("mask", ["a"])])
+def test_manifest_path_of_another_json_type_is_data_error(workdir, tmp_path, capsys,
+                                                          field, value):
+    # os.path.join raised a TypeError here, which printed a traceback and exited 1
+    root, config, data = workdir
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "train.jsonl"
+    lines = manifest.read_text(encoding="utf-8").split("\n")
+    row = json.loads(lines[2])
+    row[field] = value
+    lines[2] = json.dumps(row)
+    manifest.write_text("\n".join(lines), encoding="utf-8")
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    assert main(["build-bank", "--config", config, "--data", str(copy), "--ckpt", ckpt,
+                 "--out", str(tmp_path / "bank.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 3: image must be a path string")
+    assert "Traceback" not in err
+
+
+def test_prompt_file_that_expands_too_far_is_data_error(workdir, tmp_path, capsys):
+    # nine words of eight alternates make 8**9 (1.3e8) variants per state:
+    # expanding them raised MemoryError under a 2 GB address-space limit
+    import tracemalloc
+
+    root, config, data = workdir
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("- flawless [o]\n+ damaged [o]\nT " + "a/b/c/d/e/f/g/h " * 9
+                       + "[c]\n", encoding="utf-8")
+    argv = ["train", "--config", config, "--data", data, "--prompts", str(prompts),
+            "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1 templates and 2 states expand to 268435456 prompts, "
+                          "more than 100000")
+    assert peak < 16 * 2 ** 20
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"train":\n {"epochs": "\xff"}}\n')

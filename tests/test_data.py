@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mvfa.data import (DEFAULT_MODALITIES, LoadedSample, ModalityProfile, SynthConfig,
                        _synth_sample, bool_mask, few_shot_split, gen_dataset, load_chunks,
                        load_manifest, load_sample, read_pgm, write_pgm, zero_shot_split)
-from mvfa.errors import ConfigError, DataError, FormatError, ManifestError
+from mvfa.errors import ConfigError, DataError, FormatError, ManifestError, MVFAError
 
 
 def small_config(**kw):
@@ -168,6 +169,81 @@ def test_manifest_errors_name_the_line(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ManifestError, match="mask"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"image": 5, "label": 0, "mask": null, "modality": "x"}', "image must be a path"),
+    ('{"image": "a.pgm", "label": 0, "mask": ["a"], "modality": "x"}', "image must be a path"),
+    ('{"image": null, "label": 0, "mask": null, "modality": "x"}', "image must be a path"),
+    ('["a.pgm", 0, null, "x"]', "expected a JSON object"),
+    ('5', "expected a JSON object"),
+])
+def test_manifest_rows_of_another_json_type_name_the_line(tmp_path, line, message):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"image": "a.pgm", "label": 0, "mask": null, "modality": "x"}\n'
+                    + line + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"line 2: {message}"):
+        load_manifest(path)
+
+
+# one value of each JSON type: what a mutated manifest field becomes
+JSON_VALUES = (5, 2.5, True, None, "x", [], ["a.pgm"], {}, {"image": "a.pgm"})
+
+
+def _mutated_manifests(rows, rng, draws):
+    """(line number, payload) of seeded one-row mutations of a manifest's rows."""
+    for draw in range(draws):
+        index = int(rng.integers(len(rows)))
+        row = dict(rows[index])
+        key = sorted(row)[int(rng.integers(len(row)))]
+        kind = draw % 3
+        if kind == 0:    # one field of one row replaced by a value of another type
+            others = [v for v in JSON_VALUES if type(v) is not type(row[key])]
+            row[key] = others[int(rng.integers(len(others)))]
+        elif kind == 1:  # a key dropped
+            del row[key]
+        lines = [json.dumps(r).encode() for r in rows]
+        lines[index] = json.dumps(row).encode()
+        if kind == 2:    # one byte of the row replaced by a byte that is not UTF-8
+            at = int(rng.integers(len(lines[index])))
+            lines[index] = (lines[index][:at] + bytes([int(rng.integers(0x80, 0x100))])
+                            + lines[index][at + 1:])
+        yield index + 1, b"\n".join(lines) + b"\n"
+
+
+def test_manifest_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated manifest loads or raises an MVFAError naming the line.
+
+    Each of 240 draws mutates one row of a generated manifest: one field
+    replaced by a JSON value of another type, one key dropped, or one byte
+    replaced by a byte that is not UTF-8. Two defects of the reader are
+    among the mutants this catches: a path of another JSON type
+    (``"image": 5``, ``"mask": ["a"]``) reached ``os.path.join`` and raised a
+    raw ``TypeError``, and a byte that is not UTF-8 raised a raw
+    ``UnicodeDecodeError``. Reading the files stays under 2 MiB of traced
+    memory.
+    """
+    train_manifest, _ = gen_dataset(small_config(
+        modalities=small_config().modalities[:1], train_normals=2, train_anomalies=2),
+        tmp_path)
+    rows = [json.loads(line) for line in open(train_manifest, encoding="utf-8")]
+    path = tmp_path / "mutated.jsonl"
+    outcomes = {"loaded": 0, "raised": 0}
+    tracemalloc.start()
+    try:
+        for lineno, payload in _mutated_manifests(rows, np.random.default_rng(2026), 240):
+            path.write_bytes(payload)
+            try:
+                load_manifest(path)
+                outcomes["loaded"] += 1
+            except MVFAError as exc:
+                assert str(exc).startswith(f"{path}: line {lineno}: "), exc
+                outcomes["raised"] += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcomes["loaded"] > 0 and outcomes["raised"] > 160, outcomes
+    assert peak < 2 * 2 ** 20
 
 
 def test_manifest_label_mask_consistency(tmp_path):

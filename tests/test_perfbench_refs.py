@@ -8,8 +8,13 @@ chain that starts at a name imported from mvfa.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import typing
 from pathlib import Path
+
+from mvfa.inference import AnomalyResult
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -66,3 +71,35 @@ def test_every_mvfa_attribute_in_the_workloads_resolves():
         checked += 1
     assert not missing, f"{WORKLOADS.name} uses mvfa names that do not exist: {missing}"
     assert checked >= 10
+
+
+def test_the_result_attributes_the_workloads_read_exist_on_anomaly_result():
+    """What ``large_bank`` reads of a scored ``result`` is a field or a property.
+
+    ``result`` is bound to ``inference.score_image(...)``, whose return type
+    is ``AnomalyResult``; the workload reads ``c_pred``, ``s_pred``,
+    ``c_levels_few`` and ``s_levels_few`` of it. The first test cannot see
+    these reads, because their root is a local name, and ``large_bank`` is
+    not gated, so a field moved or renamed on the class would only show when
+    someone runs it by hand.
+    """
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS))
+    imported = _imported_from_mvfa(tree)
+    returns = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and [getattr(t, "id", None) for t in node.targets] == ["result"]):
+            root, attrs = _chain(node.value.func)
+            scorer = imported[root][1]
+            for attr in attrs:
+                scorer = getattr(scorer, attr)
+            returns.add(typing.get_type_hints(scorer)["return"])
+    assert returns == {AnomalyResult}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "result"}
+    assert {"c_pred", "s_pred", "c_levels_few", "s_levels_few"} <= read
+    fields = {field.name for field in dataclasses.fields(AnomalyResult)}
+    missing = [attr for attr in sorted(read - fields) if not isinstance(
+        inspect.getattr_static(AnomalyResult, attr, None), property)]
+    assert not missing, f"{WORKLOADS.name} reads result attributes that do not exist: " \
+                        f"{missing}"

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mvfa import textbank
-from mvfa.errors import FormatError, PromptError
+from mvfa.errors import FormatError, MVFAError, PromptError
 from mvfa.textbank import (DEFAULT_TEMPLATES, PromptSet, build_text_features,
                            default_prompt_set, encode_text_stub, expand_prompts,
                            expand_template, load_prompt_set)
@@ -39,6 +41,97 @@ def test_default_prompt_counts_match_counting_oracle():
     assert len(normal) == 7 * expanded_templates
     assert len(abnormal) == 4 * expanded_templates
     assert len(set(normal)) == len(normal)  # all distinct
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expansion_past_max_prompts_raises_before_expanding():
+    # nine words of eight alternates: 8**9 (1.3e8) variants of one template
+    huge = "a/b/c/d/e/f/g/h " * 9 + "[c]"
+    prompts = PromptSet(["[o]"], ["damaged [o]"], [huge])
+
+    def expand_both():
+        with pytest.raises(PromptError, match="expand to 134217728 prompts, more than"):
+            expand_template(huge)
+        with pytest.raises(PromptError, match="1 templates and 2 states expand to "
+                                              "268435456 prompts, more than 100000"):
+            expand_prompts(prompts, "texture-a")
+
+    assert _traced_peak(expand_both) < 2 ** 20
+    normal, abnormal = expand_prompts(default_prompt_set(), "texture-a")
+    assert (len(normal), len(abnormal)) == (245, 140)
+    # 2**4 * 5**5 = 50,000 variants: two states reach the bound, a third passes it
+    edge = "a/b " * 4 + "a/b/c/d/e " * 5 + "[c]"
+    assert textbank.MAX_PROMPTS == 100_000
+    normal, abnormal = expand_prompts(PromptSet(["[o]"], ["damaged [o]"], [edge]), "x")
+    assert len(normal) + len(abnormal) == textbank.MAX_PROMPTS
+    with pytest.raises(PromptError, match="150000 prompts"):
+        expand_prompts(PromptSet(["[o]", "flawless [o]"], ["damaged [o]"], [edge]), "x")
+
+
+PROMPT_FILE = ("- [o]\n- flawless [o]\n+ damaged [o]\n+ [o] with flaw\n"
+               "T a photo of a/the [c].\nT a bright photo of a/the/one [c].\n")
+PREFIXES = ("- ", "+ ", "T ", "* ", "-", "t ", "  ", "T\t", "")
+
+
+def _mutated_prompt_files(rng, draws):
+    """Seeded one-line mutations of PROMPT_FILE, as bytes."""
+    for draw in range(draws):
+        lines = PROMPT_FILE.split("\n")[:-1]
+        index = int(rng.integers(len(lines)))
+        prefix, body = lines[index][:2], lines[index][2:]
+        kind = draw % 4
+        if kind == 0:    # the prefix replaced by another, valid or not
+            prefix = PREFIXES[int(rng.integers(len(PREFIXES)))]
+        elif kind == 1:  # a placeholder added, dropped or swapped for the other
+            body = (body + " [o]", body + " [c]", body.replace("[o]", ""),
+                    body.replace("[c]", ""), body.replace("[o]", "[c]"),
+                    body.replace("[c]", "[o]"))[int(rng.integers(6))]
+        elif kind == 2:  # a template of up to nine words of up to 12 alternates
+            prefix, words = "T ", int(rng.integers(1, 10))
+            alternates = "/".join("w%d" % i for i in range(int(rng.integers(2, 13))))
+            body = " ".join([alternates] * words) + " [c]"
+        lines[index] = prefix + body
+        payload = ("\n".join(lines) + "\n").encode()
+        if kind == 3:    # one byte replaced by a byte that is not UTF-8
+            at = int(rng.integers(len(payload)))
+            payload = payload[:at] + bytes([int(rng.integers(0x80, 0x100))]) + payload[at + 1:]
+        yield payload
+
+
+def test_prompt_file_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated prompt file loads and expands, or raises an MVFAError.
+
+    Each of 100 draws changes one line of a valid prompt file: its prefix,
+    its placeholders, its words (one template of up to nine words of up to
+    12 alternates each) or one byte (not UTF-8). The mutants this catches
+    include a template whose alternates multiply past ``MAX_PROMPTS``: it
+    was expanded in full, and nine words of eight alternates raised an
+    untyped ``MemoryError`` under a 2 GB address-space limit. Reading and
+    expanding stay under 32 MiB of traced memory; the largest expansion
+    that passes holds ``MAX_PROMPTS`` prompts.
+    """
+    path = tmp_path / "prompts.txt"
+    outcomes = {"loaded": 0, "raised": 0}
+
+    def load_all():
+        for payload in _mutated_prompt_files(np.random.default_rng(2026), 100):
+            path.write_bytes(payload)
+            try:
+                expand_prompts(load_prompt_set(path), "texture-a")
+                outcomes["loaded"] += 1
+            except MVFAError:
+                outcomes["raised"] += 1
+
+    assert _traced_peak(load_all) < 32 * 2 ** 20
+    assert outcomes["loaded"] > 10 and outcomes["raised"] > 50, outcomes
 
 
 def test_prompt_set_validates_placeholders():
