@@ -269,36 +269,16 @@ def _axis_coords(in_extent, out_extent, dtype):
     return i0, i1, w
 
 
-# plan rows gathered at once by upsample_vjp: about 130 KiB at B=16 on an 8 x 8 grid
-_PLAN_BLOCK = 32
-
-
 @functools.lru_cache(maxsize=32)
-def _upsample_plan(gh, gw, h, w):
-    """Gather plan that scatters the upsample VJP in np.add.at's order.
-
-    The VJP spreads each output pixel's gradient onto four source cells,
-    one corner at a time, and each cell must sum its contributions
-    sequentially in that order, starting from zero, to keep the bits of a
-    scatter with ``np.add.at``. Row ``j`` of the returned (width, gh * gw)
-    index matrix lists, for every source cell, the position of its j-th
-    contribution in the four flattened corner arrays, in scatter order; a
-    cell with fewer contributions points at index ``4 * h * w``, an appended
-    zero. Adding a zero never changes a sum that started from +0, so adding
-    the rows one after another equals the scatter.
-    """
+def _upsample_corners(gh, gw, h, w):
+    """Flat source cells of the output pixels, in C order, at each blend corner."""
     y0, y1, _ = _axis_coords(gh, h, np.float64)
     x0, x1, _ = _axis_coords(gw, w, np.float64)
-    cells = np.concatenate([(ys[:, None] * gw + xs[None, :]).reshape(-1)
-                            for ys, xs in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
-    order = np.argsort(cells, kind="stable")
-    counts = np.bincount(cells, minlength=gh * gw)
-    sorted_cells = cells[order]
-    slot = np.arange(cells.size) - (np.cumsum(counts) - counts)[sorted_cells]
-    plan = np.full((counts.max(), gh * gw), cells.size)
-    plan[slot, sorted_cells] = order
-    plan.flags.writeable = False
-    return plan
+    corners = tuple((ys[:, None] * gw + xs[None, :]).reshape(-1)
+                    for ys, xs in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+    for cells in corners:
+        cells.flags.writeable = False
+    return corners
 
 
 @functools.lru_cache(maxsize=32)
@@ -343,32 +323,23 @@ def upsample(src, size):
 def upsample_vjp(g, src_shape, dtype):
     """Source gradient of :func:`upsample` for a ``dtype`` source of ``src_shape``.
 
-    Each source cell sums its contributions sequentially in ``np.add.at``'s
-    scatter order (see :func:`_upsample_plan`). The contributions are
-    gathered with the samples of a stack side by side, so each step of that
-    sum is one addition over every cell of every sample.
+    Each map's gradient is scattered onto its source cells with one
+    ``np.add.at`` per blend corner, (y0, x0), (y0, x1), (y1, x0) and (y1, x1)
+    in that order, so each cell sums its contributions one at a time,
+    starting from zero. A stack goes one map at a time, which keeps the
+    temporaries at one map's size.
     """
     gh, gw = src_shape[-2:]
     h, w = g.shape[-2:]
     _, _, _, _, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, np.dtype(dtype))
-    # (h, w, samples), so a pixel's contributions from all samples are adjacent
-    g_hws = np.ascontiguousarray(np.moveaxis(g.reshape(-1, h, w), 0, -1))
-    vy, wy, vx, wx = vy[..., None], wy[..., None], vx[..., None], wx[..., None]
-    top, bot = g_hws * vy, g_hws * wy
-    flat = np.empty((4 * h * w + 1,) + g_hws.shape[2:], dtype=top.dtype)
-    corners = flat[:-1].reshape((4,) + g_hws.shape)
-    for corner, (rows, cols) in enumerate(((top, vx), (top, wx), (bot, vx), (bot, wx))):
-        np.multiply(rows, cols, out=corners[corner])
-    flat[-1] = 0
-    total = np.zeros((gh * gw,) + g_hws.shape[2:], dtype=top.dtype)
-    del g_hws, top, bot, corners
-    plan = _upsample_plan(gh, gw, h, w)
-    # a block of plan rows at a time: the same additions in the same order,
-    # without gathering every contribution at once
-    for start in range(0, len(plan), _PLAN_BLOCK):
-        for contributions in np.take(flat, plan[start:start + _PLAN_BLOCK], axis=0):
-            total += contributions
-    return np.moveaxis(total, -1, 0).reshape(g.shape[:-2] + (gh, gw))
+    corners = _upsample_corners(gh, gw, h, w)
+    maps = g.reshape(-1, h, w)
+    total = np.zeros((len(maps), gh * gw), dtype=np.result_type(g, vy))
+    for g_map, cells in zip(maps, total):
+        top, bot = g_map * vy, g_map * wy
+        for rows, cols, index in zip((top, top, bot, bot), (vx, wx, vx, wx), corners):
+            np.add.at(cells, index, (rows * cols).reshape(-1))
+    return total.reshape(g.shape[:-2] + (gh, gw))
 
 
 def backward(loss):

@@ -51,6 +51,12 @@ from .autograd import Tensor
 from .errors import ConfigError, ShapeError
 
 
+# values one encoder may hold in its patch weights, position table and blocks,
+# so that no config file or checkpoint header makes init_backbone allocate
+# without bound; the default encoder holds 273,920
+MAX_ENCODER_VALUES = 2 ** 22
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     image_size: int = 64
@@ -78,6 +84,12 @@ class BackboneConfig:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        d = self.dim  # a block holds 8 * d * d weights and 7 * d norm and bias values
+        values = ((self.patch_size ** 2 + self.grid_count) * d
+                  + self.stages * self.blocks_per_stage * (8 * d * d + 7 * d))
+        if values > MAX_ENCODER_VALUES:
+            raise ConfigError(f"the encoder would hold {values} values, more than "
+                              f"{MAX_ENCODER_VALUES}")
 
     @property
     def grid_side(self) -> int:

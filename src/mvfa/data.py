@@ -336,8 +336,8 @@ def load_manifest(path):
             mask, modality = row["mask"], row["modality"]
         except KeyError as exc:
             raise ManifestError(f"{path}: line {lineno}: missing key {exc}") from None
-        if label not in (0, 1):
-            raise ManifestError(f"{path}: line {lineno}: label must be 0 or 1")
+        if type(label) is not int or label not in (0, 1):  # a bool is an int too
+            raise ManifestError(f"{path}: line {lineno}: label must be the integer 0 or 1")
         if not isinstance(modality, str) or not modality:
             raise ManifestError(f"{path}: line {lineno}: modality must be a "
                                 f"nonempty string")
@@ -356,7 +356,7 @@ def load_manifest(path):
             if bool((mask_pixels > 0).any()) != bool(label):
                 raise ManifestError(f"{path}: line {lineno}: label {label} is "
                                     f"inconsistent with the mask content")
-        samples.append(Sample(image_path, int(label), mask_path, modality))
+        samples.append(Sample(image_path, label, mask_path, modality))
     return samples
 
 

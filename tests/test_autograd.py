@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import ops_oracle as ops
 import pytest
@@ -210,6 +212,26 @@ def test_batched_bilinear_matches_each_map_bitwise(count, src_hw, out_hw, dtype)
         # a map of the stack reduces as it would alone
         assert sums[i].tobytes() == single.sum().tobytes()
         assert got[i].tobytes() == ag.upsample_vjp(g[i], src_hw, src.dtype).tobytes()
+
+
+def test_bilinear_vjp_temporaries_stay_at_one_maps_size():
+    """A training step's upsample VJP traces at most 256 KiB beyond its input.
+
+    The stack is B=16 gradients of 64 x 64 pixels onto 8 x 8 grids, in
+    float32, and the call runs with its cached indices already built. Each
+    map is scattered on its own, so the temporaries are one map's size
+    (86 KiB). Gathering all maps' corner contributions at once took
+    1.8 MiB here.
+    """
+    g = np.random.default_rng(24).standard_normal((16, 64, 64)).astype(np.float32)
+    ag.upsample_vjp(g, (8, 8), np.float32)
+    tracemalloc.start()
+    try:
+        ag.upsample_vjp(g, (8, 8), np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2 ** 10
 
 
 def test_bilinear_empty_and_shrink_errors():

@@ -718,6 +718,58 @@ def test_checkpoint_header_field_out_of_range_is_data_error(workdir, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("byte, bit", [(17, 0x01), (32, 0x10)])
+def test_checkpoint_header_of_a_huge_encoder_is_data_error(workdir, tmp_path, capsys, byte,
+                                                           bit):
+    # one flipped bit: image_size 16 -> 16 + 2**24, or blocks_per_stage 1 -> 1 + 2**20.
+    # Building that encoder raised a raw MemoryError (exit 1) or went on allocating.
+    root, config, data = workdir
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    payload = bytearray(ckpt.read_bytes())
+    payload[byte] ^= bit
+    ckpt.write_bytes(bytes(payload))
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt),
+                 "--mode", "zero-shot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: invalid header: the encoder would hold ")
+    assert "Traceback" not in err
+
+
+def test_config_of_a_huge_encoder_is_config_error(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    user = json.loads(Path(config).read_text(encoding="utf-8"))
+    user["backbone"]["image_size"] += 2 ** 24
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(user), encoding="utf-8")
+    assert main(["train", "--config", str(huge), "--data", data,
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the encoder would hold ") and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", [bool, float])
+def test_manifest_label_of_another_json_type_is_data_error(workdir, tmp_path, capsys, kind):
+    # true, 1.0, false and 0.0 compared equal to 1 and 0 and loaded as labels
+    root, config, data = workdir
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "train.jsonl"
+    lines = manifest.read_text(encoding="utf-8").split("\n")
+    row = json.loads(lines[2])
+    row["label"] = kind(row["label"])
+    lines[2] = json.dumps(row)
+    manifest.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["train", "--config", config, "--data", str(copy),
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 3: label must be the integer 0 or 1")
+    assert "Traceback" not in err
+
+
 def test_eval_k_must_match_the_bank(workdir, tmp_path, capsys):
     root, config, data = workdir
     ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")

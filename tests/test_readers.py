@@ -1,0 +1,169 @@
+"""Seeded mutation tests of the binary and config readers.
+
+Each reader gets a valid file, then draws of that file mutated the same
+four ways: truncated at a random byte, 1-3 bits flipped in the first 200
+bytes, one byte set to a random value, or ``ff ff ff 7f`` (the largest
+signed 32-bit integer) written over 4 bytes. Every draw must load or raise
+an ``MVFAError``, and reading all of them stays under a tracemalloc bound,
+so a forged length or size field cannot make a reader allocate without end.
+"""
+
+import dataclasses
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mvfa import cli
+from mvfa.adaptation import init_params, load_checkpoint, save_checkpoint
+from mvfa.backbone import MAX_ENCODER_VALUES, BackboneConfig, init_backbone
+from mvfa.data import SynthConfig, read_pgm, write_pgm
+from mvfa.errors import ConfigError, MVFAError
+from mvfa.inference import MemoryBank, load_bank, load_map, save_bank, save_map
+from mvfa.objective import TrainConfig
+
+# an encoder of MAX_ENCODER_VALUES values, most of them in its position
+# table, traces 68 MiB while it is built
+ENCODER_PEAK = 80 * 2 ** 20
+
+
+def _mutants(payload, rng, draws):
+    """Seeded mutations of the bytes ``payload``, one kind after another."""
+    for draw in range(draws):
+        data = bytearray(payload)
+        kind = draw % 4
+        if kind == 0:    # truncated
+            del data[int(rng.integers(len(data))):]
+        elif kind == 1:  # 1-3 bits flipped in the first 200 bytes
+            for _ in range(int(rng.integers(1, 4))):
+                data[int(rng.integers(min(len(data), 200)))] ^= 1 << int(rng.integers(8))
+        elif kind == 2:  # one byte set to a random value
+            data[int(rng.integers(len(data)))] = int(rng.integers(256))
+        else:            # the largest signed 32-bit integer written over 4 bytes
+            at = int(rng.integers(len(data) - 3))
+            data[at:at + 4] = b"\xff\xff\xff\x7f"
+        yield bytes(data)
+
+
+def _read_mutants(path, payload, draws, read):
+    """Write each mutant of ``payload`` to ``path`` and ``read`` it.
+
+    Returns the number of draws that loaded, the messages of those that
+    raised, and the traced peak in bytes.
+    """
+    loaded, errors = 0, []
+    tracemalloc.start()
+    try:
+        for mutant in _mutants(payload, np.random.default_rng(2026), draws):
+            path.write_bytes(mutant)
+            try:
+                read(path)
+                loaded += 1
+            except MVFAError as exc:
+                errors.append(str(exc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return loaded, errors, peak
+
+
+def test_checkpoint_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated checkpoint loads, and builds its encoder, or raises an MVFAError.
+
+    A draw whose header gives another encoder than the original (a seed
+    alone gives the same shapes) also builds that encoder, which must stay
+    under the bound that any encoder of ``MAX_ENCODER_VALUES`` values meets.
+    Two defects are mutants this catches. A tensor name that is not UTF-8
+    raised a raw ``UnicodeDecodeError``. And the header admitted any
+    encoder: one flipped bit, image_size 64 -> 64 + 2**24, asked numpy for
+    32 TiB and raised a raw ``MemoryError``, and a high bit of
+    blocks_per_stage allocated block after block without end. Four of the
+    200 draws forge such a header.
+    """
+    config = BackboneConfig()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, config, init_params(config.dim, seed=7))
+
+    def read(path):
+        header, _ = load_checkpoint(path)
+        if dataclasses.replace(header, seed=config.seed) != config:
+            init_backbone(header)
+
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 200, read)
+    oversized = sum("invalid header: the encoder would hold" in e for e in errors)
+    assert loaded > 50 and len(errors) > 50 and oversized == 4, (loaded, errors)
+    assert peak < ENCODER_PEAK
+
+
+def test_largest_encoder_builds_under_the_mutation_bound():
+    """The widest position table the limit admits builds under ENCODER_PEAK.
+
+    A position table value costs more to build than a block weight, so an
+    encoder of mostly position table is the costliest one admitted.
+    """
+    config = BackboneConfig(image_size=2892, patch_size=4, dim=8, blocks_per_stage=1,
+                            heads=2)  # 4,184,232 values
+    with pytest.raises(ConfigError, match=f"4195808 values, more than {MAX_ENCODER_VALUES}"):
+        dataclasses.replace(config, image_size=2896)
+    tracemalloc.start()
+    try:
+        init_backbone(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ENCODER_PEAK
+
+
+def test_bank_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated bank loads or raises an MVFAError, in under 1 MiB."""
+    rng = np.random.default_rng(5)
+    stores = [rng.standard_normal((3, 8)).astype(np.float32) for _ in range(8)]
+    path = tmp_path / "bank.bin"
+    save_bank(path, MemoryBank(stores[:4], stores[4:]))
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, load_bank)
+    assert loaded > 40 and len(errors) > 40, (loaded, errors)
+    assert peak < 2 ** 20
+
+
+def test_pgm_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated PGM loads or raises an MVFAError, in under 1 MiB."""
+    path = tmp_path / "image.pgm"
+    write_pgm(path, np.random.default_rng(6).integers(0, 256, (12, 16), dtype=np.uint8))
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, read_pgm)
+    assert loaded > 40 and len(errors) > 40, (loaded, errors)
+    assert peak < 2 ** 20
+
+
+def test_map_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated anomaly map loads or raises an MVFAError, in under 1 MiB."""
+    path = tmp_path / "map.bin"
+    save_map(path, np.random.default_rng(7).uniform(size=(12, 16)))
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, load_map)
+    assert loaded > 40 and len(errors) > 40, (loaded, errors)
+    assert peak < 2 ** 20
+
+
+def test_config_reader_fails_typed_on_seeded_mutations(tmp_path):
+    """Every mutated config file loads or raises an MVFAError.
+
+    Loading means what a command does with the file before it reads any
+    data: merge it over the defaults and build the backbone, data and train
+    settings from it. A draw that changes the encoder also builds it.
+    """
+    full = dict(cli.DEFAULT_CONFIG, data=dataclasses.asdict(SynthConfig()))
+    path = tmp_path / "config.json"
+    default_backbone = BackboneConfig()
+
+    def read(path):
+        cfg = cli._load_config(path)
+        backbone = BackboneConfig(**cfg["backbone"])
+        SynthConfig.from_dict(cfg["data"])
+        TrainConfig.from_dict(cfg["train"])
+        if backbone != default_backbone:
+            init_backbone(backbone)
+
+    payload = json.dumps(full, indent=1).encode()
+    loaded, errors, peak = _read_mutants(path, payload, 160, read)
+    assert len(errors) > 100, (loaded, errors)
+    assert peak < ENCODER_PEAK
