@@ -18,8 +18,8 @@ from .inference import (AnomalyResult, MemoryBank, build_memory_bank, few_shot, 
                         load_bank, load_map, save_bank, save_map, score_image,
                         zero_shot)
 from .metrics import Report, auc, evaluate, midranks
-from .objective import (AdamState, LossWeights, TrainConfig, adam_step, bce_image,
-                        dice_loss, focal_loss, level_loss, total_loss, train)
+from .objective import (AdamState, LossWeights, TrainConfig, adam_step, level_loss,
+                        total_loss, train)
 from .textbank import (PromptSet, TextFeatures, build_text_features, default_prompt_set,
                        encode_text_stub, expand_prompts, load_prompt_set)
 

@@ -55,6 +55,9 @@ from .errors import ConfigError, ShapeError
 # so that no config file or checkpoint header makes init_backbone allocate
 # without bound; the default encoder holds 273,920
 MAX_ENCODER_VALUES = 2 ** 22
+# tensors one encoder's blocks may hold, since each costs RNG and Python call
+# overhead to build however small it is; the default encoder's blocks hold 192
+MAX_ENCODER_TENSORS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,11 @@ class BackboneConfig:
         if values > MAX_ENCODER_VALUES:
             raise ConfigError(f"the encoder would hold {values} values, more than "
                               f"{MAX_ENCODER_VALUES}")
+        # a block holds 4 * heads attention matrices and 8 norm and MLP tensors
+        tensors = self.stages * self.blocks_per_stage * (4 * self.heads + 8)
+        if tensors > MAX_ENCODER_TENSORS:
+            raise ConfigError(f"the encoder would hold {tensors} tensors, more than "
+                              f"{MAX_ENCODER_TENSORS}")
 
     @property
     def grid_side(self) -> int:

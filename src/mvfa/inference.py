@@ -4,8 +4,9 @@ The zero-shot branch scores each level's features against the text rows
 and averages the four levels; the few-shot branch measures cosine distance
 to the nearest row of a per-level memory bank built from normal reference
 images. Both produce an image score and per-level scores on the patch
-grid, combined linearly with weights (beta1, beta2); a result keeps the
-branches' grids and weights, and upsamples and fuses its maps when read.
+grid, combined linearly with weights (beta1, beta2) by :func:`blend`; a
+result keeps the branches' grids and weights, and :func:`fused_maps`
+upsamples and fuses the maps of one result or of a whole test set.
 Both branches score a chunk of images at once, one call per level and
 role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
@@ -28,6 +29,10 @@ from .fileio import Reader, write_bytes_atomic
 BANK_MAGIC = b"MVFA-BANK\0"
 BANK_VERSION = 1
 MAP_MAGIC = b"MVFA-MAP\0"
+
+# images loaded, scored and upsampled per batch: it bounds what scoring holds
+# at once, and a batch gives each image the bits it gets alone
+CHUNK = 16
 
 
 @dataclass
@@ -82,10 +87,8 @@ class AnomalyResult:
 
     @property
     def s_pred(self):
-        """(h, w) fused map: beta1 * zero-shot map, plus beta2 * few-shot map."""
-        if self.few is None:
-            return self.beta1 * self.zero.smap
-        return self.beta1 * self.zero.smap + self.beta2 * self.few.smap
+        """(h, w) fused map: the blend of the branches' mean maps."""
+        return fused_maps([self], self.beta1, self.beta2)[0]
 
     c_zero = _branch_field("zero", "c")
     s_zero = _branch_field("zero", "smap")
@@ -105,6 +108,45 @@ def grid_maps(grids, out_hw):
     side = int(np.sqrt(grids.shape[-1]))
     maps = ag.upsample(grids.reshape(grids.shape[:-1] + (side, side)), out_hw)
     return maps.astype(np.float64)
+
+
+def blend(beta1, zero, beta2, few):
+    """The fusion rule: beta1 * zero, plus beta2 * few when ``few`` is not None."""
+    if few is None:
+        return beta1 * zero
+    return beta1 * zero + beta2 * few
+
+
+def fused_maps(results, beta1, beta2, level=None) -> np.ndarray:
+    """The fused float64 maps of ``results``, as one (images, h, w) array.
+
+    Each map blends the branches' maps of ``level``, or without a level
+    their means over the four levels, upsampled CHUNK images at a time. A
+    mean adds the levels one at a time to +0.0, as ``np.mean`` does, and
+    divides by their count: it keeps the bits of ``s_levels.mean(axis=0)``
+    without holding four maps per image.
+    """
+    out_hw = results[0].zero.out_hw
+
+    def level_maps(part, branch, index):
+        return grid_maps(np.stack([getattr(r, branch).grids[index] for r in part]), out_hw)
+
+    def branch_maps(part, branch):
+        if level is not None:
+            return level_maps(part, branch, level)
+        total = level_maps(part, branch, 0)
+        total += 0.0  # np.mean's sum starts at +0.0: a sum of -0.0 is +0.0
+        for index in range(1, 4):
+            total += level_maps(part, branch, index)
+        total /= 4
+        return total
+
+    pool = np.empty((len(results),) + out_hw)
+    for start in range(0, len(results), CHUNK):
+        part = results[start:start + CHUNK]
+        few = None if part[0].few is None else branch_maps(part, "few")
+        pool[start:start + CHUNK] = blend(beta1, branch_maps(part, "zero"), beta2, few)
+    return pool
 
 
 def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
@@ -206,14 +248,13 @@ def few_shot(features, bank: MemoryBank, out_hw, images) -> list:
 
 
 def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyResult:
-    """Linear combination of the branches: beta1 * zero + beta2 * few."""
+    """The result of the branches' scores, weighted by :func:`blend`."""
     if beta1 < 0 or beta2 < 0:
         raise ConfigError("fusion weights must be nonnegative")
-    if few is None:
-        if beta2 != 0:
-            raise BankError("beta2 > 0 requires a memory bank")
-        return AnomalyResult(beta1 * zero.c, zero, None, beta1, beta2)
-    return AnomalyResult(beta1 * zero.c + beta2 * few.c, zero, few, beta1, beta2)
+    if few is None and beta2 != 0:
+        raise BankError("beta2 > 0 requires a memory bank")
+    return AnomalyResult(blend(beta1, zero.c, beta2, None if few is None else few.c),
+                         zero, few, beta1, beta2)
 
 
 def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0.5,

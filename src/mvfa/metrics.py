@@ -20,11 +20,7 @@ import numpy as np
 from .data import bool_mask, load_chunks
 from .errors import DataError, MetricError
 from .fileio import write_text_atomic
-from .inference import grid_maps, score_batch
-
-# images loaded and scored per batch: it bounds what scoring holds at once,
-# and a batch gives each image the bits it gets alone
-CHUNK = 16
+from .inference import CHUNK, blend, fused_maps, score_batch
 
 CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
               "level1_image_auc", "level2_image_auc", "level3_image_auc",
@@ -94,15 +90,11 @@ def _auc_sorting(pool, labels):
     return float((ranks.sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _maybe_auc(scores, labels):
-    try:
-        return auc(scores, labels)
-    except MetricError:
-        return None
-
-
 def _maybe_pool_auc(pool, labels):
-    """``_maybe_auc`` of a float64 pool that nothing reads afterwards."""
+    """AUC of a float64 vector nothing reads afterwards, or None where undefined.
+
+    The vector is sorted in place.
+    """
     try:
         return _auc_sorting(pool, labels)
     except MetricError:
@@ -157,54 +149,14 @@ def score_samples(backbone, params, samples, text_features, bank=None,
             beta2=beta2, tau=tau))
 
 
-def _fused_level_maps(results, level, beta1, beta2):
-    """One level's fused float64 maps of ``results``, as one (images, h, w) array.
-
-    Each map is beta1 times the zero-shot map, plus beta2 times the few-shot
-    map when there is a bank: the expression and the bits of
-    ``beta1 * r.s_levels_zero[level] + beta2 * r.s_levels_few[level]``,
-    upsampled CHUNK images at a time.
-    """
-    out_hw = results[0].zero.out_hw
-    pool = np.empty((len(results),) + out_hw)
-    for start in range(0, len(results), CHUNK):
-        part, out = results[start:start + CHUNK], pool[start:start + CHUNK]
-        np.multiply(beta1, grid_maps(np.stack([r.zero.grids[level] for r in part]),
-                                     out_hw), out=out)
-        if part[0].few is not None:
-            out += beta2 * grid_maps(np.stack([r.few.grids[level] for r in part]), out_hw)
-    return pool
-
-
-def _fused_maps(results):
-    """The fused maps of ``results`` as one (images, h, w) float64 array."""
-    pool = np.empty((len(results),) + results[0].zero.out_hw)
-    for out, result in zip(pool, results):
-        out[...] = result.s_pred
-    return pool
-
-
-def _pixel_aucs(masks, results, beta1, beta2):
-    """Pooled pixel AUC of the fused maps, overall and per level.
-
-    Each pool is one float64 array, built, ranked in place and freed before
-    the next is built.
-    """
-    mask_pixels = np.concatenate([mask.reshape(-1) for mask in masks])
-    pixel_auc = _maybe_pool_auc(_fused_maps(results).reshape(-1), mask_pixels)
-    per_level = [_maybe_pool_auc(
-        _fused_level_maps(results, level, beta1, beta2).reshape(-1), mask_pixels)
-        for level in range(4)]
-    return pixel_auc, per_level
-
-
 def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
              beta2=0.5, tau=0.07) -> Report:
     """Score a test set and assemble image/pixel/per-level AUCs.
 
     Only each image's label, modality, bool mask and lean result are kept.
     Each pixel pool (overall, each level, each modality) is built from the
-    grids into one float64 array, ranked in place and freed before the next.
+    grids by ``inference.fused_maps`` into one float64 array, ranked in place
+    and freed before the next.
     """
     if not samples:
         raise DataError("test set is empty")
@@ -220,36 +172,34 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     c_pred = np.array([r.c_pred for r in results])
     image_auc = auc(c_pred, labels)
 
-    level_scores = beta1 * np.array([r.c_levels_zero for r in results])
-    if results[0].few is not None:
-        level_scores += beta2 * np.array([r.c_levels_few for r in results])
-    per_level_image = [_maybe_auc(level_scores[:, level], labels) for level in range(4)]
+    level_scores = blend(beta1, np.array([r.c_levels_zero for r in results]), beta2,
+                         None if results[0].few is None
+                         else np.array([r.c_levels_few for r in results]))
+    # each column is ranked in place and not read again
+    per_level_image = [_maybe_pool_auc(column, labels) for column in level_scores.T]
+
+    def pixel_auc_of(idx, level=None):
+        """Pooled pixel AUC of the fused maps of the masked images among ``idx``."""
+        idx = [i for i in idx if masks[i] is not None]
+        if not idx:
+            return None
+        pixels = np.concatenate([masks[i].reshape(-1) for i in idx])
+        pool = fused_maps([results[i] for i in idx], beta1, beta2, level)
+        return _maybe_pool_auc(pool.reshape(-1), pixels)
 
     masked = [i for i, mask in enumerate(masks) if mask is not None]
-    pixel_auc = None
-    per_level_pixel = None
-    if masked:
-        pixel_auc, per_level_pixel = _pixel_aucs(
-            [masks[i] for i in masked], [results[i] for i in masked], beta1, beta2)
+    pixel_auc = pixel_auc_of(masked)
+    per_level_pixel = [pixel_auc_of(masked, level) for level in range(4)] if masked else None
 
     per_modality = {}
     for modality in sorted(set(modalities)):
         idx = [i for i, m in enumerate(modalities) if m == modality]
-        if len(idx) == len(results):
-            # the modality's images are the whole set, pooled in the same order
-            per_modality[modality] = {"images": len(idx), "image_auc": image_auc,
-                                      "pixel_auc": pixel_auc}
-            continue
-        entry = {"images": len(idx),
-                 "image_auc": _maybe_auc(c_pred[idx], labels[idx])}
-        sub_masked = [i for i in idx if masks[i] is not None]
-        if sub_masked:
-            pixels = np.concatenate([masks[i].reshape(-1) for i in sub_masked])
-            entry["pixel_auc"] = _maybe_pool_auc(
-                _fused_maps([results[i] for i in sub_masked]).reshape(-1), pixels)
-        else:
-            entry["pixel_auc"] = None
-        per_modality[modality] = entry
+        # a modality of the whole set has its images pooled in the same order
+        whole = len(idx) == len(results)
+        per_modality[modality] = {
+            "images": len(idx),
+            "image_auc": image_auc if whole else _maybe_pool_auc(c_pred[idx], labels[idx]),
+            "pixel_auc": pixel_auc if whole else pixel_auc_of(idx)}
 
     counts = {"images": len(results), "anomalous": int(labels.sum()),
               "with_masks": len(masked)}

@@ -124,6 +124,7 @@ def _per_sample(g, ndim):
 
 
 def _dice(p, mask):
+    """1 - (2 sum(p*s) + 1) / (sum(p) + sum(s) + 1) of each map p and its mask s."""
     ndim, axes = p.ndim, tuple(range(1, p.ndim))
     inter = np.sum(p * mask, axis=axes)
     numer = inter * 2.0 + DICE_SMOOTH
@@ -139,10 +140,11 @@ def _dice(p, mask):
 
 
 def _focal(p, mask):
-    """Focal term; its VJP keeps p_t, the bool clip mask and ``mask``.
+    """Mean of -(1 - p_t)^2 log(p_t), with p_t = p on positives else 1 - p.
 
-    1 - p_t, its square and log(p_t) are recomputed by the same ops, with
-    the same bits, instead of being kept.
+    The VJP keeps p_t, the bool clip mask and ``mask``; 1 - p_t, its square
+    and log(p_t) are recomputed by the same ops, with the same bits, instead
+    of being kept.
     """
     ndim, axes = p.ndim, tuple(range(1, p.ndim))
     raw = p * mask + (p * -1.0 + 1.0) * (1.0 - mask)
@@ -164,6 +166,7 @@ def _focal(p, mask):
 
 
 def _bce(prob, c):
+    """Binary cross-entropy of each probability against its label in ``c``."""
     positive = np.asarray(c).astype(int) == 1
     clipped = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
     inside = (prob >= PROB_EPS) & (prob <= 1.0 - PROB_EPS)
@@ -177,24 +180,6 @@ def _bce(prob, c):
 
 def _sum(contributions):
     return functools.reduce(operator.add, contributions)
-
-
-def dice_loss(p: Tensor, s) -> Tensor:
-    """1 - (2 sum(p*s) + 1) / (sum(p) + sum(s) + 1)."""
-    value, vjp = _dice(p.data[None], _as_mask(s, p)[None])
-    return ag.record(value[0], "dice_loss", (p,), lambda g: (_sum(vjp(g[None]))[0],))
-
-
-def focal_loss(p: Tensor, s) -> Tensor:
-    """Mean of -(1 - p_t)^2 log(p_t) with p_t = p on positives else 1 - p."""
-    value, vjp = _focal(p.data[None], _as_mask(s, p)[None])
-    return ag.record(value[0], "focal_loss", (p,), lambda g: (_sum(vjp(g[None]))[0],))
-
-
-def bce_image(prob: Tensor, c) -> Tensor:
-    """Binary cross-entropy of a scalar probability against label c."""
-    value, vjp = _bce(prob.data, c)
-    return ag.record(value, "bce_image", (prob,), lambda g: (vjp(g),))
 
 
 def _anomaly_column(features, text, tau):

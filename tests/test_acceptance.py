@@ -25,8 +25,7 @@ from mvfa.data import (SynthConfig, few_shot_split, gen_dataset, load_manifest,
 from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, fuse, load_bank,
                             load_map, save_bank, save_map, zero_shot)
 from mvfa.metrics import auc, evaluate, midranks
-from mvfa.objective import (LossWeights, TrainConfig, bce_image, dice_loss, focal_loss,
-                            total_loss, train)
+from mvfa.objective import LossWeights, TrainConfig, _bce, _dice, _focal, total_loss, train
 from mvfa.textbank import build_text_features, default_prompt_set
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -89,19 +88,18 @@ def test_criterion_1_gradient_suite():
 # -- criterion 2: loss oracles ----------------------------------------------------
 
 def test_criterion_2_loss_closed_forms():
-    def scalar(t):
-        return float(t.data)
+    def term(kernel, p, s):
+        """The value of one map (or one probability) under a level loss's kernel."""
+        return float(kernel(np.array([p], dtype=np.float64), np.array([s]))[0][0])
 
     checks = [
-        (scalar(dice_loss(Tensor([1.0, 0.0], dtype=np.float64), [1.0, 0.0])), 0.0),
-        (scalar(dice_loss(Tensor([0.0, 1.0], dtype=np.float64), [1.0, 0.0])), 2.0 / 3.0),
-        (scalar(dice_loss(Tensor([0.5, 0.5], dtype=np.float64), [1.0, 0.0])), 1.0 / 3.0),
-        (scalar(focal_loss(Tensor([0.9], dtype=np.float64), [1.0])),
-         -(0.1 ** 2) * np.log(0.9)),
-        (scalar(focal_loss(Tensor([0.5], dtype=np.float64), [0.0])),
-         0.25 * np.log(2.0)),
-        (scalar(bce_image(Tensor(0.5, dtype=np.float64), 1)), np.log(2.0)),
-        (scalar(bce_image(Tensor(0.8, dtype=np.float64), 0)), -np.log(0.2)),
+        (term(_dice, [1.0, 0.0], [1.0, 0.0]), 0.0),
+        (term(_dice, [0.0, 1.0], [1.0, 0.0]), 2.0 / 3.0),
+        (term(_dice, [0.5, 0.5], [1.0, 0.0]), 1.0 / 3.0),
+        (term(_focal, [0.9], [1.0]), -(0.1 ** 2) * np.log(0.9)),
+        (term(_focal, [0.5], [0.0]), 0.25 * np.log(2.0)),
+        (term(_bce, 0.5, 1), np.log(2.0)),
+        (term(_bce, 0.8, 0), -np.log(0.2)),
     ]
     worst = max(abs(got - want) for got, want in checks)
     report(2, worst <= 1e-6,

@@ -153,9 +153,13 @@ def test_bilinear_vjp_matches_add_at_scatter_on_seeded_draws():
     300 draws of a source grid of 1..10 by 1..10 cells, square or not, and
     an output of at least that size, in float32 or float64, as one map or
     a stack of 1..4 maps; the first draws are the 1x1 grid. Upstream
-    gradients include exact zeros, signed zeros and subnormals. Summing
-    the gathered plan with one ``np.add.reduce`` instead of row by row
-    fails this test: numpy sums a 1x1 source's contributions pairwise.
+    gradients include exact zeros, signed zeros and subnormals. The test
+    guards the VJP's scatter order: one ``np.add.at`` per corner, (y0, x0),
+    (y0, x1), (y1, x0) then (y1, x1), each adding its contributions in
+    output order. A cell that several corners reach, as the one cell of a
+    1x1 source does, can round differently under any other order; summing
+    its contributions with one ``np.add.reduce``, which numpy adds
+    pairwise, fails this test.
     """
     rng = np.random.default_rng(2029)
     for draw in range(300):

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -748,6 +749,45 @@ def test_config_of_a_huge_encoder_is_config_error(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: the encoder would hold ") and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+# 400 blocks per stage at dim 16 hold 3.5 M values, under the value bound, but
+# 25,600 tensors, which took seconds to build one by one
+MANY_BLOCKS = 400
+
+
+def test_checkpoint_header_of_an_encoder_of_many_blocks_fails_fast(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                 "--epochs", "0"]) == 0
+    capsys.readouterr()
+    payload = bytearray(ckpt.read_bytes())
+    payload[30:34] = MANY_BLOCKS.to_bytes(4, "little")  # the header's blocks_per_stage
+    ckpt.write_bytes(bytes(payload))
+    started = time.perf_counter()
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt),
+                 "--mode", "zero-shot"]) == 2
+    assert time.perf_counter() - started < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: invalid header: the encoder would hold 25600 "
+                          f"tensors, more than 4096")
+    assert "Traceback" not in err
+
+
+def test_config_of_an_encoder_of_many_blocks_fails_fast(workdir, tmp_path, capsys):
+    root, config, data = workdir
+    user = json.loads(Path(config).read_text(encoding="utf-8"))
+    user["backbone"]["blocks_per_stage"] = MANY_BLOCKS
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps(user), encoding="utf-8")
+    started = time.perf_counter()
+    assert main(["train", "--config", str(many), "--data", data,
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 1
+    assert time.perf_counter() - started < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the encoder would hold 25600 tensors, more than 4096")
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -10,8 +10,8 @@ from mvfa.adaptation import AdaptedFeatures, init_params, text_probabilities
 from mvfa.autograd import Tensor
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import BankError, ConfigError, FormatError
-from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, fuse, load_bank,
-                            load_map, map_to_u8, save_bank, save_map, score_image,
+from mvfa.inference import (CHUNK, MemoryBank, build_memory_bank, few_shot, fuse, fused_maps,
+                            load_bank, load_map, map_to_u8, save_bank, save_map, score_image,
                             zero_shot, BranchScores, _min_cosine_distances)
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -426,6 +426,53 @@ def test_fused_map_is_mean_of_per_level_maps():
     assert np.allclose(result.s_pred, recomputed, atol=1e-12)
     assert result.c_pred == pytest.approx(
         0.5 * result.c_levels_zero.mean() + 0.5 * result.c_levels_few.mean(), abs=1e-12)
+
+
+def _bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("with_bank", [False, True], ids=["zero_only", "bank"])
+def test_fused_maps_have_the_bits_of_the_expressions_they_replace(count, with_bank):
+    """s_pred and every fused_maps pool keep the bits of blending the branch maps.
+
+    A result's map is ``beta1 * zero.smap + beta2 * few.smap`` and a level's
+    map ``beta1 * s_levels_zero[l] + beta2 * s_levels_few[l]``, each made
+    per image from its (4, h, w) stack of level maps; without a bank only
+    the beta1 term. CHUNK + 1 images span two chunks. A third of the branch
+    draws holds a NaN grid cell, and another third tied grids of 0.5 and
+    signed zeros.
+    """
+    rng = np.random.default_rng(40 + count)
+    beta1, beta2 = (0.3, 0.7) if with_bank else (0.9, 0.0)
+    side, out_hw = 4, (10, 7)
+
+    def branch(kind):
+        grids = rng.uniform(0, 2, (4, side * side)).astype(np.float32)
+        if kind == 1:
+            grids[rng.integers(4), rng.integers(side * side)] = np.nan
+        elif kind == 2:
+            grids[:] = rng.choice(np.array([0.0, -0.0, 0.5], dtype=np.float32), side * side)
+        return BranchScores(float(rng.uniform()), rng.uniform(size=4), grids, out_hw)
+
+    results = [fuse(branch(i % 3), branch((i + 1) % 3) if with_bank else None, beta1, beta2)
+               for i in range(count)]
+    pool = fused_maps(results, beta1, beta2)
+    assert pool.shape == (count,) + out_hw and pool.dtype == np.float64
+    for r, fused in zip(results, pool):
+        expected = beta1 * r.zero.smap
+        if with_bank:
+            expected = beta1 * r.zero.smap + beta2 * r.few.smap
+        assert _bits(r.s_pred) == _bits(fused) == _bits(expected)
+    for level in range(4):
+        pool = fused_maps(results, beta1, beta2, level)
+        for r, fused in zip(results, pool):
+            expected = beta1 * r.s_levels_zero[level]
+            if with_bank:
+                expected = beta1 * r.s_levels_zero[level] + beta2 * r.s_levels_few[level]
+            assert _bits(fused) == _bits(expected)
+    assert any(np.isnan(r.s_pred).any() for r in results) == (count > 1 or with_bank)
 
 
 def test_ranking_invariant_under_common_beta_rescaling():

@@ -14,9 +14,9 @@ from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, gen_dataset, load_manifest, \
     load_samples
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
-from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, _sum_samples,
-                            adam_step, bce_image, dice_loss, focal_loss, level_loss, total_loss,
-                            train)
+from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, _as_mask, _bce,
+                            _dice, _focal, _sum, _sum_samples, adam_step, level_loss,
+                            total_loss, train)
 from mvfa.textbank import PromptSet, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -34,30 +34,49 @@ def toy_text(d=8, seed=0, dtype=np.float64):
     return build_text_features(prompts, "widget", seed, d, dtype=dtype).f_text
 
 
-# -- loss primitives ------------------------------------------------------------
+# -- loss kernels -----------------------------------------------------------------
+#
+# level_loss runs the _dice, _focal and _bce kernels on a batch of maps (or of
+# probabilities) at once; these tests give them one map as a batch of one.
+
+def term(kernel, p, s):
+    """A kernel's value of one map (or probability) ``p`` against its mask (or label)."""
+    return float(kernel(np.asarray(p, dtype=np.float64)[None], np.asarray(s)[None])[0][0])
+
+
+def term_node(kernel, p, s):
+    """A kernel on the map (or probability) tensor ``p`` as one autograd node."""
+    value, vjp = kernel(p.data[None], _as_mask(s, p)[None])
+
+    def backward_fn(g):
+        parts = vjp(g[None])
+        return ((_sum(parts) if isinstance(parts, list) else parts)[0].reshape(p.shape),)
+
+    return ag.record(value[0], kernel.__name__, (p,), backward_fn)
+
 
 def test_dice_closed_forms():
-    assert float(dice_loss(t64([1.0, 0.0]), [1.0, 0.0]).data) == pytest.approx(0.0, abs=1e-12)
-    assert float(dice_loss(t64([0.0, 1.0]), [1.0, 0.0]).data) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert float(dice_loss(t64([0.5, 0.5]), [1.0, 0.0]).data) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert term(_dice, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert term(_dice, [0.0, 1.0], [1.0, 0.0]) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert term(_dice, [0.5, 0.5], [1.0, 0.0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_focal_closed_forms():
-    assert float(focal_loss(t64([1.0, 0.0]), [1.0, 0.0]).data) == pytest.approx(0.0, abs=1e-10)
+    assert term(_focal, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
     expected = -(0.1 ** 2) * np.log(0.9)
-    assert float(focal_loss(t64([0.9]), [1.0]).data) == pytest.approx(expected, rel=1e-9)
+    assert term(_focal, [0.9], [1.0]) == pytest.approx(expected, rel=1e-9)
     half = 0.25 * LN2
-    assert float(focal_loss(t64([0.5]), [1.0]).data) == pytest.approx(half, rel=1e-9)
-    assert float(focal_loss(t64([0.5]), [0.0]).data) == pytest.approx(half, rel=1e-9)
+    assert term(_focal, [0.5], [1.0]) == pytest.approx(half, rel=1e-9)
+    assert term(_focal, [0.5], [0.0]) == pytest.approx(half, rel=1e-9)
 
 
 def test_bce_closed_forms():
-    assert float(bce_image(t64(0.5), 1).data) == pytest.approx(LN2, rel=1e-9)
-    assert float(bce_image(t64(0.5), 0).data) == pytest.approx(LN2, rel=1e-9)
-    assert float(bce_image(t64(1.0 - 1e-7), 1).data) == pytest.approx(1e-7, abs=2e-8)
-    assert float(bce_image(t64(0.8), 0).data) == pytest.approx(-np.log(0.2), rel=1e-9)
+    assert term(_bce, 0.5, 1) == pytest.approx(LN2, rel=1e-9)
+    assert term(_bce, 0.5, 0) == pytest.approx(LN2, rel=1e-9)
+    assert term(_bce, 1.0 - 1e-7, 1) == pytest.approx(1e-7, abs=2e-8)
+    assert term(_bce, 0.8, 0) == pytest.approx(-np.log(0.2), rel=1e-9)
     # clamping keeps the loss finite at the boundary
-    assert np.isfinite(float(bce_image(t64(0.0), 1).data))
+    assert np.isfinite(term(_bce, 0.0, 1))
 
 
 def test_loss_primitives_are_nonnegative_and_zero_at_perfection():
@@ -65,12 +84,12 @@ def test_loss_primitives_are_nonnegative_and_zero_at_perfection():
     for _ in range(20):
         p = rng.uniform(0, 1, 16)
         s = (rng.uniform(0, 1, 16) > 0.5).astype(float)
-        assert float(dice_loss(t64(p), s).data) >= 0
-        assert float(focal_loss(t64(p), s).data) >= 0
-        assert float(bce_image(t64(rng.uniform(0, 1)), int(rng.integers(2))).data) >= 0
+        assert term(_dice, p, s) >= 0
+        assert term(_focal, p, s) >= 0
+        assert term(_bce, rng.uniform(0, 1), int(rng.integers(2))) >= 0
     perfect = (rng.uniform(0, 1, 16) > 0.5).astype(float)
-    assert float(dice_loss(t64(perfect), perfect).data) == pytest.approx(0.0, abs=1e-12)
-    assert float(focal_loss(t64(perfect), perfect).data) == pytest.approx(0.0, abs=1e-10)
+    assert term(_dice, perfect, perfect) == pytest.approx(0.0, abs=1e-12)
+    assert term(_focal, perfect, perfect) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_losses_invariant_under_joint_pixel_permutation():
@@ -78,17 +97,19 @@ def test_losses_invariant_under_joint_pixel_permutation():
     p = rng.uniform(0, 1, 25)
     s = (rng.uniform(0, 1, 25) > 0.5).astype(float)
     perm = rng.permutation(25)
-    assert float(dice_loss(t64(p), s).data) == pytest.approx(
-        float(dice_loss(t64(p[perm]), s[perm]).data), rel=1e-12)
-    assert float(focal_loss(t64(p), s).data) == pytest.approx(
-        float(focal_loss(t64(p[perm]), s[perm]).data), rel=1e-12)
+    assert term(_dice, p, s) == pytest.approx(term(_dice, p[perm], s[perm]), rel=1e-12)
+    assert term(_focal, p, s) == pytest.approx(term(_focal, p[perm], s[perm]), rel=1e-12)
 
 
 def test_loss_shape_mismatch():
-    with pytest.raises(ShapeError):
-        dice_loss(t64([0.5, 0.5]), [1.0, 0.0, 0.0])
-    with pytest.raises(ShapeError):
-        focal_loss(t64([[0.5]]), [1.0])
+    rng = np.random.default_rng(2)
+    cls, seg = (Tensor(rng.standard_normal((4, 8))) for _ in range(2))
+    weights = LossWeights()
+    with pytest.raises(ShapeError, match="mask shape"):
+        level_loss(cls, seg, toy_text(), 1, np.ones((8, 8)), weights, out_hw=(6, 6))
+    with pytest.raises(ShapeError, match="mask shape"):
+        level_loss(Tensor(rng.standard_normal((2, 4, 8))), Tensor(rng.standard_normal((2, 4, 8))),
+                   toy_text(), [1, 1], [np.ones((8, 8)), np.ones((6, 6))], weights)
 
 
 def test_weights_validation():
@@ -291,15 +312,14 @@ def test_loss_primitives_match_op_by_op_oracle_bitwise(dtype):
     p[0, :3] = 0.0  # beyond both clip bounds
     p[1, :3] = 1.0
     s = (rng.uniform(0, 1, (9, 7)) > 0.5).astype(np.float32)
-    for ours, oracle in ((dice_loss, loss_oracle.dice_loss),
-                         (focal_loss, loss_oracle.focal_loss)):
-        _assert_same_bits(_value_and_grads(ours, Tensor(p, requires_grad=True), s),
+    for kernel, oracle in ((_dice, loss_oracle.dice_loss), (_focal, loss_oracle.focal_loss)):
+        _assert_same_bits(_value_and_grads(term_node, kernel, Tensor(p, requires_grad=True), s),
                           _value_and_grads(oracle, Tensor(p, requires_grad=True), s))
     for prob in (0.0, 1e-9, PROB_EPS, 0.3, 1.0 - PROB_EPS, 1.0 - 1e-9, 1.0):
         for c in (0, 1):
             arr = np.asarray(prob, dtype=dtype)
             _assert_same_bits(
-                _value_and_grads(bce_image, Tensor(arr, requires_grad=True), c),
+                _value_and_grads(term_node, _bce, Tensor(arr, requires_grad=True), c),
                 _value_and_grads(loss_oracle.bce_image, Tensor(arr, requires_grad=True), c))
 
 

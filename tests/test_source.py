@@ -1,0 +1,59 @@
+"""Checks on the package source itself, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import mvfa
+
+PACKAGE = Path(mvfa.__file__).parent
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _referenced_names(tree, skip):
+    """Names read as a variable or an attribute outside the nodes in ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    """Each module-level _name in src/mvfa is read somewhere outside its own definition.
+
+    A private helper that only tests call, or that nothing calls, is dead code.
+    A name counts as used in the package when some module reads it, as a name
+    or an attribute, outside the statement that defines it; an import alone
+    does not count.
+    """
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            used = any(name in _referenced_names(other, {definition} if other is tree else set())
+                       for other in trees.values())
+            if not used:
+                unused.append(f"{module}: {name}")
+    assert not unused, unused
