@@ -14,9 +14,8 @@ from .backbone import BackboneConfig, FrozenBackbone, init_backbone
 from .data import (LoadedSample, ModalityProfile, Sample, SynthConfig, few_shot_split,
                    gen_dataset, load_manifest, load_sample, load_samples, read_pgm,
                    write_pgm, zero_shot_split)
-from .inference import (AnomalyResult, MemoryBank, build_memory_bank, few_shot, fuse,
-                        load_bank, load_map, save_bank, save_map, score_image,
-                        zero_shot)
+from .inference import (AnomalyResult, MemoryBank, build_memory_bank, few_shot, load_bank,
+                        load_map, save_bank, save_map, score_image, zero_shot)
 from .metrics import Report, auc, evaluate, midranks
 from .objective import (AdamState, LossWeights, TrainConfig, adam_step, level_loss,
                         total_loss, train)

@@ -234,7 +234,7 @@ def text_probabilities(f, f_text, tau):
 
 
 def _check_tau(tau):
-    if tau <= 0:
+    if not tau > 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
 
 
@@ -276,6 +276,8 @@ def _read_entries(reader: Reader):
         # Python ints: a numpy product wraps in int64 and can read 0 values
         n = math.prod(shape)
         values = np.frombuffer(reader.take(4 * n), dtype="<f4").reshape(shape)
+        if not np.isfinite(values).all():
+            reader.fail(f"non-finite value in tensor {name!r}")
         entries[name] = values.astype(np.float32)
     return entries
 

@@ -81,11 +81,23 @@ def _load_config(path):
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
+
+    def not_finite(text):
+        raise ConfigError(f"config {path}: {text} is not a finite number")
+
+    def finite(text):
+        value = float(text)
+        if not np.isfinite(value):  # 1e999 reads as inf
+            not_finite(text)
+        return value
+
     try:
-        user = json.loads(read_text(path, ConfigError))
+        # json.loads accepts NaN, Infinity and -Infinity unless told otherwise
+        user = json.loads(read_text(path, ConfigError), parse_constant=not_finite,
+                          parse_float=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _check_keys(path, "the file", user, cfg)
     for section, value in user.items():

@@ -144,11 +144,16 @@ class SynthConfig:
             if 2 * (high + 1) >= self.image_size:
                 raise ConfigError(f"{name.replace('_', ' ')} {high} leaves no room "
                                   f"in a {self.image_size}px image")
+        # a NaN delta makes NaN pixels, which the uint8 cast turns into garbage
+        for name in ("defect_delta", "benign_delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and -np.inf < value < np.inf):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     def _check_range(self, name, low_is_valid):
         """Reject a range that is not two ordered values with a valid low end."""
         value = getattr(self, name)
-        if len(value) != 2 or value[0] > value[1] or not low_is_valid(value[0]):
+        if len(value) != 2 or not value[0] <= value[1] or not low_is_valid(value[0]):
             raise ConfigError(f"bad {name.replace('_', ' ')} range {list(value)}")
 
     @classmethod
@@ -327,7 +332,7 @@ def load_manifest(path):
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
         if not isinstance(row, dict):
             raise ManifestError(f"{path}: line {lineno}: expected a JSON object")

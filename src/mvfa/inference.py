@@ -44,64 +44,44 @@ class MemoryBank:
 
 
 @dataclass(frozen=True)
-class BranchScores:
-    """One branch's image score and per-level parts.
+class AnomalyResult:
+    """One image's fused score, each branch's scores and grids, and the weights.
 
-    ``grids`` holds each level's seg scores on the patch grid: zero-shot
-    anomaly probabilities or few-shot distances. The full-resolution maps
-    are upsampled from them when read.
+    ``grids_zero`` and ``grids_few`` hold each level's seg scores on the
+    patch grid: zero-shot anomaly probabilities and few-shot distances. The
+    full-resolution maps are upsampled from them when read. The few-shot
+    fields are None when the image was scored without a bank.
     """
 
-    c: float
-    c_levels: np.ndarray       # (4,)
-    grids: np.ndarray          # (4, N)
-    out_hw: tuple
-
-    @property
-    def s_levels(self):
-        """(4, h, w) per-level maps."""
-        return grid_maps(self.grids, self.out_hw)
-
-    @property
-    def smap(self):
-        return self.s_levels.mean(axis=0)
-
-
-def _branch_field(branch, field):
-    """Read-only view of one field of a result's branch; None without the branch."""
-    def get(self):
-        scores = getattr(self, branch)
-        return None if scores is None else getattr(scores, field)
-    return property(get)
-
-
-@dataclass(frozen=True)
-class AnomalyResult:
-    """Fused score of one image, the branches it came from and their weights."""
-
     c_pred: float
-    zero: BranchScores
-    few: BranchScores | None
+    c_zero: float
+    c_levels_zero: np.ndarray         # (4,) float64
+    grids_zero: np.ndarray            # (4, N)
+    c_few: float | None
+    c_levels_few: np.ndarray | None
+    grids_few: np.ndarray | None
     beta1: float
     beta2: float
+    out_hw: tuple
 
     @property
     def s_pred(self):
         """(h, w) fused map: the blend of the branches' mean maps."""
         return fused_maps([self], self.beta1, self.beta2)[0]
 
-    c_zero = _branch_field("zero", "c")
-    s_zero = _branch_field("zero", "smap")
-    c_levels_zero = _branch_field("zero", "c_levels")
-    s_levels_zero = _branch_field("zero", "s_levels")
-    c_few = _branch_field("few", "c")
-    s_few = _branch_field("few", "smap")
-    c_levels_few = _branch_field("few", "c_levels")
-    s_levels_few = _branch_field("few", "s_levels")
+    @property
+    def s_levels_zero(self):
+        """(4, h, w) zero-shot per-level maps."""
+        return grid_maps(self.grids_zero, self.out_hw)
+
+    @property
+    def s_levels_few(self):
+        """(4, h, w) few-shot per-level maps; None without a bank."""
+        return None if self.grids_few is None else grid_maps(self.grids_few, self.out_hw)
 
 
 def grid_maps(grids, out_hw):
-    """Float64 (h, w) maps of (N,) or (M, N) square-grid scores.
+    """Float64 (..., h, w) maps of (..., N) square-grid scores.
 
     The upsample runs in the grids' dtype and its result is cast.
     """
@@ -123,29 +103,29 @@ def fused_maps(results, beta1, beta2, level=None) -> np.ndarray:
     Each map blends the branches' maps of ``level``, or without a level
     their means over the four levels, upsampled CHUNK images at a time. A
     mean adds the levels one at a time to +0.0, as ``np.mean`` does, and
-    divides by their count: it keeps the bits of ``s_levels.mean(axis=0)``
+    divides by their count: it keeps the bits of ``s_levels_zero.mean(axis=0)``
     without holding four maps per image.
     """
-    out_hw = results[0].zero.out_hw
+    out_hw = results[0].out_hw
 
-    def level_maps(part, branch, index):
-        return grid_maps(np.stack([getattr(r, branch).grids[index] for r in part]), out_hw)
+    def level_maps(part, grids, index):
+        return grid_maps(np.stack([getattr(r, grids)[index] for r in part]), out_hw)
 
-    def branch_maps(part, branch):
+    def branch_maps(part, grids):
         if level is not None:
-            return level_maps(part, branch, level)
-        total = level_maps(part, branch, 0)
+            return level_maps(part, grids, level)
+        total = level_maps(part, grids, 0)
         total += 0.0  # np.mean's sum starts at +0.0: a sum of -0.0 is +0.0
         for index in range(1, 4):
-            total += level_maps(part, branch, index)
+            total += level_maps(part, grids, index)
         total /= 4
         return total
 
     pool = np.empty((len(results),) + out_hw)
     for start in range(0, len(results), CHUNK):
         part = results[start:start + CHUNK]
-        few = None if part[0].few is None else branch_maps(part, "few")
-        pool[start:start + CHUNK] = blend(beta1, branch_maps(part, "zero"), beta2, few)
+        few = None if part[0].grids_few is None else branch_maps(part, "grids_few")
+        pool[start:start + CHUNK] = blend(beta1, branch_maps(part, "grids_zero"), beta2, few)
     return pool
 
 
@@ -163,27 +143,25 @@ def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
     return MemoryBank(stores(features.cls), stores(features.seg))
 
 
-def _branch_scores(cls, seg, out_hw) -> list:
-    """Cut one BranchScores per image from each level's (B, N) cls and seg scores."""
+def _branch_scores(cls, seg):
+    """Each level's (B, N) cls and seg scores as (c_levels (B, 4) float64, grids (B, 4, N))."""
     c_levels = np.stack([level.max(axis=1) for level in cls], axis=1).astype(np.float64)
-    grids = np.stack(seg, axis=1)
-    return [BranchScores(float(c.mean()), c, g, tuple(out_hw))
-            for c, g in zip(c_levels, grids)]
+    return c_levels, np.stack(seg, axis=1)
 
 
-def zero_shot(features, f_texts, tau, out_hw) -> list:
+def zero_shot(features, f_texts, tau):
     """Per-level text-similarity anomaly scores of a chunk of B images.
 
     ``features`` holds each level's (B * N, d) rows and ``f_texts`` is the
     (B, 2, d) text pairs. The rows are viewed as (B, N, d), so the product
-    is one (N, d) @ (d, 2) per image.
+    is one (N, d) @ (d, 2) per image. Returns (c_levels (B, 4), grids (B, 4, N)).
     """
     def probabilities(rows):
         stacked = rows.reshape(len(f_texts), -1, rows.shape[-1])
         return text_probabilities(stacked, f_texts, tau)[0][..., 1]
 
     return _branch_scores([probabilities(rows) for rows in features.cls],
-                          [probabilities(rows) for rows in features.seg], out_hw)
+                          [probabilities(rows) for rows in features.seg])
 
 
 def _min_cosine_distances(queries, store):
@@ -226,11 +204,12 @@ def _min_cosine_distances(queries, store):
     return 1.0 - np.maximum.reduceat(sims, np.searchsorted(qi, np.arange(q.shape[0])))
 
 
-def few_shot(features, bank: MemoryBank, out_hw, images) -> list:
+def few_shot(features, bank: MemoryBank, images):
     """Nearest-bank-row cosine distances, position agnostic, per level.
 
     ``features`` holds each level's (images * N, d) rows. The search is
     exact per query, so searching a chunk's rows at once changes no bit.
+    Returns (c_levels (images, 4), grids (images, 4, N)).
     """
     if bank is None or any(store.size == 0 for store in bank.cls + bank.seg):
         raise BankError("few-shot scoring requires a non-empty memory bank")
@@ -243,18 +222,7 @@ def few_shot(features, bank: MemoryBank, out_hw, images) -> list:
         return _min_cosine_distances(rows.astype(np.float32), store).reshape(images, -1)
 
     return _branch_scores([distances(*pair) for pair in zip(features.cls, bank.cls)],
-                          [distances(*pair) for pair in zip(features.seg, bank.seg)],
-                          out_hw)
-
-
-def fuse(zero: BranchScores, few: BranchScores | None, beta1, beta2) -> AnomalyResult:
-    """The result of the branches' scores, weighted by :func:`blend`."""
-    if beta1 < 0 or beta2 < 0:
-        raise ConfigError("fusion weights must be nonnegative")
-    if few is None and beta2 != 0:
-        raise BankError("beta2 > 0 requires a memory bank")
-    return AnomalyResult(blend(beta1, zero.c, beta2, None if few is None else few.c),
-                         zero, few, beta1, beta2)
+                          [distances(*pair) for pair in zip(features.seg, bank.seg)])
 
 
 def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0.5,
@@ -262,8 +230,9 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
     """Two-branch scoring of a list of images, with one text pair per image.
 
     One adapted forward pass runs the whole list, and each branch then scores
-    every level's stacked (images * N, d) rows at once; each image's result
-    is cut from its own rows.
+    every level's stacked (images * N, d) rows at once. The weights are
+    checked once, after the branches, and one :func:`blend` fuses every
+    image score; each image's result is cut from its own rows.
     """
     if len(images) != len(f_texts):
         raise ContractError(f"score_batch: {len(images)} images but "
@@ -278,10 +247,22 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
         return [level.data.reshape(-1, level.data.shape[-1]) for level in levels]
 
     rows = AdaptedFeatures(stacked(features.cls), stacked(features.seg))
-    zero = zero_shot(rows, np.stack([f_text.data for f_text in f_texts]), tau, out_hw)
-    few = [None] * len(images) if bank is None else few_shot(rows, bank, out_hw,
-                                                             len(images))
-    return [fuse(z, f, beta1, beta2) for z, f in zip(zero, few)]
+    c_levels_zero, grids_zero = zero_shot(rows, np.stack([f.data for f in f_texts]), tau)
+    if bank is None:
+        c_levels_few = grids_few = c_few = [None] * len(images)
+    else:
+        c_levels_few, grids_few = few_shot(rows, bank, len(images))
+        c_few = c_levels_few.mean(axis=1)
+    if not (beta1 >= 0 and beta2 >= 0):
+        raise ConfigError(f"fusion weights must be nonnegative, got {beta1} and {beta2}")
+    if bank is None and beta2 != 0:
+        raise BankError("beta2 > 0 requires a memory bank")
+    c_zero = c_levels_zero.mean(axis=1)
+    c_pred = blend(beta1, c_zero, beta2, None if bank is None else c_few)
+    return [AnomalyResult(float(p), float(z), lz, gz, None if f is None else float(f), lf, gf,
+                          beta1, beta2, out_hw)
+            for p, z, lz, gz, f, lf, gf in zip(c_pred, c_zero, c_levels_zero, grids_zero,
+                                               c_few, c_levels_few, grids_few)]
 
 
 def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5,

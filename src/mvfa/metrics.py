@@ -173,7 +173,7 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     image_auc = auc(c_pred, labels)
 
     level_scores = blend(beta1, np.array([r.c_levels_zero for r in results]), beta2,
-                         None if results[0].few is None
+                         None if results[0].c_levels_few is None
                          else np.array([r.c_levels_few for r in results]))
     # each column is ranked in place and not read again
     per_level_image = [_maybe_pool_auc(column, labels) for column in level_scores.T]

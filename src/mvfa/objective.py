@@ -64,7 +64,8 @@ class LossWeights:
     lambda3: float = 1.0  # bce
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
+        # a NaN weight passes min(...) < 0
+        if not all(w >= 0 for w in (self.lambda1, self.lambda2, self.lambda3)):
             raise ConfigError("loss weights must be nonnegative")
 
 
@@ -80,7 +81,7 @@ class TrainConfig:
     levels: tuple = (1, 2, 3, 4)
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ConfigError("learning rate must be nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")

@@ -50,9 +50,7 @@ class Result:
     c_pred: float
     s_pred: np.ndarray
     c_zero: float
-    s_zero: np.ndarray
     c_few: float | None
-    s_few: np.ndarray | None
     c_levels_zero: np.ndarray
     s_levels_zero: np.ndarray
     c_levels_few: np.ndarray | None
@@ -90,11 +88,10 @@ def few_shot(features, bank, out_hw):
 
 def fuse(zero, few, beta1, beta2):
     if few is None:
-        return Result(beta1 * zero.c, beta1 * zero.smap, zero.c, zero.smap,
-                      None, None, zero.c_levels, zero.s_levels, None, None)
+        return Result(beta1 * zero.c, beta1 * zero.smap, zero.c, None,
+                      zero.c_levels, zero.s_levels, None, None)
     return Result(beta1 * zero.c + beta2 * few.c, beta1 * zero.smap + beta2 * few.smap,
-                  zero.c, zero.smap, few.c, few.smap,
-                  zero.c_levels, zero.s_levels, few.c_levels, few.s_levels)
+                  zero.c, few.c, zero.c_levels, zero.s_levels, few.c_levels, few.s_levels)
 
 
 def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5,

@@ -22,8 +22,8 @@ from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.cli import main
 from mvfa.data import (SynthConfig, few_shot_split, gen_dataset, load_manifest,
                        load_samples, read_pgm, write_pgm, zero_shot_split)
-from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, fuse, load_bank,
-                            load_map, save_bank, save_map, zero_shot)
+from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, grid_maps, load_bank,
+                            load_map, save_bank, save_map, score_batch)
 from mvfa.metrics import auc, evaluate, midranks
 from mvfa.objective import LossWeights, TrainConfig, _bce, _dice, _focal, total_loss, train
 from mvfa.textbank import build_text_features, default_prompt_set
@@ -153,12 +153,13 @@ def test_criterion_4_nearest_neighbor_oracle():
              for _ in range(4)],
             [normalize_rows_oracle(rng.standard_normal((rows, d)).astype(np.float32))
              for _ in range(4)])
-        scores = few_shot(features, bank, out_hw=(g, g), images=1)[0]
+        c_levels, grids = few_shot(features, bank, images=1)
+        s_levels = grid_maps(grids[0], (g, g))
         for level in range(4):
             cls_oracle = min_cosine_distance_oracle(features.cls[level], bank.cls[level])
             seg_oracle = min_cosine_distance_oracle(features.seg[level], bank.seg[level])
-            exact &= scores.c_levels[level] == max(cls_oracle)
-            exact &= np.array_equal(scores.s_levels[level], seg_oracle.reshape(g, g))
+            exact &= c_levels[0, level] == max(cls_oracle)
+            exact &= np.array_equal(s_levels[level], seg_oracle.reshape(g, g))
     report(4, exact, "few-shot distances equal the exhaustive double-loop cosine "
                      "oracle bitwise on 100 seeded (bank, query) pairs")
 
@@ -221,22 +222,20 @@ def test_criterion_7_branch_gating_and_self_query():
     image = np.random.default_rng(77).uniform(-1, 1, (8, 8)).astype(np.float32)
     f_text = toy_text(dtype=np.float32)
     bank = build_memory_bank([image], backbone, params)
-    with no_grad():
-        features, _ = adapt_forward(backbone, params, image)
-    rows = AdaptedFeatures([f.data for f in features.cls], [f.data for f in features.seg])
-    zero = zero_shot(rows, f_text.data[None], 0.07, (8, 8))[0]
-    few = few_shot(rows, bank, (8, 8), 1)[0]
 
-    only_zero = fuse(zero, few, 1.0, 0.0)
-    only_few = fuse(zero, few, 0.0, 1.0)
-    gating = (only_zero.c_pred == zero.c
-              and np.array_equal(only_zero.s_pred, zero.smap)
-              and only_few.c_pred == few.c
-              and np.array_equal(only_few.s_pred, few.smap))
-    self_query = few.c <= 1e-6 and few.smap.max() <= 1e-6
+    def scored(beta1, beta2):
+        return score_batch(backbone, params, [image], [f_text], bank, beta1, beta2)[0]
+
+    only_zero, only_few = scored(1.0, 0.0), scored(0.0, 1.0)
+    few_map = only_few.s_levels_few.mean(axis=0)
+    gating = (only_zero.c_pred == only_zero.c_zero
+              and np.array_equal(only_zero.s_pred, only_zero.s_levels_zero.mean(axis=0))
+              and only_few.c_pred == only_few.c_few
+              and np.array_equal(only_few.s_pred, few_map))
+    self_query = only_few.c_few <= 1e-6 and few_map.max() <= 1e-6
     report(7, gating and self_query,
            "beta gating reproduces each branch exactly; self-query distances "
-           f"peak at {few.smap.max():.1e}")
+           f"peak at {few_map.max():.1e}")
 
 
 # -- criteria 8-10: end-to-end runs on the default synthetic dataset -----------------

@@ -336,6 +336,18 @@ def test_checkpoint_rejects_overflowing_shape(tmp_path, shape):
         load_checkpoint(overflowing_checkpoint(tmp_path / "bad.ckpt", shape))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_a_non_finite_value(tmp_path, value):
+    # an all-NaN checkpoint scored NaN everywhere, and NaNs rank in input order
+    params = init_params(TOY.dim, seed=6)
+    name, tensor = params.named_tensors()[2]
+    tensor.data[0, 1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TOY, params)
+    with pytest.raises(FormatError, match=f"non-finite value in tensor '{name}'"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")

@@ -18,6 +18,7 @@ from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import DEFAULT_CONFIG, build_parser, main
 from mvfa.data import read_pgm
+from mvfa.errors import ConfigError
 from mvfa.inference import MemoryBank, load_bank, load_map, save_bank
 
 CONFIG = {
@@ -289,6 +290,29 @@ def test_prompt_file_that_expands_too_far_is_data_error(workdir, tmp_path, capsy
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_json_integer_of_over_4300_digits_is_a_typed_error(workdir, tmp_path, capsys):
+    # int() refuses it with a ValueError that is not a JSONDecodeError, which
+    # the config and manifest readers let through as a traceback
+    huge = "1" * 5000
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"train": {"epochs": ' + huge + "}}", encoding="utf-8")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {bad} is not valid JSON: Exceeds the limit")
+    root, config, data = workdir
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "train.jsonl"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(re.sub(r'"label": \d', f'"label": {huge}', text, count=1),
+                        encoding="utf-8")
+    assert main(["train", "--config", config, "--data", str(copy),
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 1: invalid JSON (Exceeds the limit")
+    assert not (tmp_path / "gen").exists() and not (tmp_path / "m.ckpt").exists()
+
+
 def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"train":\n {"epochs": "\xff"}}\n')
@@ -335,8 +359,12 @@ def test_modality_base_freq_off_its_range_is_config_error(workdir, tmp_path, cap
     bad.write_text(json.dumps(user), encoding="utf-8")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "'texture-b': base_freq must be" in err
+    # the config reader refuses a NaN before the profile sees it
+    message = "NaN is not a finite number" if base_freq != 0 else "'texture-b': base_freq must be"
+    assert err.startswith("config error") and message in err
     assert os.listdir(tmp_path) == ["bad.json"]
+    with pytest.raises(ConfigError, match="'texture-b': base_freq must be"):
+        datamod.ModalityProfile(**user["data"]["modalities"][1])
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -390,8 +418,11 @@ def test_modality_contrast_or_noise_not_finite_is_config_error_before_writing(
     out.mkdir()
     assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error") and f"'texture-b': {field} must be" in err
+    # the config reader refuses the NaN; the profile refuses it from a library caller
+    assert err.startswith("config error") and "NaN is not a finite number" in err
     assert os.listdir(out) == []
+    with pytest.raises(ConfigError, match=f"'texture-b': {field} must be"):
+        datamod.ModalityProfile(**user["data"]["modalities"][1])
 
 
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):
@@ -630,6 +661,41 @@ def test_malformed_config_is_config_error(tmp_path, capsys, user, message):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, section, key, constant", [
+    ("eval", "inference", "tau", "NaN"), ("train", "train", "lambda1", "NaN"),
+    ("train", "train", "lr", "NaN"), ("gen-data", "data", "defect_delta", "NaN"),
+    ("gen-data", "data", "defect_delta", "Infinity"),
+    ("gen-data", "data", "defect_delta", "-Infinity"),
+    ("gen-data", "data", "defect_delta", "1e999")])
+def test_non_finite_number_in_a_config_file_is_config_error(workdir, tmp_path, capsys, command,
+                                                            section, key, constant):
+    """json.loads reads NaN, Infinity, -Infinity and 1e999; the config reader refuses them.
+
+    Each NaN case exited 0 with wrong output before: a NaN inference tau made
+    zero-shot eval report image AUC 1.0, a NaN lambda1 dropped the Dice term
+    from the loss, a NaN lr wrote an all-NaN checkpoint, and a NaN
+    defect_delta wrote images cast from NaN to uint8.
+    """
+    root, config, data = workdir
+    ckpt = tmp_path / "model.ckpt"
+    if command == "eval":
+        assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                     "--epochs", "0"]) == 0
+    user = json.loads(open(config).read())
+    user["train"]["epochs"] = 1
+    user[section][key] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user).replace('"@"', constant), encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"gen-data": [], "train": ["--data", data],
+            "eval": ["--data", data, "--ckpt", str(ckpt), "--mode", "zero-shot"]}[command]
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {bad}: {constant} is not a finite number")
+    assert not out.exists()
 
 
 def test_nonpositive_train_tau_is_config_error(workdir, tmp_path, capsys):

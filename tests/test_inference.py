@@ -10,9 +10,10 @@ from mvfa.adaptation import AdaptedFeatures, init_params, text_probabilities
 from mvfa.autograd import Tensor
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import BankError, ConfigError, FormatError
-from mvfa.inference import (CHUNK, MemoryBank, build_memory_bank, few_shot, fuse, fused_maps,
-                            load_bank, load_map, map_to_u8, save_bank, save_map, score_image,
-                            zero_shot, BranchScores, _min_cosine_distances)
+from mvfa.inference import (CHUNK, AnomalyResult, MemoryBank, build_memory_bank, few_shot,
+                            fused_maps, grid_maps, load_bank, load_map, map_to_u8, save_bank,
+                            save_map, score_batch, score_image, zero_shot,
+                            _min_cosine_distances)
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
                      heads=2, seed=3)
@@ -41,6 +42,13 @@ def random_bank(rng, rows=12, d=8):
     return MemoryBank([store() for _ in range(4)], [store() for _ in range(4)])
 
 
+def one_image(branch, out_hw):
+    """The image score, (4, h, w) level maps and mean map of a branch's one-image batch."""
+    c_levels, grids = branch
+    s_levels = grid_maps(grids[0], out_hw)
+    return c_levels[0], s_levels, s_levels.mean(axis=0)
+
+
 # -- memory bank ---------------------------------------------------------------
 
 def test_bank_row_counts_and_norms():
@@ -67,9 +75,9 @@ def test_zero_shot_identical_levels_average_to_single_map():
     shared = rng.standard_normal((4, 8)).astype(np.float32)
     features = AdaptedFeatures([shared] * 4, [shared] * 4)
     f_text = rng.standard_normal((2, 8)).astype(np.float32)
-    scores = zero_shot(features, f_text[None], tau=0.07, out_hw=(8, 8))[0]
-    assert np.allclose(scores.smap, scores.s_levels[0], atol=1e-7)
-    assert scores.c == pytest.approx(scores.c_levels[0], rel=1e-6)
+    c_levels, s_levels, smap = one_image(zero_shot(features, f_text[None], tau=0.07), (8, 8))
+    assert np.allclose(smap, s_levels[0], atol=1e-7)
+    assert c_levels.mean() == pytest.approx(c_levels[0], rel=1e-6)
 
 
 def test_zero_shot_aligned_to_abnormal_row_closed_form():
@@ -82,27 +90,27 @@ def test_zero_shot_aligned_to_abnormal_row_closed_form():
     f_text = np.stack([t_normal, t_abnormal])
     aligned = np.tile(1.7 * t_abnormal, (4, 1))
     features = AdaptedFeatures([aligned] * 4, [aligned] * 4)
-    scores = zero_shot(features, f_text[None], tau=tau, out_hw=(8, 8))[0]
+    c_levels, _, smap = one_image(zero_shot(features, f_text[None], tau=tau), (8, 8))
     gap = 1.0 - float(t_normal @ t_abnormal)
     expected = 1.0 / (1.0 + np.exp(-gap / tau))
-    assert scores.c == pytest.approx(expected, rel=1e-5)
-    assert np.allclose(scores.smap, expected, atol=1e-5)
+    assert c_levels.mean() == pytest.approx(expected, rel=1e-5)
+    assert np.allclose(smap, expected, atol=1e-5)
 
 
 def test_zero_shot_scores_lie_in_unit_interval():
     rng = np.random.default_rng(4)
     features = random_features(rng)
     f_text = rng.standard_normal((2, 8)).astype(np.float32)
-    scores = zero_shot(features, f_text[None], tau=0.07, out_hw=(8, 8))[0]
-    assert 0.0 <= scores.c <= 1.0
-    assert scores.smap.min() >= 0.0 and scores.smap.max() <= 1.0
+    c_levels, _, smap = one_image(zero_shot(features, f_text[None], tau=0.07), (8, 8))
+    assert 0.0 <= c_levels.mean() <= 1.0
+    assert smap.min() >= 0.0 and smap.max() <= 1.0
 
 
 def test_zero_shot_matches_tensor_ops_bitwise():
     rng = np.random.default_rng(6)
     features = random_features(rng, g=16)
     f_text = rng.standard_normal((2, 8)).astype(np.float32)
-    scores = zero_shot(features, f_text[None], tau=0.2, out_hw=(16, 16))[0]
+    c_levels, s_levels, _ = one_image(zero_shot(features, f_text[None], tau=0.2), (16, 16))
     text = Tensor(f_text)
     for level in range(4):
         cls = ops.softmax_rows(ops.similarity_logits(Tensor(features.cls[level]), text,
@@ -110,8 +118,8 @@ def test_zero_shot_matches_tensor_ops_bitwise():
         seg = ops.softmax_rows(ops.similarity_logits(Tensor(features.seg[level]), text,
                                                      0.2)).data
         upsampled = ops.bilinear_upsample(Tensor(seg[:, 1].reshape(4, 4)), (16, 16)).data
-        assert scores.c_levels[level] == cls[:, 1].max()
-        assert scores.s_levels[level].tobytes() == upsampled.astype(np.float64).tobytes()
+        assert c_levels[level] == cls[:, 1].max()
+        assert s_levels[level].tobytes() == upsampled.astype(np.float64).tobytes()
 
 
 def test_per_pixel_probabilities_sum_to_one():
@@ -133,9 +141,9 @@ def test_self_query_distances_vanish():
     with no_grad():
         features, _ = adapt_forward(backbone, params, image)
     rows = AdaptedFeatures([f.data for f in features.cls], [f.data for f in features.seg])
-    scores = few_shot(rows, bank, out_hw=(8, 8), images=1)[0]
-    assert scores.c <= 1e-6
-    assert scores.smap.max() <= 1e-6
+    c_levels, _, smap = one_image(few_shot(rows, bank, images=1), (8, 8))
+    assert c_levels.mean() <= 1e-6
+    assert smap.max() <= 1e-6
 
 
 def test_orthogonal_single_row_bank_gives_distance_one():
@@ -335,12 +343,12 @@ def test_few_shot_matches_oracle_at_grid_resolution():
     rng = np.random.default_rng(7)
     features = random_features(rng)
     bank = random_bank(rng)
-    scores = few_shot(features, bank, out_hw=(2, 2), images=1)[0]
+    c_levels, s_levels, _ = one_image(few_shot(features, bank, images=1), (2, 2))
     for level in range(4):
         cls_oracle = min_cosine_distance_oracle(features.cls[level], bank.cls[level])
         seg_oracle = min_cosine_distance_oracle(features.seg[level], bank.seg[level])
-        assert scores.c_levels[level] == max(cls_oracle)
-        assert np.array_equal(scores.s_levels[level], seg_oracle.reshape(2, 2))
+        assert c_levels[level] == max(cls_oracle)
+        assert np.array_equal(s_levels[level], seg_oracle.reshape(2, 2))
 
 
 def test_adding_bank_rows_never_increases_distances():
@@ -355,77 +363,92 @@ def test_adding_bank_rows_never_increases_distances():
 
 def test_few_shot_distances_lie_in_zero_two():
     rng = np.random.default_rng(9)
-    scores = few_shot(random_features(rng), random_bank(rng), out_hw=(8, 8), images=1)[0]
-    assert 0.0 <= scores.c <= 2.0
-    assert scores.smap.min() >= -1e-7 and scores.smap.max() <= 2.0
+    c_levels, _, smap = one_image(few_shot(random_features(rng), random_bank(rng), images=1),
+                                  (8, 8))
+    assert 0.0 <= c_levels.mean() <= 2.0
+    assert smap.min() >= -1e-7 and smap.max() <= 2.0
 
 
 def test_few_shot_requires_bank():
     rng = np.random.default_rng(10)
     with pytest.raises(BankError):
-        few_shot(random_features(rng), None, out_hw=(8, 8), images=1)
+        few_shot(random_features(rng), None, images=1)
     empty = MemoryBank([np.zeros((0, 8), dtype=np.float32)] * 4,
                        [np.zeros((0, 8), dtype=np.float32)] * 4)
     with pytest.raises(BankError):
-        few_shot(random_features(rng), empty, out_hw=(8, 8), images=1)
+        few_shot(random_features(rng), empty, images=1)
 
 
 # -- fusion ------------------------------------------------------------------------
 
-def branch_scores(seed=11):
-    # consistent with the real branches: the map/score are the level means
-    rng = np.random.default_rng(seed)
-    z_grids = rng.uniform(0, 1, (4, 16))
-    zc_levels = rng.uniform(0, 1, 4)
-    zero = BranchScores(0.8, zc_levels, z_grids, (8, 8))
-    f_grids = rng.uniform(0, 2, (4, 16))
-    fc_levels = rng.uniform(0, 2, 4)
-    few = BranchScores(0.4, fc_levels, f_grids, (8, 8))
-    return zero, few
+def scored(beta1, beta2, with_bank=True):
+    """Two toy images scored with these weights, against a one-image bank or none."""
+    backbone, params = toy_model(seed=5)
+    bank = build_memory_bank([toy_image(21)], backbone, params) if with_bank else None
+    return score_batch(backbone, params, [toy_image(20), toy_image(22)], [_toy_text()] * 2,
+                       bank, beta1, beta2)
 
 
 def test_fuse_gating_reproduces_branches_exactly():
-    zero, few = branch_scores()
-    only_zero = fuse(zero, few, 1.0, 0.0)
-    assert only_zero.c_pred == zero.c
-    assert np.array_equal(only_zero.s_pred, zero.smap)
-    only_few = fuse(zero, few, 0.0, 1.0)
-    assert only_few.c_pred == few.c
-    assert np.array_equal(only_few.s_pred, few.smap)
+    for only_zero in scored(1.0, 0.0):
+        assert only_zero.c_pred == only_zero.c_zero
+        assert np.array_equal(only_zero.s_pred, only_zero.s_levels_zero.mean(axis=0))
+    for only_few in scored(0.0, 1.0):
+        assert only_few.c_pred == only_few.c_few
+        assert np.array_equal(only_few.s_pred, only_few.s_levels_few.mean(axis=0))
 
 
 def test_fuse_arithmetic_and_zero_weights():
-    zero, few = branch_scores()
-    half = fuse(zero, few, 0.5, 0.5)
-    assert half.c_pred == pytest.approx(0.6, abs=1e-12)
-    nothing = fuse(zero, few, 0.0, 0.0)
-    assert nothing.c_pred == 0.0
-    assert np.array_equal(nothing.s_pred, np.zeros((8, 8)))
+    for half in scored(0.5, 0.5):
+        assert half.c_pred == 0.5 * half.c_zero + 0.5 * half.c_few
+    for nothing in scored(0.0, 0.0):
+        assert nothing.c_pred == 0.0
+        assert np.array_equal(nothing.s_pred, np.zeros((8, 8)))
 
 
 def test_fuse_validates_weights_and_bank():
-    zero, few = branch_scores()
-    with pytest.raises(ConfigError):
-        fuse(zero, few, -0.1, 0.5)
-    with pytest.raises(BankError):
-        fuse(zero, None, 0.5, 0.5)
-    gated = fuse(zero, None, 1.0, 0.0)
-    assert gated.c_few is None
+    """score_batch checks the weights once, after the branches, as fusing each image did.
+
+    A negative or NaN weight is a ConfigError with a bank and without one;
+    beta2 > 0 without a bank, an empty bank and a bank of another width are
+    BankErrors, and the bank's own errors come before the weights'. No
+    images score to [] without any check.
+    """
+    backbone, params = toy_model(seed=5)
+    bank = build_memory_bank([toy_image(21)], backbone, params)
+    empty = MemoryBank([np.zeros((0, TOY.dim), dtype=np.float32)] * 4,
+                       [np.zeros((0, TOY.dim), dtype=np.float32)] * 4)
+    narrow = MemoryBank([s[:, :4] for s in bank.cls], [s[:, :4] for s in bank.seg])
+    images, texts = [toy_image(20), toy_image(22)], [_toy_text()] * 2
+    for bad in (-0.1, np.nan):
+        for betas in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ConfigError, match="fusion weights must be nonnegative"):
+                score_batch(backbone, params, images, texts, bank, *betas)
+        with pytest.raises(ConfigError, match="fusion weights must be nonnegative"):
+            score_batch(backbone, params, images, texts, None, bad, 0.0)
+        with pytest.raises(ConfigError, match="fusion weights must be nonnegative"):
+            score_batch(backbone, params, images, texts, None, 0.5, bad)
+    with pytest.raises(BankError, match="beta2 > 0 requires a memory bank"):
+        score_batch(backbone, params, images, texts, None, 0.5, 0.5)
+    for unusable, message in ((empty, "non-empty memory bank"), (narrow, "width 4")):
+        for betas in ((0.5, 0.5), (-0.1, 0.5)):
+            with pytest.raises(BankError, match=message):
+                score_batch(backbone, params, images, texts, unusable, *betas)
+    for with_bank in (bank, empty, None):
+        assert score_batch(backbone, params, [], [], with_bank, np.nan, -1.0) == []
+    gated = score_batch(backbone, params, images, texts, None, 1.0, 0.0)
+    assert all(r.c_few is None and r.c_levels_few is None and r.grids_few is None
+               and r.s_levels_few is None for r in gated)
 
 
 def test_fused_map_is_mean_of_per_level_maps():
     # level-ensemble contract on real branch outputs, not synthetic fixtures
-    rng = np.random.default_rng(12)
-    features = random_features(rng)
-    f_text = rng.standard_normal((2, 8)).astype(np.float32)
-    zero = zero_shot(features, f_text[None], tau=0.07, out_hw=(8, 8))[0]
-    few = few_shot(features, random_bank(rng), out_hw=(8, 8), images=1)[0]
-    result = fuse(zero, few, 0.5, 0.5)
-    recomputed = (0.5 * result.s_levels_zero.mean(axis=0)
-                  + 0.5 * result.s_levels_few.mean(axis=0))
-    assert np.allclose(result.s_pred, recomputed, atol=1e-12)
-    assert result.c_pred == pytest.approx(
-        0.5 * result.c_levels_zero.mean() + 0.5 * result.c_levels_few.mean(), abs=1e-12)
+    for result in scored(0.5, 0.5):
+        recomputed = (0.5 * result.s_levels_zero.mean(axis=0)
+                      + 0.5 * result.s_levels_few.mean(axis=0))
+        assert np.allclose(result.s_pred, recomputed, atol=1e-12)
+        assert result.c_pred == pytest.approx(
+            0.5 * result.c_levels_zero.mean() + 0.5 * result.c_levels_few.mean(), abs=1e-12)
 
 
 def _bits(arr):
@@ -437,8 +460,9 @@ def _bits(arr):
 def test_fused_maps_have_the_bits_of_the_expressions_they_replace(count, with_bank):
     """s_pred and every fused_maps pool keep the bits of blending the branch maps.
 
-    A result's map is ``beta1 * zero.smap + beta2 * few.smap`` and a level's
-    map ``beta1 * s_levels_zero[l] + beta2 * s_levels_few[l]``, each made
+    A result's map is ``beta1 * s_levels_zero.mean(axis=0) + beta2 *
+    s_levels_few.mean(axis=0)`` and a level's map ``beta1 *
+    s_levels_zero[l] + beta2 * s_levels_few[l]``, each made
     per image from its (4, h, w) stack of level maps; without a bank only
     the beta1 term. CHUNK + 1 images span two chunks. A third of the branch
     draws holds a NaN grid cell, and another third tied grids of 0.5 and
@@ -454,16 +478,19 @@ def test_fused_maps_have_the_bits_of_the_expressions_they_replace(count, with_ba
             grids[rng.integers(4), rng.integers(side * side)] = np.nan
         elif kind == 2:
             grids[:] = rng.choice(np.array([0.0, -0.0, 0.5], dtype=np.float32), side * side)
-        return BranchScores(float(rng.uniform()), rng.uniform(size=4), grids, out_hw)
+        return float(rng.uniform()), rng.uniform(size=4), grids
 
-    results = [fuse(branch(i % 3), branch((i + 1) % 3) if with_bank else None, beta1, beta2)
-               for i in range(count)]
+    # c_pred is not read by the maps
+    results = [AnomalyResult(0.0, *branch(i % 3),
+                             *(branch((i + 1) % 3) if with_bank else (None,) * 3),
+                             beta1, beta2, out_hw) for i in range(count)]
     pool = fused_maps(results, beta1, beta2)
     assert pool.shape == (count,) + out_hw and pool.dtype == np.float64
     for r, fused in zip(results, pool):
-        expected = beta1 * r.zero.smap
+        expected = beta1 * r.s_levels_zero.mean(axis=0)
         if with_bank:
-            expected = beta1 * r.zero.smap + beta2 * r.few.smap
+            expected = (beta1 * r.s_levels_zero.mean(axis=0)
+                        + beta2 * r.s_levels_few.mean(axis=0))
         assert _bits(r.s_pred) == _bits(fused) == _bits(expected)
     for level in range(4):
         pool = fused_maps(results, beta1, beta2, level)
@@ -543,6 +570,10 @@ def test_map_round_trip_and_pgm_rendering(tmp_path):
 
 # -- batched scoring ------------------------------------------------------------------
 
+RESULT_FIELDS = ("c_pred", "s_pred", "c_zero", "c_few", "c_levels_zero", "s_levels_zero",
+                 "c_levels_few", "s_levels_few")
+
+
 def _same(a, b):
     if a is None or b is None:
         return a is None and b is None
@@ -554,7 +585,6 @@ def test_score_batch_equals_per_image_scoring_bitwise():
     import eval_oracle
     from mvfa.adaptation import adapt_forward
     from mvfa.autograd import no_grad
-    from mvfa.inference import score_batch
     from mvfa.textbank import build_text_features, default_prompt_set
 
     config = BackboneConfig()
@@ -585,15 +615,10 @@ def test_score_batch_equals_per_image_scoring_bitwise():
             oracle = eval_oracle.score_image(backbone, params, image, f_text,
                                              scoring_bank, *betas, 0.2)
             assert _same(got.c_pred, alone.c_pred) and _same(got.s_pred, alone.s_pred)
-            for mine, single in ((got.zero, alone.zero), (got.few, alone.few)):
-                assert (mine is None) == (single is None)
-                if mine is not None:
-                    assert mine.out_hw == single.out_hw == (64, 64)
-                    for field in ("c", "c_levels", "grids", "s_levels", "smap"):
-                        assert _same(getattr(mine, field), getattr(single, field)), field
-            for field in ("c_pred", "s_pred", "c_zero", "s_zero", "c_few", "s_few",
-                          "c_levels_zero", "s_levels_zero", "c_levels_few",
-                          "s_levels_few"):
+            assert got.out_hw == alone.out_hw == (64, 64)
+            for field in RESULT_FIELDS + ("grids_zero", "grids_few"):
+                assert _same(getattr(got, field), getattr(alone, field)), field
+            for field in RESULT_FIELDS:
                 assert _same(getattr(got, field), getattr(oracle, field)), field
 
 
@@ -612,17 +637,12 @@ def default_model():
     return backbone, params, bank, texts, images[2:]
 
 
-RESULT_FIELDS = ("c_pred", "s_pred", "c_zero", "s_zero", "c_few", "s_few",
-                 "c_levels_zero", "s_levels_zero", "c_levels_few", "s_levels_few")
-
-
 @pytest.mark.parametrize("with_bank", [True, False], ids=["bank", "no-bank"])
 @pytest.mark.parametrize("count", [1, 16])
 def test_score_batch_chunk_equals_eval_oracle_on_every_field(default_model, count,
                                                               with_bank):
     # a chunk of 17 is checked by test_score_batch_equals_per_image_scoring_bitwise
     import eval_oracle
-    from mvfa.inference import score_batch
     backbone, params, bank, texts, images = default_model
     bank, betas = (bank, (0.5, 0.5)) if with_bank else (None, (1.0, 0.0))
     images = images[:count]
@@ -637,7 +657,6 @@ def test_score_batch_chunk_equals_eval_oracle_on_every_field(default_model, coun
 
 
 def test_score_batch_nan_image_reaches_only_its_own_scores(default_model):
-    from mvfa.inference import score_batch
     backbone, params, bank, texts, images = default_model
     images = [image.copy() for image in images[:16]]
     images[5][10, 20] = np.nan
@@ -652,7 +671,6 @@ def test_score_batch_nan_image_reaches_only_its_own_scores(default_model):
 
 def test_score_batch_rejects_unpaired_text_and_takes_no_images():
     from mvfa.errors import ContractError
-    from mvfa.inference import score_batch
     backbone, params = toy_model()
     with pytest.raises(ContractError, match="2 images but 1 text"):
         score_batch(backbone, params, [toy_image(1), toy_image(2)], [_toy_text()])
@@ -699,12 +717,11 @@ def test_score_batch_matches_eval_oracle_on_seeded_draws():
     float64. The first, the last and one random image of each chunk are
     checked. Each of these changes to ``mvfa.inference`` fails this test:
     ``zero_shot`` scoring every image against the first image's text pair;
-    ``fuse`` weighting the few-shot branch by beta1; ``few_shot`` cutting the
+    ``score_batch`` weighting the few-shot branch by beta1; ``few_shot`` cutting the
     distances as ``reshape(-1, images).T``; ``zero_shot`` viewing the rows
     as ``reshape(-1, len(f_texts), d).swapaxes(0, 1)``.
     """
     import eval_oracle
-    from mvfa.inference import score_batch
     rng = np.random.default_rng(2032)
     for backbone, params, images, f_texts, bank, beta1, beta2, tau in _score_batch_draws():
         batch = score_batch(backbone, params, images, f_texts, bank, beta1, beta2, tau)

@@ -8,12 +8,13 @@ import train_oracle
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
-from mvfa.adaptation import adapt_forward, init_params, save_checkpoint
+from mvfa.adaptation import adapt_forward, init_params, save_checkpoint, text_probabilities
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, gen_dataset, load_manifest, \
     load_samples
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from mvfa.inference import score_batch
 from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, _as_mask, _bce,
                             _dice, _focal, _sum, _sum_samples, adam_step, level_loss,
                             total_loss, train)
@@ -115,6 +116,43 @@ def test_loss_shape_mismatch():
 def test_weights_validation():
     with pytest.raises(ConfigError):
         LossWeights(lambda1=-0.1)
+
+
+def _score_toy(beta1, beta2):
+    image = np.zeros((8, 8), dtype=np.float32)
+    return score_batch(init_backbone(TOY), init_params(TOY.dim), [image], [toy_text()], None,
+                       beta1, beta2)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(lr=NAN), "learning rate must be nonnegative"),
+    (lambda: LossWeights(lambda1=NAN), "loss weights must be nonnegative"),
+    (lambda: LossWeights(lambda2=NAN), "loss weights must be nonnegative"),
+    (lambda: LossWeights(lambda3=NAN), "loss weights must be nonnegative"),
+    (lambda: text_probabilities(np.ones((4, 8)), np.eye(2, 8), NAN),
+     "temperature must be positive"),
+    (lambda: _score_toy(NAN, 0.0), "fusion weights must be nonnegative"),
+    (lambda: _score_toy(1.0, NAN), "fusion weights must be nonnegative"),
+    (lambda: SynthConfig(defect_delta=NAN), "defect_delta must be a finite number"),
+    (lambda: SynthConfig(benign_delta=NAN), "benign_delta must be a finite number"),
+    (lambda: SynthConfig(defect_delta=float("inf")), "defect_delta must be a finite number"),
+    (lambda: SynthConfig(benign_radius=(6.0, NAN)), "bad benign radius range"),
+], ids=["lr", "lambda1", "lambda2", "lambda3", "inference_tau", "beta1", "beta2",
+        "defect_delta", "benign_delta", "defect_delta_inf", "benign_radius"])
+def test_nan_setting_is_config_error(build, message):
+    """A NaN setting is refused with the error of a setting off its range.
+
+    A NaN passes ``x < 0`` and ``x <= 0``, so each check is written as ``not
+    x >= 0`` or ``not x > 0``. Each of these was accepted before: a NaN lr
+    trained an all-NaN checkpoint, a NaN loss weight passed ``min(...) < 0``,
+    a NaN tau scored every image NaN, a NaN beta2 without a bank was a
+    BankError, and a NaN delta wrote images cast from NaN to uint8.
+    """
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.07, float("nan")])

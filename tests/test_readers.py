@@ -6,10 +6,14 @@ bytes, one byte set to a random value, or ``ff ff ff 7f`` (the largest
 signed 32-bit integer) written over 4 bytes. Every draw must load or raise
 an ``MVFAError``, and reading all of them stays under a tracemalloc bound,
 so a forged length or size field cannot make a reader allocate without end.
+A checkpoint or config draw that loads must also hold only finite numbers.
 """
 
 import dataclasses
+import itertools
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,8 +50,9 @@ def _mutants(payload, rng, draws):
         yield bytes(data)
 
 
-def _read_mutants(path, payload, draws, read):
-    """Write each mutant of ``payload`` to ``path`` and ``read`` it.
+def _read_mutants(path, payload, draws, read, extra=()):
+    """Write each mutant of ``payload``, then each payload of ``extra``, to ``path``
+    and ``read`` it.
 
     Returns the number of draws that loaded, the messages of those that
     raised, and the traced peak in bytes.
@@ -55,7 +60,8 @@ def _read_mutants(path, payload, draws, read):
     loaded, errors = 0, []
     tracemalloc.start()
     try:
-        for mutant in _mutants(payload, np.random.default_rng(2026), draws):
+        for mutant in itertools.chain(_mutants(payload, np.random.default_rng(2026), draws),
+                                      extra):
             path.write_bytes(mutant)
             try:
                 read(path)
@@ -79,14 +85,19 @@ def test_checkpoint_reader_fails_typed_on_seeded_mutations(tmp_path):
     encoder: one flipped bit, image_size 64 -> 64 + 2**24, asked numpy for
     32 TiB and raised a raw ``MemoryError``, and a high bit of
     blocks_per_stage allocated block after block without end. Four of the
-    200 draws forge such a header.
+    200 draws forge such a header. A draw that loads must hold only finite
+    values: ``ff ff ff 7f`` over tensor data is a NaN, and the reader
+    accepted it, so a checkpoint with a NaN or inf value scored every image
+    NaN and evaluated to AUC 1.0 (NaNs rank in input order).
     """
     config = BackboneConfig()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, config, init_params(config.dim, seed=7))
 
     def read(path):
-        header, _ = load_checkpoint(path)
+        header, params = load_checkpoint(path)
+        assert np.isfinite(params.gamma) and all(
+            np.isfinite(tensor.data).all() for _, tensor in params.named_tensors())
         if dataclasses.replace(header, seed=config.seed) != config:
             init_backbone(header)
 
@@ -144,12 +155,28 @@ def test_map_reader_fails_typed_on_seeded_mutations(tmp_path):
     assert peak < 2 ** 20
 
 
+def _finite(value):
+    """Whether every float in a loaded JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def test_config_reader_fails_typed_on_seeded_mutations(tmp_path):
     """Every mutated config file loads or raises an MVFAError.
 
     Loading means what a command does with the file before it reads any
     data: merge it over the defaults and build the backbone, data and train
-    settings from it. A draw that changes the encoder also builds it.
+    settings from it. A draw that changes the encoder also builds it, and a
+    draw that loads must hold only finite numbers. Besides the byte
+    mutations, 30 draws write ``NaN``, ``Infinity`` or ``-Infinity``, which
+    ``json.loads`` accepts, over one number. These defects are mutants it
+    catches: the config reader accepted those constants, so a NaN inference
+    tau made zero-shot eval report image AUC 1.0, a NaN lambda1 dropped the
+    Dice term, a NaN lr wrote an all-NaN checkpoint and a NaN defect_delta
+    wrote images cast from NaN to uint8, each with exit 0.
     """
     full = dict(cli.DEFAULT_CONFIG, data=dataclasses.asdict(SynthConfig()))
     path = tmp_path / "config.json"
@@ -157,6 +184,7 @@ def test_config_reader_fails_typed_on_seeded_mutations(tmp_path):
 
     def read(path):
         cfg = cli._load_config(path)
+        assert _finite(cfg)
         backbone = BackboneConfig(**cfg["backbone"])
         SynthConfig.from_dict(cfg["data"])
         TrainConfig.from_dict(cfg["train"])
@@ -164,6 +192,16 @@ def test_config_reader_fails_typed_on_seeded_mutations(tmp_path):
             init_backbone(backbone)
 
     payload = json.dumps(full, indent=1).encode()
-    loaded, errors, peak = _read_mutants(path, payload, 160, read)
+    # each number value: after ": " or on a list line of its own
+    numbers = [m.span() for m in re.finditer(rb"(?<=[ \n])-?[0-9][0-9.eE+-]*(?=[,\n])",
+                                             payload)]
+    rng = np.random.default_rng(2027)
+    constants = []
+    for draw in range(30):
+        start, end = numbers[int(rng.integers(len(numbers)))]
+        constant = (b"NaN", b"Infinity", b"-Infinity")[draw % 3]
+        constants.append(payload[:start] + constant + payload[end:])
+    loaded, errors, peak = _read_mutants(path, payload, 160, read, constants)
     assert len(errors) > 100, (loaded, errors)
+    assert sum("is not a finite number" in e for e in errors) == 30, errors
     assert peak < ENCODER_PEAK
