@@ -177,8 +177,9 @@ def adapt_forward(backbone: FrozenBackbone, params: MVFAParams, image, *, stage1
     it) and the mix outputs; each up product's output is released once the
     level's mixes have read it.
 
-    ``stage1`` is internal: the training loop passes the stage-1 output it
-    computed once for its images, which depends on no trainable tensor.
+    ``stage1`` is internal: the training loop passes the stage-1 output of
+    its step's images, which depends on no trainable tensor, computed once
+    for a training set of one batch and at each step for a larger one.
     The embedding and stage 1 are then skipped and ``image`` is not read,
     so the loop passes None.
     """

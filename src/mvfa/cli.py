@@ -132,9 +132,9 @@ def _check_section(path, section, given, defaults):
 def _check_type(path, name, value, default):
     """Reject a value whose JSON type differs from that of its default.
 
-    Booleans are not numbers, an integer is a valid float, and a list's
-    items must match the first default item. A key in CHOICES takes only
-    the values listed there.
+    Booleans are not numbers, an integer is a valid float if a float holds
+    it, and a list's items must match the first default item. A key in
+    CHOICES takes only the values listed there.
     """
     kinds = [(bool, (bool,), "true or false"),
              (int, (int,), "an integer"),
@@ -148,6 +148,12 @@ def _check_type(path, name, value, default):
         return
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         raise ConfigError(f"config {path}: {name} must be {kind}, got {value!r}")
+    if isinstance(value, int) and isinstance(default, float):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"config {path}: {name} must be a finite number, got an "
+                              f"integer of {len(str(abs(value)))} digits") from None
     if isinstance(value, list) and default and isinstance(default[0], (int, float)):
         for index, item in enumerate(value):
             _check_type(path, f"{name}[{index}]", item, default[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -72,6 +73,14 @@ def read_pgm(path):
 
 # -- synthetic generation -----------------------------------------------------
 
+def _finite(value):
+    """Whether ``value`` is a number that converts to a finite float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ModalityProfile:
     """Spectral texture profile; masks=False withholds segmentation masks.
@@ -91,13 +100,13 @@ class ModalityProfile:
         if self.polarity not in (-1, 1):
             raise ConfigError(f"polarity must be -1 or 1, got {self.polarity}")
         # 0 or NaN would make a NaN spectrum, which becomes garbage pixels
-        if not (isinstance(self.base_freq, (int, float)) and 0 < self.base_freq < np.inf):
+        if not (_finite(self.base_freq) and self.base_freq > 0):
             raise ConfigError(f"modality {self.name!r}: base_freq must be a finite "
                               f"number above 0, got {self.base_freq!r}")
         # NaN or inf would write earlier modalities before failing as a data error
         for name in ("contrast", "noise"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and np.isfinite(value)):
+            if not _finite(value):
                 raise ConfigError(f"modality {self.name!r}: {name} must be a finite "
                                   f"number, got {value!r}")
 
@@ -147,7 +156,7 @@ class SynthConfig:
         # a NaN delta makes NaN pixels, which the uint8 cast turns into garbage
         for name in ("defect_delta", "benign_delta"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and -np.inf < value < np.inf):
+            if not _finite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
     def _check_range(self, name, low_is_valid):

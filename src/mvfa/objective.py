@@ -27,14 +27,15 @@ added left to right, as a chain of per-sample additions would; ``np.sum``
 pairs eight or more terms differently. A sample without a mask has no seg
 term, and its rows of the seg gradient are zero, which adds nothing.
 
-Training holds no image: it loads the samples one batch at a time for a
-single pass through the embedding and stage 1, which no trainable tensor
-reaches, and keeps of each sample only that pass's rows, its label, its
-modality and its mask as bits, packed eight pixels to a byte
-(``np.packbits``: 512 B for a 64 x 64 mask). Each step unpacks its own
-samples' masks to bool, and :func:`total_loss` casts them to one float32
-stack that the four level nodes share. A bool mask gives the loss the
-bits of the float32 one, since both cast to the same 0/1 map.
+Training holds at most one batch of samples. The embedding and stage 1
+reach no trainable tensor, so a step needs of each sample only its
+stage-1 rows, its label, its modality and its mask as bool. A training
+set that fits in one batch (the few-shot case) is loaded and passed
+through them once; a larger one (the zero-shot case) is loaded again at
+every step, one step's samples at a time, so memory does not grow with
+the training set. :func:`total_loss` casts a step's bool masks to one
+float32 stack that the four level nodes share; a bool mask gives the
+loss the bits of the float32 one, since both cast to the same 0/1 map.
 """
 
 from __future__ import annotations
@@ -322,38 +323,17 @@ def adam_step(named_params, grads, state: AdamState, lr,
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _packed(mask):
-    """A bool mask as (np.packbits of its pixels, its shape), or None for None."""
-    return None if mask is None else (np.packbits(mask), mask.shape)
+def _step_inputs(backbone, samples):
+    """The stage-1 rows, labels, modalities and bool masks of ``samples``.
 
-
-def _unpacked(packed):
-    """The bool mask of :func:`_packed`'s output."""
-    if packed is None:
-        return None
-    bits, shape = packed
-    return np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool)
-
-
-def _stage1_pass(backbone, samples, batch_size):
-    """What training keeps of each sample, loading ``batch_size`` at a time.
-
-    Returns the embedding and stage 1 of every image as one (S, N, d)
-    array, which depend on no trainable tensor and so run once, plus each
-    sample's label, modality and packed mask (:func:`_packed`). No step
-    reads an image again.
+    The samples are loaded as one chunk and run through the embedding and
+    stage 1, which depend on no trainable tensor. A sample's rows have the
+    same bits whatever batch computes them.
     """
-    stage1, labels, modalities, masks = None, [], [], []
-    for chunk in load_chunks(samples, batch_size):
-        rows = backbone.run_stage(0, backbone.embed([s.image for s in chunk])).data
-        if stage1 is None:
-            stage1 = np.empty((len(samples),) + rows.shape[1:], dtype=rows.dtype)
-        stage1[len(labels):len(labels) + len(chunk)] = rows
-        for sample in chunk:
-            labels.append(sample.label)
-            modalities.append(sample.modality)
-            masks.append(_packed(bool_mask(sample.mask)))
-    return stage1, np.array(labels), modalities, masks
+    (loaded,) = load_chunks(samples, len(samples))
+    rows = backbone.run_stage(0, backbone.embed([s.image for s in loaded])).data
+    return (rows, np.array([s.label for s in loaded]), [s.modality for s in loaded],
+            [bool_mask(s.mask) for s in loaded])
 
 
 def _sum_samples(totals):
@@ -372,12 +352,16 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     tensor. Returns the per-epoch mean losses and optionally appends them
     to a CSV file.
 
-    The images are loaded ``batch_size`` at a time for one pass through the
-    embedding and stage 1; no step reads an image again. Each step runs
-    its samples as one (B, N, d) graph and sums their losses
-    left to right before one backward pass; every sample keeps the bits it
-    would get in a graph of its own, so the checkpoints are those of
-    training one sample graph at a time (``tests/train_oracle.py``).
+    A training set that fits in one batch is loaded and run through the
+    embedding and stage 1 once, and each epoch takes its permutation of
+    those rows. A larger set is streamed: each step loads only its own
+    samples and runs them through the embedding and stage 1, so memory does
+    not grow with the training set, and a sample that fails to load fails
+    the step that reaches it. Each step runs its samples as one (B, N, d)
+    graph and sums their losses left to right before one backward pass;
+    every sample keeps the bits it would get in a graph of its own, so the
+    checkpoints are those of training one sample graph at a time
+    (``tests/train_oracle.py``).
     """
     if not samples:
         raise DataError("training set is empty")
@@ -390,17 +374,26 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     rng = np.random.default_rng(config.seed)
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     history = []
-    stage1, labels, modalities, masks = _stage1_pass(backbone, samples, config.batch_size)
+    if len(samples) <= config.batch_size:
+        whole = _step_inputs(backbone, samples)
+
+        def step_inputs(chunk):
+            rows, labels, modalities, masks = whole
+            return (rows[chunk], labels[chunk], [modalities[i] for i in chunk],
+                    [masks[i] for i in chunk])
+    else:
+        def step_inputs(chunk):
+            return _step_inputs(backbone, [samples[i] for i in chunk])
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(samples))
         weighted = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            features, _ = adapt_forward(backbone, params, None, stage1=Tensor(stage1[chunk]))
-            texts = np.stack([text_features[modalities[i]].data for i in chunk])
-            totals = total_loss(features, Tensor(texts), labels[chunk],
-                                [_unpacked(masks[i]) for i in chunk], config.weights,
+            stage1, labels, modalities, masks = step_inputs(chunk)
+            features, _ = adapt_forward(backbone, params, None, stage1=Tensor(stage1))
+            texts = np.stack([text_features[m].data for m in modalities])
+            totals = total_loss(features, Tensor(texts), labels, masks, config.weights,
                                 tau=config.tau, out_hw=out_hw, levels=config.levels)
             batch = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
             value = float(batch.data)

@@ -1,5 +1,7 @@
 import argparse
+import functools
 import json
+import operator
 import os
 import re
 import shutil
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from test_adaptation import overflowing_checkpoint
 
-from mvfa import cli
+from mvfa import cli, objective
 from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import DEFAULT_CONFIG, build_parser, main
@@ -423,6 +425,81 @@ def test_modality_contrast_or_noise_not_finite_is_config_error_before_writing(
     assert os.listdir(out) == []
     with pytest.raises(ConfigError, match=f"'texture-b': {field} must be"):
         datamod.ModalityProfile(**user["data"]["modalities"][1])
+
+
+@pytest.mark.parametrize("command, key, name", [
+    ("train", ("train", "lr"), "train.lr"),
+    ("gen-data", ("data", "modalities", 1, "contrast"), "data.modalities[1].contrast"),
+    ("gen-data", ("data", "defect_delta"), "data.defect_delta")],
+    ids=["train", "modality", "data"])
+def test_integer_beyond_the_float_range_is_config_error(workdir, tmp_path, capsys, command,
+                                                         key, name):
+    """An integer in a float key must convert to a finite float.
+
+    Each one was a traceback before: 10**400 as lr or defect_delta raised
+    OverflowError in float(), and as contrast a TypeError from np.isfinite.
+    """
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user["train"]["epochs"] = 1
+    *parents, field = key
+    functools.reduce(operator.getitem, parents, user)[field] = 10 ** 400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    argv = {"train": ["--data", data, "--out", str(tmp_path / "x.ckpt")],
+            "gen-data": ["--out", str(tmp_path / "gen")]}[command]
+    assert main([command, "--config", str(bad)] + argv) == 1
+    assert capsys.readouterr().err == (f"config error: config {bad}: {name} must be a finite "
+                                       "number, got an integer of 401 digits\n")
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_integer_in_a_float_key_reads_as_that_float(workdir, tmp_path, capsys):
+    # a contrast of 10**20 raised a TypeError from np.isfinite; as 1e20 it saturates
+    # texture-b's images, so both runs stop at its first defect
+    root, config, data = workdir
+    outcomes = []
+    for contrast in (10 ** 20, 1e20):
+        user = json.loads(open(config).read())
+        user["data"]["modalities"][1]["contrast"] = contrast
+        path = tmp_path / "user.json"
+        path.write_text(json.dumps(user), encoding="utf-8")
+        out = tmp_path / "gen"
+        code = main(["gen-data", "--config", str(path), "--out", str(out)])
+        outcomes.append((code, capsys.readouterr().err, tree_bytes(out)))
+        shutil.rmtree(out)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == (2, "error: defect vanished in texture-b sample 0\n")
+
+
+def test_training_image_that_fails_to_load_mid_run_writes_nothing(workdir, tmp_path, capsys,
+                                                                   monkeypatch):
+    """A zero-shot set larger than one batch loads each step's images when it runs.
+
+    An image cut short after the first step fails a later step: exit 2 with
+    the reader's error, and neither the checkpoint nor the loss log written.
+    """
+    root, config, data = workdir
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    rows = [json.loads(line) for line in (copy / "train.jsonl").read_text().splitlines()]
+    image = copy / next(row["image"] for row in rows if row["modality"] != "texture-c")
+    steps = []
+    adam_step = objective.adam_step
+
+    def step_then_truncate(*args, **kwargs):
+        adam_step(*args, **kwargs)
+        if not steps:
+            image.write_bytes(image.read_bytes()[:-1])
+        steps.append(len(steps) + 1)
+
+    monkeypatch.setattr(objective, "adam_step", step_then_truncate)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", config, "--data", str(copy), "--out", str(ckpt),
+                 "--mode", "zero-shot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {image}: ") and "Traceback" not in err
+    assert steps and sorted(os.listdir(tmp_path)) == ["data"]
 
 
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):

@@ -139,18 +139,29 @@ def test_synth_config_validation():
 
 
 
-@pytest.mark.parametrize("base_freq", [0.0, -3.0, float("nan"), float("inf"), "7"])
+@pytest.mark.parametrize("base_freq", [0.0, -3.0, float("nan"), float("inf"), "7",
+                                       pytest.param(10 ** 400, id="int-beyond-float")])
 def test_modality_profile_rejects_a_base_freq_that_is_not_positive_and_finite(base_freq):
     with pytest.raises(ConfigError, match="'texture-a': base_freq must be a finite"):
         ModalityProfile("texture-a", base_freq, 0.5, 0.03)
 
 
 @pytest.mark.parametrize("field", ["contrast", "noise"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5",
+                                   pytest.param(10 ** 400, id="int-beyond-float")])
 def test_modality_profile_rejects_a_contrast_or_noise_that_is_not_finite(field, value):
     given = {"contrast": 0.5, "noise": 0.03, field: value}
     with pytest.raises(ConfigError, match=f"'texture-a': {field} must be a finite number"):
         ModalityProfile("texture-a", 3.0, **given)
+
+
+def test_an_integer_a_float_holds_is_a_finite_setting():
+    # np.isfinite raised a TypeError for an integer beyond int64
+    assert ModalityProfile("texture-a", 10 ** 20, 10 ** 20, 10 ** 20).contrast == 10 ** 20
+    assert SynthConfig(defect_delta=10 ** 20, benign_delta=10 ** 20).defect_delta == 10 ** 20
+    for name in ("defect_delta", "benign_delta"):
+        with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+            SynthConfig(**{name: 10 ** 400})
 
 
 # -- manifests -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from fdcheck import check_gradients
 from mvfa import autograd as ag
 from mvfa.adaptation import adapt_forward, init_params, save_checkpoint, text_probabilities
 from mvfa.autograd import Tensor, backward
-from mvfa.backbone import BackboneConfig, init_backbone
+from mvfa.backbone import BackboneConfig, FrozenBackbone, init_backbone
 from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, gen_dataset, load_manifest, \
     load_samples
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
@@ -824,16 +824,15 @@ def test_training_on_manifest_samples_writes_the_loaded_checkpoint(tmp_path):
     assert written[0] == written[1]
 
 
-def test_training_memory_grows_at_most_18_kib_per_sample(tmp_path):
-    # a sample keeps its 16 KiB stage-1 rows and a 512 B packed mask (16.8 KiB
-    # measured); 20.3 KiB with the mask as 4 KiB of bool, and a caller-loaded set
-    # with float32 masks grew by about 46 KiB.
-    # Both runs take more than one step, so both peaks hold a step's leftovers.
+def test_training_peak_does_not_grow_with_the_training_set(tmp_path):
+    # a set larger than one batch is loaded one step at a time: 3 KiB more over 96
+    # more samples measured, the permutation's 768 B among it. Each sample kept its
+    # 16 KiB stage-1 rows and a 512 B packed mask for the whole run before (1.6 MiB).
     config = BackboneConfig()
-    samples = _manifest(tmp_path / "data", config.image_size, 32, 8,
+    samples = _manifest(tmp_path / "data", config.image_size, 112, 16,
                         (ModalityProfile("widget", 3.0, 0.5, 0.03),))
     text = {"widget": toy_text(config.dim, dtype=np.float32)}
-    train_config = TrainConfig(batch_size=8, epochs=1, seed=10)
+    train_config = TrainConfig(batch_size=16, epochs=1, seed=10)
 
     def peak(count):
         backbone = init_backbone(config)
@@ -845,8 +844,27 @@ def test_training_memory_grows_at_most_18_kib_per_sample(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(8)  # warm caches
-    assert (peak(40) - peak(16)) / 24 <= 18 * 1024
+    peak(16)  # warm caches
+    assert peak(128) - peak(32) <= 32 * 1024
+
+
+def test_training_embeds_one_batch_once_and_a_larger_set_at_every_step(monkeypatch):
+    # the few-shot set reuses its stage-1 rows across epochs; a zero-shot set
+    # larger than one batch embeds each step's samples when the step runs
+    batches = []
+    embed = FrozenBackbone.embed
+
+    def counted(self, images):
+        batches.append(len(images))
+        return embed(self, images)
+
+    monkeypatch.setattr(FrozenBackbone, "embed", counted)
+    for count, expected in ((4, [4]), (5, [4, 1] * 3)):
+        backbone, params, text = toy_setup()
+        batches.clear()
+        train(backbone, params, toy_samples(count), text,
+              TrainConfig(batch_size=4, epochs=3, seed=2))
+        assert batches == expected, count
 
 
 def test_training_rejects_a_mask_that_is_not_zero_or_one():
