@@ -5,14 +5,14 @@ image-level classification, one for pixel-level segmentation) that are
 mixed residually into the frozen features; the mixed features are fed
 forward into the next encoder stage, so all levels train jointly. Level 4
 maps the final encoder output through a pair of square projections. These
-tensors are the only trainable state.
+tensors are the only trainable state. A checkpoint stores them, by name, in
+one ``fileio`` container whose header gives the backbone config, gamma and
+the layout (arch and adapter style).
 """
 
 from __future__ import annotations
 
-import math
-import struct
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -20,10 +20,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .backbone import BackboneConfig, FrozenBackbone
 from .errors import ConfigError, FormatError
-from .fileio import Reader, write_bytes_atomic
-
-CHECKPOINT_MAGIC = b"MVFA-CKPT\0"
-CHECKPOINT_VERSION = 1
+from .fileio import read_tensors, write_tensors
 
 ARCH_ADAPTER = "adapter"
 ARCH_PROJECTOR = "projector"
@@ -31,7 +28,7 @@ STYLE_DUAL = "dual"
 STYLE_SINGLE = "single"
 
 
-@dataclass
+@dataclasses.dataclass
 class AdaptedFeatures:
     """Per-level classification/segmentation features, levels 1..4."""
 
@@ -51,7 +48,7 @@ class MVFAParams:
     each layout. It asks ``tensor(name, kind, shape)`` for each tensor in
     canonical order, where ``kind`` is "down", "up" or "projection"; seeded
     initialization and checkpoint loading are two such callbacks, so a
-    checkpoint's names and shapes fix the model. Code reaches each tensor
+    checkpoint's header and shapes fix the model. Code reaches each tensor
     by that name: ``params["adapter1.cls.down"]``, ``params["level3.cls"]``.
     """
 
@@ -239,93 +236,51 @@ def _check_tau(tau):
         raise ConfigError(f"temperature must be positive, got {tau}")
 
 
-# -- checkpoint format -------------------------------------------------------
-#
-# magic "MVFA-CKPT\0", u32 version, u32 x 6 backbone config fields
-# (image_size, patch_size, dim, stages, blocks_per_stage, heads), u64 seed,
-# u32 tensor count, then per tensor: u16 name length, UTF-8 name, u8 rank,
-# u32 dims, 32-bit little-endian values. The trainable tensors plus a
-# rank-0 "gamma" entry are stored; the layout is recovered from the tensor
-# names, and every shape must be the one the layout gives for dim.
+# -- checkpoints ---------------------------------------------------------------
 
 def save_checkpoint(path, config: BackboneConfig, params: MVFAParams):
-    entries = params.named_tensors() + [("gamma", Tensor(np.float32(params.gamma)))]
-    chunks = [CHECKPOINT_MAGIC,
-              struct.pack("<I", CHECKPOINT_VERSION),
-              struct.pack("<6IQ", config.image_size, config.patch_size, config.dim,
-                          config.stages, config.blocks_per_stage, config.heads,
-                          config.seed),
-              struct.pack("<I", len(entries))]
-    for name, tensor in entries:
-        raw = name.encode("utf-8")
-        arr = np.asarray(tensor.data, dtype="<f4")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    write_bytes_atomic(path, b"".join(chunks))
+    """Write the tensors and a header of the backbone config, gamma, arch and style.
 
-
-def _read_entries(reader: Reader):
-    count = reader.u32()
-    entries = {}
-    for _ in range(count):
-        name = reader.text(reader.u16())
-        rank = reader.u8()
-        shape = tuple(reader.u32() for _ in range(rank))
-        # Python ints: a numpy product wraps in int64 and can read 0 values
-        n = math.prod(shape)
-        values = np.frombuffer(reader.take(4 * n), dtype="<f4").reshape(shape)
-        if not np.isfinite(values).all():
-            reader.fail(f"non-finite value in tensor {name!r}")
-        entries[name] = values.astype(np.float32)
-    return entries
+    gamma is stored rounded to float32: a loaded model's gamma, and what it
+    computes, does not depend on how often the model was saved.
+    """
+    header = {"backbone": dataclasses.asdict(config), "gamma": float(np.float32(params.gamma)),
+              "arch": params.arch, "adapter_style": params.adapter_style}
+    write_tensors(path, "checkpoint", header,
+                  [(name, tensor.data) for name, tensor in params.named_tensors()])
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into (BackboneConfig, MVFAParams).
 
-    The tensor names give the layout; every tensor must have the shape its
-    layout gives for the checkpoint's ``dim``.
+    The header gives the layout; every tensor must have the shape its
+    layout gives for the header's ``dim``, and a header the config or the
+    layout rejects is a ``FormatError``.
     """
-    with open(path, "rb") as fh:
-        reader = Reader(fh.read(), str(path))
-    reader.expect(CHECKPOINT_MAGIC)
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        reader.fail(f"unsupported version {version}")
-    image_size, patch_size, dim, stages, blocks, heads = (
-        reader.u32() for _ in range(6))
-    seed = reader.u64()
-    try:
-        config = BackboneConfig(image_size=image_size, patch_size=patch_size, dim=dim,
-                                stages=stages, blocks_per_stage=blocks, heads=heads,
-                                seed=seed)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: invalid header: {exc}") from None
-    entries = _read_entries(reader)
-    reader.done()
-
-    if "gamma" not in entries:
-        raise FormatError(f"{path}: missing gamma entry")
-    gamma = float(entries.pop("gamma"))
+    header, tensors = read_tensors(path, "checkpoint")
+    backbone, fields = header.get("backbone"), dataclasses.asdict(BackboneConfig()).keys()
+    if (header.keys() != {"adapter_style", "arch", "backbone", "gamma"}
+            or not isinstance(backbone, dict) or backbone.keys() != fields
+            or any(type(value) is not int for value in backbone.values())
+            or type(header["gamma"]) not in (int, float)):
+        raise FormatError(f"{path}: invalid header: it must hold the backbone's integer "
+                          f"fields, a number gamma, arch and adapter_style, and no more")
 
     def stored(name, kind, shape):
-        if name not in entries:
+        if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name!r}")
-        value = entries.pop(name)
+        value = tensors.pop(name)
         if value.shape != shape:
             raise FormatError(f"{path}: tensor {name!r} has shape {value.shape}, "
-                              f"but dim {dim} needs {shape}")
+                              f"but dim {config.dim} needs {shape}")
         return Tensor(value, requires_grad=True)
 
-    if any(name.startswith("level") for name in entries):
-        arch, style = ARCH_PROJECTOR, STYLE_DUAL
-    else:
-        arch = ARCH_ADAPTER
-        style = STYLE_DUAL if "adapter1.cls.down" in entries else STYLE_SINGLE
-    params = MVFAParams(dim, gamma, arch, style, stored)
-    if entries:
-        raise FormatError(f"{path}: unexpected tensors {sorted(entries)}")
+    try:
+        config = BackboneConfig(**backbone)
+        params = MVFAParams(config.dim, header["gamma"], header["arch"],
+                            header["adapter_style"], stored)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: invalid header: {exc}") from None
+    if tensors:
+        raise FormatError(f"{path}: unexpected tensors {sorted(tensors)}")
     return config, params

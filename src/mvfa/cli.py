@@ -26,7 +26,7 @@ from . import inference, metrics, objective, textbank
 from .adaptation import init_params, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, init_backbone
 from .errors import BankError, ConfigError, DataError, MVFAError, NumericError
-from .fileio import read_text, write_text_atomic
+from .fileio import file_sha256, parse_json, read_text, write_text_atomic
 
 DEFAULT_CONFIG = {
     "backbone": dataclasses.asdict(BackboneConfig()),
@@ -82,23 +82,11 @@ def _load_config(path):
     if path is None:
         return cfg
 
-    def not_finite(text):
-        raise ConfigError(f"config {path}: {text} is not a finite number")
-
-    def finite(text):
-        value = float(text)
-        if not np.isfinite(value):  # 1e999 reads as inf
-            not_finite(text)
-        return value
-
     try:
-        # json.loads accepts NaN, Infinity and -Infinity unless told otherwise
-        user = json.loads(read_text(path, ConfigError), parse_constant=not_finite,
-                          parse_float=finite)
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    user = parse_json(text, ConfigError, f"config {path}")
     _check_keys(path, "the file", user, cfg)
     for section, value in user.items():
         if not isinstance(cfg[section], dict):
@@ -182,6 +170,17 @@ def _levels(text):
             from None
 
 
+def _finite_float(text):
+    """A float flag's value; NaN and infinities (1e999 reads as inf) are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _manifests(data_dir):
     """(train, test) samples of a dataset directory, every image and mask checked."""
     train_path = os.path.join(data_dir, "train.jsonl")
@@ -192,6 +191,14 @@ def _manifests(data_dir):
 def _load_model(ckpt):
     backbone_cfg, params = load_checkpoint(ckpt)
     return init_backbone(backbone_cfg), params
+
+
+def _load_bank(path, ckpt):
+    """The bank at ``path``, refused unless it was built from the checkpoint file ``ckpt``."""
+    bank = inference.load_bank(path)
+    if bank.checkpoint != file_sha256(ckpt):
+        raise BankError(f"{path} was not built from {ckpt}; run build-bank with --ckpt {ckpt}")
+    return bank
 
 
 # The train -> bank -> score steps, shared by train/build-bank/eval/predict
@@ -296,6 +303,7 @@ def cmd_build_bank(args):
     cfg = _config(args)
     backbone, params = _load_model(args.ckpt)
     bank = _bank(cfg, _manifests(args.data), backbone, params)
+    bank.checkpoint = file_sha256(args.ckpt)
     inference.save_bank(args.out, bank)
     print(f"wrote {args.out} ({cfg['inference']['k']} references, "
           f"{bank.cls[0].shape[0]} rows per level)")
@@ -306,7 +314,7 @@ def cmd_predict(args):
     cfg = _config(args)
     inf = cfg["inference"]
     backbone, params = _load_model(args.ckpt)
-    bank = inference.load_bank(args.bank) if args.bank else None
+    bank = _load_bank(args.bank, args.ckpt) if args.bank else None
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
 
     if args.manifest:
@@ -358,7 +366,7 @@ def _check_bank_k(bank, k, rows_per_image):
 def cmd_eval(args):
     cfg = _config(args)
     backbone, params = _load_model(args.ckpt)
-    bank = inference.load_bank(args.bank) if args.bank else None
+    bank = _load_bank(args.bank, args.ckpt) if args.bank else None
     k_flag = vars(args)["inference.k"]
     if bank is not None and k_flag is not None:
         _check_bank_k(bank, k_flag, backbone.config.grid_count)
@@ -444,8 +452,9 @@ def build_parser():
         for key in settings:
             section, field = key.split(".")
             default = _defaults(section)[field]
+            kind = {list: _levels, float: _finite_float}.get(type(default), type(default))
             p.add_argument("--" + field.replace("_", "-"), dest=key, choices=CHOICES.get(key),
-                           type=_levels if isinstance(default, list) else type(default))
+                           type=kind)
         p.set_defaults(func=func)
         return p
 
@@ -474,8 +483,8 @@ def build_parser():
     p.add_argument("--data", help="dataset directory (uses its test manifest)")
     p.add_argument("--manifest", help="explicit manifest of images to score")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
+    p.add_argument("--beta1", type=_finite_float)
+    p.add_argument("--beta2", type=_finite_float)
     p.add_argument("--prompts")
 
     p = command("eval", cmd_eval, "evaluate a checkpoint, writing a report",
@@ -483,8 +492,8 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bank")
     p.add_argument("--data", required=True)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
+    p.add_argument("--beta1", type=_finite_float)
+    p.add_argument("--beta2", type=_finite_float)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="one-line report CSV path")
     p.add_argument("--prompts")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ManifestError
-from .fileio import read_text, write_bytes_atomic, write_text_atomic
+from .fileio import parse_json, read_text, write_bytes_atomic, write_text_atomic
 
 
 # -- PGM ----------------------------------------------------------------------
@@ -339,10 +339,7 @@ def load_manifest(path):
     for lineno, line in enumerate(read_text(path, ManifestError).split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            row = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
-            raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
+        row = parse_json(line, ManifestError, f"{path}: line {lineno}")
         if not isinstance(row, dict):
             raise ManifestError(f"{path}: line {lineno}: expected a JSON object")
         try:

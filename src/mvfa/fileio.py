@@ -1,12 +1,29 @@
-"""Small helpers for atomic file output and binary format parsing."""
+"""Atomic file output, strict JSON, and the one checksummed container of every artifact.
+
+A checkpoint, a memory bank and an anomaly map are each one container
+(:func:`write_tensors`): the magic ``MVFA\\0``, a u32 version (2) and a u32
+header length; a sorted-key JSON header that names the ``kind`` and each
+tensor's name and shape; the little-endian float32 tensors; and the SHA-256
+of every byte before it. This is the only module that knows a binary layout.
+"""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import os
 import struct
 import tempfile
 
+import numpy as np
+
 from .errors import FormatError
+
+MAGIC = b"MVFA\0"
+VERSION = 2
+# the command that writes each kind, named when a version-1 file ("MVFA-" magic) is read
+WRITER = {"checkpoint": "train", "bank": "build-bank", "map": "predict"}
 
 
 def write_bytes_atomic(path, payload: bytes):
@@ -51,51 +68,101 @@ def _universal_newlines(text):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-class Reader:
-    """Cursor over a byte string that raises FormatError with the offset."""
+def parse_json(text, error, where):
+    """``json.loads`` of ``text`` that raises ``error``, prefixed ``where``, on bad input.
 
-    def __init__(self, payload: bytes, label: str):
-        self.payload = payload
-        self.label = label
-        self.offset = 0
+    ``json.loads`` accepts NaN, Infinity and -Infinity, and reads 1e999 as
+    inf; here each is refused as not a finite number. An integer of over
+    4300 digits (a ``ValueError`` that is not a ``JSONDecodeError``) and a
+    nesting deeper than the interpreter's recursion limit (a
+    ``RecursionError``) are invalid JSON, not tracebacks.
+    """
+    def not_finite(token):
+        raise error(f"{where}: {token} is not a finite number")
 
-    def fail(self, message):
-        raise FormatError(f"{self.label}: {message} at byte {self.offset}")
+    def finite(token):
+        value = float(token)
+        if not math.isfinite(value):
+            not_finite(token)
+        return value
 
-    def take(self, count):
-        if self.offset + count > len(self.payload):
-            self.fail(f"unexpected end of file, wanted {count} bytes")
-        chunk = self.payload[self.offset:self.offset + count]
-        self.offset += count
-        return chunk
+    try:
+        return json.loads(text, parse_constant=not_finite, parse_float=finite)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from None
 
-    def expect(self, magic: bytes):
-        if self.payload[self.offset:self.offset + len(magic)] != magic:
-            self.fail(f"bad magic, expected {magic!r}")
-        self.offset += len(magic)
 
-    def text(self, count):
-        """The next ``count`` bytes as UTF-8; a bad byte fails at its own offset."""
-        start = self.offset
-        chunk = self.take(count)
-        try:
-            return chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            self.offset = start + exc.start
-            self.fail("invalid UTF-8")
+def file_sha256(path):
+    """Hex SHA-256 of a file's bytes."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
-    def u8(self):
-        return self.take(1)[0]
 
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
+def write_tensors(path, kind, header: dict, tensors):
+    """Write the (name, array) pairs ``tensors`` and the kind's JSON ``header`` fields.
 
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
+    A header holds no path, time or host, so that a rerun writes the same bytes.
+    """
+    arrays = [(name, np.asarray(value, dtype="<f4")) for name, value in tensors]
+    meta = dict(header, kind=kind, tensors=[[name, list(arr.shape)] for name, arr in arrays])
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+    body = b"".join([MAGIC, struct.pack("<II", VERSION, len(text)), text]
+                    + [arr.tobytes() for _, arr in arrays])
+    write_bytes_atomic(path, body + hashlib.sha256(body).digest())
 
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
 
-    def done(self):
-        if self.offset != len(self.payload):
-            self.fail(f"{len(self.payload) - self.offset} trailing bytes")
+def read_tensors(path, kind):
+    """(header, {name: float32 array}) of a container of ``kind``, the tensors in file order.
+
+    The header comes back without ``kind`` and ``tensors``. A digest that
+    does not match, any departure from the layout, another kind or a
+    non-finite value is a ``FormatError``; sizes are checked against the
+    file's length before any array is made.
+    """
+    with open(path, "rb") as fh:
+        payload = fh.read()
+
+    def fail(message):
+        raise FormatError(f"{path}: {message}")
+
+    if not payload.startswith(MAGIC):
+        fail(f"a version 1 {kind} file, which this version cannot read; re-run "
+             f"`mvfa {WRITER[kind]}` to write it again" if payload.startswith(b"MVFA-")
+             else f"bad magic, expected {MAGIC!r}")
+    start, end = len(MAGIC) + 8, len(payload) - 32  # 32 bytes of SHA-256 end the file
+    if end < start:
+        fail(f"unexpected end of file at byte {len(payload)}")
+    version, length = struct.unpack_from("<II", payload, len(MAGIC))
+    if version != VERSION:
+        fail(f"unsupported version {version}")
+    if hashlib.sha256(memoryview(payload)[:end]).digest() != payload[end:]:
+        fail("SHA-256 mismatch: the file is damaged or truncated")
+    if length > end - start:
+        fail(f"a header of {length} bytes runs past the end of the file")
+    try:
+        meta = parse_json(payload[start:start + length].decode("utf-8"), FormatError,
+                          f"{path}: header")
+    except UnicodeDecodeError as exc:
+        fail(f"invalid UTF-8 at byte {start + exc.start}")
+    if not isinstance(meta, dict) or meta.pop("kind", None) != kind:
+        fail(f"not a {kind} file")
+    listed, tensors, offset = meta.pop("tensors", None), {}, start + length
+    if not isinstance(listed, list):
+        fail("the header lists no tensors")
+    for entry in listed:  # a numpy array has at most 64 axes
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and entry[0] not in tensors and isinstance(entry[1], list)
+                and len(entry[1]) <= 32 and all(type(n) is int and n >= 0 for n in entry[1])):
+            fail(f"tensor entry {len(tensors)} is not a new name and at most 32 sizes")
+        name, shape = entry
+        count = math.prod(shape)  # Python ints: a numpy product can wrap to 0
+        if 4 * count > end - offset:
+            fail(f"tensor {name!r} of shape {tuple(shape)} runs past the end of the file")
+        values = np.frombuffer(payload, "<f4", count, offset).reshape(shape)
+        if not np.isfinite(values).all():
+            fail(f"non-finite value in tensor {name!r}")
+        tensors[name] = values.astype(np.float32)
+        offset += 4 * count
+    if offset != end:
+        fail(f"{end - offset} bytes after the last tensor")
+    return meta, tensors

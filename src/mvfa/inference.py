@@ -10,12 +10,13 @@ upsamples and fuses the maps of one result or of a whole test set.
 Both branches score a chunk of images at once, one call per level and
 role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
-on the chunk it is scored in.
+on the chunk it is scored in. A bank and an anomaly map are each saved as
+one ``fileio`` container; a bank's header records the SHA-256 of the
+checkpoint it was built from, so a command can refuse another pairing.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,8 @@ import numpy as np
 from . import autograd as ag
 from .adaptation import AdaptedFeatures, adapt_forward, text_probabilities
 from .autograd import no_grad
-from .errors import BankError, ConfigError, ContractError
-from .fileio import Reader, write_bytes_atomic
-
-BANK_MAGIC = b"MVFA-BANK\0"
-BANK_VERSION = 1
-MAP_MAGIC = b"MVFA-MAP\0"
+from .errors import BankError, ConfigError, ContractError, FormatError
+from .fileio import read_tensors, write_tensors
 
 # images loaded, scored and upsampled per batch: it bounds what scoring holds
 # at once, and a batch gives each image the bits it gets alone
@@ -41,6 +38,7 @@ class MemoryBank:
 
     cls: list  # 4 arrays, each (rows, d) float32
     seg: list
+    checkpoint: str | None = None  # hex SHA-256 of the checkpoint file, None from memory
 
 
 @dataclass(frozen=True)
@@ -253,8 +251,9 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
     else:
         c_levels_few, grids_few = few_shot(rows, bank, len(images))
         c_few = c_levels_few.mean(axis=1)
-    if not (beta1 >= 0 and beta2 >= 0):
-        raise ConfigError(f"fusion weights must be nonnegative, got {beta1} and {beta2}")
+    if not (0 <= beta1 < np.inf and 0 <= beta2 < np.inf):
+        raise ConfigError(f"fusion weights must be nonnegative and finite, got {beta1} "
+                          f"and {beta2}")
     if bank is None and beta2 != 0:
         raise BankError("beta2 > 0 requires a memory bank")
     c_zero = c_levels_zero.mean(axis=1)
@@ -271,67 +270,38 @@ def score_image(backbone, params, image, f_text, bank=None, beta1=0.5, beta2=0.5
     return score_batch(backbone, params, [image], [f_text], bank, beta1, beta2, tau)[0]
 
 
-# -- memory bank file --------------------------------------------------------
-#
-# magic "MVFA-BANK\0", u32 version, u8 level count, then per level two
-# records (cls first): u8 role (0 = cls, 1 = seg), u32 row count, u32 d,
-# 32-bit little-endian rows.
+# -- bank and map files: fileio containers -------------------------------------
+
+_STORE_NAMES = [f"level{level}.{role}" for level in range(1, 5) for role in ("cls", "seg")]
+
 
 def save_bank(path, bank: MemoryBank):
-    chunks = [BANK_MAGIC, struct.pack("<I", BANK_VERSION), struct.pack("<B", 4)]
-    for level in range(4):
-        for role, store in ((0, bank.cls[level]), (1, bank.seg[level])):
-            arr = np.asarray(store, dtype="<f4")
-            chunks.append(struct.pack("<BII", role, arr.shape[0], arr.shape[1]))
-            chunks.append(arr.tobytes())
-    write_bytes_atomic(path, b"".join(chunks))
+    """Write a ``bank`` container: each level's cls then seg rows, and the checkpoint digest."""
+    stores = [store for level in zip(bank.cls, bank.seg) for store in level]
+    write_tensors(path, "bank", {"checkpoint": bank.checkpoint}, zip(_STORE_NAMES, stores))
 
 
 def load_bank(path) -> MemoryBank:
-    with open(path, "rb") as fh:
-        reader = Reader(fh.read(), str(path))
-    reader.expect(BANK_MAGIC)
-    version = reader.u32()
-    if version != BANK_VERSION:
-        reader.fail(f"unsupported version {version}")
-    levels = reader.u8()
-    if levels != 4:
-        reader.fail(f"expected 4 levels, got {levels}")
-    cls, seg = [], []
-    for level in range(levels):
-        for expected_role, name, stores in ((0, "cls", cls), (1, "seg", seg)):
-            role = reader.u8()
-            if role != expected_role:
-                reader.fail(f"expected role {expected_role}, got {role}")
-            rows = reader.u32()
-            d = reader.u32()
-            data = np.frombuffer(reader.take(4 * rows * d), dtype="<f4")
-            if not np.isfinite(data).all():
-                reader.fail(f"non-finite value in the level {level + 1} {name} rows")
-            stores.append(data.reshape(rows, d).astype(np.float32))
-    reader.done()
-    return MemoryBank(cls, seg)
+    header, tensors = read_tensors(path, "bank")
+    checkpoint = header.get("checkpoint")
+    if (set(header) != {"checkpoint"} or not isinstance(checkpoint, (str, type(None)))
+            or list(tensors) != _STORE_NAMES or any(t.ndim != 2 for t in tensors.values())):
+        raise FormatError(f"{path}: a bank holds a checkpoint digest and, per level, "
+                          f"one matrix of cls rows and one of seg rows")
+    stores = list(tensors.values())
+    return MemoryBank(stores[0::2], stores[1::2], checkpoint)
 
-
-# -- anomaly map file --------------------------------------------------------
-#
-# magic "MVFA-MAP\0", u32 h, u32 w, 32-bit little-endian row-major scores.
 
 def save_map(path, scores):
-    arr = np.asarray(scores, dtype="<f4")
-    payload = MAP_MAGIC + struct.pack("<II", arr.shape[0], arr.shape[1]) + arr.tobytes()
-    write_bytes_atomic(path, payload)
+    """Write an (h, w) score map as a ``map`` container."""
+    write_tensors(path, "map", {}, [("map", scores)])
 
 
 def load_map(path):
-    with open(path, "rb") as fh:
-        reader = Reader(fh.read(), str(path))
-    reader.expect(MAP_MAGIC)
-    h = reader.u32()
-    w = reader.u32()
-    data = np.frombuffer(reader.take(4 * h * w), dtype="<f4")
-    reader.done()
-    return data.reshape(h, w).astype(np.float32)
+    header, tensors = read_tensors(path, "map")
+    if header or list(tensors) != ["map"] or tensors["map"].ndim != 2:
+        raise FormatError(f"{path}: a map holds one (h, w) tensor")
+    return tensors["map"]
 
 
 def map_to_u8(scores):

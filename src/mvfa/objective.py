@@ -90,8 +90,8 @@ class TrainConfig:
             raise ConfigError("epochs must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"train seed must be nonnegative, got {self.seed}")
-        if not self.tau > 0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"temperature must be positive and finite, got {self.tau}")
         # a repeated level would add its loss twice
         if (not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels)
                 or len(set(self.levels)) != len(self.levels)):

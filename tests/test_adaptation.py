@@ -1,9 +1,10 @@
-import struct
+import dataclasses
 
 import numpy as np
 import ops_oracle as ops
 import pytest
 from fdcheck import check_gradients
+from forge import container, forge, v1_checkpoint
 from test_backbone import frozen_levels
 
 from mvfa import autograd as ag
@@ -291,7 +292,7 @@ def test_checkpoint_round_trip(tmp_path, kwargs):
     assert config == TOY
     assert loaded.arch == params.arch
     assert loaded.adapter_style == params.adapter_style
-    assert loaded.gamma == pytest.approx(params.gamma)
+    assert loaded.gamma == float(np.float32(params.gamma))  # stored as float32
     for (name_a, a), (name_b, b) in zip(params.named_tensors(), loaded.named_tensors()):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data)
@@ -321,18 +322,16 @@ def test_checkpoint_rejects_a_custom_adapter_width(tmp_path):
 
 
 def overflowing_checkpoint(path, shape):
-    """A checkpoint whose one tensor has ``shape``; the value count overflows int64."""
-    payload = [b"MVFA-CKPT\0", struct.pack("<I", 1),
-               struct.pack("<6IQ", 8, 4, 8, 4, 1, 2, 3), struct.pack("<I", 1),
-               struct.pack("<H", 5), b"gamma", struct.pack("<B", len(shape)),
-               struct.pack(f"<{len(shape)}I", *shape), b"\0" * 64]
-    path.write_bytes(b"".join(payload))
+    """A sealed checkpoint whose one tensor has ``shape``; the value count overflows int64."""
+    header = {"kind": "checkpoint", "backbone": dataclasses.asdict(TOY), "gamma": 0.1,
+              "arch": "adapter", "adapter_style": "dual", "tensors": [["gamma", list(shape)]]}
+    path.write_bytes(container(header, b"\0" * 64))
     return path
 
 
 @pytest.mark.parametrize("shape", [(65536,) * 4, (2 ** 31, 2 ** 31, 4)])
 def test_checkpoint_rejects_overflowing_shape(tmp_path, shape):
-    with pytest.raises(FormatError, match="unexpected end of file"):
+    with pytest.raises(FormatError, match="runs past the end of the file"):
         load_checkpoint(overflowing_checkpoint(tmp_path / "bad.ckpt", shape))
 
 
@@ -353,3 +352,47 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(FormatError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_version_1_file(tmp_path):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(v1_checkpoint())
+    with pytest.raises(FormatError, match=r"a version 1 checkpoint file, .*re-run `mvfa train`"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_flipped_digest_bit(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TOY, init_params(TOY.dim, seed=6))
+    payload = bytearray(path.read_bytes())
+    payload[-1] ^= 0x01
+    path.write_bytes(bytes(payload))
+    with pytest.raises(FormatError, match="SHA-256 mismatch"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(gamma=True), "a number gamma"),
+    (lambda h: h["backbone"].update(dim=8.0), "integer fields"),
+    (lambda h: h["backbone"].pop("seed"), "integer fields"),
+    (lambda h: h.update(seed=3), "and no more"),
+    (lambda h: h.update(gamma=1.5), r"gamma must lie in \[0, 1\]"),
+    (lambda h: h.update(arch="mlp"), "unknown architecture 'mlp'"),
+    (lambda h: h.update(adapter_style="triple"), "unknown adapter style 'triple'"),
+    (lambda h: h.update(kind="bank"), "not a checkpoint file"),
+])
+def test_checkpoint_rejects_a_sealed_header_it_cannot_use(tmp_path, edit, message):
+    # each file carries a valid digest, so the header's own checks must catch it
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TOY, init_params(TOY.dim, seed=6))
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(forge(path, edit))
+
+
+def test_checkpoint_header_of_another_layout_reads_that_layout(tmp_path):
+    # the header, not the tensor names, gives the layout: a dual checkpoint
+    # relabelled single lists tensors the single layout does not have
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TOY, init_params(TOY.dim, seed=6))
+    with pytest.raises(FormatError, match="missing tensor 'adapter1.down'"):
+        load_checkpoint(forge(path, lambda h: h.update(adapter_style="single")))

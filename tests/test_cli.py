@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from forge import START, container, forge, header_bytes, split, v1_bank, v1_checkpoint
 from test_adaptation import overflowing_checkpoint
 
 from mvfa import cli, objective
@@ -21,6 +22,7 @@ from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import DEFAULT_CONFIG, build_parser, main
 from mvfa.data import read_pgm
 from mvfa.errors import ConfigError
+from mvfa.fileio import file_sha256
 from mvfa.inference import MemoryBank, load_bank, load_map, save_bank
 
 CONFIG = {
@@ -205,13 +207,35 @@ def test_non_utf8_checkpoint_tensor_name_is_data_error(workdir, tmp_path, capsys
     assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
                  "--epochs", "0"]) == 0
     capsys.readouterr()
-    payload = bytearray(ckpt.read_bytes())
-    payload[52] = 0xff  # the first tensor name starts after the 50-byte header and its length
-    ckpt.write_bytes(bytes(payload))
+    header, tensors = split(ckpt.read_bytes())
+    raw = header_bytes(header)
+    at = raw.index(b'"adapter1.cls.down"') + 1  # the first tensor name's first byte
+    ckpt.write_bytes(container(raw[:at] + b"\xff" + raw[at + 1:], tensors))
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {ckpt}: invalid UTF-8 at byte 52")
+    assert err.startswith(f"error: {ckpt}: invalid UTF-8 at byte {START + at}")
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "bank"])
+def test_version_1_file_is_data_error_that_names_the_command(workdir, tmp_path, capsys, kind):
+    root, config, data = workdir
+    ckpt, bank = tmp_path / "model.ckpt", tmp_path / "bank.bin"
+    assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                 "--epochs", "0"]) == 0
+    assert main(["build-bank", "--config", config, "--data", data, "--ckpt", str(ckpt),
+                 "--out", str(bank)]) == 0
+    capsys.readouterr()
+    old, command = {"checkpoint": (ckpt, "train"), "bank": (bank, "build-bank")}[kind]
+    old.write_bytes(v1_checkpoint() if kind == "checkpoint" else v1_bank())
+    out = tmp_path / "report.json"
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt),
+                 "--bank", str(bank), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: a version 1 {kind} file, which this version "
+                          f"cannot read; re-run `mvfa {command}`")
+    assert not out.exists()
 
 
 def test_non_utf8_manifest_line_is_data_error(workdir, tmp_path, capsys):
@@ -300,7 +324,7 @@ def test_json_integer_of_over_4300_digits_is_a_typed_error(workdir, tmp_path, ca
     bad.write_text('{"train": {"epochs": ' + huge + "}}", encoding="utf-8")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: config {bad} is not valid JSON: Exceeds the limit")
+    assert err.startswith(f"config error: config {bad}: invalid JSON (Exceeds the limit")
     root, config, data = workdir
     copy = tmp_path / "data"
     shutil.copytree(data, copy)
@@ -312,6 +336,30 @@ def test_json_integer_of_over_4300_digits_is_a_typed_error(workdir, tmp_path, ca
                  "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: line 1: invalid JSON (Exceeds the limit")
+    assert not (tmp_path / "gen").exists() and not (tmp_path / "m.ckpt").exists()
+
+
+
+def test_deeply_nested_json_is_a_typed_error(workdir, tmp_path, capsys):
+    # json.loads raised a RecursionError here, a traceback with exit 1
+    nested = "[" * 100_000
+    bad = tmp_path / "bad.json"
+    bad.write_text(nested, encoding="utf-8")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {bad}: invalid JSON (maximum recursion depth")
+    root, config, data = workdir
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "train.jsonl"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(re.sub(r'"label": \d', f'"label": {nested}', text, count=1),
+                        encoding="utf-8")
+    assert main(["train", "--config", config, "--data", str(copy),
+                 "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 1: invalid JSON (maximum recursion depth")
+    assert "Traceback" not in err
     assert not (tmp_path / "gen").exists() and not (tmp_path / "m.ckpt").exists()
 
 
@@ -329,7 +377,7 @@ def test_overflowing_checkpoint_shape_is_data_error(workdir, tmp_path, capsys, s
     root, config, data = workdir
     bad = overflowing_checkpoint(tmp_path / "bad.ckpt", shape)
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(bad)]) == 2
-    assert "unexpected end of file" in capsys.readouterr().err
+    assert "runs past the end of the file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -694,6 +742,23 @@ def test_setting_flag_of_the_wrong_type_is_usage_error(workdir, tmp_path, capsys
     assert os.listdir(tmp_path) == []
 
 
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("train", "--lr", "inf"), ("train", "--gamma", "nan"), ("train", "--tau", "inf"),
+    ("eval", "--beta1", "inf"), ("eval", "--beta2", "1e999"),
+    ("predict", "--beta1", "1e999"), ("predict", "--beta2", "NaN")])
+def test_non_finite_float_flag_is_usage_error(workdir, tmp_path, capsys, command, flag, text):
+    # eval --beta1 inf reported AUC 0.5 / 0.5 with exit 0, predict wrote inf
+    # scores, and train --tau inf wrote a checkpoint trained at a flat loss
+    root, config, data = workdir
+    argv = [command, "--config", config, flag, text, *required_args(command, tmp_path, data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: expected a finite number, "
+                          f"got {text!r}")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command, section, key, flags, message", [
     ("train", "train", "seed", [], "train seed"),
     ("train", "model", "init_seed", [], "init seed"),
@@ -802,13 +867,38 @@ def test_unusable_bank_is_data_error(workdir, tmp_path, capsys):
                                    "have width 16"),
                                   (16, np.nan, "non-finite value")):
         rows = np.full((4, width), value, dtype=np.float32)
-        save_bank(bank, MemoryBank([rows] * 4, [rows] * 4))
+        save_bank(bank, MemoryBank([rows] * 4, [rows] * 4, file_sha256(ckpt)))
         for command in (["eval"], ["predict", "--out-dir", str(tmp_path / "pred")]):
             code = main(command + ["--config", config, "--data", data, "--ckpt", ckpt,
                                    "--bank", bank])
             err = capsys.readouterr().err
             assert code == 2
             assert message in err and "Traceback" not in err
+
+
+
+def test_bank_of_another_checkpoint_is_data_error(workdir, tmp_path, capsys):
+    # a bank paired with any checkpoint of its width scored against the wrong features
+    root, config, data = workdir
+    ckpts = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+    banks = [tmp_path / "a.bank", tmp_path / "b.bank"]
+    for epochs, ckpt, bank in zip(("0", "1"), ckpts, banks):
+        assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                     "--epochs", epochs]) == 0
+        assert main(["build-bank", "--config", config, "--data", data, "--ckpt", str(ckpt),
+                     "--out", str(bank)]) == 0
+    capsys.readouterr()
+    for ckpt, bank in zip(ckpts, banks[::-1]):
+        out, out_dir = tmp_path / "report.json", tmp_path / "pred"
+        for command in (["eval", "--out", str(out)], ["predict", "--out-dir", str(out_dir)]):
+            assert main(command + ["--config", config, "--data", data, "--ckpt", str(ckpt),
+                                   "--bank", str(bank)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bank} was not built from {ckpt}")
+        assert not out.exists() and not out_dir.exists()
+    assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpts[1]),
+                 "--bank", str(banks[1])]) == 0
+    capsys.readouterr()
 
 
 def test_checkpoint_alone_fixes_the_eval_report(workdir, tmp_path, capsys):
@@ -835,46 +925,43 @@ def test_checkpoint_shape_off_its_dim_is_data_error(workdir, tmp_path, capsys):
     assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
                  "--epochs", "0"]) == 0
     capsys.readouterr()
-    payload = bytearray(ckpt.read_bytes())
-    payload[22:26] = (32).to_bytes(4, "little")  # the header's dim field: 16 -> 32
-    ckpt.write_bytes(bytes(payload))
+    forge(ckpt, lambda header: header["backbone"].update(dim=32))
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "has shape (16, 4), but dim 32 needs (32, 8)" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("offset, value, message", [
-    (26, 3, "exactly 4 stages"), (30, 0, "blocks_per_stage must be at least 1"),
-    (34, 0, "heads must be at least 1")])
-def test_checkpoint_header_field_out_of_range_is_data_error(workdir, tmp_path, capsys, offset,
+@pytest.mark.parametrize("field, value, message", [
+    ("stages", 3, "exactly 4 stages"),
+    ("blocks_per_stage", 0, "blocks_per_stage must be at least 1"),
+    ("heads", 0, "heads must be at least 1")], ids=["stages", "blocks_per_stage", "heads"])
+def test_checkpoint_header_field_out_of_range_is_data_error(workdir, tmp_path, capsys, field,
                                                             value, message):
     root, config, data = workdir
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
                  "--epochs", "0"]) == 0
     capsys.readouterr()
-    payload = bytearray(ckpt.read_bytes())
-    payload[offset:offset + 4] = value.to_bytes(4, "little")  # stages, blocks or heads
-    ckpt.write_bytes(bytes(payload))
+    forge(ckpt, lambda header: header["backbone"].update({field: value}))
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: invalid header") and message in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("byte, bit", [(17, 0x01), (32, 0x10)])
-def test_checkpoint_header_of_a_huge_encoder_is_data_error(workdir, tmp_path, capsys, byte,
-                                                           bit):
-    # one flipped bit: image_size 16 -> 16 + 2**24, or blocks_per_stage 1 -> 1 + 2**20.
-    # Building that encoder raised a raw MemoryError (exit 1) or went on allocating.
+@pytest.mark.parametrize("field, value", [("image_size", 16 + 2 ** 24),
+                                          ("blocks_per_stage", 1 + 2 ** 20)],
+                         ids=["image_size", "blocks_per_stage"])
+def test_checkpoint_header_of_a_huge_encoder_is_data_error(workdir, tmp_path, capsys, field,
+                                                           value):
+    # one high bit set in a field. Building that encoder raised a raw
+    # MemoryError (exit 1) or went on allocating.
     root, config, data = workdir
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
                  "--epochs", "0"]) == 0
     capsys.readouterr()
-    payload = bytearray(ckpt.read_bytes())
-    payload[byte] ^= bit
-    ckpt.write_bytes(bytes(payload))
+    forge(ckpt, lambda header: header["backbone"].update({field: value}))
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt),
                  "--mode", "zero-shot"]) == 2
     err = capsys.readouterr().err
@@ -906,9 +993,7 @@ def test_checkpoint_header_of_an_encoder_of_many_blocks_fails_fast(workdir, tmp_
     assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
                  "--epochs", "0"]) == 0
     capsys.readouterr()
-    payload = bytearray(ckpt.read_bytes())
-    payload[30:34] = MANY_BLOCKS.to_bytes(4, "little")  # the header's blocks_per_stage
-    ckpt.write_bytes(bytes(payload))
+    forge(ckpt, lambda header: header["backbone"].update(blocks_per_stage=MANY_BLOCKS))
     started = time.perf_counter()
     assert main(["eval", "--config", config, "--data", data, "--ckpt", str(ckpt),
                  "--mode", "zero-shot"]) == 2

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import ops_oracle as ops
 import pytest
+from forge import forge
 from nn_oracle import min_cosine_distance_oracle, normalize_rows_oracle
 
 from mvfa import autograd as ag
@@ -540,9 +541,41 @@ def test_bank_round_trip_is_byte_exact(tmp_path):
     for level in range(4):
         assert np.array_equal(bank.cls[level], loaded.cls[level])
         assert np.array_equal(bank.seg[level], loaded.seg[level])
+    assert loaded.checkpoint is None
     second = tmp_path / "bank2.bin"
     save_bank(second, loaded)
     assert path.read_bytes() == second.read_bytes()
+    bank.checkpoint = "ab" * 32
+    save_bank(path, bank)
+    assert load_bank(path).checkpoint == bank.checkpoint
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(checkpoint=7), "a bank holds"),
+    (lambda h: h.update(k=4), "a bank holds"),
+    (lambda h: h.pop("checkpoint"), "a bank holds"),
+    (lambda h: h["tensors"].reverse(), "a bank holds"),
+    (lambda h: h["tensors"][0].__setitem__(1, [16]), "a bank holds"),
+    (lambda h: h.update(kind="map"), "not a bank file"),
+], ids=["digest_type", "extra_key", "no_digest", "order", "rank", "kind"])
+def test_load_bank_rejects_a_sealed_header_it_cannot_use(tmp_path, edit, message):
+    # each file carries a valid digest, so the header's own checks must catch it
+    path = tmp_path / "bank.bin"
+    save_bank(path, random_bank(np.random.default_rng(16), rows=2))
+    with pytest.raises(FormatError, match=message):
+        load_bank(forge(path, edit))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(h=6),
+    lambda h: h["tensors"][0].__setitem__(1, [42]),
+    lambda h: h["tensors"][0].__setitem__(0, "scores"),
+], ids=["extra_key", "rank", "name"])
+def test_load_map_rejects_a_sealed_header_it_cannot_use(tmp_path, edit):
+    path = tmp_path / "scores.map"
+    save_map(path, np.zeros((6, 7)))
+    with pytest.raises(FormatError, match="a map holds one"):
+        load_map(forge(path, edit))
 
 
 def test_load_bank_rejects_non_finite_rows(tmp_path):
@@ -552,7 +585,7 @@ def test_load_bank_rejects_non_finite_rows(tmp_path):
         bank.seg[2][1, 4] = value
         path = tmp_path / "bank.bin"
         save_bank(path, bank)
-        with pytest.raises(FormatError, match="non-finite value in the level 3 seg rows"):
+        with pytest.raises(FormatError, match="non-finite value in tensor 'level3.seg'"):
             load_bank(path)
 
 

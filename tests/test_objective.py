@@ -155,6 +155,22 @@ def test_nan_setting_is_config_error(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(tau=float("inf")), "temperature must be positive and finite"),
+    (lambda: _score_toy(float("inf"), 0.0), "fusion weights must be nonnegative and finite"),
+    (lambda: _score_toy(1.0, float("inf")), "fusion weights must be nonnegative and finite"),
+], ids=["tau", "beta1", "beta2"])
+def test_infinite_setting_is_config_error(build, message):
+    """An infinite train tau or beta is refused, as a NaN one is.
+
+    An infinite beta scored every image inf, so eval reported AUC 0.5 / 0.5,
+    and an infinite tau flattened the text logits, so training wrote a
+    checkpoint at a loss that did not move.
+    """
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.07, float("nan")])
 def test_train_config_rejects_nonpositive_tau(tau):
     with pytest.raises(ConfigError, match="temperature"):

@@ -7,6 +7,12 @@ signed 32-bit integer) written over 4 bytes. Every draw must load or raise
 an ``MVFAError``, and reading all of them stays under a tracemalloc bound,
 so a forged length or size field cannot make a reader allocate without end.
 A checkpoint or config draw that loads must also hold only finite numbers.
+
+The artifact containers (checkpoint, bank, map) end in a SHA-256, so they
+are mutated in two modes. A raw mutant must load if and only if its bytes
+equal the original's, and otherwise raise ``FormatError``. A re-sealed
+mutant mutates the bytes before the digest and appends a valid digest
+(``forge.seal``), so it reaches the header and tensor checks behind it.
 """
 
 import dataclasses
@@ -18,12 +24,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from forge import seal, v1_bank, v1_checkpoint, v1_map
 
 from mvfa import cli
 from mvfa.adaptation import init_params, load_checkpoint, save_checkpoint
 from mvfa.backbone import MAX_ENCODER_VALUES, BackboneConfig, init_backbone
 from mvfa.data import SynthConfig, read_pgm, write_pgm
-from mvfa.errors import ConfigError, MVFAError
+from mvfa.errors import ConfigError, FormatError, MVFAError
 from mvfa.inference import MemoryBank, load_bank, load_map, save_bank, save_map
 from mvfa.objective import TrainConfig
 
@@ -50,49 +57,100 @@ def _mutants(payload, rng, draws):
         yield bytes(data)
 
 
-def _read_mutants(path, payload, draws, read, extra=()):
+def _read_mutants(path, payload, draws, read, extra=(), resealed=False):
     """Write each mutant of ``payload``, then each payload of ``extra``, to ``path``
     and ``read`` it.
 
-    Returns the number of draws that loaded, the messages of those that
-    raised, and the traced peak in bytes.
+    ``resealed`` mutates a container's bytes before its digest and seals
+    each mutant. Returns the number of draws that loaded, the type and
+    message of each error raised, and the traced peak in bytes.
     """
     loaded, errors = 0, []
+    mutants = (map(seal, _mutants(payload[:-32], np.random.default_rng(2026), draws))
+               if resealed else _mutants(payload, np.random.default_rng(2026), draws))
     tracemalloc.start()
     try:
-        for mutant in itertools.chain(_mutants(payload, np.random.default_rng(2026), draws),
-                                      extra):
+        for mutant in itertools.chain(mutants, extra):
             path.write_bytes(mutant)
             try:
                 read(path)
                 loaded += 1
             except MVFAError as exc:
-                errors.append(str(exc))
+                errors.append(f"{type(exc).__name__}: {exc}")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return loaded, errors, peak
 
 
+def _checkpoint(path):
+    save_checkpoint(path, BackboneConfig(), init_params(BackboneConfig().dim, seed=7))
+
+
+def _bank(path):
+    rng = np.random.default_rng(5)
+    stores = [rng.standard_normal((3, 8)).astype(np.float32) for _ in range(8)]
+    save_bank(path, MemoryBank(stores[:4], stores[4:], "ab" * 32))
+
+
+def _map(path):
+    save_map(path, np.random.default_rng(7).uniform(size=(12, 16)))
+
+
+CONTAINERS = {"checkpoint": (_checkpoint, load_checkpoint, v1_checkpoint),
+              "bank": (_bank, load_bank, v1_bank),
+              "map": (_map, load_map, v1_map)}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_raw_mutant_of_a_container_loads_only_when_unchanged(tmp_path, kind):
+    """A draw loads if and only if it equals the file, else raises FormatError, in under 1 MiB.
+
+    Before the digest, 188 of 400 mutated checkpoints and 187 of 400 banks
+    loaded without an error: a flip that left a value finite read as
+    another weight or row.
+    """
+    write, read, _ = CONTAINERS[kind]
+    path = tmp_path / kind
+    write(path)
+    payload = path.read_bytes()
+    unchanged = sum(m == payload for m in _mutants(payload, np.random.default_rng(2026), 200))
+    loaded, errors, peak = _read_mutants(path, payload, 200, read,
+                                         extra=[payload, payload[:-1], payload + b"\0"])
+    assert loaded == unchanged + 1 and len(errors) == 202 - unchanged, (loaded, errors)
+    assert all(e.startswith("FormatError: ") for e in errors), errors
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("kind, command", [("checkpoint", "train"), ("bank", "build-bank"),
+                                           ("map", "predict")])
+def test_version_1_container_names_the_command_that_rewrites_it(tmp_path, kind, command):
+    _, read, v1 = CONTAINERS[kind]
+    path = tmp_path / kind
+    path.write_bytes(v1())
+    with pytest.raises(FormatError, match=rf"a version 1 {kind} file, which this version "
+                                          rf"cannot read; re-run `mvfa {command}`"):
+        read(path)
+
+
 def test_checkpoint_reader_fails_typed_on_seeded_mutations(tmp_path):
-    """Every mutated checkpoint loads, and builds its encoder, or raises an MVFAError.
+    """Every re-sealed checkpoint mutant loads, and builds its encoder, or raises an MVFAError.
 
     A draw whose header gives another encoder than the original (a seed
     alone gives the same shapes) also builds that encoder, which must stay
     under the bound that any encoder of ``MAX_ENCODER_VALUES`` values meets.
-    Two defects are mutants this catches. A tensor name that is not UTF-8
-    raised a raw ``UnicodeDecodeError``. And the header admitted any
-    encoder: one flipped bit, image_size 64 -> 64 + 2**24, asked numpy for
-    32 TiB and raised a raw ``MemoryError``, and a high bit of
-    blocks_per_stage allocated block after block without end. Four of the
-    200 draws forge such a header. A draw that loads must hold only finite
-    values: ``ff ff ff 7f`` over tensor data is a NaN, and the reader
-    accepted it, so a checkpoint with a NaN or inf value scored every image
-    NaN and evaluated to AUC 1.0 (NaNs rank in input order).
+    The version-1 reader had two defects that such mutants caught. A tensor
+    name that is not UTF-8 raised a raw ``UnicodeDecodeError``. And the
+    header admitted any encoder: one flipped bit, image_size 64 -> 64 +
+    2**24, asked numpy for 32 TiB and raised a raw ``MemoryError``, and a
+    high bit of blocks_per_stage allocated block after block without end.
+    A draw that loads must hold only finite values: ``ff ff ff 7f`` over
+    tensor data is a NaN, and a checkpoint with a NaN or inf value scored
+    every image NaN and evaluated to AUC 1.0 (NaNs rank in input order).
     """
     config = BackboneConfig()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, config, init_params(config.dim, seed=7))
+    _checkpoint(path)
 
     def read(path):
         header, params = load_checkpoint(path)
@@ -101,9 +159,8 @@ def test_checkpoint_reader_fails_typed_on_seeded_mutations(tmp_path):
         if dataclasses.replace(header, seed=config.seed) != config:
             init_backbone(header)
 
-    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 200, read)
-    oversized = sum("invalid header: the encoder would hold" in e for e in errors)
-    assert loaded > 50 and len(errors) > 50 and oversized == 4, (loaded, errors)
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 200, read, resealed=True)
+    assert loaded > 40 and len(errors) > 100, (loaded, errors)
     assert peak < ENCODER_PEAK
 
 
@@ -127,12 +184,11 @@ def test_largest_encoder_builds_under_the_mutation_bound():
 
 
 def test_bank_reader_fails_typed_on_seeded_mutations(tmp_path):
-    """Every mutated bank loads or raises an MVFAError, in under 1 MiB."""
-    rng = np.random.default_rng(5)
-    stores = [rng.standard_normal((3, 8)).astype(np.float32) for _ in range(8)]
+    """Every re-sealed mutant of a bank loads or raises an MVFAError, in under 1 MiB."""
     path = tmp_path / "bank.bin"
-    save_bank(path, MemoryBank(stores[:4], stores[4:]))
-    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, load_bank)
+    _bank(path)
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, load_bank,
+                                         resealed=True)
     assert loaded > 40 and len(errors) > 40, (loaded, errors)
     assert peak < 2 ** 20
 
@@ -147,10 +203,11 @@ def test_pgm_reader_fails_typed_on_seeded_mutations(tmp_path):
 
 
 def test_map_reader_fails_typed_on_seeded_mutations(tmp_path):
-    """Every mutated anomaly map loads or raises an MVFAError, in under 1 MiB."""
+    """Every re-sealed mutant of an anomaly map loads or raises an MVFAError, in under 1 MiB."""
     path = tmp_path / "map.bin"
-    save_map(path, np.random.default_rng(7).uniform(size=(12, 16)))
-    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, load_map)
+    _map(path)
+    loaded, errors, peak = _read_mutants(path, path.read_bytes(), 160, load_map,
+                                         resealed=True)
     assert loaded > 40 and len(errors) > 40, (loaded, errors)
     assert peak < 2 ** 20
 

@@ -57,3 +57,19 @@ def test_every_private_module_name_is_used_in_the_package():
             if not used:
                 unused.append(f"{module}: {name}")
     assert not unused, unused
+
+
+def test_only_fileio_imports_struct():
+    """Binary layout lives in one module: no module of src/mvfa but fileio.py imports struct."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "struct" in (m.split(".")[0] for m in modules) and path.name != "fileio.py":
+                importers.append(path.name)
+    assert not importers, importers
