@@ -13,6 +13,7 @@ the layout (arch and adapter style).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -232,8 +233,8 @@ def text_probabilities(f, f_text, tau):
 
 
 def _check_tau(tau):
-    if not tau > 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ConfigError(f"temperature must be positive and finite, got {tau}")
 
 
 # -- checkpoints ---------------------------------------------------------------

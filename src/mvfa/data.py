@@ -12,11 +12,14 @@ bank.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import math
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +32,17 @@ from .fileio import parse_json, read_text, write_bytes_atomic, write_text_atomic
 
 def write_pgm(path, image):
     """Write an 8-bit grayscale image as binary PGM (P5, maxval 255)."""
+    write_bytes_atomic(path, _pgm_bytes(image))
+
+
+def _pgm_bytes(image):
+    """The binary PGM file of a 2-D uint8 array."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.dtype != np.uint8:
         raise FormatError(f"write_pgm: expected a 2-D uint8 array, got "
                           f"{arr.dtype} shape {arr.shape}")
     h, w = arr.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    write_bytes_atomic(path, header + arr.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
 
 
 def read_pgm(path):
@@ -270,36 +277,98 @@ def _synth_sample(config, modality_index, split_code, anomalous, index):
     return image, mask
 
 
+# writes handed to the writer thread at once; one batch waits while one is
+# written, so at most 32 writes are in flight
+_BATCH_WRITES = 16
+
+
+@contextlib.contextmanager
+def _writer_thread():
+    """Yield ``write(path, payload)``, which one background thread carries out in order.
+
+    Creating a file is kernel time, which releases the GIL, so the writes
+    overlap the caller's synthesis. They are handed over in batches of
+    :data:`_BATCH_WRITES`: waking the thread for each file costs more CPU
+    time than creating the file takes on tmpfs. Leaving hands over the
+    last batch (unless the block raised), drains the queue and joins the
+    thread, whatever ends the block. The first failed write is raised
+    again, as the same exception object, at the next hand-over or on
+    leaving, and no write is attempted after it.
+    """
+    pending = queue.Queue(1)
+    batch, failed = [], []
+
+    def drain():
+        while (writes := pending.get()) is not None:
+            for path, payload in writes:
+                if failed:
+                    break
+                try:
+                    write_bytes_atomic(path, payload)
+                except BaseException as exc:  # keep draining, so no put() blocks forever
+                    failed.append(exc)
+
+    def hand_over():
+        if failed:
+            raise failed[0]
+        pending.put(tuple(batch))
+        batch.clear()
+
+    def write(path, payload):
+        batch.append((path, payload))
+        if len(batch) == _BATCH_WRITES:
+            hand_over()
+
+    thread = threading.Thread(target=drain, name="mvfa-gen-data-writer", daemon=True)
+    thread.start()
+    try:
+        yield write
+        hand_over()
+    finally:
+        pending.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def gen_dataset(config: SynthConfig, out_dir):
     """Write images, masks and the train/test manifests; fully deterministic.
+
+    Each image and mask is synthesized and encoded on the calling thread,
+    and one writer thread (:func:`_writer_thread`) writes the files, so
+    file creation overlaps the synthesis of the next samples. The manifests
+    are written last, once every write has succeeded, so a manifest only
+    ever lists files that exist; on any error neither is written and the
+    writer thread has ended before the error propagates.
 
     Returns (train_manifest_path, test_manifest_path).
     """
     out_dir = os.fspath(out_dir)
     manifests = {"train": [], "test": []}
-    for split_code, split in enumerate(("train", "test")):
-        for modality_index, profile in enumerate(config.modalities):
-            directory = os.path.join(out_dir, profile.name, split)
-            os.makedirs(directory, exist_ok=True)
-            if split == "train":
-                n_normal, n_anomalous = config.train_normals, config.train_anomalies
-            else:
-                n_normal, n_anomalous = config.test_normals, config.test_anomalies
-            for anomalous, total in ((False, n_normal), (True, n_anomalous)):
-                kind = "anom" if anomalous else "normal"
-                for index in range(total):
-                    image, mask = _synth_sample(config, modality_index, split_code,
-                                                anomalous, index)
-                    rel = f"{profile.name}/{split}/{kind}_{index:04d}.pgm"
-                    write_pgm(os.path.join(out_dir, rel), image)
-                    mask_rel = None
-                    if profile.masks:
-                        mask_rel = f"{profile.name}/{split}/{kind}_{index:04d}_mask.pgm"
-                        write_pgm(os.path.join(out_dir, mask_rel),
-                                  mask.astype(np.uint8) * 255)
-                    manifests[split].append({"image": rel, "mask": mask_rel,
-                                             "label": int(anomalous),
-                                             "modality": profile.name})
+    with _writer_thread() as write:
+        for split_code, split in enumerate(("train", "test")):
+            for modality_index, profile in enumerate(config.modalities):
+                directory = os.path.join(out_dir, profile.name, split)
+                os.makedirs(directory, exist_ok=True)
+                if split == "train":
+                    n_normal, n_anomalous = config.train_normals, config.train_anomalies
+                else:
+                    n_normal, n_anomalous = config.test_normals, config.test_anomalies
+                for anomalous, total in ((False, n_normal), (True, n_anomalous)):
+                    kind = "anom" if anomalous else "normal"
+                    for index in range(total):
+                        image, mask = _synth_sample(config, modality_index, split_code,
+                                                    anomalous, index)
+                        rel = f"{profile.name}/{split}/{kind}_{index:04d}.pgm"
+                        write(os.path.join(out_dir, rel), _pgm_bytes(image))
+                        mask_rel = None
+                        if profile.masks:
+                            mask_rel = f"{profile.name}/{split}/{kind}_{index:04d}_mask.pgm"
+                            write(os.path.join(out_dir, mask_rel),
+                                  _pgm_bytes(mask.astype(np.uint8) * 255))
+                        manifests[split].append({"image": rel, "mask": mask_rel,
+                                                 "label": int(anomalous),
+                                                 "modality": profile.name})
     paths = {}
     for split, rows in manifests.items():
         path = os.path.join(out_dir, f"{split}.jsonl")

@@ -391,7 +391,7 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             stage1, labels, modalities, masks = step_inputs(chunk)
-            features, _ = adapt_forward(backbone, params, None, stage1=Tensor(stage1))
+            features = adapt_forward(backbone, params, None, stage1=Tensor(stage1))[0]
             texts = np.stack([text_features[m].data for m in modalities])
             totals = total_loss(features, Tensor(texts), labels, masks, config.weights,
                                 tau=config.tau, out_hw=out_hw, levels=config.levels)

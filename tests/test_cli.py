@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,7 +66,8 @@ def tree_bytes(root):
     for base, _, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 
@@ -76,6 +78,76 @@ def test_gen_data_is_deterministic(workdir, tmp_path):
     a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
     assert a.keys() == b.keys()
     assert all(a[k] == b[k] for k in a)
+
+
+def _gen_data_fails_cleanly(workdir, out, capsys, message):
+    """Run a gen-data that must fail: exit 2, no manifest, no thread left behind."""
+    _, config, _ = workdir
+    threads = threading.active_count()
+    assert main(["gen-data", "--config", config, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "train.jsonl").exists() and not (out / "test.jsonl").exists()
+    assert threading.active_count() == threads
+
+
+def test_gen_data_write_error_is_io_error_without_manifests(workdir, tmp_path, capsys,
+                                                            monkeypatch):
+    """The writer thread's OSError reaches the CLI, and the manifests are not written."""
+    real, calls = datamod.write_bytes_atomic, []
+
+    def tenth_fails(path, payload):
+        calls.append(path)
+        if len(calls) == 10:
+            raise OSError(28, "No space left on device", path)
+        real(path, payload)
+
+    monkeypatch.setattr(datamod, "write_bytes_atomic", tenth_fails)
+    _gen_data_fails_cleanly(workdir, tmp_path / "gen", capsys, "i/o error")
+    assert len(calls) == 10  # no write is attempted after the failed one
+
+
+def test_gen_data_synthesis_error_is_data_error_without_manifests(workdir, tmp_path,
+                                                                  capsys, monkeypatch):
+    real, calls = datamod._synth_sample, []
+
+    def fifth_fails(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise datamod.DataError("defect vanished")
+        return real(*args)
+
+    monkeypatch.setattr(datamod, "_synth_sample", fifth_fails)
+    _gen_data_fails_cleanly(workdir, tmp_path / "gen", capsys, "defect vanished")
+
+
+def test_gen_data_writes_the_manifests_after_every_file_they_list(workdir, tmp_path,
+                                                                  monkeypatch):
+    """Each manifest is started only once every image and mask write has finished.
+
+    Each write is slowed, so writes are still queued when synthesis ends.
+    """
+    from mvfa import fileio
+    real, events = fileio.write_bytes_atomic, []
+
+    def recorded(path, payload):
+        events.append(("start", os.path.relpath(path, out)))
+        time.sleep(0.002)
+        real(path, payload)
+        events.append(("done", os.path.relpath(path, out)))
+
+    _, config, _ = workdir
+    out = tmp_path / "gen"
+    monkeypatch.setattr(datamod, "write_bytes_atomic", recorded)
+    monkeypatch.setattr(fileio, "write_bytes_atomic", recorded)
+    assert main(["gen-data", "--config", config, "--out", str(out)]) == 0
+    done = {path: i for i, (event, path) in enumerate(events) if event == "done"}
+    for manifest in ("train.jsonl", "test.jsonl"):
+        started = events.index(("start", manifest))
+        rows = [json.loads(line) for line in (out / manifest).read_text().splitlines()]
+        listed = [row[key] for row in rows for key in ("image", "mask")]
+        assert listed and all(done[path] < started for path in listed), manifest
+    pgms = [path for event, path in events if event == "done" and path.endswith(".pgm")]
+    assert len(pgms) == len(set(pgms)) == 2 * 3 * (4 + 3 + 3 + 3)
 
 
 def test_train_zero_epochs_equals_initialization(workdir, tmp_path):

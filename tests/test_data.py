@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mvfa import data as datamod
 from mvfa.data import (DEFAULT_MODALITIES, LoadedSample, ModalityProfile, SynthConfig,
                        _synth_sample, bool_mask, few_shot_split, gen_dataset, load_chunks,
                        load_manifest, load_sample, read_pgm, write_pgm, zero_shot_split)
@@ -73,7 +76,8 @@ def tree_bytes(root):
     for base, _, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 
@@ -84,6 +88,63 @@ def test_generation_is_byte_deterministic(tmp_path):
     a, b = tree_bytes(tmp_path / "one"), tree_bytes(tmp_path / "two")
     assert a.keys() == b.keys()
     assert all(a[k] == b[k] for k in a)
+
+
+def test_generation_is_byte_identical_under_frequent_thread_switches(tmp_path):
+    """A 1 µs switch interval interleaves synthesis and the writer thread finely."""
+    cfg = small_config()
+    gen_dataset(cfg, tmp_path / "reference")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gen_dataset(cfg, tmp_path / "switched")
+    finally:
+        sys.setswitchinterval(interval)
+    assert tree_bytes(tmp_path / "switched") == tree_bytes(tmp_path / "reference")
+
+
+def test_generation_raises_the_writer_threads_own_error(tmp_path, monkeypatch):
+    """A failed write surfaces as the same exception object, and the thread has ended.
+
+    The last write fails, so no later ``write`` call can raise it: the error
+    must come from draining the queue before the manifests.
+    """
+    error = OSError(5, "Input/output error")
+    real = datamod.write_bytes_atomic
+
+    def last_fails(path, payload):
+        if path.endswith(os.path.join("texture-c", "test", "anom_0001_mask.pgm")):
+            raise error
+        real(path, payload)
+
+    monkeypatch.setattr(datamod, "write_bytes_atomic", last_fails)
+    threads = threading.active_count()
+    with pytest.raises(OSError) as raised:
+        gen_dataset(small_config(), tmp_path)
+    assert raised.value is error
+    assert threading.active_count() == threads
+    assert not (tmp_path / "train.jsonl").exists()
+
+
+def test_interrupted_generation_leaves_no_thread(tmp_path, monkeypatch):
+    real, calls = datamod._synth_sample, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 20:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(datamod, "_synth_sample", interrupted)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        gen_dataset(small_config(), tmp_path)
+    assert threading.active_count() == threads
+    assert not (tmp_path / "train.jsonl").exists()
+    # the writes handed over finish whole: every file is complete, no temp file is left
+    written = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert written and not [path for path in written if path.name.startswith(".tmp-")]
+    assert all(read_pgm(path).shape == (32, 32) for path in written)
 
 
 def test_generated_masks_and_labels(tmp_path):

@@ -118,10 +118,10 @@ def test_weights_validation():
         LossWeights(lambda1=-0.1)
 
 
-def _score_toy(beta1, beta2):
+def _score_toy(beta1, beta2, tau=0.07):
     image = np.zeros((8, 8), dtype=np.float32)
     return score_batch(init_backbone(TOY), init_params(TOY.dim), [image], [toy_text()], None,
-                       beta1, beta2)
+                       beta1, beta2, tau)
 
 
 NAN = float("nan")
@@ -159,13 +159,17 @@ def test_nan_setting_is_config_error(build, message):
     (lambda: TrainConfig(tau=float("inf")), "temperature must be positive and finite"),
     (lambda: _score_toy(float("inf"), 0.0), "fusion weights must be nonnegative and finite"),
     (lambda: _score_toy(1.0, float("inf")), "fusion weights must be nonnegative and finite"),
-], ids=["tau", "beta1", "beta2"])
+    (lambda: text_probabilities(np.ones((4, 8)), np.eye(2, 8), float("inf")),
+     "temperature must be positive and finite"),
+    (lambda: _score_toy(1.0, 0.0, tau=float("inf")), "temperature must be positive and finite"),
+], ids=["tau", "beta1", "beta2", "text_tau", "score_tau"])
 def test_infinite_setting_is_config_error(build, message):
-    """An infinite train tau or beta is refused, as a NaN one is.
+    """An infinite tau or beta is refused, as a NaN one is.
 
     An infinite beta scored every image inf, so eval reported AUC 0.5 / 0.5,
     and an infinite tau flattened the text logits, so training wrote a
-    checkpoint at a loss that did not move.
+    checkpoint at a loss that did not move and ``score_batch`` scored every
+    image 0.5.
     """
     with pytest.raises(ConfigError, match=message):
         build()
