@@ -277,8 +277,8 @@ def _synth_sample(config, modality_index, split_code, anomalous, index):
     return image, mask
 
 
-# writes handed to the writer thread at once; one batch waits while one is
-# written, so at most 32 writes are in flight
+# writes handed to the writer thread at once; at most two batches are handed
+# over and not yet written, so at most 32 writes are in flight
 _BATCH_WRITES = 16
 
 
@@ -294,8 +294,12 @@ def _writer_thread():
     thread, whatever ends the block. The first failed write is raised
     again, as the same exception object, at the next hand-over or on
     leaving, and no write is attempted after it.
+
+    The thread is not a daemon, and handing it the stop sentinel never
+    blocks, so even a Ctrl-C during the join lets it finish (or clean up)
+    the writes already handed over before the interpreter exits.
     """
-    pending = queue.Queue(1)
+    pending, room = queue.SimpleQueue(), threading.Semaphore(2)
     batch, failed = [], []
 
     def drain():
@@ -305,12 +309,14 @@ def _writer_thread():
                     break
                 try:
                     write_bytes_atomic(path, payload)
-                except BaseException as exc:  # keep draining, so no put() blocks forever
+                except BaseException as exc:
                     failed.append(exc)
+            room.release()  # also after a failure, so no acquire() blocks forever
 
     def hand_over():
         if failed:
             raise failed[0]
+        room.acquire()
         pending.put(tuple(batch))
         batch.clear()
 
@@ -319,7 +325,7 @@ def _writer_thread():
         if len(batch) == _BATCH_WRITES:
             hand_over()
 
-    thread = threading.Thread(target=drain, name="mvfa-gen-data-writer", daemon=True)
+    thread = threading.Thread(target=drain, name="mvfa-gen-data-writer")
     thread.start()
     try:
         yield write

@@ -10,11 +10,11 @@ of every byte before it. This is the only module that knows a binary layout.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -26,23 +26,48 @@ VERSION = 2
 WRITER = {"checkpoint": "train", "bank": "build-bank", "map": "predict"}
 
 
+# numbers the temp files of this process; with the pid, a temp name is unique
+_temp_serial = itertools.count()
+
+
 def write_bytes_atomic(path, payload: bytes):
     """Write a file via a temp sibling plus rename, so readers never see partials.
 
-    A missing parent directory is created first.
+    A missing parent directory is created first. The temp file is made
+    with plain ``os.open`` and unbuffered writes, not ``tempfile.mkstemp``
+    and a buffered file object, which took over twice the time per small
+    file; ``gen-data`` writes about 2,000 of them.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    directory, name = os.path.split(path)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        tmp, fd = _create_temp(directory, name)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        tmp, fd = _create_temp(directory, name)
+    try:
+        try:
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _create_temp(directory, name):
+    """(path, fd) of a new, empty, owner-only ``.tmp-<pid>-<n>-<name>`` in ``directory``."""
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{next(_temp_serial)}-{name}")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW,
+                                0o600)
+        except FileExistsError:
+            continue  # left behind by an earlier process with the same pid
 
 
 def write_text_atomic(path, text: str):

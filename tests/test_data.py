@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,30 @@ def test_pgm_malformed_names_byte_offset(tmp_path):
 def test_write_pgm_requires_u8(tmp_path):
     with pytest.raises(FormatError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.float32))
+
+
+def test_atomic_write_makes_the_parent_replaces_the_file_and_leaves_no_temp(tmp_path,
+                                                                           monkeypatch):
+    from mvfa import fileio
+    path = tmp_path / "a" / "b" / "x.pgm"
+    fileio.write_bytes_atomic(path, b"first")
+    # a temp file a crashed process of the same pid left under the next name is skipped
+    serial = next(fileio._temp_serial) + 1
+    stale = path.parent / f".tmp-{os.getpid()}-{serial}-x.pgm"
+    stale.write_bytes(b"stale")
+    fileio.write_bytes_atomic(path, b"second")
+    assert path.read_bytes() == b"second" and stale.read_bytes() == b"stale"
+    assert sorted(p.name for p in path.parent.iterdir()) == [stale.name, "x.pgm"]
+    assert path.stat().st_mode & 0o777 == 0o600
+
+    def fails(*_):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(fileio.os, "replace", fails)
+    with pytest.raises(OSError, match="No space"):
+        fileio.write_bytes_atomic(path, b"third")
+    assert path.read_bytes() == b"second"
+    assert sorted(p.name for p in path.parent.iterdir()) == [stale.name, "x.pgm"]
 
 
 # -- generation -----------------------------------------------------------------
@@ -145,6 +170,38 @@ def test_interrupted_generation_leaves_no_thread(tmp_path, monkeypatch):
     written = [path for path in tmp_path.rglob("*") if path.is_file()]
     assert written and not [path for path in written if path.name.startswith(".tmp-")]
     assert all(read_pgm(path).shape == (32, 32) for path in written)
+
+
+def test_writer_thread_interrupted_in_its_join_still_finishes_every_write(tmp_path,
+                                                                           monkeypatch):
+    """A Ctrl-C during the final join leaves a non-daemon thread that ends on its own.
+
+    Interpreter exit waits for such a thread, so no write is cut off with
+    its temp file left behind.
+    """
+    real_write, real_join = datamod.write_bytes_atomic, threading.Thread.join
+
+    def slow(path, payload):
+        time.sleep(0.005)  # so 16 or more writes are still queued at the join
+        real_write(path, payload)
+
+    def interrupted(thread, timeout=None):
+        if thread.name == "mvfa-gen-data-writer":
+            monkeypatch.setattr(threading.Thread, "join", real_join)
+            raise KeyboardInterrupt
+        real_join(thread, timeout)
+
+    monkeypatch.setattr(datamod, "write_bytes_atomic", slow)
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        gen_dataset(small_config(), tmp_path)
+    writer, = [t for t in threading.enumerate() if t.name == "mvfa-gen-data-writer"]
+    assert not writer.daemon
+    writer.join(10)
+    assert not writer.is_alive()
+    written = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert len(written) == 2 * 3 * (4 + 3 + 2 + 2)
+    assert not [path for path in written if path.name.startswith(".tmp-")]
 
 
 def test_generated_masks_and_labels(tmp_path):
