@@ -21,16 +21,19 @@ the bilinear upsample are plain-array kernels, each with its VJP
 so each formula is written once. :func:`release` frees the arrays that a
 graph holds but no VJP reads.
 
-Training runs a batch of B samples as one graph whose arrays carry a
-leading batch axis, and it must give the bits of B single-sample graphs
-summed by the engine. Row-wise work is per sample already; two places need
-care. A weight shared by the batch gets one gradient product per sample,
-added in sample order (:func:`matmul`), because that is the order in which
-the engine accumulates one product per sample graph; a single (B * N)-row
-product would pair the terms differently. And a reduction over a sample's
-map pairs its elements by memory layout, so batched maps are built in C
-order (:func:`upsample`), where each sample is one contiguous block laid
-out as its own map.
+Training runs a batch of samples as graphs whose arrays carry a leading
+batch axis, and it must give the bits of one single-sample graph per
+sample summed by the engine. Row-wise work is per sample already; two
+places need care. A weight shared by the batch gets one gradient product
+per sample (:func:`matmul`), added in sample order (:func:`sum_in_order`),
+because that is the order in which the engine accumulates one product per
+sample graph; a single (B * N)-row product would pair the terms
+differently. The sum runs on across the graphs of one step: given the
+step's running sums, :func:`backward` adds each product onto its weight's
+sum one sample at a time, so a step split into several graphs keeps the
+bits of one. And a reduction over a sample's map pairs its elements by
+memory layout, so batched maps are built in C order (:func:`upsample`),
+where each sample is one contiguous block laid out as its own map.
 """
 
 from __future__ import annotations
@@ -200,22 +203,35 @@ def matmul(a, b):
     def backward_fn(g):
         g_b = None
         if b.requires_grad:
-            # one product per sample, added in sample order
+            # one product per sample; backward adds them in sample order
             g_b = (a.data.T @ g if a.ndim == 2
-                   else sum_in_order(np.matmul(a.data.swapaxes(-1, -2), g)))
+                   else _PerSample(np.matmul(a.data.swapaxes(-1, -2), g)))
         return (g @ b.data.T if a.requires_grad else None, g_b)
 
     return record(data, "matmul", (a, b), backward_fn)
 
 
-def sum_in_order(parts):
-    """Sum of ``parts`` along its first axis, added left to right.
+class _PerSample:
+    """The gradient of a tensor shared by a batch: one part per sample, not yet added."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
+
+
+def sum_in_order(parts, total=None):
+    """Sum of ``parts`` along its first axis, added left to right onto ``total``.
 
     This is the order of a chain of additions, one part at a time; np.sum
-    pairs eight or more terms differently.
+    pairs eight or more terms differently. Without ``total`` the sum starts
+    from a copy of the first part; an array ``total`` is added onto in
+    place, so a sum can run on over parts that arrive in pieces and keep
+    the bits of one call over all of them.
     """
-    total = parts[0].copy()
-    for part in parts[1:]:
+    if total is None:
+        total, parts = parts[0].copy(), parts[1:]
+    for part in parts:
         total += part
     return total
 
@@ -342,13 +358,22 @@ def upsample_vjp(g, src_shape, dtype):
     return total.reshape(g.shape[:-2] + (gh, gw))
 
 
-def backward(loss):
+def backward(loss, sums=None):
     """Propagate gradients from a scalar loss back to requires-grad leaves.
 
     Returns a mapping from each reachable leaf tensor to a gradient tensor
     of the same shape. Gradients from multiple uses of a leaf accumulate by
-    summation. Graph nodes are released as they are consumed, so the graph
-    cannot be replayed.
+    summation; a leaf shared by a batch adds its per-sample products in
+    sample order. Graph nodes are released as they are consumed, so the
+    graph cannot be replayed.
+
+    ``sums``, a dict from leaf to array shared by the graphs of one
+    training step, makes the call add each leaf's gradient onto its entry
+    instead, one per-sample product at a time and starting from a copy of
+    the first (:func:`sum_in_order`), so the step keeps the bits of one
+    graph over all its samples; None is returned. A leaf reached twice in
+    one graph is then a ContractError: its second gradient would follow
+    the first one's later samples.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -373,23 +398,37 @@ def backward(loss):
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-    grads = {loss: np.ones_like(loss.data)}
+    grads = {}
+    reached = set()
+
+    def arrive(tensor, g):
+        if sums is not None and tensor.node is None:
+            if tensor in reached:
+                raise ContractError(f"backward: a leaf of shape {tensor.shape} is reached "
+                                    f"twice in one graph, so its running sum would add "
+                                    f"its gradients out of sample order")
+            reached.add(tensor)
+            parts = g.parts if isinstance(g, _PerSample) else g[None]
+            sums[tensor] = sum_in_order(parts, sums.get(tensor))
+            return
+        if isinstance(g, _PerSample):
+            g = sum_in_order(g.parts)
+        grads[tensor] = grads[tensor] + g if tensor in grads else g
+
+    arrive(loss, np.ones_like(loss.data))
     leaf_grads = {}
     for tensor in reversed(topo):
         g = grads.pop(tensor, None)
         if g is None:
             continue
         if tensor.node is None:
-            if tensor.requires_grad:
-                leaf_grads[tensor] = g
+            leaf_grads[tensor] = g
             continue
         parent_grads = tensor.node.backward(g)
         for parent, pg in zip(tensor.node.parents, parent_grads):
-            if pg is None or not (parent.requires_grad or parent.node is not None):
-                continue
-            if parent in grads:
-                grads[parent] = grads[parent] + pg
-            else:
-                grads[parent] = pg
+            if pg is not None and (parent.requires_grad or parent.node is not None):
+                arrive(parent, pg)
         tensor.node = None
-    return {leaf: Tensor(np.array(g, copy=True)) for leaf, g in leaf_grads.items()}
+    if sums is None:
+        return {leaf: Tensor(np.array(g, copy=True)) for leaf, g in leaf_grads.items()}
+    return None

@@ -18,24 +18,31 @@ dice p*s, dice sum(p), focal p*s, focal -p. The node's parents are
 first, which keeps the order in which the shared adapter tensors receive
 their gradients.
 
-Training runs the B samples of a step as one graph with a leading batch
-axis, and the loss holds one value per sample. Every value and gradient
-keeps the bits of a graph of one sample, which the batch must reproduce:
-the maps are built in C order, so a sample's sums over its map pair the
-elements as they would for that map alone, and the per-sample totals are
-added left to right, as a chain of per-sample additions would; ``np.sum``
-pairs eight or more terms differently. A sample without a mask has no seg
-term, and its rows of the seg gradient are zero, which adds nothing.
+Training runs the samples of a step as consecutive graphs of at most
+:data:`SUB_BATCH` samples, each with a leading batch axis, and the loss
+holds one value per sample. Every value and gradient keeps the bits of a
+graph of one sample, which the batch must reproduce: the maps are built in
+C order, so a sample's sums over its map pair the elements as they would
+for that map alone, and the per-sample totals are added left to right, as
+a chain of per-sample additions would; ``np.sum`` pairs eight or more
+terms differently. The step's weight gradients run on across its graphs:
+each backward adds its per-sample weight products onto the step's running
+sums in sample order (``autograd.backward``), so a step split into any
+number of graphs gets the bits of one graph of all its samples, and a
+step's memory is that of one graph, whatever ``batch_size`` is. A sample
+without a mask has no seg term, and its rows of the seg gradient are zero,
+which adds nothing.
 
-Training holds at most one batch of samples. The embedding and stage 1
-reach no trainable tensor, so a step needs of each sample only its
+Training holds at most one graph of samples. The embedding and stage 1
+reach no trainable tensor, so a graph needs of each sample only its
 stage-1 rows, its label, its modality and its mask as bool. A training
 set that fits in one batch (the few-shot case) is loaded and passed
-through them once; a larger one (the zero-shot case) is loaded again at
-every step, one step's samples at a time, so memory does not grow with
-the training set. :func:`total_loss` casts a step's bool masks to one
-float32 stack that the four level nodes share; a bool mask gives the
-loss the bits of the float32 one, since both cast to the same 0/1 map.
+through them once, one graph's samples at a time, and its rows are kept;
+a larger one (the zero-shot case) is loaded again for every graph, when
+the graph runs, so memory does not grow with the training set or the
+batch. :func:`total_loss` casts a graph's bool masks to one float32 stack
+that the four level nodes share; a bool mask gives the loss the bits of
+the float32 one, since both cast to the same 0/1 map.
 """
 
 from __future__ import annotations
@@ -56,6 +63,9 @@ from .fileio import write_text_atomic
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
+# samples per training graph: the encoder blocks' per-sample cost is about
+# flat from 8 samples up and rises below, while memory grows with the graph
+SUB_BATCH = 8
 
 
 @dataclass
@@ -342,6 +352,11 @@ def _sum_samples(totals):
                      lambda g: (np.broadcast_to(g, totals.shape),))
 
 
+def _graphs(indices):
+    """``indices`` in consecutive runs of at most :data:`SUB_BATCH`."""
+    return [indices[i:i + SUB_BATCH] for i in range(0, len(indices), SUB_BATCH)]
+
+
 def train(backbone, params: MVFAParams, samples, text_features: dict,
           config: TrainConfig, loss_log_path=None):
     """Optimize the adapter parameters on loaded (or loadable) samples.
@@ -352,16 +367,25 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     tensor. Returns the per-epoch mean losses and optionally appends them
     to a CSV file.
 
+    Each step takes up to ``batch_size`` samples and makes one Adam update.
+    It runs them as consecutive (B, N, d) graphs of at most
+    :data:`SUB_BATCH` samples, each with its own forward, loss and backward
+    pass, and the backward passes add the weight gradients onto the step's
+    running sums in sample order. The step's loss is its per-sample totals
+    added left to right, times 1/len(step); a non-finite one raises
+    NumericError before the update, and a step whose graphs reach no
+    trainable tensor raises the engine's ContractError. Every sample keeps
+    the bits it would get in a graph of its own, so the checkpoints are
+    those of training one sample graph at a time (``tests/train_oracle.py``)
+    whatever the graph size.
+
     A training set that fits in one batch is loaded and run through the
-    embedding and stage 1 once, and each epoch takes its permutation of
-    those rows. A larger set is streamed: each step loads only its own
-    samples and runs them through the embedding and stage 1, so memory does
-    not grow with the training set, and a sample that fails to load fails
-    the step that reaches it. Each step runs its samples as one (B, N, d)
-    graph and sums their losses left to right before one backward pass;
-    every sample keeps the bits it would get in a graph of its own, so the
-    checkpoints are those of training one sample graph at a time
-    (``tests/train_oracle.py``).
+    embedding and stage 1 once, one graph's samples at a time, and each
+    epoch takes its permutation of those rows. A larger set is streamed:
+    each graph loads only its own samples and runs them through the
+    embedding and stage 1, so memory grows with neither the training set
+    nor the batch, and a sample that fails to load fails the step that
+    reaches it.
     """
     if not samples:
         raise DataError("training set is empty")
@@ -375,38 +399,49 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     history = []
     if len(samples) <= config.batch_size:
-        whole = _step_inputs(backbone, samples)
+        rows, labels, modalities, masks = zip(*(
+            _step_inputs(backbone, [samples[i] for i in graph])
+            for graph in _graphs(range(len(samples)))))
+        rows, labels = np.concatenate(rows), np.concatenate(labels)
+        modalities, masks = sum(modalities, []), sum(masks, [])
 
-        def step_inputs(chunk):
-            rows, labels, modalities, masks = whole
-            return (rows[chunk], labels[chunk], [modalities[i] for i in chunk],
-                    [masks[i] for i in chunk])
+        def graph_inputs(graph):
+            return (rows[graph], labels[graph], [modalities[i] for i in graph],
+                    [masks[i] for i in graph])
     else:
-        def step_inputs(chunk):
-            return _step_inputs(backbone, [samples[i] for i in chunk])
+        def graph_inputs(graph):
+            return _step_inputs(backbone, [samples[i] for i in graph])
+
+    def graph_totals(graph):
+        """Per-sample loss totals of one graph; its features live on only in its nodes."""
+        stage1, labels, modalities, masks = graph_inputs(graph)
+        features = adapt_forward(backbone, params, None, stage1=Tensor(stage1))[0]
+        texts = np.stack([text_features[m].data for m in modalities])
+        return total_loss(features, Tensor(texts), labels, masks, config.weights,
+                          tau=config.tau, out_hw=out_hw, levels=config.levels)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(samples))
         weighted = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            stage1, labels, modalities, masks = step_inputs(chunk)
-            features = adapt_forward(backbone, params, None, stage1=Tensor(stage1))[0]
-            texts = np.stack([text_features[m].data for m in modalities])
-            totals = total_loss(features, Tensor(texts), labels, masks, config.weights,
-                                tau=config.tau, out_hw=out_hw, levels=config.levels)
-            batch = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
-            value = float(batch.data)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch + 1}, step {state.step + 1}")
-            grads = ag.backward(batch)
+            total, sums = None, {}
+            for graph in _graphs(chunk):
+                totals = graph_totals(graph)
+                total = ag.sum_in_order(totals.data, total)
+                if not np.isfinite(total):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch + 1}, step {state.step + 1}")
+                loss = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
+                # a graph whose samples reach no trainable tensor adds nothing
+                if loss.requires_grad:
+                    ag.backward(loss, sums)
+            if not sums:
+                ag.backward(loss)  # raises: no graph of the step reaches a trainable tensor
             # ablation level masks can leave some tensors off the loss path
-            active = [(n, p) for n, p in named if p in grads]
-            adam_step(active, grads, state, config.lr)
-            weighted += value * len(chunk)
-            # not alive at the next step's backward peak
-            del features, totals, batch, grads
+            active = [(n, p) for n, p in named if p in sums]
+            adam_step(active, {p: Tensor(g) for p, g in sums.items()}, state, config.lr)
+            weighted += float(total * (1.0 / len(chunk))) * len(chunk)
         history.append(weighted / len(samples))
 
     if loss_log_path is not None:

@@ -286,14 +286,57 @@ def test_batched_matmul_adds_weight_gradients_in_sample_order():
     g = rng.standard_normal((count, 64, 8)).astype(np.float32)
     w = Tensor(rng.standard_normal((16, 8)).astype(np.float32), requires_grad=True)
     batched = ag.matmul(Tensor(a, requires_grad=True), w)
-    g_a, g_w = batched.node.backward(g)
+    g_a = batched.node.backward(g)[0]
     total = None
     for i in range(count):
         assert batched.data[i].tobytes() == (a[i] @ w.data).tobytes()
         assert g_a[i].tobytes() == (g[i] @ w.data.T).tobytes()
         part = ops.sum(ops.mul(ag.matmul(Tensor(a[i]), w), Tensor(g[i])))
         total = part if total is None else ag.add(total, part)
-    assert g_w.tobytes() == backward(total)[w].data.tobytes()
+    g_w = backward(ops.sum(ops.mul(batched, Tensor(g))))[w]  # batched receives g itself
+    assert g_w.data.tobytes() == backward(total)[w].data.tobytes()
+
+
+def _batched_loss(a, g, w):
+    """sum(g * (a @ w)) over a batch, whose gradient at the product is g itself."""
+    return ops.sum(ops.mul(ag.matmul(Tensor(a), w), Tensor(g)))
+
+
+@pytest.mark.parametrize("splits", [(9,), (1, 8), (4, 5), (3, 3, 3), (1,) * 9])
+def test_running_sums_keep_the_bits_of_one_graph_across_graphs(splits):
+    # a batch run as consecutive graphs sums each weight's per-sample products
+    # in sample order, starting from a copy of the first one
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((9, 64, 16)).astype(np.float32)
+    g = rng.standard_normal((9, 64, 8)).astype(np.float32)
+    w = Tensor(rng.standard_normal((16, 8)).astype(np.float32), requires_grad=True)
+    one_graph = backward(_batched_loss(a, g, w))[w].data
+    sums, start = {}, 0
+    for size in splits:
+        part = slice(start, start + size)
+        assert backward(_batched_loss(a[part], g[part], w), sums) is None
+        start += size
+    assert list(sums) == [w] and sums[w].tobytes() == one_graph.tobytes()
+    # the sum is its own array, not a view of a product the engine made
+    assert sums[w].base is None
+
+
+def test_leaf_reached_twice_with_running_sums_is_contract_error():
+    # its second product would be added after the first one's later samples
+    rng = np.random.default_rng(26)
+    a, b = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
+    g = rng.standard_normal((3, 5, 2)).astype(np.float32)
+    w = Tensor(rng.standard_normal((4, 2)).astype(np.float32), requires_grad=True)
+
+    def loss():
+        both = ag.add(ag.matmul(Tensor(a), w), ag.matmul(Tensor(b), w))
+        return ops.sum(ops.mul(both, Tensor(g)))
+
+    expected = ag.sum_in_order(np.matmul(b.swapaxes(-1, -2), g)) + ag.sum_in_order(
+        np.matmul(a.swapaxes(-1, -2), g))
+    assert backward(loss())[w].data.tobytes() == expected.tobytes()
+    with pytest.raises(ContractError, match="reached twice in one graph"):
+        backward(loss(), {})
 
 
 def test_graph_freed_after_backward():

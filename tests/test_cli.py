@@ -17,7 +17,7 @@ import pytest
 from forge import START, container, forge, header_bytes, split, v1_bank, v1_checkpoint
 from test_adaptation import overflowing_checkpoint
 
-from mvfa import cli, objective
+from mvfa import autograd, cli, objective
 from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import DEFAULT_CONFIG, build_parser, main
@@ -620,6 +620,44 @@ def test_training_image_that_fails_to_load_mid_run_writes_nothing(workdir, tmp_p
     err = capsys.readouterr().err
     assert err.startswith(f"error: {image}: ") and "Traceback" not in err
     assert steps and sorted(os.listdir(tmp_path)) == ["data"]
+
+
+def test_non_finite_loss_in_a_later_graph_of_the_first_step_writes_nothing(
+        workdir, tmp_path, capsys, monkeypatch):
+    """A step of 4 runs as graphs of 2; only its second graph's loss is NaN.
+
+    The first graph's backward has run, but the step raises before its Adam
+    update: exit 3 with the step named, and neither the checkpoint nor the
+    loss log written.
+    """
+    root, config, data = workdir
+    calls = {"loss": 0, "backward": 0, "adam": 0}
+    total_loss, backward, adam_step = objective.total_loss, autograd.backward, objective.adam_step
+
+    def nan_in_second_graph(*args, **kwargs):
+        calls["loss"] += 1
+        totals = total_loss(*args, **kwargs)
+        return autograd.scale(totals, np.nan) if calls["loss"] == 2 else totals
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(objective, "SUB_BATCH", 2)
+    monkeypatch.setattr(objective, "total_loss", nan_in_second_graph)
+    monkeypatch.setattr(autograd, "backward", counted("backward", backward))
+    monkeypatch.setattr(objective, "adam_step", counted("adam", adam_step))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["train", "--config", config, "--data", data, "--out", str(out / "m.ckpt"),
+                 "--mode", "zero-shot"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numeric failure: non-finite loss at epoch 1, step 1\n"
+    assert calls == {"loss": 2, "backward": 1, "adam": 0}
+    assert os.listdir(out) == []
 
 
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import train_oracle
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
+from mvfa import objective
 from mvfa.adaptation import adapt_forward, init_params, save_checkpoint, text_probabilities
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, FrozenBackbone, init_backbone
@@ -775,44 +776,45 @@ def test_batched_training_matches_per_sample_oracle_on_seeded_draws():
 
 
 def _default_size_step(monkeypatch, batch_size):
-    """Train one default-size step of masked samples; returns the node count of its graph."""
+    """Train one default-size step of masked samples; returns the node count of each graph."""
     config = BackboneConfig()
     samples = [s for s in mixed_samples(3 * batch_size, config.image_size, seed=18)
                if s.mask is not None][:batch_size]
     counted = []
     engine_backward = ag.backward
 
-    def counting_backward(loss):
+    def counting_backward(loss, sums=None):
         counted.append(_graph_nodes(loss))
-        return engine_backward(loss)
+        return engine_backward(loss, sums)
 
     monkeypatch.setattr(ag, "backward", counting_backward)
     _trained_bits(train, config, samples, {},
                   TrainConfig(batch_size=batch_size, epochs=1, seed=10))
-    (nodes,) = counted
-    return nodes
+    return counted
 
 
 @pytest.mark.parametrize("batch_size", [1, 16])
 def test_training_step_graph_stays_small(monkeypatch, batch_size):
-    # one graph per step, whatever its batch size: 50 nodes (65 before each adapter
-    # mix became one node; 16 one-sample graphs would hold about 800)
-    assert _default_size_step(monkeypatch, batch_size) <= 55
+    # one graph per 8 samples of a step: 50 nodes each (65 before each adapter mix
+    # became one node; 16 one-sample graphs would hold about 800)
+    counted = _default_size_step(monkeypatch, batch_size)
+    assert len(counted) == (batch_size + 7) // 8 and max(counted) <= 55
 
 
 def test_training_step_memory_is_bounded(monkeypatch):
-    # the stage-1 pass and one 16-sample step: 15.2 MiB measured; 18.6 MiB while each
-    # block node kept h and a bool ReLU sign, each level its own float mask stack and
-    # the upsample VJP gathered its whole plan at once; 27.4 MiB while each encoder
-    # block node kept its heads' q, k, v and attention, and 39.0 MiB while the graph
-    # also kept each adapter mix's scale and add outputs
+    # the stage-1 pass and one 16-sample step as two 8-sample graphs: 9.3 MiB
+    # measured; 15.2 MiB as one 16-sample graph; 18.6 MiB while each block node
+    # kept h and a bool ReLU sign, each level its own float mask stack and the
+    # upsample VJP gathered its whole plan at once; 27.4 MiB while each encoder
+    # block node kept its heads' q, k, v and attention, and 39.0 MiB while the
+    # graph also kept each adapter mix's scale and add outputs
     tracemalloc.start()
     try:
         _default_size_step(monkeypatch, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17.5 * 2 ** 20
+    assert peak < 10.0 * 2 ** 20
 
 
 def _manifest(root, image_size, normals, anomalies, modalities):
@@ -869,8 +871,9 @@ def test_training_peak_does_not_grow_with_the_training_set(tmp_path):
 
 
 def test_training_embeds_one_batch_once_and_a_larger_set_at_every_step(monkeypatch):
-    # the few-shot set reuses its stage-1 rows across epochs; a zero-shot set
-    # larger than one batch embeds each step's samples when the step runs
+    # the few-shot set reuses its stage-1 rows across epochs, computed one graph
+    # of 3 at a time; a zero-shot set larger than one batch embeds each graph's
+    # samples when the graph runs
     batches = []
     embed = FrozenBackbone.embed
 
@@ -879,12 +882,76 @@ def test_training_embeds_one_batch_once_and_a_larger_set_at_every_step(monkeypat
         return embed(self, images)
 
     monkeypatch.setattr(FrozenBackbone, "embed", counted)
-    for count, expected in ((4, [4]), (5, [4, 1] * 3)):
+    monkeypatch.setattr(objective, "SUB_BATCH", 3)
+    for count, expected in ((4, [3, 1]), (5, [3, 1, 1] * 3)):
         backbone, params, text = toy_setup()
         batches.clear()
         train(backbone, params, toy_samples(count), text,
               TrainConfig(batch_size=4, epochs=3, seed=2))
         assert batches == expected, count
+
+
+def _train_outputs(tmp_path, samples, train_config):
+    """Checkpoint and loss-log bytes of a default-model run on ``samples``."""
+    backbone = init_backbone(TOY)
+    params = init_params(TOY.dim, seed=11)
+    text = {"widget": toy_text(dtype=np.float32), "gadget": toy_text(seed=1, dtype=np.float32)}
+    log = tmp_path / "loss.csv"
+    train(backbone, params, samples, text, train_config, loss_log_path=log)
+    save_checkpoint(tmp_path / "model.ckpt", TOY, params)
+    return (tmp_path / "model.ckpt").read_bytes(), log.read_bytes()
+
+
+@pytest.mark.parametrize("count", [20, 7])
+def test_training_bytes_do_not_depend_on_the_graph_size(tmp_path, monkeypatch, count):
+    # 20 samples stream in steps of 16 and 4; 7 fit in one batch. 3 divides
+    # neither step, and 16 or more runs each step as one graph
+    samples = mixed_samples(count, TOY.image_size, seed=27)
+    train_config = TrainConfig(lr=1e-2, batch_size=16, epochs=2, seed=12)
+    outputs = []
+    for size in (1, 3, 8, 16, 40):
+        monkeypatch.setattr(objective, "SUB_BATCH", size)
+        outputs.append(_train_outputs(tmp_path / str(size), samples, train_config))
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+def test_a_graph_that_reaches_no_trainable_tensor_adds_nothing(monkeypatch):
+    # with lambda3 0 a mask-free sample's loss has no node, so in graphs of one
+    # sample its graph has no backward and the step keeps the oracle's bits; a
+    # step whose graphs all reach none raises the oracle's ContractError
+    monkeypatch.setattr(objective, "SUB_BATCH", 1)
+    masked, free = toy_samples(4, seed=29), toy_samples(4, with_masks=False, seed=30)
+    train_config = TrainConfig(lr=1e-2, batch_size=4, epochs=2, seed=10,
+                               weights=LossWeights(1.0, 1.0, 0.0))
+    samples = [masked[0], free[1], masked[2], free[3]]
+    assert (_trained_bits(train, TOY, samples, {}, train_config)
+            == _trained_bits(train_oracle.train, TOY, samples, {}, train_config))
+    for train_fn in (train, train_oracle.train):
+        with pytest.raises(ContractError, match="not connected to any requires-grad tensor"):
+            _trained_bits(train_fn, TOY, free, {}, train_config)
+
+
+def test_training_step_memory_does_not_grow_with_the_batch(tmp_path):
+    # a streamed step of 32 samples runs as four 8-sample graphs: 52 KiB more than
+    # a step of 8 measured, against 18.4 MiB more as one 32-sample graph
+    config = BackboneConfig()
+    samples = mixed_samples(33, config.image_size, seed=28)
+    text = {"widget": toy_text(config.dim, dtype=np.float32),
+            "gadget": toy_text(config.dim, seed=1, dtype=np.float32)}
+
+    def peak(batch_size):
+        backbone = init_backbone(config)
+        params = init_params(config.dim, seed=11)
+        tracemalloc.start()
+        try:
+            train(backbone, params, samples[:batch_size + 1], text,
+                  TrainConfig(batch_size=batch_size, epochs=1, seed=10))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # warm caches
+    assert peak(32) - peak(8) <= 256 * 1024
 
 
 def test_training_rejects_a_mask_that_is_not_zero_or_one():

@@ -4,9 +4,9 @@ Every sample of a step gets a graph of its own: the patch embedding, the
 encoder blocks of ``block_oracle``, the adapters and projections as
 primitive ops, and the level losses of ``loss_oracle``. The sample losses
 are added one at a time, the sum is scaled by 1/B, and one backward pass
-feeds one Adam update. ``mvfa.objective.train`` runs a step as one batched
-graph and must reproduce this loop's loss history and parameters bit for
-bit.
+feeds one Adam update. ``mvfa.objective.train`` runs a step as batched
+graphs of at most ``SUB_BATCH`` samples and must reproduce this loop's loss
+history and parameters bit for bit.
 """
 
 import block_oracle
