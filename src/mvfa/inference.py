@@ -6,7 +6,8 @@ to the nearest row of a per-level memory bank built from normal reference
 images. Both produce an image score and per-level scores on the patch
 grid, combined linearly with weights (beta1, beta2) by :func:`blend`; a
 result keeps the branches' grids and weights, and :func:`fused_maps`
-upsamples and fuses the maps of one result or of a whole test set.
+upsamples each level of a few results once and fuses both the mean map
+and every level's map from them.
 Both branches score a chunk of images at once, one call per level and
 role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
@@ -27,9 +28,9 @@ from .autograd import no_grad
 from .errors import BankError, ConfigError, ContractError, FormatError
 from .fileio import read_tensors, write_tensors
 
-# images loaded, scored and upsampled per batch: it bounds what scoring holds
-# at once, and a batch gives each image the bits it gets alone
-CHUNK = 16
+# images loaded, scored and upsampled per batch: it bounds what scoring and
+# evaluation hold at once, and a batch gives each image the bits it gets alone
+CHUNK = 8
 
 
 @dataclass
@@ -65,7 +66,8 @@ class AnomalyResult:
     @property
     def s_pred(self):
         """(h, w) fused map: the blend of the branches' mean maps."""
-        return fused_maps([self], self.beta1, self.beta2)[0]
+        *_, mean = fused_maps([self], self.beta1, self.beta2)
+        return mean[0]
 
     @property
     def s_levels_zero(self):
@@ -95,36 +97,36 @@ def blend(beta1, zero, beta2, few):
     return beta1 * zero + beta2 * few
 
 
-def fused_maps(results, beta1, beta2, level=None) -> np.ndarray:
-    """The fused float64 maps of ``results``, as one (images, h, w) array.
+def fused_maps(results, beta1, beta2):
+    """Yield the fused float64 (images, h, w) maps of a few ``results``.
 
-    Each map blends the branches' maps of ``level``, or without a level
-    their means over the four levels, upsampled CHUNK images at a time. A
-    mean adds the levels one at a time to +0.0, as ``np.mean`` does, and
-    divides by their count: it keeps the bits of ``s_levels_zero.mean(axis=0)``
-    without holding four maps per image.
+    The four levels' maps come first, in order, then the blend of the
+    branches' means over the levels. Each branch's level maps are upsampled
+    once, one level at a time, and feed both. A mean adds the levels one at
+    a time to +0.0, as ``np.mean`` does, and divides by their count: it
+    keeps the bits of ``s_levels_zero.mean(axis=0)`` without holding four
+    maps per image. Past a level's map only the running sums are kept, so a
+    caller that passes at most CHUNK results and reads each map before the
+    next holds one chunk's map at a time.
     """
     out_hw = results[0].out_hw
-
-    def level_maps(part, grids, index):
-        return grid_maps(np.stack([getattr(r, grids)[index] for r in part]), out_hw)
-
-    def branch_maps(part, grids):
-        if level is not None:
-            return level_maps(part, grids, level)
-        total = level_maps(part, grids, 0)
-        total += 0.0  # np.mean's sum starts at +0.0: a sum of -0.0 is +0.0
-        for index in range(1, 4):
-            total += level_maps(part, grids, index)
+    branches = ("grids_zero",) if results[0].grids_few is None else ("grids_zero", "grids_few")
+    sums = {}
+    for level in range(4):
+        maps = {grids: grid_maps(np.stack([getattr(r, grids)[level] for r in results]), out_hw)
+                for grids in branches}
+        fused = blend(beta1, maps["grids_zero"], beta2, maps.get("grids_few"))
+        for grids, level_map in maps.items():
+            if level == 0:
+                level_map += 0.0  # np.mean's sum starts at +0.0: a sum of -0.0 is +0.0
+                sums[grids] = level_map
+            else:
+                sums[grids] += level_map
+        del maps, level_map
+        yield fused
+    for total in sums.values():
         total /= 4
-        return total
-
-    pool = np.empty((len(results),) + out_hw)
-    for start in range(0, len(results), CHUNK):
-        part = results[start:start + CHUNK]
-        few = None if part[0].grids_few is None else branch_maps(part, "grids_few")
-        pool[start:start + CHUNK] = blend(beta1, branch_maps(part, "grids_zero"), beta2, few)
-    return pool
+    yield blend(beta1, sums["grids_zero"], beta2, sums.get("grids_few"))
 
 
 def build_memory_bank(normal_images, backbone, params) -> MemoryBank:

@@ -2,12 +2,13 @@
 
 AUC uses the rank-sum formulation with midranks for ties (Hanley & McNeil,
 1982), which makes it equal to the pairwise win/tie count without
-enumerating pairs. Pixel AUC pools every scored pixel across the test set,
-so ranking is one sort of the pool and a ``searchsorted`` per positive,
-with no permutation of the pool. ``auc`` and ``midranks`` sort a copy;
-``evaluate`` sorts each pool it built in place. Midranks are exact
-half-integers, so the rank sum does not depend on how the ranks were found.
-Each NaN ranks after every number, as a run of its own in input order.
+enumerating pairs. ``auc`` and ``midranks`` sort a copy of the scores and
+rank with a ``searchsorted`` per ranked value, with no permutation. The
+pixel AUCs rank every scored pixel of the test set, but ``evaluate`` never
+pools them: it counts the win/tie sum CHUNK images at a time against the
+sorted positive pixels. Midranks are exact half-integers and the count is
+an exact integer, so both give the same bits. Each NaN ranks after every
+number, as a run of its own in input order.
 """
 
 from __future__ import annotations
@@ -149,14 +150,108 @@ def score_samples(backbone, params, samples, text_features, bank=None,
             beta2=beta2, tau=tau))
 
 
+class _ChunkedAUC:
+    """The midrank AUC of a pool counted one chunk at a time, or None for one class.
+
+    The midrank sum of the positives minus P(P + 1)/2 is the Mann-Whitney U:
+    over positive-negative pairs, one for each negative below the positive
+    and one half for each tie. So U is counted exactly, as the integer 2U,
+    from the sorted numeric positives, given up front in any order, and the
+    chunks of the pool, fed to ``add`` in pool order. A chunk's negatives are
+    sorted; each positive's left bound among them counts those below it, and
+    a second ``searchsorted``, only for the positives equal to the negative
+    at that bound, counts their ties. NaN ranks as ``_midranks_sorting``
+    ranks it, after every number, each NaN a run of its own in pool order:
+    a NaN positive wins against every numeric negative and every NaN
+    negative before it in the pool.
+    """
+
+    def __init__(self, positives):
+        ranked = np.concatenate(positives) if positives else np.empty(0)
+        ranked.sort()
+        self.positives = ranked[:np.count_nonzero(~np.isnan(ranked))]  # NaNs sort last
+        self.n_pos = self.n_neg = 0
+        self.twice_u = 0
+        self.numeric_neg = self.nan_neg = self.nan_pos = 0
+
+    def add(self, scores, labels):
+        """Count a chunk: float64 ``scores`` and bool ``labels`` of one shape."""
+        scores, labels = scores.reshape(-1), labels.reshape(-1)
+        n_pos = int(np.count_nonzero(labels))
+        self.n_pos += n_pos
+        self.n_neg += labels.size - n_pos
+        nan = np.isnan(scores)
+        negatives = scores[~labels & ~nan]
+        negatives.sort()
+        self.numeric_neg += negatives.size
+        left = np.searchsorted(negatives, self.positives)
+        # only a positive equal to the negative at its left bound has ties
+        tied = left < negatives.size
+        tied[tied] = negatives[left[tied]] == self.positives[tied]
+        ties = np.searchsorted(negatives, self.positives[tied], side="right") - left[tied]
+        self.twice_u += 2 * int(left.sum()) + int(ties.sum())
+        if nan.any():
+            nan_neg = np.flatnonzero(nan & ~labels)
+            nan_pos = np.flatnonzero(nan & labels)
+            before = self.nan_neg * nan_pos.size + np.searchsorted(nan_neg, nan_pos).sum()
+            self.twice_u += 2 * int(before)
+            self.nan_neg += nan_neg.size
+            self.nan_pos += nan_pos.size
+
+    def auc(self):
+        """The AUC of everything added, or None where only one class was."""
+        if self.n_pos == 0 or self.n_neg == 0:
+            return None
+        twice_u = self.twice_u + 2 * self.nan_pos * self.numeric_neg
+        # U and P * N are exact below 2**53, so the quotient is rounded once, as auc's
+        return twice_u / 2 / (self.n_pos * self.n_neg)
+
+
+def _pixel_aucs(results, masks, pools, beta1, beta2):
+    """The pixel AUC of each pool, a pair (image indices, map of ``fused_maps``).
+
+    A pool's map is its index among the maps ``fused_maps`` yields: 0 to 3
+    a level's, 4 the mean's. A first pass collects each pool's positive
+    pixels from the images that have any; a second walks every masked image
+    and counts each pool's pixels against them. Both fuse CHUNK images' maps
+    at a time, with every level upsampled once for all pools, so the pixels
+    are never pooled.
+    """
+    members = [set(images) for images, _ in pools]
+    out_hw = results[0].out_hw
+
+    def chunks(images):
+        """Yield (pool, scores, labels) of each pool's images, CHUNK images at a time."""
+        for start in range(0, len(images), CHUNK):
+            part = images[start:start + CHUNK]
+            flags = np.stack([np.unpackbits(masks[i], count=out_hw[0] * out_hw[1])
+                              .view(bool).reshape(out_hw) for i in part])
+            kept = [[j for j, i in enumerate(part) if i in member] for member in members]
+            for index, fused in enumerate(fused_maps([results[i] for i in part], beta1, beta2)):
+                for pool, (rows, (_, reads)) in enumerate(zip(kept, pools)):
+                    if reads == index and rows:
+                        whole = len(rows) == len(part)  # no copy of a whole chunk's map
+                        yield pool, (fused if whole else fused[rows]), flags[rows]
+
+    masked = sorted(set().union(*members))
+    positives = [[] for _ in pools]
+    for pool, scores, labels in chunks([i for i in masked if masks[i].any()]):
+        positives[pool].append(scores[labels])
+    # popped, so each pool's parts are freed as soon as they are ranked
+    counters = [_ChunkedAUC(positives.pop(0)) for _ in pools]
+    for pool, scores, labels in chunks(masked):
+        counters[pool].add(scores, labels)
+    return [counter.auc() for counter in counters]
+
+
 def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
              beta2=0.5, tau=0.07) -> Report:
     """Score a test set and assemble image/pixel/per-level AUCs.
 
-    Only each image's label, modality, bool mask and lean result are kept.
-    Each pixel pool (overall, each level, each modality) is built from the
-    grids by ``inference.fused_maps`` into one float64 array, ranked in place
-    and freed before the next.
+    Only each image's label, modality, bit-packed mask and lean result are
+    kept. The pixel AUCs (overall, each level, each modality) are counted
+    together, CHUNK images at a time, by ``_pixel_aucs``: no pool of every
+    test pixel is built.
     """
     if not samples:
         raise DataError("test set is empty")
@@ -165,7 +260,11 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
                                         bank=bank, beta1=beta1, beta2=beta2, tau=tau):
         labels.append(sample.label)
         modalities.append(sample.modality)
-        masks.append(bool_mask(sample.mask))
+        mask = bool_mask(sample.mask)
+        if mask is not None and mask.shape != result.out_hw:
+            raise DataError(f"{sample.path}: mask shape {mask.shape} does not match "
+                            f"the score maps' {result.out_hw}")
+        masks.append(None if mask is None else np.packbits(mask))
         results.append(result)
 
     labels = np.array(labels)
@@ -178,28 +277,27 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     # each column is ranked in place and not read again
     per_level_image = [_maybe_pool_auc(column, labels) for column in level_scores.T]
 
-    def pixel_auc_of(idx, level=None):
-        """Pooled pixel AUC of the fused maps of the masked images among ``idx``."""
-        idx = [i for i in idx if masks[i] is not None]
-        if not idx:
-            return None
-        pixels = np.concatenate([masks[i].reshape(-1) for i in idx])
-        pool = fused_maps([results[i] for i in idx], beta1, beta2, level)
-        return _maybe_pool_auc(pool.reshape(-1), pixels)
-
     masked = [i for i, mask in enumerate(masks) if mask is not None]
-    pixel_auc = pixel_auc_of(masked)
-    per_level_pixel = [pixel_auc_of(masked, level) for level in range(4)] if masked else None
+    groups = {m: [i for i, x in enumerate(modalities) if x == m]
+              for m in sorted(set(modalities))}
+    # keyed None for the fused mean map (the 5th of fused_maps), each level
+    # for its own, and each modality of part of the set for the mean map; a
+    # modality of the whole set has its images pooled in the same order
+    pools = {None: (masked, 4), **{level: (masked, level) for level in range(4)},
+             **{m: ([i for i in idx if masks[i] is not None], 4)
+                for m, idx in groups.items() if len(idx) < len(results)}}
+    pools = {key: pool for key, pool in pools.items() if pool[0]}
+    pixel = dict(zip(pools, _pixel_aucs(results, masks, list(pools.values()), beta1, beta2)))
+    pixel_auc = pixel.get(None)
+    per_level_pixel = [pixel[level] for level in range(4)] if masked else None
 
     per_modality = {}
-    for modality in sorted(set(modalities)):
-        idx = [i for i, m in enumerate(modalities) if m == modality]
-        # a modality of the whole set has its images pooled in the same order
+    for modality, idx in groups.items():
         whole = len(idx) == len(results)
         per_modality[modality] = {
             "images": len(idx),
             "image_auc": image_auc if whole else _maybe_pool_auc(c_pred[idx], labels[idx]),
-            "pixel_auc": pixel_auc if whole else pixel_auc_of(idx)}
+            "pixel_auc": pixel_auc if whole else pixel.get(modality)}
 
     counts = {"images": len(results), "anomalous": int(labels.sum()),
               "with_masks": len(masked)}

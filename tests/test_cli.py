@@ -1352,3 +1352,30 @@ def test_zero_shot_train_does_not_refault_its_heap(tmp_path):
     child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                            text=True, check=True)
     assert int(child.stdout.split()[-1]) < 91_300 // 2
+
+
+def test_eval_of_the_default_reference_set_peaks_below_6_5_mib(tmp_path, capsys):
+    """A seed-42 few-shot eval of the 100 default-size texture-c test images.
+
+    Pooling every test pixel in float64 for each pixel AUC peaked at 8.5 MiB
+    here; counting the AUCs one chunk at a time leaves scoring as the peak.
+    """
+    import tracemalloc
+
+    data, ckpt, bank = (str(tmp_path / name) for name in ("data", "m.ckpt", "bank.bin"))
+    assert main(["gen-data", "--out", data]) == 0
+    assert main(["train", "--data", data, "--out", ckpt, "--epochs", "0"]) == 0
+    assert main(["build-bank", "--data", data, "--ckpt", ckpt, "--out", bank]) == 0
+    argv = ["eval", "--data", data, "--ckpt", ckpt, "--bank", bank,
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counts"] == {"images": 100, "anomalous": 50, "with_masks": 100}
+    assert peak <= 6.5 * 2 ** 20

@@ -11,7 +11,7 @@ from mvfa.adaptation import AdaptedFeatures, init_params, text_probabilities
 from mvfa.autograd import Tensor
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.errors import BankError, ConfigError, FormatError
-from mvfa.inference import (CHUNK, AnomalyResult, MemoryBank, build_memory_bank, few_shot,
+from mvfa.inference import (AnomalyResult, MemoryBank, build_memory_bank, few_shot,
                             fused_maps, grid_maps, load_bank, load_map, map_to_u8, save_bank,
                             save_map, score_batch, score_image, zero_shot,
                             _min_cosine_distances)
@@ -456,18 +456,17 @@ def _bits(arr):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
-@pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("count", [1, 16, 17])
 @pytest.mark.parametrize("with_bank", [False, True], ids=["zero_only", "bank"])
 def test_fused_maps_have_the_bits_of_the_expressions_they_replace(count, with_bank):
-    """s_pred and every fused_maps pool keep the bits of blending the branch maps.
+    """s_pred and every map fused_maps yields keep the bits of blending the branch maps.
 
-    A result's map is ``beta1 * s_levels_zero.mean(axis=0) + beta2 *
-    s_levels_few.mean(axis=0)`` and a level's map ``beta1 *
-    s_levels_zero[l] + beta2 * s_levels_few[l]``, each made
+    A level's map, yielded first, is ``beta1 * s_levels_zero[l] + beta2 *
+    s_levels_few[l]`` and a result's map, yielded last, ``beta1 *
+    s_levels_zero.mean(axis=0) + beta2 * s_levels_few.mean(axis=0)``, each made
     per image from its (4, h, w) stack of level maps; without a bank only
-    the beta1 term. CHUNK + 1 images span two chunks. A third of the branch
-    draws holds a NaN grid cell, and another third tied grids of 0.5 and
-    signed zeros.
+    the beta1 term. A third of the branch draws holds a NaN grid cell, and
+    another third tied grids of 0.5 and signed zeros.
     """
     rng = np.random.default_rng(40 + count)
     beta1, beta2 = (0.3, 0.7) if with_bank else (0.9, 0.0)
@@ -485,17 +484,17 @@ def test_fused_maps_have_the_bits_of_the_expressions_they_replace(count, with_ba
     results = [AnomalyResult(0.0, *branch(i % 3),
                              *(branch((i + 1) % 3) if with_bank else (None,) * 3),
                              beta1, beta2, out_hw) for i in range(count)]
-    pool = fused_maps(results, beta1, beta2)
-    assert pool.shape == (count,) + out_hw and pool.dtype == np.float64
-    for r, fused in zip(results, pool):
+    *levels, mean = fused_maps(results, beta1, beta2)
+    assert len(levels) == 4
+    assert all(m.shape == (count,) + out_hw and m.dtype == np.float64 for m in levels + [mean])
+    for r, fused in zip(results, mean):
         expected = beta1 * r.s_levels_zero.mean(axis=0)
         if with_bank:
             expected = (beta1 * r.s_levels_zero.mean(axis=0)
                         + beta2 * r.s_levels_few.mean(axis=0))
         assert _bits(r.s_pred) == _bits(fused) == _bits(expected)
     for level in range(4):
-        pool = fused_maps(results, beta1, beta2, level)
-        for r, fused in zip(results, pool):
+        for r, fused in zip(results, levels[level]):
             expected = beta1 * r.s_levels_zero[level]
             if with_bank:
                 expected = beta1 * r.s_levels_zero[level] + beta2 * r.s_levels_few[level]

@@ -10,8 +10,8 @@ from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, few_shot_split, \
     gen_dataset, load_manifest, load_samples
 from mvfa.errors import DataError, MetricError
-from mvfa.inference import build_memory_bank
-from mvfa.metrics import Report, auc, evaluate, midranks
+from mvfa.inference import CHUNK, build_memory_bank
+from mvfa.metrics import Report, _ChunkedAUC, auc, evaluate, midranks
 from mvfa.textbank import default_prompt_set, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -210,6 +210,60 @@ def test_auc_of_a_pooled_test_set_peaks_below_an_argsort():
     assert peak < 8 * 2 ** 20
 
 
+def _chunked_auc(scores, labels, size, rng):
+    """``_ChunkedAUC`` of (images, pixels) arrays fed ``size`` images at a time.
+
+    The positives are handed over shuffled and in three parts: their order
+    must not matter.
+    """
+    counter = _ChunkedAUC(np.array_split(rng.permutation(scores[labels]), 3))
+    for start in range(0, len(scores), size):
+        counter.add(scores[start:start + size], labels[start:start + size])
+    return counter.auc()
+
+
+def _pooled_auc(scores, labels):
+    try:
+        return auc(scores.reshape(-1), labels.reshape(-1)).hex()
+    except MetricError:
+        return None
+
+
+@pytest.mark.parametrize("size", [1, 3, CHUNK])
+def test_chunked_auc_has_the_bits_of_auc_of_the_pool(size):
+    """The chunked count returns auc's float for the concatenated pool.
+
+    The draws take few distinct values, so ties straddle chunk edges, and
+    -0.0 against +0.0. NaN falls in both classes. The fixed pool splits a
+    run of four NaNs across images, and its NaN positives come before,
+    between and after NaN negatives in pool order.
+    """
+    rng = np.random.default_rng(60 + size)
+    values = np.array([-0.0, 0.0, 0.25, 0.5, 0.5, 1.0, np.nan, -np.inf])
+    pools = []
+    for _ in range(20):
+        scores = rng.choice(values, (int(rng.integers(1, 12)), 5))
+        scores[rng.uniform(size=scores.shape) < 0.3] = rng.standard_normal()
+        labels = rng.uniform(size=scores.shape) < rng.uniform(0.05, 0.6)
+        labels.flat[rng.permutation(labels.size)[:2]] = True, False  # both classes
+        pools.append((scores, labels))
+    nan = np.nan
+    pools.append((np.array([[0.5, nan, nan], [nan, nan, 0.2], [nan, -0.0, 0.0],
+                            [0.0, nan, 1.0], [nan, 0.5, nan]]),
+                  np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 0]], bool)))
+    single = rng.choice(values[:6], (7, 4))
+    pools.append((single, np.arange(single.size).reshape(single.shape) == 13))
+    pools.append((single, np.ones(single.shape, bool)))   # one class: None
+    pools.append((single, np.zeros(single.shape, bool)))
+    answers = []
+    for scores, labels in pools:
+        expected = _pooled_auc(scores, labels)
+        got = _chunked_auc(scores, labels, size, rng)
+        assert (None if got is None else got.hex()) == expected
+        answers.append(expected)
+    assert answers[-2:] == [None, None] and None not in answers[:-2]
+
+
 # -- evaluation ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -329,7 +383,7 @@ def assert_same_report(small_model, samples, few=True):
     assert evaluate(*args).to_json() == expected
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 4 * CHUNK + 1])
 def test_evaluate_equals_per_image_oracle_across_chunk_edges(small_model, n):
     assert_same_report(small_model, synthetic_samples(n, seed=n))
 
@@ -351,8 +405,9 @@ def test_evaluate_searches_the_bank_once_per_level_role_and_chunk(small_model,
                         counted("text", inference.text_probabilities))
     backbone, params, text, bank = small_model
     evaluate(backbone, params, synthetic_samples(100, seed=8), text, bank=bank)
-    # 7 chunks (6 of 16 images, 1 of 4), 4 levels x (cls, seg) each
-    assert calls == {"search": 56, "text": 56}
+    # one call per chunk of at most CHUNK images, 4 levels x (cls, seg) each
+    chunks = -(-100 // CHUNK)
+    assert calls == {"search": chunks * 8, "text": chunks * 8}
 
 
 def test_evaluate_equals_oracle_zero_shot_without_bank(small_model):
@@ -391,6 +446,28 @@ def test_evaluate_equals_oracle_with_a_nan_image_and_tied_maps(small_model):
     assert 0.0 < report.per_modality["texture-a"]["pixel_auc"] < 1.0
 
 
+def test_evaluate_equals_oracle_with_nan_images_in_different_chunks(small_model):
+    """A NaN normal image in the first chunk and a NaN anomalous one in the second.
+
+    A NaN pixel makes every score of its image NaN. The anomalous image's
+    NaN positives come after the normal image's NaN negatives in pool order,
+    so each ranks above all of them; in the reverse order none would.
+    """
+    samples = synthetic_samples(2 * CHUNK + 1, seed=7)
+    samples[2].image[0, 0] = np.nan
+    samples[2 * CHUNK - 1].image[5, 5] = np.nan
+    assert_same_report(small_model, samples)
+    assert_same_report(small_model, samples, few=False)
+
+
+def test_evaluate_refuses_a_mask_of_another_shape(small_model):
+    backbone, params, text, bank = small_model
+    samples = synthetic_samples(4, seed=2)
+    samples[3] = LoadedSample(samples[3].image, 1, samples[3].mask[:8], "texture-a", "odd.pgm")
+    with pytest.raises(DataError, match=r"odd.pgm: mask shape \(8, 16\) does not match"):
+        evaluate(backbone, params, samples, text, bank=bank)
+
+
 def test_evaluate_loads_manifest_samples_like_the_oracle(tiny_eval_setup):
     backbone, params, _, test_samples, text = tiny_eval_setup
     for modality_samples in (test_samples, test_samples[::-1] * 3):
@@ -411,19 +488,21 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_evaluate_memory_grows_at_most_48_kib_per_image():
-    # a float64 64x64 pool row is 32 KiB. Keeping each image's fused map
-    # and concatenating it into a pool grew by about 118 KiB per image, and
-    # keeping every per-level map of both branches in float64 by 521 KiB
+def test_evaluate_memory_grows_at_most_12_kib_per_image():
+    # a float64 64x64 map is 32 KiB. Pooling every test pixel in float64 for
+    # each pixel AUC grew by 43 KiB per image from 80 to 160 images (the
+    # scoring chunk's peak hid most of that from 40 to 80), keeping each
+    # image's fused map as well by about 118 KiB, and keeping every per-level
+    # map of both branches in float64 by 521 KiB
     config = BackboneConfig()
     backbone = init_backbone(config)
     params = init_params(config.dim, seed=7)
     text = {"texture-a": build_text_features(default_prompt_set(), "texture-a", 0,
                                              config.dim).f_text}
-    samples = synthetic_samples(80, seed=5, size=64)
+    samples = synthetic_samples(160, seed=5, size=64)
     bank = build_memory_bank([s.image for s in samples[:4:2]], backbone, params)
-    evaluate(backbone, params, samples[:16], text, bank=bank)  # warm caches
+    evaluate(backbone, params, samples[:CHUNK], text, bank=bank)  # warm caches
     peaks = {n: _peak_bytes(lambda n=n: evaluate(backbone, params, samples[:n], text,
                                                  bank=bank))
-             for n in (40, 80)}
-    assert (peaks[80] - peaks[40]) / 40 <= 48 * 1024
+             for n in (80, 160)}
+    assert (peaks[160] - peaks[80]) / 80 <= 12 * 1024
