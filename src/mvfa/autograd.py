@@ -28,12 +28,14 @@ places need care. A weight shared by the batch gets one gradient product
 per sample (:func:`matmul`), added in sample order (:func:`sum_in_order`),
 because that is the order in which the engine accumulates one product per
 sample graph; a single (B * N)-row product would pair the terms
-differently. The sum runs on across the graphs of one step: given the
-step's running sums, :func:`backward` adds each product onto its weight's
-sum one sample at a time, so a step split into several graphs keeps the
-bits of one. And a reduction over a sample's map pairs its elements by
-memory layout, so batched maps are built in C order (:func:`upsample`),
-where each sample is one contiguous block laid out as its own map.
+differently. The sum runs on across the graphs of one step:
+:func:`backward` can return each weight's per-sample products unadded,
+and the step adds those of all its graphs onto one sum per weight, one
+sample at a time, so a step split into several graphs, in one process or
+two, keeps the bits of one. And a reduction over a sample's map pairs its
+elements by memory layout, so batched maps are built in C order
+(:func:`upsample`), where each sample is one contiguous block laid out as
+its own map.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ def upsample_vjp(g, src_shape, dtype):
     return total.reshape(g.shape[:-2] + (gh, gw))
 
 
-def backward(loss, sums=None):
+def backward(loss, parts=False):
     """Propagate gradients from a scalar loss back to requires-grad leaves.
 
     Returns a mapping from each reachable leaf tensor to a gradient tensor
@@ -367,13 +369,13 @@ def backward(loss, sums=None):
     sample order. Graph nodes are released as they are consumed, so the
     graph cannot be replayed.
 
-    ``sums``, a dict from leaf to array shared by the graphs of one
-    training step, makes the call add each leaf's gradient onto its entry
-    instead, one per-sample product at a time and starting from a copy of
-    the first (:func:`sum_in_order`), so the step keeps the bits of one
-    graph over all its samples; None is returned. A leaf reached twice in
-    one graph is then a ContractError: its second gradient would follow
-    the first one's later samples.
+    With ``parts``, each leaf maps instead to its gradient's parts not yet
+    added, as one array: the per-sample products of a leaf shared by the
+    batch, or the gradient with a leading axis of one. A training step adds
+    the parts of all its graphs onto one running sum per leaf in sample
+    order (:func:`sum_in_order`), which keeps the bits of one graph over all
+    its samples. A leaf reached twice in one graph is then a ContractError:
+    its second gradient would follow the first one's later samples.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -399,17 +401,15 @@ def backward(loss, sums=None):
                     stack.append((parent, False))
 
     grads = {}
-    reached = set()
+    leaf_parts = {}
 
     def arrive(tensor, g):
-        if sums is not None and tensor.node is None:
-            if tensor in reached:
+        if parts and tensor.node is None:
+            if tensor in leaf_parts:
                 raise ContractError(f"backward: a leaf of shape {tensor.shape} is reached "
                                     f"twice in one graph, so its running sum would add "
                                     f"its gradients out of sample order")
-            reached.add(tensor)
-            parts = g.parts if isinstance(g, _PerSample) else g[None]
-            sums[tensor] = sum_in_order(parts, sums.get(tensor))
+            leaf_parts[tensor] = g.parts if isinstance(g, _PerSample) else g[None]
             return
         if isinstance(g, _PerSample):
             g = sum_in_order(g.parts)
@@ -429,6 +429,6 @@ def backward(loss, sums=None):
             if pg is not None and (parent.requires_grad or parent.node is not None):
                 arrive(parent, pg)
         tensor.node = None
-    if sums is None:
-        return {leaf: Tensor(np.array(g, copy=True)) for leaf, g in leaf_grads.items()}
-    return None
+    if parts:
+        return leaf_parts
+    return {leaf: Tensor(np.array(g, copy=True)) for leaf, g in leaf_grads.items()}

@@ -26,12 +26,22 @@ C order, so a sample's sums over its map pair the elements as they would
 for that map alone, and the per-sample totals are added left to right, as
 a chain of per-sample additions would; ``np.sum`` pairs eight or more
 terms differently. The step's weight gradients run on across its graphs:
-each backward adds its per-sample weight products onto the step's running
-sums in sample order (``autograd.backward``), so a step split into any
-number of graphs gets the bits of one graph of all its samples, and a
-step's memory is that of one graph, whatever ``batch_size`` is. A sample
-without a mask has no seg term, and its rows of the seg gradient are zero,
-which adds nothing.
+each backward returns its per-sample weight products unadded
+(``autograd.backward``), and the step adds them onto its running sums in
+sample order, so a step split into any number of graphs gets the bits of
+one graph of all its samples, and a step's memory is that of one graph,
+whatever ``batch_size`` is. A sample without a mask has no seg term, and
+its rows of the seg gradient are zero, which adds nothing.
+
+A step of two or more graphs runs its later half on a worker process,
+forked once per :func:`train` call, while the calling process runs the
+earlier half. The worker gets the parameters and its graphs' sample
+indices at each step and returns each graph's per-sample totals and
+products, which the caller adds after its own, in sample order, so the
+bits do not depend on which process ran a graph. An error in the worker
+reaches the caller as the same exception. Memory and RSS figures for
+training are per process; the worker shares most of its pages with the
+caller until either writes them.
 
 Training holds at most one graph of samples. The embedding and stage 1
 reach no trainable tensor, so a graph needs of each sample only its
@@ -47,9 +57,15 @@ the float32 one, since both cast to the same 0/1 map.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import itertools
 import math
 import operator
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,6 +373,160 @@ def _graphs(indices):
     return [indices[i:i + SUB_BATCH] for i in range(0, len(indices), SUB_BATCH)]
 
 
+class _Worker:
+    """A forked process that runs graphs of each training step for the caller.
+
+    ``run_graph(graph, size)`` runs one graph of a step of ``size`` samples
+    and returns its per-sample totals and ``{leaf: parts}``; ``leaves`` are
+    the trainable tensors, in the order in which their arrays are sent.
+    """
+
+    def __init__(self, run_graph, leaves):
+        self.leaves = leaves
+        command_in, command_out = os.pipe()
+        result_in, result_out = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (command_in, command_out, result_in, result_out):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            # leave only through _exit: no atexit handler or stdio flush runs twice
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(command_out)
+                os.close(result_in)
+                _serve(open(command_in, "rb"), open(result_out, "wb"), run_graph, leaves)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(command_in)
+        os.close(result_out)
+        self._commands = open(command_out, "wb")
+        self._results = open(result_in, "rb")
+
+    def send(self, graphs, size):
+        """Start the worker on ``graphs`` of a step of ``size`` samples."""
+        pickle.dump(([leaf.data for leaf in self.leaves], graphs, size), self._commands)
+        self._commands.flush()
+
+    def results(self):
+        """Each sent graph's totals and parts, in order; raises the worker's error."""
+        try:
+            replies = pickle.load(self._results)
+        except EOFError:
+            raise ChildProcessError("the training worker exited without its results") \
+                from None
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+            totals, parts = reply
+            yield totals, {self.leaves[i]: part for i, part in parts}
+
+    def close(self):
+        """Close the pipes and reap the worker; a closed command pipe ends a live one."""
+        for pipe in (self._commands, self._results):
+            with contextlib.suppress(OSError):  # the pipe of a killed worker
+                pipe.close()
+        os.waitpid(self.pid, 0)
+
+
+@contextlib.contextmanager
+def _worker(run_graph, leaves):
+    """A forked :class:`_Worker` for the steps run inside the context.
+
+    BLAS runs on one thread in both processes meanwhile: processes whose
+    BLAS threads share the cores slow each other down. On 2 cores, with
+    OpenBLAS's default of 2 threads, a seed-42 zero-shot ``train --epochs 2``
+    took 12-17 s this way, against 3.2 s on one thread each. The worker is
+    reaped on the way out, and killed first if the context ends by an
+    exception.
+    """
+    with _one_blas_thread():
+        worker = _Worker(run_graph, leaves)
+        try:
+            yield worker
+        except BaseException:
+            os.kill(worker.pid, signal.SIGKILL)  # its results are not wanted
+            raise
+        finally:
+            worker.close()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the loaded OpenBLAS on one thread inside the context, where it is found."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _openblas_thread_calls():
+    """The get and set thread-count functions of the OpenBLAS mapped into this process.
+
+    Returns None where there is none, or where the maps cannot be read
+    (outside Linux).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib, name in itertools.product(libs, ("scipy_openblas{}_num_threads64_",
+                                              "scipy_openblas{}_num_threads",
+                                              "openblas{}_num_threads64_",
+                                              "openblas{}_num_threads")):
+        get = getattr(lib, name.format("_get"), None)
+        set_ = getattr(lib, name.format("_set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+def _serve(commands, results, run_graph, leaves):
+    """The worker's loop: run each command's graphs until the command pipe closes.
+
+    An error ends its step's replies; one that does not pickle is sent as a
+    RuntimeError of its text.
+    """
+    index = {leaf: i for i, leaf in enumerate(leaves)}
+    while True:
+        try:
+            arrays, graphs, size = pickle.load(commands)
+        except EOFError:
+            return
+        for leaf, data in zip(leaves, arrays):
+            leaf.data = data
+        replies = []
+        for graph in graphs:
+            try:
+                totals, parts = run_graph(graph, size)
+            except Exception as exc:
+                replies.append(exc)
+                break
+            replies.append((totals, [(index[leaf], part) for leaf, part in parts.items()]))
+        try:
+            payload = pickle.dumps(replies)
+        except Exception:
+            replies[-1] = RuntimeError(f"{type(replies[-1]).__name__}: {replies[-1]}")
+            payload = pickle.dumps(replies)
+        results.write(payload)
+        results.flush()
+
+
 def train(backbone, params: MVFAParams, samples, text_features: dict,
           config: TrainConfig, loss_log_path=None):
     """Optimize the adapter parameters on loaded (or loadable) samples.
@@ -370,7 +540,7 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     Each step takes up to ``batch_size`` samples and makes one Adam update.
     It runs them as consecutive (B, N, d) graphs of at most
     :data:`SUB_BATCH` samples, each with its own forward, loss and backward
-    pass, and the backward passes add the weight gradients onto the step's
+    pass, and adds the graphs' per-sample weight gradients onto the step's
     running sums in sample order. The step's loss is its per-sample totals
     added left to right, times 1/len(step); a non-finite one raises
     NumericError before the update, and a step whose graphs reach no
@@ -378,6 +548,13 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     the bits it would get in a graph of its own, so the checkpoints are
     those of training one sample graph at a time (``tests/train_oracle.py``)
     whatever the graph size.
+
+    When a step can hold two or more graphs and ``os.fork`` exists, one
+    worker process is forked after the set-up below, and each step of two
+    or more graphs runs its later half there while this process runs the
+    earlier half; the worker is reaped before this call returns or raises,
+    and its errors are raised here unchanged. A step of one graph runs
+    here.
 
     A training set that fits in one batch is loaded and run through the
     embedding and stage 1 once, one graph's samples at a time, and each
@@ -412,37 +589,57 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         def graph_inputs(graph):
             return _step_inputs(backbone, [samples[i] for i in graph])
 
-    def graph_totals(graph):
-        """Per-sample loss totals of one graph; its features live on only in its nodes."""
+    def run_graph(graph, size):
+        """One graph's per-sample loss totals and each leaf's per-sample products.
+
+        ``size`` is the step's sample count. A graph with a non-finite total
+        fails its step, and one that reaches no trainable tensor adds
+        nothing; neither runs a backward pass.
+        """
         stage1, labels, modalities, masks = graph_inputs(graph)
         features = adapt_forward(backbone, params, None, stage1=Tensor(stage1))[0]
         texts = np.stack([text_features[m].data for m in modalities])
-        return total_loss(features, Tensor(texts), labels, masks, config.weights,
-                          tau=config.tau, out_hw=out_hw, levels=config.levels)
+        totals = total_loss(features, Tensor(texts), labels, masks, config.weights,
+                            tau=config.tau, out_hw=out_hw, levels=config.levels)
+        if not (totals.requires_grad and np.isfinite(totals.data).all()):
+            return totals.data, {}
+        loss = ag.scale(_sum_samples(totals), 1.0 / size)
+        return totals.data, ag.backward(loss, parts=True)
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(samples))
-        weighted = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = order[start:start + config.batch_size]
-            total, sums = None, {}
-            for graph in _graphs(chunk):
-                totals = graph_totals(graph)
-                total = ag.sum_in_order(totals.data, total)
-                if not np.isfinite(total):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch + 1}, step {state.step + 1}")
-                loss = ag.scale(_sum_samples(totals), 1.0 / len(chunk))
-                # a graph whose samples reach no trainable tensor adds nothing
-                if loss.requires_grad:
-                    ag.backward(loss, sums)
-            if not sums:
-                ag.backward(loss)  # raises: no graph of the step reaches a trainable tensor
-            # ablation level masks can leave some tensors off the loss path
-            active = [(n, p) for n, p in named if p in sums]
-            adam_step(active, {p: Tensor(g) for p, g in sums.items()}, state, config.lr)
-            weighted += float(total * (1.0 / len(chunk))) * len(chunk)
-        history.append(weighted / len(samples))
+    forks = (config.epochs and min(len(samples), config.batch_size) > SUB_BATCH
+             and hasattr(os, "fork"))
+    with _worker(run_graph, [p for _, p in named]) if forks else contextlib.nullcontext() \
+            as worker:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(samples))
+            weighted = 0.0
+            for start in range(0, len(order), config.batch_size):
+                chunk = order[start:start + config.batch_size]
+                graphs = _graphs(chunk)
+                # the worker runs the later half while this process runs the rest
+                split = len(graphs) if worker is None else max(1, len(graphs) // 2)
+                later = graphs[split:]
+                if later:
+                    worker.send(later, len(chunk))
+                total, sums = None, {}
+                for totals, parts in itertools.chain(
+                        (run_graph(graph, len(chunk)) for graph in graphs[:split]),
+                        worker.results() if later else ()):
+                    total = ag.sum_in_order(totals, total)
+                    if not np.isfinite(total):
+                        raise NumericError(
+                            f"non-finite loss at epoch {epoch + 1}, step {state.step + 1}")
+                    for leaf, part in parts.items():
+                        sums[leaf] = ag.sum_in_order(part, sums.get(leaf))
+                    parts.clear()  # so the next graph runs without them
+                if not sums:  # the engine's error for a loss that reaches no trainable tensor
+                    raise ContractError(
+                        "backward: loss is not connected to any requires-grad tensor")
+                # ablation level masks can leave some tensors off the loss path
+                active = [(n, p) for n, p in named if p in sums]
+                adam_step(active, {p: Tensor(g) for p, g in sums.items()}, state, config.lr)
+                weighted += float(total * (1.0 / len(chunk))) * len(chunk)
+            history.append(weighted / len(samples))
 
     if loss_log_path is not None:
         lines = ["epoch,mean_loss"]

@@ -314,9 +314,11 @@ def test_running_sums_keep_the_bits_of_one_graph_across_graphs(splits):
     sums, start = {}, 0
     for size in splits:
         part = slice(start, start + size)
-        assert backward(_batched_loss(a[part], g[part], w), sums) is None
+        parts = backward(_batched_loss(a[part], g[part], w), parts=True)
+        assert list(parts) == [w] and parts[w].shape == (size,) + w.shape
+        sums[w] = ag.sum_in_order(parts[w], sums.get(w))
         start += size
-    assert list(sums) == [w] and sums[w].tobytes() == one_graph.tobytes()
+    assert sums[w].tobytes() == one_graph.tobytes()
     # the sum is its own array, not a view of a product the engine made
     assert sums[w].base is None
 
@@ -336,7 +338,7 @@ def test_leaf_reached_twice_with_running_sums_is_contract_error():
         np.matmul(a.swapaxes(-1, -2), g))
     assert backward(loss())[w].data.tobytes() == expected.tobytes()
     with pytest.raises(ContractError, match="reached twice in one graph"):
-        backward(loss(), {})
+        backward(loss(), parts=True)
 
 
 def test_graph_freed_after_backward():

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from calllog import count_forks, logged, read_lines
 from forge import START, container, forge, header_bytes, split, v1_bank, v1_checkpoint
 from test_adaptation import overflowing_checkpoint
 
@@ -622,33 +623,55 @@ def test_training_image_that_fails_to_load_mid_run_writes_nothing(workdir, tmp_p
     assert steps and sorted(os.listdir(tmp_path)) == ["data"]
 
 
-def test_non_finite_loss_in_a_later_graph_of_the_first_step_writes_nothing(
-        workdir, tmp_path, capsys, monkeypatch):
-    """A step of 4 runs as graphs of 2; only its second graph's loss is NaN.
+def _on_the_worker(monkeypatch, act):
+    """Make a zero-shot step of 4 two graphs of 2; ``act`` gets the worker's first sample.
 
-    The first graph's backward has run, but the step raises before its Adam
-    update: exit 3 with the step named, and neither the checkpoint nor the
-    loss log written.
+    ``act`` runs on the first sample of the first step's second graph, which
+    the forked worker runs, before training starts: ``objective.train``
+    takes each epoch's order from its seed.
     """
-    root, config, data = workdir
-    calls = {"loss": 0, "backward": 0, "adam": 0}
-    total_loss, backward, adam_step = objective.total_loss, autograd.backward, objective.adam_step
+    train = objective.train
 
-    def nan_in_second_graph(*args, **kwargs):
-        calls["loss"] += 1
-        totals = total_loss(*args, **kwargs)
-        return autograd.scale(totals, np.nan) if calls["loss"] == 2 else totals
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def wrapped(backbone, params, samples, text_features, config, *args, **kwargs):
+        act(samples[np.random.default_rng(config.seed).permutation(len(samples))[2]])
+        return train(backbone, params, samples, text_features, config, *args, **kwargs)
 
     monkeypatch.setattr(objective, "SUB_BATCH", 2)
-    monkeypatch.setattr(objective, "total_loss", nan_in_second_graph)
-    monkeypatch.setattr(autograd, "backward", counted("backward", backward))
-    monkeypatch.setattr(objective, "adam_step", counted("adam", adam_step))
+    monkeypatch.setattr(objective, "train", wrapped)
+
+
+def test_non_finite_loss_in_a_later_graph_of_the_first_step_writes_nothing(
+        workdir, tmp_path, capsys, monkeypatch):
+    """A step of 4 runs as graphs of 2; only the loss of its second graph is NaN.
+
+    That graph runs on the worker. The first graph's backward has run, but
+    the step raises before its Adam update: exit 3 with the step named, and
+    neither the checkpoint nor the loss log written. The NaN follows a
+    sample, and the calls are logged to a file, because the worker has its
+    own copy of any counter.
+    """
+    root, config, data = workdir
+    marked = []
+    holds_marked = [False]
+    step_inputs, total_loss = objective._step_inputs, objective.total_loss
+
+    def inputs(backbone, samples):
+        holds_marked[0] = any(sample is marked[0] for sample in samples)
+        return step_inputs(backbone, samples)
+
+    def nan_for_the_marked_sample(*args, **kwargs):
+        totals = total_loss(*args, **kwargs)
+        return autograd.scale(totals, np.nan) if holds_marked[0] else totals
+
+    log = tmp_path / "calls.txt"
+    _on_the_worker(monkeypatch, marked.append)
+    monkeypatch.setattr(objective, "_step_inputs", inputs)
+    monkeypatch.setattr(objective, "total_loss",
+                        logged(log, nan_for_the_marked_sample, lambda *a, **k: "loss"))
+    monkeypatch.setattr(autograd, "backward",
+                        logged(log, autograd.backward, lambda *a, **k: "backward"))
+    monkeypatch.setattr(objective, "adam_step",
+                        logged(log, objective.adam_step, lambda *a: "adam"))
     out = tmp_path / "out"
     out.mkdir()
     code = main(["train", "--config", config, "--data", data, "--out", str(out / "m.ckpt"),
@@ -656,8 +679,74 @@ def test_non_finite_loss_in_a_later_graph_of_the_first_step_writes_nothing(
     err = capsys.readouterr().err
     assert code == 3
     assert err == "numeric failure: non-finite loss at epoch 1, step 1\n"
-    assert calls == {"loss": 2, "backward": 1, "adam": 0}
+    calls = read_lines(log)
+    assert {name: calls.count(name) for name in ("loss", "backward", "adam")} == {
+        "loss": 2, "backward": 1, "adam": 0}
     assert os.listdir(out) == []
+
+
+def test_an_image_that_fails_to_load_on_the_worker_fails_as_in_one_process(
+        workdir, tmp_path, capsys, monkeypatch):
+    # the first step's second graph, which the worker runs, holds the cut image;
+    # without os.fork the step runs here, and the error reads the same
+    root, config, data = workdir
+    outcomes = []
+    for name in ("forked", "one_process"):
+        copy = tmp_path / name / "data"
+        shutil.copytree(data, copy)
+        with monkeypatch.context() as patch:
+            forks = count_forks(patch)
+            if name == "one_process":
+                patch.delattr(os, "fork")
+            _on_the_worker(patch, lambda sample: Path(sample.image).write_bytes(
+                Path(sample.image).read_bytes()[:-1]))
+            code = main(["train", "--config", config, "--data", str(copy),
+                         "--out", str(tmp_path / name / "m.ckpt"), "--mode", "zero-shot"])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {copy}") and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path / name)) == ["data"]
+        assert len(forks) == (name == "forked")
+        outcomes.append((code, err.replace(str(copy), "<data>")))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+
+
+@pytest.mark.parametrize("end", ["return", "raise", "interrupt"])
+def test_training_leaves_no_process_behind(workdir, tmp_path, capsys, monkeypatch, end):
+    """No worker outlives ``train``, whether it returns, raises or is interrupted.
+
+    A NaN in every graph raises in this process while the worker still runs
+    its graph; a KeyboardInterrupt comes from the second Adam update. A
+    failed run writes neither the checkpoint nor the loss log.
+    """
+    root, config, data = workdir
+    monkeypatch.setattr(objective, "SUB_BATCH", 2)
+    if end == "raise":
+        total_loss = objective.total_loss
+        monkeypatch.setattr(objective, "total_loss", lambda *args, **kwargs: autograd.scale(
+            total_loss(*args, **kwargs), np.nan))
+    elif end == "interrupt":
+        adam_step = objective.adam_step
+
+        def interrupted(named, grads, state, lr):
+            adam_step(named, grads, state, lr)
+            if state.step == 2:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(objective, "adam_step", interrupted)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["train", "--config", config, "--data", data, "--out", str(out / "m.ckpt"),
+            "--mode", "zero-shot"]
+    if end == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == {"return": 0, "raise": 3}[end]
+    capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(out)) == (["m.ckpt", "m.ckpt.loss.csv"] if end == "return"
+                                       else [])
 
 
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import os
+import signal
 import tracemalloc
 
 import loss_oracle
@@ -5,6 +7,7 @@ import numpy as np
 import ops_oracle as ops
 import pytest
 import train_oracle
+from calllog import count_forks, logged, read_lines
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
@@ -775,33 +778,28 @@ def test_batched_training_matches_per_sample_oracle_on_seeded_draws():
         assert outcomes[0] == outcomes[1], (model, train_config)
 
 
-def _default_size_step(monkeypatch, batch_size):
+def _default_size_step(tmp_path, monkeypatch, batch_size):
     """Train one default-size step of masked samples; returns the node count of each graph."""
     config = BackboneConfig()
     samples = [s for s in mixed_samples(3 * batch_size, config.image_size, seed=18)
                if s.mask is not None][:batch_size]
-    counted = []
-    engine_backward = ag.backward
-
-    def counting_backward(loss, sums=None):
-        counted.append(_graph_nodes(loss))
-        return engine_backward(loss, sums)
-
-    monkeypatch.setattr(ag, "backward", counting_backward)
+    log = tmp_path / "nodes.txt"
+    monkeypatch.setattr(ag, "backward", logged(log, ag.backward,
+                                               lambda loss, **kwargs: _graph_nodes(loss)))
     _trained_bits(train, config, samples, {},
                   TrainConfig(batch_size=batch_size, epochs=1, seed=10))
-    return counted
+    return [int(line) for line in read_lines(log)]
 
 
 @pytest.mark.parametrize("batch_size", [1, 16])
-def test_training_step_graph_stays_small(monkeypatch, batch_size):
+def test_training_step_graph_stays_small(tmp_path, monkeypatch, batch_size):
     # one graph per 8 samples of a step: 50 nodes each (65 before each adapter mix
     # became one node; 16 one-sample graphs would hold about 800)
-    counted = _default_size_step(monkeypatch, batch_size)
+    counted = _default_size_step(tmp_path, monkeypatch, batch_size)
     assert len(counted) == (batch_size + 7) // 8 and max(counted) <= 55
 
 
-def test_training_step_memory_is_bounded(monkeypatch):
+def test_training_step_memory_is_bounded(tmp_path, monkeypatch):
     # the stage-1 pass and one 16-sample step as two 8-sample graphs: 9.3 MiB
     # measured; 15.2 MiB as one 16-sample graph; 18.6 MiB while each block node
     # kept h and a bool ReLU sign, each level its own float mask stack and the
@@ -810,7 +808,7 @@ def test_training_step_memory_is_bounded(monkeypatch):
     # graph also kept each adapter mix's scale and add outputs
     tracemalloc.start()
     try:
-        _default_size_step(monkeypatch, 16)
+        _default_size_step(tmp_path, monkeypatch, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -870,24 +868,27 @@ def test_training_peak_does_not_grow_with_the_training_set(tmp_path):
     assert peak(128) - peak(32) <= 32 * 1024
 
 
-def test_training_embeds_one_batch_once_and_a_larger_set_at_every_step(monkeypatch):
+def test_training_embeds_one_batch_once_and_a_larger_set_at_every_step(tmp_path,
+                                                                          monkeypatch):
     # the few-shot set reuses its stage-1 rows across epochs, computed one graph
     # of 3 at a time; a zero-shot set larger than one batch embeds each graph's
-    # samples when the graph runs
-    batches = []
-    embed = FrozenBackbone.embed
-
-    def counted(self, images):
-        batches.append(len(images))
-        return embed(self, images)
-
-    monkeypatch.setattr(FrozenBackbone, "embed", counted)
+    # samples when the graph runs. The graph of 1 in a step of 4 runs on the
+    # worker, at the same time as the graph of 3, so each step's batch sizes
+    # (all logged before its Adam update) are read largest first, as the
+    # graphs run
+    log = tmp_path / "calls.txt"
+    monkeypatch.setattr(FrozenBackbone, "embed", logged(log, FrozenBackbone.embed,
+                                                        lambda self, images: len(images)))
+    monkeypatch.setattr(objective, "adam_step",
+                        logged(log, objective.adam_step, lambda *args: "step"))
     monkeypatch.setattr(objective, "SUB_BATCH", 3)
     for count, expected in ((4, [3, 1]), (5, [3, 1, 1] * 3)):
         backbone, params, text = toy_setup()
-        batches.clear()
+        log.unlink(missing_ok=True)
         train(backbone, params, toy_samples(count), text,
               TrainConfig(batch_size=4, epochs=3, seed=2))
+        steps = " ".join(read_lines(log)).split("step")
+        batches = [int(n) for step in steps for n in sorted(step.split(), key=int, reverse=True)]
         assert batches == expected, count
 
 
@@ -913,6 +914,134 @@ def test_training_bytes_do_not_depend_on_the_graph_size(tmp_path, monkeypatch, c
         monkeypatch.setattr(objective, "SUB_BATCH", size)
         outputs.append(_train_outputs(tmp_path / str(size), samples, train_config))
     assert all(output == outputs[0] for output in outputs[1:])
+
+
+def _checkpoint_and_log(tmp_path, train_fn, config, samples, train_config):
+    """Checkpoint and loss-log bytes of ``train_fn`` on ``samples``.
+
+    ``train`` writes its log; the oracle's history is written as ``train``
+    writes one.
+    """
+    tmp_path.mkdir()
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=11)
+    text = {"widget": toy_text(config.dim, dtype=np.float32),
+            "gadget": toy_text(config.dim, seed=1, dtype=np.float32)}
+    log = tmp_path / "loss.csv"
+    if train_fn is train:
+        train(backbone, params, samples, text, train_config, loss_log_path=log)
+    else:
+        history = train_fn(backbone, params, samples, text, train_config)
+        log.write_text("epoch,mean_loss\n" + "".join(f"{epoch},{value:.8f}\n" for epoch, value
+                                                     in enumerate(history, 1)))
+    save_checkpoint(tmp_path / "model.ckpt", config, params)
+    return (tmp_path / "model.ckpt").read_bytes(), log.read_bytes()
+
+
+# name: (backbone config, sample count, TrainConfig keywords)
+FORKED_CASES = {
+    # a streamed set: steps of 16 as two graphs, then a short step of 4 as one
+    "streamed_default_size": (BackboneConfig(), 20, {"batch_size": 16, "epochs": 1}),
+    # one batch of 12 whose rows, graphs of 8 and 4, are built before the fork
+    "resident": (TOY, 12, {"batch_size": 16, "epochs": 2}),
+    # steps of 32 as four graphs, two on each process, then one graph of 8
+    "batch_32": (TOY, 40, {"batch_size": 32, "epochs": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORKED_CASES))
+def test_training_with_a_forked_worker_writes_the_oracle_bytes(tmp_path, monkeypatch, case):
+    config, count, overrides = FORKED_CASES[case]
+    samples = mixed_samples(count, config.image_size, seed=32)
+    train_config = TrainConfig(lr=1e-2, seed=10, **overrides)
+    forks = count_forks(monkeypatch)
+    outputs = _checkpoint_and_log(tmp_path / "train", train, config, samples, train_config)
+    assert len(forks) == 1
+    assert outputs == _checkpoint_and_log(tmp_path / "oracle", train_oracle.train, config,
+                                          samples, train_config)
+
+
+def test_the_worker_ignores_sigint(monkeypatch):
+    # Ctrl-C signals the whole process group, and only the caller acts on it, so
+    # that the worker is reaped: a SIGINT to the worker alone after step 1
+    # leaves it to run its graph of step 2
+    forks = count_forks(monkeypatch)
+    adam_step = objective.adam_step
+
+    def interrupt_the_worker(*args):
+        if args[2].step == 0:
+            os.kill(forks[0], signal.SIGINT)
+        return adam_step(*args)
+
+    monkeypatch.setattr(objective, "adam_step", interrupt_the_worker)
+    samples = mixed_samples(40, TOY.image_size, seed=36)
+    train_config = TrainConfig(lr=1e-2, batch_size=16, epochs=1, seed=10)
+    assert (_trained_bits(train, TOY, samples, {}, train_config)
+            == _trained_bits(train_oracle.train, TOY, samples, {}, train_config))
+
+
+def test_one_graph_steps_and_a_python_without_fork_train_in_one_process(tmp_path,
+                                                                       monkeypatch):
+    # the few-shot reference set, 8 samples in one batch of 16, runs each step as
+    # one graph; without os.fork, steps of two graphs run here too
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for name, count in (("one_graph", 8), ("no_fork", 20)):
+        if name == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        samples = mixed_samples(count, TOY.image_size, seed=33)
+        train_config = TrainConfig(lr=1e-2, batch_size=16, epochs=2, seed=10)
+        assert (_checkpoint_and_log(tmp_path / name, train, TOY, samples, train_config)
+                == _checkpoint_and_log(tmp_path / f"{name}_oracle", train_oracle.train, TOY,
+                                       samples, train_config)), name
+
+
+def test_an_error_on_the_worker_is_raised_by_train(monkeypatch):
+    # an error that pickles comes back as itself; one that does not (its class
+    # is local) as a RuntimeError of its text. No worker is left behind
+    class Local(Exception):
+        pass
+
+    caller, total_loss = os.getpid(), objective.total_loss
+    samples = mixed_samples(20, TOY.image_size, seed=34)
+    for error, expected in ((DataError("no such sample"), DataError),
+                            (Local("no such sample"), RuntimeError)):
+        def on_the_worker(*args, **kwargs):
+            if os.getpid() != caller:
+                raise error
+            return total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "total_loss", on_the_worker)
+        with pytest.raises(expected) as raised:
+            _trained_bits(train, TOY, samples, {}, TrainConfig(batch_size=16, epochs=1))
+        assert type(raised.value) is expected
+        assert str(raised.value) == ("no such sample" if expected is DataError
+                                     else "Local: no such sample")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_blas_runs_on_one_thread_in_both_processes_while_the_worker_lives(tmp_path,
+                                                                         monkeypatch):
+    calls = objective._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS whose thread count can be set is loaded")
+    get, set_ = calls
+    before = get()
+    log = tmp_path / "threads.txt"
+    monkeypatch.setattr(objective, "total_loss",
+                        logged(log, objective.total_loss, lambda *a, **k: get()))
+    set_(2)
+    try:
+        _trained_bits(train, TOY, mixed_samples(20, TOY.image_size, seed=35), {},
+                      TrainConfig(batch_size=16, epochs=1))
+        after = get()
+    finally:
+        set_(before)
+    # three graphs: the caller's of steps 1 and 2, and the worker's of step 1
+    assert read_lines(log) == ["1"] * 3 and after == 2
 
 
 def test_a_graph_that_reaches_no_trainable_tensor_adds_nothing(monkeypatch):
