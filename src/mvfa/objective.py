@@ -33,15 +33,16 @@ one graph of all its samples, and a step's memory is that of one graph,
 whatever ``batch_size`` is. A sample without a mask has no seg term, and
 its rows of the seg gradient are zero, which adds nothing.
 
-A step of two or more graphs runs its later half on a worker process,
-forked once per :func:`train` call, while the calling process runs the
-earlier half. The worker gets the parameters and its graphs' sample
-indices at each step and returns each graph's per-sample totals and
-products, which the caller adds after its own, in sample order, so the
-bits do not depend on which process ran a graph. An error in the worker
-reaches the caller as the same exception. Memory and RSS figures for
-training are per process; the worker shares most of its pages with the
-caller until either writes them.
+A step of two or more samples is halved by samples: a worker process,
+forked once per :func:`train` call, runs the later half as its own graphs
+while the calling process runs the earlier half, which holds the odd
+sample of an odd step. The worker gets the parameters and its graphs'
+sample indices at each step and returns each graph's per-sample totals
+and products, which the caller adds after its own, in sample order, so
+the bits do not depend on which process ran a sample. An error in the
+worker reaches the caller as the same exception. Memory and RSS figures
+for training are per process; the worker shares most of its pages with
+the caller until either writes them.
 
 Training holds at most one graph of samples. The embedding and stage 1
 reach no trainable tensor, so a graph needs of each sample only its
@@ -79,8 +80,9 @@ from .fileio import write_text_atomic
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
-# samples per training graph: the encoder blocks' per-sample cost is about
-# flat from 8 samples up and rises below, while memory grows with the graph
+# samples per training graph, within each process's half of a step: the
+# encoder blocks' per-sample cost is about flat from 8 samples up and rises
+# below, while memory grows with the graph
 SUB_BATCH = 8
 
 
@@ -549,12 +551,12 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     those of training one sample graph at a time (``tests/train_oracle.py``)
     whatever the graph size.
 
-    When a step can hold two or more graphs and ``os.fork`` exists, one
-    worker process is forked after the set-up below, and each step of two
-    or more graphs runs its later half there while this process runs the
-    earlier half; the worker is reaped before this call returns or raises,
-    and its errors are raised here unchanged. A step of one graph runs
-    here.
+    When a step can hold two or more samples and ``os.fork`` exists, one
+    worker process is forked after the set-up below. Each step runs its
+    later ``len(step) // 2`` samples there, as graphs of their own, while
+    this process runs the rest; the worker is reaped before this call
+    returns or raises, and its errors are raised here unchanged. A step of
+    one sample runs here.
 
     A training set that fits in one batch is loaded and run through the
     embedding and stage 1 once, one graph's samples at a time, and each
@@ -606,8 +608,7 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         loss = ag.scale(_sum_samples(totals), 1.0 / size)
         return totals.data, ag.backward(loss, parts=True)
 
-    forks = (config.epochs and min(len(samples), config.batch_size) > SUB_BATCH
-             and hasattr(os, "fork"))
+    forks = config.epochs and min(len(samples), config.batch_size) > 1 and hasattr(os, "fork")
     with _worker(run_graph, [p for _, p in named]) if forks else contextlib.nullcontext() \
             as worker:
         for epoch in range(config.epochs):
@@ -615,15 +616,15 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
             weighted = 0.0
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start:start + config.batch_size]
-                graphs = _graphs(chunk)
-                # the worker runs the later half while this process runs the rest
-                split = len(graphs) if worker is None else max(1, len(graphs) // 2)
-                later = graphs[split:]
+                # the worker runs the later half of the samples while this process
+                # runs the rest
+                half = len(chunk) if worker is None else (len(chunk) + 1) // 2
+                later = _graphs(chunk[half:])
                 if later:
                     worker.send(later, len(chunk))
                 total, sums = None, {}
                 for totals, parts in itertools.chain(
-                        (run_graph(graph, len(chunk)) for graph in graphs[:split]),
+                        (run_graph(graph, len(chunk)) for graph in _graphs(chunk[:half])),
                         worker.results() if later else ()):
                     total = ag.sum_in_order(totals, total)
                     if not np.isfinite(total):

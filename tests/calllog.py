@@ -1,7 +1,7 @@
 """Call logs that see both processes of a training run, and its forks.
 
-Training runs the later graphs of each step on a forked worker, which
-counts into its own copy of any list or counter a test holds. A line
+Training runs the later half of each step's samples on a forked worker,
+which counts into its own copy of any list or counter a test holds. A line
 appended to a file is seen from both processes.
 """
 

@@ -871,25 +871,42 @@ def test_training_peak_does_not_grow_with_the_training_set(tmp_path):
 def test_training_embeds_one_batch_once_and_a_larger_set_at_every_step(tmp_path,
                                                                           monkeypatch):
     # the few-shot set reuses its stage-1 rows across epochs, computed one graph
-    # of 3 at a time; a zero-shot set larger than one batch embeds each graph's
-    # samples when the graph runs. The graph of 1 in a step of 4 runs on the
-    # worker, at the same time as the graph of 3, so each step's batch sizes
-    # (all logged before its Adam update) are read largest first, as the
-    # graphs run
+    # of 3 at a time before the fork; a zero-shot set larger than one batch embeds
+    # each graph's samples when the graph runs. A step of n samples runs its first
+    # ceil(n / 2) here and the rest on the worker, each half as graphs of at most
+    # 3. The two halves run at the same time, so each step's calls (all logged
+    # before its Adam update) are compared as a sorted list
+    def graphs(where, count):
+        sizes = [3] * (count // 3) + [count % 3] * (count % 3 > 0)
+        return [f"{where} {size}" for size in sizes]
+
+    def step(count):
+        return sorted(graphs("here", (count + 1) // 2) + graphs("worker", count // 2))
+
+    caller = os.getpid()
     log = tmp_path / "calls.txt"
-    monkeypatch.setattr(FrozenBackbone, "embed", logged(log, FrozenBackbone.embed,
-                                                        lambda self, images: len(images)))
+    monkeypatch.setattr(FrozenBackbone, "embed", logged(
+        log, FrozenBackbone.embed,
+        lambda self, images: f"{'here' if os.getpid() == caller else 'worker'} {len(images)}"))
     monkeypatch.setattr(objective, "adam_step",
                         logged(log, objective.adam_step, lambda *args: "step"))
     monkeypatch.setattr(objective, "SUB_BATCH", 3)
-    for count, expected in ((4, [3, 1]), (5, [3, 1, 1] * 3)):
+    # 4 samples in one step per epoch; 9 samples in steps of 7 (4 + 3: graphs of
+    # 3 and 1 here, one of 3 on the worker) and 2 (1 + 1); 3 epochs each
+    for count, expected in ((4, [sorted(graphs("here", 4)), [], []]),
+                            (9, [step(7), step(2)] * 3)):
         backbone, params, text = toy_setup()
         log.unlink(missing_ok=True)
         train(backbone, params, toy_samples(count), text,
-              TrainConfig(batch_size=4, epochs=3, seed=2))
-        steps = " ".join(read_lines(log)).split("step")
-        batches = [int(n) for step in steps for n in sorted(step.split(), key=int, reverse=True)]
-        assert batches == expected, count
+              TrainConfig(batch_size=7, epochs=3, seed=2))
+        steps, calls = [], []
+        for line in read_lines(log):
+            if line == "step":
+                steps.append(sorted(calls))
+                calls = []
+            else:
+                calls.append(line)
+        assert steps == expected, count
 
 
 def _train_outputs(tmp_path, samples, train_config):
@@ -940,11 +957,20 @@ def _checkpoint_and_log(tmp_path, train_fn, config, samples, train_config):
 
 # name: (backbone config, sample count, TrainConfig keywords)
 FORKED_CASES = {
-    # a streamed set: steps of 16 as two graphs, then a short step of 4 as one
+    # a streamed set: a step of 16 as 8 + 8, then a short step of 4 as 2 + 2
     "streamed_default_size": (BackboneConfig(), 20, {"batch_size": 16, "epochs": 1}),
-    # one batch of 12 whose rows, graphs of 8 and 4, are built before the fork
+    # the few-shot reference layout: one batch of 8 whose rows are built before the
+    # fork, each step run as 4 + 4
+    "resident_default_size": (BackboneConfig(), 8, {"batch_size": 16, "epochs": 2}),
+    # one batch of 12 whose rows, graphs of 8 and 4, are built before the fork;
+    # each step runs as 6 + 6
     "resident": (TOY, 12, {"batch_size": 16, "epochs": 2}),
-    # steps of 32 as four graphs, two on each process, then one graph of 8
+    # an odd step: 3 samples here and 2 on the worker
+    "odd_step": (TOY, 5, {"batch_size": 5, "epochs": 2}),
+    # a step of 24 as 12 + 12, each half a graph of 8 and one of 4, then a step
+    # of 6 as 3 + 3
+    "batch_24": (TOY, 30, {"batch_size": 24, "epochs": 2}),
+    # steps of 32 as 16 + 16, two graphs on each process, then a step of 8 as 4 + 4
     "batch_32": (TOY, 40, {"batch_size": 32, "epochs": 2}),
 }
 
@@ -982,17 +1008,17 @@ def test_the_worker_ignores_sigint(monkeypatch):
 
 def test_one_graph_steps_and_a_python_without_fork_train_in_one_process(tmp_path,
                                                                        monkeypatch):
-    # the few-shot reference set, 8 samples in one batch of 16, runs each step as
-    # one graph; without os.fork, steps of two graphs run here too
+    # steps of one sample run here; without os.fork, steps of two graphs run
+    # here too
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    for name, count in (("one_graph", 8), ("no_fork", 20)):
+    for name, count, batch_size in (("one_sample", 8, 1), ("no_fork", 20, 16)):
         if name == "no_fork":
             monkeypatch.delattr(os, "fork")
         samples = mixed_samples(count, TOY.image_size, seed=33)
-        train_config = TrainConfig(lr=1e-2, batch_size=16, epochs=2, seed=10)
+        train_config = TrainConfig(lr=1e-2, batch_size=batch_size, epochs=2, seed=10)
         assert (_checkpoint_and_log(tmp_path / name, train, TOY, samples, train_config)
                 == _checkpoint_and_log(tmp_path / f"{name}_oracle", train_oracle.train, TOY,
                                        samples, train_config)), name
@@ -1040,8 +1066,8 @@ def test_blas_runs_on_one_thread_in_both_processes_while_the_worker_lives(tmp_pa
         after = get()
     finally:
         set_(before)
-    # three graphs: the caller's of steps 1 and 2, and the worker's of step 1
-    assert read_lines(log) == ["1"] * 3 and after == 2
+    # four graphs: steps of 16 and 4 run as 8 + 8 and 2 + 2
+    assert read_lines(log) == ["1"] * 4 and after == 2
 
 
 def test_a_graph_that_reaches_no_trainable_tensor_adds_nothing(monkeypatch):
@@ -1061,10 +1087,11 @@ def test_a_graph_that_reaches_no_trainable_tensor_adds_nothing(monkeypatch):
 
 
 def test_training_step_memory_does_not_grow_with_the_batch(tmp_path):
-    # a streamed step of 32 samples runs as four 8-sample graphs: 52 KiB more than
-    # a step of 8 measured, against 18.4 MiB more as one 32-sample graph
+    # a streamed step of 64 samples runs as 32 + 32, four 8-sample graphs on each
+    # process, and one of 16 as 8 + 8, one graph on each: 113 KiB more measured in
+    # the caller, against 18.4 MiB more for one 32-sample graph over one of 8
     config = BackboneConfig()
-    samples = mixed_samples(33, config.image_size, seed=28)
+    samples = mixed_samples(65, config.image_size, seed=28)
     text = {"widget": toy_text(config.dim, dtype=np.float32),
             "gadget": toy_text(config.dim, seed=1, dtype=np.float32)}
 
@@ -1079,8 +1106,8 @@ def test_training_step_memory_does_not_grow_with_the_batch(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(8)  # warm caches
-    assert peak(32) - peak(8) <= 256 * 1024
+    peak(16)  # warm caches
+    assert peak(64) - peak(16) <= 256 * 1024
 
 
 def test_training_rejects_a_mask_that_is_not_zero_or_one():
