@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import ctypes
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -27,6 +27,7 @@ from .adaptation import init_params, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, init_backbone
 from .errors import BankError, ConfigError, DataError, MVFAError, NumericError
 from .fileio import file_sha256, parse_json, read_text, write_text_atomic
+from .worker import keep_freed_heap
 
 DEFAULT_CONFIG = {
     "backbone": dataclasses.asdict(BackboneConfig()),
@@ -337,17 +338,19 @@ def cmd_predict(args):
     text = _text_features(_prompt_set(args), {s.modality for s in samples},
                           cfg["text_seed"], backbone.config.dim)
     lines = ["image,modality,label,c_pred,c_zero,c_few"]
-    for sample, result in metrics.score_samples(backbone, params, samples, text,
-                                                bank=bank, beta1=beta1, beta2=beta2,
-                                                tau=inf["tau"]):
-        stem = os.path.splitext(os.path.basename(sample.path))[0]
-        s_pred = result.s_pred
-        inference.save_map(os.path.join(args.out_dir, stem + ".map"), s_pred)
-        datamod.write_pgm(os.path.join(args.out_dir, stem + "_heat.pgm"),
-                          inference.map_to_u8(s_pred))
-        lines.append(",".join(metrics.csv_value(v) for v in (
-            sample.path, sample.modality, sample.label, result.c_pred, result.c_zero,
-            result.c_few)))
+    pairs = metrics.score_samples(backbone, params, samples, text, bank=bank, beta1=beta1,
+                                  beta2=beta2, tau=inf["tau"])
+    # each chunk's fused maps are upsampled together, once per level and branch
+    while chunk := list(itertools.islice(pairs, inference.CHUNK)):
+        s_preds = inference.fused_mean([result for _, result in chunk], beta1, beta2)
+        for (sample, result), s_pred in zip(chunk, s_preds):
+            stem = os.path.splitext(os.path.basename(sample.path))[0]
+            inference.save_map(os.path.join(args.out_dir, stem + ".map"), s_pred)
+            datamod.write_pgm(os.path.join(args.out_dir, stem + "_heat.pgm"),
+                              inference.map_to_u8(s_pred))
+            lines.append(",".join(metrics.csv_value(v) for v in (
+                sample.path, sample.modality, sample.label, result.c_pred, result.c_zero,
+                result.c_few)))
     scores_path = os.path.join(args.out_dir, "scores.csv")
     write_text_atomic(scores_path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} maps and {scores_path}")
@@ -510,37 +513,8 @@ def build_parser():
     return parser
 
 
-# glibc's mallopt parameters, and the values main sets: freed arrays up to
-# 32 MiB go back to the heap, and the heap top is trimmed only past 64 MiB
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MALLOC_OPTIONS = ((M_MMAP_THRESHOLD, 32 * 2 ** 20), (M_TRIM_THRESHOLD, 64 * 2 ** 20))
-
-
-def _keep_freed_heap():
-    """Stop glibc from handing each freed training step back to the kernel.
-
-    With its dynamic thresholds, glibc maps large arrays on their own and
-    trims the freed step graph off the heap top, so the next step faults
-    the same pages back in. Fixed thresholds keep those pages for reuse.
-    Nothing is set without glibc, or where the user set one of glibc's own
-    ``MALLOC_*_`` variables or ``GLIBC_TUNABLES``, which then decide.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):
-        return
-    if "GLIBC_TUNABLES" in os.environ or any(
-            name.startswith("MALLOC_") and name.endswith("_") for name in os.environ):
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for option, value in MALLOC_OPTIONS:
-        mallopt(option, value)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
+    keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

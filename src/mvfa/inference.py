@@ -7,11 +7,14 @@ images. Both produce an image score and per-level scores on the patch
 grid, combined linearly with weights (beta1, beta2) by :func:`blend`; a
 result keeps the branches' grids and weights, and :func:`fused_maps`
 upsamples each level of a few results once and fuses both the mean map
-and every level's map from them.
+and every level's map from them; :func:`fused_mean` keeps only the mean,
+which ``predict`` writes for each chunk of CHUNK images.
 Both branches score a chunk of images at once, one call per level and
 role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
-on the chunk it is scored in. A bank and an anomaly map are each saved as
+on the chunk it is scored in, or on the process: ``metrics.score_samples``
+sends the later half of a test set's chunks to a forked worker. A bank is
+built with BLAS on one thread. A bank and an anomaly map are each saved as
 one ``fileio`` container; a bank's header records the SHA-256 of the
 checkpoint it was built from, so a command can refuse another pairing.
 """
@@ -27,6 +30,7 @@ from .adaptation import AdaptedFeatures, adapt_forward, text_probabilities
 from .autograd import no_grad
 from .errors import BankError, ConfigError, ContractError, FormatError
 from .fileio import read_tensors, write_tensors
+from .worker import one_blas_thread
 
 # images loaded, scored and upsampled per batch: it bounds what scoring and
 # evaluation hold at once, and a batch gives each image the bits it gets alone
@@ -66,8 +70,7 @@ class AnomalyResult:
     @property
     def s_pred(self):
         """(h, w) fused map: the blend of the branches' mean maps."""
-        *_, mean = fused_maps([self], self.beta1, self.beta2)
-        return mean[0]
+        return fused_mean([self], self.beta1, self.beta2)[0]
 
     @property
     def s_levels_zero(self):
@@ -129,11 +132,24 @@ def fused_maps(results, beta1, beta2):
     yield blend(beta1, sums["grids_zero"], beta2, sums.get("grids_few"))
 
 
+def fused_mean(results, beta1, beta2):
+    """The last map of :func:`fused_maps`: the fused (images, h, w) mean maps.
+
+    The level maps before it are dropped as they come.
+    """
+    for fused in fused_maps(results, beta1, beta2):
+        pass
+    return fused
+
+
 def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
-    """Collect normalized per-level features from normal reference images."""
+    """Collect normalized per-level features from normal reference images.
+
+    BLAS runs on one thread meanwhile (``worker.one_blas_thread``).
+    """
     if not normal_images:
         raise BankError("memory bank needs at least one normal reference image")
-    with no_grad():
+    with no_grad(), one_blas_thread():
         features, _ = adapt_forward(backbone, params, list(normal_images))
 
     def stores(levels):

@@ -33,16 +33,17 @@ one graph of all its samples, and a step's memory is that of one graph,
 whatever ``batch_size`` is. A sample without a mask has no seg term, and
 its rows of the seg gradient are zero, which adds nothing.
 
-A step of two or more samples is halved by samples: a worker process,
-forked once per :func:`train` call, runs the later half as its own graphs
-while the calling process runs the earlier half, which holds the odd
-sample of an odd step. The worker gets the parameters and its graphs'
-sample indices at each step and returns each graph's per-sample totals
-and products, which the caller adds after its own, in sample order, so
-the bits do not depend on which process ran a sample. An error in the
-worker reaches the caller as the same exception. Memory and RSS figures
-for training are per process; the worker shares most of its pages with
-the caller until either writes them.
+A step of two or more samples is halved by samples: a worker process
+(``worker.forked``, which scoring forks too), forked once per
+:func:`train` call, runs the later half as its own graphs while the
+calling process runs the earlier half, which holds the odd sample of an
+odd step. The worker gets the parameters and its graphs' sample indices
+at each step and returns each graph's per-sample totals and products,
+which the caller adds after its own, in sample order, so the bits do not
+depend on which process ran a sample. An error in the worker reaches the
+caller as the same exception. Memory and RSS figures for training are per
+process; the worker shares most of its pages with the caller until either
+writes them.
 
 Training holds at most one graph of samples. The embedding and stage 1
 reach no trainable tensor, so a graph needs of each sample only its
@@ -59,14 +60,11 @@ the float32 one, since both cast to the same 0/1 map.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import itertools
 import math
 import operator
 import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +75,7 @@ from .autograd import Tensor
 from .data import bool_mask, load_chunks
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .fileio import write_text_atomic
+from .worker import forked
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
@@ -375,160 +374,6 @@ def _graphs(indices):
     return [indices[i:i + SUB_BATCH] for i in range(0, len(indices), SUB_BATCH)]
 
 
-class _Worker:
-    """A forked process that runs graphs of each training step for the caller.
-
-    ``run_graph(graph, size)`` runs one graph of a step of ``size`` samples
-    and returns its per-sample totals and ``{leaf: parts}``; ``leaves`` are
-    the trainable tensors, in the order in which their arrays are sent.
-    """
-
-    def __init__(self, run_graph, leaves):
-        self.leaves = leaves
-        command_in, command_out = os.pipe()
-        result_in, result_out = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in (command_in, command_out, result_in, result_out):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            # leave only through _exit: no atexit handler or stdio flush runs twice
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(command_out)
-                os.close(result_in)
-                _serve(open(command_in, "rb"), open(result_out, "wb"), run_graph, leaves)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(command_in)
-        os.close(result_out)
-        self._commands = open(command_out, "wb")
-        self._results = open(result_in, "rb")
-
-    def send(self, graphs, size):
-        """Start the worker on ``graphs`` of a step of ``size`` samples."""
-        pickle.dump(([leaf.data for leaf in self.leaves], graphs, size), self._commands)
-        self._commands.flush()
-
-    def results(self):
-        """Each sent graph's totals and parts, in order; raises the worker's error."""
-        try:
-            replies = pickle.load(self._results)
-        except EOFError:
-            raise ChildProcessError("the training worker exited without its results") \
-                from None
-        for reply in replies:
-            if isinstance(reply, BaseException):
-                raise reply
-            totals, parts = reply
-            yield totals, {self.leaves[i]: part for i, part in parts}
-
-    def close(self):
-        """Close the pipes and reap the worker; a closed command pipe ends a live one."""
-        for pipe in (self._commands, self._results):
-            with contextlib.suppress(OSError):  # the pipe of a killed worker
-                pipe.close()
-        os.waitpid(self.pid, 0)
-
-
-@contextlib.contextmanager
-def _worker(run_graph, leaves):
-    """A forked :class:`_Worker` for the steps run inside the context.
-
-    BLAS runs on one thread in both processes meanwhile: processes whose
-    BLAS threads share the cores slow each other down. On 2 cores, with
-    OpenBLAS's default of 2 threads, a seed-42 zero-shot ``train --epochs 2``
-    took 12-17 s this way, against 3.2 s on one thread each. The worker is
-    reaped on the way out, and killed first if the context ends by an
-    exception.
-    """
-    with _one_blas_thread():
-        worker = _Worker(run_graph, leaves)
-        try:
-            yield worker
-        except BaseException:
-            os.kill(worker.pid, signal.SIGKILL)  # its results are not wanted
-            raise
-        finally:
-            worker.close()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the loaded OpenBLAS on one thread inside the context, where it is found."""
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-def _openblas_thread_calls():
-    """The get and set thread-count functions of the OpenBLAS mapped into this process.
-
-    Returns None where there is none, or where the maps cannot be read
-    (outside Linux).
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return None
-    for lib, name in itertools.product(libs, ("scipy_openblas{}_num_threads64_",
-                                              "scipy_openblas{}_num_threads",
-                                              "openblas{}_num_threads64_",
-                                              "openblas{}_num_threads")):
-        get = getattr(lib, name.format("_get"), None)
-        set_ = getattr(lib, name.format("_set"), None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
-    return None
-
-
-def _serve(commands, results, run_graph, leaves):
-    """The worker's loop: run each command's graphs until the command pipe closes.
-
-    An error ends its step's replies; one that does not pickle is sent as a
-    RuntimeError of its text.
-    """
-    index = {leaf: i for i, leaf in enumerate(leaves)}
-    while True:
-        try:
-            arrays, graphs, size = pickle.load(commands)
-        except EOFError:
-            return
-        for leaf, data in zip(leaves, arrays):
-            leaf.data = data
-        replies = []
-        for graph in graphs:
-            try:
-                totals, parts = run_graph(graph, size)
-            except Exception as exc:
-                replies.append(exc)
-                break
-            replies.append((totals, [(index[leaf], part) for leaf, part in parts.items()]))
-        try:
-            payload = pickle.dumps(replies)
-        except Exception:
-            replies[-1] = RuntimeError(f"{type(replies[-1]).__name__}: {replies[-1]}")
-            payload = pickle.dumps(replies)
-        results.write(payload)
-        results.flush()
-
-
 def train(backbone, params: MVFAParams, samples, text_features: dict,
           config: TrainConfig, loss_log_path=None):
     """Optimize the adapter parameters on loaded (or loadable) samples.
@@ -608,9 +453,20 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         loss = ag.scale(_sum_samples(totals), 1.0 / size)
         return totals.data, ag.backward(loss, parts=True)
 
+    leaves = [p for _, p in named]
+    index = {leaf: i for i, leaf in enumerate(leaves)}
+
+    def run_graphs(command):
+        """The worker's share of a step: each graph's totals, and its parts by leaf index."""
+        arrays, graphs, size = command
+        for leaf, data in zip(leaves, arrays):
+            leaf.data = data
+        for graph in graphs:
+            totals, parts = run_graph(graph, size)
+            yield totals, [(index[leaf], part) for leaf, part in parts.items()]
+
     forks = config.epochs and min(len(samples), config.batch_size) > 1 and hasattr(os, "fork")
-    with _worker(run_graph, [p for _, p in named]) if forks else contextlib.nullcontext() \
-            as worker:
+    with forked(run_graphs) if forks else contextlib.nullcontext() as worker:
         for epoch in range(config.epochs):
             order = rng.permutation(len(samples))
             weighted = 0.0
@@ -621,11 +477,12 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
                 half = len(chunk) if worker is None else (len(chunk) + 1) // 2
                 later = _graphs(chunk[half:])
                 if later:
-                    worker.send(later, len(chunk))
+                    worker.send(([leaf.data for leaf in leaves], later, len(chunk)))
                 total, sums = None, {}
                 for totals, parts in itertools.chain(
                         (run_graph(graph, len(chunk)) for graph in _graphs(chunk[:half])),
-                        worker.results() if later else ()):
+                        ((totals, {leaves[i]: part for i, part in parts})
+                         for totals, parts in (worker.results() if later else ()))):
                     total = ag.sum_in_order(totals, total)
                     if not np.isfinite(total):
                         raise NumericError(

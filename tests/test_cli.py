@@ -18,7 +18,7 @@ from calllog import count_forks, logged, read_lines
 from forge import START, container, forge, header_bytes, split, v1_bank, v1_checkpoint
 from test_adaptation import overflowing_checkpoint
 
-from mvfa import autograd, cli, objective
+from mvfa import autograd, cli, metrics, objective, worker
 from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
 from mvfa.cli import DEFAULT_CONFIG, build_parser, main
@@ -749,6 +749,140 @@ def test_training_leaves_no_process_behind(workdir, tmp_path, capsys, monkeypatc
                                        else [])
 
 
+@pytest.fixture(scope="module")
+def scoring_sets(tmp_path_factory):
+    """``make(images)``: a texture-c dataset of that many test images, a model and its bank.
+
+    Returns (config, data, ckpt, bank) paths; the checkpoint is untrained.
+    """
+    root = tmp_path_factory.mktemp("scoring")
+    made = {}
+
+    def make(images):
+        if images not in made:
+            base = root / str(images)
+            base.mkdir()
+            cfg = json.loads(json.dumps(CONFIG))
+            cfg["data"]["modalities"] = cfg["data"]["modalities"][2:]
+            cfg["data"]["test_normals"] = images // 2
+            cfg["data"]["test_anomalies"] = images - images // 2
+            (base / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+            config, data, ckpt, bank = (str(base / name) for name in
+                                        ("config.json", "data", "m.ckpt", "bank.bin"))
+            flags = ["--config", config, "--data", data]
+            assert main(["gen-data", "--config", config, "--out", data]) == 0
+            assert main(["train", *flags, "--out", ckpt, "--epochs", "0"]) == 0
+            assert main(["build-bank", *flags, "--ckpt", ckpt, "--out", bank]) == 0
+            made[images] = config, data, ckpt, bank
+        return made[images]
+
+    return make
+
+
+def _scoring_commands(config, data, ckpt, bank, out):
+    """eval (with its CSV) and predict of the few-shot model, writing under ``out``."""
+    flags = ["--config", config, "--data", data, "--ckpt", ckpt, "--bank", bank]
+    return {"eval": ["eval", *flags, "--out", str(out / "report.json"),
+                     "--csv", str(out / "report.csv")],
+            "predict": ["predict", *flags, "--out-dir", str(out / "maps")]}
+
+
+def _fail_to_load_when_scored(monkeypatch, index):
+    """Cut the image of test sample ``index`` when scoring starts, after its manifest check."""
+    score_samples = metrics.score_samples
+
+    def cut_then_score(backbone, params, samples, *args, **kwargs):
+        image = Path(samples[index].image)
+        image.write_bytes(image.read_bytes()[:-1])
+        return score_samples(backbone, params, samples, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "score_samples", cut_then_score)
+
+
+@pytest.mark.parametrize("images", [8, 16, 37, 100])
+def test_eval_and_predict_write_the_same_bytes_with_and_without_fork(scoring_sets, tmp_path,
+                                                                    capsys, monkeypatch,
+                                                                    images):
+    # 1 chunk scores in one process; 2, 5 and 13 chunks fork one worker per command
+    config, data, ckpt, bank = scoring_sets(images)
+    outputs = {}
+    for name in ("forked", "one_process"):
+        out = tmp_path / name
+        with monkeypatch.context() as patch:
+            forks = count_forks(patch)
+            if name == "one_process":
+                patch.delattr(os, "fork")
+            for argv in _scoring_commands(config, data, ckpt, bank, out).values():
+                assert main(argv) == 0
+        assert len(forks) == (2 if name == "forked" and images > 8 else 0)
+        outputs[name] = tree_bytes(out)
+    capsys.readouterr()
+    assert len(outputs["forked"]) == 2 + 2 * images + 1
+    assert outputs["forked"] == outputs["one_process"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_an_image_that_fails_to_load_in_the_scoring_worker_fails_as_in_one_process(
+        scoring_sets, tmp_path, capsys, monkeypatch, command):
+    # 5 chunks: this process scores 2 and the worker 3; the worker's last
+    # chunk holds the cut image, so predict writes the maps of the 4 chunks
+    # before it, and eval writes nothing
+    config, data, ckpt, bank = scoring_sets(37)
+    outcomes = []
+    for name in ("forked", "one_process"):
+        copy = tmp_path / name / "data"
+        shutil.copytree(data, copy)
+        out = tmp_path / name / "out"
+        with monkeypatch.context() as patch:
+            forks = count_forks(patch)
+            if name == "one_process":
+                patch.delattr(os, "fork")
+            _fail_to_load_when_scored(patch, 36)
+            code = main(_scoring_commands(config, str(copy), ckpt, bank, out)[command])
+        err = capsys.readouterr().err
+        assert len(forks) == (name == "forked")
+        assert err.startswith(f"error: {copy}") and "Traceback" not in err
+        outcomes.append((code, err.replace(str(copy), "<data>"), sorted(tree_bytes(out))))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+    assert len(outcomes[0][2]) == (2 * 32 if command == "predict" else 0)
+
+
+@pytest.mark.parametrize("end", ["return", "raise", "interrupt"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_scoring_leaves_no_process_behind(scoring_sets, tmp_path, capsys, monkeypatch,
+                                          command, end):
+    """No scoring worker outlives eval or predict, however the command ends.
+
+    The first image fails to load, or a KeyboardInterrupt comes from this
+    process's first pair, while the worker still scores its half.
+    """
+    config, data, ckpt, bank = scoring_sets(37)
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    forks = count_forks(monkeypatch)
+    if end == "raise":
+        _fail_to_load_when_scored(monkeypatch, 0)
+    elif end == "interrupt":
+        caller, bool_mask = os.getpid(), metrics.bool_mask
+
+        def interrupted(mask):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return bool_mask(mask)
+
+        monkeypatch.setattr(metrics, "bool_mask", interrupted)
+    argv = _scoring_commands(config, str(copy), ckpt, bank, tmp_path / "out")[command]
+    if end == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == {"return": 0, "raise": 2}[end]
+    capsys.readouterr()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):
     root, config, data = workdir
     paths = []
@@ -1379,8 +1513,8 @@ def mallopt_calls(monkeypatch):
         calls.append((option, value))
         return 1
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(worker.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(worker.os, "confstr", lambda name: "glibc 2.36")
     for name in list(os.environ):
         if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
             monkeypatch.delenv(name)
@@ -1393,8 +1527,8 @@ def _no_confstr(name):
 
 @pytest.mark.parametrize("confstr", [_no_confstr, lambda name: None])
 def test_malloc_options_are_not_set_without_glibc(mallopt_calls, monkeypatch, confstr):
-    monkeypatch.setattr(cli.os, "confstr", confstr)
-    cli._keep_freed_heap()
+    monkeypatch.setattr(worker.os, "confstr", confstr)
+    worker.keep_freed_heap()
     assert mallopt_calls == []
 
 
@@ -1403,7 +1537,7 @@ def test_malloc_options_are_not_set_without_glibc(mallopt_calls, monkeypatch, co
 def test_malloc_options_yield_to_the_users_malloc_variables(mallopt_calls, monkeypatch,
                                                            name):
     monkeypatch.setenv(name, "0")
-    cli._keep_freed_heap()
+    worker.keep_freed_heap()
     assert mallopt_calls == []
 
 
@@ -1412,8 +1546,8 @@ def test_main_twice_sets_the_same_malloc_options(mallopt_calls, workdir, tmp_pat
     for run in range(2):
         assert main(["gen-data", "--config", config, "--out", str(tmp_path / str(run))]) == 0
     capsys.readouterr()
-    assert mallopt_calls == [(cli.M_MMAP_THRESHOLD, 32 * 2 ** 20),
-                             (cli.M_TRIM_THRESHOLD, 64 * 2 ** 20)] * 2
+    assert mallopt_calls == [(worker.M_MMAP_THRESHOLD, 32 * 2 ** 20),
+                             (worker.M_TRIM_THRESHOLD, 64 * 2 ** 20)] * 2
 
 
 def _glibc():

@@ -1,17 +1,21 @@
+import os
+import pickle
 import tracemalloc
 
 import auc_oracle
 import eval_oracle
 import numpy as np
 import pytest
+from calllog import count_forks, logged, read_lines
 
+from mvfa import inference, worker
 from mvfa.adaptation import init_params
 from mvfa.backbone import BackboneConfig, init_backbone
 from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, few_shot_split, \
     gen_dataset, load_manifest, load_samples
 from mvfa.errors import DataError, MetricError
 from mvfa.inference import CHUNK, build_memory_bank
-from mvfa.metrics import Report, _ChunkedAUC, auc, evaluate, midranks
+from mvfa.metrics import Report, _ChunkedAUC, auc, evaluate, midranks, score_samples
 from mvfa.textbank import default_prompt_set, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -389,25 +393,20 @@ def test_evaluate_equals_per_image_oracle_across_chunk_edges(small_model, n):
 
 
 def test_evaluate_searches_the_bank_once_per_level_role_and_chunk(small_model,
-                                                                   monkeypatch):
-    import mvfa.inference as inference
-    calls = {"search": 0, "text": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+                                                                   monkeypatch, tmp_path):
+    # the calls are logged to a file, which the forked worker's chunks reach too
+    log = tmp_path / "calls.txt"
     monkeypatch.setattr(inference, "_min_cosine_distances",
-                        counted("search", inference._min_cosine_distances))
+                        logged(log, inference._min_cosine_distances, lambda *a: "search"))
     monkeypatch.setattr(inference, "text_probabilities",
-                        counted("text", inference.text_probabilities))
+                        logged(log, inference.text_probabilities, lambda *a: "text"))
     backbone, params, text, bank = small_model
     evaluate(backbone, params, synthetic_samples(100, seed=8), text, bank=bank)
     # one call per chunk of at most CHUNK images, 4 levels x (cls, seg) each
     chunks = -(-100 // CHUNK)
-    assert calls == {"search": chunks * 8, "text": chunks * 8}
+    calls = read_lines(log)
+    assert {name: calls.count(name) for name in ("search", "text")} == {
+        "search": chunks * 8, "text": chunks * 8}
 
 
 def test_evaluate_equals_oracle_zero_shot_without_bank(small_model):
@@ -475,6 +474,93 @@ def test_evaluate_loads_manifest_samples_like_the_oracle(tiny_eval_setup):
                                         beta1=1.0, beta2=0.0)
         assert evaluate(backbone, params, modality_samples, text, beta1=1.0,
                         beta2=0.0).to_json() == expected.to_json()
+
+
+# -- the scoring worker: the later half of the chunks on one forked process -------
+
+def _scored(small_model, samples, few=True):
+    """Each pair ``score_samples`` yields, as bytes, then the error it raised or None."""
+    backbone, params, text, bank = small_model
+    bank, betas = (bank, (0.5, 0.5)) if few else (None, (1.0, 0.0))
+    pairs = []
+    try:
+        for pair in score_samples(backbone, params, samples, text, bank, *betas):
+            pairs.append(pickle.dumps(pair))
+    except DataError as exc:
+        return pairs, f"{type(exc).__name__}: {exc}"
+    return pairs, None
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 5, 13])
+def test_score_samples_yields_the_same_pairs_with_and_without_fork(small_model, monkeypatch,
+                                                                   chunks):
+    # one worker from two chunks up; the last chunk is short, and some samples
+    # have no mask
+    samples = synthetic_samples((chunks - 1) * CHUNK + 3, seed=chunks, unmasked={1, 2, 11})
+    for few in (True, False):
+        with monkeypatch.context() as patch:
+            forks = count_forks(patch)
+            forked = _scored(small_model, samples, few)
+        assert len(forks) == (chunks > 1)
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            one_process = _scored(small_model, samples, few)
+        assert forked == one_process and forked[1] is None
+        assert len(forked[0]) == len(samples)
+
+
+def test_an_error_in_the_scoring_workers_half_follows_the_pairs_before_it(small_model,
+                                                                         monkeypatch):
+    # 5 chunks: this process scores 2, the worker 3; sample 34, in the worker's
+    # last chunk, has a mask value that is neither 0 nor 1
+    samples = synthetic_samples(5 * CHUNK, seed=9)
+    samples[34].mask[0, 0] = 0.5
+    forks = count_forks(monkeypatch)
+    forked = _scored(small_model, samples)
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert forked == _scored(small_model, samples)
+    assert len(forked[0]) == 34
+    assert forked[1] == "DataError: a pixel mask must hold only the values 0 and 1"
+
+
+def test_a_scoring_generator_closed_after_its_first_pair_leaves_no_process(small_model,
+                                                                          monkeypatch):
+    backbone, params, text, bank = small_model
+    forks = count_forks(monkeypatch)
+    pairs = score_samples(backbone, params, synthetic_samples(4 * CHUNK, seed=10), text,
+                          bank)
+    next(pairs)
+    pairs.close()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_blas_runs_on_one_thread_in_scoring_and_bank_building(small_model, tmp_path,
+                                                              monkeypatch):
+    calls = worker.openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS whose thread count can be set is loaded")
+    get, set_ = calls
+    before = get()
+    log = tmp_path / "threads.txt"
+    monkeypatch.setattr(inference, "adapt_forward",
+                        logged(log, inference.adapt_forward, lambda *a, **k: get()))
+    backbone, params, text, _ = small_model
+    samples = synthetic_samples(3 * CHUNK, seed=11)
+    set_(2)
+    try:
+        bank = build_memory_bank([s.image for s in samples[:4:2]], backbone, params)
+        # one chunk here; three, one here and two on the worker; three without fork
+        evaluate(backbone, params, samples[:CHUNK], text, bank=bank)
+        evaluate(backbone, params, samples, text, bank=bank)
+        monkeypatch.delattr(os, "fork")
+        evaluate(backbone, params, samples, text, bank=bank)
+        after = get()
+    finally:
+        set_(before)
+    assert read_lines(log) == ["1"] * 8 and after == 2
 
 
 # -- memory: evaluate keeps lean results, predict writes each chunk out -----------

@@ -11,7 +11,7 @@ from calllog import count_forks, logged, read_lines
 from fdcheck import check_gradients
 
 from mvfa import autograd as ag
-from mvfa import objective
+from mvfa import objective, worker
 from mvfa.adaptation import adapt_forward, init_params, save_checkpoint, text_probabilities
 from mvfa.autograd import Tensor, backward
 from mvfa.backbone import BackboneConfig, FrozenBackbone, init_backbone
@@ -1051,7 +1051,7 @@ def test_an_error_on_the_worker_is_raised_by_train(monkeypatch):
 
 def test_blas_runs_on_one_thread_in_both_processes_while_the_worker_lives(tmp_path,
                                                                          monkeypatch):
-    calls = objective._openblas_thread_calls()
+    calls = worker.openblas_thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS whose thread count can be set is loaded")
     get, set_ = calls

@@ -73,3 +73,27 @@ def test_only_fileio_imports_struct():
             if "struct" in (m.split(".")[0] for m in modules) and path.name != "fileio.py":
                 importers.append(path.name)
     assert not importers, importers
+
+
+def test_only_the_worker_module_forks_or_imports_ctypes():
+    """No module of src/mvfa but worker.py calls ``os.fork`` or imports ctypes.
+
+    Process machinery lives in one module, so a second fork path cannot grow
+    back beside the worker that training and scoring share.
+    """
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+                if names == ["os"]:
+                    names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if ("ctypes" in names or "fork" in names) and path.name != "worker.py":
+                users.append(f"{path.name}:{node.lineno}")
+    assert not users, users
