@@ -16,7 +16,7 @@ from .data import (LoadedSample, ModalityProfile, Sample, SynthConfig, few_shot_
                    write_pgm, zero_shot_split)
 from .inference import (AnomalyResult, MemoryBank, build_memory_bank, few_shot, load_bank,
                         load_map, save_bank, save_map, score_image, zero_shot)
-from .metrics import Report, auc, evaluate, midranks
+from .metrics import Report, auc, evaluate
 from .objective import (AdamState, LossWeights, TrainConfig, adam_step, level_loss,
                         total_loss, train)
 from .textbank import (PromptSet, TextFeatures, build_text_features, default_prompt_set,

@@ -1,14 +1,15 @@
 """Image- and pixel-level AUC and experiment reports.
 
-AUC uses the rank-sum formulation with midranks for ties (Hanley & McNeil,
-1982), which makes it equal to the pairwise win/tie count without
-enumerating pairs. ``auc`` and ``midranks`` sort a copy of the scores and
-rank with a ``searchsorted`` per ranked value, with no permutation. The
-pixel AUCs rank every scored pixel of the test set, but ``evaluate`` never
-pools them: it counts the win/tie sum CHUNK images at a time against the
-sorted positive pixels. Midranks are exact half-integers and the count is
-an exact integer, so both give the same bits. Each NaN ranks after every
-number, as a run of its own in input order.
+Every AUC is one exact count, the Mann-Whitney U of the rank-sum
+formulation with midranks for ties (Hanley & McNeil, 1982): over
+positive-negative pairs, one for each negative ranked below the positive
+and one half for each tie. ``_ChunkedAUC`` counts it as the integer 2U from
+the sorted positives and the pool fed a chunk at a time, so no pair is
+enumerated and no permutation is built. ``auc`` and the image AUCs of
+``evaluate`` count their pool as one chunk; each pixel AUC is counted
+CHUNK images at a time, and the test set's pixels are never pooled. The
+ranking rule: NaN ranks after every number, each NaN is a run of its own
+in pool order, and -0.0 ties with +0.0.
 
 ``score_samples`` scores the test set for ``evaluate`` and the CLI's
 ``predict``. From two chunks up it forks one worker (``worker.forked``)
@@ -37,54 +38,13 @@ CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
               "level4_image_auc")
 
 
-def _midranks_sorting(pool, select):
-    """Midranks among ``pool`` of ``pool[select]``, sorting ``pool`` in place.
-
-    ``pool`` is a float64 vector and ``select`` a bool vector of its length.
-    The selected values, and each selected NaN's place among the NaNs, are
-    taken in input order before the sort. Then each ranked value's run of
-    ties fills the sorted positions [left, right), found by two
-    ``searchsorted``, so its 1-based midrank is (left + right - 1) / 2 + 1.
-    These are integers halved once, so every rank is an exact half-integer.
-    ``-0.0`` and ``+0.0`` compare equal and tie. Each NaN is a run of its
-    own, ranked after every number in input order; ``searchsorted`` alone
-    would give all NaNs one tied rank.
-    """
-    ranked = pool[select]
-    nan = np.isnan(ranked)
-    if nan.any():
-        # a NaN's place among the NaNs counts the NaNs up to its own index
-        places = np.searchsorted(np.flatnonzero(np.isnan(pool)),
-                                 np.flatnonzero(select)[nan], side="right")
-    pool.sort()
-    left = np.searchsorted(pool, ranked, side="left")
-    right = np.searchsorted(pool, ranked, side="right")
-    ranks = (left + right - 1) / 2.0 + 1.0
-    if nan.any():
-        # a NaN's left is the count of numbers
-        ranks[nan] = left[nan] + places
-    return ranks
-
-
-def midranks(values):
-    """1-based ranks with ties sharing their average rank; NaNs last, in input order."""
-    pool = np.array(values, dtype=np.float64)
-    return _midranks_sorting(pool, np.ones(pool.shape, dtype=bool))
-
-
 def auc(scores, labels):
-    """Rank-based AUC of scores against binary labels (midrank ties).
+    """The AUC of a vector of scores against 0/1 labels, counted as one chunk.
 
-    Only the positives are ranked, against one sorted copy of the scores.
-    Their midranks are exact half-integers, and so is every partial sum of
-    them below 2**52: the rank sum has the bits of ranking every score and
-    summing the positives' ranks.
+    ``MetricError`` for vectors of unequal length, a label other than 0 or
+    1, or only one class.
     """
-    return _auc_sorting(np.array(scores, dtype=np.float64), labels)
-
-
-def _auc_sorting(pool, labels):
-    """``auc`` of a float64 vector nothing reads afterwards: it is sorted in place."""
+    pool = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if pool.shape != y.shape or pool.ndim != 1:
         raise MetricError(f"auc: scores {pool.shape} and labels {y.shape} must be "
@@ -92,23 +52,17 @@ def _auc_sorting(pool, labels):
     positive = y == 1
     if not (positive | (y == 0)).all():
         raise MetricError("auc: labels must be 0 or 1")
-    n_pos = int(np.count_nonzero(positive))
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    value = _auc_or_none(pool, positive)
+    if value is None:
         raise MetricError("auc: undefined when only one class is present")
-    ranks = _midranks_sorting(pool, positive)
-    return float((ranks.sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return value
 
 
-def _maybe_pool_auc(pool, labels):
-    """AUC of a float64 vector nothing reads afterwards, or None where undefined.
-
-    The vector is sorted in place.
-    """
-    try:
-        return _auc_sorting(pool, labels)
-    except MetricError:
-        return None
+def _auc_or_none(scores, positive):
+    """The AUC of float64 ``scores`` against bool ``positive``, or None for one class."""
+    counter = _ChunkedAUC([scores[positive]])
+    counter.add(scores, positive)
+    return counter.auc()
 
 
 @dataclass
@@ -202,17 +156,13 @@ def score_samples(backbone, params, samples, text_features, bank=None,
 
 
 class _ChunkedAUC:
-    """The midrank AUC of a pool counted one chunk at a time, or None for one class.
+    """The AUC of a pool counted one chunk at a time, or None for one class.
 
-    The midrank sum of the positives minus P(P + 1)/2 is the Mann-Whitney U:
-    over positive-negative pairs, one for each negative below the positive
-    and one half for each tie. So U is counted exactly, as the integer 2U,
-    from the sorted numeric positives, given up front in any order, and the
-    chunks of the pool, fed to ``add`` in pool order. A chunk's negatives are
-    sorted; each positive's left bound among them counts those below it, and
-    a second ``searchsorted``, only for the positives equal to the negative
-    at that bound, counts their ties. NaN ranks as ``_midranks_sorting``
-    ranks it, after every number, each NaN a run of its own in pool order:
+    The numeric positives are given up front, in any order, and sorted; the
+    chunks of the pool are fed to ``add`` in pool order. A chunk's negatives
+    are sorted; each positive's left bound among them counts those below
+    it, and a second ``searchsorted``, only for the positives equal to the
+    negative at that bound, counts their ties. By the module's ranking rule
     a NaN positive wins against every numeric negative and every NaN
     negative before it in the pool.
     """
@@ -254,7 +204,7 @@ class _ChunkedAUC:
         if self.n_pos == 0 or self.n_neg == 0:
             return None
         twice_u = self.twice_u + 2 * self.nan_pos * self.numeric_neg
-        # U and P * N are exact below 2**53, so the quotient is rounded once, as auc's
+        # U and P * N are exact below 2**53, so the quotient is rounded once
         return twice_u / 2 / (self.n_pos * self.n_neg)
 
 
@@ -321,8 +271,8 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
     level_scores = blend(beta1, np.array([r.c_levels_zero for r in results]), beta2,
                          None if results[0].c_levels_few is None
                          else np.array([r.c_levels_few for r in results]))
-    # each column is ranked in place and not read again
-    per_level_image = [_maybe_pool_auc(column, labels) for column in level_scores.T]
+    positive = labels == 1
+    per_level_image = [_auc_or_none(column, positive) for column in level_scores.T]
 
     masked = [i for i, mask in enumerate(masks) if mask is not None]
     groups = {m: [i for i, x in enumerate(modalities) if x == m]
@@ -343,7 +293,7 @@ def evaluate(backbone, params, samples, text_features, bank=None, beta1=0.5,
         whole = len(idx) == len(results)
         per_modality[modality] = {
             "images": len(idx),
-            "image_auc": image_auc if whole else _maybe_pool_auc(c_pred[idx], labels[idx]),
+            "image_auc": image_auc if whole else _auc_or_none(c_pred[idx], positive[idx]),
             "pixel_auc": pixel_auc if whole else pixel.get(modality)}
 
     counts = {"images": len(results), "anomalous": int(labels.sum()),

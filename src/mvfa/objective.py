@@ -70,7 +70,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .adaptation import AdaptedFeatures, MVFAParams, adapt_forward, text_probabilities
+from .adaptation import (AdaptedFeatures, MVFAParams, _check_tau, adapt_forward,
+                         text_probabilities)
 from .autograd import Tensor
 from .data import bool_mask, load_chunks
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
@@ -117,8 +118,7 @@ class TrainConfig:
             raise ConfigError("epochs must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"train seed must be nonnegative, got {self.seed}")
-        if not 0 < self.tau < math.inf:
-            raise ConfigError(f"temperature must be positive and finite, got {self.tau}")
+        _check_tau(self.tau)
         # a repeated level would add its loss twice
         if (not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels)
                 or len(set(self.levels)) != len(self.levels)):

@@ -1,9 +1,9 @@
 """Rank-sum AUC by a stable argsort of every score, for the tests.
 
-This is the evaluator's AUC as it was before it ranked by sorting values:
-a full permutation of the scores, the midrank of each run of ties written
-back through it, and the positives' ranks summed. ``mvfa.metrics.auc``
-must return the same float64, bit for bit.
+This is the argsort reference that ``mvfa.metrics.auc`` must match: a full
+permutation of the scores, the midrank of each run of ties written back
+through it, and the positives' ranks summed. ``metrics.auc`` counts wins
+and ties instead, and must return the same float64, bit for bit.
 """
 
 import numpy as np

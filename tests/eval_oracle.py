@@ -4,7 +4,7 @@ This is the scorer as it was before batching: one adapted forward pass per
 image, and every per-level map of both branches kept at full resolution in
 float64 for the whole test set, each pool concatenated and ranked by the
 argsort of ``auc_oracle``. The batched, streaming ``mvfa.metrics``
-evaluator, which ranks each pool it builds in place, must give a
+evaluator, which counts every AUC exactly and pools no pixels, must give a
 byte-equal report.
 """
 

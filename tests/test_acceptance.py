@@ -8,6 +8,7 @@ import json
 import os
 import time
 
+import auc_oracle
 import numpy as np
 import pytest
 from fdcheck import check_gradients
@@ -24,7 +25,7 @@ from mvfa.data import (SynthConfig, few_shot_split, gen_dataset, load_manifest,
                        load_samples, read_pgm, write_pgm, zero_shot_split)
 from mvfa.inference import (MemoryBank, build_memory_bank, few_shot, grid_maps, load_bank,
                             load_map, save_bank, save_map, score_batch)
-from mvfa.metrics import auc, evaluate, midranks
+from mvfa.metrics import auc, evaluate
 from mvfa.objective import LossWeights, TrainConfig, _bce, _dice, _focal, total_loss, train
 from mvfa.textbank import build_text_features, default_prompt_set
 
@@ -131,7 +132,7 @@ def test_criterion_3_auc_oracle():
         fast = auc(scores, labels)
         worst = max(worst, abs(fast - auc_pairwise_oracle(scores, labels)))
         ordering_ok &= auc(0.5 * scores, labels) == fast
-        ordering_ok &= auc(midranks(scores), labels) == fast
+        ordering_ok &= auc(auc_oracle.midranks(scores), labels) == fast
     report(3, worst <= 1e-12 and ordering_ok,
            f"200 tied instances: midrank vs pairwise oracle off by {worst:.1e}; "
            f"monotone transforms preserve the value exactly")

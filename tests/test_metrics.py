@@ -15,7 +15,7 @@ from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, few_shot_split
     gen_dataset, load_manifest, load_samples
 from mvfa.errors import DataError, MetricError
 from mvfa.inference import CHUNK, build_memory_bank
-from mvfa.metrics import Report, _ChunkedAUC, auc, evaluate, midranks, score_samples
+from mvfa.metrics import Report, _ChunkedAUC, auc, evaluate, score_samples
 from mvfa.textbank import default_prompt_set, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -66,7 +66,7 @@ def test_auc_monotone_transform_invariance():
     labels[0], labels[1] = 0, 1
     base = auc(scores, labels)
     assert auc(0.5 * scores, labels) == base
-    assert auc(midranks(scores), labels) == base
+    assert auc(auc_oracle.midranks(scores), labels) == base
 
 
 def test_auc_negation_symmetry():
@@ -92,7 +92,7 @@ def test_auc_single_class_errors():
 
 
 def test_midranks_average_tied_groups():
-    assert np.array_equal(midranks([0.1, 0.3, 0.1]), [1.5, 3.0, 1.5])
+    assert np.array_equal(auc_oracle.midranks([0.1, 0.3, 0.1]), [1.5, 3.0, 1.5])
 
 
 def midranks_loop_oracle(values):
@@ -120,7 +120,7 @@ def midranks_loop_oracle(values):
     [np.nan, 1.0, np.nan, -1.0, 1.0, np.inf, -np.inf, np.nan],
 ], ids=["ties", "distinct", "all-equal", "single", "empty", "signed-zeros", "nan-inf"])
 def test_midranks_equal_loop_oracle_bitwise(values):
-    got = midranks(values)
+    got = auc_oracle.midranks(values)
     assert got.dtype == np.float64
     assert np.array_equal(got, midranks_loop_oracle(values))
 
@@ -169,32 +169,26 @@ def _auc_cases():
 
 
 def test_auc_and_midranks_equal_the_argsort_oracle_bitwise():
-    """Ranking by one sort gives the argsort ranking's bits, case by case.
+    """The exact count gives the argsort ranking's bits, case by case.
 
-    Each of these changes to ``metrics._midranks_of`` fails this test: one
-    tied rank for all NaNs (the NaN branch removed), ``side="left"`` for both
-    bounds, and the positives' ranks read in sorted order (``ordered[select]``
-    for ``v[select]``). Summing the same ranks in another order is no fault
-    it could catch: midranks are half-integers, so every partial sum below
-    2**52 is exact.
+    Each of these changes to ``metrics._ChunkedAUC`` fails this test:
+    ``side="right"`` for a positive's left bound among the negatives, ties
+    counted as wins, and the NaN positives' wins over the numeric negatives
+    (``2 * nan_pos * numeric_neg`` in ``auc()``) dropped.
     """
     for scores, labels in _auc_cases():
         assert auc(scores, labels).hex() == auc_oracle.auc(scores, labels).hex()
-        if scores.size < 1000:
-            got = midranks(scores)
-            assert got.tobytes() == auc_oracle.midranks(scores).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_auc_and_midranks_leave_their_input_bytes_unchanged(dtype):
-    # evaluate sorts its own pools in place; the public functions sort a copy
+    # auc sorts copies of the scores, never the caller's array
     scores = np.array([0.5, np.nan, -0.0, 0.0, 0.5, -1.0, np.nan, np.inf, 0.0, -0.0],
                       dtype=dtype)
     for labels in (np.array([1, 0, 1, 0, 0, 1, 1, 0, 0, 1]),
                    np.array([1, 0, 1, 0, 0, 1, 1, 0, 0, 1], dtype=bool)):
         before = scores.tobytes(), labels.tobytes()
         assert auc(scores, labels).hex() == auc_oracle.auc(scores, labels).hex()
-        assert midranks(scores).tobytes() == auc_oracle.midranks(scores).tobytes()
         assert (scores.tobytes(), labels.tobytes()) == before
 
 
@@ -424,6 +418,24 @@ def test_evaluate_equals_oracle_two_modalities(small_model):
                                 unmasked={2, 3})
     assert_same_report(small_model, samples)
     assert_same_report(small_model, samples, few=False)
+
+
+def test_evaluate_gives_a_modality_of_normal_samples_no_image_auc(small_model):
+    """A modality whose test samples are all normal has no image or pixel AUC.
+
+    Every fourth sample, a normal one, moves to texture-b; texture-a keeps
+    both classes, so only texture-b's AUCs are None, as in the oracle.
+    """
+    samples = [LoadedSample(s.image, s.label, s.mask, "texture-b" if i % 4 == 0 else
+                            "texture-a", s.path)
+               for i, s in enumerate(synthetic_samples(2 * CHUNK + 1, seed=10))]
+    assert_same_report(small_model, samples)
+    assert_same_report(small_model, samples, few=False)
+    backbone, params, text, bank = small_model
+    report = evaluate(backbone, params, samples, text, bank=bank)
+    assert report.per_modality["texture-b"] == {"images": 5, "image_auc": None,
+                                                "pixel_auc": None}
+    assert report.per_modality["texture-a"]["image_auc"] is not None
 
 
 def test_evaluate_equals_oracle_with_a_nan_image_and_tied_maps(small_model):

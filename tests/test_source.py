@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import mvfa
+from source_lines import count_lines, sources
 
 PACKAGE = Path(mvfa.__file__).parent
 
@@ -97,3 +98,17 @@ def test_only_the_worker_module_forks_or_imports_ctypes():
             if ("ctypes" in names or "fork" in names) and path.name != "worker.py":
                 users.append(f"{path.name}:{node.lineno}")
     assert not users, users
+
+
+def test_source_line_kinds_add_up_to_each_modules_lines():
+    """Code, docstring, comment and blank lines partition each module's lines.
+
+    The example holds a blank docstring line, and a '#' and a blank line
+    inside a string that is no docstring.
+    """
+    for name, text in sources():
+        counts = count_lines(text)
+        assert sum(counts.values()) == len(text.splitlines()), name
+    text = ('''"""Module.\n\nMore."""\n\n# a comment\nx = """#\n\n"""  # trailing\n'''
+            '''def f():\n    """One line."""\n    return x\n''')
+    assert count_lines(text) == {"code": 4, "docstring": 4, "comment": 1, "blank": 2}
