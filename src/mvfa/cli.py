@@ -184,9 +184,8 @@ def _finite_float(text):
 
 def _manifests(data_dir):
     """(train, test) samples of a dataset directory, every image and mask checked."""
-    train_path = os.path.join(data_dir, "train.jsonl")
-    test_path = os.path.join(data_dir, "test.jsonl")
-    return (datamod.load_manifest(train_path), datamod.load_manifest(test_path))
+    return tuple(datamod.load_manifest(os.path.join(data_dir, f"{split}.jsonl"))
+                 for split in ("train", "test"))
 
 
 def _load_model(ckpt):

@@ -7,25 +7,25 @@ config, so regenerating a dataset reproduces it byte for byte. Samples are
 listed in JSON-lines manifests (keys: image, mask, label, modality) with
 paths relative to the manifest file; generation writes separate train and
 test manifests so no test image can leak into training or the memory
-bank.
+bank. Generation splits its samples with the forked worker that training
+and scoring share (``worker.forked``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ManifestError
-from .fileio import parse_json, read_text, write_bytes_atomic, write_text_atomic
+from .fileio import (parse_json, read_bytes, read_text, remove_temp_files,
+                     write_bytes_atomic, write_text_atomic)
+from .worker import forked
 
 
 # -- PGM ----------------------------------------------------------------------
@@ -47,8 +47,13 @@ def _pgm_bytes(image):
 
 def read_pgm(path):
     """Read a binary PGM written by :func:`write_pgm`; strict P5/255 only."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
+    (h, w), body = _pgm_pixels(path)
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w)
+
+
+def _pgm_pixels(path):
+    """((height, width), pixel bytes) of a strict P5/255 PGM file."""
+    payload = read_bytes(path)
 
     def fail(offset, message):
         raise FormatError(f"{path}: {message} at byte {offset}")
@@ -75,7 +80,7 @@ def read_pgm(path):
     body = payload[maxval_end + 1:]
     if len(body) != w * h:
         fail(maxval_end + 1, f"expected {w * h} pixel bytes, found {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w)
+    return (h, w), body
 
 
 # -- synthetic generation -----------------------------------------------------
@@ -104,6 +109,11 @@ class ModalityProfile:
     masks: bool = True
 
     def __post_init__(self):
+        # the name is a directory of the dataset: it must name one entry inside it
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or (
+                {"/", os.sep, os.altsep, "\0"} & set(self.name)):
+            raise ConfigError(f"modality name must be a file name other than '.' and '..', "
+                              f"with no path separator or NUL, got {self.name!r}")
         if self.polarity not in (-1, 1):
             raise ConfigError(f"polarity must be -1 or 1, got {self.polarity}")
         # 0 or NaN would make a NaN spectrum, which becomes garbage pixels
@@ -150,6 +160,9 @@ class SynthConfig:
             raise ConfigError("image_size must be at least 8")
         if not self.modalities:
             raise ConfigError("need at least one modality profile")
+        names = [profile.name for profile in self.modalities]
+        if len(set(names)) < len(names):  # two profiles would write the same files
+            raise ConfigError(f"modality names must differ, got {names}")
         if self.seed < 0:
             raise ConfigError(f"data seed must be nonnegative, got {self.seed}")
         self._check_range("defect_count", lambda low: low >= 1)
@@ -277,110 +290,84 @@ def _synth_sample(config, modality_index, split_code, anomalous, index):
     return image, mask
 
 
-# writes handed to the writer thread at once; at most two batches are handed
-# over and not yet written, so at most 32 writes are in flight
-_BATCH_WRITES = 16
-
-
-@contextlib.contextmanager
-def _writer_thread():
-    """Yield ``write(path, payload)``, which one background thread carries out in order.
-
-    Creating a file is kernel time, which releases the GIL, so the writes
-    overlap the caller's synthesis. They are handed over in batches of
-    :data:`_BATCH_WRITES`: waking the thread for each file costs more CPU
-    time than creating the file takes on tmpfs. Leaving hands over the
-    last batch (unless the block raised), drains the queue and joins the
-    thread, whatever ends the block. The first failed write is raised
-    again, as the same exception object, at the next hand-over or on
-    leaving, and no write is attempted after it.
-
-    The thread is not a daemon, and handing it the stop sentinel never
-    blocks, so even a Ctrl-C during the join lets it finish (or clean up)
-    the writes already handed over before the interpreter exits.
-    """
-    pending, room = queue.SimpleQueue(), threading.Semaphore(2)
-    batch, failed = [], []
-
-    def drain():
-        while (writes := pending.get()) is not None:
-            for path, payload in writes:
-                if failed:
-                    break
-                try:
-                    write_bytes_atomic(path, payload)
-                except BaseException as exc:
-                    failed.append(exc)
-            room.release()  # also after a failure, so no acquire() blocks forever
-
-    def hand_over():
-        if failed:
-            raise failed[0]
-        room.acquire()
-        pending.put(tuple(batch))
-        batch.clear()
-
-    def write(path, payload):
-        batch.append((path, payload))
-        if len(batch) == _BATCH_WRITES:
-            hand_over()
-
-    thread = threading.Thread(target=drain, name="mvfa-gen-data-writer")
-    thread.start()
-    try:
-        yield write
-        hand_over()
-    finally:
-        pending.put(None)
-        thread.join()
-    if failed:
-        raise failed[0]
-
-
 def gen_dataset(config: SynthConfig, out_dir):
     """Write images, masks and the train/test manifests; fully deterministic.
 
-    Each image and mask is synthesized and encoded on the calling thread,
-    and one writer thread (:func:`_writer_thread`) writes the files, so
-    file creation overlaps the synthesis of the next samples. The manifests
-    are written last, once every write has succeeded, so a manifest only
-    ever lists files that exist; on any error neither is written and the
-    writer thread has ended before the error propagates.
+    Each sample's job and manifest row is planned, and every directory
+    made, first. Where ``os.fork`` exists, this process synthesizes and
+    writes the first ceil(n/2) samples while one forked worker
+    (``worker.forked``, as training and scoring use) does the rest
+    (:func:`_write_split`); elsewhere this process does them all. Each
+    file is a function of its sample alone, so the bytes do not depend on
+    the split. The manifests are written last, once both halves have
+    succeeded, so a manifest only ever lists files that exist; on any
+    error neither is written, and the worker has been reaped before the
+    error propagates.
 
     Returns (train_manifest_path, test_manifest_path).
     """
     out_dir = os.fspath(out_dir)
-    manifests = {"train": [], "test": []}
-    with _writer_thread() as write:
-        for split_code, split in enumerate(("train", "test")):
-            for modality_index, profile in enumerate(config.modalities):
-                directory = os.path.join(out_dir, profile.name, split)
-                os.makedirs(directory, exist_ok=True)
-                if split == "train":
-                    n_normal, n_anomalous = config.train_normals, config.train_anomalies
-                else:
-                    n_normal, n_anomalous = config.test_normals, config.test_anomalies
-                for anomalous, total in ((False, n_normal), (True, n_anomalous)):
-                    kind = "anom" if anomalous else "normal"
-                    for index in range(total):
-                        image, mask = _synth_sample(config, modality_index, split_code,
-                                                    anomalous, index)
-                        rel = f"{profile.name}/{split}/{kind}_{index:04d}.pgm"
-                        write(os.path.join(out_dir, rel), _pgm_bytes(image))
-                        mask_rel = None
-                        if profile.masks:
-                            mask_rel = f"{profile.name}/{split}/{kind}_{index:04d}_mask.pgm"
-                            write(os.path.join(out_dir, mask_rel),
-                                  _pgm_bytes(mask.astype(np.uint8) * 255))
-                        manifests[split].append({"image": rel, "mask": mask_rel,
-                                                 "label": int(anomalous),
-                                                 "modality": profile.name})
-    paths = {}
-    for split, rows in manifests.items():
-        path = os.path.join(out_dir, f"{split}.jsonl")
+    jobs, manifests, directories = [], {"train": [], "test": []}, []
+    for split_code, split in enumerate(("train", "test")):
+        counts = getattr(config, f"{split}_normals"), getattr(config, f"{split}_anomalies")
+        for modality_index, profile in enumerate(config.modalities):
+            directories.append(os.path.join(out_dir, profile.name, split))
+            os.makedirs(directories[-1], exist_ok=True)
+            for kind, total in zip(("normal", "anom"), counts):
+                for index in range(total):
+                    stem = f"{profile.name}/{split}/{kind}_{index:04d}"
+                    row = {"image": f"{stem}.pgm",
+                           "mask": f"{stem}_mask.pgm" if profile.masks else None,
+                           "label": int(kind == "anom"), "modality": profile.name}
+                    jobs.append(((modality_index, split_code, kind == "anom", index), row))
+                    manifests[split].append(row)
+
+    def write(part):
+        for key, row in part:
+            image, mask = _synth_sample(config, *key)
+            write_bytes_atomic(os.path.join(out_dir, row["image"]), _pgm_bytes(image))
+            if row["mask"] is not None:
+                write_bytes_atomic(os.path.join(out_dir, row["mask"]),
+                                   _pgm_bytes(mask.astype(np.uint8) * 255))
+
+    _write_split(jobs, write, directories)
+    paths = tuple(os.path.join(out_dir, f"{split}.jsonl") for split in manifests)
+    for path, rows in zip(paths, manifests.values()):
         write_text_atomic(path, "".join(json.dumps(row) + "\n" for row in rows))
-        paths[split] = path
-    return paths["train"], paths["test"]
+    return paths
+
+
+def _write_split(jobs, write, directories):
+    """``write`` the first ceil(n/2) jobs here while a forked worker writes the rest.
+
+    Where ``os.fork`` is missing, this process writes them all. An error in
+    this half waits for the worker's half to end before it is raised, so a
+    failed run leaves the same files every time. The worker's error is
+    raised only after this half succeeds, so the earlier sample's error
+    wins, as in one process. Anything else, a Ctrl-C included, kills the
+    worker, and the temp file of a write it was killed in is deleted from
+    ``directories`` once it has been reaped.
+    """
+    if not hasattr(os, "fork"):
+        return write(jobs)
+    half, worker = (len(jobs) + 1) // 2, None
+    try:
+        # the worker's reply is an empty list, or its error
+        with forked(lambda start: write(jobs[start:]) or ()) as worker:
+            worker.send(half)
+            try:
+                write(jobs[:half])
+            except Exception:
+                try:
+                    list(worker.results())
+                except Exception:
+                    pass  # this half's error comes first
+                raise
+            list(worker.results())
+    except BaseException:
+        if worker is not None:
+            remove_temp_files(directories, worker.pid)
+        raise
 
 
 # -- manifests and splits -----------------------------------------------------
@@ -433,13 +420,12 @@ def load_manifest(path):
         image_path = os.path.join(base, image)
         mask_path = os.path.join(base, mask) if mask is not None else None
         if mask_path is not None:
-            mask_pixels = read_pgm(mask_path)
-            image_pixels = read_pgm(image_path)
-            if mask_pixels.shape != image_pixels.shape:
-                raise ManifestError(f"{path}: line {lineno}: mask shape "
-                                    f"{mask_pixels.shape} does not match image "
-                                    f"shape {image_pixels.shape}")
-            if bool((mask_pixels > 0).any()) != bool(label):
+            mask_shape, mask_pixels = _pgm_pixels(mask_path)
+            image_shape, _ = _pgm_pixels(image_path)
+            if mask_shape != image_shape:
+                raise ManifestError(f"{path}: line {lineno}: mask shape {mask_shape} "
+                                    f"does not match image shape {image_shape}")
+            if (mask_pixels.count(0) != len(mask_pixels)) != bool(label):
                 raise ManifestError(f"{path}: line {lineno}: label {label} is "
                                     f"inconsistent with the mask content")
         samples.append(Sample(image_path, label, mask_path, modality))
@@ -450,9 +436,7 @@ def load_sample(sample: Sample) -> LoadedSample:
     # centered pixels keep patch features from sharing one dominant
     # brightness direction, which would crush cosine contrast downstream
     image = read_pgm(sample.image).astype(np.float32) / 255.0 * 2.0 - 1.0
-    mask = None
-    if sample.mask is not None:
-        mask = (read_pgm(sample.mask) > 0).astype(np.float32)
+    mask = None if sample.mask is None else (read_pgm(sample.mask) > 0).astype(np.float32)
     return LoadedSample(image, sample.label, mask, sample.modality, sample.image)
 
 

@@ -4,7 +4,8 @@ A checkpoint, a memory bank and an anomaly map are each one container
 (:func:`write_tensors`): the magic ``MVFA\\0``, a u32 version (2) and a u32
 header length; a sorted-key JSON header that names the ``kind`` and each
 tensor's name and shape; the little-endian float32 tensors; and the SHA-256
-of every byte before it. This is the only module that knows a binary layout.
+of every byte before it. This is the only module that knows a binary layout,
+and the only one that knows the name of a temp file.
 """
 
 from __future__ import annotations
@@ -70,8 +71,39 @@ def _create_temp(directory, name):
             continue  # left behind by an earlier process with the same pid
 
 
+def remove_temp_files(directories, pid):
+    """Delete the temp files of process ``pid`` in each of ``directories``.
+
+    A process killed during :func:`write_bytes_atomic` leaves its temp
+    file behind; once it has been reaped, no other process writes one of
+    these names.
+    """
+    for directory in directories:
+        for name in os.listdir(directory):
+            if name.startswith(f".tmp-{pid}-"):
+                os.unlink(os.path.join(directory, name))
+
+
 def write_text_atomic(path, text: str):
     write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def read_bytes(path):
+    """A file's bytes, read with ``os.open`` and ``os.read``.
+
+    A buffered file object costs more than the read itself for a file of
+    a few KiB, and ``load_manifest`` reads about 2,000 of them.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        payload = os.read(fd, os.fstat(fd).st_size + 1)
+        while chunk := os.read(fd, 1 << 16):  # st_size is 0 for a pipe
+            payload += chunk
+        return payload
+    except OSError as exc:  # os.read of a directory names no file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
 
 
 def read_text(path, error):
@@ -80,8 +112,7 @@ def read_text(path, error):
     A byte that is not UTF-8 raises ``error`` naming the file, the line
     and the byte's offset.
     """
-    with open(path, "rb") as fh:
-        payload = fh.read()
+    payload = read_bytes(path)
     try:
         return _universal_newlines(payload.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -144,8 +175,7 @@ def read_tensors(path, kind):
     non-finite value is a ``FormatError``; sizes are checked against the
     file's length before any array is made.
     """
-    with open(path, "rb") as fh:
-        payload = fh.read()
+    payload = read_bytes(path)
 
     def fail(message):
         raise FormatError(f"{path}: {message}")

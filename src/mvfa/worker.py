@@ -1,13 +1,13 @@
 """One forked worker process, and the native settings of the processes around it.
 
-Training and scoring each split their work with one worker that they fork
-(:func:`forked`) once the model is in memory, so the worker reads its
-pages without a copy until either process writes them. The caller sends a
-command, runs its own share, then reads the worker's results. A worker
-answers each command with one reply, sent once its share is done: a worker
-that wrote as it went would fill the pipe (64 KiB on Linux) and wait for a
-caller still busy with its own share, and the two would take turns instead
-of running at once. An error in the worker is raised in the caller as the
+Training, scoring and ``gen-data`` each split their work with one worker
+that they fork (:func:`forked`) once their inputs are in memory, so the
+worker reads its pages without a copy until either process writes them.
+The caller sends a command, runs its own share, then reads the worker's
+results. A worker answers each command with one reply, sent once its share
+is done: a worker that wrote as it went would fill the pipe (64 KiB on
+Linux) and wait for a caller still busy with its own share, and the two
+would take turns instead of running at once. An error in the worker is raised in the caller as the
 same exception, after the results that came before it.
 
 This is the only module that forks, and the only one that calls into a

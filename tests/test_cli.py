@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,18 +81,18 @@ def test_gen_data_is_deterministic(workdir, tmp_path):
 
 
 def _gen_data_fails_cleanly(workdir, out, capsys, message):
-    """Run a gen-data that must fail: exit 2, no manifest, no thread left behind."""
+    """Run a gen-data that must fail: exit 2, no manifest, no child process left behind."""
     _, config, _ = workdir
-    threads = threading.active_count()
     assert main(["gen-data", "--config", config, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "train.jsonl").exists() and not (out / "test.jsonl").exists()
-    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_gen_data_write_error_is_io_error_without_manifests(workdir, tmp_path, capsys,
                                                             monkeypatch):
-    """The writer thread's OSError reaches the CLI, and the manifests are not written."""
+    """An OSError of this process's half reaches the CLI; no manifest is written."""
     real, calls = datamod.write_bytes_atomic, []
 
     def tenth_fails(path, payload):
@@ -125,22 +124,29 @@ def test_gen_data_writes_the_manifests_after_every_file_they_list(workdir, tmp_p
                                                                   monkeypatch):
     """Each manifest is started only once every image and mask write has finished.
 
-    Each write is slowed, so writes are still queued when synthesis ends.
+    Both processes append their events to one log file opened with
+    O_APPEND, so the log orders the writes of both halves. Each write is
+    slowed, so the worker's half is still running when this one ends.
     """
     from mvfa import fileio
-    real, events = fileio.write_bytes_atomic, []
+    real, log = fileio.write_bytes_atomic, tmp_path / "events.log"
+
+    def append(event, path):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{event} {os.path.relpath(path, out)}\n")
 
     def recorded(path, payload):
-        events.append(("start", os.path.relpath(path, out)))
+        append("start", path)
         time.sleep(0.002)
         real(path, payload)
-        events.append(("done", os.path.relpath(path, out)))
+        append("done", path)
 
     _, config, _ = workdir
     out = tmp_path / "gen"
     monkeypatch.setattr(datamod, "write_bytes_atomic", recorded)
     monkeypatch.setattr(fileio, "write_bytes_atomic", recorded)
     assert main(["gen-data", "--config", config, "--out", str(out)]) == 0
+    events = [tuple(line.split(" ", 1)) for line in read_lines(log)]
     done = {path: i for i, (event, path) in enumerate(events) if event == "done"}
     for manifest in ("train.jsonl", "test.jsonl"):
         started = events.index(("start", manifest))
@@ -149,6 +155,33 @@ def test_gen_data_writes_the_manifests_after_every_file_they_list(workdir, tmp_p
         assert listed and all(done[path] < started for path in listed), manifest
     pgms = [path for event, path in events if event == "done" and path.endswith(".pgm")]
     assert len(pgms) == len(set(pgms)) == 2 * 3 * (4 + 3 + 3 + 3)
+
+
+@pytest.mark.parametrize("names, message", [
+    (["texture-a", "", "texture-c"], "got ''"),
+    (["texture-a", "../escaped", "texture-c"], "got '../escaped'"),
+    (["texture-a", "nul\0name", "texture-c"], "got 'nul\\x00name'"),
+    (["texture-a", "texture-c", "texture-c"],
+     "names must differ, got ['texture-a', 'texture-c', 'texture-c']")],
+    ids=["empty", "escaping", "nul", "duplicate"])
+def test_bad_modality_name_is_config_error_before_writing(workdir, tmp_path, capsys, names,
+                                                          message):
+    """A name must be one directory inside --out, and each profile's own.
+
+    An empty name wrote a dataset that every later command refused,
+    "../escaped" wrote outside --out, a NUL was a traceback, and a repeated
+    name let the second profile overwrite the first's files.
+    """
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    for profile, name in zip(user["data"]["modalities"], names):
+        profile["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 def test_train_zero_epochs_equals_initialization(workdir, tmp_path):

@@ -2,14 +2,15 @@ import dataclasses
 import json
 import os
 import sys
-import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from calllog import count_forks
 
 from mvfa import data as datamod
+from mvfa import fileio
 from mvfa.data import (DEFAULT_MODALITIES, LoadedSample, ModalityProfile, SynthConfig,
                        _synth_sample, bool_mask, few_shot_split, gen_dataset, load_chunks,
                        load_manifest, load_sample, read_pgm, write_pgm, zero_shot_split)
@@ -72,7 +73,6 @@ def test_write_pgm_requires_u8(tmp_path):
 
 def test_atomic_write_makes_the_parent_replaces_the_file_and_leaves_no_temp(tmp_path,
                                                                            monkeypatch):
-    from mvfa import fileio
     path = tmp_path / "a" / "b" / "x.pgm"
     fileio.write_bytes_atomic(path, b"first")
     # a temp file a crashed process of the same pid left under the next name is skipped
@@ -106,6 +106,16 @@ def tree_bytes(root):
     return out
 
 
+def test_remove_temp_files_deletes_only_the_temp_files_of_that_process(tmp_path):
+    os.close(fileio._create_temp(tmp_path, "x.pgm")[1])
+    # another pid, a pid that begins with this one's digits, and a finished file
+    others = [".tmp-1-0-x.pgm", f".tmp-{os.getpid()}0-0-x.pgm", "x.pgm"]
+    for name in others:
+        (tmp_path / name).touch()
+    fileio.remove_temp_files([tmp_path], os.getpid())
+    assert sorted(os.listdir(tmp_path)) == sorted(others)
+
+
 def test_generation_is_byte_deterministic(tmp_path):
     cfg = small_config()
     gen_dataset(cfg, tmp_path / "one")
@@ -116,7 +126,7 @@ def test_generation_is_byte_deterministic(tmp_path):
 
 
 def test_generation_is_byte_identical_under_frequent_thread_switches(tmp_path):
-    """A 1 µs switch interval interleaves synthesis and the writer thread finely."""
+    """A 1 µs switch interval changes no byte: generation runs on no thread of its own."""
     cfg = small_config()
     gen_dataset(cfg, tmp_path / "reference")
     interval = sys.getswitchinterval()
@@ -128,80 +138,104 @@ def test_generation_is_byte_identical_under_frequent_thread_switches(tmp_path):
     assert tree_bytes(tmp_path / "switched") == tree_bytes(tmp_path / "reference")
 
 
-def test_generation_raises_the_writer_threads_own_error(tmp_path, monkeypatch):
-    """A failed write surfaces as the same exception object, and the thread has ended.
+def test_forked_generation_writes_the_tree_of_one_process(tmp_path, monkeypatch):
+    cfg = small_config()
+    forks = count_forks(monkeypatch)
+    gen_dataset(cfg, tmp_path / "forked")
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    gen_dataset(cfg, tmp_path / "serial")
+    assert tree_bytes(tmp_path / "forked") == tree_bytes(tmp_path / "serial")
 
-    The last write fails, so no later ``write`` call can raise it: the error
-    must come from draining the queue before the manifests.
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_generation_raises_the_workers_write_error_and_reaps_it(tmp_path, monkeypatch):
+    """The last write fails, in the worker's half, and reaches the caller unchanged.
+
+    No manifest is written and no child process is left.
     """
-    error = OSError(5, "Input/output error")
     real = datamod.write_bytes_atomic
 
     def last_fails(path, payload):
         if path.endswith(os.path.join("texture-c", "test", "anom_0001_mask.pgm")):
-            raise error
+            raise OSError(5, f"Input/output error in process {os.getpid()}", path)
         real(path, payload)
 
     monkeypatch.setattr(datamod, "write_bytes_atomic", last_fails)
-    threads = threading.active_count()
+    forks = count_forks(monkeypatch)
     with pytest.raises(OSError) as raised:
         gen_dataset(small_config(), tmp_path)
-    assert raised.value is error
-    assert threading.active_count() == threads
+    assert type(raised.value) is OSError and raised.value.errno == 5
+    assert raised.value.strerror == f"Input/output error in process {forks[0]}"
     assert not (tmp_path / "train.jsonl").exists()
+    assert not [path for path in tmp_path.rglob(".tmp-*")]
+    _no_child_is_left()
 
 
-def test_interrupted_generation_leaves_no_thread(tmp_path, monkeypatch):
-    real, calls = datamod._synth_sample, []
+def test_an_error_in_the_callers_half_lets_the_workers_half_finish(tmp_path, monkeypatch):
+    """A failed run leaves the same files every time, not those a kill cut short.
+
+    The first sample fails in this process; the worker's half is still
+    written in full, and the earlier error is the one raised.
+    """
+    parent, real = os.getpid(), datamod._synth_sample
+
+    def first_fails(*args):
+        if os.getpid() == parent:
+            raise DataError("the first sample failed")
+        return real(*args)
+
+    monkeypatch.setattr(datamod, "_synth_sample", first_fails)
+    trees = []
+    for run in ("one", "two"):
+        with pytest.raises(DataError, match="the first sample failed"):
+            gen_dataset(small_config(), tmp_path / run)
+        trees.append(tree_bytes(tmp_path / run))
+    assert trees[0] == trees[1]
+    assert len(trees[0]) == 2 * (3 * (4 + 3 + 2 + 2) // 2)
+    assert os.path.join("texture-c", "test", "anom_0001_mask.pgm") in trees[0]
+    _no_child_is_left()
+
+
+def test_interrupted_generation_leaves_no_child_or_temp_file(tmp_path, monkeypatch):
+    """A Ctrl-C in this process's half kills the worker in the middle of a write.
+
+    The worker stops once it has made its first write's temp file, where a
+    kill inside ``write_bytes_atomic`` would leave one; it must be deleted.
+    """
+    parent, stuck, out = os.getpid(), tmp_path / "stuck", tmp_path / "data"
+    real_write, real_synth, calls = datamod.write_bytes_atomic, datamod._synth_sample, []
+
+    def stuck_in_the_worker(path, payload):
+        if os.getpid() != parent:
+            fileio._create_temp(*os.path.split(path))
+            stuck.touch()
+            time.sleep(60)
+        real_write(path, payload)
 
     def interrupted(*args):
         calls.append(args)
-        if len(calls) == 20:
+        if len(calls) == 10:
+            deadline = time.monotonic() + 30
+            while not stuck.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise KeyboardInterrupt
-        return real(*args)
+        return real_synth(*args)
 
+    monkeypatch.setattr(datamod, "write_bytes_atomic", stuck_in_the_worker)
     monkeypatch.setattr(datamod, "_synth_sample", interrupted)
-    threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        gen_dataset(small_config(), tmp_path)
-    assert threading.active_count() == threads
-    assert not (tmp_path / "train.jsonl").exists()
-    # the writes handed over finish whole: every file is complete, no temp file is left
-    written = [path for path in tmp_path.rglob("*") if path.is_file()]
+        gen_dataset(small_config(), out)
+    assert stuck.exists()
+    _no_child_is_left()
+    assert not (out / "train.jsonl").exists()
+    written = [path for path in out.rglob("*") if path.is_file()]
     assert written and not [path for path in written if path.name.startswith(".tmp-")]
     assert all(read_pgm(path).shape == (32, 32) for path in written)
-
-
-def test_writer_thread_interrupted_in_its_join_still_finishes_every_write(tmp_path,
-                                                                           monkeypatch):
-    """A Ctrl-C during the final join leaves a non-daemon thread that ends on its own.
-
-    Interpreter exit waits for such a thread, so no write is cut off with
-    its temp file left behind.
-    """
-    real_write, real_join = datamod.write_bytes_atomic, threading.Thread.join
-
-    def slow(path, payload):
-        time.sleep(0.005)  # so 16 or more writes are still queued at the join
-        real_write(path, payload)
-
-    def interrupted(thread, timeout=None):
-        if thread.name == "mvfa-gen-data-writer":
-            monkeypatch.setattr(threading.Thread, "join", real_join)
-            raise KeyboardInterrupt
-        real_join(thread, timeout)
-
-    monkeypatch.setattr(datamod, "write_bytes_atomic", slow)
-    monkeypatch.setattr(threading.Thread, "join", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        gen_dataset(small_config(), tmp_path)
-    writer, = [t for t in threading.enumerate() if t.name == "mvfa-gen-data-writer"]
-    assert not writer.daemon
-    writer.join(10)
-    assert not writer.is_alive()
-    written = [path for path in tmp_path.rglob("*") if path.is_file()]
-    assert len(written) == 2 * 3 * (4 + 3 + 2 + 2)
-    assert not [path for path in written if path.name.startswith(".tmp-")]
 
 
 def test_generated_masks_and_labels(tmp_path):
@@ -271,6 +305,20 @@ def test_modality_profile_rejects_a_contrast_or_noise_that_is_not_finite(field, 
     given = {"contrast": 0.5, "noise": 0.03, field: value}
     with pytest.raises(ConfigError, match=f"'texture-a': {field} must be a finite number"):
         ModalityProfile("texture-a", 3.0, **given)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escaped", "a\0b", None,
+                                  *([f"a{os.altsep}b"] if os.altsep else [])])
+def test_modality_profile_rejects_a_name_that_is_not_one_directory(name):
+    with pytest.raises(ConfigError, match="modality name must be a file name other than"):
+        ModalityProfile(name, 3.0, 0.5, 0.03)
+
+
+def test_synth_config_rejects_two_profiles_of_one_name():
+    twin = ModalityProfile("texture-a", 5.0, 0.2, 0.01)
+    with pytest.raises(ConfigError, match=r"modality names must differ, got \['texture-a', "
+                                          r"'texture-b', 'texture-c', 'texture-a'\]"):
+        small_config(modalities=small_config().modalities + (twin,))
 
 
 def test_an_integer_a_float_holds_is_a_finite_setting():

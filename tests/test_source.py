@@ -100,6 +100,32 @@ def test_only_the_worker_module_forks_or_imports_ctypes():
     assert not users, users
 
 
+def test_no_module_starts_a_thread_or_imports_queue():
+    """No module of src/mvfa starts a ``threading.Thread`` or imports a queue or pool.
+
+    Work is split across processes by the one forked worker (worker.py),
+    so no writer thread can grow back beside it. Only autograd.py imports
+    threading, for its thread-local ``no_grad`` flag.
+    """
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules, names = [alias.name.split(".")[0] for alias in node.names], []
+            elif isinstance(node, ast.ImportFrom):
+                modules = [(node.module or "").split(".")[0]]
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                modules, names = [], [node.attr]
+            else:
+                continue
+            if ("Thread" in names
+                    or {"queue", "_thread", "concurrent"} & set(modules)
+                    or ("threading" in modules and path.name != "autograd.py")):
+                users.append(f"{path.name}:{node.lineno}")
+    assert not users, users
+
+
 def test_source_line_kinds_add_up_to_each_modules_lines():
     """Code, docstring, comment and blank lines partition each module's lines.
 
