@@ -7,8 +7,8 @@ config, so regenerating a dataset reproduces it byte for byte. Samples are
 listed in JSON-lines manifests (keys: image, mask, label, modality) with
 paths relative to the manifest file; generation writes separate train and
 test manifests so no test image can leak into training or the memory
-bank. Generation splits its samples with the forked worker that training
-and scoring share (``worker.forked``).
+bank. Generation halves its samples with ``worker.halves``, as training
+and scoring do.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, ManifestError
 from .fileio import (parse_json, read_bytes, read_text, remove_temp_files,
                      write_bytes_atomic, write_text_atomic)
-from .worker import forked
+from .worker import halves
 
 
 # -- PGM ----------------------------------------------------------------------
@@ -294,15 +294,13 @@ def gen_dataset(config: SynthConfig, out_dir):
     """Write images, masks and the train/test manifests; fully deterministic.
 
     Each sample's job and manifest row is planned, and every directory
-    made, first. Where ``os.fork`` exists, this process synthesizes and
-    writes the first ceil(n/2) samples while one forked worker
-    (``worker.forked``, as training and scoring use) does the rest
-    (:func:`_write_split`); elsewhere this process does them all. Each
-    file is a function of its sample alone, so the bytes do not depend on
-    the split. The manifests are written last, once both halves have
-    succeeded, so a manifest only ever lists files that exist; on any
-    error neither is written, and the worker has been reaped before the
-    error propagates.
+    made, first. Then the jobs are halved (``worker.halves``): this process
+    synthesizes and writes the first ceil(n/2) samples, and the worker the
+    rest. Each file is a function of its sample alone, so the bytes do not
+    depend on the split. The manifests are written last, once both halves
+    have succeeded, so a manifest only ever lists files that exist; on any
+    error neither is written. A worker killed in the middle of a write
+    leaves its temp file, which is deleted once the worker is reaped.
 
     Returns (train_manifest_path, test_manifest_path).
     """
@@ -329,45 +327,20 @@ def gen_dataset(config: SynthConfig, out_dir):
             if row["mask"] is not None:
                 write_bytes_atomic(os.path.join(out_dir, row["mask"]),
                                    _pgm_bytes(mask.astype(np.uint8) * 255))
+        return ()  # no results: the files are the output
 
-    _write_split(jobs, write, directories)
+    halved = None
+    try:
+        with halves(write) as halved:
+            list(halved(jobs, (len(jobs) + 1) // 2))
+    except BaseException:
+        if halved is not None and halved.pid is not None:
+            remove_temp_files(directories, halved.pid)
+        raise
     paths = tuple(os.path.join(out_dir, f"{split}.jsonl") for split in manifests)
     for path, rows in zip(paths, manifests.values()):
         write_text_atomic(path, "".join(json.dumps(row) + "\n" for row in rows))
     return paths
-
-
-def _write_split(jobs, write, directories):
-    """``write`` the first ceil(n/2) jobs here while a forked worker writes the rest.
-
-    Where ``os.fork`` is missing, this process writes them all. An error in
-    this half waits for the worker's half to end before it is raised, so a
-    failed run leaves the same files every time. The worker's error is
-    raised only after this half succeeds, so the earlier sample's error
-    wins, as in one process. Anything else, a Ctrl-C included, kills the
-    worker, and the temp file of a write it was killed in is deleted from
-    ``directories`` once it has been reaped.
-    """
-    if not hasattr(os, "fork"):
-        return write(jobs)
-    half, worker = (len(jobs) + 1) // 2, None
-    try:
-        # the worker's reply is an empty list, or its error
-        with forked(lambda start: write(jobs[start:]) or ()) as worker:
-            worker.send(half)
-            try:
-                write(jobs[:half])
-            except Exception:
-                try:
-                    list(worker.results())
-                except Exception:
-                    pass  # this half's error comes first
-                raise
-            list(worker.results())
-    except BaseException:
-        if worker is not None:
-            remove_temp_files(directories, worker.pid)
-        raise
 
 
 # -- manifests and splits -----------------------------------------------------

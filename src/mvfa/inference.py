@@ -12,8 +12,8 @@ which ``predict`` writes for each chunk of CHUNK images.
 Both branches score a chunk of images at once, one call per level and
 role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
-on the chunk it is scored in, or on the process: ``metrics.score_samples``
-sends the later half of a test set's chunks to a forked worker. A bank is
+on the chunk it is scored in, or on the process (``metrics.score_samples``
+halves a test set by chunks). A bank is
 built with BLAS on one thread. A bank and an anomaly map are each saved as
 one ``fileio`` container; a bank's header records the SHA-256 of the
 checkpoint it was built from, so a command can refuse another pairing.

@@ -12,16 +12,13 @@ ranking rule: NaN ranks after every number, each NaN is a run of its own
 in pool order, and -0.0 ties with +0.0.
 
 ``score_samples`` scores the test set for ``evaluate`` and the CLI's
-``predict``. From two chunks up it forks one worker (``worker.forked``)
-that scores the later half of the chunks while this process scores the
-earlier half; every image keeps the bits it gets in one process, and the
-pixel AUCs are counted here once both halves are in.
+``predict``, halved by chunks with ``worker.halves``; the pixel AUCs are
+counted here once both halves are in.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -31,7 +28,7 @@ from .data import bool_mask, load_chunks
 from .errors import DataError, MetricError
 from .fileio import write_text_atomic
 from .inference import CHUNK, blend, fused_maps, score_batch
-from .worker import forked, one_blas_thread
+from .worker import halves
 
 CSV_FIELDS = ("images", "anomalous", "image_auc", "pixel_auc",
               "level1_image_auc", "level2_image_auc", "level3_image_auc",
@@ -113,21 +110,15 @@ def score_samples(backbone, params, samples, text_features, bank=None,
     and have the shape of the score maps (``DataError`` otherwise). BLAS
     runs on one thread throughout.
 
-    A list of one chunk, or any list where ``os.fork`` is missing, is scored
-    here, each chunk once the caller has taken every pair of the one before.
-    From two chunks up, one worker, forked once the model is in memory,
-    scores the later half of the chunks, one chunk at a time, while this
-    process scores and yields the earlier half. The worker takes the odd
-    chunk of an odd count, since the caller also handles every pair: in 40
-    alternating rounds of the seed-42 reference set's 13 chunks, ``predict``
-    took a median 23 ms less this way than with the odd chunk here. The
-    worker's pairs follow, in sample order, and an error in its half is
-    raised here after the pairs before it, as one process would raise it.
-    The worker is reaped before the generator ends, and killed first if the
-    generator is closed early.
+    The list is halved by chunks (``worker.halves``): this process scores
+    and yields the earlier half, and the worker the later half, with the
+    odd chunk of an odd count, since this process also handles every
+    pair: in 40 alternating rounds of the seed-42 reference set's 13
+    chunks, ``predict`` took a median 23 ms less this way than with the
+    odd chunk here. Every image keeps the bits it gets in one process.
     """
-    def score(part):
-        for loaded in load_chunks(part, CHUNK):
+    def score(indices):
+        for loaded in load_chunks((samples[i] for i in indices), CHUNK):
             for sample in loaded:
                 if sample.modality not in text_features:
                     raise DataError(f"no text features for modality {sample.modality!r}")
@@ -142,17 +133,8 @@ def score_samples(backbone, params, samples, text_features, bank=None,
                 yield Scored(sample.path, sample.label, sample.modality,
                              None if mask is None else np.packbits(mask)), result
 
-    chunks = -(-len(samples) // CHUNK)
-    half = chunks // 2 * CHUNK
-    forks = chunks > 1 and hasattr(os, "fork")
-    with forked(lambda start: score(samples[start:])) if forks else one_blas_thread() \
-            as worker:
-        if worker is None:
-            yield from score(samples)
-            return
-        worker.send(half)
-        yield from score(samples[:half])
-        yield from worker.results()
+    with halves(score) as split:
+        yield from split(range(len(samples)), -(-len(samples) // CHUNK) // 2 * CHUNK)
 
 
 class _ChunkedAUC:

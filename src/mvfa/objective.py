@@ -33,17 +33,12 @@ one graph of all its samples, and a step's memory is that of one graph,
 whatever ``batch_size`` is. A sample without a mask has no seg term, and
 its rows of the seg gradient are zero, which adds nothing.
 
-A step of two or more samples is halved by samples: a worker process
-(``worker.forked``, which scoring forks too), forked once per
-:func:`train` call, runs the later half as its own graphs while the
-calling process runs the earlier half, which holds the odd sample of an
-odd step. The worker gets the parameters and its graphs' sample indices
-at each step and returns each graph's per-sample totals and products,
-which the caller adds after its own, in sample order, so the bits do not
-depend on which process ran a sample. An error in the worker reaches the
-caller as the same exception. Memory and RSS figures for training are per
-process; the worker shares most of its pages with the caller until either
-writes them.
+A step is halved by samples with ``worker.halves``: this process runs the
+first ceil(n/2) of a step's n samples, the odd sample of an odd step
+included, and the worker the rest, each half as its own graphs. Both halves
+return each graph's per-sample totals and products by leaf index, which the
+step adds in sample order, so the bits do not depend on which process ran a
+sample. Memory and RSS figures for training are per process.
 
 Training holds at most one graph of samples. The embedding and stage 1
 reach no trainable tensor, so a graph needs of each sample only its
@@ -59,12 +54,9 @@ the float32 one, since both cast to the same 0/1 map.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +68,7 @@ from .autograd import Tensor
 from .data import bool_mask, load_chunks
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .fileio import write_text_atomic
-from .worker import forked
+from .worker import halves
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
@@ -396,12 +388,8 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     those of training one sample graph at a time (``tests/train_oracle.py``)
     whatever the graph size.
 
-    When a step can hold two or more samples and ``os.fork`` exists, one
-    worker process is forked after the set-up below. Each step runs its
-    later ``len(step) // 2`` samples there, as graphs of their own, while
-    this process runs the rest; the worker is reaped before this call
-    returns or raises, and its errors are raised here unchanged. A step of
-    one sample runs here.
+    Each step's samples are halved across two processes (see the module
+    docstring and ``worker.halves``).
 
     A training set that fits in one batch is loaded and run through the
     embedding and stage 1 once, one graph's samples at a time, and each
@@ -436,12 +424,16 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         def graph_inputs(graph):
             return _step_inputs(backbone, [samples[i] for i in graph])
 
+    leaves = [p for _, p in named]
+    index = {leaf: i for i, leaf in enumerate(leaves)}
+
     def run_graph(graph, size):
         """One graph's per-sample loss totals and each leaf's per-sample products.
 
-        ``size`` is the step's sample count. A graph with a non-finite total
-        fails its step, and one that reaches no trainable tensor adds
-        nothing; neither runs a backward pass.
+        The products come as (leaf index, products) pairs. ``size`` is the
+        step's sample count. A graph with a non-finite total fails its step,
+        and one that reaches no trainable tensor adds nothing; neither runs
+        a backward pass.
         """
         stage1, labels, modalities, masks = graph_inputs(graph)
         features = adapt_forward(backbone, params, None, stage1=Tensor(stage1))[0]
@@ -449,46 +441,33 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         totals = total_loss(features, Tensor(texts), labels, masks, config.weights,
                             tau=config.tau, out_hw=out_hw, levels=config.levels)
         if not (totals.requires_grad and np.isfinite(totals.data).all()):
-            return totals.data, {}
+            return totals.data, []
         loss = ag.scale(_sum_samples(totals), 1.0 / size)
-        return totals.data, ag.backward(loss, parts=True)
+        return totals.data, [(index[leaf], part)
+                             for leaf, part in ag.backward(loss, parts=True).items()]
 
-    leaves = [p for _, p in named]
-    index = {leaf: i for i, leaf in enumerate(leaves)}
-
-    def run_graphs(command):
-        """The worker's share of a step: each graph's totals, and its parts by leaf index."""
-        arrays, graphs, size = command
+    def run_graphs(indices, arrays, size):
+        """Each graph of one process's share of a step, with the leaves set to ``arrays``."""
         for leaf, data in zip(leaves, arrays):
             leaf.data = data
-        for graph in graphs:
-            totals, parts = run_graph(graph, size)
-            yield totals, [(index[leaf], part) for leaf, part in parts.items()]
+        for graph in _graphs(indices):
+            yield run_graph(graph, size)
 
-    forks = config.epochs and min(len(samples), config.batch_size) > 1 and hasattr(os, "fork")
-    with forked(run_graphs) if forks else contextlib.nullcontext() as worker:
+    with halves(run_graphs) as split:
         for epoch in range(config.epochs):
             order = rng.permutation(len(samples))
             weighted = 0.0
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start:start + config.batch_size]
-                # the worker runs the later half of the samples while this process
-                # runs the rest
-                half = len(chunk) if worker is None else (len(chunk) + 1) // 2
-                later = _graphs(chunk[half:])
-                if later:
-                    worker.send(([leaf.data for leaf in leaves], later, len(chunk)))
                 total, sums = None, {}
-                for totals, parts in itertools.chain(
-                        (run_graph(graph, len(chunk)) for graph in _graphs(chunk[:half])),
-                        ((totals, {leaves[i]: part for i, part in parts})
-                         for totals, parts in (worker.results() if later else ()))):
+                for totals, parts in split(chunk, (len(chunk) + 1) // 2,
+                                           [leaf.data for leaf in leaves], len(chunk)):
                     total = ag.sum_in_order(totals, total)
                     if not np.isfinite(total):
                         raise NumericError(
                             f"non-finite loss at epoch {epoch + 1}, step {state.step + 1}")
-                    for leaf, part in parts.items():
-                        sums[leaf] = ag.sum_in_order(part, sums.get(leaf))
+                    for i, part in parts:
+                        sums[leaves[i]] = ag.sum_in_order(part, sums.get(leaves[i]))
                     parts.clear()  # so the next graph runs without them
                 if not sums:  # the engine's error for a loss that reaches no trainable tensor
                     raise ContractError(

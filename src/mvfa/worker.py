@@ -1,19 +1,37 @@
 """One forked worker process, and the native settings of the processes around it.
 
-Training, scoring and ``gen-data`` each split their work with one worker
-that they fork (:func:`forked`) once their inputs are in memory, so the
-worker reads its pages without a copy until either process writes them.
-The caller sends a command, runs its own share, then reads the worker's
-results. A worker answers each command with one reply, sent once its share
-is done: a worker that wrote as it went would fill the pipe (64 KiB on
-Linux) and wait for a caller still busy with its own share, and the two
-would take turns instead of running at once. An error in the worker is raised in the caller as the
-same exception, after the results that came before it.
+Training, scoring and ``gen-data`` each halve their work with :func:`halves`,
+entered once per ``train``, scoring call or ``gen-data`` with the function
+``run`` that does the work. It yields ``split(items, cut, *shared)``, which
+runs ``run(items[:cut], *shared)`` in this process and
+``run(items[cut:], *shared)`` on one worker, and yields this process's
+results, then the worker's, in order. The worker is forked on the first
+split whose halves are both non-empty, once the caller's inputs are in
+memory, so it reads its pages without a copy until either process writes
+them; without ``os.fork``, and for a split with an empty half, ``run`` gets
+all the items here. Each site chooses only its cut and its ``run``.
+
+A split sends the worker its items and ``shared`` pickled, and the worker
+answers with one reply, sent once its share is done: a worker that wrote as
+it went would fill the pipe (64 KiB on Linux) and wait for a caller still
+busy with its own share, and the two would take turns instead of running at
+once. An error in the worker is raised in the caller as the same exception,
+after the results that came before it.
+
+One error policy serves every site. An ``Exception`` in this process's
+half, or in the code that consumes a split's results, waits for the
+worker's pending reply, then the caller's error is raised: the worker's
+half ends as it would have, so a failed ``gen-data`` leaves the same files
+every time. Training's and scoring's workers write no files, so for them
+the wait changes only the time to the error. Any other ``BaseException``
+(a Ctrl-C, a closed generator) kills a worker still at its share, and
+``split.pid`` names it, so that a caller can delete what it was killed in
+the middle of. Either way the worker is reaped before the context ends.
 
 This is the only module that forks, and the only one that calls into a
-native library through ``ctypes``: OpenBLAS's thread count, which both
-processes hold at one while a worker lives, and glibc's malloc thresholds,
-which the CLI sets when it starts.
+native library through ``ctypes``: OpenBLAS's thread count, which
+:func:`halves` holds at one, and glibc's malloc thresholds, which the CLI
+sets when it starts.
 """
 
 from __future__ import annotations
@@ -26,74 +44,119 @@ import pickle
 import signal
 
 
-class Worker:
-    """A forked process that answers each command sent to it with one reply.
+@contextlib.contextmanager
+def halves(run):
+    """Yield a :class:`Split` of ``run``, with the module's error policy around it.
 
-    ``handle(command)`` runs in the worker and yields the command's results.
-    They go back as one pickled list once the last is made, or once one
-    raises: then the list ends with the error, or, if that does not pickle,
-    with a RuntimeError of its text.
+    BLAS runs on one thread meanwhile, in both processes once the worker is
+    forked: processes whose BLAS threads share the cores slow each other
+    down. On 2 cores, with OpenBLAS's default of 2 threads, a seed-42
+    zero-shot ``train --epochs 2`` took 12-17 s this way, against 3.2 s on
+    one thread each. Without a worker the second thread only wastes a
+    core: the same train in one process took 11.7 s of CPU unpinned,
+    against 5.4 s on one thread.
+    """
+    split = Split(run)
+    with one_blas_thread():
+        try:
+            yield split
+        except Exception:
+            if split.pending:  # wait for the worker's reply; the caller's error wins
+                with contextlib.suppress(ChildProcessError):
+                    split.reply()
+            raise
+        finally:
+            split.close()
+
+
+class Split:
+    """``split(items, cut, *shared)``: the caller's results, then the worker's.
+
+    ``pid`` is the worker's, None until one is forked.
     """
 
-    def __init__(self, handle):
+    def __init__(self, run):
+        self.run, self.pid, self.pending = run, None, False
+
+    def __call__(self, items, cut, *shared):
+        halved = 0 < cut < len(items)
+        if halved and self.pid is None and hasattr(os, "fork"):
+            self._fork()
+        if not halved or self.pid is None:
+            yield from self.run(items, *shared)
+            return
+        pickle.dump((items[cut:], shared), self._commands)
+        self._commands.flush()
+        # only now: a command cut short ends the worker once its pipe closes
+        self.pending = True
+        yield from self.run(items[:cut], *shared)
+        for result in self.reply():
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+
+    def _fork(self):
         command_in, command_out = os.pipe()
         result_in, result_out = os.pipe()
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except BaseException:
             for fd in (command_in, command_out, result_in, result_out):
                 os.close(fd)
             raise
-        if self.pid == 0:
+        if pid == 0:
             # leave only through _exit: no atexit handler or stdio flush runs twice
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(command_out)
                 os.close(result_in)
-                _serve(open(command_in, "rb"), open(result_out, "wb"), handle)
+                _serve(open(command_in, "rb"), open(result_out, "wb"), self.run)
                 code = 0
             finally:
                 os._exit(code)
         os.close(command_in)
         os.close(result_out)
+        self.pid = pid
         self._commands = open(command_out, "wb")
         self._results = open(result_in, "rb")
 
-    def send(self, command):
-        """Start the worker on ``command``."""
-        pickle.dump(command, self._commands)
-        self._commands.flush()
-
-    def results(self):
-        """The results of the command sent last, in order; raises the worker's error."""
+    def reply(self):
+        """The list the worker sent for the last split, its error included."""
         try:
             replies = pickle.load(self._results)
         except EOFError:
             raise ChildProcessError("the worker exited without its results") from None
-        for reply in replies:
-            if isinstance(reply, BaseException):
-                raise reply
-            yield reply
+        self.pending = False
+        return replies
 
     def close(self):
-        """Close the pipes and reap the worker; a closed command pipe ends a live one."""
+        """Kill a worker still at its share, close the pipes, and reap the worker."""
+        if self.pid is None:
+            return
+        if self.pending:
+            os.kill(self.pid, signal.SIGKILL)
         for pipe in (self._commands, self._results):
             with contextlib.suppress(OSError):  # the pipe of a killed worker
                 pipe.close()
         os.waitpid(self.pid, 0)
 
 
-def _serve(commands, results, handle):
-    """The worker's loop: answer each command until the command pipe closes."""
+def _serve(commands, results, run):
+    """The worker's loop: answer each split until the command pipe closes.
+
+    The reply is ``run``'s results as one pickled list, sent once the last
+    is made, or once one raises: then the list ends with the error, or, if
+    that does not pickle, with a RuntimeError of its text.
+    """
     while True:
         try:
-            command = pickle.load(commands)
+            items, shared = pickle.load(commands)
         except EOFError:
             return
         replies = []
         try:
-            for reply in handle(command):
+            for reply in run(items, *shared):
                 replies.append(reply)
         except Exception as exc:
             replies.append(exc)
@@ -104,28 +167,6 @@ def _serve(commands, results, handle):
             payload = pickle.dumps(replies)
         results.write(payload)
         results.flush()
-
-
-@contextlib.contextmanager
-def forked(handle):
-    """A forked :class:`Worker` serving ``handle`` for the code inside the context.
-
-    BLAS runs on one thread in both processes meanwhile: processes whose
-    BLAS threads share the cores slow each other down. On 2 cores, with
-    OpenBLAS's default of 2 threads, a seed-42 zero-shot ``train --epochs 2``
-    took 12-17 s this way, against 3.2 s on one thread each. The worker is
-    reaped on the way out, and killed first if the context ends by an
-    exception, a closed generator's included.
-    """
-    with one_blas_thread():
-        worker = Worker(handle)
-        try:
-            yield worker
-        except BaseException:
-            os.kill(worker.pid, signal.SIGKILL)  # its results are not wanted
-            raise
-        finally:
-            worker.close()
 
 
 @contextlib.contextmanager

@@ -747,9 +747,9 @@ def test_an_image_that_fails_to_load_on_the_worker_fails_as_in_one_process(
 def test_training_leaves_no_process_behind(workdir, tmp_path, capsys, monkeypatch, end):
     """No worker outlives ``train``, whether it returns, raises or is interrupted.
 
-    A NaN in every graph raises in this process while the worker still runs
-    its graph; a KeyboardInterrupt comes from the second Adam update. A
-    failed run writes neither the checkpoint nor the loss log.
+    A NaN in every graph raises in this process once the worker's reply to
+    the step is in; a KeyboardInterrupt comes from the second Adam update.
+    A failed run writes neither the checkpoint nor the loss log.
     """
     root, config, data = workdir
     monkeypatch.setattr(objective, "SUB_BATCH", 2)
@@ -780,6 +780,46 @@ def test_training_leaves_no_process_behind(workdir, tmp_path, capsys, monkeypatc
         os.waitpid(-1, os.WNOHANG)
     assert sorted(os.listdir(out)) == (["m.ckpt", "m.ckpt.loss.csv"] if end == "return"
                                        else [])
+
+
+def _here_or_worker(caller):
+    """A call-log line: "here" in the process ``caller``, "worker" in any other."""
+    return lambda *args, **kwargs: "here" if os.getpid() == caller else "worker"
+
+
+def test_a_nan_in_the_callers_graph_lets_the_workers_graph_finish(workdir, tmp_path, capsys,
+                                                                  monkeypatch):
+    """The first step's graph here has a NaN loss; the worker's graph still runs.
+
+    A zero-shot step of 4 runs 2 samples here and 2 on the worker, one graph
+    each. The worker's loss is slowed, so a kill at this process's error
+    would stop it before its backward. ``train`` waits for the worker's
+    reply, then raises: exit 3, nothing written, no child process left.
+    """
+    root, config, data = workdir
+    caller, total_loss = os.getpid(), objective.total_loss
+
+    def nan_here_slow_on_the_worker(*args, **kwargs):
+        totals = total_loss(*args, **kwargs)
+        if os.getpid() == caller:
+            return autograd.scale(totals, np.nan)
+        time.sleep(0.3)
+        return totals
+
+    log, where = tmp_path / "calls.txt", _here_or_worker(caller)
+    monkeypatch.setattr(objective, "total_loss",
+                        logged(log, nan_here_slow_on_the_worker, where))
+    monkeypatch.setattr(autograd, "backward", logged(
+        log, autograd.backward, lambda *a, **k: f"backward {where()}"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--config", config, "--data", data, "--out", str(out / "m.ckpt"),
+                 "--mode", "zero-shot"]) == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite loss at epoch 1, step 1\n"
+    assert sorted(read_lines(log)) == ["backward worker", "here", "worker"]
+    assert os.listdir(out) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -886,8 +926,9 @@ def test_scoring_leaves_no_process_behind(scoring_sets, tmp_path, capsys, monkey
                                           command, end):
     """No scoring worker outlives eval or predict, however the command ends.
 
-    The first image fails to load, or a KeyboardInterrupt comes from this
-    process's first pair, while the worker still scores its half.
+    The first image fails to load, and the error is raised once the worker
+    has scored its half; or a KeyboardInterrupt comes from this process's
+    first pair, and the worker is killed in its half.
     """
     config, data, ckpt, bank = scoring_sets(37)
     copy = tmp_path / "data"
@@ -912,6 +953,38 @@ def test_scoring_leaves_no_process_behind(scoring_sets, tmp_path, capsys, monkey
         assert main(argv) == {"return": 0, "raise": 2}[end]
     capsys.readouterr()
     assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_load_error_in_the_callers_half_lets_the_scoring_workers_half_finish(
+        scoring_sets, tmp_path, capsys, monkeypatch):
+    """The first image fails to load here; the worker still scores its half.
+
+    5 chunks: 2 here and 3 on the worker, whose chunks are slowed, so a kill
+    at this process's error would stop it in its first. ``eval`` waits for
+    the worker's reply, then exits 2: nothing written, no child process left.
+    """
+    config, data, ckpt, bank = scoring_sets(37)
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    caller, score_batch = os.getpid(), metrics.score_batch
+
+    def slow_on_the_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            time.sleep(0.1)
+        return score_batch(*args, **kwargs)
+
+    log = tmp_path / "calls.txt"
+    monkeypatch.setattr(metrics, "score_batch",
+                        logged(log, slow_on_the_worker, _here_or_worker(caller)))
+    _fail_to_load_when_scored(monkeypatch, 0)
+    out = tmp_path / "out"
+    assert main(_scoring_commands(config, str(copy), ckpt, bank, out)["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {copy}") and "Traceback" not in err
+    assert read_lines(log) == ["worker"] * 3
+    assert tree_bytes(out) == {}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1070,6 +1070,29 @@ def test_blas_runs_on_one_thread_in_both_processes_while_the_worker_lives(tmp_pa
     assert read_lines(log) == ["1"] * 4 and after == 2
 
 
+def test_blas_runs_on_one_thread_in_a_train_without_a_worker(tmp_path, monkeypatch):
+    # steps of one sample, and any step without os.fork, train in one process
+    calls = worker.openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS whose thread count can be set is loaded")
+    get, set_ = calls
+    before = get()
+    log = tmp_path / "threads.txt"
+    monkeypatch.setattr(objective, "total_loss",
+                        logged(log, objective.total_loss, lambda *a, **k: get()))
+    samples = mixed_samples(4, TOY.image_size, seed=35)
+    set_(2)
+    try:
+        _trained_bits(train, TOY, samples, {}, TrainConfig(batch_size=1, epochs=1))
+        monkeypatch.delattr(os, "fork")
+        _trained_bits(train, TOY, samples, {}, TrainConfig(batch_size=4, epochs=1))
+        after = get()
+    finally:
+        set_(before)
+    # four one-sample graphs, then one graph of four
+    assert read_lines(log) == ["1"] * 5 and after == 2
+
+
 def test_a_graph_that_reaches_no_trainable_tensor_adds_nothing(monkeypatch):
     # with lambda3 0 a mask-free sample's loss has no node, so in graphs of one
     # sample its graph has no backward and the step keeps the oracle's bits; a
