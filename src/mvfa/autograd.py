@@ -4,8 +4,11 @@ A :class:`Tensor` wraps an ndarray plus an optional graph node. Nodes are
 recorded eagerly while an operation runs, but only when gradients are
 enabled and at least one operand requires them. :func:`backward` walks the
 recorded graph once in reverse topological order, accumulates gradients by
-summation, returns them for the requires-grad leaves, and releases the
-graph so every forward pass starts from a clean slate.
+summation and returns them for the requires-grad leaves. The walk lets go
+of each tensor once its VJP has run, so a forward array that no remaining
+VJP reads is freed during the walk unless the caller still holds its
+tensor; the graph is gone when the walk ends, and every forward pass
+starts from a clean slate.
 
 Arrays are float32 by default; passing ``dtype=np.float64`` at creation
 switches a computation to double precision, which the gradient-check tests
@@ -270,9 +273,15 @@ def unit_rows(x):
 
 
 def unit_rows_vjp(g, rows, norms):
-    """Input gradient of :func:`unit_rows` given its outputs."""
+    """Input gradient of :func:`unit_rows` given its outputs.
+
+    The result is built in place in ``rows * dot``, whose dtype is already
+    that of ``(g - rows * dot) / norms``.
+    """
     dot = np.sum(g * rows, axis=-1, keepdims=True)
-    return (g - rows * dot) / norms
+    grad = rows * dot
+    np.subtract(g, grad, out=grad)
+    return np.divide(grad, norms, out=grad)
 
 
 def _axis_coords(in_extent, out_extent, dtype):
@@ -366,8 +375,16 @@ def backward(loss, parts=False):
     Returns a mapping from each reachable leaf tensor to a gradient tensor
     of the same shape. Gradients from multiple uses of a leaf accumulate by
     summation; a leaf shared by a batch adds its per-sample products in
-    sample order. Graph nodes are released as they are consumed, so the
-    graph cannot be replayed.
+    sample order.
+
+    The walk holds the graph's tensors in a list in topological order and
+    pops them from its end, so it holds each tensor until that tensor's VJP
+    has run and then drops both the tensor and its node, which cannot be
+    replayed. Every VJP that reads a tensor's array has run by then: the
+    tensor's own, and those of the tensors computed from it, which come
+    first. So a forward array is freed as soon as its tensor is popped,
+    unless the caller still holds that tensor; leaves, and tensors the
+    caller holds, stay readable.
 
     With ``parts``, each leaf maps instead to its gradient's parts not yet
     added, as one array: the per-sample products of a leaf shared by the
@@ -417,7 +434,8 @@ def backward(loss, parts=False):
 
     arrive(loss, np.ones_like(loss.data))
     leaf_grads = {}
-    for tensor in reversed(topo):
+    while topo:
+        tensor = topo.pop()
         g = grads.pop(tensor, None)
         if g is None:
             continue

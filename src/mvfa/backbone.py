@@ -308,15 +308,22 @@ def _block_forward(x, blk, config):
                                             peak, denom)
             g_av = g_x1 @ wo.data.T
             g_scores = g_av @ v.swapaxes(-1, -2)
+            del v
             row = np.sum(g_scores * att, axis=-1, keepdims=True)
             np.subtract(g_scores, row, out=g_scores)
             np.multiply(att, g_scores, out=g_scores)
             np.multiply(g_scores, att_scale, out=g_scores)
-            # q, k, v of each head in turn: the op-by-op accumulation order
-            for part in ((g_scores @ k) @ wq.data.T,
-                         (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2) @ wk.data.T,
-                         (att.swapaxes(-1, -2) @ g_av) @ wv.data.T):
-                g_h = part if g_h is None else np.add(g_h, part, out=g_h)
+            # q, k, v of each head in turn: the op-by-op accumulation order;
+            # each part is made once the one before it is added, and each
+            # (B, N, N) array is freed once the last part that reads it is made
+            g_q = (g_scores @ k) @ wq.data.T
+            g_h = g_q if g_h is None else np.add(g_h, g_q, out=g_h)
+            del g_q
+            np.add(g_h, (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2) @ wk.data.T,
+                   out=g_h)
+            del q, k, g_scores
+            np.add(g_h, (att.swapaxes(-1, -2) @ g_av) @ wv.data.T, out=g_h)
+            del att, g_av
         return (_layer_norm_vjp(g_h, x.data, blk.ln1_g.data, ln1, g_x1),)
 
     return ag.record(out, "encoder_block", (x,), backward_fn)

@@ -50,6 +50,14 @@ the graph runs, so memory does not grow with the training set or the
 batch. :func:`total_loss` casts a graph's bool masks to one float32 stack
 that the four level nodes share; a bool mask gives the loss the bits of
 the float32 one, since both cast to the same 0/1 map.
+
+Within a graph, the step lets go of the level features before the
+backward walk, which frees each array once its last VJP has run
+(``autograd.backward``). The focal term runs its ops in place, and a
+level node's VJP adds its map gradient's contributions into one buffer it
+owns, so a default-size graph peaks in its first level-loss VJP, just
+ahead of its first stage-4 block VJP, and its forward pass stays below
+both.
 """
 
 from __future__ import annotations
@@ -135,9 +143,10 @@ def _as_mask(s, like):
 
 
 # Each term below maps a batch of arrays, with the samples on the first axis,
-# to one value per sample and a VJP that takes one gradient per sample and
-# returns the maps' gradient as a list of contributions, in the order the
-# engine would add them.
+# to one value per sample and a VJP that takes one gradient per sample. A map
+# term's VJP adds its contributions to the maps' gradient, in the order the
+# engine would add them, into ``total``, an array the level's VJP made, and
+# returns it; without one it returns its contributions' sum.
 
 def _per_sample(g, ndim):
     """Per-sample values shaped to broadcast against (B, ...) arrays of ``ndim``."""
@@ -152,10 +161,10 @@ def _dice(p, mask):
     mask_sums = np.sum(mask, axis=axes).astype(np.float64) + DICE_SMOOTH
     denom = np.sum(p, axis=axes) + mask_sums.astype(p.dtype)
 
-    def vjp(g):
+    def vjp(g, total=None):
         g_ratio = g * -1.0
-        return [_per_sample(g_ratio / denom * 2.0, ndim) * mask,
-                _per_sample(-g_ratio * numer / (denom * denom), ndim)]
+        total = _add_into(total, _per_sample(g_ratio / denom * 2.0, ndim) * mask)
+        return _add_into(total, _per_sample(-g_ratio * numer / (denom * denom), ndim))
 
     return numer / denom * -1.0 + 1.0, vjp
 
@@ -165,23 +174,48 @@ def _focal(p, mask):
 
     The VJP keeps p_t, the bool clip mask and ``mask``; 1 - p_t, its square
     and log(p_t) are recomputed by the same ops, with the same bits, instead
-    of being kept.
+    of being kept. Both passes run the ops of their written-out formulas in
+    place in maps they have made, with at most three such maps live at once,
+    ``total`` included.
     """
     ndim, axes = p.ndim, tuple(range(1, p.ndim))
-    raw = p * mask + (p * -1.0 + 1.0) * (1.0 - mask)
+    # raw = p * mask + (p * -1.0 + 1.0) * (1.0 - mask), then the mean of
+    # one_minus * one_minus * log(p_t)
+    raw = p * mask
+    negative = p * -1.0
+    negative += 1.0
+    np.multiply(negative, 1.0 - mask, out=negative)
+    raw += negative
+    del negative
     inside = (raw >= PROB_EPS) & (raw <= 1.0 - PROB_EPS)
-    p_t = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
-    one_minus = p_t * -1.0 + 1.0
-    value = np.mean(one_minus * one_minus * np.log(p_t), axis=axes) * -1.0  # focusing exponent 2
+    p_t = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS, out=raw)
+    one_minus = p_t * -1.0
+    one_minus += 1.0
+    np.multiply(one_minus, one_minus, out=one_minus)
+    np.multiply(one_minus, np.log(p_t), out=one_minus)
+    value = np.mean(one_minus, axis=axes) * -1.0  # focusing exponent 2
 
-    def vjp(g):
-        one_minus, log_p = p_t * -1.0 + 1.0, np.log(p_t)
+    def vjp(g, total=None):
+        # g_raw = ((g_weight * one_minus + g_weight * one_minus) * -1.0
+        #          + g_prod * (one_minus * one_minus) / p_t) * inside,
+        # with g_weight = g_prod * log(p_t)
         g_prod = _per_sample(g * -1.0 / p_t[0].size, ndim)
-        g_weight = g_prod * log_p
-        g_p_t = ((g_weight * one_minus + g_weight * one_minus) * -1.0
-                 + g_prod * (one_minus * one_minus) / p_t)
-        g_raw = g_p_t * inside
-        return [g_raw * mask, g_raw * (1.0 - mask) * -1.0]
+        g_raw = g_prod * np.log(p_t)
+        one_minus = p_t * -1.0
+        one_minus += 1.0
+        np.multiply(g_raw, one_minus, out=g_raw)
+        np.add(g_raw, g_raw, out=g_raw)
+        np.multiply(g_raw, -1.0, out=g_raw)
+        np.multiply(one_minus, one_minus, out=one_minus)
+        np.multiply(g_prod, one_minus, out=one_minus)
+        np.divide(one_minus, p_t, out=one_minus)
+        np.add(g_raw, one_minus, out=g_raw)
+        del one_minus
+        np.multiply(g_raw, inside, out=g_raw)
+        total = _add_into(total, g_raw * mask)
+        g_negative = 1.0 - mask
+        np.multiply(g_raw, g_negative, out=g_negative)
+        return _add_into(total, np.multiply(g_negative, -1.0, out=g_negative))
 
     return value, vjp
 
@@ -201,6 +235,17 @@ def _bce(prob, c):
 
 def _sum(contributions):
     return functools.reduce(operator.add, contributions)
+
+
+def _add_into(total, part):
+    """``total + part``, written into ``total``; a None ``total`` starts from ``part``.
+
+    ``part`` must then be an array of the map's full shape that the caller made.
+    """
+    if total is None:
+        return part
+    total += part
+    return total
 
 
 def _anomaly_column(features, text, tau):
@@ -281,9 +326,11 @@ def _level_loss(cls_l, seg_l, f_text, c, s, weights, tau, out_hw, stacks):
 
         def seg_grad(g):
             g = g[rows]
-            g_map = _sum([part for weight, (_, vjp) in map_terms
-                          for part in vjp(g * float(weight))])
+            g_map = None  # one buffer holds the map gradient's running sum
+            for weight, (_, vjp) in map_terms:
+                g_map = vjp(g * float(weight), g_map)
             g_grid = ag.upsample_vjp(g_map, (grid, grid), dtype)
+            del g_map
             g_seg = np.zeros_like(seg)
             g_seg[rows] = seg_vjp(g_grid.reshape(column_shape))
             return g_seg
@@ -440,6 +487,7 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
         texts = np.stack([text_features[m].data for m in modalities])
         totals = total_loss(features, Tensor(texts), labels, masks, config.weights,
                             tau=config.tau, out_hw=out_hw, levels=config.levels)
+        del features  # the walk frees each feature once its level's VJP has run
         if not (totals.requires_grad and np.isfinite(totals.data).all()):
             return totals.data, []
         loss = ag.scale(_sum_samples(totals), 1.0 / size)

@@ -9,7 +9,10 @@ results, then the worker's, in order. The worker is forked on the first
 split whose halves are both non-empty, once the caller's inputs are in
 memory, so it reads its pages without a copy until either process writes
 them; without ``os.fork``, and for a split with an empty half, ``run`` gets
-all the items here. Each site chooses only its cut and its ``run``.
+all the items here. A fork that fails with an ``OSError`` (``EAGAIN`` under
+a process limit) counts as no ``os.fork``: the rest of the context runs
+here, and no fork is tried again. Each site chooses only its cut and its
+``run``.
 
 A split sends the worker its items and ``shared`` pickled, and the worker
 answers with one reply, sent once its share is done: a worker that wrote as
@@ -77,10 +80,11 @@ class Split:
 
     def __init__(self, run):
         self.run, self.pid, self.pending = run, None, False
+        self.forkable = hasattr(os, "fork")
 
     def __call__(self, items, cut, *shared):
         halved = 0 < cut < len(items)
-        if halved and self.pid is None and hasattr(os, "fork"):
+        if halved and self.pid is None and self.forkable:
             self._fork()
         if not halved or self.pid is None:
             yield from self.run(items, *shared)
@@ -100,10 +104,13 @@ class Split:
         result_in, result_out = os.pipe()
         try:
             pid = os.fork()
-        except BaseException:
+        except BaseException as exc:
             for fd in (command_in, command_out, result_in, result_out):
                 os.close(fd)
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            self.forkable = False
+            return
         if pid == 0:
             # leave only through _exit: no atexit handler or stdio flush runs twice
             code = 1

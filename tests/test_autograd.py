@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import ops_oracle as ops
@@ -347,6 +348,34 @@ def test_graph_freed_after_backward():
     loss = ops.sum(y)
     backward(loss)
     assert y.node is None and loss.node is None
+
+
+def test_the_walk_frees_a_forward_array_once_its_vjp_has_run():
+    """A tensor's array is gone before the walk's next VJP once only the walk held it.
+
+    No VJP reads y's array: its scale node reads none, and the loss node
+    only y's shape. Once y's VJP has run, and the caller no longer holds y,
+    the first node's VJP, which runs after it, finds the array freed. The
+    walk kept it to the end while it walked a reversed list of the graph.
+    The leaf, and a tensor the caller still holds, stay readable.
+    """
+    x = t64([1.0, -2.0, 3.0], requires_grad=True)
+    freed_at_first = []
+
+    def first_vjp(g):
+        freed_at_first.append(y_array() is None)
+        return (g,)
+
+    kept = ag.record(x.data * 1.0, "first", (x,), first_vjp)
+    y = ag.scale(kept, 2.0)
+    shape = y.shape
+    loss = ag.record(np.sum(y.data), "sum", (y,), lambda g: (np.broadcast_to(g, shape),))
+    y_array = weakref.ref(y.data)
+    del y
+    grads = backward(loss)
+    assert freed_at_first == [True]
+    assert np.array_equal(grads[x].data, [2.0, 2.0, 2.0])
+    assert kept.data.tolist() == x.data.tolist() == [1.0, -2.0, 3.0]
 
 
 def test_released_tensor_raises_on_read_and_still_receives_its_gradient():

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import functools
 import json
 import operator
@@ -894,6 +895,46 @@ def test_eval_and_predict_write_the_same_bytes_with_and_without_fork(scoring_set
     assert outputs["forked"] == outputs["one_process"]
 
 
+def test_a_fork_that_fails_runs_gen_data_train_and_eval_here_with_the_same_bytes(
+        scoring_sets, tmp_path, capsys, monkeypatch):
+    """With ``os.fork`` raising EAGAIN, as under a process limit, each command runs here.
+
+    gen-data, train and eval each try one fork, on their first split, and
+    then run every split in this process, writing the bytes of the forked
+    run. Before, each exited 2 on the ``BlockingIOError``.
+    """
+    config = scoring_sets(16)[0]
+    outputs, tries = {}, {}
+    for name in ("forked", "fork_fails"):
+        out = tmp_path / name
+        data, ckpt, bank = str(out / "data"), str(out / "m.ckpt"), str(out / "bank.bin")
+        flags = ["--config", config, "--data", data]
+        with monkeypatch.context() as patch:
+            if name == "forked":
+                tries[name] = count_forks(patch)
+            else:
+                tries[name] = []
+
+                def failing_fork():
+                    tries["fork_fails"].append(None)
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+                patch.setattr(os, "fork", failing_fork)
+            for argv in (["gen-data", "--config", config, "--out", data],
+                         ["train", *flags, "--out", ckpt],
+                         ["build-bank", *flags, "--ckpt", ckpt, "--out", bank],
+                         ["eval", *flags, "--ckpt", ckpt, "--bank", bank,
+                          "--out", str(out / "report.json")]):
+                assert main(argv) == 0, argv[0]
+        outputs[name] = tree_bytes(out)
+    capsys.readouterr()
+    assert len(tries["forked"]) == len(tries["fork_fails"]) == 3
+    assert {"m.ckpt", "m.ckpt.loss.csv", "report.json"} <= set(outputs["forked"])
+    assert outputs["forked"] == outputs["fork_fails"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_an_image_that_fails_to_load_in_the_scoring_worker_fails_as_in_one_process(
         scoring_sets, tmp_path, capsys, monkeypatch, command):
@@ -1710,12 +1751,14 @@ def test_eval_of_the_default_reference_set_peaks_below_6_5_mib(tmp_path, capsys)
     assert peak <= 6.5 * 2 ** 20
 
 
-def test_few_shot_train_of_the_default_reference_set_peaks_below_6_5_mib(tmp_path, capsys):
+def test_few_shot_train_of_the_default_reference_set_peaks_below_5_mib(tmp_path, capsys):
     """A seed-42 few-shot train of the 8 default-size reference samples, 50 epochs.
 
     Each step ran as one 8-sample graph in this process and peaked at 8.4 MiB
     here; halved by samples, this process runs 4 of them and the forked
-    worker the other 4.
+    worker the other 4, which peaked at 5.2 MiB. 4.55 MiB measured once the
+    walk frees each array after its last VJP and the focal term, the
+    level-loss VJP and the block VJP free their temporaries early.
     """
     import tracemalloc
 
@@ -1729,4 +1772,4 @@ def test_few_shot_train_of_the_default_reference_set_peaks_below_6_5_mib(tmp_pat
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 6.5 * 2 ** 20
+    assert peak < 5.0 * 2 ** 20
