@@ -276,11 +276,13 @@ def _block_forward(x, blk, config):
         head = (att @ v) @ wo.data
         attended = head if attended is None else np.add(attended, head, out=attended)
         softmax_stats.append((peak, denom))
-    del h, v, att
+        del v, att, head  # freed before the next head's are made
+    del h
     x1 = np.add(x.data, attended, out=attended)
 
     h2, ln2 = _layer_norm(x1, blk.ln2_g.data, blk.ln2_b.data)
     pre = h2 @ blk.mlp_w1.data
+    del h2
     np.add(pre, blk.mlp_b1.data, out=pre)
     # the ReLU's VJP reads only this sign, so the float pre-activation is not kept
     hidden = pre.shape[-1]

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -320,8 +322,7 @@ def cmd_predict(args):
     if args.manifest:
         samples = datamod.load_manifest(args.manifest)
     elif args.data:
-        _, test_samples = _manifests(args.data)
-        samples = [s for s in test_samples if s.modality == inf["target"]]
+        samples = [s for s in _manifests(args.data)[1] if s.modality == inf["target"]]
     else:
         raise ConfigError("predict needs --manifest or --data")
     if not samples:
@@ -336,7 +337,11 @@ def cmd_predict(args):
 
     text = _text_features(_prompt_set(args), {s.modality for s in samples},
                           cfg["text_seed"], backbone.config.dim)
-    lines = ["image,modality,label,c_pred,c_zero,c_few"]
+    # csv's minimal quoting: only a field with a comma, quote or newline is
+    # quoted, so every other row keeps its bytes
+    table = io.StringIO()
+    rows = csv.writer(table, lineterminator="\n")
+    rows.writerow(("image", "modality", "label", "c_pred", "c_zero", "c_few"))
     pairs = metrics.score_samples(backbone, params, samples, text, bank=bank, beta1=beta1,
                                   beta2=beta2, tau=inf["tau"])
     # each chunk's fused maps are upsampled together, once per level and branch
@@ -347,12 +352,13 @@ def cmd_predict(args):
             inference.save_map(os.path.join(args.out_dir, stem + ".map"), s_pred)
             datamod.write_pgm(os.path.join(args.out_dir, stem + "_heat.pgm"),
                               inference.map_to_u8(s_pred))
-            lines.append(",".join(metrics.csv_value(v) for v in (
+            rows.writerow([metrics.csv_value(v) for v in (
                 sample.path, sample.modality, sample.label, result.c_pred, result.c_zero,
-                result.c_few)))
+                result.c_few)])
+        del chunk, s_preds, s_pred  # freed before the next chunk is scored
     scores_path = os.path.join(args.out_dir, "scores.csv")
-    write_text_atomic(scores_path, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} maps and {scores_path}")
+    write_text_atomic(scores_path, table.getvalue())
+    print(f"wrote {len(samples)} maps and {scores_path}")
     return 0
 
 
@@ -374,7 +380,7 @@ def cmd_eval(args):
         _check_bank_k(bank, k_flag, backbone.config.grid_count)
     beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
     prompts = _prompt_set(args)
-    _, test_samples = _manifests(args.data)
+    test_samples = _manifests(args.data)[1]
     report = _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2)
     metrics.write_report(report, json_path=args.out, csv_path=args.csv)
     sys.stdout.write(report.to_json())

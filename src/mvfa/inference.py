@@ -14,7 +14,19 @@ role on the chunk's stacked rows, and cut each image's result from its own
 rows; every step is per row or per image, so an image's bits do not depend
 on the chunk it is scored in, or on the process (``metrics.score_samples``
 halves a test set by chunks). A bank is
-built with BLAS on one thread. A bank and an anomaly map are each saved as
+built with BLAS on one thread.
+
+What a chunk holds: each of its (CHUNK * N, d) float32 arrays is 128 KiB
+at the defaults (64 tokens of width 64). The forward pass peaks in a
+stage-4 block with the three earlier raw stage outputs, the six level-1..3
+mixes and the block's own arrays; ``score_batch`` then drops the raw stage
+outputs, and both branches run with the eight feature arrays (1 MiB) held.
+A level's search holds the unit queries, the (CHUNK * N, bank rows) GEMM
+product and its shortlist, frees the product before it gathers the
+shortlisted pairs, and multiplies them in place. The seed-42 reference
+``eval`` and ``predict`` each peak in a stage-4 block of a chunk's forward
+pass, at 4.25 and 4.07 MiB traced in the calling process, below the
+few-shot ``train``'s 4.54. A bank and an anomaly map are each saved as
 one ``fileio`` container; a bank's header records the SHA-256 of the
 checkpoint it was built from, so a command can refuse another pairing.
 """
@@ -100,6 +112,15 @@ def blend(beta1, zero, beta2, few):
     return beta1 * zero + beta2 * few
 
 
+def _blend_over(beta1, zero, beta2, few):
+    """:func:`blend` with its bits, written over ``zero`` and ``few``: no temporaries."""
+    zero *= beta1
+    if few is not None:
+        few *= beta2
+        zero += few
+    return zero
+
+
 def fused_maps(results, beta1, beta2):
     """Yield the fused float64 (images, h, w) maps of a few ``results``.
 
@@ -108,9 +129,11 @@ def fused_maps(results, beta1, beta2):
     once, one level at a time, and feed both. A mean adds the levels one at
     a time to +0.0, as ``np.mean`` does, and divides by their count: it
     keeps the bits of ``s_levels_zero.mean(axis=0)`` without holding four
-    maps per image. Past a level's map only the running sums are kept, so a
-    caller that passes at most CHUNK results and reads each map before the
-    next holds one chunk's map at a time.
+    maps per image. A level's maps are added to the sums first and then
+    blended in place, so past a level only the running sums are kept; a
+    caller that passes at most CHUNK results and drops each map before it
+    asks for the next holds one chunk's maps at a time: the sums, a level's
+    maps and one upsample's temporaries.
     """
     out_hw = results[0].out_hw
     branches = ("grids_zero",) if results[0].grids_few is None else ("grids_zero", "grids_few")
@@ -118,28 +141,29 @@ def fused_maps(results, beta1, beta2):
     for level in range(4):
         maps = {grids: grid_maps(np.stack([getattr(r, grids)[level] for r in results]), out_hw)
                 for grids in branches}
-        fused = blend(beta1, maps["grids_zero"], beta2, maps.get("grids_few"))
         for grids, level_map in maps.items():
             if level == 0:
-                level_map += 0.0  # np.mean's sum starts at +0.0: a sum of -0.0 is +0.0
-                sums[grids] = level_map
+                # np.mean's sum starts at +0.0: a sum of -0.0 is +0.0
+                sums[grids] = level_map + 0.0
             else:
                 sums[grids] += level_map
-        del maps, level_map
-        yield fused
+        del level_map
+        yield _blend_over(beta1, maps.pop("grids_zero"), beta2, maps.pop("grids_few", None))
     for total in sums.values():
         total /= 4
-    yield blend(beta1, sums["grids_zero"], beta2, sums.get("grids_few"))
+    yield _blend_over(beta1, sums.pop("grids_zero"), beta2, sums.pop("grids_few", None))
 
 
 def fused_mean(results, beta1, beta2):
     """The last map of :func:`fused_maps`: the fused (images, h, w) mean maps.
 
-    The level maps before it are dropped as they come.
+    The level maps before it are dropped as they come, each before the next
+    is made.
     """
-    for fused in fused_maps(results, beta1, beta2):
-        pass
-    return fused
+    maps = fused_maps(results, beta1, beta2)
+    for _ in range(4):
+        next(maps)
+    return next(maps)
 
 
 def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
@@ -150,7 +174,7 @@ def build_memory_bank(normal_images, backbone, params) -> MemoryBank:
     if not normal_images:
         raise BankError("memory bank needs at least one normal reference image")
     with no_grad(), one_blas_thread():
-        features, _ = adapt_forward(backbone, params, list(normal_images))
+        features = adapt_forward(backbone, params, list(normal_images))[0]
 
     def stores(levels):
         return [np.concatenate([ag.unit_rows(rows.astype(np.float32))[0]
@@ -214,9 +238,12 @@ def _min_cosine_distances(queries, store):
     with np.errstate(invalid="ignore"):  # inf - inf where the bound is not finite
         floor = np.nextafter((approx.max(axis=1) - slack).astype(approx.dtype), -np.inf)
     shortlist = approx >= floor[:, None]
+    del approx
     shortlist[~(bound * (1 + 2 * gamma) < finfo.max)] = True
     qi, ri = np.divmod(np.flatnonzero(shortlist), store.shape[0])
-    sims = (q[qi] * store[ri]).sum(axis=1)
+    del shortlist
+    pairs = q[qi]
+    sims = np.multiply(pairs, store[ri], out=pairs).sum(axis=1)
     return 1.0 - np.maximum.reduceat(sims, np.searchsorted(qi, np.arange(q.shape[0])))
 
 
@@ -235,7 +262,8 @@ def few_shot(features, bank: MemoryBank, images):
                             f"checkpoint's features have width {rows.shape[1]}")
 
     def distances(rows, store):
-        return _min_cosine_distances(rows.astype(np.float32), store).reshape(images, -1)
+        return _min_cosine_distances(rows.astype(np.float32, copy=False),
+                                     store).reshape(images, -1)
 
     return _branch_scores([distances(*pair) for pair in zip(features.cls, bank.cls)],
                           [distances(*pair) for pair in zip(features.seg, bank.seg)])
@@ -257,7 +285,7 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
         return []
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     with no_grad():
-        features, _ = adapt_forward(backbone, params, list(images))
+        features = adapt_forward(backbone, params, list(images))[0]
 
     def stacked(levels):
         return [level.data.reshape(-1, level.data.shape[-1]) for level in levels]

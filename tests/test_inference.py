@@ -669,6 +669,37 @@ def default_model():
     return backbone, params, bank, texts, images[2:]
 
 
+def test_a_scored_chunk_peaks_below_2_25_mib_above_its_inputs():
+    """One CHUNK of default-size images scored against a K=4 bank.
+
+    The forward pass and the bank search each run with the chunk's eight
+    (CHUNK * N, d) feature arrays, 1 MiB, held. 2.80 MiB was measured while
+    ``score_batch`` kept the four raw stage outputs through both branches
+    and the search held the GEMM's (rows, bank rows) product, a float32 copy
+    of the rows and three (pairs, d) arrays; 2.00 MiB once each is released
+    after its last use, the forward pass's stage-4 blocks being the peak.
+    """
+    from mvfa.inference import CHUNK
+    from mvfa.textbank import build_text_features, default_prompt_set
+
+    config = BackboneConfig()
+    backbone = init_backbone(config)
+    params = init_params(config.dim, seed=7)
+    rng = np.random.default_rng(23)
+    images = [rng.uniform(-1, 1, (64, 64)).astype(np.float32) for _ in range(4 + CHUNK)]
+    bank = build_memory_bank(images[:4], backbone, params)
+    f_texts = [build_text_features(default_prompt_set(), "texture-c", 0, config.dim).f_text
+               ] * CHUNK
+    score_batch(backbone, params, images[4:], f_texts, bank, 0.5, 0.5, 0.2)  # warm caches
+    tracemalloc.start()
+    try:
+        score_batch(backbone, params, images[4:], f_texts, bank, 0.5, 0.5, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2 ** 20
+
+
 @pytest.mark.parametrize("with_bank", [True, False], ids=["bank", "no-bank"])
 @pytest.mark.parametrize("count", [1, 16])
 def test_score_batch_chunk_equals_eval_oracle_on_every_field(default_model, count,
