@@ -185,7 +185,11 @@ def _finite_float(text):
 
 
 def _manifests(data_dir):
-    """(train, test) samples of a dataset directory, every image and mask checked."""
+    """(train, test) samples of a dataset directory, parsed only.
+
+    No image or mask is opened here: ``load_sample`` checks each row when
+    a command reads it.
+    """
     return tuple(datamod.load_manifest(os.path.join(data_dir, f"{split}.jsonl"))
                  for split in ("train", "test"))
 
@@ -488,8 +492,9 @@ def build_parser():
                 ["inference.target", "inference.mode"])
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bank")
-    p.add_argument("--data", help="dataset directory (uses its test manifest)")
-    p.add_argument("--manifest", help="explicit manifest of images to score")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--data", help="dataset directory (uses its test manifest)")
+    given.add_argument("--manifest", help="explicit manifest of images to score")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--beta1", type=_finite_float)
     p.add_argument("--beta2", type=_finite_float)

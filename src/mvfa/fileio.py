@@ -92,7 +92,7 @@ def read_bytes(path):
     """A file's bytes, read with ``os.open`` and ``os.read``.
 
     A buffered file object costs more than the read itself for a file of
-    a few KiB, and ``load_manifest`` reads about 2,000 of them.
+    a few KiB, and ``eval`` reads 200 sample PGMs of that size.
     """
     fd = os.open(path, os.O_RDONLY)
     try:

@@ -276,6 +276,27 @@ def test_predict_without_bank_fails_fast(workdir, tmp_path, capsys):
     assert "memory bank" in capsys.readouterr().err
 
 
+def test_predict_with_both_data_and_manifest_is_usage_error(workdir, tmp_path, capsys):
+    # --data was ignored: a 2-row --manifest with the set's --data wrote 2 maps, exit 0
+    root, config, data = workdir
+    manifest = tmp_path / "two.jsonl"
+    manifest.write_text("".join(Path(data, "test.jsonl").read_text().splitlines(True)[-2:]))
+    out_dir = tmp_path / "pred"
+    flags = ["predict", "--config", config, "--ckpt", str(tmp_path / "missing.ckpt"),
+             "--beta2", "0", "--out-dir", str(out_dir)]
+    assert main([*flags, "--data", data, "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: argument --manifest: not allowed with argument --data")
+    assert not out_dir.exists()
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
+                 "--epochs", "0"]) == 0
+    flags[flags.index(str(tmp_path / "missing.ckpt"))] = ckpt
+    assert main(flags) == 1
+    assert capsys.readouterr().err == "config error: predict needs --manifest or --data\n"
+    assert not out_dir.exists()
+
+
 def test_predict_rejects_images_that_share_a_file_name(workdir, tmp_path, capsys):
     # every modality of the test manifest has a normal_0000.pgm, and predict
     # names each output after its image, so one map would overwrite another
@@ -887,7 +908,7 @@ def _scoring_commands(config, data, ckpt, bank, out):
 
 
 def _fail_to_load_when_scored(monkeypatch, index):
-    """Cut the image of test sample ``index`` when scoring starts, after its manifest check."""
+    """Cut the image of test sample ``index`` when scoring starts, before it is loaded."""
     score_samples = metrics.score_samples
 
     def cut_then_score(backbone, params, samples, *args, **kwargs):
@@ -1078,6 +1099,116 @@ def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkey
         assert main(argv) == 0
         assert [os.path.basename(p) for p in paths] == ["train.jsonl", "test.jsonl"], argv[0]
     capsys.readouterr()
+
+
+def _break_row(data, split, sample, kind):
+    """Break ``sample`` of ``split``.jsonl in ``data``; returns a command's error on it.
+
+    ``label`` writes a mask that contradicts the row's label, ``shape`` an
+    image one column wider than its mask, and ``cut`` drops the mask's last
+    byte. The expected text is that of the manifest check that ran before
+    any command read a row, which named the manifest and line.
+    """
+    manifest = os.path.join(data, f"{split}.jsonl")
+    lines = [json.loads(line)["image"] for line in open(manifest, encoding="utf-8")]
+    where = f"{manifest}: line {lines.index(os.path.relpath(sample.image, data)) + 1}"
+    mask = read_pgm(sample.mask)
+    if kind == "label":
+        datamod.write_pgm(sample.mask, np.full_like(mask, 255 * (1 - sample.label)))
+        return f"error: {where}: label {sample.label} is inconsistent with the mask content\n"
+    if kind == "shape":
+        h, w = mask.shape
+        datamod.write_pgm(sample.image, np.zeros((h, w + 1), np.uint8))
+        return (f"error: {where}: mask shape {(h, w)} does not match image shape "
+                f"{(h, w + 1)}\n")
+    payload = Path(sample.mask).read_bytes()
+    Path(sample.mask).write_bytes(payload[:-1])
+    return (f"error: {sample.mask}: expected {mask.size} pixel bytes, found "
+            f"{mask.size - 1} at byte {len(payload) - mask.size}\n")
+
+
+def test_a_broken_row_that_no_command_reads_fails_none(workdir, tmp_path, capsys):
+    """The texture-c commands never read a texture-a test row, so none checks it.
+
+    Three texture-a test rows are broken three ways; before, each command
+    checked every row of both manifests first and exited 2. Each output is
+    that of the intact set.
+    """
+    root, config, data = workdir
+    copy = str(tmp_path / "data")
+    shutil.copytree(data, copy)
+    out = tmp_path / "out"
+    flags = ["--config", config, "--data", copy]
+    model = ["--ckpt", str(out / "m.ckpt"), "--bank", str(out / "bank.bin")]
+    commands = [["train", *flags, "--out", str(out / "m.ckpt")],
+                ["build-bank", *flags, "--ckpt", str(out / "m.ckpt"),
+                 "--out", str(out / "bank.bin")],
+                ["eval", *flags, *model, "--out", str(out / "report.json")],
+                ["predict", *flags, *model, "--out-dir", str(out / "maps")]]
+    outputs = []
+    for broken in (False, True):
+        if broken:
+            rows = [s for s in cli._manifests(copy)[1] if s.modality == "texture-a"]
+            for sample, kind in zip(rows, ("label", "shape", "cut")):
+                _break_row(copy, "test", sample, kind)
+        for argv in commands:
+            assert main(argv) == 0, argv[0]
+        outputs.append(tree_bytes(out))
+        shutil.rmtree(out)
+    capsys.readouterr()
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 4 + 2 * 6 + 1
+
+
+@pytest.mark.parametrize("kind", ["label", "shape", "cut"])
+@pytest.mark.parametrize("command", ["train", "zero-shot train", "build-bank", "eval",
+                                     "predict"])
+def test_a_broken_row_that_a_command_reads_fails_it_as_before(
+        workdir, scoring_sets, tmp_path, capsys, monkeypatch, command, kind):
+    """A broken row that a command reads exits 2 with the manifest check's message.
+
+    The row is checked when it is loaded: a few-shot train sample, a bank
+    normal, a zero-shot training sample on a step that may run on the
+    worker, or the last of 37 test images, which the scoring worker loads
+    in its last chunk. Forked or with ``os.fork`` removed, the exit code,
+    the message and what is written are the same. Nothing is written but
+    ``predict``'s maps of the 4 chunks before the broken one.
+    """
+    if command == "zero-shot train":
+        _, config, data = workdir
+    else:
+        config, data, ckpt, bank = scoring_sets(37)
+    outcomes = []
+    for name in ("forked", "one_process"):
+        copy = str(tmp_path / name / "data")
+        shutil.copytree(data, copy)
+        cfg = json.loads(Path(config).read_text(encoding="utf-8"))
+        train_set, normals, test = datamod.few_shot_split(
+            *cli._manifests(copy), "texture-c", cfg["inference"]["k"], cfg["train"]["seed"])
+        out = tmp_path / name / "out"
+        flags = ["--config", config, "--data", copy]
+        if command == "zero-shot train":
+            sample = next(s for s in cli._manifests(copy)[0] if s.modality == "texture-a")
+            split, argv = "train", ["train", *flags, "--mode", "zero-shot",
+                                    "--out", str(out / "m.ckpt")]
+        elif command == "train":
+            split, sample, argv = "train", train_set[0], ["train", *flags,
+                                                          "--out", str(out / "m.ckpt")]
+        elif command == "build-bank":
+            split, sample, argv = "train", normals[-1], [
+                "build-bank", *flags, "--ckpt", ckpt, "--out", str(out / "bank.bin")]
+        else:
+            split, sample = "test", test[-1]
+            argv = _scoring_commands(config, copy, ckpt, bank, out)[command]
+        expected = _break_row(copy, split, sample, kind)
+        with monkeypatch.context() as patch:
+            if name == "one_process":
+                patch.delattr(os, "fork")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (2, expected)
+        outcomes.append((err.replace(copy, "<data>"), sorted(tree_bytes(out))))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][1]) == (2 * 32 if command == "predict" else 0)
 
 
 @pytest.mark.parametrize("section, key, command", [
@@ -1848,3 +1979,33 @@ def test_few_shot_train_of_the_default_reference_set_peaks_below_5_mib(tmp_path,
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 5.0 * 2 ** 20
+
+
+def test_each_command_opens_each_sample_file_once(reference_set, tmp_path, capsys,
+                                                 monkeypatch):
+    """Each reference command opens the PGMs of the rows it reads, each once.
+
+    Few-shot ``train`` reads its 8 samples, ``build-bank`` the K=4 normals,
+    and ``eval`` and ``predict`` the 100 texture-c test images, each an
+    image and a mask. Before, each command first opened all 1,992 PGMs of
+    the set to check both manifests, then its own rows again.
+    """
+    data, ckpt, bank = reference_set
+    opened, os_open = [], os.open
+
+    def counted(path, *args, **kwargs):
+        if os.fspath(path).startswith(data + os.sep) and os.fspath(path).endswith(".pgm"):
+            opened.append(os.fspath(path))
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "open", counted)
+    model = ["--ckpt", ckpt, "--bank", bank]
+    for argv, files in ((["train", "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"], 16),
+                        (["build-bank", "--ckpt", ckpt, "--out", str(tmp_path / "b")], 8),
+                        (["eval", *model], 200),
+                        (["predict", *model, "--out-dir", str(tmp_path / "maps")], 200)):
+        opened.clear()
+        assert main([argv[0], "--data", data, *argv[1:]]) == 0, argv[0]
+        assert len(opened) == len(set(opened)) == files, argv[0]
+    capsys.readouterr()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 import tracemalloc
@@ -11,7 +12,7 @@ from calllog import count_forks
 
 from mvfa import data as datamod
 from mvfa import fileio
-from mvfa.data import (DEFAULT_MODALITIES, LoadedSample, ModalityProfile, SynthConfig,
+from mvfa.data import (DEFAULT_MODALITIES, LoadedSample, ModalityProfile, Sample, SynthConfig,
                        _synth_sample, bool_mask, few_shot_split, gen_dataset, load_chunks,
                        load_manifest, load_sample, read_pgm, write_pgm, zero_shot_split)
 from mvfa.errors import ConfigError, DataError, FormatError, ManifestError, MVFAError
@@ -63,6 +64,16 @@ def test_pgm_malformed_names_byte_offset(tmp_path):
         read_pgm(path)
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
     with pytest.raises(FormatError, match="byte 11"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("dims", [b"+4 4", b"0_4 4", b"4 +4", b"4 \xd9\xa4"])
+def test_pgm_dimensions_are_ascii_digits_only(tmp_path, dims):
+    # int() reads "+4" and "0_4" as 4, so these read as a 4x4 image before
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(16))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: dimensions are not integers at byte 3")):
         read_pgm(path)
 
 
@@ -424,21 +435,49 @@ def test_manifest_reader_fails_typed_on_seeded_mutations(tmp_path):
 
 
 def test_manifest_label_mask_consistency(tmp_path):
+    """A row's label and mask are checked when it is loaded, naming its line.
+
+    ``load_manifest`` only parses the row, so it opens neither file.
+    """
     image = np.zeros((4, 4), dtype=np.uint8)
     mask = np.zeros((4, 4), dtype=np.uint8)
     mask[1, 1] = 255
     write_pgm(tmp_path / "img.pgm", image)
     write_pgm(tmp_path / "mask.pgm", mask)
+    write_pgm(tmp_path / "wide.pgm", np.zeros((4, 5), dtype=np.uint8))
     path = tmp_path / "m.jsonl"
     path.write_text(json.dumps({"image": "img.pgm", "label": 0,
                                 "mask": "mask.pgm", "modality": "x"}) + "\n",
                     encoding="utf-8")
-    with pytest.raises(ManifestError, match="inconsistent"):
-        load_manifest(path)
+    (sample,) = load_manifest(path)
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{path}: line 1: label 0 is inconsistent with the mask content")):
+        load_sample(sample)
     path.write_text(json.dumps({"image": "img.pgm", "label": 1,
-                                "mask": "mask.pgm", "modality": "x"}) + "\n",
+                                "mask": "mask.pgm", "modality": "x"}) + "\n"
+                    + json.dumps({"image": "wide.pgm", "label": 1,
+                                  "mask": "mask.pgm", "modality": "x"}) + "\n",
                     encoding="utf-8")
-    assert len(load_manifest(path)) == 1
+    good, wide = load_manifest(path)
+    assert load_sample(good).mask.sum() == 1
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{path}: line 2: mask shape (4, 4) does not match image shape (4, 5)")):
+        load_sample(wide)
+
+
+def test_sample_row_is_outside_equality_and_hash(tmp_path):
+    row = ("a.pgm", 1, "a_mask.pgm", "x")
+    assert Sample(*row, "m.jsonl", 1) == Sample(*row, "n.jsonl", 9) == Sample(*row)
+    assert len({Sample(*row, "m.jsonl", 1), Sample(*row)}) == 1
+
+
+def test_a_sample_made_without_a_manifest_is_named_by_its_image(tmp_path):
+    write_pgm(tmp_path / "img.pgm", np.zeros((4, 4), dtype=np.uint8))
+    write_pgm(tmp_path / "mask.pgm", np.zeros((4, 4), dtype=np.uint8))
+    sample = Sample(str(tmp_path / "img.pgm"), 1, str(tmp_path / "mask.pgm"), "x")
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{sample.image}: label 1 is inconsistent with the mask content")):
+        load_sample(sample)
 
 
 # -- splits ---------------------------------------------------------------------
