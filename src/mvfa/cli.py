@@ -2,17 +2,18 @@
 
 Every subcommand is deterministic given its config and seeds. Exit codes:
 0 success, 1 usage or configuration error, 2 data or file-format error,
-3 numeric failure. Settings come from an optional JSON config file whose
-sections mirror the dataclasses (see README). A setting flag ``--name``
-overrides the config key ``section.name`` and takes the same values: its
-type is that of the key's default, and the keys in ``CHOICES`` accept only
-the values listed there, in a config file as on the command line.
+3 numeric failure. Each command resolves its settings once into a
+``RunConfig``: the defaults, then an optional JSON config file whose
+sections mirror the dataclasses (see README), then the setting flags. A
+setting flag ``--name`` overrides the config key ``section.name`` and takes
+the same values: its type is that of the key's default, and the keys in
+``CHOICES`` accept only the values listed there, in a config file as on the
+command line.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import io
@@ -31,19 +32,46 @@ from .errors import BankError, ConfigError, DataError, MVFAError, NumericError
 from .fileio import file_sha256, parse_json, read_text, write_text_atomic
 from .worker import keep_freed_heap
 
-DEFAULT_CONFIG = {
-    "backbone": dataclasses.asdict(BackboneConfig()),
-    "model": {"init_seed": 7, "arch": "adapter", "adapter_style": "dual"},
-    "train": {"lr": 1e-3, "batch_size": 16, "epochs": 50, "seed": 42, "gamma": 0.1,
-              "lambda1": 1.0, "lambda2": 1.0, "lambda3": 1.0, "tau": 0.07,
-              "levels": [1, 2, 3, 4]},
+
+@dataclasses.dataclass(frozen=True)
+class ModelConfig:
+    """The adapted model that ``train`` and ``ablate`` build."""
+
+    init_seed: int = 7
+    arch: str = "adapter"
+    adapter_style: str = "dual"
+
+
+@dataclasses.dataclass(frozen=True)
+class InferenceConfig:
+    """The target modality, the split and the scoring of a command."""
+
+    beta1: float = 0.5
+    beta2: float = 0.5
     # scoring runs at a softer temperature than training: the raw-sum fusion
     # needs calmer similarity maps than the loss, which wants sharp gradients
-    "inference": {"beta1": 0.5, "beta2": 0.5, "tau": 0.2, "k": 4,
-                  "target": "texture-c", "mode": "few-shot"},
-    "data": {},
-    "text_seed": 0,
-}
+    tau: float = 0.2
+    k: int = 4
+    target: str = "texture-c"
+    mode: str = "few-shot"
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """One command's settings, each section the object the library takes."""
+
+    backbone: BackboneConfig
+    model: ModelConfig
+    train: objective.TrainConfig
+    inference: InferenceConfig
+    data: datamod.SynthConfig
+    text_seed: int
+
+
+# Every config key and its default; the default fixes the key's JSON type,
+# and a setting flag --name takes the values of the key section.name
+DEFAULTS = RunConfig(BackboneConfig(), ModelConfig(), objective.TrainConfig(seed=42),
+                     InferenceConfig(), datamod.SynthConfig(), text_seed=0)
 
 # the only values these keys accept, from a flag or a config file
 CHOICES = {"inference.mode": ("zero-shot", "few-shot"),
@@ -60,83 +88,75 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _defaults(section):
-    """Default values of a config section's keys (``data`` mirrors SynthConfig)."""
-    if section == "data":
-        return dataclasses.asdict(datamod.SynthConfig())
-    return DEFAULT_CONFIG[section]
+def _as_json(run):
+    """The settings in a config file's shape: a JSON object per section.
+
+    The train section holds the loss weights as keys of its own, where
+    ``TrainConfig`` nests them in ``weights``.
+    """
+    settings = dataclasses.asdict(run)
+    train = settings["train"] = {}
+    for name, value in dataclasses.asdict(run.train).items():
+        train.update(value if name == "weights" else {name: value})
+    return settings
 
 
-def _config(args):
-    """The config file's settings, overridden by every setting flag given.
+def _resolve(args):
+    """The command's settings: the defaults, the config file over them, the flags over both.
 
+    The whole file is checked, and every section built by its own class,
+    which checks its values, before the command reads anything else.
     Setting flags store their value under the dotted config key.
     """
-    cfg = _load_config(args.config)
+    settings = _as_json(DEFAULTS)
+    if args.config:
+        try:
+            text = read_text(args.config, ConfigError)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        given = parse_json(text, ConfigError, f"config {args.config}")
+        _check(args.config, "", given, settings)
+        settings.update({key: {**settings[key], **value} if isinstance(value, dict) else value
+                         for key, value in given.items()})
     for key, value in vars(args).items():
         if "." in key and value is not None:
             section, name = key.split(".")
-            cfg[section][name] = value
-    return cfg
+            settings[section][name] = value
+    run = RunConfig(BackboneConfig(**settings["backbone"]), ModelConfig(**settings["model"]),
+                    objective.TrainConfig.from_dict(settings["train"]),
+                    InferenceConfig(**settings["inference"]),
+                    datamod.SynthConfig.from_dict(settings["data"]), settings["text_seed"])
+    if not any(dataclasses.astuple(run.train.weights)):
+        raise ConfigError("lambda1, lambda2 and lambda3 are all 0, so the loss "
+                          "reaches no trainable tensor")
+    return run
 
 
-def _load_config(path):
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is None:
-        return cfg
+def _check(path, name, value, default):
+    """Reject a config value whose JSON type differs from that of its default.
 
-    try:
-        text = read_text(path, ConfigError)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    user = parse_json(text, ConfigError, f"config {path}")
-    _check_keys(path, "the file", user, cfg)
-    for section, value in user.items():
-        if not isinstance(cfg[section], dict):
-            _check_type(path, section, value, cfg[section])
-            cfg[section] = value
-            continue
-        _check_section(path, section, value, _defaults(section))
-        if section == "data":
-            for index, profile in enumerate(value.get("modalities", [])):
-                _check_section(path, f"data.modalities[{index}]", profile,
-                               dataclasses.asdict(datamod.DEFAULT_MODALITIES[0]))
-        cfg[section].update(value)
-    return cfg
-
-
-def _check_keys(path, where, given, known):
-    """Reject a config object that is not a JSON object or has an unknown key."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"config {path}: {where} must be a JSON object")
-    unknown = sorted(set(given) - set(known))
-    if unknown:
-        raise ConfigError(f"config {path}: unknown key {unknown[0]!r} in {where}")
-
-
-def _check_section(path, section, given, defaults):
-    _check_keys(path, f"section {section!r}", given, defaults)
-    for key, value in given.items():
-        _check_type(path, f"{section}.{key}", value, defaults[key])
-
-
-def _check_type(path, name, value, default):
-    """Reject a value whose JSON type differs from that of its default.
-
-    Booleans are not numbers, an integer is a valid float if a float holds
-    it, and a list's items must match the first default item. A key in
-    CHOICES takes only the values listed there.
+    An object takes only its default's keys. Booleans are not numbers, an
+    integer is a valid float if a float holds it, and a list's items must
+    match the first default item. A key in CHOICES takes only the values
+    listed there.
     """
+    if isinstance(default, dict):
+        where = f"section {name!r}" if name else "the file"
+        if not isinstance(value, dict):
+            raise ConfigError(f"config {path}: {where} must be a JSON object")
+        unknown = sorted(set(value) - set(default))
+        if unknown:
+            raise ConfigError(f"config {path}: unknown key {unknown[0]!r} in {where}")
+        for key, item in value.items():
+            _check(path, f"{name}.{key}" if name else key, item, default[key])
+        return
     kinds = [(bool, (bool,), "true or false"),
              (int, (int,), "an integer"),
              (float, (int, float), "a number"),
              (str, (str,), "a string"),
              ((list, tuple), (list,), "a JSON list")]
-    for default_types, allowed, kind in kinds:
-        if isinstance(default, default_types):
-            break
-    else:
-        return
+    allowed, kind = next((allowed, kind) for default_types, allowed, kind in kinds
+                         if isinstance(default, default_types))
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         raise ConfigError(f"config {path}: {name} must be {kind}, got {value!r}")
     if isinstance(value, int) and isinstance(default, float):
@@ -145,21 +165,21 @@ def _check_type(path, name, value, default):
         except OverflowError:
             raise ConfigError(f"config {path}: {name} must be a finite number, got an "
                               f"integer of {len(str(abs(value)))} digits") from None
-    if isinstance(value, list) and default and isinstance(default[0], (int, float)):
+    if isinstance(value, list) and default:
         for index, item in enumerate(value):
-            _check_type(path, f"{name}[{index}]", item, default[0])
+            _check(path, f"{name}[{index}]", item, default[0])
     if name in CHOICES and value not in CHOICES[name]:
         raise ConfigError(f"config {path}: {name} must be one of "
                           f"{', '.join(CHOICES[name])}, got {value!r}")
 
 
 def _prompt_set(args):
-    if getattr(args, "prompts", None):
-        return textbank.load_prompt_set(args.prompts)
-    return textbank.default_prompt_set()
+    prompts = getattr(args, "prompts", None)
+    return textbank.load_prompt_set(prompts) if prompts else textbank.default_prompt_set()
 
 
 def _text_features(prompts, modalities, text_seed, dim):
+    """Each modality's text features, in name order."""
     return {m: textbank.build_text_features(prompts, m, text_seed, dim).f_text
             for m in sorted(modalities)}
 
@@ -184,14 +204,19 @@ def _finite_float(text):
     return value
 
 
-def _manifests(data_dir):
-    """(train, test) samples of a dataset directory, parsed only.
+def _manifest(data_dir, split):
+    """The samples of a dataset directory's ``split`` manifest, parsed only.
 
     No image or mask is opened here: ``load_sample`` checks each row when
     a command reads it.
     """
-    return tuple(datamod.load_manifest(os.path.join(data_dir, f"{split}.jsonl"))
-                 for split in ("train", "test"))
+    return datamod.load_manifest(os.path.join(data_dir, f"{split}.jsonl"))
+
+
+def _target_samples(test_samples, target):
+    """The target's test samples; a target the test manifest lacks is a data error."""
+    datamod._require_modality(test_samples, target, "test manifest")
+    return [s for s in test_samples if s.modality == target]
 
 
 def _load_model(ckpt):
@@ -209,91 +234,76 @@ def _load_bank(path, ckpt):
 
 # The train -> bank -> score steps, shared by train/build-bank/eval/predict
 # and by every ablate row so that a row reports what the separate commands would.
-# Each command loads the manifests once and hands the samples to its steps.
+# Each command parses the manifests it reads once and hands the samples to its steps.
 
-def _train_config(cfg):
-    """The train section, checked before any data is read."""
-    train_cfg = objective.TrainConfig.from_dict(cfg["train"])
-    weights = train_cfg.weights
-    if not (weights.lambda1 or weights.lambda2 or weights.lambda3):
-        raise ConfigError("lambda1, lambda2 and lambda3 are all 0, so the loss "
-                          "reaches no trainable tensor")
-    return train_cfg
+def _train(run, train_samples, test_samples, prompts, loss_log=None):
+    """Tune fresh adapters on the mode's split: (backbone, params, history, n_samples).
 
-
-def _train(cfg, train_cfg, manifests, prompts, loss_log=None):
-    """Tune fresh adapters on the mode's split: (backbone, params, history, n_samples)."""
-    inf, model = cfg["inference"], cfg["model"]
-    train_samples, test_samples = manifests
-    if inf["mode"] == "zero-shot":
-        train_set, _ = datamod.zero_shot_split(train_samples, test_samples, inf["target"])
+    Only a zero-shot split reads ``test_samples``, to check the target there.
+    """
+    inf, train_cfg, model = run.inference, run.train, run.model
+    if inf.mode == "zero-shot":
+        train_set, _ = datamod.zero_shot_split(train_samples, test_samples, inf.target)
     else:
-        train_set, _, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
-                                                 inf["k"], train_cfg.seed)
+        train_set, _, _ = datamod.few_shot_split(train_samples, test_samples, inf.target,
+                                                 inf.k, train_cfg.seed)
     mask_free = sorted({s.modality for s in train_set if s.mask is None})
     if mask_free and not train_cfg.weights.lambda3:
         raise ConfigError(f"lambda3 is 0, but training modality {', '.join(mask_free)} has "
                           "no masks, so a step of its samples reaches no trainable tensor")
-    backbone_cfg = BackboneConfig(**cfg["backbone"])
-    text = _text_features(prompts, {s.modality for s in train_set} | {inf["target"]},
-                          cfg["text_seed"], backbone_cfg.dim)
-    backbone = init_backbone(backbone_cfg)
-    params = init_params(backbone_cfg.dim, seed=model["init_seed"], gamma=train_cfg.gamma,
-                         arch=model["arch"], adapter_style=model["adapter_style"],
-                         text_features=np.concatenate([t.data for _, t in
-                                                       sorted(text.items())]))
+    text = _text_features(prompts, {s.modality for s in train_set} | {inf.target},
+                          run.text_seed, run.backbone.dim)
+    backbone = init_backbone(run.backbone)
+    params = init_params(run.backbone.dim, seed=model.init_seed, gamma=train_cfg.gamma,
+                         arch=model.arch, adapter_style=model.adapter_style,
+                         text_features=np.concatenate([t.data for t in text.values()]))
     history = objective.train(backbone, params, train_set, text, train_cfg,
                               loss_log_path=loss_log)
     return backbone, params, history, len(train_set)
 
 
-def _bank(cfg, manifests, backbone, params):
+def _bank(run, train_samples, backbone, params):
     """Memory bank of the target's K normal references of the few-shot split."""
-    inf = cfg["inference"]
-    train_samples, test_samples = manifests
-    _, normals, _ = datamod.few_shot_split(train_samples, test_samples, inf["target"],
-                                           inf["k"], cfg["train"]["seed"])
+    inf = run.inference
+    _, normals, _ = datamod.few_shot_split(train_samples, [], inf.target, inf.k, run.train.seed)
     images = [datamod.load_sample(s).image for s in normals]
     return inference.build_memory_bank(images, backbone, params)
 
 
-def _betas(cfg, have_bank, beta1=None, beta2=None):
+def _betas(run, have_bank, beta1=None, beta2=None):
     """Fusion weights: flags over config; zero-shot without a bank is text only."""
-    inf = cfg["inference"]
-    if not have_bank and beta2 is None and inf["mode"] == "zero-shot":
+    if not have_bank and beta2 is None and run.inference.mode == "zero-shot":
         return (1.0 if beta1 is None else beta1), 0.0
-    beta1 = inf["beta1"] if beta1 is None else beta1
-    beta2 = inf["beta2"] if beta2 is None else beta2
+    beta1 = run.inference.beta1 if beta1 is None else beta1
+    beta2 = run.inference.beta2 if beta2 is None else beta2
     if not have_bank and beta2 != 0:
         raise ConfigError("beta2 > 0 requires a memory bank; pass --bank or set --beta2 0")
     return beta1, beta2
 
 
-def _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2):
+def _evaluate(run, test_samples, prompts, backbone, params, bank, beta1, beta2):
     """Score the target's test samples and report their AUCs."""
-    inf = cfg["inference"]
-    samples = [s for s in test_samples if s.modality == inf["target"]]
-    text = _text_features(prompts, {s.modality for s in samples}, cfg["text_seed"],
-                          backbone.config.dim)
+    samples = _target_samples(test_samples, run.inference.target)
+    text = _text_features(prompts, {run.inference.target}, run.text_seed, backbone.config.dim)
     return metrics.evaluate(backbone, params, samples, text, bank=bank, beta1=beta1,
-                            beta2=beta2, tau=inf["tau"])
+                            beta2=beta2, tau=run.inference.tau)
 
 
 def cmd_gen_data(args):
-    synth = datamod.SynthConfig.from_dict(_config(args)["data"])
-    train_manifest, test_manifest = datamod.gen_dataset(synth, args.out)
+    train_manifest, test_manifest = datamod.gen_dataset(_resolve(args).data, args.out)
     print(f"wrote {train_manifest}")
     print(f"wrote {test_manifest}")
     return 0
 
 
 def cmd_train(args):
-    cfg = _config(args)
+    run = _resolve(args)
     loss_log = args.loss_log or (args.out + ".loss.csv")
-    train_cfg = _train_config(cfg)
     prompts = _prompt_set(args)
-    backbone, params, history, n_samples = _train(cfg, train_cfg, _manifests(args.data),
-                                                  prompts, loss_log)
+    train_samples = _manifest(args.data, "train")
+    test_samples = _manifest(args.data, "test") if run.inference.mode == "zero-shot" else []
+    backbone, params, history, n_samples = _train(run, train_samples, test_samples, prompts,
+                                                  loss_log)
     save_checkpoint(args.out, backbone.config, params)
     if history:
         print(f"trained {len(history)} epochs on {n_samples} samples; "
@@ -306,27 +316,29 @@ def cmd_train(args):
 
 
 def cmd_build_bank(args):
-    cfg = _config(args)
+    seed = vars(args)["train.seed"]
+    if seed is not None and seed < 0:  # build-bank's --seed seeds only its few-shot split
+        raise ConfigError(f"few-shot split seed must be nonnegative, got {seed}")
+    run = _resolve(args)
     backbone, params = _load_model(args.ckpt)
-    bank = _bank(cfg, _manifests(args.data), backbone, params)
+    bank = _bank(run, _manifest(args.data, "train"), backbone, params)
     bank.checkpoint = file_sha256(args.ckpt)
     inference.save_bank(args.out, bank)
-    print(f"wrote {args.out} ({cfg['inference']['k']} references, "
+    print(f"wrote {args.out} ({run.inference.k} references, "
           f"{bank.cls[0].shape[0]} rows per level)")
     return 0
 
 
 def cmd_predict(args):
-    cfg = _config(args)
-    inf = cfg["inference"]
+    run = _resolve(args)
     backbone, params = _load_model(args.ckpt)
     bank = _load_bank(args.bank, args.ckpt) if args.bank else None
-    beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
+    beta1, beta2 = _betas(run, bank is not None, args.beta1, args.beta2)
 
     if args.manifest:
         samples = datamod.load_manifest(args.manifest)
     elif args.data:
-        samples = [s for s in _manifests(args.data)[1] if s.modality == inf["target"]]
+        samples = _target_samples(_manifest(args.data, "test"), run.inference.target)
     else:
         raise ConfigError("predict needs --manifest or --data")
     if not samples:
@@ -340,14 +352,14 @@ def cmd_predict(args):
                             f"{stem}.map; predict needs images with distinct file names")
 
     text = _text_features(_prompt_set(args), {s.modality for s in samples},
-                          cfg["text_seed"], backbone.config.dim)
+                          run.text_seed, backbone.config.dim)
     # csv's minimal quoting: only a field with a comma, quote or newline is
     # quoted, so every other row keeps its bytes
     table = io.StringIO()
     rows = csv.writer(table, lineterminator="\n")
     rows.writerow(("image", "modality", "label", "c_pred", "c_zero", "c_few"))
     pairs = metrics.score_samples(backbone, params, samples, text, bank=bank, beta1=beta1,
-                                  beta2=beta2, tau=inf["tau"])
+                                  beta2=beta2, tau=run.inference.tau)
     # each chunk's fused maps are upsampled together, once per level and branch
     while chunk := list(itertools.islice(pairs, inference.CHUNK)):
         s_preds = inference.fused_mean([result for _, result in chunk], beta1, beta2)
@@ -376,30 +388,21 @@ def _check_bank_k(bank, k, rows_per_image):
 
 
 def cmd_eval(args):
-    cfg = _config(args)
+    run = _resolve(args)
     backbone, params = _load_model(args.ckpt)
     bank = _load_bank(args.bank, args.ckpt) if args.bank else None
     k_flag = vars(args)["inference.k"]
     if bank is not None and k_flag is not None:
         _check_bank_k(bank, k_flag, backbone.config.grid_count)
-    beta1, beta2 = _betas(cfg, bank is not None, args.beta1, args.beta2)
+    beta1, beta2 = _betas(run, bank is not None, args.beta1, args.beta2)
     prompts = _prompt_set(args)
-    test_samples = _manifests(args.data)[1]
-    report = _evaluate(cfg, test_samples, prompts, backbone, params, bank, beta1, beta2)
+    report = _evaluate(run, _manifest(args.data, "test"), prompts, backbone, params, bank,
+                       beta1, beta2)
     metrics.write_report(report, json_path=args.out, csv_path=args.csv)
     sys.stdout.write(report.to_json())
     if args.out:
         print(f"wrote {args.out}")
     return 0
-
-
-def _run_ablation_row(cfg, train_cfg, manifests, prompts):
-    """Train, build the bank (few-shot) and evaluate one row's config."""
-    backbone, params, _, _ = _train(cfg, train_cfg, manifests, prompts)
-    bank = (_bank(cfg, manifests, backbone, params)
-            if cfg["inference"]["mode"] == "few-shot" else None)
-    return _evaluate(cfg, manifests[1], prompts, backbone, params, bank,
-                     *_betas(cfg, bank is not None))
 
 
 ABLATE_COLUMNS = ("arch", "adapter_style", "ensemble_image_auc", "ensemble_pixel_auc",
@@ -409,34 +412,40 @@ ABLATE_COLUMNS = ("arch", "adapter_style", "ensemble_image_auc", "ensemble_pixel
 
 
 def cmd_ablate(args):
-    cfg = _config(args)
-    train_cfg = _train_config(cfg)
+    run = _resolve(args)
     prompts = _prompt_set(args)
-    manifests = _manifests(args.data)
-
     archs = [a.strip() for a in args.archs.split(",")] if args.archs else \
         ["adapter", "projector"]
     for arch in archs:
         if arch not in CHOICES["model.arch"]:
             raise ConfigError(f"--archs: each must be one of "
                               f"{', '.join(CHOICES['model.arch'])}, got {arch!r}")
+    train_samples, test_samples = _manifest(args.data, "train"), _manifest(args.data, "test")
+    # each row echoes its settings, but of the data section only what differs
+    # from the defaults
+    defaults = _as_json(DEFAULTS)["data"]
+    data = {key: value for key, value in _as_json(run)["data"].items() if value != defaults[key]}
     rows = []
     for arch in archs:
         styles = ["dual", "single"] if (arch == "adapter" and args.include_single) \
-            else [cfg["model"]["adapter_style"] if arch == "adapter" else "dual"]
+            else [run.model.adapter_style if arch == "adapter" else "dual"]
         for style in styles:
-            echo = copy.deepcopy(cfg)
-            echo["model"]["arch"] = arch
-            echo["model"]["adapter_style"] = style
-            report = _run_ablation_row(echo, train_cfg, manifests, prompts)
-            row = {"arch": arch, "adapter_style": style, "config": echo,
+            row_run = dataclasses.replace(run, model=dataclasses.replace(
+                run.model, arch=arch, adapter_style=style))
+            # train, build the bank (few-shot) and evaluate, as the separate commands do
+            backbone, params, _, _ = _train(row_run, train_samples, test_samples, prompts)
+            bank = (_bank(row_run, train_samples, backbone, params)
+                    if run.inference.mode == "few-shot" else None)
+            report = _evaluate(row_run, test_samples, prompts, backbone, params, bank,
+                               *_betas(row_run, bank is not None))
+            row = {"arch": arch, "adapter_style": style,
+                   "config": {**_as_json(row_run), "data": data},
                    "ensemble_image_auc": report.image_auc,
                    "ensemble_pixel_auc": report.pixel_auc}
+            pixel_aucs = report.per_level_pixel_auc or [None] * 4
             for i in range(4):
                 row[f"level{i + 1}_image_auc"] = report.per_level_image_auc[i]
-                row[f"level{i + 1}_pixel_auc"] = (
-                    report.per_level_pixel_auc[i] if report.per_level_pixel_auc
-                    else None)
+                row[f"level{i + 1}_pixel_auc"] = pixel_aucs[i]
             rows.append(row)
 
     json_path = os.path.join(args.out, "ablation.json")
@@ -456,6 +465,7 @@ def cmd_ablate(args):
 def build_parser():
     parser = _Parser(prog="mvfa", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = _as_json(DEFAULTS)
 
     def command(name, func, summary, settings):
         """Subparser with --config and one flag per setting key: --field sets section.field."""
@@ -463,8 +473,8 @@ def build_parser():
         p.add_argument("--config", help="JSON config file")
         for key in settings:
             section, field = key.split(".")
-            default = _defaults(section)[field]
-            kind = {list: _levels, float: _finite_float}.get(type(default), type(default))
+            default = defaults[section][field]
+            kind = {tuple: _levels, float: _finite_float}.get(type(default), type(default))
             p.add_argument("--" + field.replace("_", "-"), dest=key, choices=CHOICES.get(key),
                            type=kind)
         p.set_defaults(func=func)

@@ -132,7 +132,7 @@ DEFAULT_MODALITIES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     modalities: tuple = DEFAULT_MODALITIES
     image_size: int = 64
@@ -186,7 +186,11 @@ class SynthConfig:
     def from_dict(cls, raw: dict) -> "SynthConfig":
         raw = dict(raw)
         if "modalities" in raw:
-            raw["modalities"] = tuple(ModalityProfile(**m) for m in raw["modalities"])
+            try:
+                raw["modalities"] = tuple(ModalityProfile(**m) for m in raw["modalities"])
+            except TypeError:  # a profile that lacks a key without a default
+                raise ConfigError("each modality profile needs name, base_freq, contrast "
+                                  "and noise") from None
         for key in ("defect_count", "defect_radius", "benign_count", "benign_radius"):
             if key in raw:
                 raw[key] = tuple(raw[key])

@@ -86,7 +86,7 @@ DICE_SMOOTH = 1.0
 SUB_BATCH = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     lambda1: float = 1.0  # dice
     lambda2: float = 1.0  # focal
@@ -98,7 +98,7 @@ class LossWeights:
             raise ConfigError("loss weights must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
@@ -429,8 +429,9 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     pass, and adds the graphs' per-sample weight gradients onto the step's
     running sums in sample order. The step's loss is its per-sample totals
     added left to right, times 1/len(step); a non-finite one raises
-    NumericError before the update, and a step whose graphs reach no
-    trainable tensor raises the engine's ContractError. Every sample keeps
+    NumericError before the update, as does a non-finite parameter after
+    it (an update that overflows float32), and a step whose graphs reach
+    no trainable tensor raises the engine's ContractError. Every sample keeps
     the bits it would get in a graph of its own, so the checkpoints are
     those of training one sample graph at a time (``tests/train_oracle.py``)
     whatever the graph size.
@@ -523,6 +524,10 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
                 # ablation level masks can leave some tensors off the loss path
                 active = [(n, p) for n, p in named if p in sums]
                 adam_step(active, {p: Tensor(g) for p, g in sums.items()}, state, config.lr)
+                for name, p in active:
+                    if not np.isfinite(p.data).all():
+                        raise NumericError(f"non-finite value in tensor {name!r} after the "
+                                           f"update at epoch {epoch + 1}, step {state.step}")
                 weighted += float(total * (1.0 / len(chunk))) * len(chunk)
             history.append(weighted / len(samples))
 

@@ -21,7 +21,7 @@ from test_adaptation import overflowing_checkpoint
 from mvfa import autograd, cli, metrics, objective, worker
 from mvfa import data as datamod
 from mvfa.adaptation import init_params, load_checkpoint
-from mvfa.cli import DEFAULT_CONFIG, build_parser, main
+from mvfa.cli import build_parser, main
 from mvfa.data import read_pgm
 from mvfa.errors import ConfigError
 from mvfa.fileio import file_sha256
@@ -586,6 +586,70 @@ def test_all_zero_loss_weights_is_config_error_before_reading_data(workdir, tmp_
     assert os.listdir(tmp_path) == ["zero.json"]
 
 
+@pytest.mark.parametrize("command", ["eval", "build-bank", "predict"])
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "lr", -1, "learning rate must be nonnegative"),
+    ("backbone", "heads", 0, "dim and heads must be at least 1, got 16 and 0")])
+def test_a_command_checks_every_config_section_before_reading_data(
+        workdir, tmp_path, capsys, command, section, key, value, message):
+    # these commands read neither section; before, each went on to its
+    # checkpoint and data, here both missing
+    root, config, data = workdir
+    user = json.loads(open(config).read())
+    user[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user), encoding="utf-8")
+    missing = str(tmp_path / "missing")
+    argv = {"eval": ["--ckpt", missing],
+            "build-bank": ["--ckpt", missing, "--out", str(tmp_path / "bank.bin")],
+            "predict": ["--ckpt", missing, "--out-dir", str(tmp_path / "maps")]}[command]
+    assert main([command, "--config", str(bad), "--data", missing, *argv]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_whose_last_update_overflows_is_numeric_failure(workdir, tmp_path, capsys):
+    # one step per epoch, so no later loss sees the overflow; before, train
+    # exited 0 with a checkpoint that every other command refused as non-finite
+    root, config, data = workdir
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", config, "--data", data, "--out", str(ckpt),
+                 "--lr", "1e308", "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric failure: non-finite value in tensor '[\w.]+' after the "
+                        r"update at epoch 1, step 1\n", err), err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("mode", ["few-shot", "zero-shot"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_unknown_target_is_a_data_error_naming_the_test_manifest(scoring_sets, tmp_path,
+                                                                 capsys, command, mode):
+    # before, eval read "test set is empty" and predict exited 1 with
+    # "no samples selected for prediction"
+    config, data, ckpt, bank = scoring_sets(8)
+    argv = [command, "--config", config, "--data", data, "--ckpt", ckpt, "--mode", mode,
+            "--target", "nope"]
+    argv += ["--bank", bank] if mode == "few-shot" else []
+    argv += {"eval": ["--out", str(tmp_path / "report.json")],
+             "predict": ["--out-dir", str(tmp_path / "maps")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: unknown modality 'nope' in test manifest; "
+                                       "available: ['texture-c']\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_predict_of_an_empty_manifest_is_config_error(scoring_sets, tmp_path, capsys):
+    config, data, ckpt, bank = scoring_sets(8)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert main(["predict", "--config", config, "--ckpt", ckpt, "--bank", bank,
+                 "--manifest", str(empty), "--out-dir", str(tmp_path / "maps")]) == 1
+    assert capsys.readouterr().err == "config error: no samples selected for prediction\n"
+    assert os.listdir(tmp_path) == ["empty.jsonl"]
+
+
 def test_lambda3_zero_with_a_mask_free_training_modality_is_config_error(tmp_path, capsys):
     # a step of texture-b samples only would have no loss term; few-shot trains on
     # the masked target alone, so the same weights train there
@@ -1077,6 +1141,11 @@ def test_a_load_error_in_the_callers_half_lets_the_scoring_workers_half_finish(
 
 
 def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkeypatch):
+    """Few-shot train and build-bank read train.jsonl, eval and predict test.jsonl.
+
+    Zero-shot train checks its target in the test manifest, and ablate
+    evaluates what it trains, so both read the two.
+    """
     root, config, data = workdir
     paths = []
     original = datamod.load_manifest
@@ -1088,17 +1157,26 @@ def test_each_command_loads_the_manifests_once(workdir, tmp_path, capsys, monkey
     monkeypatch.setattr(datamod, "load_manifest", counted)
     ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")
     flags = ["--config", config, "--data", data]
-    for argv in (["train", *flags, "--out", ckpt],
-                 ["build-bank", *flags, "--ckpt", ckpt, "--out", bank],
-                 ["eval", *flags, "--ckpt", ckpt, "--bank", bank],
-                 ["predict", *flags, "--ckpt", ckpt, "--bank", bank,
-                  "--out-dir", str(tmp_path / "pred")],
-                 ["ablate", *flags, "--out", str(tmp_path / "ablation"), "--epochs", "1",
-                  "--include-single"]):
+    both = ["train.jsonl", "test.jsonl"]
+    for argv, read in (
+            (["train", *flags, "--out", ckpt], ["train.jsonl"]),
+            (["build-bank", *flags, "--ckpt", ckpt, "--out", bank], ["train.jsonl"]),
+            (["eval", *flags, "--ckpt", ckpt, "--bank", bank], ["test.jsonl"]),
+            (["predict", *flags, "--ckpt", ckpt, "--bank", bank,
+              "--out-dir", str(tmp_path / "pred")], ["test.jsonl"]),
+            (["train", *flags, "--out", str(tmp_path / "zero.ckpt"), "--mode", "zero-shot"],
+             both),
+            (["ablate", *flags, "--out", str(tmp_path / "ablation"), "--epochs", "1",
+              "--include-single"], both)):
         paths.clear()
         assert main(argv) == 0
-        assert [os.path.basename(p) for p in paths] == ["train.jsonl", "test.jsonl"], argv[0]
+        assert [os.path.basename(p) for p in paths] == read, argv
     capsys.readouterr()
+
+
+def _samples(data, split):
+    """The parsed rows of ``split``.jsonl in the dataset directory ``data``."""
+    return datamod.load_manifest(os.path.join(data, f"{split}.jsonl"))
 
 
 def _break_row(data, split, sample, kind):
@@ -1148,7 +1226,7 @@ def test_a_broken_row_that_no_command_reads_fails_none(workdir, tmp_path, capsys
     outputs = []
     for broken in (False, True):
         if broken:
-            rows = [s for s in cli._manifests(copy)[1] if s.modality == "texture-a"]
+            rows = [s for s in _samples(copy, "test") if s.modality == "texture-a"]
             for sample, kind in zip(rows, ("label", "shape", "cut")):
                 _break_row(copy, "test", sample, kind)
         for argv in commands:
@@ -1183,11 +1261,12 @@ def test_a_broken_row_that_a_command_reads_fails_it_as_before(
         shutil.copytree(data, copy)
         cfg = json.loads(Path(config).read_text(encoding="utf-8"))
         train_set, normals, test = datamod.few_shot_split(
-            *cli._manifests(copy), "texture-c", cfg["inference"]["k"], cfg["train"]["seed"])
+            _samples(copy, "train"), _samples(copy, "test"), "texture-c",
+            cfg["inference"]["k"], cfg["train"]["seed"])
         out = tmp_path / name / "out"
         flags = ["--config", config, "--data", copy]
         if command == "zero-shot train":
-            sample = next(s for s in cli._manifests(copy)[0] if s.modality == "texture-a")
+            sample = next(s for s in _samples(copy, "train") if s.modality == "texture-a")
             split, argv = "train", ["train", *flags, "--mode", "zero-shot",
                                     "--out", str(out / "m.ckpt")]
         elif command == "train":
@@ -1263,7 +1342,10 @@ def test_mistyped_config_value_is_config_error(workdir, tmp_path, capsys, sectio
     ("data", "defect_count", [1], "gen-data"), ("data", "benign_count", [2, 1], "gen-data"),
     ("data", "benign_radius", [-3, 1], "gen-data"),
     ("data", "defect_count", [1, 2, 3], "gen-data"),
-    ("data", "benign_radius", [1.5, 7.0], "gen-data")])
+    ("data", "benign_radius", [1.5, 7.0], "gen-data"),
+    # a profile without its name, contrast and noise was a TypeError traceback
+    ("data", "modalities", [{"base_freq": 2.0}], "gen-data"),
+    ("data", "modalities", [{"base_freq": 2.0}], "train")])
 def test_invalid_config_value_is_config_error(workdir, tmp_path, capsys, section, key, value,
                                               command):
     root, config, data = workdir
@@ -1308,7 +1390,7 @@ FLAG_CHOICES = {"--mode": ["zero-shot", "few-shot"], "--arch": ["adapter", "proj
 FLAG_VALUES = {"--mode": ("zero-shot", "zero-shot"), "--target": ("texture-a", "texture-a"),
                "--k": ("3", 3), "--epochs": ("5", 5), "--lr": ("0.5", 0.5),
                "--batch-size": ("2", 2), "--seed": ("9", 9), "--gamma": ("0.25", 0.25),
-               "--tau": ("0.5", 0.5), "--levels": ("1,2", [1, 2]),
+               "--tau": ("0.5", 0.5), "--levels": ("1,2", (1, 2)),
                "--arch": ("projector", "projector"), "--adapter-style": ("single", "single")}
 
 
@@ -1343,8 +1425,12 @@ def test_setting_flag_overrides_its_config_key(workdir, tmp_path, command, flag,
     text, value = FLAG_VALUES[flag]
     argv = [command, "--config", config, *required_args(command, tmp_path, data)]
     section, name = key.split(".")
-    assert cli._config(build_parser().parse_args(argv))[section].get(name) != value
-    given = cli._config(build_parser().parse_args(argv + [flag, text]))[section][name]
+
+    def resolved(argv):
+        return getattr(getattr(cli._resolve(build_parser().parse_args(argv)), section), name)
+
+    assert resolved(argv) != value
+    given = resolved(argv + [flag, text])
     assert given == value and type(given) is type(value)
 
 
@@ -1804,7 +1890,7 @@ def test_readme_configuration_block_matches_default_config():
         else:
             keys.add(key)
     assert documented == {name: set(value) if isinstance(value, dict) else set()
-                          for name, value in DEFAULT_CONFIG.items()}
+                          for name, value in cli._as_json(cli.DEFAULTS).items()}
 
 
 @pytest.fixture

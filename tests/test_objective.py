@@ -654,6 +654,20 @@ def test_train_aborts_on_nonfinite_loss():
               TrainConfig(lr=1e18, batch_size=2, epochs=50, seed=7))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_aborts_on_a_nonfinite_parameter_after_the_last_update(tmp_path):
+    # an update that overflows float32 leaves inf in the parameters; with no
+    # later step, no non-finite loss would catch it before the log is written
+    backbone, params, text = toy_setup()
+    log = tmp_path / "loss.csv"
+    first = params.named_tensors()[0][0]
+    with pytest.raises(NumericError, match=rf"^non-finite value in tensor '{first}' after "
+                                           r"the update at epoch 1, step 1$"):
+        train(backbone, params, toy_samples(4, seed=5), text,
+              TrainConfig(lr=1e308, batch_size=4, epochs=1, seed=7), loss_log_path=log)
+    assert not log.exists()
+
+
 def mixed_samples(n, size, seed):
     """Two modalities; every third sample has no mask."""
     rng = np.random.default_rng(seed)

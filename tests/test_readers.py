@@ -15,6 +15,7 @@ mutant mutates the bytes before the digest and appends a valid digest
 (``forge.seal``), so it reaches the header and tensor checks behind it.
 """
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -29,10 +30,9 @@ from forge import seal, v1_bank, v1_checkpoint, v1_map
 from mvfa import cli
 from mvfa.adaptation import init_params, load_checkpoint, save_checkpoint
 from mvfa.backbone import MAX_ENCODER_VALUES, BackboneConfig, init_backbone
-from mvfa.data import SynthConfig, read_pgm, write_pgm
+from mvfa.data import read_pgm, write_pgm
 from mvfa.errors import ConfigError, FormatError, MVFAError
 from mvfa.inference import MemoryBank, load_bank, load_map, save_bank, save_map
-from mvfa.objective import TrainConfig
 
 # an encoder of MAX_ENCODER_VALUES values, most of them in its position
 # table, traces 68 MiB while it is built
@@ -216,7 +216,7 @@ def _finite(value):
     """Whether every float in a loaded JSON value is finite."""
     if isinstance(value, dict):
         return all(_finite(v) for v in value.values())
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return all(_finite(v) for v in value)
     return not isinstance(value, float) or math.isfinite(value)
 
@@ -225,8 +225,8 @@ def test_config_reader_fails_typed_on_seeded_mutations(tmp_path):
     """Every mutated config file loads or raises an MVFAError.
 
     Loading means what a command does with the file before it reads any
-    data: merge it over the defaults and build the backbone, data and train
-    settings from it. A draw that changes the encoder also builds it, and a
+    data: resolve it over the defaults into a ``RunConfig``, which builds
+    every section. A draw that changes the encoder also builds it, and a
     draw that loads must hold only finite numbers. Besides the byte
     mutations, 30 draws write ``NaN``, ``Infinity`` or ``-Infinity``, which
     ``json.loads`` accepts, over one number. These defects are mutants it
@@ -235,18 +235,14 @@ def test_config_reader_fails_typed_on_seeded_mutations(tmp_path):
     Dice term, a NaN lr wrote an all-NaN checkpoint and a NaN defect_delta
     wrote images cast from NaN to uint8, each with exit 0.
     """
-    full = dict(cli.DEFAULT_CONFIG, data=dataclasses.asdict(SynthConfig()))
+    full = cli._as_json(cli.DEFAULTS)
     path = tmp_path / "config.json"
-    default_backbone = BackboneConfig()
 
     def read(path):
-        cfg = cli._load_config(path)
-        assert _finite(cfg)
-        backbone = BackboneConfig(**cfg["backbone"])
-        SynthConfig.from_dict(cfg["data"])
-        TrainConfig.from_dict(cfg["train"])
-        if backbone != default_backbone:
-            init_backbone(backbone)
+        run = cli._resolve(argparse.Namespace(config=path))
+        assert _finite(dataclasses.asdict(run))
+        if run.backbone != cli.DEFAULTS.backbone:
+            init_backbone(run.backbone)
 
     payload = json.dumps(full, indent=1).encode()
     # each number value: after ": " or on a list line of its own
