@@ -270,15 +270,17 @@ def _bank(run, train_samples, backbone, params):
     return inference.build_memory_bank(images, backbone, params)
 
 
-def _betas(run, have_bank, beta1=None, beta2=None):
-    """Fusion weights: flags over config; zero-shot without a bank is text only."""
-    if not have_bank and beta2 is None and run.inference.mode == "zero-shot":
-        return (1.0 if beta1 is None else beta1), 0.0
-    beta1 = run.inference.beta1 if beta1 is None else beta1
-    beta2 = run.inference.beta2 if beta2 is None else beta2
-    if not have_bank and beta2 != 0:
+def _betas(run, have_bank, args):
+    """Fusion weights: zero-shot without a bank and without ``--beta2`` is text only.
+
+    There ``inference.beta1`` counts only when ``--beta1`` gives it.
+    """
+    inf, given = run.inference, vars(args)
+    if not have_bank and inf.mode == "zero-shot" and given.get("inference.beta2") is None:
+        return (1.0 if given.get("inference.beta1") is None else inf.beta1), 0.0
+    if not have_bank and inf.beta2 != 0:
         raise ConfigError("beta2 > 0 requires a memory bank; pass --bank or set --beta2 0")
-    return beta1, beta2
+    return inf.beta1, inf.beta2
 
 
 def _evaluate(run, test_samples, prompts, backbone, params, bank, beta1, beta2):
@@ -316,9 +318,6 @@ def cmd_train(args):
 
 
 def cmd_build_bank(args):
-    seed = vars(args)["train.seed"]
-    if seed is not None and seed < 0:  # build-bank's --seed seeds only its few-shot split
-        raise ConfigError(f"few-shot split seed must be nonnegative, got {seed}")
     run = _resolve(args)
     backbone, params = _load_model(args.ckpt)
     bank = _bank(run, _manifest(args.data, "train"), backbone, params)
@@ -333,7 +332,7 @@ def cmd_predict(args):
     run = _resolve(args)
     backbone, params = _load_model(args.ckpt)
     bank = _load_bank(args.bank, args.ckpt) if args.bank else None
-    beta1, beta2 = _betas(run, bank is not None, args.beta1, args.beta2)
+    beta1, beta2 = _betas(run, bank is not None, args)
 
     if args.manifest:
         samples = datamod.load_manifest(args.manifest)
@@ -378,23 +377,11 @@ def cmd_predict(args):
     return 0
 
 
-def _check_bank_k(bank, k, rows_per_image):
-    """Reject a bank whose rows per level are not K references' worth."""
-    for store in bank.cls + bank.seg:
-        if store.shape[0] != k * rows_per_image:
-            raise BankError(f"the bank has {store.shape[0]} rows per level, but --k {k} "
-                            f"references of {rows_per_image} rows per image make "
-                            f"{k * rows_per_image}")
-
-
 def cmd_eval(args):
     run = _resolve(args)
     backbone, params = _load_model(args.ckpt)
     bank = _load_bank(args.bank, args.ckpt) if args.bank else None
-    k_flag = vars(args)["inference.k"]
-    if bank is not None and k_flag is not None:
-        _check_bank_k(bank, k_flag, backbone.config.grid_count)
-    beta1, beta2 = _betas(run, bank is not None, args.beta1, args.beta2)
+    beta1, beta2 = _betas(run, bank is not None, args)
     prompts = _prompt_set(args)
     report = _evaluate(run, _manifest(args.data, "test"), prompts, backbone, params, bank,
                        beta1, beta2)
@@ -437,7 +424,7 @@ def cmd_ablate(args):
             bank = (_bank(row_run, train_samples, backbone, params)
                     if run.inference.mode == "few-shot" else None)
             report = _evaluate(row_run, test_samples, prompts, backbone, params, bank,
-                               *_betas(row_run, bank is not None))
+                               *_betas(row_run, bank is not None, args))
             row = {"arch": arch, "adapter_style": style,
                    "config": {**_as_json(row_run), "data": data},
                    "ensemble_image_auc": report.image_auc,
@@ -499,24 +486,20 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = command("predict", cmd_predict, "score images, writing maps and a score CSV",
-                ["inference.target", "inference.mode"])
+                ["inference.target", "inference.mode", "inference.beta1", "inference.beta2"])
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bank")
     given = p.add_mutually_exclusive_group()
     given.add_argument("--data", help="dataset directory (uses its test manifest)")
     given.add_argument("--manifest", help="explicit manifest of images to score")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--beta1", type=_finite_float)
-    p.add_argument("--beta2", type=_finite_float)
     p.add_argument("--prompts")
 
     p = command("eval", cmd_eval, "evaluate a checkpoint, writing a report",
-                ["inference.target", "inference.mode", "inference.k"])
+                ["inference.target", "inference.mode", "inference.beta1", "inference.beta2"])
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bank")
     p.add_argument("--data", required=True)
-    p.add_argument("--beta1", type=_finite_float)
-    p.add_argument("--beta2", type=_finite_float)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="one-line report CSV path")
     p.add_argument("--prompts")

@@ -117,7 +117,8 @@ class TrainConfig:
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
         if self.seed < 0:
-            raise ConfigError(f"train seed must be nonnegative, got {self.seed}")
+            raise ConfigError(f"train seed must be nonnegative, got {self.seed} "
+                              "(it seeds the few-shot split too)")
         _check_tau(self.tau)
         # a repeated level would add its loss twice
         if (not self.levels or any(l not in (1, 2, 3, 4) for l in self.levels)

@@ -9,10 +9,12 @@ Each side runs its own ``perfbench/run.py`` from its own copy of ``src/``
 and ``perfbench/`` under one scratch directory, which is deleted at exit:
 the working tree's, a directory's, or a revision's, extracted with ``git
 archive`` (a ``git worktree`` would register itself in the repository and
-outlive a run that is killed). Pair i runs the base first when i is odd
-and the working tree first when it is even. Each run's first stdout line
-(the environment), last line (the result), phase lines and digests are
-parsed, and the share of stolen CPU is read from ``/proc/stat`` around it.
+outlive a run that is killed). SIGTERM and Ctrl-C exit the same way, after
+killing the run in progress with every process it started. Pair i runs
+the base first when i is odd and the working tree first when it is even.
+Each run's first stdout line (the environment), last line (the result),
+phase lines and digests are parsed, and the share of stolen CPU is read
+from ``/proc/stat`` around it.
 Runs whose digests differ, or that fail, stop the comparison with an error.
 
 The output is one block to paste into CHANGES.md: per metric, both
@@ -30,7 +32,9 @@ import argparse
 import io
 import json
 import math
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -71,16 +75,24 @@ def cpu_times():
 def run_once(root, workload, seed, seconds):
     """One perfbench run in ``root``: env, metrics, units, better, digests and steal."""
     before = cpu_times()
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+    # a session of its own, so that one signal reaches the run and its mvfa worker
+    with subprocess.Popen([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True)
+                          cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as run:
+        try:
+            stdout, stderr = run.communicate()
+        finally:
+            if run.returncode is None:  # interrupted: the group lasts until the run is reaped
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait()
     after = cpu_times()
-    lines = done.stdout.splitlines()
-    if done.returncode or not lines or not lines[0].startswith("env "):
-        sys.exit(f"perfbench in {root} exited {done.returncode}:\n{done.stderr}")
+    lines = stdout.splitlines()
+    if run.returncode or not lines or not lines[0].startswith("env "):
+        sys.exit(f"perfbench in {root} exited {run.returncode}:\n{stderr}")
     result = json.loads(lines[-1])
     if not result["correct"]:
-        sys.exit(f"perfbench in {root} was not correct:\n{done.stdout}")
+        sys.exit(f"perfbench in {root} was not correct:\n{stdout}")
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     units = {name: entry["unit"] for name, entry in result["metrics"].items()}
     better = {}
@@ -200,10 +212,13 @@ def main(argv):
         parser.error("--workload goes with --base, and --record runs every workload")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # SIGTERM exits through the finally blocks, as Ctrl-C does
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     scratch = Path(tempfile.mkdtemp(prefix="mvfa-ab-"))
     try:
         (compare if args.base else record)(args, scratch)
     finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         shutil.rmtree(scratch)
 
 

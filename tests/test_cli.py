@@ -650,6 +650,62 @@ def test_predict_of_an_empty_manifest_is_config_error(scoring_sets, tmp_path, ca
     assert os.listdir(tmp_path) == ["empty.jsonl"]
 
 
+class _Scored(Exception):
+    """Raised in place of scoring, with the fusion weights the command passed."""
+
+
+def _expected_betas(beta1, beta2, config_betas, with_bank, mode):
+    """(beta1, beta2) as ``eval`` and ``predict`` resolve them, or None for the config error.
+
+    Zero-shot without a bank and without ``--beta2`` scores the text branch
+    alone, weighted by ``--beta1`` or 1; otherwise each flag overrides the
+    file, which overrides the defaults, and a nonzero beta2 needs a bank.
+    """
+    if not with_bank and beta2 is None and mode == "zero-shot":
+        return (1.0 if beta1 is None else float(beta1)), 0.0
+    resolved = [float(flag) if flag is not None else given
+                for flag, given in zip((beta1, beta2), config_betas or (0.5, 0.5))]
+    return None if not with_bank and resolved[1] != 0 else tuple(resolved)
+
+
+@pytest.mark.parametrize("beta2", [None, "0", "0.75"])
+@pytest.mark.parametrize("beta1", [None, "0.25"])
+@pytest.mark.parametrize("config_betas", [None, (0.3, 0.7)], ids=["defaults", "file"])
+@pytest.mark.parametrize("with_bank", [False, True], ids=["no-bank", "bank"])
+@pytest.mark.parametrize("mode", ["few-shot", "zero-shot"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_fusion_weights_resolve_alike_from_flags_file_and_bank(
+        scoring_sets, tmp_path, capsys, monkeypatch, command, mode, with_bank, config_betas,
+        beta1, beta2):
+    config, data, ckpt, bank = scoring_sets(8)
+    if config_betas:
+        user = json.loads(open(config).read())
+        user["inference"].update(beta1=config_betas[0], beta2=config_betas[1])
+        config = str(tmp_path / "betas.json")
+        Path(config).write_text(json.dumps(user), encoding="utf-8")
+
+    def scored(*args, beta1, beta2, **kwargs):
+        raise _Scored(beta1, beta2)
+
+    monkeypatch.setattr(metrics, "evaluate", scored)
+    monkeypatch.setattr(metrics, "score_samples", scored)
+    argv = [command, "--config", config, "--data", data, "--ckpt", ckpt, "--mode", mode]
+    argv += ["--bank", bank] if with_bank else []
+    argv += ["--beta1", beta1] if beta1 is not None else []
+    argv += ["--beta2", beta2] if beta2 is not None else []
+    argv += {"eval": ["--out", str(tmp_path / "report.json")],
+             "predict": ["--out-dir", str(tmp_path / "maps")]}[command]
+    expected = _expected_betas(beta1, beta2, config_betas, with_bank, mode)
+    if expected is None:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("config error: beta2 > 0 requires a memory bank; "
+                                           "pass --bank or set --beta2 0\n")
+    else:
+        with pytest.raises(_Scored) as scored_with:
+            main(argv)
+        assert scored_with.value.args == expected
+
+
 def test_lambda3_zero_with_a_mask_free_training_modality_is_config_error(tmp_path, capsys):
     # a step of texture-b samples only would have no loss term; few-shot trains on
     # the masked target alone, so the same weights train there
@@ -1374,11 +1430,13 @@ FLAGS = {
                    "--target": "inference.target", "--k": "inference.k",
                    "--seed": "train.seed"},
     "predict": {"--config": None, "--ckpt": None, "--bank": None, "--data": None,
-                "--manifest": None, "--out-dir": None, "--beta1": None, "--beta2": None,
-                "--prompts": None, "--target": "inference.target", "--mode": "inference.mode"},
+                "--manifest": None, "--out-dir": None, "--beta1": "inference.beta1",
+                "--beta2": "inference.beta2", "--prompts": None, "--target": "inference.target",
+                "--mode": "inference.mode"},
     "eval": {"--config": None, "--ckpt": None, "--bank": None, "--data": None,
-             "--beta1": None, "--beta2": None, "--out": None, "--csv": None, "--prompts": None,
-             "--target": "inference.target", "--mode": "inference.mode", "--k": "inference.k"},
+             "--beta1": "inference.beta1", "--beta2": "inference.beta2", "--out": None,
+             "--csv": None, "--prompts": None, "--target": "inference.target",
+             "--mode": "inference.mode"},
     "ablate": {"--config": None, "--data": None, "--out": None, "--archs": None,
                "--include-single": None, "--prompts": None, "--target": "inference.target",
                "--mode": "inference.mode", "--k": "inference.k", "--epochs": "train.epochs",
@@ -1391,7 +1449,8 @@ FLAG_VALUES = {"--mode": ("zero-shot", "zero-shot"), "--target": ("texture-a", "
                "--k": ("3", 3), "--epochs": ("5", 5), "--lr": ("0.5", 0.5),
                "--batch-size": ("2", 2), "--seed": ("9", 9), "--gamma": ("0.25", 0.25),
                "--tau": ("0.5", 0.5), "--levels": ("1,2", (1, 2)),
-               "--arch": ("projector", "projector"), "--adapter-style": ("single", "single")}
+               "--arch": ("projector", "projector"), "--adapter-style": ("single", "single"),
+               "--beta1": ("0.25", 0.25), "--beta2": ("0.75", 0.75)}
 
 
 def required_args(command, tmp_path, data):
@@ -1452,7 +1511,7 @@ def test_config_value_outside_its_choices_is_config_error(workdir, tmp_path, cap
 
 
 @pytest.mark.parametrize("command, flag, text", [
-    ("train", "--lr", "fast"), ("eval", "--k", "2.5"), ("gen-data", "--seed", "x"),
+    ("train", "--lr", "fast"), ("build-bank", "--k", "2.5"), ("gen-data", "--seed", "x"),
     ("predict", "--mode", "zero-shoot")])
 def test_setting_flag_of_the_wrong_type_is_usage_error(workdir, tmp_path, capsys, command,
                                                        flag, text):
@@ -1481,34 +1540,44 @@ def test_non_finite_float_flag_is_usage_error(workdir, tmp_path, capsys, command
     assert os.listdir(tmp_path) == []
 
 
+# train.seed orders the training samples and draws the few-shot split, and
+# every command that takes it reports it alike, from a flag or a file
 @pytest.mark.parametrize("command, section, key, flags, message", [
     ("train", "train", "seed", [], "train seed"),
     ("train", "model", "init_seed", [], "init seed"),
     ("gen-data", "data", "seed", [], "data seed"),
     ("gen-data", None, None, ["--seed", "-1"], "data seed"),
-    ("build-bank", None, None, ["--seed", "-1"], "few-shot split seed")])
+    ("build-bank", None, None, ["--seed", "-1"], "train seed"),
+    ("build-bank", "train", "seed", [], "train seed"),
+    ("train", None, None, ["--seed", "-1"], "train seed"),
+    ("ablate", None, None, ["--seed", "-1"], "train seed")])
 def test_negative_seed_is_config_error(workdir, tmp_path, capsys, command, section, key, flags,
                                        message):
     root, config, data = workdir
+    if command == "build-bank":
+        assert main(["train", "--config", config, "--data", data,
+                     "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 0
+        capsys.readouterr()
     user = json.loads(open(config).read())
     if section:
         user[section][key] = -1
     config = tmp_path / "config.json"
     config.write_text(json.dumps(user), encoding="utf-8")
-    if command == "build-bank":
-        assert main(["train", "--config", str(config), "--data", data,
-                     "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]) == 0
-        capsys.readouterr()
     argv = [command, "--config", str(config), *flags, *required_args(command, tmp_path, data)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error") and f"{message} must be nonnegative, got -1" in err
+    assert err.startswith(f"config error: {message} must be nonnegative, got -1")
+    if message == "train seed":  # one text, whichever command or source sets it
+        assert err.endswith("got -1 (it seeds the few-shot split too)\n")
     assert "Traceback" not in err
-    assert not (tmp_path / "gen").exists() and not (tmp_path / "bank.bin").exists()
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["config.json"] + (["x.ckpt", "x.ckpt.loss.csv"] if command == "build-bank" else []))
 
 
+# eval takes no --k: a bank's rows fix its K, and its checkpoint digest binds it
 @pytest.mark.parametrize("argv", [["train", "--branch-feed", "cls"],
-                                  ["eval", "--ckpt", "x.ckpt", "--pixel-per-image"]])
+                                  ["eval", "--ckpt", "x.ckpt", "--pixel-per-image"],
+                                  ["eval", "--ckpt", "x.ckpt", "--k", "2"]])
 def test_deleted_flags_are_usage_errors(workdir, tmp_path, capsys, argv):
     root, config, data = workdir
     out = ["--out", str(tmp_path / "x.ckpt")] if argv[0] == "train" else []
@@ -1758,24 +1827,6 @@ def test_manifest_label_of_another_json_type_is_data_error(workdir, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: line 3: label must be the integer 0 or 1")
     assert "Traceback" not in err
-
-
-def test_eval_k_must_match_the_bank(workdir, tmp_path, capsys):
-    root, config, data = workdir
-    ckpt, bank = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.bin")
-    assert main(["train", "--config", config, "--data", data, "--out", ckpt,
-                 "--epochs", "0"]) == 0
-    assert main(["build-bank", "--config", config, "--data", data, "--ckpt", ckpt,
-                 "--out", bank]) == 0  # k=2 references of 16 rows
-    argv = ["eval", "--config", config, "--data", data, "--ckpt", ckpt, "--bank", bank]
-    assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
-    capsys.readouterr()
-    assert main(argv + ["--k", "3", "--out", str(tmp_path / "k3.json")]) == 2
-    err = capsys.readouterr().err
-    assert "32 rows per level" in err and "make 48" in err
-    assert not (tmp_path / "k3.json").exists()
-    assert main(argv + ["--k", "2", "--out", str(tmp_path / "k2.json")]) == 0
-    assert (tmp_path / "k2.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_predict_memory_does_not_grow_with_the_image_count(tmp_path, capsys):

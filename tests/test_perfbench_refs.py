@@ -1,19 +1,24 @@
-"""Every mvfa name that the benchmark's workloads use still exists.
+"""Every mvfa name and CLI flag that the benchmark's workloads use still exists.
 
 The test suite never runs perfbench (a one-second ``large_bank`` run takes
-about five seconds), so a deleted or renamed mvfa function would only show
-when the benchmark runs. This test reads ``perfbench/workloads.py`` with
-``ast``, without importing or running it, and resolves every attribute
-chain that starts at a name imported from mvfa.
+about five seconds), so a deleted or renamed mvfa function or flag would
+only show when the benchmark runs. These tests read
+``perfbench/workloads.py`` with ``ast`` and resolve every attribute chain
+that starts at a name imported from mvfa, and parse the argv of each CLI
+workload's commands, without running any of them.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import typing
 from pathlib import Path
 
+import pytest
+
+from mvfa import cli
 from mvfa.inference import AnomalyResult
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -103,3 +108,28 @@ def test_the_result_attributes_the_workloads_read_exist_on_anomaly_result():
         inspect.getattr_static(AnomalyResult, attr, None), property)]
     assert not missing, f"{WORKLOADS.name} reads result attributes that do not exist: " \
                         f"{missing}"
+
+
+def _workloads_module():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["fewshot_ref", "zeroshot_loo"])
+def test_each_cli_workload_command_parses_and_resolves(name, tmp_path):
+    """The argv of each command, on placeholder paths, is one the CLI takes.
+
+    A flag the benchmark passes but the CLI no longer has fails here, as a
+    usage error, instead of in the benchmark run. Resolving the settings
+    reads no path, so none of them needs to exist.
+    """
+    workload = _workloads_module().WORKLOADS[name]
+    commands = workload.commands(tmp_path / "data", tmp_path / "out")
+    assert commands
+    for phase, argv in commands:
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_"), phase
+        cli._resolve(args)
+    assert list(tmp_path.iterdir()) == []
