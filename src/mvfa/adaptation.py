@@ -88,9 +88,6 @@ class MVFAParams:
         """Canonical (name, tensor) list."""
         return list(self._named.items())
 
-    def tensors(self):
-        return list(self._named.values())
-
 
 def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_DUAL,
                 dtype=np.float32, text_features=None) -> MVFAParams:
@@ -111,8 +108,7 @@ def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_D
     """
     if dim < 4:
         raise ConfigError(f"dim must be at least 4 for a dim // 4 adapter width, got {dim}")
-    if seed < 0:
-        raise ConfigError(f"init seed must be nonnegative, got {seed}")
+    _check_init_seed(seed)
     rng = np.random.default_rng(seed)
 
     text_complement = None
@@ -131,6 +127,11 @@ def init_params(dim, seed=0, gamma=0.1, arch=ARCH_ADAPTER, adapter_style=STYLE_D
         return Tensor(w, requires_grad=True)
 
     return MVFAParams(dim, gamma, arch, adapter_style, draw)
+
+
+def _check_init_seed(seed):
+    if seed < 0:
+        raise ConfigError(f"init seed must be nonnegative, got {seed}")
 
 
 def apply_adapter(f: Tensor, down: Tensor, up: Tensor) -> Tensor:

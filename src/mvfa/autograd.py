@@ -119,12 +119,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        if self._data is None:
-            return f"Tensor(released{flag})"
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
 
 def _wrap(value, dtype):
     if isinstance(value, Tensor):

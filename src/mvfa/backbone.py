@@ -123,14 +123,6 @@ class FrozenBackbone:
         self.pos = pos
         self.stages = stages  # list of 4 lists of _Block
 
-    def weight_tensors(self):
-        out = [self.patch_w, self.pos]
-        for blocks in self.stages:
-            for blk in blocks:
-                out += [blk.ln1_g, blk.ln1_b, *blk.wq, *blk.wk, *blk.wv, *blk.wo,
-                        blk.ln2_g, blk.ln2_b, blk.mlp_w1, blk.mlp_b1, blk.mlp_w2, blk.mlp_b2]
-        return out
-
     def embed(self, image):
         """Patch tokens times the patch weights, plus positions.
 
@@ -140,8 +132,7 @@ class FrozenBackbone:
         if isinstance(image, list):
             tokens = np.stack([patch_tokens(one, self.config) for one in image])
         else:
-            tokens = patch_tokens(image.data if isinstance(image, Tensor)
-                                  else np.asarray(image), self.config)
+            tokens = patch_tokens(image, self.config)
         x = ag.matmul(Tensor(tokens.astype(self.dtype)), self.patch_w)
         return ag.add(x, self.pos)
 
@@ -164,16 +155,8 @@ def sinusoidal_table(count, dim):
 
 
 def patch_tokens(image, config: BackboneConfig):
-    """Cut an image into non-overlapping patches, row-major over the grid.
-
-    Accepts (h, w) or (h, w, c) with c in {1, 3}; color channels are
-    averaged to one intensity channel before patching.
-    """
+    """Cut an (h, w) image into non-overlapping patches, row-major over the grid."""
     arr = np.asarray(image)
-    if arr.ndim == 3:
-        if arr.shape[2] not in (1, 3):
-            raise ShapeError(f"patch_tokens: expected 1 or 3 channels, got {arr.shape[2]}")
-        arr = arr.mean(axis=2)
     if arr.ndim != 2:
         raise ShapeError(f"patch_tokens: expected an image, got shape {arr.shape}")
     size = config.image_size

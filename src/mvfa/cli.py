@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import data as datamod
-from . import inference, metrics, objective, textbank
+from . import adaptation, inference, metrics, objective, textbank
 from .adaptation import init_params, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, init_backbone
 from .errors import BankError, ConfigError, DataError, MVFAError, NumericError
@@ -41,6 +41,9 @@ class ModelConfig:
     arch: str = "adapter"
     adapter_style: str = "dual"
 
+    def __post_init__(self):
+        adaptation._check_init_seed(self.init_seed)
+
 
 @dataclasses.dataclass(frozen=True)
 class InferenceConfig:
@@ -54,6 +57,11 @@ class InferenceConfig:
     k: int = 4
     target: str = "texture-c"
     mode: str = "few-shot"
+
+    def __post_init__(self):
+        inference._check_betas(self.beta1, self.beta2)
+        adaptation._check_tau(self.tau)
+        datamod._check_k(self.k)
 
 
 @dataclasses.dataclass(frozen=True)

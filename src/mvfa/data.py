@@ -480,14 +480,18 @@ def zero_shot_split(train_samples, test_samples, target):
     return train, test
 
 
+def _check_k(k):
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
+
+
 def few_shot_split(train_samples, test_samples, target, k, seed):
     """Pick k anomalous plus k normal target samples; the normals feed the bank.
 
     Returns (train, bank_normals, test). The selection is seeded and
     independent of manifest ordering.
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_k(k)
     if seed < 0:
         raise ConfigError(f"few-shot split seed must be nonnegative, got {seed}")
     _require_modality(train_samples, target, "train manifest")

@@ -89,21 +89,9 @@ def write_text_atomic(path, text: str):
 
 
 def read_bytes(path):
-    """A file's bytes, read with ``os.open`` and ``os.read``.
-
-    A buffered file object costs more than the read itself for a file of
-    a few KiB, and ``eval`` reads 200 sample PGMs of that size.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        payload = os.read(fd, os.fstat(fd).st_size + 1)
-        while chunk := os.read(fd, 1 << 16):  # st_size is 0 for a pipe
-            payload += chunk
-        return payload
-    except OSError as exc:  # os.read of a directory names no file
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    finally:
-        os.close(fd)
+    """A file's bytes, read to end of file."""
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def read_text(path, error):

@@ -106,14 +106,10 @@ def grid_maps(grids, out_hw):
 
 
 def blend(beta1, zero, beta2, few):
-    """The fusion rule: beta1 * zero, plus beta2 * few when ``few`` is not None."""
-    if few is None:
-        return beta1 * zero
-    return beta1 * zero + beta2 * few
+    """The fusion rule: beta1 * zero, plus beta2 * few when ``few`` is not None.
 
-
-def _blend_over(beta1, zero, beta2, few):
-    """:func:`blend` with its bits, written over ``zero`` and ``few``: no temporaries."""
+    It is written over ``zero`` and ``few``, and makes no temporaries.
+    """
     zero *= beta1
     if few is not None:
         few *= beta2
@@ -148,10 +144,10 @@ def fused_maps(results, beta1, beta2):
             else:
                 sums[grids] += level_map
         del level_map
-        yield _blend_over(beta1, maps.pop("grids_zero"), beta2, maps.pop("grids_few", None))
+        yield blend(beta1, maps.pop("grids_zero"), beta2, maps.pop("grids_few", None))
     for total in sums.values():
         total /= 4
-    yield _blend_over(beta1, sums.pop("grids_zero"), beta2, sums.pop("grids_few", None))
+    yield blend(beta1, sums.pop("grids_zero"), beta2, sums.pop("grids_few", None))
 
 
 def fused_mean(results, beta1, beta2):
@@ -269,6 +265,12 @@ def few_shot(features, bank: MemoryBank, images):
                           [distances(*pair) for pair in zip(features.seg, bank.seg)])
 
 
+def _check_betas(beta1, beta2):
+    if not (0 <= beta1 < np.inf and 0 <= beta2 < np.inf):
+        raise ConfigError(f"fusion weights must be nonnegative and finite, got {beta1} "
+                          f"and {beta2}")
+
+
 def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0.5,
                 tau=0.07) -> list:
     """Two-branch scoring of a list of images, with one text pair per image.
@@ -297,13 +299,11 @@ def score_batch(backbone, params, images, f_texts, bank=None, beta1=0.5, beta2=0
     else:
         c_levels_few, grids_few = few_shot(rows, bank, len(images))
         c_few = c_levels_few.mean(axis=1)
-    if not (0 <= beta1 < np.inf and 0 <= beta2 < np.inf):
-        raise ConfigError(f"fusion weights must be nonnegative and finite, got {beta1} "
-                          f"and {beta2}")
+    _check_betas(beta1, beta2)
     if bank is None and beta2 != 0:
         raise BankError("beta2 > 0 requires a memory bank")
     c_zero = c_levels_zero.mean(axis=1)
-    c_pred = blend(beta1, c_zero, beta2, None if bank is None else c_few)
+    c_pred = blend(beta1, c_zero.copy(), beta2, None if bank is None else c_few.copy())
     return [AnomalyResult(float(p), float(z), lz, gz, None if f is None else float(f), lf, gf,
                           beta1, beta2, out_hw)
             for p, z, lz, gz, f, lf, gf in zip(c_pred, c_zero, c_levels_zero, grids_zero,

@@ -135,8 +135,6 @@ class TrainConfig:
 
 
 def _as_mask(s, like):
-    if isinstance(s, Tensor):
-        s = s.data
     arr = np.asarray(s)
     if arr.shape != like.shape:
         raise ShapeError(f"mask shape {arr.shape} does not match map shape {like.shape}")

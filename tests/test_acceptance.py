@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from fdcheck import check_gradients
 from nn_oracle import min_cosine_distance_oracle, normalize_rows_oracle
-from test_backbone import frozen_levels
+from test_backbone import frozen_levels, weight_tensors
 
 from mvfa import autograd as ag
 from mvfa.adaptation import (AdaptedFeatures, adapt_forward, init_params,
@@ -79,7 +79,8 @@ def test_criterion_1_gradient_suite():
         return total_loss(features, f_text, 1, mask, LossWeights(),
                           tau=0.07, out_hw=(8, 8))
 
-    worst = max(worst, check_gradients(loss_fn, params.tensors(), rel_tol=1e-4))
+    worst = max(worst, check_gradients(loss_fn, [t for _, t in params.named_tensors()],
+                                       rel_tol=1e-4))
     elapsed = time.time() - started
     report(1, worst <= 1e-4 and elapsed < 60.0,
            f"max relative error {worst:.2e} over every op and the composed "
@@ -169,7 +170,7 @@ def test_criterion_4_nearest_neighbor_oracle():
 
 def test_criterion_5_frozen_backbone_and_gradient_closure():
     backbone, params = toy_trained_setup()
-    frozen_before = [w.data.tobytes() for w in backbone.weight_tensors()]
+    frozen_before = [w.data.tobytes() for w in weight_tensors(backbone)]
 
     rng = np.random.default_rng(55)
     samples = []
@@ -183,14 +184,14 @@ def test_criterion_5_frozen_backbone_and_gradient_closure():
     text = {"widget": toy_text(dtype=np.float32)}
     train(backbone, params, samples, text,
           TrainConfig(lr=1e-2, batch_size=2, epochs=3, seed=1))
-    frozen_after = [w.data.tobytes() for w in backbone.weight_tensors()]
+    frozen_after = [w.data.tobytes() for w in weight_tensors(backbone)]
     untouched = frozen_before == frozen_after
 
     features, _ = adapt_forward(backbone, params, samples[1].image)
     loss = total_loss(features, text["widget"], 1, samples[1].mask, LossWeights(),
                       tau=0.07, out_hw=(8, 8))
     grads = backward(loss)
-    closure = set(grads) == set(params.tensors())
+    closure = set(grads) == {t for _, t in params.named_tensors()}
     report(5, untouched and closure,
            "backbone bytes identical after training; gradient map keys equal "
            "exactly the trainable tensor set")

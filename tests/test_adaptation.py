@@ -136,7 +136,7 @@ def test_adapted_forward_releases_the_arrays_no_vjp_reads(style):
     for f in features.cls[1:] + features.seg:
         total = ag.add(total, f)
     grads = backward(ops.sum(ops.mul(total, total)))
-    assert set(grads) == set(params.tensors())
+    assert set(grads) == {t for _, t in params.named_tensors()}
 
 
 @pytest.mark.parametrize("arch", ["adapter", "projector"])
@@ -153,7 +153,8 @@ def test_cached_stage1_reproduces_features_and_gradients(arch):
         for f in outputs[1:]:
             total = ag.add(total, f)
         grads = backward(ops.sum(ops.mul(total, total)))
-        runs.append(([f.data for f in outputs], [grads[t].data for t in params.tensors()]))
+        runs.append(([f.data for f in outputs],
+                     [grads[t].data for _, t in params.named_tensors()]))
     (full_out, full_grads), (cached_out, cached_grads) = runs
     for a, b in zip(full_out + full_grads, cached_out + cached_grads):
         assert np.array_equal(a, b)
@@ -169,7 +170,7 @@ def test_trainable_set_closure():
         loss = ag.add(loss, ops.mean(ops.mul(features.cls[level], features.cls[level])))
     loss = ag.add(loss, ops.mean(ops.mul(features.seg[3], features.seg[3])))
     grads = backward(loss)
-    assert set(grads) == set(params.tensors())
+    assert set(grads) == {t for _, t in params.named_tensors()}
 
 
 def test_seg_adapter_gradient_propagates_through_later_stages():
@@ -196,7 +197,7 @@ def test_adapted_forward_gradients_match_finite_differences():
             loss = term if loss is None else ag.add(loss, term)
         return loss
 
-    check_gradients(loss_fn, params.tensors(), rel_tol=1e-4)
+    check_gradients(loss_fn, [t for _, t in params.named_tensors()], rel_tol=1e-4)
 
 
 def test_projector_arch_uses_isolated_projections():

@@ -388,7 +388,6 @@ def test_released_tensor_raises_on_read_and_still_receives_its_gradient():
         y.data
     with pytest.raises(ContractError, match="released"):
         y.shape
-    assert repr(y) == "Tensor(released, requires_grad=True)"
     grads = backward(ops.sum(z))
     assert np.array_equal(grads[x].data, [1.5, 1.5])
 

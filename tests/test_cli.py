@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import errno
 import functools
 import json
@@ -1574,6 +1575,26 @@ def test_negative_seed_is_config_error(workdir, tmp_path, capsys, command, secti
         ["config.json"] + (["x.ckpt", "x.ckpt.loss.csv"] if command == "build-bank" else []))
 
 
+# every section is checked before any file is read, on every command, whether
+# or not the command uses the value
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@pytest.mark.parametrize("section, key, value, message", [
+    ("inference", "k", 0, "k must be at least 1, got 0"),
+    ("inference", "tau", 0, "temperature must be positive and finite, got 0"),
+    ("inference", "beta1", -1, "fusion weights must be nonnegative and finite, got -1 and 0.5"),
+    ("inference", "beta2", -1, "fusion weights must be nonnegative and finite, got 0.5 and -1"),
+    ("model", "init_seed", -1, "init seed must be nonnegative, got -1")])
+def test_bad_inference_or_model_value_is_config_error_before_any_read(
+        tmp_path, capsys, command, section, key, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    argv = [command, "--config", str(config),
+            *required_args(command, tmp_path, str(tmp_path / "missing"))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 # eval takes no --k: a bank's rows fix its K, and its checkpoint digest binds it
 @pytest.mark.parametrize("argv", [["train", "--branch-feed", "cls"],
                                   ["eval", "--ckpt", "x.ckpt", "--pixel-per-image"],
@@ -1594,6 +1615,35 @@ def test_malformed_config_is_config_error(tmp_path, capsys, user, message):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "gen")]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_config_read_from_a_pipe_is_parsed(workdir, tmp_path):
+    """A pipe reports no size, so the config reader reads it to end of file."""
+    _, config, _ = workdir
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-m", "mvfa.cli", "gen-data", "--config",
+                            "/dev/stdin", "--out", str(tmp_path / "piped")],
+                           input=Path(config).read_bytes(), env=env, capture_output=True)
+    assert child.returncode == 0, child.stderr
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "file")]) == 0
+    assert tree_bytes(tmp_path / "piped") == tree_bytes(tmp_path / "file")
+
+
+def test_config_that_is_a_directory_is_config_error(tmp_path, capsys):
+    assert main(["gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "gen")]) == 1
+    assert capsys.readouterr().err == (f"config error: cannot read config {tmp_path}: "
+                                       f"[Errno 21] Is a directory: '{tmp_path}'\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_manifest_that_is_a_directory_is_io_error(tmp_path, capsys):
+    manifest = tmp_path / "data" / "train.jsonl"
+    manifest.mkdir(parents=True)
+    assert main(["train", "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{manifest}'\n"
+    assert os.listdir(tmp_path) == ["data"]
 
 
 @pytest.mark.parametrize("command, section, key, constant", [
@@ -2128,15 +2178,20 @@ def test_each_command_opens_each_sample_file_once(reference_set, tmp_path, capsy
     the set to check both manifests, then its own rows again.
     """
     data, ckpt, bank = reference_set
-    opened, os_open = [], os.open
+    opened = []
 
-    def counted(path, *args, **kwargs):
-        if os.fspath(path).startswith(data + os.sep) and os.fspath(path).endswith(".pgm"):
-            opened.append(os.fspath(path))
-        return os_open(path, *args, **kwargs)
+    def counted(real):
+        def opener(path, *args, **kwargs):
+            name = str(path)
+            if name.startswith(data + os.sep) and name.endswith(".pgm"):
+                opened.append(name)
+            return real(path, *args, **kwargs)
+        return opener
 
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(os, "open", counted)
+    # a file object is opened by builtins.open, a file descriptor by os.open
+    monkeypatch.setattr(builtins, "open", counted(builtins.open))
+    monkeypatch.setattr(os, "open", counted(os.open))
     model = ["--ckpt", ckpt, "--bank", bank]
     for argv, files in ((["train", "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"], 16),
                         (["build-bank", "--ckpt", ckpt, "--out", str(tmp_path / "b")], 8),

@@ -9,6 +9,7 @@ import pytest
 import train_oracle
 from calllog import count_forks, logged, read_lines
 from fdcheck import check_gradients
+from test_backbone import weight_tensors
 
 from mvfa import autograd as ag
 from mvfa import objective, worker
@@ -300,7 +301,7 @@ def test_full_objective_gradients_on_toy_model():
         return total_loss(features, f_text, 1, mask, LossWeights(),
                           tau=0.07, out_hw=(8, 8))
 
-    check_gradients(loss_fn, params.tensors(), rel_tol=1e-4)
+    check_gradients(loss_fn, [t for _, t in params.named_tensors()], rel_tol=1e-4)
 
 
 # -- the fused level node against the op-by-op oracle ------------------------------
@@ -578,7 +579,7 @@ def toy_setup():
 
 
 def snapshot(params):
-    return [t.data.copy() for t in params.tensors()]
+    return [t.data.copy() for _, t in params.named_tensors()]
 
 
 def test_train_empty_dataset_errors():
@@ -689,7 +690,7 @@ def _trained_bits(train_fn, config, samples, model, train_config):
     text = {"widget": toy_text(config.dim, dtype=np.float32),
             "gadget": toy_text(config.dim, seed=1, dtype=np.float32)}
     history = train_fn(backbone, params, samples, text, train_config)
-    return history, [t.data.tobytes() for t in params.tensors()]
+    return history, [t.data.tobytes() for _, t in params.named_tensors()]
 
 
 @pytest.mark.parametrize("with_masks", [True, False])
@@ -1158,8 +1159,8 @@ def test_training_rejects_a_mask_that_is_not_zero_or_one():
 
 def test_backbone_untouched_by_training():
     backbone, params, text = toy_setup()
-    frozen_before = [w.data.copy() for w in backbone.weight_tensors()]
+    frozen_before = [w.data.copy() for w in weight_tensors(backbone)]
     train(backbone, params, toy_samples(4, seed=6), text,
           TrainConfig(lr=1e-2, batch_size=2, epochs=2, seed=8))
-    for old, new in zip(frozen_before, backbone.weight_tensors()):
+    for old, new in zip(frozen_before, weight_tensors(backbone)):
         assert np.array_equal(old, new.data)
