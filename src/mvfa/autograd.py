@@ -21,8 +21,10 @@ node with a hand-written VJP. The row softmax, the row normalization and
 the bilinear upsample are plain-array kernels, each with its VJP
 (:func:`row_softmax`, :func:`unit_rows`, :func:`upsample` and their
 ``_vjp`` partners); fused nodes and grad-free scoring call them directly,
-so each formula is written once. :func:`release` frees the arrays that a
-graph holds but no VJP reads.
+so each formula is written once. The upsample and its VJP read one cached
+plan per grid, output size and dtype: the gather's source rows and
+columns, the blend weights and the scatter's source cells. :func:`release`
+frees the arrays that a graph holds but no VJP reads.
 
 Training runs a batch of samples as graphs whose arrays carry a leading
 batch axis, and it must give the bits of one single-sample graph per
@@ -291,30 +293,22 @@ def _axis_coords(in_extent, out_extent, dtype):
 
 
 @functools.lru_cache(maxsize=32)
-def _upsample_corners(gh, gw, h, w):
-    """Flat source cells of the output pixels, in C order, at each blend corner."""
-    y0, y1, _ = _axis_coords(gh, h, np.float64)
-    x0, x1, _ = _axis_coords(gw, w, np.float64)
-    corners = tuple((ys[:, None] * gw + xs[None, :]).reshape(-1)
-                    for ys, xs in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
-    for cells in corners:
-        cells.flags.writeable = False
-    return corners
-
-
-@functools.lru_cache(maxsize=32)
 def _upsample_blend(gh, gw, h, w, dtype):
-    """Gather indices and blend weights of an align-corners resize.
+    """The plan of an align-corners resize, read by :func:`upsample` and its VJP.
 
     Returns the source rows y0, y1 and columns x0, x1 of each output pixel,
-    then 1 - wy, wy as columns and 1 - wx, wx as rows, in ``dtype``.
+    then 1 - wy, wy as columns and 1 - wx, wx as rows, in ``dtype``, then
+    the flat source cells of the output pixels, in C order, at the blend
+    corners (y0, x0), (y0, x1), (y1, x0) and (y1, x1).
     """
     y0, y1, wy = _axis_coords(gh, h, dtype.type)
     x0, x1, wx = _axis_coords(gw, w, dtype.type)
+    corners = tuple((ys[:, None] * gw + xs[None, :]).reshape(-1)
+                    for ys, xs in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
     blend = (y0, y1, x0, x1, 1 - wy[:, None], wy[:, None], 1 - wx[None, :], wx[None, :])
-    for arr in blend:
+    for arr in blend + corners:
         arr.flags.writeable = False
-    return blend
+    return blend + (corners,)
 
 
 def upsample(src, size):
@@ -336,7 +330,7 @@ def upsample(src, size):
     h, w = int(size[0]), int(size[1])
     if h < gh or w < gw:
         raise ShapeError(f"upsample: target {(h, w)} smaller than input {src.shape}")
-    y0, y1, x0, x1, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, src.dtype)
+    y0, y1, x0, x1, vy, wy, vx, wx, _ = _upsample_blend(gh, gw, h, w, src.dtype)
     rows = vx * src[..., x0] + wx * src[..., x1]
     return np.add(vy * rows[..., y0, :], wy * rows[..., y1, :], order="C")
 
@@ -347,13 +341,13 @@ def upsample_vjp(g, src_shape, dtype):
     Each map's gradient is scattered onto its source cells with one
     ``np.add.at`` per blend corner, (y0, x0), (y0, x1), (y1, x0) and (y1, x1)
     in that order, so each cell sums its contributions one at a time,
-    starting from zero. A stack goes one map at a time, which keeps the
-    temporaries at one map's size.
+    starting from zero. The weights and cells come from the plan that the
+    forward :func:`upsample` of the same sizes and dtype reads. A stack
+    goes one map at a time, which keeps the temporaries at one map's size.
     """
     gh, gw = src_shape[-2:]
     h, w = g.shape[-2:]
-    _, _, _, _, vy, wy, vx, wx = _upsample_blend(gh, gw, h, w, np.dtype(dtype))
-    corners = _upsample_corners(gh, gw, h, w)
+    _, _, _, _, vy, wy, vx, wx, corners = _upsample_blend(gh, gw, h, w, np.dtype(dtype))
     maps = g.reshape(-1, h, w)
     total = np.zeros((len(maps), gh * gw), dtype=np.result_type(g, vy))
     for g_map, cells in zip(maps, total):

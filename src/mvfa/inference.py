@@ -25,10 +25,11 @@ A level's search holds the unit queries, the (CHUNK * N, bank rows) GEMM
 product and its shortlist, frees the product before it gathers the
 shortlisted pairs, and multiplies them in place. The seed-42 reference
 ``eval`` and ``predict`` each peak in a stage-4 block of a chunk's forward
-pass, at 4.25 and 4.07 MiB traced in the calling process, below the
-few-shot ``train``'s 4.54. A bank and an anomaly map are each saved as
-one ``fileio`` container; a bank's header records the SHA-256 of the
-checkpoint it was built from, so a command can refuse another pairing.
+pass, at 4.24 and 4.20 MiB traced in the calling process, below the
+few-shot ``train``'s 4.61 (``tests/rss_by_command.py --passes 1``). A bank
+and an anomaly map are each saved as one ``fileio`` container; a bank's
+header records the SHA-256 of the checkpoint it was built from, so a
+command can refuse another pairing.
 """
 
 from __future__ import annotations

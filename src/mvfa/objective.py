@@ -62,9 +62,7 @@ both.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,10 +230,6 @@ def _bce(prob, c):
     return np.log(np.where(positive, clipped, rest)) * -1.0, vjp
 
 
-def _sum(contributions):
-    return functools.reduce(operator.add, contributions)
-
-
 def _add_into(total, part):
     """``total + part``, written into ``total``; a None ``total`` starts from ``part``.
 
@@ -320,7 +314,8 @@ def _level_loss(cls_l, seg_l, f_text, c, s, weights, tau, out_hw, stacks):
         map_terms = [(weight, term(upsampled, mask))
                      for weight, term in ((weights.lambda1, _dice), (weights.lambda2, _focal))
                      if weight > 0]
-        seg_value = _sum([part * float(weight) for weight, (part, _) in map_terms])
+        parts = [part * float(weight) for weight, (part, _) in map_terms]
+        seg_value = sum(parts[1:], parts[0])
         value[rows] = seg_value + value[rows] if weights.lambda3 > 0 else seg_value
 
         def seg_grad(g):
@@ -457,20 +452,6 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
     rng = np.random.default_rng(config.seed)
     out_hw = (backbone.config.image_size, backbone.config.image_size)
     history = []
-    if len(samples) <= config.batch_size:
-        rows, labels, modalities, masks = zip(*(
-            _step_inputs(backbone, [samples[i] for i in graph])
-            for graph in _graphs(range(len(samples)))))
-        rows, labels = np.concatenate(rows), np.concatenate(labels)
-        modalities, masks = sum(modalities, []), sum(masks, [])
-
-        def graph_inputs(graph):
-            return (rows[graph], labels[graph], [modalities[i] for i in graph],
-                    [masks[i] for i in graph])
-    else:
-        def graph_inputs(graph):
-            return _step_inputs(backbone, [samples[i] for i in graph])
-
     leaves = [p for _, p in named]
     index = {leaf: i for i, leaf in enumerate(leaves)}
 
@@ -502,6 +483,21 @@ def train(backbone, params: MVFAParams, samples, text_features: dict,
             yield run_graph(graph, size)
 
     with halves(run_graphs) as split:
+        # built under the split's one BLAS thread, before the worker is forked
+        if len(samples) <= config.batch_size:
+            rows, labels, modalities, masks = zip(*(
+                _step_inputs(backbone, [samples[i] for i in graph])
+                for graph in _graphs(range(len(samples)))))
+            rows, labels = np.concatenate(rows), np.concatenate(labels)
+            modalities, masks = sum(modalities, []), sum(masks, [])
+
+            def graph_inputs(graph):
+                return (rows[graph], labels[graph], [modalities[i] for i in graph],
+                        [masks[i] for i in graph])
+        else:
+            def graph_inputs(graph):
+                return _step_inputs(backbone, [samples[i] for i in graph])
+
         for epoch in range(config.epochs):
             order = rng.permutation(len(samples))
             weighted = 0.0

@@ -219,6 +219,22 @@ def test_batched_bilinear_matches_each_map_bitwise(count, src_hw, out_hw, dtype)
         assert got[i].tobytes() == ag.upsample_vjp(g[i], src_hw, src.dtype).tobytes()
 
 
+def test_bilinear_and_its_vjp_share_one_cached_plan():
+    # the forward adds the plan of its sizes and dtype, and the VJP reads it;
+    # the cache is emptied first, as earlier tests may have filled it
+    src = np.random.default_rng(25).standard_normal((2, 3, 7)).astype(np.float32)
+    ag._upsample_blend.cache_clear()
+    out = ag.upsample(src, (17, 23))
+    ag.upsample_vjp(out, src.shape, src.dtype)
+    info = ag._upsample_blend.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    # the scatter's cells are those of the gather's rows and columns, in any dtype
+    for dtype in (np.float32, np.float64):
+        y0, y1, x0, x1, *_, corners = ag._upsample_blend(3, 7, 17, 23, np.dtype(dtype))
+        for (ys, xs), cells in zip(((y0, x0), (y0, x1), (y1, x0), (y1, x1)), corners):
+            assert np.array_equal(cells, np.ravel_multi_index(np.ix_(ys, xs), (3, 7)).ravel())
+
+
 def test_bilinear_vjp_temporaries_stay_at_one_maps_size():
     """A training step's upsample VJP traces at most 256 KiB beyond its input.
 

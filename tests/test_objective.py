@@ -21,8 +21,8 @@ from mvfa.data import LoadedSample, ModalityProfile, SynthConfig, gen_dataset, l
 from mvfa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from mvfa.inference import score_batch
 from mvfa.objective import (PROB_EPS, AdamState, LossWeights, TrainConfig, _as_mask, _bce,
-                            _dice, _focal, _sum, _sum_samples, adam_step, level_loss,
-                            total_loss, train)
+                            _dice, _focal, _sum_samples, adam_step, level_loss, total_loss,
+                            train)
 from mvfa.textbank import PromptSet, build_text_features
 
 TOY = BackboneConfig(image_size=8, patch_size=4, dim=8, blocks_per_stage=1,
@@ -1107,6 +1107,25 @@ def test_blas_runs_on_one_thread_in_a_train_without_a_worker(tmp_path, monkeypat
         set_(before)
     # four one-sample graphs, then one graph of four
     assert read_lines(log) == ["1"] * 5 and after == 2
+
+
+def test_stage1_rows_are_built_on_one_blas_thread(tmp_path, monkeypatch):
+    # a fake OpenBLAS at 2 threads: the rows a one-batch set builds before the
+    # worker is forked, and those each streamed graph builds in either process,
+    # come from one thread
+    threads = [2]
+    monkeypatch.setattr(worker, "openblas_thread_calls",
+                        lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+    step_inputs = objective._step_inputs
+    for count, graphs in ((12, 2), (20, 4)):
+        log = tmp_path / f"threads{count}.txt"
+        monkeypatch.setattr(objective, "_step_inputs",
+                            logged(log, step_inputs, lambda *a, **k: threads[0]))
+        _trained_bits(train, TOY, mixed_samples(count, TOY.image_size, seed=36), {},
+                      TrainConfig(batch_size=16, epochs=1))
+        # 12 cached as 8 + 4; 20 streamed in steps of 16 and 4, as 8 + 8 and 2 + 2
+        assert read_lines(log) == ["1"] * graphs
+    assert threads == [2]
 
 
 def test_a_graph_that_reaches_no_trainable_tensor_adds_nothing(monkeypatch):

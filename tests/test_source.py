@@ -60,6 +60,29 @@ def test_every_private_module_name_is_used_in_the_package():
     assert not unused, unused
 
 
+def test_every_module_level_import_is_read_in_its_module():
+    """Each name that a src/mvfa module imports at module level is read in that module.
+
+    An import that outlives the code that used it is dead; ``__init__.py``,
+    whose imports are the package's interface, and ``__future__`` are exempt.
+    """
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{node.lineno}: {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert not unread, unread
+
+
 def test_only_fileio_imports_struct():
     """Binary layout lives in one module: no module of src/mvfa but fileio.py imports struct."""
     importers = []
